@@ -327,7 +327,10 @@ def build_document(current: dict) -> dict:
             "dataflow_rollup = the dataflow-rollup preset (3 sources, 4 "
             "hash window lanes, spread over 8 nodes) end to end; "
             "rdma_put_bw = 40x4KB one-sided puts on the same 2-node "
-            "cluster, counting NIC-offloaded RDMA write packets"
+            "cluster, counting NIC-offloaded RDMA write packets; events and "
+            "events_per_sec above the kernel are not comparable across the "
+            "quiet-instant elision change (uncontended grants/admits stopped "
+            "being events, the cheapest ones): read min_seconds"
         ),
     }
 

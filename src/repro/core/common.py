@@ -222,19 +222,19 @@ class FmEndpoint:
         """Spend one credit toward ``dest``, spinning until one is available."""
         obs = self.env.obs
         t0 = self.env.now
-        waited = 0
         stalled = False
         while self.credits_available(dest) == 0:
             if not stalled:
                 stalled = True
                 self.stats_credit_stalls += 1
             yield from self.cpu.poll()
-            waited += self.cpu.params.poll_ns
             if self.params.credit_spin_ns:
                 yield self.env.timeout(self.params.credit_spin_ns)
-                waited += self.params.credit_spin_ns
             if self.stall_hook is not None:
                 yield from self.stall_hook()
+            # Simulated time, not a sum of nominal poll costs: time inside
+            # the stall hook or inflated by a CpuSlow episode counts too.
+            waited = self.env.now - t0
             if waited > self.params.stall_limit_ns:
                 raise FmStalledError(
                     f"node {self.node_id} stalled {waited} ns waiting for "

@@ -43,25 +43,37 @@ class IoBus:
         if nbytes < 0:
             raise ValueError(f"negative PIO size: {nbytes}")
         cost = self.params.pio_startup_ns + transfer_time_ns(nbytes, self.params.pio_bw)
-        with cpu.lock.request() as cpu_req:
-            yield cpu_req
-            with self.arbiter.request() as bus_req:
-                yield bus_req
+        cpu_req = cpu.lock.acquire()
+        try:
+            if cpu_req is not None:
+                yield cpu_req
+            bus_req = self.arbiter.acquire()
+            try:
+                if bus_req is not None:
+                    yield bus_req
                 yield self.env.timeout(cost)
                 self.pio_bytes += nbytes
                 self.busy_ns += cost
                 cpu.busy_ns += cost
+            finally:
+                self.arbiter.release(bus_req)
+        finally:
+            cpu.lock.release(cpu_req)
 
     def dma_transfer(self, nbytes: int) -> Generator:
         """DMA ``nbytes`` across the bus (bus only; CPU stays free)."""
         if nbytes < 0:
             raise ValueError(f"negative DMA size: {nbytes}")
         cost = self.params.dma_startup_ns + transfer_time_ns(nbytes, self.params.dma_bw)
-        with self.arbiter.request() as bus_req:
-            yield bus_req
+        bus_req = self.arbiter.acquire()
+        try:
+            if bus_req is not None:
+                yield bus_req
             yield self.env.timeout(cost)
             self.dma_bytes += nbytes
             self.busy_ns += cost
+        finally:
+            self.arbiter.release(bus_req)
 
     def pio_cost(self, nbytes: int) -> int:
         return self.params.pio_startup_ns + transfer_time_ns(nbytes, self.params.pio_bw)

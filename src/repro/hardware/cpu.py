@@ -50,10 +50,14 @@ class HostCpu:
         faults = self.env.faults
         if faults is not None:
             cost_ns = faults.cpu_cost(self.name, cost_ns)
-        with self.lock.request() as req:
-            yield req
+        req = self.lock.acquire()
+        try:
+            if req is not None:
+                yield req
             yield self.env.timeout(cost_ns)
             self.busy_ns += cost_ns
+        finally:
+            self.lock.release(req)
 
     # -- cost-model operations ------------------------------------------------
     def memcpy(self, src: Buffer, src_off: int, dst: Buffer, dst_off: int,
@@ -88,23 +92,23 @@ class HostCpu:
 
     def call(self) -> Generator:
         """One function call / handler dispatch."""
-        yield from self.execute(self.params.call_ns)
+        return self.execute(self.params.call_ns)
 
     def poll(self) -> Generator:
         """One poll of a device status word (uncached read over the bus)."""
-        yield from self.execute(self.params.poll_ns)
+        return self.execute(self.params.poll_ns)
 
     def per_packet(self) -> Generator:
         """Per-packet protocol bookkeeping (header build/parse, credits)."""
-        yield from self.execute(self.params.per_packet_ns)
+        return self.execute(self.params.per_packet_ns)
 
     def per_message(self) -> Generator:
         """Per-message API-crossing bookkeeping."""
-        yield from self.execute(self.params.per_message_ns)
+        return self.execute(self.params.per_message_ns)
 
     def compute(self, cost_ns: int) -> Generator:
         """Application compute time (explicit, for examples/benchmarks)."""
-        yield from self.execute(cost_ns)
+        return self.execute(cost_ns)
 
     def __repr__(self) -> str:
         return f"<HostCpu {self.name!r} busy={self.busy_ns}ns>"

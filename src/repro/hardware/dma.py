@@ -40,10 +40,14 @@ class DmaEngine:
         """Move ``nbytes`` across the bus on this channel."""
         self.transfers += 1
         self.bytes += nbytes
-        with self.channel.request() as req:
-            yield req
+        req = self.channel.acquire()
+        try:
+            if req is not None:
+                yield req
             yield from self.bus.dma_transfer(nbytes)
             self.completed += 1
+        finally:
+            self.channel.release(req)
 
     @property
     def in_flight(self) -> int:

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.simkernel.store import Store
+from repro.simkernel.store import EMPTY, Store
 from repro.simkernel.units import transfer_time_ns
 
 from repro.hardware.packet import Packet, PacketFlags
@@ -49,6 +49,7 @@ class Link:
         self.env = env
         self.params = params
         self.name = name
+        self._wire_label = f"{name}.wire"
         #: Upstream components put packets here; bounded = transmit buffer.
         self.ingress: Store = Store(env, capacity=params.slots, name=f"{name}.ingress")
         #: In-flight window between serialiser and deliverer.
@@ -84,11 +85,13 @@ class Link:
     # -- processes ----------------------------------------------------------
     def _serialise(self):
         while True:
-            packet: Packet = yield self.ingress.get()
+            packet: Packet = self.ingress.get_now()
+            if packet is EMPTY:
+                packet = yield self.ingress.get()
             obs = self.env.obs
             t0 = self.env.now
             yield self.env.timeout(self.wire_time(packet))
-            packet.stamp(f"{self.name}.wire", self.env.now)
+            packet.stamp(self._wire_label, self.env.now)
             dropped = self._apply_faults(packet)
             self.packets += 1
             self.bytes += packet.wire_bytes
@@ -104,15 +107,21 @@ class Link:
                 # an upper-layer protocol's job, exactly as on a real wire.
                 continue
             # Tag with earliest possible arrival so propagation pipelines.
-            yield self._flight.put((packet, self.env.now + self.params.propagation_ns))
+            flight = (packet, self.env.now + self.params.propagation_ns)
+            if not self._flight.put_now(flight):
+                yield self._flight.put(flight)
 
     def _deliver(self):
         assert self._target is not None
         while True:
-            packet, ready_at = yield self._flight.get()
+            flight = self._flight.get_now()
+            if flight is EMPTY:
+                flight = yield self._flight.get()
+            packet, ready_at = flight
             if ready_at > self.env.now:
                 yield self.env.timeout(ready_at - self.env.now)
-            yield self._target.put(packet)
+            if not self._target.put_now(packet):
+                yield self._target.put(packet)
 
     # -- fault injection ------------------------------------------------------
     def _apply_faults(self, packet: Packet) -> bool:

@@ -52,7 +52,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Optional
 
-from repro.simkernel.store import Store
+from repro.simkernel.store import EMPTY, Store
 
 from repro.hardware.bus import IoBus
 from repro.hardware.dma import DmaEngine
@@ -149,6 +149,12 @@ class Nic:
         self.bus = bus
         self.node_id = node_id
         self.name = name or f"nic{node_id}"
+        self._submit_label = f"{self.name}.submit"
+        self._inject_label = f"{self.name}.inject"
+        self._dma_done_label = f"{self.name}.dma_done"
+        self._fw_inject_label = f"{self.name}.fw_inject"
+        self._rdma_write_label = f"{self.name}.rdma_write"
+        self._rdma_read_land_label = f"{self.name}.rdma_read_land"
         # Send path: host -> tx SRAM -> link.
         self.tx_sram: Store = Store(env, capacity=params.sram_packet_slots,
                                     name=f"{self.name}.tx_sram")
@@ -221,8 +227,9 @@ class Nic:
         The caller must already have charged the bus cost of moving
         ``packet.wire_bytes`` into SRAM (PIO via ``bus.pio_write`` for FM).
         """
-        packet.stamp(f"{self.name}.submit", self.env.now)
-        yield self.tx_sram.put(packet)
+        packet.stamp(self._submit_label, self.env.now)
+        if not self.tx_sram.put_now(packet):
+            yield self.tx_sram.put(packet)
 
     def take_credits(self, peer: int) -> int:
         """Drain and return credits posted by the firmware for ``peer``."""
@@ -274,8 +281,7 @@ class Nic:
         one-sided path has no FM endpoint in the loop).  The caller charges
         the descriptor PIO and the payload's send-side DMA."""
         self._stamp_route(packet)
-        packet.stamp(f"{self.name}.submit", self.env.now)
-        yield self.tx_sram.put(packet)
+        return self.submit(packet)
 
     def cq_wakeup(self):
         """An event triggered at the next completion-queue post (same
@@ -344,14 +350,17 @@ class Nic:
         """Firmware-originated send: straight into tx SRAM (the payload is
         already NIC-side; the tx firmware loop charges its per-packet cost)."""
         self._stamp_route(packet)
-        packet.stamp(f"{self.name}.fw_inject", self.env.now)
-        yield self.tx_sram.put(packet)
+        packet.stamp(self._fw_inject_label, self.env.now)
+        if not self.tx_sram.put_now(packet):
+            yield self.tx_sram.put(packet)
 
     # -- firmware loops -----------------------------------------------------------
     def _tx_firmware(self):
         assert self.tx_link is not None
         while True:
-            packet: Packet = yield self.tx_sram.get()
+            packet: Packet = self.tx_sram.get_now()
+            if packet is EMPTY:
+                packet = yield self.tx_sram.get()
             obs = self.env.obs
             t0 = self.env.now
             yield self.env.timeout(self.params.firmware_send_ns)
@@ -361,18 +370,21 @@ class Nic:
                 if stall:
                     yield self.env.timeout(stall)
             self.sent_packets += 1
-            packet.stamp(f"{self.name}.inject", self.env.now)
+            packet.stamp(self._inject_label, self.env.now)
             if obs is not None:
                 obs.span("nic", "tx_firmware", t0,
                          track=f"node{self.node_id}/nic.tx",
                          ctx=packet.trace,
                          dest=packet.header.dest, seq=packet.header.seq,
                          bytes=packet.wire_bytes)
-            yield self.tx_link.ingress.put(packet)
+            if not self.tx_link.ingress.put_now(packet):
+                yield self.tx_link.ingress.put(packet)
 
     def _rx_firmware(self):
         while True:
-            packet: Packet = yield self.rx_sram.get()
+            packet: Packet = self.rx_sram.get_now()
+            if packet is EMPTY:
+                packet = yield self.rx_sram.get()
             obs = self.env.obs
             t0 = self.env.now
             yield self.env.timeout(self.params.firmware_recv_ns)
@@ -415,7 +427,7 @@ class Nic:
                 continue
             yield from self.recv_dma.transfer(packet.wire_bytes)
             self.received_packets += 1
-            packet.stamp(f"{self.name}.dma_done", self.env.now)
+            packet.stamp(self._dma_done_label, self.env.now)
             if obs is not None:
                 obs.span("nic", "rx_dma", t0,
                          track=f"node{self.node_id}/nic.rx",
@@ -425,7 +437,8 @@ class Nic:
                 obs.metrics.histogram("nic.recv_region_depth",
                                       nic=self.name).record(
                     self.recv_region.level)
-            yield self.recv_region.put(packet)
+            if not self.recv_region.put_now(packet):
+                yield self.recv_region.put(packet)
             if self._rx_waiters:
                 waiters, self._rx_waiters = self._rx_waiters, []
                 for event in waiters:
@@ -457,7 +470,7 @@ class Nic:
             region.write(packet.payload, header.roffset)
             self.rdma_write_packets += 1
             self.rdma_write_bytes += len(packet.payload)
-            packet.stamp(f"{self.name}.rdma_write", self.env.now)
+            packet.stamp(self._rdma_write_label, self.env.now)
             if header.is_last:
                 self._post_completion("write", header.src, header.rkey,
                                       header.msg_id, header.msg_bytes)
@@ -491,7 +504,7 @@ class Nic:
         pending.buffer.write(packet.payload,
                              pending.local_offset + header.roffset)
         pending.received += len(packet.payload)
-        packet.stamp(f"{self.name}.rdma_read_land", self.env.now)
+        packet.stamp(self._rdma_read_land_label, self.env.now)
         if obs is not None:
             obs.span("nic", "rdma_read_resp", t0,
                      track=f"node{self.node_id}/nic.rx",

@@ -48,11 +48,15 @@ class PacketFlags(IntFlag):
     # generated and absorbed inside the firmware loops, like CONTROL.
     COLLECTIVE = 256
 
-    @property
-    def is_rdma(self) -> bool:
-        return bool(self & (PacketFlags.RDMA_WRITE
-                            | PacketFlags.RDMA_READ_REQ
-                            | PacketFlags.RDMA_READ_RESP))
+
+#: The per-packet flag tests run on plain ints: ``flags & member`` on an
+#: IntFlag builds an enum member per call (about 1 us each on the rx path).
+_and = int.__and__
+_FIRST, _LAST, _CONTROL, _CORRUPT, _COLLECTIVE = (int(flag) for flag in (
+    PacketFlags.FIRST, PacketFlags.LAST, PacketFlags.CONTROL,
+    PacketFlags.CORRUPT, PacketFlags.COLLECTIVE))
+_RDMA = int(PacketFlags.RDMA_WRITE | PacketFlags.RDMA_READ_REQ
+            | PacketFlags.RDMA_READ_RESP)
 
 
 @dataclass
@@ -91,23 +95,23 @@ class PacketHeader:
 
     @property
     def is_first(self) -> bool:
-        return bool(self.flags & PacketFlags.FIRST)
+        return _and(self.flags, _FIRST) != 0
 
     @property
     def is_last(self) -> bool:
-        return bool(self.flags & PacketFlags.LAST)
+        return _and(self.flags, _LAST) != 0
 
     @property
     def is_control(self) -> bool:
-        return bool(self.flags & PacketFlags.CONTROL)
+        return _and(self.flags, _CONTROL) != 0
 
     @property
     def is_rdma(self) -> bool:
-        return self.flags.is_rdma
+        return _and(self.flags, _RDMA) != 0
 
     @property
     def is_collective(self) -> bool:
-        return bool(self.flags & PacketFlags.COLLECTIVE)
+        return _and(self.flags, _COLLECTIVE) != 0
 
 
 @dataclass
@@ -160,7 +164,8 @@ class Packet:
         return len(self.payload)
 
     def crc_ok(self) -> bool:
-        return not (self.header.flags & PacketFlags.CORRUPT) and compute_crc(self.payload) == self.crc
+        return (not _and(self.header.flags, _CORRUPT)
+                and compute_crc(self.payload) == self.crc)
 
     def stamp(self, location: str, time_ns: int) -> None:
         """Record a waypoint on this packet's journey."""

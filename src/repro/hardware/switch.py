@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.simkernel.store import Store
+from repro.simkernel.store import EMPTY, Store
 
 from repro.hardware.link import Link
 from repro.hardware.packet import Packet
@@ -36,6 +36,7 @@ class Switch:
         self.env = env
         self.params = params
         self.name = name
+        self._forward_label = f"{name}.forward"
         self.n_ports = n_ports
         self.in_ports: list[Store] = [
             Store(env, capacity=params.port_buffer_slots, name=f"{name}.in{p}")
@@ -62,7 +63,9 @@ class Switch:
     def _forward(self, port: int):
         in_store = self.in_ports[port]
         while True:
-            packet: Packet = yield in_store.get()
+            packet: Packet = in_store.get_now()
+            if packet is EMPTY:
+                packet = yield in_store.get()
             obs = self.env.obs
             t0 = self.env.now
             yield self.env.timeout(self.params.routing_ns)
@@ -83,12 +86,13 @@ class Switch:
                     f"of {self.name!r}"
                 )
             self.forwarded += 1
-            packet.stamp(f"{self.name}.forward", self.env.now)
+            packet.stamp(self._forward_label, self.env.now)
             if obs is not None:
                 obs.span("fabric", "forward", t0, track=f"fabric/{self.name}",
                          in_port=port, out_port=out_port,
                          src=packet.header.src, dest=packet.header.dest)
-            yield link.ingress.put(packet)
+            if not link.ingress.put_now(packet):
+                yield link.ingress.put(packet)
 
     def __repr__(self) -> str:
         return f"<Switch {self.name!r} ports={self.n_ports} forwarded={self.forwarded}>"

@@ -165,7 +165,7 @@ class BoundaryLink(Link):
         while True:
             packet: Packet = yield self.ingress.get()
             yield self.env.timeout(self.wire_time(packet))
-            packet.stamp(f"{self.name}.wire", self.env.now)
+            packet.stamp(self._wire_label, self.env.now)
             dropped = self._apply_faults(packet)
             self.packets += 1
             self.bytes += packet.wire_bytes

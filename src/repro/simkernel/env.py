@@ -49,7 +49,8 @@ class Environment:
     """
 
     __slots__ = ("_now", "_heap", "_imm", "_seq", "_active_process",
-                 "_active_processes", "trace", "last_key", "obs", "faults")
+                 "_active_processes", "_fanout", "elided", "trace", "last_key",
+                 "obs", "faults")
 
     def __init__(self, initial_time: int = 0):
         if not isinstance(initial_time, int) or initial_time < 0:
@@ -64,6 +65,10 @@ class Environment:
         self._seq: int = 0
         self._active_process: Optional[Process] = None
         self._active_processes: int = 0
+        #: True while an event with several callbacks is being dispatched.
+        self._fanout: bool = False
+        #: Handshakes performed inline, without an event (see :attr:`quiet`).
+        self.elided: int = 0
         #: Optional hook called as ``trace(time, event)`` before each event
         #: fires.  While it runs, :attr:`last_key` holds the fired event's
         #: packed (priority, seq) heap key.
@@ -102,8 +107,28 @@ class Environment:
 
     @property
     def scheduled_events(self) -> int:
-        """Total events ever scheduled (the self-perf events/sec numerator)."""
+        """Total events ever scheduled (the self-perf events/sec numerator).
+
+        Handshakes elided at quiet instants are counted in :attr:`elided`,
+        not here; ``scheduled_events + elided`` is what this read before
+        elision.  Those were the cheapest events, so events/s is not
+        comparable across that change: compare events per op and seconds.
+        """
         return self._seq
+
+    @property
+    def quiet(self) -> bool:
+        """True when nothing else is runnable at the current instant.
+
+        The immediate queue is empty, no heap entry is due now and no sibling
+        callback of the event being dispatched has yet to run.  A fresh event
+        succeeded here at normal priority with the caller as sole waiter
+        would be the next one fired, so ``Resource.acquire`` and ``Store.
+        put_now/get_now`` do the handshake inline: same actions, same order.
+        """
+        heap = self._heap
+        return (not self._imm and not self._fanout
+                and (not heap or heap[0][0] > self._now))
 
     @staticmethod
     def decode_key(key: int) -> tuple[int, int]:
@@ -207,8 +232,10 @@ class Environment:
             self.trace(when, event)
         callbacks, event.callbacks = event.callbacks, None
         event._processed = True
+        self._fanout = len(callbacks) > 1
         for callback in callbacks:
             callback(event)
+        self._fanout = False
         if not event._ok and not event._defused:
             exc = event._value
             raise exc
@@ -317,8 +344,10 @@ class Environment:
                 else:
                     cb(event)
             else:
+                self._fanout = True
                 for callback in callbacks:
                     callback(event)
+                self._fanout = False
             if not event._ok and not event._defused:
                 raise event._value
             if event is target:
@@ -418,8 +447,10 @@ class Environment:
                 else:
                     cb(event)
             else:
+                self._fanout = True
                 for callback in callbacks:
                     callback(event)
+                self._fanout = False
             if not event._ok and not event._defused:
                 raise event._value
             pool = event._pool

@@ -62,6 +62,7 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._users: set[Request] = set()
+        self._inline = 0  # slots held through acquire() -> None
         self._queue: list[tuple[tuple, Request]] = []  # heap keyed by request key
         self._seq = 0
 
@@ -69,7 +70,7 @@ class Resource:
     @property
     def count(self) -> int:
         """Number of current holders."""
-        return len(self._users)
+        return len(self._users) + self._inline
 
     @property
     def queued(self) -> int:
@@ -82,9 +83,31 @@ class Resource:
         self._admit_or_queue(req)
         return req
 
-    def release(self, request: Request) -> None:
-        """Release a held request, or cancel a queued one. Idempotent."""
-        if request in self._users:
+    def acquire(self) -> Optional[Request]:
+        """Claim a slot; ``None`` means it is already held, with no event.
+
+        At a quiet instant with a free slot the grant would fire next with
+        the caller as its only waiter, so the slot is taken inline; otherwise
+        this is :meth:`request`.  Either token goes back to :meth:`release`,
+        in a ``finally`` (``if req is not None: yield req`` sits inside it).
+        """
+        env = self.env
+        if len(self._users) + self._inline < self.capacity and env.quiet:
+            self._inline += 1
+            env.elided += 1
+            return None
+        return self.request()
+
+    def release(self, request: Optional[Request]) -> None:
+        """Release a held request, or cancel a queued one (idempotent);
+        ``None`` releases one inline hold taken by :meth:`acquire`."""
+        if request is None:
+            if not self._inline:
+                raise SimulationError(f"{self!r}: no inline hold to release")
+            self._inline -= 1
+            if self._queue:
+                self._grant_next()
+        elif request in self._users:
             self._users.remove(request)
             self._grant_next()
         else:
@@ -96,20 +119,20 @@ class Resource:
 
     # -- internals ------------------------------------------------------------
     def _admit_or_queue(self, req: Request) -> None:
-        if len(self._users) < self.capacity:
+        if len(self._users) + self._inline < self.capacity:
             self._users.add(req)
             req.succeed(req)
         else:
             heapq.heappush(self._queue, (req.key, req))
 
     def _grant_next(self) -> None:
-        while self._queue and len(self._users) < self.capacity:
+        while self._queue and len(self._users) + self._inline < self.capacity:
             _key, req = heapq.heappop(self._queue)
             self._users.add(req)
             req.succeed(req)
 
     def __repr__(self) -> str:
-        return (f"<{type(self).__name__} {self.name!r} users={len(self._users)}"
+        return (f"<{type(self).__name__} {self.name!r} users={self.count}"
                 f"/{self.capacity} queued={len(self._queue)}>")
 
 

@@ -45,6 +45,9 @@ _GET_FREE = _register_pool(StoreGet)
 #: inlined succeed() in the put/get fast paths adds the sequence number.
 _NORMAL_KEY = PRIORITY_NORMAL << SEQ_BITS
 
+#: Returned by :meth:`Store.get_now` when the caller must ``yield get()``.
+EMPTY = object()
+
 
 class Store:
     """Deterministic bounded FIFO queue of items."""
@@ -150,6 +153,41 @@ class Store:
         self._gets.append(event)
         self._settle()
         return event
+
+    def put_now(self, item: Any) -> bool:
+        """:meth:`put` minus the caller's own event, if the item is admitted
+        at once at a quiet instant (:attr:`Environment.quiet`); ``False``
+        means nothing happened and the caller must ``yield put(item)``.
+        A blocked getter is still woken through its event.
+        """
+        env = self.env
+        items = self.items
+        if self._puts or len(items) >= self.capacity or not env.quiet:
+            return False
+        env.elided += 1
+        if self._gets:
+            # The store is empty: the first getter takes this very item.
+            self._gets.popleft().succeed(item)
+        else:
+            items.append(item)
+        return True
+
+    def get_now(self) -> Any:
+        """:meth:`get` minus the caller's own event, if an item is ready at
+        a quiet instant; else :data:`EMPTY` and the caller must ``yield
+        get()``.  A blocked putter is still admitted through its event.
+        """
+        env = self.env
+        items = self.items
+        if self._gets or not items or not env.quiet:
+            return EMPTY
+        env.elided += 1
+        item = items.popleft()
+        if self._puts:
+            put = self._puts.popleft()
+            items.append(put.item)
+            put.succeed(put.item)
+        return item
 
     def try_get(self) -> Optional[Any]:
         """Non-blocking get: pop an item if available, else None.

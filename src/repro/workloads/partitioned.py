@@ -152,6 +152,7 @@ def _worker_run(sync, scenario_dict: dict, partition: int) -> None:
         "snapshot": stats.snapshot(),
         "t_done": t_done(),
         "events": env.scheduled_events,
+        "elided": env.elided,
         "boundary_stalls": fabric.boundary_stalls,
     })
 
@@ -162,9 +163,9 @@ def run_partitioned(scenario, details: dict | None = None) -> dict:
     Returns the same report dict :func:`repro.workloads.runner.run_scenario`
     produces serially (byte-identical for the same scenario).  Pass a
     ``details`` dict to additionally receive execution-side numbers that
-    deliberately stay out of the report (total scheduled events across
-    workers, barrier windows, boundary messages/stalls) — the self-perf
-    harness's events/sec numerator.
+    deliberately stay out of the report (total scheduled events and elided
+    handshakes across workers, barrier windows, boundary messages/stalls)
+    — the self-perf harness's events/sec numerator.
     """
     from repro.parallel.sync import Coordinator
     from repro.workloads.runner import scenario_report_dict
@@ -204,6 +205,7 @@ def run_partitioned(scenario, details: dict | None = None) -> dict:
     stalls = sum(p["boundary_stalls"] for p in payloads)
     if details is not None:
         details["events"] = sum(p["events"] for p in payloads)
+        details["elided"] = sum(p["elided"] for p in payloads)
         details["windows"] = coordinator.windows
         details["boundary_messages"] = coordinator.messages
         details["boundary_stalls"] = stalls

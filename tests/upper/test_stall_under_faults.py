@@ -15,7 +15,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.configs import PPRO_FM2
-from repro.core.common import FmParams
+from repro.core.common import FmParams, FmStalledError
 from repro.faults import FaultPlan
 from repro.faults.plan import CpuSlow
 from repro.upper.mpi import build_mpi_world
@@ -113,3 +113,46 @@ class TestShmemStallUnderCpuSlow:
         # clock; the bound stays a small multiple of the limit rather than
         # a multiple of the slowdown factor.
         assert cluster.now <= 2 * STALL_LIMIT_NS
+
+
+class TestFmCreditStallClock:
+    """``FmEndpoint.acquire_credit`` shares the clock discipline: the
+    credit-stall limit is simulated time since the stall began, not a sum
+    of nominal poll costs — so time inside the stall hook, or inflated by
+    a ``CpuSlow`` episode, counts."""
+
+    HOOK_NS = 20_000
+
+    def starved_sender(self, *, slow: bool, hook: bool) -> int:
+        """Stream at a receiver that never extracts; returns how long after
+        the start of the stalled send ``FmStalledError`` fired (sim ns)."""
+        cluster = make_cluster()
+        if slow:
+            # 20x keeps the slowed send path that precedes the stall (it is
+            # inside the measured interval) well under SLOP_NS.
+            slow_node(cluster, node=0, factor=20.0)
+        fm = cluster.nodes[0].fm
+        hid = {n.fm.register_handler(lambda *a: None)
+               for n in cluster.nodes}.pop()
+        if hook:
+            def progress_pass():
+                yield cluster.env.timeout(self.HOOK_NS)
+            fm.stall_hook = progress_pass
+        send_began = [0]
+
+        def sender(node):
+            buf = node.buffer(64)
+            while True:
+                send_began[0] = node.env.now
+                yield from fm.send_buffer(1, hid, buf, 64)
+
+        with pytest.raises(FmStalledError):
+            cluster.run([sender, None])
+        assert fm.stats_credit_stalls == 1
+        return cluster.now - send_began[0]
+
+    @pytest.mark.parametrize("slow,hook", [(True, False), (False, True),
+                                           (True, True)])
+    def test_diagnosed_within_one_limit(self, slow, hook):
+        overshoot = self.starved_sender(slow=slow, hook=hook)
+        assert overshoot <= STALL_LIMIT_NS + SLOP_NS
