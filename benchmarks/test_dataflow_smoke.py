@@ -16,7 +16,7 @@ import json
 import pytest
 
 from repro.workloads.run import main
-from repro.workloads.runner import PRESET_DESCRIPTIONS, PRESETS
+from repro.workloads.presets import PRESET_DESCRIPTIONS, PRESETS
 
 pytestmark = pytest.mark.fast
 

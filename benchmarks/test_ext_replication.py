@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.workloads.runner import PRESET_PLANS, PRESETS, run_scenario
+from repro.workloads.presets import PRESET_PLANS, PRESETS
+from repro.workloads.runner import run_scenario
 
 REPLICATED = PRESETS["rpc-replicated-failover"]
 BLACKOUT = PRESETS["rpc-sharded-blackout"]

@@ -185,7 +185,8 @@ def dataflow_workload() -> tuple[int, int]:
 
     Returns ``(simulated_ns, scheduled_events)``.
     """
-    from repro.workloads.runner import PRESETS, execute_scenario
+    from repro.workloads.presets import PRESETS
+    from repro.workloads.runner import execute_scenario
 
     outcome = execute_scenario(PRESETS["dataflow-rollup"])
     return outcome.report["sim_end_ns"], outcome.cluster.env.scheduled_events

@@ -217,4 +217,82 @@ def run_pipeline(cluster: "Cluster", scenario: "Scenario",
     for node_rt in run.nodes:
         node_rt.spawn()
     cluster.run(run.programs(), until_ns=scenario.until_ns)
+    stats.edges = run.edge_report()
     return run
+
+
+class PipelineKind:
+    """``kind="pipeline"`` — a streaming dataflow DAG: the scenario's
+    ``pipeline`` shape (``rollup`` windowed aggregation or
+    ``scatter_gather`` load balancing) with ``n_sources`` arrival-driven
+    sources fanning out over ``branches`` lanes, placed per
+    ``stage_placement`` (``spread`` / ``colocate``); bounded stage queues
+    make FM credit flow control the backpressure.
+
+    Shared fields are reused rather than duplicated: ``arrival`` /
+    ``rate_rps`` per source, ``n_requests`` as records per source,
+    ``req_bytes`` as the per-record wire footprint, ``work_ns`` as the
+    interior per-record demand, ``queue_capacity`` as the bounded
+    stage-queue depth, ``n_keys`` as the key universe.
+    """
+
+    #: The dataflow knobs exist only in pipeline reports; every other
+    #: kind keeps its pre-dataflow report schema.
+    fields = ("pipeline", "n_sources", "branches", "window_ns",
+              "window_slide_ns", "partition_by", "stage_placement",
+              "sink_work_ns")
+
+    def report_fields(self, scenario: "Scenario") -> tuple[str, ...]:
+        """Which of :attr:`fields` this scenario's report carries: all."""
+        return self.fields
+
+    def validate(self, scenario: "Scenario") -> None:
+        """Cross-field checks of a pipeline scenario (raises
+        ``ValueError``)."""
+        s = scenario
+        if s.window_slide_ns and s.window_ns % s.window_slide_ns:
+            raise ValueError(
+                f"window_slide_ns must be 0 (tumbling) or divide window_ns "
+                f"{s.window_ns}, got {s.window_slide_ns}")
+        if s.fm_version != 2:
+            raise ValueError(
+                "pipelines ride FM 2.x streams (gather/scatter + "
+                "extract pacing); fm_version must be 2")
+        if s.arrival == "closed":
+            raise ValueError(
+                "pipeline sources are one-way streams with no "
+                "responses to close the loop on; arrival must be "
+                "open/open-fixed/bursty")
+        if s.req_bytes < MIN_RECORD_BYTES:
+            raise ValueError(
+                f"req_bytes is the per-record wire footprint and must "
+                f"be >= {MIN_RECORD_BYTES}, got {s.req_bytes}")
+        need = required_nodes(s.pipeline, s.n_sources, s.branches,
+                              s.stage_placement)
+        if s.n_nodes < need:
+            raise ValueError(
+                f"{s.stage_placement!r} placement of this pipeline "
+                f"needs >= {need} nodes, got {s.n_nodes}")
+        if s.servers != 1 or s.replicas != 1:
+            raise ValueError(
+                "sharding/replication are rpc concepts; pipelines "
+                "express parallelism as branches")
+        if s.population or s.partition_groups or s.partitions:
+            raise ValueError(
+                "pipelines are serial-only and unpartitioned for now "
+                "(population/partition_groups/partitions must be 0)")
+        if s.sample_interval_ns:
+            raise ValueError(
+                "pipeline telemetry is per-stage (queue depth + credit "
+                "stalls); time-series sampling and SLOs are rpc-only")
+
+    def build_stats(self, env, scenario: "Scenario") -> PipelineStats:
+        """Per-stage pipeline stats."""
+        return PipelineStats(env, name=f"pipeline.{scenario.name}")
+
+    def run(self, cluster: "Cluster", scenario: "Scenario",
+            stats: PipelineStats) -> dict:
+        """Build, place and run the pipeline; the per-edge rows land in
+        ``results`` via the stats object, so no extra section."""
+        run_pipeline(cluster, scenario, stats)
+        return {}

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from repro.obs.metrics import Metrics, RunStats
 from repro.simkernel.monitor import Counters
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.metrics import Metrics
     from repro.simkernel.env import Environment
 
 
@@ -59,28 +59,21 @@ class StageStats:
         }
 
 
-class PipelineStats:
-    """Everything one pipeline run reports.
-
-    Quacks enough like :class:`WorkloadStats` for
-    :func:`~repro.workloads.runner.execute_scenario`: ``federate``,
-    ``report``, ``fault_window_report``, and a ``counters`` bag.
-    """
+class PipelineStats(RunStats):
+    """Everything one pipeline run reports.  There is no fault-window
+    section: windowed availability scoring is RPC-shaped (good / bad
+    request fractions), pipelines expose per-stage credit-stall telemetry
+    instead."""
 
     def __init__(self, env: "Environment", name: str = "pipeline"):
-        # Imported here, not at module level: repro.workloads's package
-        # init imports the scenario runner, which imports this package.
-        from repro.workloads.stats import Reservoir
-
-        self.env = env
-        self.name = name
-        self.counters = Counters()
+        super().__init__(env, name)
         #: End-to-end record latency (source emit -> sink arrival).
-        self.latency = Reservoir(f"{name}.latency_ns")
+        self.latency = self.reservoir("latency_ns")
         self.stages: dict[str, StageStats] = {}
+        #: Per-edge rows, filled in by ``run_pipeline`` once the run ends.
+        self.edges: list[dict] = []
         self.t_first_emit: Optional[int] = None
         self.t_last_delivery: Optional[int] = None
-        self._metrics: Optional["Metrics"] = None
 
     # -- construction ------------------------------------------------------
     def add_stage(self, name: str, kind: str, node: int) -> StageStats:
@@ -93,11 +86,10 @@ class PipelineStats:
                                             stage.counters)
         return stage
 
-    def federate(self, metrics: "Metrics") -> None:
+    def federate(self, metrics: Metrics) -> None:
         """Register with an observer's metrics registry (aggregate bag
         plus one ``<name>.<stage>`` bag per stage)."""
-        metrics.register_counters(self.name, self.counters)
-        self._metrics = metrics
+        super().federate(metrics)
         for name, stage in self.stages.items():
             metrics.register_counters(f"{self.name}.{name}", stage.counters)
 
@@ -118,9 +110,6 @@ class PipelineStats:
         self.counters.add("delivered_source_records", source_records)
         self.latency.record(latency_ns)
         self.t_last_delivery = self.env.now
-        if self._metrics is not None:
-            self._metrics.histogram(f"{self.name}.latency_ns").record(
-                latency_ns)
 
     def note_filtered(self, stage: StageStats, source_records: int) -> None:
         """A filter stage dropped-by-predicate ``source_records`` counts
@@ -177,10 +166,5 @@ class PipelineStats:
             "credit_stalls": self.counters["credit_stalls"],
             "credit_stall_ns": self.counters["credit_stall_ns"],
             "stages": [stage.as_dict() for stage in self.stages.values()],
+            "edges": self.edges,
         }
-
-    def fault_window_report(self, windows) -> Optional[dict]:
-        """Windowed availability scoring is an RPC-shaped report (good /
-        bad request fractions); pipelines expose per-stage credit-stall
-        telemetry instead, so there is no fault-window section."""
-        return None

@@ -4,15 +4,19 @@ One :class:`Metrics` object per cluster collects every quantitative signal
 the observability layer produces:
 
 * **histograms** — named distributions with label sets (per-stage packet
-  latencies, credit-stall times, queue depths), queried by label;
+  latencies, credit-stall times, queue depths), queried by label; all of
+  them are :class:`Reservoir` objects, one sample store with the one
+  quantile rule (:func:`nearest_rank`);
 * **rate meters** — amounts bucketed into fixed simulated-time windows
   (delivered bytes per link per millisecond), from which MB/s series fall
   out;
 * **federated primitives** — the pre-existing
-  :class:`~repro.simkernel.monitor.Counters` and
-  :class:`~repro.hardware.memory.CopyMeter` objects scattered through the
-  stack, registered here under stable labels so one object can answer
-  "where did the bytes/copies/stalls go in *this* run".
+  :class:`~repro.simkernel.monitor.Counters`,
+  :class:`~repro.hardware.memory.CopyMeter` and workload
+  :class:`Reservoir` objects scattered through the stack, adopted here
+  (not copied) under stable labels so one object can answer "where did
+  the bytes/copies/stalls go in *this* run".  :class:`RunStats` is the
+  base of every per-run stats object that federates this way.
 
 Everything here is bookkeeping-only: recording never touches the event
 heap, so metrics add zero simulated time.
@@ -20,7 +24,10 @@ heap, so metrics add zero simulated time.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional
+import math
+from typing import TYPE_CHECKING, Optional, Sequence
+
+import numpy as np
 
 from repro.hardware.memory import CopyMeter
 from repro.simkernel.monitor import Counters
@@ -39,47 +46,66 @@ def _key(name: str, labels: dict[str, str]) -> MetricKey:
     return (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
 
 
-class Histogram:
-    """A named value distribution with deterministic quantiles.
+def nearest_rank(ordered: Sequence[int], p: float) -> int:
+    """Nearest-rank percentile ``p`` of a sorted, non-empty sequence:
+    ``rank = max(1, ceil(p/100 * n))`` — no interpolation, so the answer
+    is always a recorded value
+    (``numpy.percentile(..., method="inverted_cdf")`` agrees).  The one
+    quantile rule every reservoir, histogram and windowed series uses."""
+    return ordered[max(1, math.ceil(p / 100 * len(ordered))) - 1]
 
-    Quantiles use the nearest-rank method on the sorted sample list, so a
-    histogram's summary is a pure function of the recorded values — no
-    interpolation, no floating-point order dependence.
+
+class Reservoir:
+    """A streaming sample reservoir with deterministic quantiles.
+
+    Unbounded by default (scenario runs are small); give ``capacity`` to
+    switch to Vitter's Algorithm R with a seeded RNG, keeping a uniform
+    sample of everything seen — still a pure function of the value stream,
+    so reruns stay bit-identical.  Quantiles are :func:`nearest_rank` on
+    the sorted samples, so a summary is a pure function of the recorded
+    values — no floating-point order dependence.
     """
 
-    def __init__(self, name: str, labels: Optional[dict[str, str]] = None):
+    def __init__(self, name: str, capacity: Optional[int] = None, seed: int = 0):
+        if capacity is not None and capacity < 1:
+            raise ValueError(f"capacity must be positive, got {capacity}")
         self.name = name
-        self.labels: dict[str, str] = dict(labels or {})
-        self.values: list[int] = []
+        self.labels: dict[str, str] = {}
+        self.capacity = capacity
+        self.samples: list[int] = []
+        self.count = 0
+        self.total = 0
+        self._rng = (np.random.default_rng(seed)
+                     if capacity is not None else None)
 
     def record(self, value: int) -> None:
-        """Add one sample."""
-        self.values.append(value)
-
-    @property
-    def count(self) -> int:
-        """Number of recorded samples."""
-        return len(self.values)
-
-    @property
-    def total(self) -> int:
-        """Sum of all samples."""
-        return sum(self.values)
+        """Add one sample (reservoir-sampled once past capacity)."""
+        self.count += 1
+        self.total += value
+        if self.capacity is None or len(self.samples) < self.capacity:
+            self.samples.append(value)
+            return
+        slot = int(self._rng.integers(0, self.count))
+        if slot < self.capacity:
+            self.samples[slot] = value
 
     def percentile(self, p: float) -> int:
         """Nearest-rank percentile ``p`` in [0, 100] (raises when empty)."""
-        if not self.values:
-            raise ValueError(f"histogram {self.name!r} has no samples")
+        if not self.samples:
+            raise ValueError(f"{self.name!r} has no samples")
         if not 0 <= p <= 100:
             raise ValueError(f"percentile must be in [0, 100], got {p}")
-        ordered = sorted(self.values)
-        rank = max(1, -(-int(p * len(ordered)) // 100))  # ceil(p/100 * n)
-        return ordered[rank - 1]
+        return nearest_rank(sorted(self.samples), p)
 
     @property
     def p50(self) -> int:
         """Median (nearest rank)."""
         return self.percentile(50)
+
+    @property
+    def p95(self) -> int:
+        """95th percentile (nearest rank)."""
+        return self.percentile(95)
 
     @property
     def p99(self) -> int:
@@ -88,16 +114,69 @@ class Histogram:
 
     @property
     def mean(self) -> float:
-        """Arithmetic mean of the samples (raises when empty)."""
-        if not self.values:
-            raise ValueError(f"histogram {self.name!r} has no samples")
-        return self.total / len(self.values)
+        """Arithmetic mean of everything recorded (raises when empty)."""
+        if self.count == 0:
+            raise ValueError(f"{self.name!r} has no samples")
+        return self.total / self.count
+
+    def summary(self) -> dict:
+        """Deterministic summary dict (``None`` quantiles when empty)."""
+        empty = not self.samples
+        return {
+            "count": self.count,
+            "mean_ns": None if self.count == 0 else round(self.mean, 1),
+            "p50_ns": None if empty else self.p50,
+            "p95_ns": None if empty else self.p95,
+            "p99_ns": None if empty else self.p99,
+            "max_ns": None if empty else max(self.samples),
+        }
+
+    def merge(self, other: "Reservoir") -> None:
+        """Fold another reservoir into this one (partition-merge path).
+
+        Unbounded reservoirs concatenate, which is exact: the merged
+        multiset equals the one a single-process run would have recorded,
+        so nearest-rank quantiles come out identical.  Bounded reservoirs
+        keep a deterministic evenly-spaced subsample of the combined order
+        statistics — rank error is at most ``1/(2*capacity)``, inside the
+        nearest-rank tolerance the merge tests pin.
+        """
+        self.count += other.count
+        self.total += other.total
+        combined = self.samples + other.samples
+        if self.capacity is not None and len(combined) > self.capacity:
+            combined.sort()
+            n, cap = len(combined), self.capacity
+            combined = [combined[((2 * i + 1) * n) // (2 * cap)]
+                        for i in range(cap)]
+        self.samples = combined
+
+    def snapshot(self) -> dict:
+        """Picklable state for cross-process merge (see :meth:`restore`)."""
+        return {"samples": list(self.samples), "count": self.count,
+                "total": self.total}
+
+    def restore(self, state: dict) -> None:
+        """Adopt a :meth:`snapshot` (used on freshly built merge targets)."""
+        self.samples = list(state["samples"])
+        self.count = state["count"]
+        self.total = state["total"]
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.samples)
 
     def __repr__(self) -> str:
-        return f"<Histogram {self.name!r} {self.labels} n={len(self.values)}>"
+        return (f"<{type(self).__name__} {render_key(self.name, self.labels)!r} "
+                f"n={self.count}>")
+
+
+class Histogram(Reservoir):
+    """An unbounded :class:`Reservoir` with a label set — what
+    :meth:`Metrics.histogram` creates, queried by label."""
+
+    def __init__(self, name: str, labels: Optional[dict[str, str]] = None):
+        super().__init__(name)
+        self.labels = dict(labels or {})
 
 
 class RateMeter:
@@ -155,7 +234,7 @@ class Metrics:
 
     def __init__(self, env: Optional["Environment"] = None):
         self.env = env
-        self._histograms: dict[MetricKey, Histogram] = {}
+        self._histograms: dict[MetricKey, Reservoir] = {}
         self._meters: dict[MetricKey, RateMeter] = {}
         self._counters: dict[str, Counters] = {}
         self._copy_meters: dict[str, CopyMeter] = {}
@@ -190,6 +269,14 @@ class Metrics:
         if label in self._counters:
             raise ValueError(f"counters {label!r} already registered")
         self._counters[label] = counters
+
+    def register_histogram(self, reservoir: Reservoir) -> None:
+        """Adopt an existing reservoir as the histogram of its name and
+        labels: every sample is recorded once, by its owner."""
+        key = _key(reservoir.name, reservoir.labels)
+        if key in self._histograms:
+            raise ValueError(f"histogram {reservoir.name!r} already exists")
+        self._histograms[key] = reservoir
 
     def register_copy_meter(self, label: str, meter: CopyMeter) -> None:
         """Adopt an existing CopyMeter under ``label``."""
@@ -231,14 +318,14 @@ class Metrics:
         out: dict = {"histograms": {}, "meters": {}, "counters": {},
                      "copy_bytes": self.copy_bytes_by_label()}
         for hist in self.histograms():
-            label = _render_key(hist.name, hist.labels)
+            label = render_key(hist.name, hist.labels)
             out["histograms"][label] = {
                 "count": hist.count, "total": hist.total,
                 "p50": hist.p50 if hist.count else None,
                 "p99": hist.p99 if hist.count else None,
             }
         for meter in self.meters():
-            label = _render_key(meter.name, meter.labels)
+            label = render_key(meter.name, meter.labels)
             out["meters"][label] = {"total": meter.total,
                                     "mean_rate_mbs": meter.mean_rate_mbs()}
         for owner, counters in sorted(self._counters.items()):
@@ -246,11 +333,55 @@ class Metrics:
         return out
 
 
+class RunStats:
+    """What every per-run stats object shares: the clock, a name, a
+    :class:`~repro.simkernel.monitor.Counters` bag, named reservoirs, and
+    federation into an observer's :class:`Metrics` — counters and
+    reservoirs are adopted, so an observed run records each sample once.
+
+    Subclasses add their ``note_*`` recorders and a ``report()``.
+    """
+
+    #: Windowed time series and per-shard sub-stats; only request/response
+    #: stats (``WorkloadStats``) ever carry them.
+    timeseries = None
+    shards: Sequence["RunStats"] = ()
+
+    def __init__(self, env: Optional["Environment"], name: str):
+        self.env = env
+        self.name = name
+        self.counters = Counters()
+        self._reservoirs: list[Reservoir] = []
+        self._metrics: Optional[Metrics] = None
+
+    def reservoir(self, suffix: str) -> Reservoir:
+        """Create the reservoir ``<name>.<suffix>`` (federated with the
+        rest of this object)."""
+        reservoir = Reservoir(f"{self.name}.{suffix}")
+        self._reservoirs.append(reservoir)
+        return reservoir
+
+    def federate(self, metrics: Metrics) -> None:
+        """Register the counters and reservoirs with an observer's
+        metrics registry under ``self.name``."""
+        metrics.register_counters(self.name, self.counters)
+        for reservoir in self._reservoirs:
+            metrics.register_histogram(reservoir)
+        self._metrics = metrics
+
+    def fault_window_report(self, windows) -> Optional[dict]:
+        """Per-fault-episode scoring, for stats that have windowed series
+        to score (``None`` = no ``fault_windows`` report section)."""
+        return None
+
+
 def _subset(wanted: dict[str, str], have: dict[str, str]) -> bool:
     return all(have.get(k) == str(v) for k, v in wanted.items())
 
 
-def _render_key(name: str, labels: dict[str, str]) -> str:
+def render_key(name: str, labels: dict[str, str]) -> str:
+    """``name{a=1,b=2}`` — the stable key syntax of every metrics and
+    time-series export."""
     if not labels:
         return name
     inner = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))

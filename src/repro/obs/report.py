@@ -36,6 +36,7 @@ from repro.bench.journey import Journey, packet_journey_detail
 from repro.cluster.cluster import Cluster
 from repro.configs import PPRO_FM2, SPARC_FM1
 from repro.obs.export import export_trace
+from repro.obs.metrics import nearest_rank
 from repro.obs.observer import Observer
 from repro.obs.span import Span, layer_rank
 
@@ -126,9 +127,8 @@ class BreakdownReport:
         for (layer, name), durations in sorted(
                 groups.items(), key=lambda kv: (layer_rank(kv[0][0]), kv[0])):
             ordered = sorted(durations)
-            n = len(ordered)
-            out.append((layer, name, n, ordered[(n - 1) // 2],
-                        ordered[max(0, -(-99 * n // 100) - 1)], sum(ordered)))
+            out.append((layer, name, len(ordered), nearest_rank(ordered, 50),
+                        nearest_rank(ordered, 99), sum(ordered)))
         return out
 
 

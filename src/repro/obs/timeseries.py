@@ -24,19 +24,12 @@ windows to compute error-budget burn rates.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Optional
+
+from repro.obs.metrics import nearest_rank, render_key
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simkernel.env import Environment
-
-
-def _render_key(name: str, labels: dict[str, str]) -> str:
-    """``name{a=1,b=2}`` — the same stable key syntax as obs.metrics."""
-    if not labels:
-        return name
-    inner = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
-    return f"{name}{{{inner}}}"
 
 
 class _Series:
@@ -64,7 +57,7 @@ class _Series:
         raise NotImplementedError
 
     def __repr__(self) -> str:
-        return (f"<{type(self).__name__} {_render_key(self.name, self.labels)!r} "
+        return (f"<{type(self).__name__} {render_key(self.name, self.labels)!r} "
                 f"windows={len(self._buckets)}>")
 
 
@@ -113,13 +106,9 @@ class GaugeSeries(_Series):
 
 
 class QuantileSeries(_Series):
-    """Per-window sample lists with deterministic nearest-rank quantiles.
-
-    Uses the same nearest-rank rule as
-    :class:`repro.workloads.stats.Reservoir` (``rank = max(1,
-    ceil(p/100 * n))``), so a windowed p99 agrees with the aggregate
-    reservoir when a run fits one window.
-    """
+    """Per-window sample lists with :func:`~repro.obs.metrics.nearest_rank`
+    quantiles, so a windowed p99 agrees with the aggregate reservoir when
+    a run fits one window."""
 
     kind = "quantile"
 
@@ -131,18 +120,13 @@ class QuantileSeries(_Series):
         """The raw samples of ``window`` (empty for untouched windows)."""
         return list(self._buckets.get(window, []))
 
-    @staticmethod
-    def _percentile(ordered: list[int], p: float) -> int:
-        rank = max(1, math.ceil(p / 100 * len(ordered)))
-        return ordered[rank - 1]
-
     def points(self) -> list[list]:
         rows = []
         for i in sorted(self._buckets):
             ordered = sorted(self._buckets[i])
             rows.append([i * self.interval_ns, len(ordered),
-                         self._percentile(ordered, 50),
-                         self._percentile(ordered, 99),
+                         nearest_rank(ordered, 50),
+                         nearest_rank(ordered, 99),
                          ordered[-1]])
         return rows
 
@@ -202,7 +186,7 @@ class TimeSeriesBank:
             points = series.points()
             if not points:
                 continue
-            out[_render_key(series.name, series.labels)] = {
+            out[render_key(series.name, series.labels)] = {
                 "kind": series.kind,
                 "columns": POINT_COLUMNS[series.kind],
                 "points": points,

@@ -22,11 +22,12 @@ from repro.workloads.replication import (ReplicatedClient,
                                          ShardSupervisor)
 from repro.workloads.rpc import (RPC_EXPIRED, RPC_OK, RPC_SHED, RpcClient,
                                  RpcEndpoint, RpcServer)
-from repro.workloads.runner import PRESET_PLANS, PRESETS, Scenario, \
-    run_scenario
+from repro.workloads.runner import Scenario, run_scenario
+from repro.workloads.presets import PRESET_PLANS, PRESETS
 from repro.workloads.sharding import (HashRing, ShardDirectory,
                                       ShardedClient, ShardedService)
-from repro.workloads.stats import Reservoir, WorkloadStats
+from repro.obs.metrics import Reservoir
+from repro.workloads.stats import WorkloadStats
 
 __all__ = [
     "ArrivalSpec", "Bursty", "ClosedLoop", "OpenLoop", "client_rng",

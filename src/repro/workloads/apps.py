@@ -18,18 +18,24 @@ with :func:`repro.upper.mpi.world.build_mpi_world` first).  Rank 0 records
 one :class:`WorkloadStats` sample per iteration — the iteration is the
 "request": ``note_sent`` at the top, ``note_completed`` with the iteration
 latency at the bottom — so the same report schema covers RPC and MPI
-scenarios.
+scenarios.  :class:`MpiKind` is what makes either kernel a scenario kind.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 import numpy as np
 
 from repro.upper.mpi.comm import Communicator
+from repro.upper.mpi.world import build_mpi_world
 
 from repro.workloads.stats import WorkloadStats
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.cluster.cluster import Cluster
+    from repro.simkernel.env import Environment
+    from repro.workloads.runner import Scenario
 
 
 def halo_program(comm: Communicator, *, iterations: int, halo_bytes: int,
@@ -108,3 +114,53 @@ def allreduce_program(comm: Communicator, *, iterations: int,
         return env.now
 
     return program
+
+
+class MpiKind:
+    """``kind="halo"`` / ``kind="allreduce"`` — every node runs one of
+    this module's kernels over MPI-FM for ``iterations`` rounds of
+    ``compute_ns`` compute plus one exchange of the kernel's payload
+    field (``halo_bytes`` / ``grad_bytes``).  Rank 0's per-iteration
+    latency fills the same :class:`WorkloadStats` report rpc runs use.
+    """
+
+    #: Every MPI knob is reported by every kind (the flat legacy schema).
+    fields = ()
+
+    def __init__(self, program: Callable[..., Callable[[], Generator]],
+                 payload_field: str):
+        self.program = program
+        self.payload_field = payload_field
+
+    def report_fields(self, scenario: "Scenario") -> tuple[str, ...]:
+        """Nothing beyond the shared fields."""
+        return ()
+
+    def validate(self, scenario: "Scenario") -> None:
+        """Reject the rpc-only mechanisms (raises ``ValueError``)."""
+        if scenario.replicas > 1 or scenario.population:
+            raise ValueError(
+                "replicas > 1 and population need kind='rpc'")
+        if scenario.partitions:
+            raise ValueError(
+                "partitioned execution supports rpc workloads only "
+                f"(got kind={scenario.kind!r}); MPI collectives couple all "
+                "nodes every iteration and gain nothing from it")
+
+    def build_stats(self, env: "Environment",
+                    scenario: "Scenario") -> WorkloadStats:
+        """Unsharded request/response stats: the iteration is the request."""
+        return WorkloadStats(env, name=f"workload.{scenario.name}",
+                             sample_interval_ns=scenario.sample_interval_ns)
+
+    def run(self, cluster: "Cluster", scenario: "Scenario",
+            stats: WorkloadStats) -> dict:
+        """Build the MPI world and run the kernel on every rank."""
+        payload = {self.payload_field: getattr(scenario, self.payload_field)}
+        programs = [self.program(comm, iterations=scenario.iterations,
+                                 compute_ns=scenario.compute_ns, stats=stats,
+                                 **payload)
+                    for comm in build_mpi_world(cluster)]
+        cluster.run([(lambda node, program=program: program())
+                     for program in programs], until_ns=scenario.until_ns)
+        return {}

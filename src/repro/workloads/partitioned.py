@@ -19,8 +19,9 @@ that true:
 * every worker derives the same :class:`~repro.parallel.partition.PartitionPlan`
   and full-topology routes from the scenario — no coordination;
 * placement, client naming, and arrival/key streams are pure functions of
-  the scenario (``client<node_id>``), so a client's traffic does not
-  depend on which worker simulates it;
+  the scenario (``client<node_id>``), and a worker wires its nodes with
+  the serial runner's own function (the kind's ``wire``), so a client's
+  traffic does not depend on which worker simulates it;
 * boundary packets carry their far-side arrival time (assigned at
   serialisation end, exactly when a serial link would assign it) and are
   injected in globally sorted ``(arrival_ns, edge_id)`` order;
@@ -42,14 +43,20 @@ import sys
 import traceback
 from dataclasses import asdict
 
-from repro.workloads.stats import WorkloadStats
+from repro.cluster.partition import PartitionCluster
+from repro.parallel.partition import PartitionPlan
+from repro.parallel.sync import Coordinator, WorkerSync
+from repro.workloads.runner import (
+    KINDS,
+    MACHINES,
+    Scenario,
+    scenario_report_dict,
+    scenario_topology,
+)
 
 
 def _build_plan(scenario):
     """The partition plan every process derives identically."""
-    from repro.parallel.partition import PartitionPlan
-    from repro.workloads.runner import MACHINES, scenario_topology
-
     machine = MACHINES[scenario.machine]
     topology, trunk = scenario_topology(scenario, machine)
     return PartitionPlan(topology, scenario.partitions, machine.link, trunk)
@@ -62,8 +69,6 @@ def _worker_main(conn, scenario_dict: dict, partition: int) -> None:
     import it).  All state is rebuilt from the scenario dict — nothing
     is shared with the parent but the pipe.
     """
-    from repro.parallel.sync import WorkerSync
-
     sync = WorkerSync(conn, partition)
     try:
         _worker_run(sync, scenario_dict, partition)
@@ -74,42 +79,18 @@ def _worker_main(conn, scenario_dict: dict, partition: int) -> None:
 
 
 def _worker_run(sync, scenario_dict: dict, partition: int) -> None:
-    from repro.cluster.partition import PartitionCluster
-    from repro.workloads.rpc import RpcEndpoint
-    from repro.workloads.runner import (
-        MACHINES,
-        Scenario,
-        build_client,
-        build_server,
-        placement,
-    )
-
     scenario = Scenario.from_dict(scenario_dict)
+    kind = KINDS[scenario.kind]
     plan = _build_plan(scenario)
     cluster = PartitionCluster(plan, partition, MACHINES[scenario.machine],
                                fm_version=scenario.fm_version)
     env, fabric = cluster.env, cluster.fabric
 
-    n_shards = scenario.servers if scenario.servers > 1 else 0
-    stats = WorkloadStats(env, name=f"workload.{scenario.name}",
-                          n_shards=n_shards)
-    server_nodes, client_nodes = placement(scenario)
-    owned = set(cluster.nodes)
-    # Endpoints for owned nodes in ascending id order (handler ids are
-    # per-node, so building only the local subset keeps them identical
-    # to a serial build).
-    endpoints = {i: RpcEndpoint(cluster.nodes[i], stats) for i in sorted(owned)}
-    for shard, node_id in enumerate(server_nodes):
-        if node_id in owned:
-            build_server(scenario, endpoints[node_id], stats,
-                         shard=shard if n_shards else None).start()
-    programs = []
-    for position, node_id in enumerate(client_nodes):
-        if node_id in owned:
-            client = build_client(scenario, endpoints[node_id], server_nodes,
-                                  position, len(client_nodes))
-            programs.append(cluster.spawn(
-                (lambda node, client=client: client.run()), node_id))
+    stats = kind.build_stats(env, scenario)
+    clients, _supervisor = kind.wire(cluster.nodes.values(), scenario, stats)
+    programs = [cluster.spawn((lambda node, client=client: client.run()),
+                              node_id)
+                for node_id, client in clients.items()]
 
     # Record the local instant the last owned client finishes — the
     # partitioned analogue of where ``env.run(until=done)`` would stop.
@@ -167,9 +148,6 @@ def run_partitioned(scenario, details: dict | None = None) -> dict:
     handshakes across workers, barrier windows, boundary messages/stalls)
     — the self-perf harness's events/sec numerator.
     """
-    from repro.parallel.sync import Coordinator
-    from repro.workloads.runner import scenario_report_dict
-
     plan = _build_plan(scenario)
     scenario_dict = asdict(scenario)
     # fork skips re-importing the stack per worker; fall back to spawn on
@@ -198,10 +176,9 @@ def run_partitioned(scenario, details: dict | None = None) -> dict:
                 proc.terminate()
                 proc.join()
 
-    n_shards = scenario.servers if scenario.servers > 1 else 0
-    stats = WorkloadStats.merged([p["snapshot"] for p in payloads],
-                                 name=f"workload.{scenario.name}",
-                                 n_shards=n_shards)
+    stats = KINDS[scenario.kind].build_stats(None, scenario)
+    for payload in payloads:
+        stats.absorb(payload["snapshot"])
     stalls = sum(p["boundary_stalls"] for p in payloads)
     if details is not None:
         details["events"] = sum(p["events"] for p in payloads)

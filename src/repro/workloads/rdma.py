@@ -16,11 +16,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.rdma import RdmaEndpoint
-from repro.simkernel.monitor import Counters
+from repro.obs.metrics import RunStats
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
-    from repro.obs.metrics import Metrics
     from repro.simkernel.env import Environment
     from repro.workloads.runner import Scenario
 
@@ -30,32 +29,18 @@ if TYPE_CHECKING:  # pragma: no cover
 SETTLE_NS = 10_000
 
 
-class RdmaStats:
-    """Everything one pingpong run reports.
-
-    Quacks enough like :class:`~repro.workloads.stats.WorkloadStats` for
-    :func:`~repro.workloads.runner.execute_scenario`: ``federate``,
-    ``report``, ``fault_window_report``, and a ``counters`` bag.
-    """
+class RdmaStats(RunStats):
+    """Everything one pingpong run reports.  There is no fault-window
+    section: windowed availability scoring is RPC-shaped, the pingpong's
+    health signal is the transport-error gate instead."""
 
     def __init__(self, env: "Environment", name: str = "rdma"):
-        # Imported here, not at module level: repro.workloads's package
-        # init imports the scenario runner, which imports this module.
-        from repro.workloads.stats import Reservoir
-
-        self.env = env
-        self.name = name
-        self.counters = Counters()
+        super().__init__(env, name)
         #: One sample per round: put -> answering put landed (full RTT).
-        self.rtt = Reservoir(f"{name}.rtt_ns")
+        self.rtt = self.reservoir("rtt_ns")
         self.t_first: Optional[int] = None
         self.t_last: Optional[int] = None
         self.nics: list = []
-        self._metrics: Optional["Metrics"] = None
-
-    def federate(self, metrics: "Metrics") -> None:
-        metrics.register_counters(self.name, self.counters)
-        self._metrics = metrics
 
     def note_round(self, rtt_ns: int, nbytes: int) -> None:
         if self.t_first is None:
@@ -64,8 +49,6 @@ class RdmaStats:
         self.counters.add("rounds")
         self.counters.add("put_bytes", 2 * nbytes)  # one put each way
         self.rtt.record(rtt_ns)
-        if self._metrics is not None:
-            self._metrics.histogram(f"{self.name}.rtt_ns").record(rtt_ns)
 
     def transport_errors(self) -> dict:
         unmatched = sum(nic.rdma_unmatched for nic in self.nics)
@@ -96,40 +79,75 @@ class RdmaStats:
             },
         }
 
-    def fault_window_report(self, windows) -> Optional[dict]:
-        """Windowed availability scoring is RPC-shaped; the pingpong's
-        health signal is the transport-error gate instead."""
-        return None
 
+class RdmaKind:
+    """``kind="rdma"`` — the two-node one-sided pingpong of this module:
+    ``iterations`` rounds of ``req_bytes``-sized puts; the report is the
+    CI transport smoke gate."""
 
-def run_rdma_pingpong(cluster: "Cluster", scenario: "Scenario",
-                      stats: RdmaStats) -> None:
-    """Run the pingpong between nodes 0 and 1 to completion."""
-    nbytes = scenario.req_bytes
-    iterations = scenario.iterations
-    endpoints = [RdmaEndpoint(node) for node in cluster.nodes]
-    stats.nics = [node.nic for node in cluster.nodes]
+    #: Nothing beyond the shared fields is reported.
+    fields = ()
 
-    def initiator(node):
-        ep = endpoints[0]
-        landing = node.buffer(nbytes, name="rdma.pingpong.land0")
-        yield from ep.register(landing)              # rkey 1 on node 0
-        source = node.buffer(nbytes,
-                             fill=bytes(i % 251 for i in range(nbytes)))
-        yield node.env.timeout(SETTLE_NS)
-        for _ in range(iterations):
-            t0 = node.env.now
-            yield from ep.rdma_put(1, 1, source, nbytes)
-            yield from ep.wait_completion(lambda c: c.kind == "write")
-            stats.note_round(node.env.now - t0, nbytes)
+    def report_fields(self, scenario: "Scenario") -> tuple[str, ...]:
+        """Nothing beyond the shared fields."""
+        return ()
 
-    def responder(node):
-        ep = endpoints[1]
-        landing = node.buffer(nbytes, name="rdma.pingpong.land1")
-        yield from ep.register(landing)              # rkey 1 on node 1
-        for _ in range(iterations):
-            yield from ep.wait_completion(lambda c: c.kind == "write")
-            yield from ep.rdma_put(0, 1, landing, nbytes)
+    def validate(self, scenario: "Scenario") -> None:
+        """Cross-field checks of an rdma scenario (raises ``ValueError``)."""
+        if scenario.replicas > 1 or scenario.population:
+            raise ValueError(
+                "replicas > 1 and population need kind='rpc'")
+        if scenario.fm_version != 2:
+            raise ValueError(
+                "the one-sided transport extends the FM 2.x NIC "
+                "firmware; fm_version must be 2")
+        if scenario.iterations < 1:
+            raise ValueError(
+                f"iterations must be positive, got {scenario.iterations}")
+        if scenario.req_bytes < 1:
+            raise ValueError(
+                f"req_bytes (per-put payload) must be positive, "
+                f"got {scenario.req_bytes}")
+        if scenario.partitions or scenario.partition_groups:
+            raise ValueError(
+                "the rdma pingpong is a two-node serial smoke "
+                "workload; partitioning does not apply")
 
-    programs = [initiator, responder] + [None] * (cluster.n_nodes - 2)
-    cluster.run(programs, until_ns=scenario.until_ns)
+    def build_stats(self, env: "Environment",
+                    scenario: "Scenario") -> RdmaStats:
+        """The pingpong's RTT / transport-error stats."""
+        return RdmaStats(env, name=f"rdma.{scenario.name}")
+
+    def run(self, cluster: "Cluster", scenario: "Scenario",
+            stats: RdmaStats) -> dict:
+        """Run the pingpong between nodes 0 and 1 to completion (no
+        report section beyond ``results``)."""
+        nbytes = scenario.req_bytes
+        iterations = scenario.iterations
+        endpoints = [RdmaEndpoint(node) for node in cluster.nodes]
+        stats.nics = [node.nic for node in cluster.nodes]
+
+        def initiator(node):
+            ep = endpoints[0]
+            landing = node.buffer(nbytes, name="rdma.pingpong.land0")
+            yield from ep.register(landing)              # rkey 1 on node 0
+            source = node.buffer(nbytes,
+                                 fill=bytes(i % 251 for i in range(nbytes)))
+            yield node.env.timeout(SETTLE_NS)
+            for _ in range(iterations):
+                t0 = node.env.now
+                yield from ep.rdma_put(1, 1, source, nbytes)
+                yield from ep.wait_completion(lambda c: c.kind == "write")
+                stats.note_round(node.env.now - t0, nbytes)
+
+        def responder(node):
+            ep = endpoints[1]
+            landing = node.buffer(nbytes, name="rdma.pingpong.land1")
+            yield from ep.register(landing)              # rkey 1 on node 1
+            for _ in range(iterations):
+                yield from ep.wait_completion(lambda c: c.kind == "write")
+                yield from ep.rdma_put(0, 1, landing, nbytes)
+
+        programs = [initiator, responder] + [None] * (cluster.n_nodes - 2)
+        cluster.run(programs, until_ns=scenario.until_ns)
+        return {}

@@ -1,0 +1,293 @@
+"""The ``rpc`` scenario kind: placement, wiring, and the one RPC run path.
+
+Everything that turns an rpc :class:`~repro.workloads.runner.Scenario`
+into endpoints, servers and clients lives here, once.  :meth:`RpcKind.wire`
+is the single wiring function: the serial runner hands it every node of
+the cluster, a partition worker hands it the nodes it owns, and
+``replicas > 1`` is the same function taking the supervisor carve-out —
+so a server, a client and its arrival/key streams are bit-identical no
+matter which engine simulates them.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Iterable, Optional
+
+from repro.workloads.arrivals import AggregateOpenLoop, ArrivalSpec
+from repro.workloads.replication import (
+    ReplicatedClient,
+    ReplicatedDirectory,
+    ShardHealth,
+    ShardSupervisor,
+)
+from repro.workloads.rpc import RpcClient, RpcEndpoint, RpcServer
+from repro.workloads.sharding import (
+    ShardDirectory,
+    ShardedClient,
+    key_stream,
+    make_balancer,
+)
+from repro.workloads.stats import WorkloadStats
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.cluster.cluster import Cluster
+    from repro.cluster.node import Node
+    from repro.simkernel.env import Environment
+    from repro.workloads.runner import Scenario
+
+
+def placement(scenario: "Scenario") -> tuple[list[int], list[int]]:
+    """Node ids of ``(server nodes, client nodes)`` for an rpc scenario.
+
+    Ungrouped scenarios keep the legacy layout (servers on ``0..S-1``).
+    Grouped scenarios stripe servers across switch groups — server ``s``
+    lands in group ``s % G`` at within-group offset ``s // G`` — so every
+    group serves locally and trunk traffic reflects the balancer rather
+    than an accident of placement.  Shard ``i`` is the i-th server node in
+    ascending id order.  Pure function of the scenario: partition workers
+    and the serial runner agree with no coordination.
+    """
+    if scenario.partition_groups <= 0:
+        server_nodes = list(range(scenario.servers))
+    else:
+        g = scenario.partition_groups
+        npg = scenario.n_nodes // g
+        server_nodes = sorted(
+            (s % g) * npg + s // g for s in range(scenario.servers))
+    owned = set(server_nodes)
+    client_nodes = [i for i in range(scenario.n_nodes) if i not in owned]
+    return server_nodes, client_nodes
+
+
+def population_shares(population: int, n_clients: int) -> list[int]:
+    """Split ``population`` simulated clients over ``n_clients`` generator
+    nodes (earlier nodes take the remainder — pure function of the
+    arguments, so every partitioning computes the same split)."""
+    base, extra = divmod(population, n_clients)
+    return [base + 1 if j < extra else base for j in range(n_clients)]
+
+
+def client_arrival(scenario: "Scenario", position: int,
+                   n_clients: int) -> tuple[ArrivalSpec, int]:
+    """Arrival spec and request budget for the client at ``position`` in
+    the scenario's client-node list.
+
+    Population scenarios hand each node an :class:`AggregateOpenLoop`
+    covering its share of the simulated clients (``n_requests`` is per
+    simulated client, so the node's budget scales with its share);
+    otherwise every client runs the scenario's own spec.
+    """
+    if scenario.population <= 0:
+        return scenario.arrival_spec(), scenario.n_requests
+    share = population_shares(scenario.population, n_clients)[position]
+    spec = AggregateOpenLoop(scenario.rate_rps, population=share,
+                             poisson=(scenario.arrival == "open"))
+    return spec, scenario.n_requests * share
+
+
+def build_server(scenario: "Scenario", endpoint: RpcEndpoint,
+                 stats: WorkloadStats,
+                 shard: Optional[int] = None) -> RpcServer:
+    """The server program for one server node (``shard`` is the global
+    shard index for sharded services, ``None`` for the single-server
+    case)."""
+    if shard is None:
+        policy = scenario.policy
+    else:
+        policies = (scenario.shard_policies
+                    or (scenario.policy,) * scenario.servers)
+        policy = policies[shard]
+    return RpcServer(endpoint, stats, workers=scenario.workers,
+                     queue_capacity=scenario.queue_capacity, policy=policy,
+                     resp_bytes=scenario.resp_bytes,
+                     extract_budget=scenario.extract_budget, shard=shard)
+
+
+def build_client(scenario: "Scenario", endpoint: RpcEndpoint,
+                 server_nodes: list[int], position: int, n_clients: int,
+                 directory: Optional[ReplicatedDirectory] = None) -> RpcClient:
+    """The client program for the client node at ``position`` in the
+    scenario's client-node list.
+
+    Each client owns its balancer instance (``least_pending`` is a
+    per-client view) and routes through a :class:`ShardDirectory` — pure
+    data, so a worker that owns none of the server nodes can still build
+    its clients.  Replicated scenarios pass the shared
+    :class:`ReplicatedDirectory` (placement rule + health map) instead.
+    """
+    spec, n_requests = client_arrival(scenario, position, n_clients)
+    name = f"client{endpoint.node.node_id}"
+    common = dict(
+        arrivals=spec, seed=scenario.seed, n_requests=n_requests,
+        req_bytes=scenario.req_bytes, work_ns=scenario.work_ns,
+        deadline_ns=scenario.deadline_ns,
+        abandon_after_ns=scenario.abandon_after_ns, name=name)
+    if scenario.servers == 1:
+        return RpcClient(endpoint, server_nodes[0], **common)
+    balancer = make_balancer(scenario.balancer, scenario.servers,
+                             scenario.vnodes)
+    keys = key_stream(scenario.seed, name, scenario.n_keys,
+                      scenario.key_skew)
+    if directory is not None:
+        return ReplicatedClient(
+            endpoint, directory, balancer, keys,
+            failover_timeout_ns=scenario.failover_timeout_ns, **common)
+    return ShardedClient(endpoint, ShardDirectory(server_nodes), balancer,
+                         keys, **common)
+
+
+class RpcKind:
+    """``kind="rpc"`` — request/response traffic under an arrival process.
+
+    Node 0 serves, nodes 1..n-1 run :class:`RpcClient` under the
+    scenario's arrival spec.  With ``servers: N`` (N >= 2) N nodes
+    (see :func:`placement`) instead run sharded servers and the clients
+    route each request through the scenario's ``balancer`` (``static``
+    consistent hashing, ``round_robin``, or ``least_pending``) over keys
+    drawn uniform or Zipf-skewed (``key_skew``); per-shard overload
+    policies come from ``shard_policies``.  ``replicas: R`` (R >= 2)
+    places each key on R ring-successor shards, carves the last client
+    node out for the :class:`ShardSupervisor`, and clients fail timed-out
+    requests over; ``population`` collapses that many simulated open-loop
+    clients onto the client nodes.  The only kind the partitioned engine
+    runs (``partitions > 0``).
+    """
+
+    #: The replication knobs only exist in a report once replication is
+    #: on; unreplicated reports keep the flat schema.
+    fields = ("replicas", "probe_interval_ns", "failover_timeout_ns")
+
+    def report_fields(self, scenario: "Scenario") -> tuple[str, ...]:
+        """Which of :attr:`fields` this scenario's report carries."""
+        return self.fields if scenario.replicas > 1 else ()
+
+    def validate(self, scenario: "Scenario") -> None:
+        """Cross-field checks of an rpc scenario (raises ``ValueError``)."""
+        s = scenario
+        n_clients = s.n_nodes - s.servers
+        if n_clients < 1:
+            raise ValueError(
+                f"{s.servers} servers on {s.n_nodes} nodes leaves no client")
+        if s.shard_policies is not None \
+                and len(s.shard_policies) != s.servers:
+            raise ValueError(f"{len(s.shard_policies)} shard_policies for "
+                             f"{s.servers} servers")
+        if s.partition_groups:
+            npg = s.n_nodes // s.partition_groups
+            per_group = -(-s.servers // s.partition_groups)
+            if per_group > npg:
+                raise ValueError(
+                    f"{s.servers} servers striped over {s.partition_groups} "
+                    f"groups need {per_group} server slots per group, "
+                    f"groups only have {npg} nodes")
+        if s.replicas > 1:
+            if s.servers < 2:
+                raise ValueError(
+                    "replicas > 1 needs a sharded service (servers >= 2): "
+                    "a single server has nowhere to fail over to")
+            if s.replicas > s.servers:
+                raise ValueError(f"replicas {s.replicas} exceeds the "
+                                 f"{s.servers} shards available")
+            if s.balancer != "static":
+                raise ValueError(
+                    "replicated routing is ring-placement + health based; "
+                    f"balancer must be 'static', got {s.balancer!r}")
+            if n_clients < 2:
+                raise ValueError(
+                    f"replicas > 1 carves one node out for the supervisor: "
+                    f"{s.n_nodes} nodes minus {s.servers} servers leaves no "
+                    "workload client beside it")
+            if s.population:
+                raise ValueError("replication does not compose with "
+                                 "aggregate client populations yet")
+        if s.population:
+            if s.arrival not in ("open", "open-fixed"):
+                raise ValueError(
+                    "population aggregates open-loop sources; arrival must "
+                    f"be open or open-fixed, got {s.arrival!r}")
+            if s.population < n_clients:
+                raise ValueError(
+                    f"population {s.population} is smaller than the "
+                    f"{n_clients} client nodes — every generator node "
+                    "needs at least one simulated client")
+
+    def build_stats(self, env: Optional["Environment"],
+                    scenario: "Scenario") -> WorkloadStats:
+        """The run's stats object, with one sub-stats per shard when the
+        service is sharded (``env=None`` builds a report-only merge
+        target for partition-worker snapshots)."""
+        n_shards = scenario.servers if scenario.servers > 1 else 0
+        return WorkloadStats(env, name=f"workload.{scenario.name}",
+                             n_shards=n_shards,
+                             sample_interval_ns=scenario.sample_interval_ns)
+
+    def wire(self, nodes: Iterable["Node"], scenario: "Scenario",
+             stats: WorkloadStats
+             ) -> tuple[dict[int, RpcClient], Optional[ShardSupervisor]]:
+        """Wire endpoints, servers and clients onto ``nodes`` (ascending id
+        order); returns ``({client node id: client}, supervisor or None)``.
+
+        ``nodes`` may be any subset of the cluster: handler ids are per-node
+        (SPMD registration), so building only a worker's share keeps them
+        identical to a full build.  Servers are started here (they run until
+        the simulation stops); clients are returned for the caller to spawn.
+
+        ``replicas > 1`` carves the last client node out for a
+        :class:`ShardSupervisor`.  Its endpoint is bound to its own stats
+        object, so probe traffic — real messages on the same fabric — never
+        pollutes the workload's counters or time series.
+        """
+        nodes = list(nodes)
+        server_nodes, client_nodes = placement(scenario)
+        supervisor_node = probe_stats = None
+        if scenario.replicas > 1:
+            supervisor_node = client_nodes.pop()
+            probe_stats = WorkloadStats(nodes[0].env,
+                                        name=f"probe.{scenario.name}")
+        endpoints = {
+            node.node_id: RpcEndpoint(
+                node, probe_stats if node.node_id == supervisor_node
+                else stats)
+            for node in nodes}
+        for shard, node_id in enumerate(server_nodes):
+            if node_id in endpoints:
+                build_server(scenario, endpoints[node_id], stats,
+                             shard=shard if stats.shards else None).start()
+        directory = supervisor = None
+        if supervisor_node is not None:
+            directory = ReplicatedDirectory(
+                server_nodes, ShardHealth(nodes[0].env, scenario.servers),
+                replicas=scenario.replicas, vnodes=scenario.vnodes)
+            supervisor = ShardSupervisor(
+                endpoints[supervisor_node], directory,
+                probe_interval_ns=scenario.probe_interval_ns,
+                probe_timeout_ns=scenario.failover_timeout_ns,
+                workload_stats=stats,
+                availability_target=scenario.slo_availability)
+            supervisor.start()
+        clients = {
+            node_id: build_client(scenario, endpoints[node_id], server_nodes,
+                                  position, len(client_nodes), directory)
+            for position, node_id in enumerate(client_nodes)
+            if node_id in endpoints}
+        return clients, supervisor
+
+    def run(self, cluster: "Cluster", scenario: "Scenario",
+            stats: WorkloadStats) -> dict:
+        """Wire the whole cluster and run the clients to completion;
+        replicated runs add the control-plane ``replication`` section."""
+        clients, supervisor = self.wire(cluster.nodes, scenario, stats)
+        programs: list = [None] * cluster.n_nodes
+        for node_id, client in clients.items():
+            programs[node_id] = (lambda node, client=client: client.run())
+        cluster.run(programs, until_ns=scenario.until_ns)
+        if supervisor is None:
+            return {}
+        return {"replication": {
+            "replicas": scenario.replicas,
+            "probe_interval_ns": scenario.probe_interval_ns,
+            "failover_timeout_ns": scenario.failover_timeout_ns,
+            "failovers": stats.counters["failover"],
+            "retried": stats.counters["retried"],
+            **supervisor.result(),
+        }}

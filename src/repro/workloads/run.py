@@ -35,8 +35,9 @@ from typing import Optional, Sequence
 from repro.obs.export import dumps_deterministic, export_trace, trace_events, \
     validate_trace_events
 
-from repro.workloads.runner import PRESET_DESCRIPTIONS, PRESET_PLANS, \
-    PRESETS, Scenario, execute_scenario
+from repro.workloads.presets import PRESET_DESCRIPTIONS, PRESET_PLANS, \
+    PRESETS
+from repro.workloads.runner import Scenario, execute_scenario
 
 
 def parse_nic_stall(text: str):
@@ -167,7 +168,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(export_trace(outcome.observer, opts.trace), file=sys.stderr)
     text = dumps_deterministic(outcome.report)
     if opts.out is not None:
-        Path(opts.out).write_text(text + "\n")
+        Path(opts.out).write_text(text)
         print(opts.out)
     else:
         print(text)

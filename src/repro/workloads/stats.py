@@ -3,8 +3,9 @@
 One :class:`WorkloadStats` per scenario run collects everything the report
 needs:
 
-* a :class:`Reservoir` of end-to-end request latencies (plus one for
-  server queue waits) with deterministic nearest-rank p50/p95/p99;
+* a :class:`~repro.obs.metrics.Reservoir` of end-to-end request
+  latencies (plus one for server queue waits) with deterministic
+  nearest-rank p50/p95/p99;
 * a :class:`~repro.simkernel.monitor.Counters` bag of request outcomes
   (``sent``, ``completed``, ``shed``, ``expired``, request/response
   bytes);
@@ -19,9 +20,9 @@ produce bit-identical sample lists (pinned by
 ``tests/workloads/test_stats.py``).
 
 When a run is observed (``cluster.observe()``), :meth:`WorkloadStats.federate`
-registers the counters with the observer's metrics registry and mirrors
-every latency sample into its histograms, so the breakdown CLI and Perfetto
-exports see workload signals alongside the per-layer spans.
+hands the counters and reservoirs to the observer's metrics registry
+(adopted, not copied), so the breakdown CLI and Perfetto exports see
+workload signals alongside the per-layer spans.
 
 With ``sample_interval_ns`` set, the aggregate object additionally owns a
 :class:`~repro.obs.timeseries.TimeSeriesBank` and every ``note_*`` call
@@ -34,132 +35,16 @@ and the ``queue_depth`` gauge — both aggregate and (for sharded calls)
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
+from repro.obs.metrics import Metrics, Reservoir, RunStats
 from repro.obs.timeseries import TimeSeriesBank
 
-from repro.simkernel.monitor import Counters
-
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.metrics import Metrics
     from repro.simkernel.env import Environment
 
 
-class Reservoir:
-    """A streaming sample reservoir with deterministic quantiles.
-
-    Unbounded by default (scenario runs are small); give ``capacity`` to
-    switch to Vitter's Algorithm R with a seeded RNG, keeping a uniform
-    sample of everything seen — still a pure function of the value stream,
-    so reruns stay bit-identical.  Quantiles use the nearest-rank method
-    (``numpy.percentile(..., method="inverted_cdf")`` agrees), matching
-    :class:`repro.obs.metrics.Histogram`.
-    """
-
-    def __init__(self, name: str, capacity: Optional[int] = None, seed: int = 0):
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.name = name
-        self.capacity = capacity
-        self.samples: list[int] = []
-        self.count = 0
-        self.total = 0
-        self._rng = (np.random.default_rng(seed)
-                     if capacity is not None else None)
-
-    def record(self, value: int) -> None:
-        """Add one sample (reservoir-sampled once past capacity)."""
-        self.count += 1
-        self.total += value
-        if self.capacity is None or len(self.samples) < self.capacity:
-            self.samples.append(value)
-            return
-        slot = int(self._rng.integers(0, self.count))
-        if slot < self.capacity:
-            self.samples[slot] = value
-
-    def percentile(self, p: float) -> int:
-        """Nearest-rank percentile ``p`` in [0, 100] (raises when empty)."""
-        if not self.samples:
-            raise ValueError(f"reservoir {self.name!r} has no samples")
-        if not 0 <= p <= 100:
-            raise ValueError(f"percentile must be in [0, 100], got {p}")
-        ordered = sorted(self.samples)
-        rank = max(1, math.ceil(p / 100 * len(ordered)))
-        return ordered[rank - 1]
-
-    @property
-    def p50(self) -> int:
-        return self.percentile(50)
-
-    @property
-    def p95(self) -> int:
-        return self.percentile(95)
-
-    @property
-    def p99(self) -> int:
-        return self.percentile(99)
-
-    @property
-    def mean(self) -> float:
-        if self.count == 0:
-            raise ValueError(f"reservoir {self.name!r} has no samples")
-        return self.total / self.count
-
-    def summary(self) -> dict:
-        """Deterministic summary dict (``None`` quantiles when empty)."""
-        empty = not self.samples
-        return {
-            "count": self.count,
-            "mean_ns": None if self.count == 0 else round(self.mean, 1),
-            "p50_ns": None if empty else self.p50,
-            "p95_ns": None if empty else self.p95,
-            "p99_ns": None if empty else self.p99,
-            "max_ns": None if empty else max(self.samples),
-        }
-
-    def merge(self, other: "Reservoir") -> None:
-        """Fold another reservoir into this one (partition-merge path).
-
-        Unbounded reservoirs concatenate, which is exact: the merged
-        multiset equals the one a single-process run would have recorded,
-        so nearest-rank quantiles come out identical.  Bounded reservoirs
-        keep a deterministic evenly-spaced subsample of the combined order
-        statistics — rank error is at most ``1/(2*capacity)``, inside the
-        nearest-rank tolerance the merge tests pin.
-        """
-        self.count += other.count
-        self.total += other.total
-        combined = self.samples + other.samples
-        if self.capacity is not None and len(combined) > self.capacity:
-            combined.sort()
-            n, cap = len(combined), self.capacity
-            combined = [combined[((2 * i + 1) * n) // (2 * cap)]
-                        for i in range(cap)]
-        self.samples = combined
-
-    def snapshot(self) -> dict:
-        """Picklable state for cross-process merge (see :meth:`restore`)."""
-        return {"samples": list(self.samples), "count": self.count,
-                "total": self.total}
-
-    def restore(self, state: dict) -> None:
-        """Adopt a :meth:`snapshot` (used on freshly built merge targets)."""
-        self.samples = list(state["samples"])
-        self.count = state["count"]
-        self.total = state["total"]
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def __repr__(self) -> str:
-        return f"<Reservoir {self.name!r} n={self.count}>"
-
-
-class WorkloadStats:
+class WorkloadStats(RunStats):
     """All quantitative signals of one workload run, federated on demand.
 
     With ``n_shards`` set, the aggregate object carries one nested
@@ -177,16 +62,13 @@ class WorkloadStats:
         if sample_interval_ns < 0:
             raise ValueError(f"sample_interval_ns must be non-negative, "
                              f"got {sample_interval_ns}")
-        self.env = env
-        self.name = name
-        self.latency = Reservoir(f"{name}.latency_ns")
-        self.queue_wait = Reservoir(f"{name}.queue_wait_ns")
-        self.counters = Counters()
+        super().__init__(env, name)
+        self.latency = self.reservoir("latency_ns")
+        self.queue_wait = self.reservoir("queue_wait_ns")
         #: (time_ns, depth) samples, one per enqueue/dequeue.
         self.queue_depth: list[tuple[int, int]] = []
         self.t_first_send: Optional[int] = None
         self.t_last_done: Optional[int] = None
-        self._metrics: Optional["Metrics"] = None
         #: Windowed time series (None unless ``sample_interval_ns`` > 0).
         #: Shard-labelled series live on the aggregate's bank, so sub-stats
         #: never carry their own.
@@ -198,14 +80,13 @@ class WorkloadStats:
             WorkloadStats(env, f"{name}.shard{i}") for i in range(n_shards)]
 
     # -- federation -----------------------------------------------------------
-    def federate(self, metrics: "Metrics") -> None:
+    def federate(self, metrics: Metrics) -> None:
         """Register with an observer's metrics registry (see module doc).
 
-        Per-shard counters federate under ``<name>.shard<i>``, so the
+        Per-shard stats federate under ``<name>.shard<i>``, so the
         breakdown CLI sees shard-level outcomes alongside the aggregate.
         """
-        metrics.register_counters(self.name, self.counters)
-        self._metrics = metrics
+        super().federate(metrics)
         for shard in self.shards:
             shard.federate(metrics)
 
@@ -248,8 +129,6 @@ class WorkloadStats:
         self._series("rate", "completed", 1, shard)
         self._series("rate", "delivered_bytes", response_bytes, shard)
         self._series("quantile", "latency_ns", latency_ns, shard)
-        if self._metrics is not None:
-            self._metrics.histogram(f"{self.name}.latency_ns").record(latency_ns)
         sub = self._shard(shard)
         if sub is not None:
             sub.note_completed(latency_ns, response_bytes)
@@ -297,8 +176,6 @@ class WorkloadStats:
     def note_queue_wait(self, wait_ns: int, shard: Optional[int] = None) -> None:
         """Record how long a request sat in the server queue."""
         self.queue_wait.record(wait_ns)
-        if self._metrics is not None:
-            self._metrics.histogram(f"{self.name}.queue_wait_ns").record(wait_ns)
         sub = self._shard(shard)
         if sub is not None:
             sub.note_queue_wait(wait_ns)
@@ -308,7 +185,7 @@ class WorkloadStats:
         """Everything :meth:`report` needs, as picklable primitives.
 
         Partition workers ship snapshots over their pipe at the end of a
-        partitioned run; :meth:`merged` folds them back into one stats
+        partitioned run; :meth:`absorb` folds them back into one stats
         object whose report is identical to a single-process run's:
         counters sum exactly, reservoirs concatenate (exact multisets for
         the unbounded reservoirs the workload uses), and the first-send /
@@ -325,7 +202,13 @@ class WorkloadStats:
         }
 
     def absorb(self, snap: dict) -> None:
-        """Fold one worker's :meth:`snapshot` into this object."""
+        """Fold one worker's :meth:`snapshot` into this object.
+
+        The merge target is built with ``env=None`` (report-only:
+        ``note_*`` must not be called on it).  Fold order only affects
+        internal sample-list order — every report field is order-invariant
+        (sums, min/max, sorted-rank quantiles).
+        """
         for key, value in sorted(snap["counters"].items()):
             self.counters.add(key, value)
         other = Reservoir(self.latency.name)
@@ -349,21 +232,6 @@ class WorkloadStats:
                 f"target has {len(self.shards)}")
         for shard, shard_snap in zip(self.shards, snap["shards"]):
             shard.absorb(shard_snap)
-
-    @classmethod
-    def merged(cls, snapshots, name: str = "workload",
-               n_shards: int = 0) -> "WorkloadStats":
-        """A report-only stats object folding worker snapshots together.
-
-        The result has no environment bound (``note_*`` must not be called
-        on it); fold order is the caller's worker order, which only affects
-        internal sample-list order — every report field is order-invariant
-        (sums, min/max, sorted-rank quantiles).
-        """
-        stats = cls(None, name=name, n_shards=n_shards)
-        for snap in snapshots:
-            stats.absorb(snap)
-        return stats
 
     # -- derived ----------------------------------------------------------------
     @property

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.obs.export import dumps_deterministic
-from repro.workloads.runner import PRESET_PLANS, PRESETS, run_scenario
+from repro.workloads.presets import PRESET_PLANS, PRESETS
+from repro.workloads.runner import run_scenario
 
 DATAFLOW_PRESETS = ("dataflow-rollup", "dataflow-scatter-gather")
 

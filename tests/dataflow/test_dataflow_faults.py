@@ -10,7 +10,8 @@ the stages whose sends crossed the slowed NIC.
 
 from __future__ import annotations
 
-from repro.workloads.runner import PRESET_PLANS, PRESETS, run_scenario
+from repro.workloads.presets import PRESET_PLANS, PRESETS
+from repro.workloads.runner import run_scenario
 
 
 def run_stall_preset(plan="preset"):

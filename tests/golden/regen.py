@@ -24,11 +24,12 @@ import argparse
 import difflib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from repro.obs.export import dumps_deterministic
-from repro.workloads.runner import PRESET_PLANS, PRESETS, Scenario, \
-    run_scenario
+from repro.workloads.presets import PRESET_PLANS, PRESETS
+from repro.workloads.runner import Scenario, run_scenario
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 SPEC_DIR = GOLDEN_DIR.parents[1] / "perfbench" / "specs"
@@ -54,10 +55,7 @@ def golden_text(name: str) -> str:
 def fresh_text(name: str, observe: bool = False, **overrides) -> str:
     """Run case ``name`` now and return its canonical report."""
     scenario, plan = cases()[name]
-    if overrides:
-        from dataclasses import replace
-
-        scenario = replace(scenario, **overrides)
+    scenario = replace(scenario, **overrides)
     return dumps_deterministic(
         run_scenario(scenario, plan=plan, observe=observe))
 

@@ -9,6 +9,8 @@ engine are held to the same files — neither may move a report byte.
 
 import pytest
 
+from repro.workloads.run import main
+
 from tests.golden import regen
 
 FAST = [name for name in regen.cases() if name not in regen.SLOW]
@@ -37,3 +39,9 @@ def test_partition_count_does_not_reach_the_report(partitions):
 def test_every_case_has_a_golden_and_every_golden_a_case():
     on_disk = {path.stem for path in regen.GOLDEN_DIR.glob("*.json")}
     assert on_disk == set(regen.cases())
+
+
+def test_cli_output_file_is_the_golden_byte_for_byte(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["rpc-open", "-o", str(out)]) == 0
+    assert out.read_text() == regen.golden_text("rpc-open")

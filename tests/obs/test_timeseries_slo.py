@@ -6,12 +6,12 @@ import pytest
 
 from repro.faults import FaultPlan, NicStall
 from repro.obs.export import dumps_deterministic
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import Histogram, Reservoir
 from repro.obs.slo import BurnRateDetector, SloSpec, evaluate_slos, window_counts
 from repro.obs.timeseries import TimeSeriesBank
 from repro.simkernel import Environment
-from repro.workloads.runner import PRESETS, run_scenario
-from repro.workloads.stats import Reservoir
+from repro.workloads.presets import PRESETS
+from repro.workloads.runner import run_scenario
 
 STALL = NicStall(node=1, start_ns=200_000, end_ns=800_000, extra_ns=400_000)
 

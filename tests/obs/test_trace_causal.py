@@ -10,7 +10,8 @@ from repro.obs.export import (
     trace_events,
     validate_trace_events,
 )
-from repro.workloads.runner import PRESETS, Scenario, execute_scenario
+from repro.workloads.presets import PRESETS
+from repro.workloads.runner import Scenario, execute_scenario
 
 
 def small_rpc(fm_version: int = 2, **overrides) -> Scenario:

@@ -20,7 +20,8 @@ from repro.core.rdma import NicCollectives, RdmaEndpoint
 from repro.hardware.packet import Packet
 from repro.obs.export import dumps_deterministic
 from repro.workloads.partitioned import run_partitioned
-from repro.workloads.runner import PRESET_PLANS, PRESETS, execute_scenario
+from repro.workloads.presets import PRESET_PLANS, PRESETS
+from repro.workloads.runner import execute_scenario
 
 from tests._elision import elision_declined
 

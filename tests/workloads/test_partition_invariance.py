@@ -17,10 +17,11 @@ import pytest
 from repro.faults.plan import FaultPlan
 from repro.obs.export import dumps_deterministic
 from repro.workloads.arrivals import AggregateOpenLoop, OpenLoop
-from repro.workloads.runner import (PRESETS, Scenario, client_arrival,
-                                    execute_scenario, placement,
-                                    population_shares, run_scenario,
-                                    scenario_report_dict)
+from repro.workloads.presets import PRESETS
+from repro.workloads.rpc_kind import (client_arrival, placement,
+                                      population_shares)
+from repro.workloads.runner import (Scenario, execute_scenario,
+                                    run_scenario, scenario_report_dict)
 
 
 def reports_for(scenario, partition_counts):

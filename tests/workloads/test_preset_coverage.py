@@ -4,7 +4,7 @@ preset cannot ship undescribed and a removed one cannot leave a stale
 blurb behind."""
 
 from repro.workloads.run import main
-from repro.workloads.runner import (
+from repro.workloads.presets import (
     PRESET_DESCRIPTIONS,
     PRESET_PLANS,
     PRESETS,

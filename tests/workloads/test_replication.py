@@ -19,12 +19,8 @@ from repro.workloads.replication import (
     ShardSupervisor,
 )
 from repro.workloads.rpc import RpcEndpoint
-from repro.workloads.runner import (
-    PRESET_PLANS,
-    PRESETS,
-    Scenario,
-    run_scenario,
-)
+from repro.workloads.presets import PRESET_PLANS, PRESETS
+from repro.workloads.runner import Scenario, run_scenario
 from repro.workloads.sharding import make_balancer
 from repro.workloads.stats import WorkloadStats
 

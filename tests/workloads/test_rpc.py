@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.workloads.runner import PRESETS, Scenario, run_scenario
+from repro.workloads.presets import PRESETS
+from repro.workloads.runner import Scenario, run_scenario
 
 
 def overload(policy, **overrides):

@@ -7,7 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.workloads.stats import Reservoir, WorkloadStats
+from repro.obs.metrics import Reservoir
+from repro.workloads.stats import WorkloadStats
 
 
 class TestReservoirQuantiles:
@@ -136,6 +137,7 @@ class TestWorkloadStats:
         stats.note_queue_wait(40)
         stats.note_queue_depth(2)
         hist = metrics.histogram("w.latency_ns")
+        assert hist is stats.latency            # adopted, not mirrored
         assert hist.count == 1
         assert metrics.histogram("w.queue_wait_ns").count == 1
         assert metrics.histogram("w.queue_depth").count == 1

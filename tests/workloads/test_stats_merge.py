@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from repro.simkernel.env import Environment
-from repro.workloads.stats import Reservoir, WorkloadStats
+from repro.obs.metrics import Reservoir
+from repro.workloads.stats import WorkloadStats
 
 
 def filled(values, capacity=None):
@@ -81,10 +82,19 @@ class TestWorkloadStatsMerged:
         env.run()
         return stats
 
+    @staticmethod
+    def merge(*parts, n_shards=0):
+        """What ``run_partitioned`` does with worker snapshots: absorb
+        them into a report-only (``env=None``) stats object."""
+        merged = WorkloadStats(None, name="w", n_shards=n_shards)
+        for part in parts:
+            merged.absorb(part.snapshot())
+        return merged
+
     def test_counters_and_latencies_merge_exactly(self):
         a = self.make_stats([100, 300], drops=1)
         b = self.make_stats([200], drops=2)
-        merged = WorkloadStats.merged([a.snapshot(), b.snapshot()], name="w")
+        merged = self.merge(a, b)
         assert merged.counters["sent"] == 3
         assert merged.counters["completed"] == 3
         assert merged.counters["shed"] == 3
@@ -94,15 +104,14 @@ class TestWorkloadStatsMerged:
     def test_time_span_is_min_first_max_last(self):
         a = self.make_stats([100])
         b = self.make_stats([500])
-        merged = WorkloadStats.merged([a.snapshot(), b.snapshot()], name="w")
+        merged = self.merge(a, b)
         assert merged.t_first_send == 0
         assert merged.t_last_done == 500
 
     def test_shard_fragments_merge_by_index(self):
         a = self.make_stats([100], n_shards=2, shard=0)
         b = self.make_stats([200], n_shards=2, shard=1)
-        merged = WorkloadStats.merged([a.snapshot(), b.snapshot()],
-                                      name="w", n_shards=2)
+        merged = self.merge(a, b, n_shards=2)
         assert merged.shards[0].counters["completed"] == 1
         assert merged.shards[1].latency.samples == [200]
         report = merged.report()
