@@ -10,11 +10,10 @@ The speed gates are **relative**: each workload is compared against a
 trivial pure-Python calibration loop timed on the same machine in the same
 session, so a slow CI runner slows both sides and the ratio holds.  The
 absolute numbers (and the tracked history) live in ``BENCH_selfperf.json``,
-regenerated here via :mod:`repro.bench.selfperf`.
+regenerated by ``python -m repro.bench.selfperf``.
 """
 
 import os
-from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -125,13 +124,13 @@ def test_partitioned_scaling():
             f"faster on {cpus} cpus")
 
 
-def test_selfperf_baseline_regenerated():
-    """Regenerate BENCH_selfperf.json (the tracked self-performance file).
+def test_selfperf_baseline_regenerated(tmp_path):
+    """Regenerate the BENCH_selfperf.json document — into ``tmp_path``.
 
-    Runs the same harness the CLI uses and rewrites the repo-root artifact,
-    so a benchmarks run always leaves a fresh ``current`` section behind.
-    Only determinism is asserted here — the committed file, not this test,
-    records the speedup claim.
+    Runs the same harness the CLI uses but leaves the tracked repo-root
+    file alone (``python -m repro.bench.selfperf -o …`` is the intentional
+    way to rewrite it).  Only determinism is asserted here — the committed
+    file, not this test, records the speedup claim.
     """
     current = measure(repeats=3)
     document = build_document(current)
@@ -139,6 +138,5 @@ def test_selfperf_baseline_regenerated():
     assert current["kernel"]["events"] == document["baseline"]["kernel"]["events"]
     assert current["stack"]["packets"] == document["baseline"]["stack"]["packets"]
 
-    root = Path(__file__).resolve().parent.parent
-    path = write_selfperf(root / "BENCH_selfperf.json", document=document)
+    path = write_selfperf(tmp_path / "BENCH_selfperf.json", document=document)
     assert path.exists()

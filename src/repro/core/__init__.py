@@ -30,6 +30,7 @@ from repro.core.common import (
 from repro.core.fm1.api import FM1
 from repro.core.fm2.api import FM2
 from repro.core.fm2.stream import RecvStream, SendStream
+from repro.core.progress import Progress
 
 __all__ = [
     "FM1",
@@ -42,6 +43,7 @@ __all__ = [
     "FmStalledError",
     "FmTransportError",
     "HandlerTable",
+    "Progress",
     "RecvStream",
     "SendStream",
 ]

@@ -4,7 +4,8 @@
 * :class:`HandlerTable` — registration of user message handlers.
 * :class:`FmEndpoint` — per-node protocol state common to FM 1.x and 2.x:
   message-id allocation, the sender-side credit ledger, credit returns,
-  packet construction and injection (PIO across the I/O bus + NIC submit).
+  packet construction and injection (PIO across the I/O bus + NIC submit),
+  and the event-based idle wait every layer above FM sleeps in.
 
 Flow control is the credit scheme of FM 1.x, retained by 2.x (§4.1 "the
 FM 2.x API retains the service guarantees of FM 1.x"): the receiver's host
@@ -33,6 +34,12 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Conventional handler return value (the paper's handlers return
 #: ``FM_CONTINUE``); accepted and ignored by the extract loops.
 FM_CONTINUE = 0
+
+#: Cap on one event-based idle wait (:meth:`FmEndpoint.idle_wait`): a
+#: waiter that missed its wakeup (another process on this node extracted
+#: its data with no fresh receive-region deposit) re-checks at least this
+#: often, without reverting to a fine-grained poll.
+IDLE_WAIT_CAP_NS = 20_000
 
 
 class FmError(Exception):
@@ -250,6 +257,20 @@ class FmEndpoint:
                 obs.span("fm", "credit_stall", t0,
                          track=f"node{self.node_id}/fm", dest=dest)
                 obs.metrics.histogram("fm.credit_stall_ns").record(stall_ns)
+
+    # -- idle waiting --------------------------------------------------------
+    def idle_wait(self) -> Generator:
+        """Sleep until the NIC's next receive-region deposit (capped).
+
+        What every layer above FM does when a pass found nothing: an
+        event-based wakeup rather than a fixed-backoff poll — the waiter
+        registers for the next rx deposit and wakes the instant there is
+        something to extract, instead of burning simulated time re-polling
+        an empty region.  The capped timeout (:data:`IDLE_WAIT_CAP_NS`)
+        covers the missed-wakeup case.
+        """
+        yield self.env.any_of([self.nic.rx_wakeup(),
+                               self.env.timeout(IDLE_WAIT_CAP_NS)])
 
     # -- packet construction and injection -----------------------------------------
     def make_header(self, dest: int, handler_id: int, msg_id: int, seq: int,

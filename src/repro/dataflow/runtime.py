@@ -6,7 +6,7 @@ How backpressure works here (the tentpole mechanism, end to end):
    .Store` input queue.
 2. Each node runs one *pump* (mirroring :class:`~repro.workloads.rpc
    .RpcServer`'s): drain the endpoint inbox into the destination stages'
-   queues, then ``extract_some(budget)``, then sleep on ``rx_wakeup``.
+   queues, then ``extract_some(budget)``, then ``fm.idle_wait()``.
    ``yield queue.put(record)`` **blocks while the queue is full** — and a
    blocked pump extracts nothing.
 3. With extract stopped, the NIC's host receive region fills and credit
@@ -75,9 +75,6 @@ from repro.simkernel.store import Store
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
 
-#: Cap on event-based idle waits (same rationale as the RPC layer).
-IDLE_WAIT_CAP_NS = 20_000
-
 
 class DataflowEndpoint:
     """One node's attachment point: a single SPMD-registered FM2 handler
@@ -92,7 +89,6 @@ class DataflowEndpoint:
                 "edges are gathered/scattered messages with receiver-side "
                 "extract pacing")
         self.node = node
-        self.env = node.env
         self.fm = node.fm
         #: Parsed ``(edge_id, records, flags)`` messages awaiting the pump.
         self.inbox: deque[tuple[int, list, int]] = deque()
@@ -118,10 +114,6 @@ class DataflowEndpoint:
 
     def extract_some(self, budget_bytes: Optional[int]) -> Generator:
         yield from self.fm.extract(budget_bytes)
-
-    def idle_wait(self) -> Generator:
-        yield self.env.any_of([self.node.nic.rx_wakeup(),
-                               self.env.timeout(IDLE_WAIT_CAP_NS)])
 
 
 class EdgeRuntime:
@@ -443,7 +435,7 @@ class NodeRuntime:
                     yield dst.queue.put(Eos(edge_id))
             yield from endpoint.extract_some(self.extract_budget)
             if not inbox and nic.recv_region.level == 0:
-                yield from endpoint.idle_wait()
+                yield from endpoint.fm.idle_wait()
 
     def _pump_fair(self, fed_stages: list["StageRuntime"]) -> Generator:
         """The multi-stage pump: per-stage staging lanes, round-robin
@@ -491,7 +483,7 @@ class NodeRuntime:
                 continue
             yield from endpoint.extract_some(self.extract_budget)
             if not inbox and nic.recv_region.level == 0:
-                yield from endpoint.idle_wait()
+                yield from endpoint.fm.idle_wait()
 
     def _deliver(self, stage: "StageRuntime", entry: tuple) -> Generator:
         edge, item = entry

@@ -16,19 +16,16 @@ payload in one FM message); larger ones use **rendezvous** (RTS envelope,
 CTS reply once a receive is matched, then the payload), which bounds
 unexpected-data buffering.
 
-Progress is polling: ``progress()`` runs one bounded ``FM_extract`` pass and
-flushes deferred control replies.  It is also installed as the FM endpoint's
-``stall_hook``, so a sender stalled on flow-control credits keeps the
-receive side progressing — the interlayer-scheduling deadlock-avoidance the
-paper attributes to FM 2.x's design (applied to both bindings, since MPICH
-on FM 1.x needed the same discipline).
-
-Blocking calls that find nothing to do never spin on a fixed backoff:
-like the sockets layer and the RPC pumps they sleep on
-:meth:`~repro.hardware.nic.Nic.rx_wakeup` (capped by
-``IDLE_WAIT_CAP_NS``) and fail loudly once *sim time* without progress —
-measured against ``env.now``, so time inflated by a ``CpuSlow`` fault
-counts — exceeds ``FmParams.stall_limit_ns``.
+Progress is polling, on the shared :class:`~repro.core.progress.Progress`
+engine: ``progress()`` runs one bounded ``FM_extract`` pass and flushes
+deferred control replies (CTS, then RDMA pulls).  The engine is also the FM
+endpoint's ``stall_hook``, so a sender stalled on flow-control credits
+keeps the receive side progressing (applied to both bindings, since MPICH
+on FM 1.x needed the same discipline), and its ``wait_until`` is every
+blocking call here: idle passes sleep on
+:meth:`~repro.core.common.FmEndpoint.idle_wait` (capped by
+``repro.core.common.IDLE_WAIT_CAP_NS``) and a call fails loudly once *sim
+time* without progress exceeds ``FmParams.stall_limit_ns``.
 """
 
 from __future__ import annotations
@@ -37,6 +34,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.hardware.memory import Buffer
+
+from repro.core.progress import Progress
 
 from repro.upper.mpi.constants import (
     ANY_SOURCE,
@@ -54,11 +53,6 @@ from repro.upper.mpi.status import MpiError, Request, Status
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
-
-#: Cap on event-based idle waits: guards the rare missed-wakeup case
-#: (another process on this node extracted our data with no fresh
-#: receive-region deposit) without reverting to a fine-grained poll.
-IDLE_WAIT_CAP_NS = 20_000
 
 
 @dataclass(frozen=True)
@@ -120,9 +114,11 @@ class MpiEngine:
         self._fin_received: set[tuple[int, int]] = set()  # (dest, serial)
         self._rdma_rts: dict[tuple[int, int], int] = {}   # (src, serial) -> rkey
         self._pull_jobs: list[tuple[PostedRecv, Envelope, int]] = []
-        self._in_progress = False
         self.binding = binding_cls(self)
-        self.fm.stall_hook = self._stall_progress
+        self._progress = Progress(
+            self.fm, costs.progress_budget, self._flush,
+            lambda what: MpiError(f"rank {self.rank}: {what}"))
+        self.fm.stall_hook = self._progress.on_credit_stall
         # Statistics.
         self.stats_unexpected = 0
         self.stats_spills = 0
@@ -166,17 +162,10 @@ class MpiEngine:
         rts = Envelope(context, self.rank, tag, len(data), KIND_RTS, serial)
         yield from self.binding.send_message(dest, rts, b"")
         key = (dest, serial)
-        t_wait = self.env.now
-        while key not in self._cts_received:
-            advanced = yield from self.progress()
-            if advanced:
-                t_wait = self.env.now
-                continue
-            self._check_stall(
-                t_wait,
-                f"no CTS from rank {dest} (serial {serial}) — "
-                "receiver never posted?")
-            yield from self._idle_wait()
+        yield from self._progress.wait_until(
+            lambda: key in self._cts_received,
+            f"no CTS from rank {dest} (serial {serial}) — "
+            "receiver never posted?")
         self._cts_received.remove(key)
         data_env = Envelope(context, self.rank, tag, len(data),
                             KIND_RENDEZVOUS_DATA, serial)
@@ -201,17 +190,10 @@ class MpiEngine:
         yield from self.binding.send_message(dest, rts,
                                              self.binding.pack_desc(rkey))
         key = (dest, serial)
-        t_wait = self.env.now
-        while key not in self._fin_received:
-            advanced = yield from self.progress()
-            if advanced:
-                t_wait = self.env.now
-                continue
-            self._check_stall(
-                t_wait,
-                f"no RDMA FIN from rank {dest} (serial {serial}) — "
-                "receiver never pulled?")
-            yield from self._idle_wait()
+        yield from self._progress.wait_until(
+            lambda: key in self._fin_received,
+            f"no RDMA FIN from rank {dest} (serial {serial}) — "
+            "receiver never pulled?")
         self._fin_received.remove(key)
         yield from self.binding.rdma.deregister(rkey)
 
@@ -288,17 +270,9 @@ class MpiEngine:
         """Progress until the request completes."""
         obs = self.env.obs
         t0 = self.env.now
-        t_wait = self.env.now
-        while not request.complete:
-            advanced = yield from self.progress()
-            if advanced:
-                t_wait = self.env.now
-                continue
-            self._check_stall(
-                t_wait,
-                f"wait() made no progress for {self.env.now - t_wait} ns "
-                f"on {request!r}")
-            yield from self._idle_wait()
+        yield from self._progress.wait_until(
+            lambda: request.complete,
+            f"wait() made no progress on {request!r}")
         if self.costs.completion_ns:
             yield from self.cpu.execute(self.costs.completion_ns)
         if obs is not None:
@@ -315,17 +289,11 @@ class MpiEngine:
         """Progress until at least one request completes; returns its index."""
         if not requests:
             raise MpiError("waitany needs at least one request")
-        t_wait = self.env.now
-        while True:
-            for index, request in enumerate(requests):
-                if request.complete:
-                    return index
-            advanced = yield from self.progress()
-            if advanced:
-                t_wait = self.env.now
-                continue
-            self._check_stall(t_wait, "waitany() made no progress")
-            yield from self._idle_wait()
+        yield from self._progress.wait_until(
+            lambda: any(request.complete for request in requests),
+            "waitany() made no progress")
+        return next(index for index, request in enumerate(requests)
+                    if request.complete)
 
     def waitsome(self, requests: list[Request]) -> Generator:
         """Progress until at least one completes; returns all complete indices."""
@@ -353,55 +321,14 @@ class MpiEngine:
 
     # -- progress ---------------------------------------------------------------------
     def progress(self) -> Generator:
-        """One bounded extraction pass plus deferred control replies.
+        """One bounded extraction pass plus deferred control replies;
+        returns True if anything happened."""
+        return self._progress.progress()
 
-        Returns True if anything happened (packets extracted or control
-        sent) so blocking loops can back off on idle.
-        """
-        if self._in_progress:
-            return False
-        self._in_progress = True
-        try:
-            if self.costs.progress_budget is None:
-                extracted = yield from self.fm.extract()
-            else:
-                extracted = yield from self.fm.extract(self.costs.progress_budget)
-            flushed = yield from self._flush_cts()
-            pulled = yield from self._run_pull_jobs()
-        finally:
-            self._in_progress = False
-        return bool(extracted) or flushed or pulled
-
-    def _stall_progress(self) -> Generator:
-        if self._in_progress:
-            return
-        yield from self.progress()
-
-    def _idle_wait(self) -> Generator:
-        """Sleep until the NIC's next receive-region deposit (capped).
-
-        Event-based wakeup replacing the old fixed-backoff poll: the
-        blocked call registers for the next rx deposit and wakes the
-        instant there is something to extract, instead of burning
-        simulated time re-polling an empty region.  The capped timeout
-        covers the missed-wakeup case (another process on this node
-        extracted our message with no fresh deposit).
-        """
-        yield self.env.any_of([self.node.nic.rx_wakeup(),
-                               self.env.timeout(IDLE_WAIT_CAP_NS)])
-
-    def _check_stall(self, t_wait: int, what: str) -> None:
-        """Fail loudly once sim time since ``t_wait`` exceeds the stall limit.
-
-        Measured against ``env.now`` — not an accumulated backoff count —
-        so time spent *inside* ``progress()`` (which a ``CpuSlow`` fault
-        episode can inflate arbitrarily) counts toward the limit and
-        detection cannot fire late.  Callers re-anchor ``t_wait`` whenever
-        a pass makes progress: the limit bounds time *stalled*, not the
-        total wait.
-        """
-        if self.env.now - t_wait > self.fm.params.stall_limit_ns:
-            raise MpiError(f"rank {self.rank}: {what}")
+    def _flush(self) -> Generator:
+        flushed = yield from self._flush_cts()
+        pulled = yield from self._run_pull_jobs()
+        return flushed or pulled
 
     def _flush_cts(self) -> Generator:
         flushed = False

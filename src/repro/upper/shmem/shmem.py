@@ -14,7 +14,9 @@ one-sided API.
 Remote progress: like real Shmem on FM, the target must service the
 network; programs call ``progress()`` (or sit in ``barrier``/``fence``)
 to serve remote operations.  Replies (get data, acks) are queued by the
-handler and flushed by ``progress`` — handlers never send.
+handler and flushed by ``progress`` — handlers never send.  The pass, the
+credit-stall hook and the blocking waits are the shared
+:class:`~repro.core.progress.Progress` engine.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 from repro.hardware.memory import Buffer
 
 from repro.core.fm2.api import FM2
+from repro.core.progress import Progress
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
@@ -41,10 +44,6 @@ OP_GET_REPLY = 3
 OP_ACK = 4
 OP_ACC = 5
 OP_BARRIER = 6
-
-#: Cap on event-based idle waits (see ``upper/mpi/engine.py`` for the
-#: missed-wakeup rationale).
-IDLE_WAIT_CAP_NS = 20_000
 
 
 class ShmemError(Exception):
@@ -72,8 +71,10 @@ class Shmem:
         self._barrier_seen: dict[int, int] = {}   # epoch -> count
         self._barrier_epoch = 0
         self._outbox: deque[tuple[int, tuple, bytes]] = deque()
-        self.fm.stall_hook = self._stall_progress
-        self._in_progress = False
+        self._progress = Progress(
+            self.fm, 8192, self._flush,
+            lambda what: ShmemError(f"PE {self.me} stalled waiting for {what}"))
+        self.fm.stall_hook = self._progress.on_credit_stall
 
     # -- region management ----------------------------------------------------
     def register_region(self, region_id: int, nbytes: int) -> Buffer:
@@ -112,7 +113,8 @@ class Shmem:
         obs = self.env.obs
         t0 = self.env.now
         yield from self._send(pe, OP_GET, region_id, offset, nbytes, token, b"")
-        yield from self._await(lambda: token in self._get_replies, "get reply")
+        yield from self._progress.wait_until(
+            lambda: token in self._get_replies, "get reply")
         if obs is not None:
             obs.span("shmem", "get", t0, track=f"node{self.me}/shmem",
                      pe=pe, region=region_id, bytes=nbytes)
@@ -134,7 +136,8 @@ class Shmem:
     def fence(self) -> Generator:
         """Block until every put/acc issued so far is applied remotely."""
         issued = self._puts_issued
-        yield from self._await(lambda: self._acks >= issued, "fence acks")
+        yield from self._progress.wait_until(
+            lambda: self._acks >= issued, "fence acks")
 
     def barrier(self) -> Generator:
         """Global barrier across all PEs (flat notify-all)."""
@@ -145,7 +148,7 @@ class Shmem:
         for pe in range(self.n_pes):
             if pe != self.me:
                 yield from self._send(pe, OP_BARRIER, 0, 0, 0, epoch, b"")
-        yield from self._await(
+        yield from self._progress.wait_until(
             lambda: self._barrier_seen.get(epoch, 0) >= self.n_pes - 1,
             f"barrier epoch {epoch}",
         )
@@ -154,45 +157,18 @@ class Shmem:
                      epoch=epoch)
 
     # -- progress ----------------------------------------------------------------
-    def progress(self, budget: int = 8192) -> Generator:
-        if self._in_progress:
-            return False
-        self._in_progress = True
-        try:
-            extracted = yield from self.fm.extract(budget)
-            flushed = False
-            while self._outbox:
-                pe, header_fields, payload = self._outbox.popleft()
-                yield from self._send(pe, *header_fields, payload)
-                flushed = True
-        finally:
-            self._in_progress = False
-        return bool(extracted) or flushed
+    def progress(self, budget: Optional[int] = None) -> Generator:
+        """Serve remote operations: one extract pass (8 KB unless
+        ``budget`` says otherwise) plus the replies it queued."""
+        return self._progress.progress(budget)
 
-    def _stall_progress(self) -> Generator:
-        if self._in_progress:
-            return
-        yield from self.progress()
-
-    def _await(self, condition, what: str) -> Generator:
-        """Progress until ``condition`` holds, sleeping on rx deposits.
-
-        Idle passes wait on :meth:`~repro.hardware.nic.Nic.rx_wakeup`
-        (capped) instead of a fixed backoff, and the stall check measures
-        sim time without progress against ``env.now`` — so time spent
-        inside ``progress()`` (e.g. under a ``CpuSlow`` fault episode)
-        counts and detection cannot fire late.
-        """
-        t_wait = self.env.now
-        while not condition():
-            advanced = yield from self.progress()
-            if advanced:
-                t_wait = self.env.now
-                continue
-            if self.env.now - t_wait > self.fm.params.stall_limit_ns:
-                raise ShmemError(f"PE {self.me} stalled waiting for {what}")
-            yield self.env.any_of([self.node.nic.rx_wakeup(),
-                                   self.env.timeout(IDLE_WAIT_CAP_NS)])
+    def _flush(self) -> Generator:
+        flushed = False
+        while self._outbox:
+            pe, header_fields, payload = self._outbox.popleft()
+            yield from self._send(pe, *header_fields, payload)
+            flushed = True
+        return flushed
 
     # -- wire -----------------------------------------------------------------------
     def _send(self, pe: int, op: int, region_id: int, offset: int, size: int,

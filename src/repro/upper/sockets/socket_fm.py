@@ -6,7 +6,10 @@ segments by the payload.  Connections are identified by the *receiver's*
 connection id, exchanged during the SYN handshake.
 
 All calls are generators (``yield from sock.send(...)``) run inside node
-programs; one :class:`SocketStack` lives per node.
+programs; one :class:`SocketStack` lives per node.  Its extraction pass,
+credit-stall hook and every blocking wait are the shared
+:class:`~repro.core.progress.Progress` engine; what is the stack's own is
+the SYN-ACK outbox and the per-call receiver pacing.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 from repro.hardware.memory import Buffer
 
 from repro.core.fm2.api import FM2
+from repro.core.progress import Progress
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
@@ -32,10 +36,6 @@ KIND_FIN = 4
 
 #: Maximum payload of one socket segment (one FM message).
 SEGMENT_BYTES = 4096
-#: Safety cap on one event-based idle wait (see ``SocketStack.idle_wait``):
-#: a waiter missing its wakeup (another process extracted its data with no
-#: new NIC deposit) re-checks at least this often.
-IDLE_WAIT_CAP_NS = 20_000
 
 
 class SocketError(Exception):
@@ -88,16 +88,15 @@ class Socket:
         if nbytes <= 0:
             raise SocketError(f"recv size must be positive, got {nbytes}")
         self._check_established()
-        waited_t0 = self.stack.env.now
-        while self.rx_bytes == 0:
-            if self.fin_received:
-                return b""
-            # Receiver pacing: extract only about what the reader asked for.
-            budget = max(nbytes + HEADER_BYTES, 256)
-            advanced = yield from self.stack.progress(budget)
-            if not advanced:
-                yield from self.stack.idle_wait(waited_t0,
-                                                "recv stalled: peer gone?")
+        t0 = self.stack.env.now
+        # Receiver pacing: extract only about what the reader asked for.
+        budget = max(nbytes + HEADER_BYTES, 256)
+        yield from self.stack._progress.wait_until(
+            lambda: self.rx_bytes or self.fin_received,
+            "recv stalled: peer gone?",
+            step=lambda: self.stack.progress(budget))
+        if not self.rx_bytes:
+            return b""
         out = bytearray()
         while self.rx_chunks and len(out) < nbytes:
             chunk = self.rx_chunks.popleft()
@@ -110,7 +109,7 @@ class Socket:
         yield from self.stack.cpu.execute(self.stack.cpu.memcpy_cost(len(out)))
         obs = self.stack.env.obs
         if obs is not None:
-            obs.span("sockets", "recv", waited_t0,
+            obs.span("sockets", "recv", t0,
                      track=f"node{self.stack.node.node_id}/sockets",
                      conn=self.conn_id, bytes=len(out))
         return bytes(out)
@@ -142,21 +141,21 @@ class Socket:
             self.rx_bytes -= take
         if pre == nbytes:
             return nbytes
-        self.posted = (buf, offset + pre, nbytes - pre)
+        need = nbytes - pre
+        self.posted = (buf, offset + pre, need)
         self.posted_filled = 0
-        waited_t0 = self.stack.env.now
         try:
-            while self.posted_filled < nbytes - pre:
-                if self.fin_received:
-                    raise SocketError(
-                        f"stream closed after {pre + self.posted_filled} of "
-                        f"{nbytes} bytes"
-                    )
-                budget = max(nbytes - pre - self.posted_filled + HEADER_BYTES, 256)
-                advanced = yield from self.stack.progress(budget)
-                if not advanced:
-                    yield from self.stack.idle_wait(
-                        waited_t0, "recv_into stalled: peer gone?")
+            # Paced per pass: extract only about what is still missing.
+            yield from self.stack._progress.wait_until(
+                lambda: self.posted_filled >= need or self.fin_received,
+                "recv_into stalled: peer gone?",
+                step=lambda: self.stack.progress(
+                    max(need - self.posted_filled + HEADER_BYTES, 256)))
+            if self.posted_filled < need:
+                raise SocketError(
+                    f"stream closed after {pre + self.posted_filled} of "
+                    f"{nbytes} bytes"
+                )
         finally:
             self.posted = None
             self.posted_filled = 0
@@ -205,10 +204,11 @@ class SocketStack:
         self._next_conn = 1
         self._accept_queue: deque[Socket] = deque()
         self._listening = False
-        self.fm.stall_hook = self._stall_progress
-        self._in_progress = False
         #: Deferred control replies (SYN-ACK), flushed by progress().
-        self._outbox: deque[tuple[int, int, bytes]] = deque()  # node, kind... see _send_raw
+        self._outbox: deque[tuple[int, int, int, bytes]] = deque()  # _send_raw args
+        self._progress = Progress(self.fm, SEGMENT_BYTES, self._flush,
+                                  SocketError)
+        self.fm.stall_hook = self._progress.on_credit_stall
 
     # -- connection setup ----------------------------------------------------------
     def listen(self) -> None:
@@ -219,11 +219,8 @@ class SocketStack:
         """Block until an incoming connection is established; return it."""
         if not self._listening:
             raise SocketError("accept() before listen()")
-        waited_t0 = self.env.now
-        while not self._accept_queue:
-            advanced = yield from self.progress(SEGMENT_BYTES)
-            if not advanced:
-                yield from self.idle_wait(waited_t0, "accept() timed out")
+        yield from self._progress.wait_until(
+            lambda: self._accept_queue, "accept() timed out")
         return self._accept_queue.popleft()
 
     def connect(self, peer_node: int) -> Generator:
@@ -233,53 +230,22 @@ class SocketStack:
         # SYN carries my conn id; peer replies with theirs.
         payload = struct.pack("<i", sock.conn_id)
         yield from self._send_raw(peer_node, 0, KIND_SYN, payload)
-        waited_t0 = self.env.now
-        while not sock.established:
-            advanced = yield from self.progress(SEGMENT_BYTES)
-            if not advanced:
-                yield from self.idle_wait(
-                    waited_t0, f"connect to node {peer_node} timed out")
+        yield from self._progress.wait_until(
+            lambda: sock.established,
+            f"connect to node {peer_node} timed out")
         return sock
-
-    # -- idle waiting ----------------------------------------------------------
-    def idle_wait(self, waited_t0: int, stall_message: str) -> Generator:
-        """Sleep until the NIC lands new data (event wakeup, not polling).
-
-        Replaces the old fixed-backoff poll loop: the waiting process
-        registers for the NIC's next receive-region deposit and wakes the
-        instant there is something to extract, instead of burning simulated
-        time re-polling an empty region every 400 ns.  A capped timeout
-        (:data:`IDLE_WAIT_CAP_NS`) guards the rare missed-wakeup case
-        (another process on this node extracted our data with no new
-        deposit), and a total wait beyond the FM stall limit — measured
-        from ``waited_t0`` — still fails loudly with ``stall_message``.
-        """
-        if self.env.now - waited_t0 > self.fm.params.stall_limit_ns:
-            raise SocketError(stall_message)
-        yield self.env.any_of([self.node.nic.rx_wakeup(),
-                               self.env.timeout(IDLE_WAIT_CAP_NS)])
 
     # -- progress --------------------------------------------------------------
     def progress(self, budget: int) -> Generator:
         """One paced extraction pass plus deferred control replies."""
-        if self._in_progress:
-            return False
-        self._in_progress = True
-        try:
-            extracted = yield from self.fm.extract(budget)
-            flushed = False
-            while self._outbox:
-                peer, conn, kind, payload = self._outbox.popleft()
-                yield from self._send_raw(peer, conn, kind, payload)
-                flushed = True
-        finally:
-            self._in_progress = False
-        return bool(extracted) or flushed
+        return self._progress.progress(budget)
 
-    def _stall_progress(self) -> Generator:
-        if self._in_progress:
-            return
-        yield from self.progress(SEGMENT_BYTES)
+    def _flush(self) -> Generator:
+        flushed = False
+        while self._outbox:
+            yield from self._send_raw(*self._outbox.popleft())
+            flushed = True
+        return flushed
 
     # -- wire ------------------------------------------------------------------------
     def _send_segment(self, sock: Socket, kind: int, payload: bytes) -> Generator:

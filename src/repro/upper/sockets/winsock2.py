@@ -65,7 +65,6 @@ class Wsa:
 
     def __init__(self, stack: SocketStack):
         self.stack = stack
-        self.env = stack.env
         self._pending: deque[Overlapped] = deque()
 
     # -- posting ---------------------------------------------------------------
@@ -170,12 +169,9 @@ class Wsa:
     def get_overlapped_result(self, operation: Overlapped) -> Generator:
         """Block (pumping) until ``operation`` completes; returns bytes
         transferred (WSAGetOverlappedResult with fWait=TRUE)."""
-        waited_t0 = self.env.now
-        while not operation.complete:
-            advanced = yield from self.pump()
-            if not advanced:
-                yield from self.stack.idle_wait(
-                    waited_t0, f"overlapped {operation!r} stalled")
+        yield from self.stack._progress.wait_until(
+            lambda: operation.complete,
+            f"overlapped {operation!r} stalled", step=self.pump)
         if operation.error:
             raise SocketError(operation.error)
         return operation.transferred
@@ -184,14 +180,11 @@ class Wsa:
         """Block until any of ``operations`` completes; returns its index."""
         if not operations:
             raise SocketError("wait_any needs at least one operation")
-        waited_t0 = self.env.now
-        while True:
-            for index, operation in enumerate(operations):
-                if operation.complete:
-                    return index
-            advanced = yield from self.pump()
-            if not advanced:
-                yield from self.stack.idle_wait(waited_t0, "wait_any stalled")
+        yield from self.stack._progress.wait_until(
+            lambda: any(operation.complete for operation in operations),
+            "wait_any stalled", step=self.pump)
+        return next(index for index, operation in enumerate(operations)
+                    if operation.complete)
 
     def __repr__(self) -> str:
         return f"<Wsa node={self.stack.node.node_id} pending={len(self._pending)}>"

@@ -345,7 +345,8 @@ class ShardSupervisor:
             raise RuntimeError("supervisor started twice")
         self._started = True
         node_id = self.endpoint.node.node_id
-        self.env.process(self._pump(), name=f"supervisor.pump@{node_id}")
+        self.env.process(self.endpoint.pump_responses(lambda: True),
+                         name=f"supervisor.pump@{node_id}")
         for shard in range(self.directory.n_shards):
             self.env.process(self._probe_loop(shard),
                              name=f"supervisor.probe{shard}@{node_id}")
@@ -399,14 +400,6 @@ class ShardSupervisor:
                         # breach_end is not a re-admission: only a
                         # successful probe brings a shard back.
                 self._fed[shard] = now_window
-
-    def _pump(self) -> Generator:
-        endpoint = self.endpoint
-        nic = endpoint.node.nic
-        while True:
-            yield from endpoint.extract_some()
-            if nic.recv_region.level == 0:
-                yield from endpoint.idle_wait()
 
     def result(self) -> dict:
         """Deterministic control-plane fragment for the run report."""

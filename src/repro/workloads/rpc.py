@@ -30,9 +30,10 @@ Overload policy (the server's explicit backpressure story):
   whose deadline passed while queued (``RPC_EXPIRED``) instead of doing
   dead work.
 
-Idle paths never spin on a fixed backoff: pumps sleep on
-:meth:`~repro.hardware.nic.Nic.rx_wakeup` (capped by
-``IDLE_WAIT_CAP_NS``), the same event-based wakeup the sockets layer uses.
+Idle paths never spin on a fixed backoff: pumps sleep in
+:meth:`~repro.core.common.FmEndpoint.idle_wait` (capped by
+``repro.core.common.IDLE_WAIT_CAP_NS``), the same event-based wakeup
+every layer above FM uses.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 import struct
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro.hardware.memory import Buffer
 
@@ -68,9 +69,6 @@ STATUS_NAMES = {RPC_OK: "ok", RPC_SHED: "shed", RPC_EXPIRED: "expired"}
 REQ_HEADER = struct.Struct("<iqqi")
 #: Response wire header: req_id, status, payload length.
 RESP_HEADER = struct.Struct("<iii")
-
-#: Cap on event-based idle waits (see socket_fm.py for the rationale).
-IDLE_WAIT_CAP_NS = 20_000
 
 VALID_POLICIES = ("queue", "shed", "deadline")
 
@@ -245,10 +243,14 @@ class RpcEndpoint:
         else:
             yield from self.fm.extract(budget_bytes)
 
-    def idle_wait(self) -> Generator:
-        """Sleep until the next receive-region deposit (capped)."""
-        yield self.env.any_of([self.node.nic.rx_wakeup(),
-                               self.env.timeout(IDLE_WAIT_CAP_NS)])
+    def pump_responses(self, live: Callable[[], object]) -> Generator:
+        """Extract responses while ``live()``, sleeping between deposits
+        (the companion process of a client or the supervisor)."""
+        nic = self.node.nic
+        while live():
+            yield from self.extract_some()
+            if nic.recv_region.level == 0 and live():
+                yield from self.fm.idle_wait()
 
     def abandon(self, req_id: int) -> None:
         """Client gave up on ``req_id``; a late response becomes stale."""
@@ -463,7 +465,7 @@ class RpcServer:
                 self.stats.note_queue_depth(queue.level, shard=self.shard)
             yield from endpoint.extract_some(self.extract_budget)
             if not endpoint.inbox and nic.recv_region.level == 0:
-                yield from endpoint.idle_wait()
+                yield from endpoint.fm.idle_wait()
 
     def _worker(self) -> Generator:
         """Dequeue, serve (charging the request's demand), respond."""
@@ -492,8 +494,8 @@ class RpcClient:
 
     :meth:`run` is the node program for :meth:`Cluster.run`: it issues
     ``n_requests`` and returns once every one is resolved (responded or
-    abandoned).  A companion pump process extracts responses concurrently,
-    sleeping on ``rx_wakeup`` between deposits.
+    abandoned).  A companion pump process
+    (:meth:`RpcEndpoint.pump_responses`) extracts responses concurrently.
     """
 
     def __init__(self, endpoint: RpcEndpoint, server: int, *,
@@ -520,8 +522,11 @@ class RpcClient:
     # -- the node program ---------------------------------------------------
     def run(self) -> Generator:
         """Node program: spawn the extract pump and drive the arrival loop."""
-        self.env.process(self._pump(),
-                         name=f"rpc.pump@{self.endpoint.node.node_id}")
+        endpoint = self.endpoint
+        self.env.process(
+            endpoint.pump_responses(
+                lambda: self._sending or endpoint.pending),
+            name=f"rpc.pump@{endpoint.node.node_id}")
         if isinstance(self.arrivals, ClosedLoop):
             yield from self._closed_loop()
         else:
@@ -587,14 +592,6 @@ class RpcClient:
             yield self.env.any_of([event, self.env.timeout(remaining)])
         if not event.triggered:
             self.endpoint.abandon(req_id)
-
-    def _pump(self) -> Generator:
-        endpoint = self.endpoint
-        nic = endpoint.node.nic
-        while self._sending or endpoint.pending:
-            yield from endpoint.extract_some()
-            if nic.recv_region.level == 0 and (self._sending or endpoint.pending):
-                yield from endpoint.idle_wait()
 
     def __repr__(self) -> str:
         return (f"<RpcClient {self.name!r} node={self.endpoint.node.node_id} "

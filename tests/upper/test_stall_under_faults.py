@@ -1,7 +1,7 @@
 """Stall detection measured in sim time, even when a fault slows the CPU.
 
 Regression for the backoff-counter bug: the MPI engine's blocking loops
-and ``Shmem._await`` used to accumulate only their idle-backoff time, so
+and the shmem wait loop used to accumulate only their idle-backoff time, so
 a ``CpuSlow`` episode — which inflates the sim time spent *inside* every
 ``progress()`` pass — could postpone the ``stall_limit_ns`` check almost
 arbitrarily.  The clocks now compare ``env.now`` against the loop's last
@@ -21,6 +21,7 @@ from repro.faults.plan import CpuSlow
 from repro.upper.mpi import build_mpi_world
 from repro.upper.mpi.status import MpiError
 from repro.upper.shmem import Shmem, ShmemError
+from repro.upper.sockets import SocketError, SocketStack
 
 STALL_LIMIT_NS = 300_000
 #: Detection slop: one capped idle wait plus one (slowed) progress pass.
@@ -28,8 +29,8 @@ STALL_LIMIT_NS = 300_000
 SLOP_NS = 150_000
 
 
-def make_cluster() -> Cluster:
-    return Cluster(2, machine=PPRO_FM2, fm_version=2,
+def make_cluster(n_nodes: int = 2) -> Cluster:
+    return Cluster(n_nodes, machine=PPRO_FM2, fm_version=2,
                    fm_params=FmParams(packet_payload=1024,
                                       stall_limit_ns=STALL_LIMIT_NS))
 
@@ -113,6 +114,62 @@ class TestShmemStallUnderCpuSlow:
         # clock; the bound stays a small multiple of the limit rather than
         # a multiple of the slowdown factor.
         assert cluster.now <= 2 * STALL_LIMIT_NS
+
+
+class TestSocketsStallClock:
+    """Sockets block on the shared engine's clock: it bounds time
+    *stalled* (re-anchored by every pass that advances), not the total
+    wait, and is measured in sim time like the MPI and shmem clocks."""
+
+    def test_accept_outlives_the_limit_while_passes_advance(self):
+        # A server parked in accept() for longer than the stall limit is
+        # not stalled while every pass extracts another connection's
+        # traffic.  The old clock measured the total wait and killed it at
+        # its first idle pass after the limit ("accept() timed out").
+        cluster = make_cluster(3)
+        stacks = [SocketStack(node) for node in cluster.nodes]
+        accepted = []
+
+        def server(node):
+            stacks[0].listen()
+            for _ in range(2):
+                sock = yield from stacks[0].accept()
+                accepted.append((sock.peer_node, node.env.now))
+
+        def chatty(node):
+            sock = yield from stacks[1].connect(0)
+            for _ in range(16):
+                yield from sock.send(bytes(512))
+                yield node.env.timeout(50_000)
+
+        def late(node):
+            yield node.env.timeout(2 * STALL_LIMIT_NS)
+            yield from stacks[2].connect(0)
+
+        cluster.run([server, chatty, late])
+        assert [peer for peer, _t in accepted] == [1, 2]
+        assert accepted[1][1] > 2 * STALL_LIMIT_NS
+
+    def test_mute_peer_recv_fails_within_the_limit(self):
+        cluster = make_cluster()
+        slow_node(cluster, node=0)
+        stacks = [SocketStack(node) for node in cluster.nodes]
+        recv_began = [0]
+
+        def reader(node):
+            stacks[0].listen()
+            sock = yield from stacks[0].accept()
+            recv_began[0] = node.env.now
+            yield from sock.recv(64)
+
+        def mute(node):
+            # Connects, then never sends and never closes.
+            yield from stacks[1].connect(0)
+            yield node.env.timeout(10 * STALL_LIMIT_NS)
+
+        with pytest.raises(SocketError, match="recv stalled"):
+            cluster.run([reader, mute])
+        assert cluster.now - recv_began[0] <= STALL_LIMIT_NS + SLOP_NS
 
 
 class TestFmCreditStallClock:
