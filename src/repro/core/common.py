@@ -306,6 +306,25 @@ class FmEndpoint:
                      wire_bytes=packet.wire_bytes)
 
     # -- receiver-side credit returns ------------------------------------------------
+    def raise_corruption(self, packet: Packet) -> None:
+        """Report a packet that failed its CRC check: span, then raise
+        (FM has no recovery, §3.1).  A plain method called only on the
+        failure branch, so the per-packet path gains no generator frame."""
+        header = packet.header
+        obs = self.env.obs
+        if obs is not None:
+            obs.span("fm", "corruption_detected", self.env.now,
+                     track=f"node{self.node_id}/fm", src=header.src,
+                     msg_id=header.msg_id, seq=header.seq)
+        raise FmCorruptionError(
+            f"node {self.node_id} received a corrupted packet from "
+            f"{header.src}: FM relies on the network's (Myrinet's) "
+            "effectively-zero error rate and has no recovery (§3.1)",
+            node=self.node_id, src=header.src, msg_id=header.msg_id,
+            seq=header.seq, handler_id=header.handler_id,
+            time_ns=self.env.now, waypoints=tuple(packet.waypoints),
+        )
+
     def note_packet_processed(self, src: int) -> Generator:
         """Count a processed data packet; return credits when a batch is due."""
         if src == self.node_id:

@@ -26,7 +26,7 @@ from typing import Generator, Optional
 from repro.hardware.memory import Buffer
 from repro.hardware.packet import Packet
 
-from repro.core.common import FmCorruptionError, FmEndpoint, FmProtocolError
+from repro.core.common import FmEndpoint, FmProtocolError
 from repro.core.fm2.stream import RecvStream, SendStream
 
 
@@ -125,19 +125,7 @@ class FM2(FmEndpoint):
         header = packet.header
         yield from self.cpu.per_packet()
         if not packet.crc_ok():
-            obs = self.env.obs
-            if obs is not None:
-                obs.span("fm", "corruption_detected", self.env.now,
-                         track=f"node{self.node_id}/fm", src=header.src,
-                         msg_id=header.msg_id, seq=header.seq)
-            raise FmCorruptionError(
-                f"node {self.node_id} received a corrupted packet from "
-                f"{header.src}: FM relies on the network's (Myrinet's) "
-                "effectively-zero error rate and has no recovery (§3.1)",
-                node=self.node_id, src=header.src, msg_id=header.msg_id,
-                seq=header.seq, handler_id=header.handler_id,
-                time_ns=self.env.now, waypoints=tuple(packet.waypoints),
-            )
+            self.raise_corruption(packet)
         self.stats_recv_packets += 1
         obs = self.env.obs
         if obs is not None:

@@ -28,6 +28,12 @@ def switch_node(j: int) -> GraphNode:
     return ("s", j)
 
 
+def edge_id(src: GraphNode, dst: GraphNode) -> str:
+    """Stable textual id of one directed edge: names its link (and so
+    seeds the link's RNG) and routes boundary packets across processes."""
+    return f"{src[0]}{src[1]}->{dst[0]}{dst[1]}"
+
+
 @dataclass
 class Topology:
     """An undirected graph of hosts and switches.

@@ -8,23 +8,17 @@ cross-partition link (the classic conservative lookahead bound) and
 exchange boundary packets at window barriers over pipes.
 
 * :mod:`repro.parallel.partition` — the partition plan (ownership, cut
-  edges, lookahead), boundary links that capture outbound packets, and
-  the partial fabric build.
+  edges, lookahead).  The build that honours it is the ordinary one:
+  ``Cluster`` / ``Fabric`` given the plan and a partition index.
 * :mod:`repro.parallel.sync` — the window-barrier wire protocol between
   the coordinator (parent) and the partition workers.
 """
 
-from repro.parallel.partition import (
-    BoundaryLink,
-    PartitionFabric,
-    PartitionPlan,
-)
+from repro.parallel.partition import PartitionPlan
 from repro.parallel.sync import Coordinator, WorkerSync
 
 __all__ = [
-    "BoundaryLink",
     "Coordinator",
-    "PartitionFabric",
     "PartitionPlan",
     "WorkerSync",
 ]

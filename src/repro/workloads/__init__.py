@@ -17,26 +17,25 @@ the standard ``Cluster.observe()`` / ``Cluster.inject_faults()`` pattern.
 from repro.workloads.arrivals import (ArrivalSpec, Bursty, ClosedLoop,
                                       OpenLoop, client_rng, gap_stream)
 from repro.workloads.replication import (ReplicatedClient,
-                                         ReplicatedDirectory,
-                                         ReplicatedService, ShardHealth,
+                                         ReplicatedDirectory, ShardHealth,
                                          ShardSupervisor)
 from repro.workloads.rpc import (RPC_EXPIRED, RPC_OK, RPC_SHED, RpcClient,
                                  RpcEndpoint, RpcServer)
 from repro.workloads.runner import Scenario, run_scenario
 from repro.workloads.presets import PRESET_PLANS, PRESETS
 from repro.workloads.sharding import (HashRing, ShardDirectory,
-                                      ShardedClient, ShardedService)
+                                      ShardedClient)
 from repro.obs.metrics import Reservoir
 from repro.workloads.stats import WorkloadStats
 
 __all__ = [
     "ArrivalSpec", "Bursty", "ClosedLoop", "OpenLoop", "client_rng",
     "gap_stream",
-    "ReplicatedClient", "ReplicatedDirectory", "ReplicatedService",
-    "ShardHealth", "ShardSupervisor",
+    "ReplicatedClient", "ReplicatedDirectory", "ShardHealth",
+    "ShardSupervisor",
     "RPC_EXPIRED", "RPC_OK", "RPC_SHED", "RpcClient", "RpcEndpoint",
     "RpcServer",
     "PRESET_PLANS", "PRESETS", "Scenario", "run_scenario",
-    "HashRing", "ShardDirectory", "ShardedClient", "ShardedService",
+    "HashRing", "ShardDirectory", "ShardedClient",
     "Reservoir", "WorkloadStats",
 ]

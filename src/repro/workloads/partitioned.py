@@ -19,12 +19,13 @@ that true:
 * every worker derives the same :class:`~repro.parallel.partition.PartitionPlan`
   and full-topology routes from the scenario — no coordination;
 * placement, client naming, and arrival/key streams are pure functions of
-  the scenario (``client<node_id>``), and a worker wires its nodes with
-  the serial runner's own function (the kind's ``wire``), so a client's
-  traffic does not depend on which worker simulates it;
+  the scenario (``client<node_id>``), and a worker runs the serial
+  runner's own path (``build_scenario`` then the kind's ``run``) on a
+  ``Cluster`` given the plan, so a client's traffic does not depend on
+  which worker simulates it;
 * boundary packets carry their far-side arrival time (assigned at
   serialisation end, exactly when a serial link would assign it) and are
-  injected in globally sorted ``(arrival_ns, edge_id)`` order;
+  injected in globally sorted ``(arrival_ns, capture_ns, edge_id)`` order;
 * the run stops at the first barrier where every worker's clients have
   finished — the same instant ``Cluster.run`` stops serially — and
   ``sim_end_ns`` is the max of the workers' local done times.
@@ -43,13 +44,13 @@ import sys
 import traceback
 from dataclasses import asdict
 
-from repro.cluster.partition import PartitionCluster
 from repro.parallel.partition import PartitionPlan
 from repro.parallel.sync import Coordinator, WorkerSync
 from repro.workloads.runner import (
     KINDS,
     MACHINES,
     Scenario,
+    build_scenario,
     scenario_report_dict,
     scenario_topology,
 )
@@ -63,79 +64,30 @@ def _build_plan(scenario):
 
 
 def _worker_main(conn, scenario_dict: dict, partition: int) -> None:
-    """One partition worker: build local state, run the window loop.
+    """One partition worker: build its share, run it, report.
 
     Runs in a child process (module-level so the spawn start method can
     import it).  All state is rebuilt from the scenario dict — nothing
-    is shared with the parent but the pipe.
+    is shared with the parent but the pipe.  The windowing happens inside
+    ``Cluster.run``, which was handed this worker's barrier call.
     """
     sync = WorkerSync(conn, partition)
     try:
-        _worker_run(sync, scenario_dict, partition)
+        scenario = Scenario.from_dict(scenario_dict)
+        cluster, stats = build_scenario(scenario, _build_plan(scenario),
+                                        partition, sync.exchange)
+        KINDS[scenario.kind].run(cluster, scenario, stats)
+        sync.finish({
+            "snapshot": stats.snapshot(),
+            "t_done": cluster.done_ns,
+            "events": cluster.env.scheduled_events,
+            "elided": cluster.env.elided,
+            "boundary_stalls": cluster.fabric.boundary_stalls,
+        })
     except BaseException:
         sync.error(traceback.format_exc())
     finally:
         conn.close()
-
-
-def _worker_run(sync, scenario_dict: dict, partition: int) -> None:
-    scenario = Scenario.from_dict(scenario_dict)
-    kind = KINDS[scenario.kind]
-    plan = _build_plan(scenario)
-    cluster = PartitionCluster(plan, partition, MACHINES[scenario.machine],
-                               fm_version=scenario.fm_version)
-    env, fabric = cluster.env, cluster.fabric
-
-    stats = kind.build_stats(env, scenario)
-    clients, _supervisor = kind.wire(cluster.nodes.values(), scenario, stats)
-    programs = [cluster.spawn((lambda node, client=client: client.run()),
-                              node_id)
-                for node_id, client in clients.items()]
-
-    # Record the local instant the last owned client finishes — the
-    # partitioned analogue of where ``env.run(until=done)`` would stop.
-    done_marks: list[int] = []
-    done_event = env.all_of(programs) if programs else None
-    if done_event is not None:
-        def _watch():
-            yield done_event
-            done_marks.append(env.now)
-        env.process(_watch(), name="done-watch")
-
-    def local_done() -> bool:
-        return done_event is None or done_event.triggered
-
-    def t_done() -> int:
-        return done_marks[0] if done_marks else 0
-
-    if not plan.cut_edges:
-        # Degenerate single-partition run: no peers to synchronise with,
-        # so run straight to done (serial semantics), then one barrier
-        # round to hand the coordinator its stop consensus.
-        if done_event is not None:
-            env.run(until=done_event)
-        _inbound, stop = sync.exchange(0, [], True, t_done())
-        assert stop, "single-partition worker expected stop at first barrier"
-    else:
-        window = 0
-        while True:
-            end = (window + 1) * plan.lookahead_ns
-            env.run_window(end)
-            outbox = fabric.drain_outbox(end)
-            inbound, stop = sync.exchange(window, outbox, local_done(),
-                                          t_done())
-            if stop:
-                break
-            fabric.inject(inbound)
-            window += 1
-
-    sync.finish({
-        "snapshot": stats.snapshot(),
-        "t_done": t_done(),
-        "events": env.scheduled_events,
-        "elided": env.elided,
-        "boundary_stalls": fabric.boundary_stalls,
-    })
 
 
 def run_partitioned(scenario, details: dict | None = None) -> dict:

@@ -7,10 +7,10 @@ asks for — replication plus supervised failover — in three pieces, all of
 them client-side/control-plane bookkeeping (zero simulated cost; the
 simulation measures where the *messages* go):
 
-* :class:`ReplicatedService` / :class:`ReplicatedDirectory` — each key
-  lives on the R successor shards of the same :class:`HashRing
-  <repro.workloads.sharding.HashRing>` that places its primary
-  (``ring.successors``; R=2 default, primary + backup).
+* :class:`ReplicatedDirectory` — each key lives on the R successor
+  shards of the same :class:`HashRing <repro.workloads.sharding.HashRing>`
+  that places its primary (``ring.successors``; R=2 default, primary +
+  backup).
 * :class:`ShardSupervisor` — a control-plane process on its own node
   that health-checks every shard with deadline-bounded probe RPCs,
   marks a shard down when a probe times out (or when a per-shard
@@ -48,7 +48,6 @@ from repro.workloads.sharding import (
     HashRing,
     ShardDirectory,
     ShardedClient,
-    ShardedService,
 )
 from repro.workloads.stats import WorkloadStats
 
@@ -144,37 +143,6 @@ class ReplicatedDirectory(ShardDirectory):
                 f"R={self.replicas}>")
 
 
-class ReplicatedService(ShardedService):
-    """A :class:`ShardedService` whose keys live on R ring-successor
-    shards.  The attached :class:`ReplicatedDirectory` (``directory``)
-    carries the placement rule and the shared health map; servers are
-    plain :class:`~repro.workloads.rpc.RpcServer` shards — replication
-    is a client/control-plane concern, the data plane is unchanged."""
-
-    def __init__(self, endpoints: Sequence[RpcEndpoint],
-                 stats: WorkloadStats, *, replicas: int = 2,
-                 vnodes: int = 64, **kwargs):
-        super().__init__(endpoints, stats, **kwargs)
-        health = ShardHealth(endpoints[0].env, self.n_shards)
-        self.directory = ReplicatedDirectory(
-            self.shard_nodes, health, replicas=replicas, vnodes=vnodes)
-
-    @property
-    def replicas(self) -> int:
-        return self.directory.replicas
-
-    @property
-    def health(self) -> ShardHealth:
-        return self.directory.health
-
-    def replica_set(self, key: int) -> tuple[int, ...]:
-        return self.directory.replica_set(key)
-
-    def __repr__(self) -> str:
-        return (f"<ReplicatedService shards={self.n_shards} "
-                f"R={self.directory.replicas} nodes={self.shard_nodes}>")
-
-
 class ReplicatedClient(ShardedClient):
     """A :class:`ShardedClient` that routes to live replicas and fails
     timed-out requests over to the next one.
@@ -191,7 +159,7 @@ class ReplicatedClient(ShardedClient):
     """
 
     def __init__(self, endpoint: RpcEndpoint,
-                 service: "ReplicatedService | ReplicatedDirectory",
+                 service: ReplicatedDirectory,
                  balancer: Balancer, keys: Iterator[int], *,
                  failover_timeout_ns: int, arrivals: ArrivalSpec, seed: int,
                  n_requests: int, req_bytes: int = 64, work_ns: int = 0,

@@ -398,9 +398,9 @@ class RpcServer:
         self.policy = policy
         self.resp_bytes = resp_bytes
         self.extract_budget = extract_budget
-        #: Shard index when this server is one shard of a
-        #: :class:`~repro.workloads.sharding.ShardedService` (labels the
-        #: queue-side stats; client-side accounting tags itself).
+        #: Shard index when this server is one shard of a sharded service
+        #: (labels the queue-side stats; client-side accounting tags
+        #: itself).
         self.shard = shard
         self.queue: Store = Store(self.env, capacity=queue_capacity,
                                   name=f"rpc.queue@{self.node.node_id}")

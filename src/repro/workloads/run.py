@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -37,7 +38,7 @@ from repro.obs.export import dumps_deterministic, export_trace, trace_events, \
 
 from repro.workloads.presets import PRESET_DESCRIPTIONS, PRESET_PLANS, \
     PRESETS
-from repro.workloads.runner import Scenario, execute_scenario
+from repro.workloads.runner import Scenario, check_engine, execute_scenario
 
 
 def parse_nic_stall(text: str):
@@ -137,31 +138,35 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     if (opts.preset is None) == (opts.spec is None):
         parser.error("give exactly one of: a preset name, or --spec FILE")
-    if opts.spec is not None:
-        scenario = Scenario.from_dict(json.loads(Path(opts.spec).read_text()))
-    else:
-        if opts.preset not in PRESETS:
-            parser.error(f"unknown preset {opts.preset!r}; "
-                         f"choices: {', '.join(sorted(PRESETS))}")
-        scenario = PRESETS[opts.preset]
-    if opts.partitions is not None or opts.replicas is not None:
-        from dataclasses import replace
-
-        overrides = {}
-        if opts.partitions is not None:
-            overrides["partitions"] = opts.partitions
-        if opts.replicas is not None:
-            overrides["replicas"] = opts.replicas
-        scenario = replace(scenario, **overrides)
-
-    plan = None
-    if opts.nic_stall:
-        from repro.faults.plan import FaultPlan
-
-        plan = FaultPlan(seed=scenario.seed, episodes=tuple(opts.nic_stall))
-    elif opts.preset in PRESET_PLANS and not opts.no_fault:
-        plan = PRESET_PLANS[opts.preset]
+    if opts.spec is None and opts.preset not in PRESETS:
+        parser.error(f"unknown preset {opts.preset!r}; "
+                     f"choices: {', '.join(sorted(PRESETS))}")
+    overrides = {name: value for name, value in
+                 (("partitions", opts.partitions), ("replicas", opts.replicas))
+                 if value is not None}
     observe = opts.observe or opts.trace is not None
+    # A spec, override or flag combination the scenario rejects is a usage
+    # error (exit 2, one line), not a traceback; anything raised once the
+    # run has started still propagates.
+    try:
+        if opts.spec is not None:
+            scenario = Scenario.from_dict(
+                json.loads(Path(opts.spec).read_text()))
+        else:
+            scenario = PRESETS[opts.preset]
+        if overrides:
+            scenario = replace(scenario, **overrides)
+        plan = None
+        if opts.nic_stall:
+            from repro.faults.plan import FaultPlan
+
+            plan = FaultPlan(seed=scenario.seed,
+                             episodes=tuple(opts.nic_stall))
+        elif opts.preset in PRESET_PLANS and not opts.no_fault:
+            plan = PRESET_PLANS[opts.preset]
+        check_engine(scenario, plan, observe)
+    except ValueError as exc:
+        parser.error(str(exc))
     outcome = execute_scenario(scenario, plan=plan, observe=observe)
     if opts.trace is not None:
         validate_trace_events(trace_events(outcome.observer.spans))

@@ -121,8 +121,8 @@ class Scenario:
     deadline_ns: int = 0             # request deadline budget (0 = none)
     abandon_after_ns: Optional[int] = None
     extract_budget: Optional[int] = None   # server receiver flow control
-    # -- rpc: sharding (servers >= 2 runs a ShardedService on nodes
-    # -- 0..servers-1, clients on the rest) --------------------------------
+    # -- rpc: sharding (servers >= 2 runs one RpcServer shard on each of
+    # -- nodes 0..servers-1, clients on the rest) --------------------------
     servers: int = 1
     balancer: str = "static"         # static | round_robin | least_pending
     vnodes: int = 64                 # consistent-hash ring virtual nodes
@@ -301,6 +301,29 @@ def scenario_report_dict(scenario: Scenario) -> dict:
             if name not in hidden}
 
 
+def check_engine(scenario: Scenario, plan=None, observe: bool = False) -> None:
+    """Raise ``ValueError`` when a run asks the partitioned engine for
+    something only the serial one has (checked before anything is built)."""
+    if scenario.partitions > 0 and (plan is not None or observe):
+        raise ValueError(
+            "fault plans and observers are serial-only: both need one "
+            "global event loop (drop partitions to use them)")
+
+
+def build_scenario(scenario: Scenario, partition_plan=None, partition: int = 0,
+                   exchange=None) -> tuple[Cluster, RunStats]:
+    """The ``(cluster, stats)`` a scenario runs on — the whole cluster, or
+    with a :class:`~repro.parallel.partition.PartitionPlan` the share one
+    partition worker simulates (``exchange`` is its barrier call)."""
+    machine = MACHINES[scenario.machine]
+    topology, trunk = scenario_topology(scenario, machine)
+    cluster = Cluster(scenario.n_nodes, machine=machine,
+                      fm_version=scenario.fm_version, topology=topology,
+                      trunk_params=trunk, plan=partition_plan,
+                      partition=partition, exchange=exchange)
+    return cluster, KINDS[scenario.kind].build_stats(cluster.env, scenario)
+
+
 def execute_scenario(scenario: Scenario, plan=None,
                      observe: bool = False) -> ScenarioOutcome:
     """Run one scenario to completion; returns the full outcome.
@@ -314,27 +337,18 @@ def execute_scenario(scenario: Scenario, plan=None,
     per partition) and return a report-only outcome: the live cluster
     and stats objects belong to the workers and do not survive the run.
     """
+    check_engine(scenario, plan, observe)
     if scenario.partitions > 0:
-        if plan is not None or observe:
-            raise ValueError(
-                "fault plans and observers are serial-only: both need one "
-                "global event loop (drop partitions to use them)")
         from repro.workloads.partitioned import run_partitioned
 
         return ScenarioOutcome(scenario, None, None,
                                run_partitioned(scenario))
-    kind = KINDS[scenario.kind]
-    machine = MACHINES[scenario.machine]
-    topology, trunk = scenario_topology(scenario, machine)
-    cluster = Cluster(scenario.n_nodes, machine=machine,
-                      fm_version=scenario.fm_version, topology=topology,
-                      trunk_params=trunk)
+    cluster, stats = build_scenario(scenario)
     injector = cluster.inject_faults(plan) if plan is not None else None
     observer = cluster.observe() if observe else None
-    stats = kind.build_stats(cluster.env, scenario)
     if observer is not None:
         stats.federate(observer.metrics)
-    sections = kind.run(cluster, scenario, stats)
+    sections = KINDS[scenario.kind].run(cluster, scenario, stats)
     report = {
         "scenario": scenario_report_dict(scenario),
         "results": stats.report(),

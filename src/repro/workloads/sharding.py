@@ -1,11 +1,11 @@
 """Sharded multi-server RPC services with client-side load balancing.
 
 One server's saturation knee is where :mod:`repro.workloads.rpc` stops;
-this module is the scale-out step the ROADMAP asks for: a
-:class:`ShardedService` runs N :class:`~repro.workloads.rpc.RpcServer`
-instances on distinct nodes behind one client-facing API, and every
-client routes each request through a pluggable client-side
-:class:`Balancer`:
+this module is the scale-out step the ROADMAP asks for: N
+:class:`~repro.workloads.rpc.RpcServer` shards run on distinct nodes
+(``RpcKind.wire`` starts them, each tagged with its shard index), a
+:class:`ShardDirectory` tells clients where they live, and every client
+routes each request through a pluggable client-side :class:`Balancer`:
 
 * ``static`` (:class:`ConsistentHash`) — a consistent-hash ring over
   request keys with virtual nodes, the classic sharded-KV discipline:
@@ -38,8 +38,7 @@ from typing import Generator, Iterator, Optional, Sequence
 import numpy as np
 
 from repro.workloads.arrivals import ArrivalSpec, client_rng
-from repro.workloads.rpc import RpcClient, RpcEndpoint, RpcServer, VALID_POLICIES
-from repro.workloads.stats import WorkloadStats
+from repro.workloads.rpc import RpcClient, RpcEndpoint
 
 BALANCER_NAMES = ("static", "round_robin", "least_pending")
 
@@ -222,67 +221,14 @@ def make_balancer(name: str, n_shards: int, vnodes: int = 64) -> Balancer:
         f"balancer must be one of {BALANCER_NAMES}, got {name!r}")
 
 
-class ShardedService:
-    """N RpcServer shards on distinct nodes behind one client-facing API.
-
-    Shard ``i`` runs on ``endpoints[i]``'s node with overload policy
-    ``policies[i]`` (per-shard policies are first-class: a deployment
-    can queue on its cache shards and shed on its compute shards).
-    Queue-side stats are tagged with the shard index, so the aggregate
-    :class:`~repro.workloads.stats.WorkloadStats` reports per-shard
-    reservoirs and the imbalance ratio without any extra plumbing.
-    """
-
-    def __init__(self, endpoints: Sequence[RpcEndpoint], stats: WorkloadStats,
-                 *, workers: int = 2, queue_capacity: int = 16,
-                 policies: Optional[Sequence[str]] = None,
-                 resp_bytes: int = 64,
-                 extract_budget: Optional[int] = None):
-        if not endpoints:
-            raise ValueError("a ShardedService needs at least one shard")
-        nodes = [ep.node.node_id for ep in endpoints]
-        if len(set(nodes)) != len(nodes):
-            raise ValueError(f"shards must live on distinct nodes, got {nodes}")
-        if policies is None:
-            policies = ["queue"] * len(endpoints)
-        if len(policies) != len(endpoints):
-            raise ValueError(
-                f"{len(policies)} policies for {len(endpoints)} shards")
-        for policy in policies:
-            if policy not in VALID_POLICIES:
-                raise ValueError(f"policy must be one of {VALID_POLICIES}, "
-                                 f"got {policy!r}")
-        self.shard_nodes = nodes
-        self.servers = [
-            RpcServer(ep, stats, workers=workers,
-                      queue_capacity=queue_capacity, policy=policies[i],
-                      resp_bytes=resp_bytes, extract_budget=extract_budget,
-                      shard=i)
-            for i, ep in enumerate(endpoints)
-        ]
-
-    @property
-    def n_shards(self) -> int:
-        return len(self.servers)
-
-    def start(self) -> None:
-        """Start every shard's pump and workers."""
-        for server in self.servers:
-            server.start()
-
-    def __repr__(self) -> str:
-        return (f"<ShardedService shards={self.n_shards} "
-                f"nodes={self.shard_nodes}>")
-
-
 class ShardDirectory:
-    """Pure-data stand-in for a :class:`ShardedService` on the client side.
+    """Where a sharded service's shards live, as pure data.
 
     A :class:`ShardedClient` only ever reads ``shard_nodes`` and
-    ``n_shards`` from its service — routing is client-side by design — so
-    a directory of shard placements is enough to build clients in a
-    process that owns none of the server nodes (the partitioned runner's
-    workers).  Shard ``i`` lives on node ``shard_nodes[i]``.
+    ``n_shards`` — routing is client-side by design — so a directory of
+    shard placements is enough to build clients in a process that owns
+    none of the server nodes (the partitioned runner's workers).  Shard
+    ``i`` lives on node ``shard_nodes[i]``.
     """
 
     def __init__(self, shard_nodes: Sequence[int]):
@@ -313,7 +259,7 @@ class ShardedClient(RpcClient):
     """
 
     def __init__(self, endpoint: RpcEndpoint,
-                 service: "ShardedService | ShardDirectory",
+                 service: ShardDirectory,
                  balancer: Balancer, keys: Iterator[int], *,
                  arrivals: ArrivalSpec, seed: int, n_requests: int,
                  req_bytes: int = 64, work_ns: int = 0,

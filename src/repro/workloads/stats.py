@@ -50,9 +50,9 @@ class WorkloadStats(RunStats):
     With ``n_shards`` set, the aggregate object carries one nested
     :class:`WorkloadStats` per shard (``self.shards``), and every
     ``note_*`` call that names a ``shard`` records into both the aggregate
-    and that shard's reservoirs/counters — so imbalance across a
-    :class:`~repro.workloads.sharding.ShardedService` is first-class in
-    the report rather than something to reconstruct from logs.
+    and that shard's reservoirs/counters — so imbalance across a sharded
+    service's servers is first-class in the report rather than something
+    to reconstruct from logs.
     """
 
     def __init__(self, env: Optional["Environment"], name: str = "workload",

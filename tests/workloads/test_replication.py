@@ -14,11 +14,10 @@ from repro.workloads.arrivals import ClosedLoop
 from repro.workloads.replication import (
     ReplicatedClient,
     ReplicatedDirectory,
-    ReplicatedService,
     ShardHealth,
     ShardSupervisor,
 )
-from repro.workloads.rpc import RpcEndpoint
+from repro.workloads.rpc import RpcEndpoint, RpcServer
 from repro.workloads.presets import PRESET_PLANS, PRESETS
 from repro.workloads.runner import Scenario, run_scenario
 from repro.workloads.sharding import make_balancer
@@ -33,6 +32,16 @@ def build_cluster(n_shards=2, plan=None, n_extra=1):
     stats = WorkloadStats(cluster.env, name="rep", n_shards=n_shards)
     endpoints = [RpcEndpoint(node, stats) for node in cluster.nodes]
     return cluster, stats, endpoints
+
+
+def start_shards(endpoints, stats):
+    """One single-worker shard per endpoint, started the way
+    ``RpcKind.wire`` does; returns the directory clients route by."""
+    for shard, endpoint in enumerate(endpoints):
+        RpcServer(endpoint, stats, workers=1, shard=shard).start()
+    nodes = [endpoint.node.node_id for endpoint in endpoints]
+    return ReplicatedDirectory(nodes,
+                               ShardHealth(endpoints[0].env, len(nodes)))
 
 
 def build_client(endpoints, service, node, keys, **overrides):
@@ -112,8 +121,7 @@ class TestFailoverExactlyOnce:
         plan = FaultPlan(seed=1, episodes=(
             NicStall(node=0, extra_ns=10**9),))
         cluster, stats, endpoints = build_cluster(plan=plan)
-        service = ReplicatedService(endpoints[:2], stats, workers=1)
-        service.start()
+        service = start_shards(endpoints[:2], stats)
         key = key_with_primary(service, 0)
         client = build_client(endpoints, service, 2,
                               itertools.repeat(key), n_requests=3)
@@ -139,8 +147,7 @@ class TestFailoverExactlyOnce:
         plan = FaultPlan(seed=1, episodes=(
             NicStall(node=0, extra_ns=40_000),))
         cluster, stats, endpoints = build_cluster(plan=plan)
-        service = ReplicatedService(endpoints[:2], stats, workers=1)
-        service.start()
+        service = start_shards(endpoints[:2], stats)
         key = key_with_primary(service, 0)
         client = build_client(endpoints, service, 2,
                               itertools.repeat(key), n_requests=3,
@@ -164,8 +171,7 @@ class TestFailoverExactlyOnce:
             NicStall(node=0, extra_ns=10**9),
             NicStall(node=1, extra_ns=10**9)))
         cluster, stats, endpoints = build_cluster(plan=plan)
-        service = ReplicatedService(endpoints[:2], stats, workers=1)
-        service.start()
+        service = start_shards(endpoints[:2], stats)
         key = key_with_primary(service, 0)
         client = build_client(endpoints, service, 2,
                               itertools.repeat(key), n_requests=3,
@@ -187,8 +193,7 @@ class TestFailoverExactlyOnce:
         # With the primary marked down up front, clients route straight
         # to the backup: no failover, no retry, no timeout paid.
         cluster, stats, endpoints = build_cluster()
-        service = ReplicatedService(endpoints[:2], stats, workers=1)
-        service.start()
+        service = start_shards(endpoints[:2], stats)
         key = key_with_primary(service, 0)
         service.health.mark_down(0, "test")
         client = build_client(endpoints, service, 2,
@@ -224,10 +229,9 @@ class TestShardSupervisor:
             NicStall(node=0, start_ns=100_000, end_ns=400_000,
                      extra_ns=400_000),))
         cluster, stats, endpoints = build_supervised(plan=plan)
-        service = ReplicatedService(endpoints[:2], stats, workers=1)
-        service.start()
+        service = start_shards(endpoints[:2], stats)
         supervisor = ShardSupervisor(
-            endpoints[2], service.directory,
+            endpoints[2], service,
             probe_interval_ns=50_000, probe_timeout_ns=40_000)
         supervisor.start()
 

@@ -237,3 +237,34 @@ class TestScenarioSpec:
             Scenario(name="x", machine="cray")
         with pytest.raises(ValueError):
             Scenario(name="x", arrival="hyperbolic")
+
+
+class TestCliRejectsBadOverrides:
+    """A spec/override/flag combination the scenario rejects is a usage
+    error — exit status 2 and the validation message — not a traceback."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["rpc-open", "--partitions", "2"],
+         "partitions > 0 needs partition_groups > 0"),
+        (["rpc-open", "--replicas", "2"],
+         "replicas > 1 needs a sharded service"),
+        (["rpc-partitioned", "--observe"],
+         "fault plans and observers are serial-only"),
+    ])
+    def test_exit_2_with_the_validation_message(self, argv, message, capsys):
+        from repro.workloads.run import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_bad_spec_file_is_a_usage_error_too(self, tmp_path, capsys):
+        from repro.workloads.run import main
+
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"name": "x", "turbo": true}')
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--spec", str(spec)])
+        assert exit_info.value.code == 2
+        assert "unknown scenario fields" in capsys.readouterr().err

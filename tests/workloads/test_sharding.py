@@ -199,8 +199,8 @@ class TestShardedRuns:
         # run_scenario(observe=True) must register shard counter bags.
         from repro.cluster.cluster import Cluster
         from repro.configs import PPRO_FM2
-        from repro.workloads.rpc import RpcEndpoint
-        from repro.workloads.sharding import ShardedClient, ShardedService
+        from repro.workloads.rpc import RpcEndpoint, RpcServer
+        from repro.workloads.sharding import ShardDirectory, ShardedClient
         from repro.workloads.stats import WorkloadStats
         from repro.workloads.arrivals import ClosedLoop
 
@@ -209,8 +209,10 @@ class TestShardedRuns:
         stats = WorkloadStats(cluster.env, name="w", n_shards=2)
         stats.federate(observer.metrics)
         endpoints = [RpcEndpoint(node, stats) for node in cluster.nodes]
-        service = ShardedService(endpoints[:2], stats)
-        service.start()
+        # Shards started the way RpcKind.wire does.
+        for shard, endpoint in enumerate(endpoints[:2]):
+            RpcServer(endpoint, stats, shard=shard).start()
+        service = ShardDirectory([0, 1])
         client = ShardedClient(
             endpoints[2], service, make_balancer("round_robin", 2),
             key_stream(1, "c", 16), arrivals=ClosedLoop(0), seed=1,
