@@ -1,9 +1,8 @@
-"""Build a simulated cluster — or, for a partitioned parallel run, one
-partition's share of it — and run programs on it."""
+"""Build a simulated cluster and run programs on it."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence
+from typing import Callable, Generator, Optional, Sequence
 
 from repro.simkernel.env import Environment
 from repro.simkernel.process import Process
@@ -21,9 +20,6 @@ from repro.configs import (
 )
 from repro.core.common import FmParams
 from repro.cluster.node import Node
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.parallel.partition import PartitionPlan
 
 #: A program is a generator function taking the node it runs on.
 Program = Callable[[Node], Generator]
@@ -47,30 +43,15 @@ def default_fm_params(fm_version: int) -> FmParams:
 
 
 class Cluster:
-    """N simulated hosts on a fabric, each with an FM endpoint.
-
-    One builder serves both engines.  Given a
-    :class:`~repro.parallel.partition.PartitionPlan` and a ``partition``
-    index, ``nodes`` holds only the hosts that partition owns (ascending,
-    under their global ids; :meth:`node` and :meth:`spawn` take global ids
-    and ``n_nodes`` stays the whole cluster's size), and given a worker's
-    barrier call as ``exchange``
-    (:meth:`repro.parallel.sync.WorkerSync.exchange`) :meth:`run` advances
-    in lookahead windows.  A plan-less build is the one-partition case: it
-    owns every node and cuts no edge.
-    """
+    """N simulated hosts on a fabric, each with an FM endpoint."""
 
     def __init__(self, n_nodes: int, machine: MachineParams = PPRO_FM2,
                  fm_version: int = 2, topology: Optional[Topology] = None,
                  fm_params: Optional[FmParams] = None,
-                 trunk_params=None, plan: Optional["PartitionPlan"] = None,
-                 partition: int = 0, exchange: Optional[Callable] = None):
+                 trunk_params=None):
         if n_nodes < 2:
             raise ValueError(f"a cluster needs at least 2 nodes, got {n_nodes}")
         self.n_nodes = n_nodes
-        self.exchange = exchange
-        #: Simulated instant the last :meth:`run`'s programs all finished.
-        self.done_ns: Optional[int] = None
         self.env = Environment()
         self.machine = machine
         self.fm_version = fm_version
@@ -89,20 +70,18 @@ class Cluster:
                 f"topology has {self.topology.n_hosts} hosts, cluster wants {n_nodes}"
             )
         self.fabric = Fabric(self.env, self.topology, machine.link,
-                             machine.switch, trunk_params=trunk_params,
-                             plan=plan, partition=partition)
+                             machine.switch, trunk_params=trunk_params)
         self.nodes: list[Node] = []
-        for i in self.fabric.owned_hosts():
+        for i in range(n_nodes):
             node = Node(self.env, i, machine)
             self.fabric.attach(i, node.nic)
             node.bind_fm(self.fabric, fm_version, self.fm_params)
             self.nodes.append(node)
-        self._by_id = {node.node_id: node for node in self.nodes}
         self.fabric.start()
 
     def node(self, i: int) -> Node:
-        """The node with global id ``i`` (``KeyError`` if not built here)."""
-        return self._by_id[i]
+        """Node ``i`` (``nodes[i].node_id == i``)."""
+        return self.nodes[i]
 
     def observe(self, observer=None):
         """Attach an :class:`~repro.obs.observer.Observer` to this cluster.
@@ -119,9 +98,8 @@ class Cluster:
         if observer is None:
             observer = Observer()
         observer.attach(self.env)
-        for node in self.nodes:
-            observer.metrics.register_copy_meter(f"node{node.node_id}.cpu",
-                                                 node.cpu.meter)
+        for i, node in enumerate(self.nodes):
+            observer.metrics.register_copy_meter(f"node{i}.cpu", node.cpu.meter)
         if self.env.faults is not None:
             observer.metrics.register_counters("faults",
                                                self.env.faults.counters)
@@ -160,27 +138,18 @@ class Cluster:
 
         ``programs[i]`` runs on node ``i``; ``None`` leaves a node idle.
         The simulation stops when every program has finished (hardware
-        processes idle out) or at ``until_ns``.  A cluster built with an
-        ``exchange`` call stops at the first window barrier where every
-        partition's programs have finished; :attr:`done_ns` is then this
-        partition's own finish instant.
+        processes idle out) or at ``until_ns``.
         """
         if len(programs) > self.n_nodes:
             raise ValueError(
                 f"{len(programs)} programs for {self.n_nodes} nodes"
             )
-        if self.exchange is not None and until_ns is not None:
-            raise ValueError("until_ns needs one event loop: a windowed run "
-                             "has no global time guard")
         procs: list[Optional[Process]] = []
         for i, program in enumerate(programs):
             procs.append(self.spawn(program, i) if program is not None else None)
         live = [p for p in procs if p is not None]
         done = self.env.all_of(live)
-        done.callbacks.append(self._mark_done)
-        if self.exchange is not None:
-            self._run_windows(done)
-        elif until_ns is None:
+        if until_ns is None:
             self.env.run(until=done)
         else:
             self.env.run(until=until_ns)
@@ -190,32 +159,6 @@ class Cluster:
                     + ", ".join(p.name for p in live if not p.triggered)
                 )
         return [p.value if p is not None else None for p in procs]
-
-    def _mark_done(self, _event) -> None:
-        self.done_ns = self.env.now
-
-    def _run_windows(self, done) -> None:
-        """Advance in lookahead windows, exchanging boundary packets at each
-        barrier, until the coordinator says every partition is done.
-
-        A plan with no cut edges has no lookahead to wait for: its single
-        window is the plain drain to ``done``, then one barrier to report it.
-        """
-        fabric, plan = self.fabric, self.fabric.plan
-        width = plan.lookahead_ns if plan is not None else 0
-        window = 0
-        while True:
-            end = (window + 1) * width
-            if width:
-                self.env.run_window(end)
-            else:
-                self.env.run(until=done)
-            inbound, stop = self.exchange(
-                window, fabric.drain_outbox(end), done.triggered, self.done_ns)
-            if stop:
-                return
-            fabric.inject(inbound)
-            window += 1
 
     @property
     def now(self) -> int:

@@ -277,10 +277,10 @@ class PipelineKind:
             raise ValueError(
                 "sharding/replication are rpc concepts; pipelines "
                 "express parallelism as branches")
-        if s.population or s.partition_groups or s.partitions:
+        if s.population or s.partition_groups:
             raise ValueError(
-                "pipelines are serial-only and unpartitioned for now "
-                "(population/partition_groups/partitions must be 0)")
+                "pipelines place stages on one crossbar and draw no "
+                "aggregate sources (population/partition_groups must be 0)")
         if s.sample_interval_ns:
             raise ValueError(
                 "pipeline telemetry is per-stage (queue depth + credit "

@@ -23,9 +23,6 @@ Optional fault injection, two ways:
 The FM layers' behaviour under corruption (fail loudly) and the software
 reliability shim's behaviour under both (recover) are exercised by the
 fault-injection and resilience tests.
-
-A :class:`BoundaryLink` is the same wire cut in two by a partitioned build:
-it overrides only what happens when a packet leaves the wire.
 """
 
 from __future__ import annotations
@@ -42,16 +39,11 @@ from repro.hardware.packet import Packet, PacketFlags
 from repro.hardware.params import LinkParams
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.parallel.partition import BoundaryItem
     from repro.simkernel.env import Environment
 
 
 class Link:
     """A unidirectional wire from one component's output to another's input."""
-
-    #: Whether packets are delivered into a ``connect()``-ed store on this
-    #: side (a :class:`BoundaryLink`'s far end lives in another process).
-    has_target = True
 
     def __init__(self, env: "Environment", params: LinkParams, name: str = "link"):
         self.env = env
@@ -79,7 +71,7 @@ class Link:
 
     def start(self) -> None:
         """Spawn the serialiser and deliverer processes."""
-        if self.has_target and self._target is None:
+        if self._target is None:
             raise RuntimeError(f"link {self.name!r} started before connect()")
         if self._started:
             raise RuntimeError(f"link {self.name!r} started twice")
@@ -115,20 +107,11 @@ class Link:
                 # an upper-layer protocol's job, exactly as on a real wire.
                 continue
             # Tag with earliest possible arrival so propagation pipelines.
-            arrival_ns = self.env.now + self.params.propagation_ns
-            self._left_wire(packet, arrival_ns)
-            flight = (packet, arrival_ns)
+            flight = (packet, self.env.now + self.params.propagation_ns)
             if not self._flight.put_now(flight):
                 yield self._flight.put(flight)
 
-    def _left_wire(self, packet: Packet, arrival_ns: int) -> None:
-        """Hook: ``packet`` just finished serialising and will reach the
-        far end at ``arrival_ns``.  A plain link needs nothing here."""
-
     def _deliver(self):
-        # With no local target the loop still holds each flight slot until
-        # its packet's arrival time, so the in-flight window keeps
-        # back-pressuring the serialiser.
         target = self._target
         while True:
             flight = self._flight.get_now()
@@ -137,7 +120,7 @@ class Link:
             packet, ready_at = flight
             if ready_at > self.env.now:
                 yield self.env.timeout(ready_at - self.env.now)
-            if target is not None and not target.put_now(packet):
+            if not target.put_now(packet):
                 yield target.put(packet)
 
     # -- fault injection ------------------------------------------------------
@@ -180,26 +163,3 @@ class Link:
     def __repr__(self) -> str:
         return (f"<{type(self).__name__} {self.name!r} packets={self.packets} "
                 f"bytes={self.bytes} dropped={self.dropped}>")
-
-
-class BoundaryLink(Link):
-    """The owned half of a cut edge: serialise locally, capture the packet.
-
-    Wire time, fault model and flight-window backpressure are the base
-    class's, so upstream timing is unchanged.  The one difference sits
-    past the wire: the instant serialisation ends the packet is appended
-    to ``outbox`` as ``(arrival_ns, capture_ns, edge_id, packet)`` — its
-    arrival lies at least one lookahead window in the future — for the
-    window exchange to carry to the partition that owns the far side.
-    """
-
-    has_target = False
-
-    def __init__(self, env: "Environment", params: LinkParams, eid: str,
-                 outbox: "list[BoundaryItem]", name: str = "blink"):
-        super().__init__(env, params, name=name)
-        self.edge_id = eid
-        self.outbox = outbox
-
-    def _left_wire(self, packet: Packet, arrival_ns: int) -> None:
-        self.outbox.append((arrival_ns, self.env.now, self.edge_id, packet))

@@ -30,7 +30,7 @@ def switch_node(j: int) -> GraphNode:
 
 def edge_id(src: GraphNode, dst: GraphNode) -> str:
     """Stable textual id of one directed edge: names its link (and so
-    seeds the link's RNG) and routes boundary packets across processes."""
+    seeds the link's RNG)."""
     return f"{src[0]}{src[1]}->{dst[0]}{dst[1]}"
 
 
@@ -147,11 +147,10 @@ def switch_mesh(n_hosts: int, n_groups: int) -> Topology:
 
     Host ``i`` hangs off switch ``i // (n_hosts // n_groups)``; every
     switch pair is joined by one trunk link, so any host pair is at most
-    three hops apart (host -> switch -> switch -> host).  This is the
-    partitionable topology the parallel-simulation mode cuts along: each
-    group (one switch plus its hosts) is a natural partition unit and the
-    trunk links are the only cross-group edges, so the minimum trunk
-    latency bounds the conservative lookahead window.
+    three hops apart (host -> switch -> switch -> host).  The trunks are
+    the only cross-group edges; :class:`~repro.hardware.fabric.Fabric`
+    builds them with its ``trunk_params``, so a grouped scenario can give
+    the inter-crossbar cables their own latency.
     """
     if n_groups < 1:
         raise ValueError(f"need at least 1 group, got {n_groups}")

@@ -131,37 +131,6 @@ class Reservoir:
             "max_ns": None if empty else max(self.samples),
         }
 
-    def merge(self, other: "Reservoir") -> None:
-        """Fold another reservoir into this one (partition-merge path).
-
-        Unbounded reservoirs concatenate, which is exact: the merged
-        multiset equals the one a single-process run would have recorded,
-        so nearest-rank quantiles come out identical.  Bounded reservoirs
-        keep a deterministic evenly-spaced subsample of the combined order
-        statistics — rank error is at most ``1/(2*capacity)``, inside the
-        nearest-rank tolerance the merge tests pin.
-        """
-        self.count += other.count
-        self.total += other.total
-        combined = self.samples + other.samples
-        if self.capacity is not None and len(combined) > self.capacity:
-            combined.sort()
-            n, cap = len(combined), self.capacity
-            combined = [combined[((2 * i + 1) * n) // (2 * cap)]
-                        for i in range(cap)]
-        self.samples = combined
-
-    def snapshot(self) -> dict:
-        """Picklable state for cross-process merge (see :meth:`restore`)."""
-        return {"samples": list(self.samples), "count": self.count,
-                "total": self.total}
-
-    def restore(self, state: dict) -> None:
-        """Adopt a :meth:`snapshot` (used on freshly built merge targets)."""
-        self.samples = list(state["samples"])
-        self.count = state["count"]
-        self.total = state["total"]
-
     def __len__(self) -> int:
         return len(self.samples)
 
@@ -347,7 +316,7 @@ class RunStats:
     timeseries = None
     shards: Sequence["RunStats"] = ()
 
-    def __init__(self, env: Optional["Environment"], name: str):
+    def __init__(self, env: "Environment", name: str):
         self.env = env
         self.name = name
         self.counters = Counters()

@@ -8,7 +8,7 @@ records into it, and feeds the shared :class:`~repro.obs.metrics.Metrics`
 registry.
 
 Contract with the instrumentation sites (enforced by design, pinned by
-``tests/test_determinism.py`` and ``benchmarks/test_simulator_performance``):
+``tests/test_determinism.py`` and perfbench's ``rpc_sharded_obs`` workload):
 
 * **off by default** — ``env.obs`` is ``None`` until an observer attaches;
   a disabled site is one attribute read plus an ``is None`` test;

@@ -532,23 +532,6 @@ class Environment:
 
         raise TypeError(f"until must be None, an int time, or an Event; got {until!r}")
 
-    def run_window(self, end_ns: int) -> None:
-        """Process every event strictly before ``end_ns`` (exclusive).
-
-        The partitioned-simulation primitive: a conservative-lookahead
-        worker advances through window ``[start, end_ns)`` with this call,
-        then exchanges boundary packets whose arrival times all lie at or
-        beyond ``end_ns``.  Implemented as ``run(until=end_ns - 1)``:
-        integer timestamps make "every event at time <= end_ns - 1" the
-        same set as "every event at time < end_ns", and the clock is left
-        at ``end_ns - 1`` so arrivals injected exactly at ``end_ns`` are
-        still in the future.
-        """
-        if end_ns <= self._now:
-            raise ValueError(
-                f"window end {end_ns} is not ahead of now={self._now}")
-        self.run(until=end_ns - 1)
-
     def __repr__(self) -> str:
         pending = len(self._heap) + len(self._imm)
         return f"<Environment now={self._now} pending={pending}>"

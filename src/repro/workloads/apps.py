@@ -141,11 +141,6 @@ class MpiKind:
         if scenario.replicas > 1 or scenario.population:
             raise ValueError(
                 "replicas > 1 and population need kind='rpc'")
-        if scenario.partitions:
-            raise ValueError(
-                "partitioned execution supports rpc workloads only "
-                f"(got kind={scenario.kind!r}); MPI collectives couple all "
-                "nodes every iteration and gain nothing from it")
 
     def build_stats(self, env: "Environment",
                     scenario: "Scenario") -> WorkloadStats:

@@ -51,13 +51,12 @@ PRESETS = {
                                 sample_interval_ns=200_000,
                                 slo_availability=0.99,
                                 slo_latency_p99_ns=250_000),
-    # Grouped-fabric smoke scenario for the partitioned engine: 8 nodes
-    # over 2 crossbar groups joined by a 4 us trunk, 2 shards striped one
-    # per group.  Runs on 2 worker processes out of the box; the
-    # invariance tests pin its report byte-identical at partitions 0/1/2.
+    # Grouped-fabric smoke scenario: 8 nodes over 2 crossbar groups
+    # joined by a 4 us trunk, 2 shards striped one per group, so about
+    # half the requests cross the trunk.
     "rpc-partitioned": Scenario(name="rpc-partitioned", kind="rpc",
                                 arrival="open", n_nodes=8,
-                                partition_groups=2, partitions=2,
+                                partition_groups=2,
                                 servers=2, balancer="static",
                                 rate_rps=20_000.0, n_requests=40,
                                 req_bytes=128, resp_bytes=128,
@@ -66,12 +65,10 @@ PRESETS = {
     # collapsed onto 12 generator nodes via AggregateOpenLoop, feeding 4
     # shards striped over 4 groups, one request per simulated client.
     # Aggregate offered load 250k rps (~55% of the fabric's measured
-    # ~440k rps knee — partitioned fidelity needs sub-saturation
-    # operation, see ARCHITECTURE) over a ~400 ms horizon; runs on 4
-    # workers by default (--partitions 0 for the serial reference).
+    # ~440k rps knee) over a ~400 ms horizon; about a minute of host time.
     "rpc-aggregate-100k": Scenario(name="rpc-aggregate-100k", kind="rpc",
                                    arrival="open", n_nodes=16,
-                                   partition_groups=4, partitions=4,
+                                   partition_groups=4,
                                    trunk_propagation_ns=8_000,
                                    servers=4, balancer="static",
                                    population=100_000, rate_rps=2.5,
@@ -167,10 +164,10 @@ PRESET_DESCRIPTIONS = {
     "rpc-sharded-skew": "4 shards under Zipf(1.2) hot-key skew",
     "rpc-sharded-slo": "sharded RPC with time-series + SLO burn-rate "
                        "telemetry armed",
-    "rpc-partitioned": "2-group switch mesh on 2 worker processes "
-                       "(byte-identical to serial)",
-    "rpc-aggregate-100k": "100k simulated open-loop clients on 4 worker "
-                          "processes",
+    "rpc-partitioned": "2 shards striped over a 2-group switch mesh "
+                       "joined by a 4 us trunk",
+    "rpc-aggregate-100k": "100k simulated open-loop clients on 12 "
+                          "generator nodes, 4 shards over a 4-group mesh",
     "rpc-replicated-failover": "R=2 replicated shards + supervisor riding "
                                "out a built-in NIC stall",
     "rpc-sharded-blackout": "unreplicated control for the failover preset "

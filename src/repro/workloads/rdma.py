@@ -108,10 +108,10 @@ class RdmaKind:
             raise ValueError(
                 f"req_bytes (per-put payload) must be positive, "
                 f"got {scenario.req_bytes}")
-        if scenario.partitions or scenario.partition_groups:
+        if scenario.partition_groups:
             raise ValueError(
-                "the rdma pingpong is a two-node serial smoke "
-                "workload; partitioning does not apply")
+                "the rdma pingpong is a two-node smoke workload on one "
+                "crossbar; partition_groups must be 0")
 
     def build_stats(self, env: "Environment",
                     scenario: "Scenario") -> RdmaStats:

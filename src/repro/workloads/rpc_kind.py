@@ -2,11 +2,9 @@
 
 Everything that turns an rpc :class:`~repro.workloads.runner.Scenario`
 into endpoints, servers and clients lives here, once.  :meth:`RpcKind.wire`
-is the single wiring function: the serial runner hands it every node of
-the cluster, a partition worker hands it the nodes it owns, and
-``replicas > 1`` is the same function taking the supervisor carve-out —
-so a server, a client and its arrival/key streams are bit-identical no
-matter which engine simulates them.
+is the single wiring function — ``replicas > 1`` is the same function
+taking the supervisor carve-out — and placement, client naming and the
+arrival/key streams are pure functions of the scenario.
 """
 
 from __future__ import annotations
@@ -44,8 +42,7 @@ def placement(scenario: "Scenario") -> tuple[list[int], list[int]]:
     lands in group ``s % G`` at within-group offset ``s // G`` — so every
     group serves locally and trunk traffic reflects the balancer rather
     than an accident of placement.  Shard ``i`` is the i-th server node in
-    ascending id order.  Pure function of the scenario: partition workers
-    and the serial runner agree with no coordination.
+    ascending id order.
     """
     if scenario.partition_groups <= 0:
         server_nodes = list(range(scenario.servers))
@@ -61,8 +58,7 @@ def placement(scenario: "Scenario") -> tuple[list[int], list[int]]:
 
 def population_shares(population: int, n_clients: int) -> list[int]:
     """Split ``population`` simulated clients over ``n_clients`` generator
-    nodes (earlier nodes take the remainder — pure function of the
-    arguments, so every partitioning computes the same split)."""
+    nodes (earlier nodes take the remainder)."""
     base, extra = divmod(population, n_clients)
     return [base + 1 if j < extra else base for j in range(n_clients)]
 
@@ -110,9 +106,8 @@ def build_client(scenario: "Scenario", endpoint: RpcEndpoint,
     scenario's client-node list.
 
     Each client owns its balancer instance (``least_pending`` is a
-    per-client view) and routes through a :class:`ShardDirectory` — pure
-    data, so a worker that owns none of the server nodes can still build
-    its clients.  Replicated scenarios pass the shared
+    per-client view) and routes through a :class:`ShardDirectory` (routing
+    is client-side).  Replicated scenarios pass the shared
     :class:`ReplicatedDirectory` (placement rule + health map) instead.
     """
     spec, n_requests = client_arrival(scenario, position, n_clients)
@@ -149,8 +144,9 @@ class RpcKind:
     places each key on R ring-successor shards, carves the last client
     node out for the :class:`ShardSupervisor`, and clients fail timed-out
     requests over; ``population`` collapses that many simulated open-loop
-    clients onto the client nodes.  The only kind the partitioned engine
-    runs (``partitions > 0``).
+    clients onto the client nodes; ``partition_groups: G`` builds the
+    cluster as G crossbars joined by trunk links and stripes the servers
+    across them.
     """
 
     #: The replication knobs only exist in a report once replication is
@@ -211,11 +207,10 @@ class RpcKind:
                     f"{n_clients} client nodes — every generator node "
                     "needs at least one simulated client")
 
-    def build_stats(self, env: Optional["Environment"],
+    def build_stats(self, env: "Environment",
                     scenario: "Scenario") -> WorkloadStats:
         """The run's stats object, with one sub-stats per shard when the
-        service is sharded (``env=None`` builds a report-only merge
-        target for partition-worker snapshots)."""
+        service is sharded."""
         n_shards = scenario.servers if scenario.servers > 1 else 0
         return WorkloadStats(env, name=f"workload.{scenario.name}",
                              n_shards=n_shards,
@@ -224,12 +219,9 @@ class RpcKind:
     def wire(self, nodes: Iterable["Node"], scenario: "Scenario",
              stats: WorkloadStats
              ) -> tuple[dict[int, RpcClient], Optional[ShardSupervisor]]:
-        """Wire endpoints, servers and clients onto ``nodes`` (ascending id
-        order); returns ``({client node id: client}, supervisor or None)``.
-
-        ``nodes`` may be any subset of the cluster: handler ids are per-node
-        (SPMD registration), so building only a worker's share keeps them
-        identical to a full build.  Servers are started here (they run until
+        """Wire endpoints, servers and clients onto the cluster's ``nodes``
+        (ascending id order); returns ``({client node id: client},
+        supervisor or None)``.  Servers are started here (they run until
         the simulation stops); clients are returned for the caller to spawn.
 
         ``replicas > 1`` carves the last client node out for a
@@ -250,9 +242,8 @@ class RpcKind:
                 else stats)
             for node in nodes}
         for shard, node_id in enumerate(server_nodes):
-            if node_id in endpoints:
-                build_server(scenario, endpoints[node_id], stats,
-                             shard=shard if stats.shards else None).start()
+            build_server(scenario, endpoints[node_id], stats,
+                         shard=shard if stats.shards else None).start()
         directory = supervisor = None
         if supervisor_node is not None:
             directory = ReplicatedDirectory(
@@ -268,8 +259,7 @@ class RpcKind:
         clients = {
             node_id: build_client(scenario, endpoints[node_id], server_nodes,
                                   position, len(client_nodes), directory)
-            for position, node_id in enumerate(client_nodes)
-            if node_id in endpoints}
+            for position, node_id in enumerate(client_nodes)}
         return clients, supervisor
 
     def run(self, cluster: "Cluster", scenario: "Scenario",

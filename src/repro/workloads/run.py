@@ -38,7 +38,7 @@ from repro.obs.export import dumps_deterministic, export_trace, trace_events, \
 
 from repro.workloads.presets import PRESET_DESCRIPTIONS, PRESET_PLANS, \
     PRESETS
-from repro.workloads.runner import Scenario, check_engine, execute_scenario
+from repro.workloads.runner import Scenario, execute_scenario
 
 
 def parse_nic_stall(text: str):
@@ -110,12 +110,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
              "failover; 1 = unreplicated)",
     )
     parser.add_argument(
-        "--partitions", default=None, type=int, metavar="N",
-        help="override the scenario's worker-process count (0 = serial "
-             "in-process; N > 0 needs a partition_groups scenario); the "
-             "report is byte-identical either way",
-    )
-    parser.add_argument(
         "-o", "--out", default=None, metavar="FILE",
         help="write the report here instead of stdout",
     )
@@ -141,21 +135,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if opts.spec is None and opts.preset not in PRESETS:
         parser.error(f"unknown preset {opts.preset!r}; "
                      f"choices: {', '.join(sorted(PRESETS))}")
-    overrides = {name: value for name, value in
-                 (("partitions", opts.partitions), ("replicas", opts.replicas))
-                 if value is not None}
     observe = opts.observe or opts.trace is not None
-    # A spec, override or flag combination the scenario rejects is a usage
-    # error (exit 2, one line), not a traceback; anything raised once the
-    # run has started still propagates.
+    # A spec or override the scenario rejects is a usage error (exit 2,
+    # one line), not a traceback; anything raised once the run has started
+    # still propagates.
     try:
         if opts.spec is not None:
             scenario = Scenario.from_dict(
                 json.loads(Path(opts.spec).read_text()))
         else:
             scenario = PRESETS[opts.preset]
-        if overrides:
-            scenario = replace(scenario, **overrides)
+        if opts.replicas is not None:
+            scenario = replace(scenario, replicas=opts.replicas)
         plan = None
         if opts.nic_stall:
             from repro.faults.plan import FaultPlan
@@ -164,7 +155,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              episodes=tuple(opts.nic_stall))
         elif opts.preset in PRESET_PLANS and not opts.no_fault:
             plan = PRESET_PLANS[opts.preset]
-        check_engine(scenario, plan, observe)
     except ValueError as exc:
         parser.error(str(exc))
     outcome = execute_scenario(scenario, plan=plan, observe=observe)

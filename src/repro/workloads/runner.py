@@ -71,25 +71,7 @@ MINIMUMS = {
     "failover_timeout_ns": 1, "n_sources": 1, "branches": 1,
     "window_ns": 1, "window_slide_ns": 0, "sink_work_ns": 0,
     "sample_interval_ns": 0, "slo_latency_p99_ns": 1,
-    "partition_groups": 0, "trunk_propagation_ns": 1, "partitions": 0,
-    "population": 0,
-}
-
-_ONE_CLOCK = ("time-series windows and SLO burn rates are computed on one "
-              "global clock")
-#: Field -> why a non-default value needs the serial engine: features
-#: that want one global event view (or simulation past the last client's
-#: done) fail loudly under ``partitions > 0`` rather than diverge.
-SERIAL_ONLY = {
-    "replicas": "the shared health map and the supervisor need one global "
-                "event view",
-    "until_ns": "a global time guard needs one event loop",
-    "abandon_after_ns": "abandoned requests leave server work running past "
-                        "the last client done, which the partitioned stop "
-                        "rule does not simulate",
-    "sample_interval_ns": _ONE_CLOCK,
-    "slo_availability": _ONE_CLOCK,
-    "slo_latency_p99_ns": _ONE_CLOCK,
+    "partition_groups": 0, "trunk_propagation_ns": 1, "population": 0,
 }
 
 
@@ -156,16 +138,12 @@ class Scenario:
     slo_latency_p99_ns: Optional[int] = None   # p99 latency target
     # -- run guard ---------------------------------------------------------
     until_ns: Optional[int] = None
-    # -- topology grouping / parallel execution -----------------------------
+    # -- topology grouping ---------------------------------------------------
     # partition_groups > 0 builds a switch_mesh of that many crossbar
     # groups (nodes split evenly) joined by trunk links of
-    # trunk_propagation_ns; the *model* depends on these.  partitions is
-    # purely an execution knob (how many OS worker processes simulate the
-    # model; 0 = in-process serial) and is excluded from reports — results
-    # are partition-count-invariant by construction.
+    # trunk_propagation_ns.
     partition_groups: int = 0
     trunk_propagation_ns: int = 4_000
-    partitions: int = 0
     # -- aggregate client populations (0 = one simulated client per node) ---
     # population simulated clients are spread over the client nodes as
     # AggregateOpenLoop sources: each node's generator issues the
@@ -194,20 +172,6 @@ class Scenario:
             raise ValueError(
                 f"{self.n_nodes} nodes do not split evenly over "
                 f"{self.partition_groups} switch groups")
-        if self.partitions:
-            if not self.partition_groups:
-                raise ValueError(
-                    "partitions > 0 needs partition_groups > 0: the switch "
-                    "groups are the units workers own, and their trunk "
-                    "latency is the synchronization lookahead")
-            if self.partition_groups % self.partitions:
-                raise ValueError(
-                    f"{self.partition_groups} switch groups do not split "
-                    f"evenly over {self.partitions} partitions")
-            for name, reason in SERIAL_ONLY.items():
-                if getattr(self, name) \
-                        != self.__dataclass_fields__[name].default:
-                    raise ValueError(f"{name} is serial-only: {reason}")
         has_slo = (self.slo_availability is not None
                    or self.slo_latency_p99_ns is not None)
         if has_slo and not self.sample_interval_ns:
@@ -279,48 +243,31 @@ class ScenarioOutcome:
     """
 
     scenario: Scenario
-    cluster: Optional[Cluster]
-    stats: Optional[RunStats]
+    cluster: Cluster
+    stats: RunStats
     report: dict
     observer: Optional[object] = None
     injector: Optional[object] = None
 
 
 def scenario_report_dict(scenario: Scenario) -> dict:
-    """The scenario as report JSON — minus ``partitions``, the one field
-    that names how the run executed rather than what was simulated
-    (reports are byte-identical across partition counts, which is what
-    lets the invariance tests compare them with ``==``), and minus the
-    fields another kind owns: a kind's own fields appear only in the
-    reports it says carry them, so older report schemas never grow."""
+    """The scenario as report JSON — minus the fields another kind owns:
+    a kind's own fields appear only in the reports it says carry them,
+    so older report schemas never grow."""
     shown = set(KINDS[scenario.kind].report_fields(scenario))
     hidden = {name for kind in KINDS.values() for name in kind.fields
               if name not in shown}
-    hidden.add("partitions")
     return {name: value for name, value in asdict(scenario).items()
             if name not in hidden}
 
 
-def check_engine(scenario: Scenario, plan=None, observe: bool = False) -> None:
-    """Raise ``ValueError`` when a run asks the partitioned engine for
-    something only the serial one has (checked before anything is built)."""
-    if scenario.partitions > 0 and (plan is not None or observe):
-        raise ValueError(
-            "fault plans and observers are serial-only: both need one "
-            "global event loop (drop partitions to use them)")
-
-
-def build_scenario(scenario: Scenario, partition_plan=None, partition: int = 0,
-                   exchange=None) -> tuple[Cluster, RunStats]:
-    """The ``(cluster, stats)`` a scenario runs on — the whole cluster, or
-    with a :class:`~repro.parallel.partition.PartitionPlan` the share one
-    partition worker simulates (``exchange`` is its barrier call)."""
+def build_scenario(scenario: Scenario) -> tuple[Cluster, RunStats]:
+    """The ``(cluster, stats)`` a scenario runs on."""
     machine = MACHINES[scenario.machine]
     topology, trunk = scenario_topology(scenario, machine)
     cluster = Cluster(scenario.n_nodes, machine=machine,
                       fm_version=scenario.fm_version, topology=topology,
-                      trunk_params=trunk, plan=partition_plan,
-                      partition=partition, exchange=exchange)
+                      trunk_params=trunk)
     return cluster, KINDS[scenario.kind].build_stats(cluster.env, scenario)
 
 
@@ -332,17 +279,7 @@ def execute_scenario(scenario: Scenario, plan=None,
     ``observe=True`` attaches an observer (spans + metrics federation +
     per-request trace contexts) — both compose through the cluster's
     standard hooks and neither changes the simulated results.
-
-    Scenarios with ``partitions > 0`` run on OS worker processes (one
-    per partition) and return a report-only outcome: the live cluster
-    and stats objects belong to the workers and do not survive the run.
     """
-    check_engine(scenario, plan, observe)
-    if scenario.partitions > 0:
-        from repro.workloads.partitioned import run_partitioned
-
-        return ScenarioOutcome(scenario, None, None,
-                               run_partitioned(scenario))
     cluster, stats = build_scenario(scenario)
     injector = cluster.inject_faults(plan) if plan is not None else None
     observer = cluster.observe() if observe else None

@@ -226,9 +226,8 @@ class ShardDirectory:
 
     A :class:`ShardedClient` only ever reads ``shard_nodes`` and
     ``n_shards`` — routing is client-side by design — so a directory of
-    shard placements is enough to build clients in a process that owns
-    none of the server nodes (the partitioned runner's workers).  Shard
-    ``i`` lives on node ``shard_nodes[i]``.
+    shard placements is all a client needs of the service.  Shard ``i``
+    lives on node ``shard_nodes[i]``.
     """
 
     def __init__(self, shard_nodes: Sequence[int]):

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.obs.metrics import Metrics, Reservoir, RunStats
+from repro.obs.metrics import Metrics, RunStats
 from repro.obs.timeseries import TimeSeriesBank
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -55,7 +55,7 @@ class WorkloadStats(RunStats):
     to reconstruct from logs.
     """
 
-    def __init__(self, env: Optional["Environment"], name: str = "workload",
+    def __init__(self, env: "Environment", name: str = "workload",
                  n_shards: int = 0, sample_interval_ns: int = 0):
         if n_shards < 0:
             raise ValueError(f"n_shards must be non-negative, got {n_shards}")
@@ -179,59 +179,6 @@ class WorkloadStats(RunStats):
         sub = self._shard(shard)
         if sub is not None:
             sub.note_queue_wait(wait_ns)
-
-    # -- cross-process merge ----------------------------------------------------
-    def snapshot(self) -> dict:
-        """Everything :meth:`report` needs, as picklable primitives.
-
-        Partition workers ship snapshots over their pipe at the end of a
-        partitioned run; :meth:`absorb` folds them back into one stats
-        object whose report is identical to a single-process run's:
-        counters sum exactly, reservoirs concatenate (exact multisets for
-        the unbounded reservoirs the workload uses), and the first-send /
-        last-done marks take min/max.
-        """
-        return {
-            "counters": self.counters.as_dict(),
-            "latency": self.latency.snapshot(),
-            "queue_wait": self.queue_wait.snapshot(),
-            "queue_depth": list(self.queue_depth),
-            "t_first_send": self.t_first_send,
-            "t_last_done": self.t_last_done,
-            "shards": [shard.snapshot() for shard in self.shards],
-        }
-
-    def absorb(self, snap: dict) -> None:
-        """Fold one worker's :meth:`snapshot` into this object.
-
-        The merge target is built with ``env=None`` (report-only:
-        ``note_*`` must not be called on it).  Fold order only affects
-        internal sample-list order — every report field is order-invariant
-        (sums, min/max, sorted-rank quantiles).
-        """
-        for key, value in sorted(snap["counters"].items()):
-            self.counters.add(key, value)
-        other = Reservoir(self.latency.name)
-        other.restore(snap["latency"])
-        self.latency.merge(other)
-        other = Reservoir(self.queue_wait.name)
-        other.restore(snap["queue_wait"])
-        self.queue_wait.merge(other)
-        self.queue_depth.extend(tuple(s) for s in snap["queue_depth"])
-        if snap["t_first_send"] is not None:
-            if (self.t_first_send is None
-                    or snap["t_first_send"] < self.t_first_send):
-                self.t_first_send = snap["t_first_send"]
-        if snap["t_last_done"] is not None:
-            if (self.t_last_done is None
-                    or snap["t_last_done"] > self.t_last_done):
-                self.t_last_done = snap["t_last_done"]
-        if len(snap["shards"]) != len(self.shards):
-            raise ValueError(
-                f"snapshot has {len(snap['shards'])} shards, "
-                f"target has {len(self.shards)}")
-        for shard, shard_snap in zip(self.shards, snap["shards"]):
-            shard.absorb(shard_snap)
 
     # -- derived ----------------------------------------------------------------
     @property

@@ -24,7 +24,6 @@ import argparse
 import difflib
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from repro.obs.export import dumps_deterministic
@@ -52,10 +51,9 @@ def golden_text(name: str) -> str:
     return (GOLDEN_DIR / f"{name}.json").read_text()
 
 
-def fresh_text(name: str, observe: bool = False, **overrides) -> str:
+def fresh_text(name: str, observe: bool = False) -> str:
     """Run case ``name`` now and return its canonical report."""
     scenario, plan = cases()[name]
-    scenario = replace(scenario, **overrides)
     return dumps_deterministic(
         run_scenario(scenario, plan=plan, observe=observe))
 

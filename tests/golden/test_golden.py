@@ -3,8 +3,8 @@
 "Unchanged" in this repo means *matches golden*: a refactor of the
 scenario runner passes this file untouched, and an intentional
 re-baseline shows up as a reviewable diff of ``tests/golden/*.json``
-(``python tests/golden/regen.py``).  Observers and the partitioned
-engine are held to the same files — neither may move a report byte.
+(``python tests/golden/regen.py``).  Observers are held to the same
+files — attaching one may not move a report byte.
 """
 
 import pytest
@@ -24,16 +24,7 @@ def test_report_matches_golden(name):
 
 @pytest.mark.parametrize("name", PRESETS)
 def test_observed_report_matches_golden(name):
-    # Observers need the serial engine; partitions is an execution knob
-    # that never reaches the report.
-    assert regen.fresh_text(name, observe=True, partitions=0) \
-        == regen.golden_text(name)
-
-
-@pytest.mark.parametrize("partitions", [0, 1, 2])
-def test_partition_count_does_not_reach_the_report(partitions):
-    assert regen.fresh_text("rpc-partitioned", partitions=partitions) \
-        == regen.golden_text("rpc-partitioned")
+    assert regen.fresh_text(name, observe=True) == regen.golden_text(name)
 
 
 def test_every_case_has_a_golden_and_every_golden_a_case():

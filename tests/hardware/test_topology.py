@@ -10,6 +10,7 @@ from repro.hardware.topology import (
     host_node,
     single_switch,
     switch_chain,
+    switch_mesh,
     switch_node,
 )
 
@@ -42,6 +43,28 @@ class TestBuilders:
             switch_chain(1)
         with pytest.raises(ValueError):
             fat_tree_2level(0, 2)
+
+
+class TestSwitchMesh:
+    def test_shape(self):
+        topo = switch_mesh(8, 4)
+        assert topo.n_hosts == 8
+        assert topo.n_switches == 4
+        # Full mesh: every switch pair joined, hosts split 2 per switch.
+        for j in range(4):
+            neighbors = list(topo.switch_neighbors(j))
+            switches = [n for n in neighbors if n[0] == "s"]
+            hosts = [n for n in neighbors if n[0] == "h"]
+            assert len(switches) == 3
+            assert sorted(n[1] for n in hosts) == [2 * j, 2 * j + 1]
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            switch_mesh(8, 0)
+        with pytest.raises(ValueError):
+            switch_mesh(1, 1)
+        with pytest.raises(ValueError):
+            switch_mesh(9, 2)   # uneven split
 
 
 class TestValidation:

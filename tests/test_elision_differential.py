@@ -8,7 +8,6 @@ event counts that differ by exactly the number of elided handshakes.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 from dataclasses import asdict
 
 import pytest
@@ -19,7 +18,6 @@ from repro.configs import PPRO_FM2, SPARC_FM1
 from repro.core.rdma import NicCollectives, RdmaEndpoint
 from repro.hardware.packet import Packet
 from repro.obs.export import dumps_deterministic
-from repro.workloads.partitioned import run_partitioned
 from repro.workloads.presets import PRESET_PLANS, PRESETS
 from repro.workloads.runner import execute_scenario
 
@@ -82,6 +80,7 @@ SCENARIOS = {
     "fm2-stream": stream(PPRO_FM2, 2),
     "rdma-and-barriers": rdma_and_barriers,
     "rpc-sharded": preset("rpc-sharded"),
+    "rpc-partitioned": preset("rpc-partitioned"),     # trunk links
     "dataflow-rollup": preset("dataflow-rollup"),
     "rpc-replicated-failover": preset(
         "rpc-replicated-failover",
@@ -115,18 +114,3 @@ def test_same_report_same_waypoints_one_event_per_elision(name):
     assert ref_env.elided == 0 < env.elided
     assert env.scheduled_events + env.elided == ref_env.scheduled_events
 
-
-@pytest.mark.skipif("fork" not in mp.get_all_start_methods(),
-                    reason="the patched primitives reach workers by fork")
-def test_partitioned_run_is_identical_too():
-    """``rpc-partitioned`` on two worker processes (forked, so the declining
-    primitives reach the workers)."""
-    scenario = PRESETS["rpc-partitioned"]
-    assert scenario.partitions == 2
-    details, ref_details = {}, {}
-    report = run_partitioned(scenario, details)
-    with elision_declined():
-        ref_report = run_partitioned(scenario, ref_details)
-    assert dumps_deterministic(report) == dumps_deterministic(ref_report)
-    assert ref_details["elided"] == 0 < details["elided"]
-    assert details["events"] + details["elided"] == ref_details["events"]

@@ -1,7 +1,7 @@
 """The ``KINDS`` table is the scenario runner's contract: every preset
 runs through it, field ownership is unambiguous, and everything a
 scenario can get wrong is a ``ValueError`` from ``Scenario(...)`` itself —
-never a failure inside a built cluster or a forked partition worker."""
+never a failure inside a built cluster."""
 
 import json
 from dataclasses import fields, replace
@@ -10,21 +10,9 @@ import pytest
 
 from repro.obs.export import dumps_deterministic
 from repro.workloads.presets import PRESETS
-from repro.workloads.runner import (KINDS, SERIAL_ONLY, Scenario,
-                                    scenario_report_dict)
+from repro.workloads.runner import KINDS, Scenario, scenario_report_dict
 
 from tests.golden import regen
-
-#: One non-default value per serial-only field.
-SERIAL_ONLY_VALUES = {
-    "replicas": 2,
-    "until_ns": 1_000_000,
-    "abandon_after_ns": 1_000_000,
-    "sample_interval_ns": 10_000,
-    "slo_availability": 0.99,
-    "slo_latency_p99_ns": 100_000,
-}
-
 
 class TestKindsTable:
     def test_every_preset_kind_is_registered_and_every_kind_exercised(self):
@@ -48,14 +36,18 @@ class TestKindsTable:
 
 
 class TestValidationAtConstruction:
-    def test_the_serial_only_values_cover_the_table(self):
-        assert set(SERIAL_ONLY_VALUES) == set(SERIAL_ONLY)
-
-    @pytest.mark.parametrize("field", list(SERIAL_ONLY))
-    def test_serial_only_fields_are_fenced_by_name(self, field):
-        with pytest.raises(ValueError, match=f"{field} is serial-only"):
-            replace(PRESETS["rpc-partitioned"],
-                    **{field: SERIAL_ONLY_VALUES[field]})
+    @pytest.mark.parametrize("base, overrides, message", [
+        ("rdma-pingpong", {"n_nodes": 4, "partition_groups": 2},
+         "partition_groups must be 0"),
+        ("dataflow-rollup", {"n_nodes": 12, "partition_groups": 2},
+         "population/partition_groups must be 0"),
+        ("mpi-halo", {"population": 8},
+         "replicas > 1 and population need kind='rpc'"),
+    ])
+    def test_kinds_fence_the_model_fields_they_do_not_build(
+            self, base, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            replace(PRESETS[base], **overrides)
 
     @pytest.mark.parametrize("base, overrides", [
         ("rpc-open", {"policy": "bogus"}),

@@ -375,6 +375,7 @@ class TestReplicatedScenarios:
             return Scenario(**fields)
 
         spec()                                      # the valid baseline
+        spec(n_nodes=8, partition_groups=2)         # grouping is only topology
         with pytest.raises(ValueError, match="replicas"):
             spec(replicas=0)
         with pytest.raises(ValueError, match="shards available"):
@@ -385,8 +386,6 @@ class TestReplicatedScenarios:
             spec(balancer="least_pending")
         with pytest.raises(ValueError, match="supervisor"):
             spec(n_nodes=4)                        # no client beside it
-        with pytest.raises(ValueError, match="serial-only"):
-            spec(n_nodes=8, partition_groups=2, partitions=2)
         with pytest.raises(ValueError, match="population"):
             spec(population=10)
         with pytest.raises(ValueError, match="probe_interval_ns"):

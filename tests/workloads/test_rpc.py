@@ -240,16 +240,15 @@ class TestScenarioSpec:
 
 
 class TestCliRejectsBadOverrides:
-    """A spec/override/flag combination the scenario rejects is a usage
-    error — exit status 2 and the validation message — not a traceback."""
+    """A spec or override the scenario rejects — or a flag the CLI does
+    not have — is a usage error: exit status 2 and one line, not a
+    traceback."""
 
     @pytest.mark.parametrize("argv, message", [
         (["rpc-open", "--partitions", "2"],
-         "partitions > 0 needs partition_groups > 0"),
+         "unrecognized arguments: --partitions 2"),
         (["rpc-open", "--replicas", "2"],
          "replicas > 1 needs a sharded service"),
-        (["rpc-partitioned", "--observe"],
-         "fault plans and observers are serial-only"),
     ])
     def test_exit_2_with_the_validation_message(self, argv, message, capsys):
         from repro.workloads.run import main
@@ -268,3 +267,16 @@ class TestCliRejectsBadOverrides:
             main(["--spec", str(spec)])
         assert exit_info.value.code == 2
         assert "unknown scenario fields" in capsys.readouterr().err
+
+    def test_a_spec_still_carrying_partitions_names_the_field(
+            self, tmp_path, capsys):
+        from repro.workloads.run import main
+
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"name": "x", "partition_groups": 2, '
+                        '"partitions": 2}')
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--spec", str(spec)])
+        assert exit_info.value.code == 2
+        assert "unknown scenario fields: ['partitions']" \
+            in capsys.readouterr().err
