@@ -174,6 +174,7 @@ class FmEndpoint:
         self.nic = nic
         self.fabric = fabric
         self.params = params
+        self._track = f"node{node_id}/fm"
         self.handlers = HandlerTable()
         # Sender side.
         self._credits: dict[int, int] = {}       # dest -> remaining credits
@@ -255,7 +256,7 @@ class FmEndpoint:
                 self.on_credit_stall(dest, stall_ns)
             if obs is not None:
                 obs.span("fm", "credit_stall", t0,
-                         track=f"node{self.node_id}/fm", dest=dest)
+                         track=self._track, dest=dest)
                 obs.metrics.histogram("fm.credit_stall_ns").record(stall_ns)
 
     # -- idle waiting --------------------------------------------------------
@@ -301,7 +302,7 @@ class FmEndpoint:
         yield from self.nic.submit(packet)
         self.stats_sent_packets += 1
         if obs is not None:
-            obs.span("fm", "inject", t0, track=f"node{self.node_id}/fm",
+            obs.span("fm", "inject", t0, track=self._track,
                      dest=packet.header.dest, pio_bytes=nbytes,
                      wire_bytes=packet.wire_bytes)
 
@@ -314,7 +315,7 @@ class FmEndpoint:
         obs = self.env.obs
         if obs is not None:
             obs.span("fm", "corruption_detected", self.env.now,
-                     track=f"node{self.node_id}/fm", src=header.src,
+                     track=self._track, src=header.src,
                      msg_id=header.msg_id, seq=header.seq)
         raise FmCorruptionError(
             f"node {self.node_id} received a corrupted packet from "
@@ -352,9 +353,8 @@ class FmEndpoint:
         yield from self.inject(packet)
         self.stats_credit_packets += 1
         if obs is not None:
-            obs.span("fm", "credit_return", t0,
-                     track=f"node{self.node_id}/fm", dest=src,
-                     credits=pending)
+            obs.span("fm", "credit_return", t0, track=self._track,
+                     dest=src, credits=pending)
 
     # -- introspection -----------------------------------------------------------
     def outstanding_credits(self, dest: int) -> int:

@@ -47,6 +47,7 @@ class FM1(FmEndpoint):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._reassembly: dict[tuple[int, int], _Reassembly] = {}
+        self._app_track = f"node{self.node_id}/app"
 
     # -- Table 1: FM_send(dest, handler, buf, size) ------------------------------
     def send(self, dest: int, handler_id: int, buf: Buffer, size: int,
@@ -85,7 +86,7 @@ class FM1(FmEndpoint):
             yield from self.inject(packet)
         self.stats_sent_messages += 1
         if obs is not None:
-            obs.span("fm", "FM_send", t0, track=f"node{self.node_id}/fm",
+            obs.span("fm", "FM_send", t0, track=self._track,
                      dest=dest, bytes=size, packets=n_packets)
 
     # -- Table 1: FM_send_4(dest, handler, i0..i3) --------------------------------
@@ -114,7 +115,7 @@ class FM1(FmEndpoint):
         yield from self.inject(packet)
         self.stats_sent_messages += 1
         if obs is not None:
-            obs.span("fm", "FM_send_4", t0, track=f"node{self.node_id}/fm",
+            obs.span("fm", "FM_send_4", t0, track=self._track,
                      dest=dest, bytes=SEND4_BYTES)
 
     # -- Table 1: FM_extract() ------------------------------------------------
@@ -141,7 +142,7 @@ class FM1(FmEndpoint):
             processed += 1
             handled += (yield from self._process_packet(packet))
         if obs is not None and processed:
-            obs.span("fm", "FM_extract", t0, track=f"node{self.node_id}/fm",
+            obs.span("fm", "FM_extract", t0, track=self._track,
                      packets=processed, handlers=handled)
         return handled
 
@@ -222,6 +223,6 @@ class FM1(FmEndpoint):
                                entry.msg_bytes)
         if obs is not None:
             obs.span("app", "handler", t_handler,
-                     track=f"node{self.node_id}/app", ctx=packet.trace,
+                     track=self._app_track, ctx=packet.trace,
                      src=header.src, bytes=entry.msg_bytes)
         return 1

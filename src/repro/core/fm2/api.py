@@ -53,9 +53,8 @@ class FM2(FmEndpoint):
         t0 = self.env.now
         yield from self.cpu.per_message()
         if obs is not None:
-            obs.span("fm", "FM_begin_message", t0,
-                     track=f"node{self.node_id}/fm", dest=dest,
-                     bytes=msg_bytes)
+            obs.span("fm", "FM_begin_message", t0, track=self._track,
+                     dest=dest, bytes=msg_bytes)
         return SendStream(self, dest, handler_id, msg_bytes)
 
     def send_piece(self, stream: SendStream, buf: Buffer, offset: int,
@@ -66,9 +65,8 @@ class FM2(FmEndpoint):
         yield from self.cpu.call()
         yield from stream.push_piece(buf, offset, nbytes)
         if obs is not None:
-            obs.span("fm", "FM_send_piece", t0,
-                     track=f"node{self.node_id}/fm", dest=stream.dest,
-                     bytes=nbytes)
+            obs.span("fm", "FM_send_piece", t0, track=self._track,
+                     dest=stream.dest, bytes=nbytes)
 
     def end_message(self, stream: SendStream) -> Generator:
         """Close the message; flushes the final packet (FM_end_message)."""
@@ -77,9 +75,8 @@ class FM2(FmEndpoint):
         yield from stream.finish()
         self.stats_sent_messages += 1
         if obs is not None:
-            obs.span("fm", "FM_end_message", t0,
-                     track=f"node{self.node_id}/fm", dest=stream.dest,
-                     bytes=stream.msg_bytes)
+            obs.span("fm", "FM_end_message", t0, track=self._track,
+                     dest=stream.dest, bytes=stream.msg_bytes)
 
     def send_buffer(self, dest: int, handler_id: int, buf: Buffer, nbytes: int,
                     offset: int = 0) -> Generator:
@@ -112,7 +109,7 @@ class FM2(FmEndpoint):
                 break
             extracted += (yield from self._process_packet(packet))
         if obs is not None and extracted:
-            obs.span("fm", "FM_extract", t0, track=f"node{self.node_id}/fm",
+            obs.span("fm", "FM_extract", t0, track=self._track,
                      bytes=extracted)
         return extracted
 
@@ -159,5 +156,9 @@ class FM2(FmEndpoint):
         if stream.complete and stream.handler_finished:
             stream.discard_unconsumed()
             del self._streams[key]
+            if obs is not None:
+                # Drop the seeded context with the stream, or the observer
+                # pins every finished handler process for the whole run.
+                obs.bind_process(stream.handler_process, None)
             self.stats_recv_messages += 1
         return packet.payload_bytes

@@ -205,9 +205,8 @@ class RecvStream:
             copied += take
             self.consumed_bytes += take
         if obs is not None:
-            obs.span("fm", "FM_receive", t0,
-                     track=f"node{self.fm.node_id}/fm", src=self.src,
-                     bytes=nbytes)
+            obs.span("fm", "FM_receive", t0, track=self.fm._track,
+                     src=self.src, bytes=nbytes)
 
     def receive_bytes(self, nbytes: int) -> Generator:
         """Convenience: receive into a fresh buffer and return the bytes."""

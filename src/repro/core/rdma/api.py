@@ -65,6 +65,7 @@ class RdmaEndpoint:
         self.bus = node.bus
         self.nic = node.nic
         self.node_id = node.node_id
+        self._track = f"node{node.node_id}/rdma"
         self.mtu = mtu
         self._next_rkey = 1
         self._next_op_id = 0
@@ -133,7 +134,7 @@ class RdmaEndpoint:
         self.stats_puts += 1
         self.stats_put_bytes += nbytes
         if obs is not None:
-            obs.span("rdma", "put", t0, track=f"node{self.node_id}/rdma",
+            obs.span("rdma", "put", t0, track=self._track,
                      dest=dest, rkey=rkey, bytes=nbytes)
         return op_id
 
@@ -165,7 +166,7 @@ class RdmaEndpoint:
         self.stats_gets += 1
         self.stats_get_bytes += nbytes
         if obs is not None:
-            obs.span("rdma", "get", t0, track=f"node{self.node_id}/rdma",
+            obs.span("rdma", "get", t0, track=self._track,
                      dest=dest, rkey=rkey, bytes=nbytes)
         return op_id
 

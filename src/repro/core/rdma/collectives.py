@@ -43,6 +43,7 @@ class NicCollectives:
         self.bus = node.bus
         self.nic = node.nic
         self.node_id = node.node_id
+        self._track = f"node{node.node_id}/rdma"
         self.n_nodes = n_nodes
         self._next_coll_id = 0
         self.stats_barriers = 0
@@ -62,7 +63,7 @@ class NicCollectives:
         self.stats_barriers += 1
         if obs is not None:
             obs.span("rdma", "nic_barrier", t0,
-                     track=f"node{self.node_id}/rdma", coll=coll_id)
+                     track=self._track, coll=coll_id)
 
     def bcast(self, buffer: Buffer, nbytes: int, root: int) -> Generator:
         """Broadcast ``nbytes`` from ``root``'s buffer into everyone
@@ -82,7 +83,7 @@ class NicCollectives:
         self.stats_bcast_bytes += nbytes
         if obs is not None:
             obs.span("rdma", "nic_bcast", t0,
-                     track=f"node{self.node_id}/rdma",
+                     track=self._track,
                      coll=coll_id, root=root, bytes=nbytes)
 
     def _alloc(self) -> int:

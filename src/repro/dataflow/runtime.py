@@ -184,6 +184,7 @@ class StageRuntime:
         self.stats = stats
         self.stage_stats = stage_stats
         self.record_bytes = record_bytes
+        self._track = f"node{node.node_id}/dataflow"
         self.queue: Optional[Store] = None
         if spec.kind != "source":
             self.queue = Store(self.env, capacity=queue_capacity,
@@ -236,8 +237,7 @@ class StageRuntime:
         obs = self.env.obs
         if obs is not None:
             obs.span("dataflow", "stage.done", self.env.now,
-                     track=f"node{self.node.node_id}/dataflow",
-                     stage=self.spec.name,
+                     track=self._track, stage=self.spec.name,
                      processed=self.stage_stats.counters["processed"])
         self.done.succeed()
 
@@ -344,8 +344,8 @@ class OperatorRuntime(StageRuntime):
             yield from self._emit(aggregate)
         if obs is not None:
             obs.span("dataflow", "window.flush", t0,
-                     track=f"node{self.node.node_id}/dataflow",
-                     stage=self.spec.name, aggregates=len(aggregates))
+                     track=self._track, stage=self.spec.name,
+                     aggregates=len(aggregates))
 
     def _finish(self) -> Generator:
         if self._window is not None:

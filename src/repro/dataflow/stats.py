@@ -38,6 +38,10 @@ class StageStats:
         self.counters = Counters()
         self.queue_depth_max = 0
         self.done_ns: Optional[int] = None
+        # The registry whose ``<pipeline>.<name>.queue_depth`` histogram is
+        # held, and its ``record`` (``PipelineStats.note_queue_depth``).
+        self.depth_metrics: Optional[Metrics] = None
+        self.depth_record = None
 
     def note_queue_depth(self, depth: int) -> None:
         if depth > self.queue_depth_max:
@@ -125,9 +129,13 @@ class PipelineStats(RunStats):
 
     def note_queue_depth(self, stage: StageStats, depth: int) -> None:
         stage.note_queue_depth(depth)
-        if self._metrics is not None:
-            self._metrics.histogram(
-                f"{self.name}.{stage.name}.queue_depth").record(depth)
+        metrics = self._metrics
+        if metrics is not None:
+            if metrics is not stage.depth_metrics:
+                stage.depth_metrics = metrics
+                stage.depth_record = metrics.histogram(
+                    f"{self.name}.{stage.name}.queue_depth").record
+            stage.depth_record(depth)
 
     # -- reporting ---------------------------------------------------------
     def elapsed_ns(self) -> int:

@@ -109,6 +109,7 @@ class SwReliablePair:
             raise ValueError("window exceeds the receive region")
         self.src_node = cluster.node(src)
         self.dst_node = cluster.node(dst)
+        self._track = f"node{src}/swrel"
         # Sender state.
         self.next_seq = 0
         self.base = 0                      # oldest unacknowledged seq
@@ -293,7 +294,7 @@ class SwReliablePair:
         self.retransmitted_wire_bytes += resent_bytes
         if obs is not None and resent_bytes:
             obs.span("swrel", "retransmit_window", t0,
-                     track=f"node{self.src_node.node_id}/swrel", why=why,
+                     track=self._track, why=why,
                      packets=len(self.outstanding), bytes=resent_bytes,
                      rto_ns=self.rto_ns)
 

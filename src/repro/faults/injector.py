@@ -176,7 +176,7 @@ class FaultInjector:
         self.events.append((now, kind, component, detail))
         obs = self.env.obs
         if obs is not None:
-            obs.span("fault", kind, now, track=f"faults/{component}",
+            obs.span("fault", kind, now, track="faults/" + component,
                      detail=detail)
 
     def __repr__(self) -> str:

@@ -50,6 +50,11 @@ class Link:
         self.params = params
         self.name = name
         self._wire_label = f"{name}.wire"
+        self._track = f"fabric/{name}"
+        # The observer whose ``link.bytes`` meter is held, and that meter's
+        # ``mark`` (see ``_serialise``).
+        self._bytes_obs = None
+        self._bytes_mark = None
         #: Upstream components put packets here; bounded = transmit buffer.
         self.ingress: Store = Store(env, capacity=params.slots, name=f"{name}.ingress")
         #: In-flight window between serialiser and deliverer.
@@ -96,11 +101,16 @@ class Link:
             self.packets += 1
             self.bytes += packet.wire_bytes
             if obs is not None:
-                obs.span("fabric", "wire", t0, track=f"fabric/{self.name}",
+                obs.span("fabric", "wire", t0, track=self._track,
                          src=packet.header.src, dest=packet.header.dest,
                          bytes=packet.wire_bytes)
-                obs.metrics.meter("link.bytes", link=self.name).mark(
-                    packet.wire_bytes)
+                if obs is not self._bytes_obs:
+                    # Keyed on the observer object: one may be attached
+                    # late, or replaced.
+                    self._bytes_obs = obs
+                    self._bytes_mark = obs.metrics.meter(
+                        "link.bytes", link=self.name).mark
+                self._bytes_mark(packet.wire_bytes)
             if dropped:
                 # Lossy-link mode: the packet burned wire time but never
                 # arrives.  Downstream sees nothing — detection (if any) is
@@ -156,7 +166,7 @@ class Link:
             obs = self.env.obs
             if obs is not None:
                 obs.span("fault", "link_drop", self.env.now,
-                         track=f"fabric/{self.name}", src=packet.header.src,
+                         track=self._track, src=packet.header.src,
                          dest=packet.header.dest, seq=packet.header.seq)
         return dropped
 

@@ -155,6 +155,14 @@ class Nic:
         self._fw_inject_label = f"{self.name}.fw_inject"
         self._rdma_write_label = f"{self.name}.rdma_write"
         self._rdma_read_land_label = f"{self.name}.rdma_read_land"
+        # Span tracks, built once (a span site formats nothing).
+        self._tx_track = f"node{node_id}/nic.tx"
+        self._rx_track = f"node{node_id}/nic.rx"
+        self._coll_track = f"node{node_id}/nic.coll"
+        # The observer whose ``nic.recv_region_depth`` histogram is held,
+        # and that histogram's ``record`` (see ``_rx_firmware``).
+        self._depth_obs = None
+        self._depth_record = None
         # Send path: host -> tx SRAM -> link.
         self.tx_sram: Store = Store(env, capacity=params.sram_packet_slots,
                                     name=f"{self.name}.tx_sram")
@@ -373,8 +381,7 @@ class Nic:
             packet.stamp(self._inject_label, self.env.now)
             if obs is not None:
                 obs.span("nic", "tx_firmware", t0,
-                         track=f"node{self.node_id}/nic.tx",
-                         ctx=packet.trace,
+                         track=self._tx_track, ctx=packet.trace,
                          dest=packet.header.dest, seq=packet.header.seq,
                          bytes=packet.wire_bytes)
             if not self.tx_link.ingress.put_now(packet):
@@ -403,8 +410,7 @@ class Nic:
                     self.corrupt_control_packets += 1
                     if obs is not None:
                         obs.span("nic", "corrupt_control_drop", t0,
-                                 track=f"node{self.node_id}/nic.rx",
-                                 src=packet.header.src,
+                                 track=self._rx_track, src=packet.header.src,
                                  credits=packet.header.credit_return)
                     continue
                 # Credit return: update the mailbox, consume no host slot.
@@ -415,7 +421,7 @@ class Nic:
                 self.control_packets += 1
                 if obs is not None:
                     obs.span("nic", "credit_absorb", t0,
-                             track=f"node{self.node_id}/nic.rx", src=peer,
+                             track=self._rx_track, src=peer,
                              ctx=packet.trace,
                              credits=packet.header.credit_return)
                 continue
@@ -430,13 +436,16 @@ class Nic:
             packet.stamp(self._dma_done_label, self.env.now)
             if obs is not None:
                 obs.span("nic", "rx_dma", t0,
-                         track=f"node{self.node_id}/nic.rx",
-                         ctx=packet.trace,
+                         track=self._rx_track, ctx=packet.trace,
                          src=packet.header.src, seq=packet.header.seq,
                          bytes=packet.wire_bytes)
-                obs.metrics.histogram("nic.recv_region_depth",
-                                      nic=self.name).record(
-                    self.recv_region.level)
+                if obs is not self._depth_obs:
+                    # Keyed on the observer object: one may be attached
+                    # late, or replaced.
+                    self._depth_obs = obs
+                    self._depth_record = obs.metrics.histogram(
+                        "nic.recv_region_depth", nic=self.name).record
+                self._depth_record(self.recv_region.level)
             if not self.recv_region.put_now(packet):
                 yield self.recv_region.put(packet)
             if self._rx_waiters:
@@ -457,8 +466,7 @@ class Nic:
             self.corrupt_offload_packets += 1
             if obs is not None:
                 obs.span("nic", "corrupt_rdma_drop", t0,
-                         track=f"node{self.node_id}/nic.rx",
-                         src=header.src, seq=header.seq)
+                         track=self._rx_track, src=header.src, seq=header.seq)
             return
         flags = header.flags
         if flags & PacketFlags.RDMA_WRITE:
@@ -476,7 +484,7 @@ class Nic:
                                       header.msg_id, header.msg_bytes)
             if obs is not None:
                 obs.span("nic", "rdma_write", t0,
-                         track=f"node{self.node_id}/nic.rx",
+                         track=self._rx_track,
                          ctx=packet.trace, src=header.src,
                          rkey=header.rkey, seq=header.seq,
                          bytes=packet.wire_bytes)
@@ -489,7 +497,7 @@ class Nic:
                 name=f"{self.name}.rdma_read{packet.header.msg_id}")
             if obs is not None:
                 obs.span("nic", "rdma_read_req", t0,
-                         track=f"node{self.node_id}/nic.rx",
+                         track=self._rx_track,
                          ctx=packet.trace, src=header.src,
                          rkey=header.rkey, bytes=header.msg_bytes)
             return
@@ -507,8 +515,7 @@ class Nic:
         packet.stamp(self._rdma_read_land_label, self.env.now)
         if obs is not None:
             obs.span("nic", "rdma_read_resp", t0,
-                     track=f"node{self.node_id}/nic.rx",
-                     ctx=packet.trace, src=header.src,
+                     track=self._rx_track, ctx=packet.trace, src=header.src,
                      rkey=header.rkey, seq=header.seq,
                      bytes=packet.wire_bytes)
         if pending.received >= pending.nbytes:
@@ -552,7 +559,7 @@ class Nic:
             seq += 1
         if obs is not None:
             obs.span("nic", "rdma_read_serve", t0,
-                     track=f"node{self.node_id}/nic.tx",
+                     track=self._tx_track,
                      dest=header.src, rkey=header.rkey, bytes=nbytes)
 
     # -- collective state machine ----------------------------------------------
@@ -582,7 +589,7 @@ class Nic:
         obs = self.env.obs
         if obs is not None:
             obs.span("nic", "collective_rx", t0,
-                     track=f"node{self.node_id}/nic.rx",
+                     track=self._rx_track,
                      src=header.src, coll=header.msg_id, step=header.seq)
 
     def _barrier_engine(self, state: _CollState):
@@ -614,8 +621,7 @@ class Nic:
         self._post_completion("barrier", me, 0, state.coll_id, 0)
         if obs is not None:
             obs.span("nic", "barrier", t0,
-                     track=f"node{self.node_id}/nic.coll",
-                     coll=state.coll_id, rounds=k)
+                     track=self._coll_track, coll=state.coll_id, rounds=k)
 
     def _bcast_engine(self, state: _CollState):
         """Binomial-tree broadcast: the root DMAs its host payload into
@@ -664,7 +670,7 @@ class Nic:
         self._post_completion("bcast", state.root, 0, state.coll_id, nbytes)
         if obs is not None:
             obs.span("nic", "bcast", t0,
-                     track=f"node{self.node_id}/nic.coll",
+                     track=self._coll_track,
                      coll=state.coll_id, root=state.root, bytes=nbytes)
 
     def _bcast_packet(self, state: _CollState, dest: int, seq: int,

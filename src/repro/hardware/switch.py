@@ -37,6 +37,7 @@ class Switch:
         self.params = params
         self.name = name
         self._forward_label = f"{name}.forward"
+        self._track = f"fabric/{name}"
         self.n_ports = n_ports
         self.in_ports: list[Store] = [
             Store(env, capacity=params.port_buffer_slots, name=f"{name}.in{p}")
@@ -88,7 +89,7 @@ class Switch:
             self.forwarded += 1
             packet.stamp(self._forward_label, self.env.now)
             if obs is not None:
-                obs.span("fabric", "forward", t0, track=f"fabric/{self.name}",
+                obs.span("fabric", "forward", t0, track=self._track,
                          in_port=port, out_port=out_port,
                          src=packet.header.src, dest=packet.header.dest)
             if not link.ingress.put_now(packet):

@@ -43,6 +43,15 @@ MetricKey = tuple[str, tuple[tuple[str, str], ...]]
 
 
 def _key(name: str, labels: dict[str, str]) -> MetricKey:
+    """The registry key of ``name`` + ``labels``, label values normalised
+    to ``str`` — an instrument's own ``labels`` are rebuilt from this key,
+    so what a query compares against is what the key holds.  Label sets
+    of size 0 and 1 (every per-packet lookup) skip the sort."""
+    if not labels:
+        return (name, ())
+    if len(labels) == 1:
+        (k, v), = labels.items()
+        return (name, ((k, str(v)),))
     return (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
 
 
@@ -214,12 +223,13 @@ class Metrics:
         key = _key(name, labels)
         hist = self._histograms.get(key)
         if hist is None:
-            hist = self._histograms[key] = Histogram(name, labels)
+            hist = self._histograms[key] = Histogram(name, dict(key[1]))
         return hist
 
     def meter(self, name: str, window_ns: int = DEFAULT_WINDOW_NS,
               **labels: str) -> RateMeter:
-        """Get or create the rate meter ``name`` with this exact label set."""
+        """Get or create the rate meter ``name`` with this exact label set
+        (an existing meter must have been created with the same window)."""
         if self.env is None:
             raise RuntimeError(
                 "rate meters need an environment clock; build this Metrics "
@@ -229,7 +239,11 @@ class Metrics:
         meter = self._meters.get(key)
         if meter is None:
             meter = self._meters[key] = RateMeter(self.env, name, window_ns,
-                                                  labels)
+                                                  dict(key[1]))
+        elif meter.window_ns != window_ns:
+            raise ValueError(
+                f"meter {render_key(name, meter.labels)!r} already exists "
+                f"with a {meter.window_ns} ns window, not {window_ns} ns")
         return meter
 
     # -- federation ------------------------------------------------------------

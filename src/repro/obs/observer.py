@@ -36,7 +36,7 @@ deterministic counter, so two identical runs build identical trees.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.obs.metrics import Metrics
 from repro.obs.span import Span, TraceContext
@@ -57,6 +57,10 @@ class Observer:
         self._next_trace_id = 0
         # Process -> bound TraceContext (see the module doc).
         self._bound: dict[Any, TraceContext] = {}
+        # (from, to) waypoint pair -> that stage histogram's bound
+        # ``record``, resolved on the pair's first packet (packet_done).
+        self._stage_records: dict[tuple[str, str], Callable[[int], None]] = {}
+        self._latency_record: Optional[Callable[[int], None]] = None
 
     # -- lifecycle ------------------------------------------------------------
     def attach(self, env: "Environment") -> "Observer":
@@ -100,7 +104,7 @@ class Observer:
         Typical use wraps a send path in ``prev = obs.bind(ctx)`` /
         ``obs.bind(prev)`` so every span the send emits joins the trace."""
         env = self.env
-        proc = env.active_process if env is not None else None
+        proc = env._active_process if env is not None else None
         if proc is None:
             return None
         prev = self._bound.get(proc)
@@ -113,8 +117,12 @@ class Observer:
     def bind_process(self, process: Any, ctx: Optional[TraceContext]) -> None:
         """Seed a (possibly not-yet-running) process with ``ctx`` — how the
         FM 2.x extract path hands the packet's context to the handler
-        process it spawns."""
-        if ctx is not None:
+        process it spawns — or, with ``None``, drop its binding: the same
+        path does that when it retires the stream, so a finished handler
+        pins neither its process nor its context for the rest of the run."""
+        if ctx is None:
+            self._bound.pop(process, None)
+        else:
             self._bound[process] = ctx
 
     def current(self) -> Optional[TraceContext]:
@@ -122,10 +130,7 @@ class Observer:
         env = self.env
         if env is None:
             return None
-        proc = env.active_process
-        if proc is None:
-            return None
-        return self._bound.get(proc)
+        return self._bound.get(env._active_process)
 
     # -- recording --------------------------------------------------------------
     def span(self, layer: str, name: str, t_start: int,
@@ -141,19 +146,25 @@ class Observer:
         id was pre-allocated at mint/derive time (the root and hop spans),
         in which case the span parents to ``ctx`` only if the ids differ.
         """
+        # The per-crossing hot path, so one frame: id allocation and
+        # :meth:`current` are written out, and the clock and the active
+        # process are read from the slots ``Environment`` documents for it.
+        env = self.env
         if t_end is None:
-            assert self.env is not None, "span() before attach()"
-            t_end = self.env.now
+            if env is None:
+                raise RuntimeError("span() before attach()")
+            t_end = env._now
+        if ctx is None and env is not None:
+            ctx = self._bound.get(env._active_process)
+        if span_id is None:
+            span_id = self._next_span_id = self._next_span_id + 1
         if ctx is None:
-            ctx = self.current()
-        sid = self._alloc_span_id() if span_id is None else span_id
-        trace_id = parent_id = None
-        if ctx is not None:
+            trace_id = parent_id = None
+        else:
             trace_id = ctx.trace_id
-            if ctx.span_id != sid:
-                parent_id = ctx.span_id
+            parent_id = ctx.span_id if ctx.span_id != span_id else None
         span = Span(layer, name, t_start, t_end, track, attrs,
-                    trace_id, sid, parent_id)
+                    trace_id, span_id, parent_id)
         self.spans.append(span)
         return span
 
@@ -170,15 +181,20 @@ class Observer:
         waypoints = packet.waypoints
         if not waypoints:
             return
-        histogram = self.metrics.histogram
-        prev_name, prev_time = waypoints[0]
-        for name, time in waypoints[1:]:
-            histogram("packet.stage",
-                      stage=f"{prev_name} -> {name}").record(time - prev_time)
+        records = self._stage_records
+        prev_name, t_first = waypoints[0]
+        prev_time = t_first
+        for name, time in [*waypoints[1:], (end_name, end_time)]:
+            record = records.get((prev_name, name))
+            if record is None:
+                record = records[prev_name, name] = self.metrics.histogram(
+                    "packet.stage", stage=f"{prev_name} -> {name}").record
+            record(time - prev_time)
             prev_name, prev_time = name, time
-        histogram("packet.stage",
-                  stage=f"{prev_name} -> {end_name}").record(end_time - prev_time)
-        histogram("packet.latency_ns").record(end_time - waypoints[0][1])
+        if self._latency_record is None:
+            self._latency_record = self.metrics.histogram(
+                "packet.latency_ns").record
+        self._latency_record(end_time - t_first)
 
     # -- queries -----------------------------------------------------------------
     def spans_for(self, layer: Optional[str] = None,

@@ -41,7 +41,7 @@ def layer_rank(layer: str) -> int:
         return len(LAYER_ORDER)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceContext:
     """The causal identity carried along one request's journey.
 
@@ -57,7 +57,7 @@ class TraceContext:
     span_id: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One timed interval on one component track.
 

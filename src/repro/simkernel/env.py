@@ -46,6 +46,12 @@ class Environment:
     Events scheduled for the same instant are ordered by ``priority`` then by
     a monotonically increasing sequence number, so any run is a pure function
     of the model — there is no dependence on hash ordering or wall-clock.
+
+    The slots ``_now`` and ``_active_process`` (behind the :attr:`now` and
+    :attr:`active_process` properties) are also read directly by
+    :class:`repro.obs.observer.Observer`, whose per-span path cannot afford
+    two property calls; nothing else outside the kernel may, and a rename
+    here must follow there.
     """
 
     __slots__ = ("_now", "_heap", "_imm", "_seq", "_active_process",

@@ -40,6 +40,7 @@ class GlobalArray:
         self.cols = cols
         self.n_pes = shmem.n_pes
         self.me = shmem.me
+        self._track = f"node{shmem.me}/ga"
         self.rows_per_pe = -(-rows // self.n_pes)
         local_rows = self._local_rows(self.me)
         # Every PE registers a region even if it owns zero rows (symmetry).
@@ -84,7 +85,7 @@ class GlobalArray:
                 raw = yield from self.shmem.get(owner, self.region_id, off, nbytes)
             out[row - row_lo] = np.frombuffer(raw, dtype=np.float64)
         if obs is not None:
-            obs.span("ga", "GA_get", t0, track=f"node{self.me}/ga",
+            obs.span("ga", "GA_get", t0, track=self._track,
                      region=self.region_id, rows=row_hi - row_lo,
                      bytes=out.nbytes)
         return out
@@ -107,7 +108,7 @@ class GlobalArray:
             else:
                 yield from self.shmem.put(owner, self.region_id, off, raw)
         if obs is not None:
-            obs.span("ga", "GA_put", t0, track=f"node{self.me}/ga",
+            obs.span("ga", "GA_put", t0, track=self._track,
                      region=self.region_id, rows=values.shape[0],
                      bytes=values.nbytes)
 
@@ -131,7 +132,7 @@ class GlobalArray:
             else:
                 yield from self.shmem.acc(owner, self.region_id, off, values[i])
         if obs is not None:
-            obs.span("ga", "GA_acc", t0, track=f"node{self.me}/ga",
+            obs.span("ga", "GA_acc", t0, track=self._track,
                      region=self.region_id, rows=values.shape[0],
                      bytes=values.nbytes)
 
@@ -142,7 +143,7 @@ class GlobalArray:
         yield from self.shmem.fence()
         yield from self.shmem.barrier()
         if obs is not None:
-            obs.span("ga", "GA_sync", t0, track=f"node{self.me}/ga",
+            obs.span("ga", "GA_sync", t0, track=self._track,
                      region=self.region_id)
 
     # -- checks -------------------------------------------------------------------

@@ -103,6 +103,7 @@ class MpiEngine:
         self.costs = costs
         self.n_ranks = n_ranks
         self.rank = node.node_id
+        self._track = f"node{node.node_id}/mpi"
         self.posted: list[PostedRecv] = []
         self.unexpected: list[UnexpectedMsg] = []
         self._serials: dict[int, int] = {}               # dest -> next serial
@@ -146,7 +147,7 @@ class MpiEngine:
             yield from self.binding.send_message(dest, envelope, data)
             if obs is not None:
                 obs.span("mpi", "MPI_Send", t0,
-                         track=f"node{self.rank}/mpi", dest=dest, tag=tag,
+                         track=self._track, dest=dest, tag=tag,
                          bytes=len(data), protocol="eager")
             return
         # Rendezvous: RTS, wait for CTS, then the payload.
@@ -156,7 +157,7 @@ class MpiEngine:
                                                   context, serial)
             if obs is not None:
                 obs.span("mpi", "MPI_Send", t0,
-                         track=f"node{self.rank}/mpi", dest=dest, tag=tag,
+                         track=self._track, dest=dest, tag=tag,
                          bytes=len(data), protocol="rendezvous-rdma")
             return
         rts = Envelope(context, self.rank, tag, len(data), KIND_RTS, serial)
@@ -171,7 +172,7 @@ class MpiEngine:
                             KIND_RENDEZVOUS_DATA, serial)
         yield from self.binding.send_message(dest, data_env, data)
         if obs is not None:
-            obs.span("mpi", "MPI_Send", t0, track=f"node{self.rank}/mpi",
+            obs.span("mpi", "MPI_Send", t0, track=self._track,
                      dest=dest, tag=tag, bytes=len(data),
                      protocol="rendezvous")
 
@@ -261,7 +262,7 @@ class MpiEngine:
         request = yield from self.irecv(source, tag, max_bytes, context)
         yield from self.wait(request)
         if obs is not None:
-            obs.span("mpi", "MPI_Recv", t0, track=f"node{self.rank}/mpi",
+            obs.span("mpi", "MPI_Recv", t0, track=self._track,
                      source=source, tag=tag,
                      bytes=request.status.count if request.status else 0)
         return request.data, request.status
@@ -276,7 +277,7 @@ class MpiEngine:
         if self.costs.completion_ns:
             yield from self.cpu.execute(self.costs.completion_ns)
         if obs is not None:
-            obs.span("mpi", "MPI_Wait", t0, track=f"node{self.rank}/mpi",
+            obs.span("mpi", "MPI_Wait", t0, track=self._track,
                      kind=request.kind,
                      bytes=request.status.count if request.status else 0)
 

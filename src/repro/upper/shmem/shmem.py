@@ -62,6 +62,7 @@ class Shmem:
         self.fm: FM2 = node.fm
         self.n_pes = n_pes
         self.me = node.node_id
+        self._track = f"node{node.node_id}/shmem"
         self.handler_id = self.fm.register_handler(self._handler)
         self.regions: dict[int, Buffer] = {}
         self._next_token = 1
@@ -102,7 +103,7 @@ class Shmem:
         yield from self._send(pe, OP_PUT, region_id, offset, len(data),
                               token=0, payload=data)
         if obs is not None:
-            obs.span("shmem", "put", t0, track=f"node{self.me}/shmem",
+            obs.span("shmem", "put", t0, track=self._track,
                      pe=pe, region=region_id, bytes=len(data))
 
     def get(self, pe: int, region_id: int, offset: int, nbytes: int) -> Generator:
@@ -116,7 +117,7 @@ class Shmem:
         yield from self._progress.wait_until(
             lambda: token in self._get_replies, "get reply")
         if obs is not None:
-            obs.span("shmem", "get", t0, track=f"node{self.me}/shmem",
+            obs.span("shmem", "get", t0, track=self._track,
                      pe=pe, region=region_id, bytes=nbytes)
         return self._get_replies.pop(token)
 
@@ -130,7 +131,7 @@ class Shmem:
         t0 = self.env.now
         yield from self._send(pe, OP_ACC, region_id, offset, len(data), 0, data)
         if obs is not None:
-            obs.span("shmem", "acc", t0, track=f"node{self.me}/shmem",
+            obs.span("shmem", "acc", t0, track=self._track,
                      pe=pe, region=region_id, bytes=len(data))
 
     def fence(self) -> Generator:
@@ -153,7 +154,7 @@ class Shmem:
             f"barrier epoch {epoch}",
         )
         if obs is not None:
-            obs.span("shmem", "barrier", t0, track=f"node{self.me}/shmem",
+            obs.span("shmem", "barrier", t0, track=self._track,
                      epoch=epoch)
 
     # -- progress ----------------------------------------------------------------

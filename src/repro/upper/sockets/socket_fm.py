@@ -75,7 +75,7 @@ class Socket:
             offset += take
         if obs is not None:
             obs.span("sockets", "send", t0,
-                     track=f"node{self.stack.node.node_id}/sockets",
+                     track=self.stack._track,
                      conn=self.conn_id, bytes=len(data))
 
     def recv(self, nbytes: int) -> Generator:
@@ -110,7 +110,7 @@ class Socket:
         obs = self.stack.env.obs
         if obs is not None:
             obs.span("sockets", "recv", t0,
-                     track=f"node{self.stack.node.node_id}/sockets",
+                     track=self.stack._track,
                      conn=self.conn_id, bytes=len(out))
         return bytes(out)
 
@@ -199,6 +199,7 @@ class SocketStack:
         self.env = node.env
         self.cpu = node.cpu
         self.fm: FM2 = node.fm
+        self._track = f"node{node.node_id}/sockets"
         self.handler_id = self.fm.register_handler(self._handler)
         self._sockets: dict[int, Socket] = {}
         self._next_conn = 1

@@ -112,6 +112,7 @@ class RpcEndpoint:
         self.fm = node.fm
         self.stats = stats
         self.is_fm1 = isinstance(node.fm, FM1)
+        self._track = f"node{node.node_id}/rpc"
         #: Client side: req_id -> (intended arrival ns, completion event,
         #: shard index or None for unsharded traffic, minted trace context
         #: or None when unobserved, actual send time ns, routing key).
@@ -297,8 +298,7 @@ class RpcEndpoint:
             attrs["shard"] = shard
         if key is not None:
             attrs["key"] = key
-        obs.span("app", "rpc.request", t_sent,
-                 track=f"node{self.node.node_id}/rpc",
+        obs.span("app", "rpc.request", t_sent, track=self._track,
                  ctx=ctx, span_id=ctx.span_id, **attrs)
 
     # -- handlers (SPMD-registered on every participating node) ------------------
@@ -439,8 +439,7 @@ class RpcServer:
                 request.src, request.req_id, status, payload_len)
         finally:
             obs.bind(prev)
-        obs.span("app", "rpc.serve", request.enq_ns,
-                 track=f"node{self.node.node_id}/rpc",
+        obs.span("app", "rpc.serve", request.enq_ns, track=endpoint._track,
                  ctx=request.trace_parent, span_id=request.trace.span_id,
                  req_id=request.req_id, src=request.src,
                  status=STATUS_NAMES.get(status, "unknown"))

@@ -67,6 +67,10 @@ class WorkloadStats(RunStats):
         self.queue_wait = self.reservoir("queue_wait_ns")
         #: (time_ns, depth) samples, one per enqueue/dequeue.
         self.queue_depth: list[tuple[int, int]] = []
+        # The registry whose ``<name>.queue_depth`` histogram is held, and
+        # that histogram's ``record`` (see ``note_queue_depth``).
+        self._depth_metrics: Optional[Metrics] = None
+        self._depth_record = None
         self.t_first_send: Optional[int] = None
         self.t_last_done: Optional[int] = None
         #: Windowed time series (None unless ``sample_interval_ns`` > 0).
@@ -167,8 +171,13 @@ class WorkloadStats(RunStats):
         """Sample the server queue depth observed at dequeue time."""
         self.queue_depth.append((self.env.now, depth))
         self._series("gauge", "queue_depth", depth, shard)
-        if self._metrics is not None:
-            self._metrics.histogram(f"{self.name}.queue_depth").record(depth)
+        metrics = self._metrics
+        if metrics is not None:
+            if metrics is not self._depth_metrics:
+                self._depth_metrics = metrics
+                self._depth_record = metrics.histogram(
+                    f"{self.name}.queue_depth").record
+            self._depth_record(depth)
         sub = self._shard(shard)
         if sub is not None:
             sub.note_queue_depth(depth)

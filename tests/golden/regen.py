@@ -8,6 +8,10 @@ One ``<name>.json`` per case, each the canonical report
 (``dumps_deterministic``) of a scenario run at seed 1: every workload
 preset (with its ``PRESET_PLANS`` fault plan) under its own name, and
 every ``perfbench/specs/*.json`` scenario as ``spec.<name>.json``.
+``obs.digests.json`` pins what an *observed* run exports — span count and
+the sha256 of the trace-event export and of the metrics registry — for
+the ``OBS_CASES``, so a change to the observer that moves one span,
+attribute or label shows up here.
 
 The rule these files exist for: *unchanged means matches golden; an
 intentional re-baseline is a reviewable diff of this directory.*
@@ -22,17 +26,24 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import hashlib
 import json
 import sys
 from pathlib import Path
 
-from repro.obs.export import dumps_deterministic
+from repro.obs.export import dumps_deterministic, trace_events
 from repro.workloads.presets import PRESET_PLANS, PRESETS
-from repro.workloads.runner import Scenario, run_scenario
+from repro.workloads.runner import Scenario, execute_scenario, run_scenario
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 SPEC_DIR = GOLDEN_DIR.parents[1] / "perfbench" / "specs"
 SLOW = frozenset({"rpc-aggregate-100k"})
+#: The golden holding the observed-export digests, and the cases it covers
+#: (one per workload kind that records spans, plus the perfbench spec the
+#: observer's cost is measured on).
+OBS_DIGESTS = "obs.digests"
+OBS_CASES = ("rpc-sharded", "dataflow-rollup", "mpi-halo", "rdma-pingpong",
+             "spec.rpc_uniform")
 
 
 def cases() -> dict:
@@ -58,6 +69,24 @@ def fresh_text(name: str, observe: bool = False) -> str:
         run_scenario(scenario, plan=plan, observe=observe))
 
 
+def obs_digest(name: str) -> dict:
+    """Run case ``name`` observed and digest what the observer exports."""
+    scenario, plan = cases()[name]
+    observer = execute_scenario(scenario, plan=plan, observe=True).observer
+    return {"spans": len(observer.spans),
+            "trace_sha256": _sha256(trace_events(observer.spans)),
+            "metrics_sha256": _sha256(observer.metrics.as_dict())}
+
+
+def _sha256(obj) -> str:
+    return hashlib.sha256(dumps_deterministic(obj).encode()).hexdigest()
+
+
+def obs_digests_text() -> str:
+    """The canonical ``obs.digests.json`` of a fresh run of ``OBS_CASES``."""
+    return dumps_deterministic({name: obs_digest(name) for name in OBS_CASES})
+
+
 def main(argv=None) -> int:
     """Rewrite the goldens, or with ``--check`` diff fresh runs against
     them; returns the number of drifted cases (0 = clean)."""
@@ -74,10 +103,11 @@ def main(argv=None) -> int:
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     drifted = 0
-    for name in cases():
+    for name in [*cases(), OBS_DIGESTS]:
         if name in SLOW and not opts.slow:
             continue
-        text = fresh_text(name)
+        text = (obs_digests_text() if name == OBS_DIGESTS
+                else fresh_text(name))
         if out_dir is not None:
             (out_dir / f"{name}.json").write_text(text)
         path = GOLDEN_DIR / f"{name}.json"

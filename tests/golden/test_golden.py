@@ -4,8 +4,11 @@
 scenario runner passes this file untouched, and an intentional
 re-baseline shows up as a reviewable diff of ``tests/golden/*.json``
 (``python tests/golden/regen.py``).  Observers are held to the same
-files — attaching one may not move a report byte.
+files — attaching one may not move a report byte — and what they export
+(trace events, metrics) is pinned by digest in ``obs.digests.json``.
 """
+
+import json
 
 import pytest
 
@@ -27,9 +30,17 @@ def test_observed_report_matches_golden(name):
     assert regen.fresh_text(name, observe=True) == regen.golden_text(name)
 
 
+@pytest.mark.parametrize("name", regen.OBS_CASES)
+def test_observed_export_matches_golden_digest(name):
+    golden = json.loads(regen.golden_text(regen.OBS_DIGESTS))
+    assert regen.obs_digest(name) == golden[name]
+
+
 def test_every_case_has_a_golden_and_every_golden_a_case():
     on_disk = {path.stem for path in regen.GOLDEN_DIR.glob("*.json")}
-    assert on_disk == set(regen.cases())
+    assert on_disk == {*regen.cases(), regen.OBS_DIGESTS}
+    assert set(json.loads(regen.golden_text(regen.OBS_DIGESTS))) == set(
+        regen.OBS_CASES)
 
 
 def test_cli_output_file_is_the_golden_byte_for_byte(tmp_path):

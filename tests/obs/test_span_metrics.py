@@ -112,6 +112,28 @@ class TestMetrics:
         assert len(metrics.meters("b")) == 1
         assert metrics.meters("b")[0].window_ns == DEFAULT_WINDOW_NS
 
+    def test_meter_window_mismatch_rejected(self, env):
+        metrics = Metrics(env)
+        metrics.meter("b", 500, link="l0")
+        assert metrics.meter("b", 500, link="l0").window_ns == 500
+        with pytest.raises(ValueError, match="500 ns window"):
+            metrics.meter("b", link="l0")
+
+    def test_non_str_label_values_are_findable(self, env):
+        """Label values are normalised to ``str`` where the key is built,
+        so an instrument created with ``nic=3`` answers both spellings."""
+        metrics = Metrics(env)
+        hist = metrics.histogram("x", nic=3)
+        meter = metrics.meter("y", link=7)
+        assert metrics.histogram("x", nic="3") is hist
+        assert metrics.histograms("x", nic=3) == [hist]
+        assert metrics.histograms("x", nic="3") == [hist]
+        assert metrics.meters("y", link=7) == [meter]
+        assert metrics.meters("y", link="7") == [meter]
+        assert hist.labels == {"nic": "3"} and meter.labels == {"link": "7"}
+        assert list(metrics.as_dict()["histograms"]) == ["x{nic=3}"]
+        assert list(metrics.as_dict()["meters"]) == ["y{link=7}"]
+
     def test_federates_counters_and_copy_meters(self):
         metrics = Metrics()
         counters = Counters()
@@ -169,6 +191,14 @@ class TestObserver:
         assert (span.t_start, span.t_end) == (10, 40)
         assert span.attrs == {"bytes": 16}
 
+    def test_span_before_attach_raises(self):
+        """A real exception, not an ``assert``: it must survive ``-O``."""
+        observer = Observer()
+        with pytest.raises(RuntimeError, match=r"span\(\) before attach\(\)"):
+            observer.span("fm", "inject", 0)
+        span = observer.span("fm", "inject", 0, t_end=5)   # needs no clock
+        assert (span.t_end, span.trace_id, span.span_id) == (5, None, 1)
+
     def test_queries(self, env):
         observer = Observer().attach(env)
         observer.span("fm", "inject", 0, t_end=5, track="node0/fm")
@@ -178,6 +208,36 @@ class TestObserver:
         assert len(observer.spans_for(layer="fm", track="node0/fm")) == 1
         assert observer.tracks() == ["node0/fm", "node0/nic.tx", "node1/fm"]
         assert len(observer) == 3
+
+    def test_cached_instruments_follow_a_replaced_observer(self, fm2_cluster):
+        """Links and NICs keep their per-packet instruments per *observer
+        object*: a second observer (``attach`` replaces the first) must get
+        its own samples, not feed the first one's registry."""
+        cluster = fm2_cluster
+
+        def handler(fm, stream, src):
+            yield from stream.receive_bytes(stream.msg_bytes)
+        (hid,) = {node.fm.register_handler(handler) for node in cluster.nodes}
+
+        def sender(node):
+            buf = node.buffer(64, fill=b"x" * 64)
+            yield from node.fm.send_buffer(1, hid, buf, 64)
+
+        def receiver(node):
+            while not (yield from node.fm.extract()):
+                yield from node.fm.idle_wait()
+
+        seen = []
+        for _ in range(2):
+            observer = cluster.observe()
+            cluster.run([sender, receiver])
+            (depth,) = observer.metrics.histograms("nic.recv_region_depth",
+                                                   nic="nic1")
+            seen.append((depth.count, sorted(
+                (m.labels["link"], m.total)
+                for m in observer.metrics.meters("link.bytes"))))
+        assert seen[0] == seen[1]
+        assert seen[0][0] == 1 and len(seen[0][1]) == 2   # host->switch->host
 
     def test_packet_done_builds_stage_histograms(self, env):
         from repro.hardware.packet import Packet, PacketFlags, PacketHeader

@@ -131,6 +131,16 @@ class TestTraceDeterminismAndCost:
             execute_scenario(scenario, observe=True).report)
         assert off == on
 
+    def test_bound_contexts_die_with_their_handler(self):
+        """FM 2.x seeds every handler process with its packet's context;
+        retiring the stream drops it again, so after a run the observer
+        pins no finished process (and the report is still the plain one)."""
+        scenario = PRESETS["rpc-sharded"]
+        outcome = execute_scenario(scenario, observe=True)
+        finished = [p for p in outcome.observer._bound if p.triggered]
+        assert finished == []
+        assert outcome.report == execute_scenario(scenario).report
+
     def test_trace_context_rides_packets_not_globals(self):
         """Concurrent clients interleave, yet every span lands in exactly
         the trace of the request that caused it (no cross-talk)."""
