@@ -11,7 +11,11 @@ every ``perfbench/specs/*.json`` scenario as ``spec.<name>.json``.
 ``obs.digests.json`` pins what an *observed* run exports — span count and
 the sha256 of the trace-event export and of the metrics registry — for
 the ``OBS_CASES``, so a change to the observer that moves one span,
-attribute or label shows up here.
+attribute or label shows up here.  ``mpi.bindings.json`` pins the MPI
+receive path itself, below any scenario: every binding and ablation ×
+payload sizes on both sides of the eager threshold × four receive modes,
+each entry the finish time, event counts, engine stats and per-node copy
+bytes of a four-message exchange (see :func:`mpi_binding_entry`).
 
 The rule these files exist for: *unchanged means matches golden; an
 intentional re-baseline is a reviewable diff of this directory.*
@@ -31,7 +35,12 @@ import json
 import sys
 from pathlib import Path
 
+from repro.cluster import Cluster
+from repro.configs import PPRO_FM2, SPARC_FM1
 from repro.obs.export import dumps_deterministic, trace_events
+from repro.upper.mpi import (ANY_SOURCE, ANY_TAG, MPI2_DEFAULT_COSTS,
+                             MpiFm2RdmaBinding, build_mpi_world)
+from repro.upper.mpi.ablations import ABLATIONS
 from repro.workloads.presets import PRESET_PLANS, PRESETS
 from repro.workloads.runner import Scenario, execute_scenario, run_scenario
 
@@ -44,6 +53,26 @@ SLOW = frozenset({"rpc-aggregate-100k"})
 OBS_DIGESTS = "obs.digests"
 OBS_CASES = ("rpc-sharded", "dataflow-rollup", "mpi-halo", "rdma-pingpong",
              "spec.rpc_uniform")
+
+#: The golden pinning the MPI-over-FM receive path, and its axes:
+#: ``{binding: (fm_version, binding_cls, costs)}`` (``None`` = the
+#: cluster's default), payload sizes straddling the 16 KB eager
+#: threshold, and how the receiver meets the messages.
+MPI_BINDINGS = "mpi.bindings"
+MPI_BINDING_CASES = {
+    "fm1": (1, None, None),
+    "fm2": (2, None, None),
+    "rdma": (2, MpiFm2RdmaBinding, None),
+    "no-gather": (2, *ABLATIONS["no gather"]),
+    "no-interleaving": (2, *ABLATIONS["no interleaving"]),
+    "no-pacing": (2, *ABLATIONS["no pacing"]),
+}
+MPI_SIZES = (0, 16, 1_000, 4_096, 20_000, 40_000)
+MPI_MODES = ("window", "recv", "late", "pieces")
+MPI_MESSAGES = 4
+#: Bindings whose ``CopyMeter`` labels are pinned by tests/upper/mpi; the
+#: ablations' labels are their own business, so only their totals are held.
+MPI_LABELLED = ("fm1", "fm2", "rdma")
 
 
 def cases() -> dict:
@@ -87,6 +116,93 @@ def obs_digests_text() -> str:
     return dumps_deterministic({name: obs_digest(name) for name in OBS_CASES})
 
 
+def mpi_binding_entry(binding: str, mode: str, size: int) -> dict:
+    """Rank 0 sends ``MPI_MESSAGES`` payloads of ``size`` bytes to rank 1,
+    which receives them by ``mode``: ``window`` pre-posts every ``irecv``
+    then waits; ``recv`` blocks one at a time (every other one on
+    wildcards); ``late`` shows up 400 us late and drains without posting,
+    so everything lands unexpected (and a two-slot pool spills);
+    ``pieces`` is ``recv`` with each payload sent as three gather pieces.
+    """
+    fm_version, binding_cls, costs = MPI_BINDING_CASES[binding]
+    cluster = Cluster(2, machine=SPARC_FM1 if fm_version == 1 else PPRO_FM2,
+                      fm_version=fm_version)
+    comms = build_mpi_world(cluster, costs=costs, binding_cls=binding_cls)
+    engine = comms[1].engine
+    payloads = [bytes((7 * i + j) % 251 for j in range(size))
+                for i in range(MPI_MESSAGES)]
+    got = []
+
+    def sender(node):
+        for tag, payload in enumerate(payloads):
+            if mode == "pieces":
+                cut = size // 3
+                yield from comms[0].send_pieces(
+                    [payload[:cut], payload[cut:2 * cut], payload[2 * cut:]],
+                    1, tag)
+            else:
+                yield from comms[0].send(payload, 1, tag)
+
+    def receiver(node):
+        if mode == "window":
+            requests = []
+            for tag in range(MPI_MESSAGES):
+                requests.append((yield from comms[1].irecv(0, tag, size)))
+            yield from comms[1].waitall(requests)
+            got.extend(request.data for request in requests)
+            return
+        if mode == "late":
+            yield node.env.timeout(400_000)
+            # A rendezvous sender blocks on its first RTS.
+            parked = (MPI_MESSAGES if size <= engine.costs.eager_threshold
+                      else 1)
+            while engine.stats_unexpected < parked:
+                yield from engine.progress()
+                yield node.env.timeout(1_000)
+        for tag in range(MPI_MESSAGES):
+            source, want = (0, tag) if tag % 2 == 0 else (ANY_SOURCE, ANY_TAG)
+            data, status = yield from comms[1].recv(source, want, size)
+            assert (status.source, status.tag) == (0, tag)
+            got.append(data)
+
+    cluster.run([sender, receiver])
+    entry = {"sim_end_ns": cluster.env.now,
+             "scheduled_events": cluster.env.scheduled_events,
+             "elided": cluster.env.elided,
+             "delivered": got == payloads}
+    for stat in ("unexpected", "spills", "rendezvous", "rdma_rendezvous",
+                 "rdma_pulls"):
+        entry[f"stats_{stat}"] = [getattr(comm.engine, f"stats_{stat}")
+                                  for comm in comms]
+    meters = [node.cpu.meter for node in cluster.nodes]
+    if binding in MPI_LABELLED:
+        entry["copy_bytes_by_label"] = [dict(meter.by_label)
+                                        for meter in meters]
+    else:
+        entry["copy_bytes"] = [meter.bytes for meter in meters]
+    return entry
+
+
+def mpi_binding_entries(binding: str) -> dict:
+    """``{"<mode>/<size>": entry}`` for one binding; ``pieces`` only up
+    to the eager threshold every cost set here shares (``send_pieces``
+    refuses more)."""
+    return {f"{mode}/{size}": mpi_binding_entry(binding, mode, size)
+            for mode in MPI_MODES for size in MPI_SIZES
+            if mode != "pieces"
+            or size <= MPI2_DEFAULT_COSTS.eager_threshold}
+
+
+def mpi_bindings_text() -> str:
+    """The canonical ``mpi.bindings.json`` of a fresh run of every case."""
+    return dumps_deterministic({binding: mpi_binding_entries(binding)
+                                for binding in MPI_BINDING_CASES})
+
+
+#: Goldens that are not one scenario's report: ``{name: fresh text}``.
+DERIVED = {OBS_DIGESTS: obs_digests_text, MPI_BINDINGS: mpi_bindings_text}
+
+
 def main(argv=None) -> int:
     """Rewrite the goldens, or with ``--check`` diff fresh runs against
     them; returns the number of drifted cases (0 = clean)."""
@@ -103,11 +219,10 @@ def main(argv=None) -> int:
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     drifted = 0
-    for name in [*cases(), OBS_DIGESTS]:
+    for name in [*cases(), *DERIVED]:
         if name in SLOW and not opts.slow:
             continue
-        text = (obs_digests_text() if name == OBS_DIGESTS
-                else fresh_text(name))
+        text = DERIVED[name]() if name in DERIVED else fresh_text(name)
         if out_dir is not None:
             (out_dir / f"{name}.json").write_text(text)
         path = GOLDEN_DIR / f"{name}.json"

@@ -6,6 +6,8 @@ re-baseline shows up as a reviewable diff of ``tests/golden/*.json``
 (``python tests/golden/regen.py``).  Observers are held to the same
 files — attaching one may not move a report byte — and what they export
 (trace events, metrics) is pinned by digest in ``obs.digests.json``.
+``mpi.bindings.json`` holds the MPI receive path of every binding and
+ablation to the nanosecond, event and copied byte.
 """
 
 import json
@@ -36,11 +38,19 @@ def test_observed_export_matches_golden_digest(name):
     assert regen.obs_digest(name) == golden[name]
 
 
+@pytest.mark.parametrize("binding", regen.MPI_BINDING_CASES)
+def test_mpi_binding_matches_golden(binding):
+    golden = json.loads(regen.golden_text(regen.MPI_BINDINGS))
+    assert regen.mpi_binding_entries(binding) == golden[binding]
+
+
 def test_every_case_has_a_golden_and_every_golden_a_case():
     on_disk = {path.stem for path in regen.GOLDEN_DIR.glob("*.json")}
-    assert on_disk == {*regen.cases(), regen.OBS_DIGESTS}
+    assert on_disk == {*regen.cases(), *regen.DERIVED}
     assert set(json.loads(regen.golden_text(regen.OBS_DIGESTS))) == set(
         regen.OBS_CASES)
+    assert set(json.loads(regen.golden_text(regen.MPI_BINDINGS))) == set(
+        regen.MPI_BINDING_CASES)
 
 
 def test_cli_output_file_is_the_golden_byte_for_byte(tmp_path):
