@@ -1,40 +1,11 @@
-"""Lightweight instrumentation for simulation runs.
+"""Lightweight instrumentation for simulation runs: named counters.
 
-Probes record (time, value) samples; counters track named totals.  The
-benchmark harness uses these to measure delivered bytes over simulated time
-without perturbing the model (recording costs no simulated time).
+Counting costs no simulated time, so the fault injector, the dataflow
+stats and the metrics registry can tally what happened without perturbing
+the model.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.simkernel.env import Environment
-
-
-@dataclass
-class Probe:
-    """A named time series of samples."""
-
-    env: "Environment"
-    name: str = ""
-    times: list[int] = field(default_factory=list)
-    values: list[Any] = field(default_factory=list)
-
-    def record(self, value: Any) -> None:
-        self.times.append(self.env.now)
-        self.values.append(value)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    @property
-    def last(self) -> Any:
-        if not self.values:
-            raise IndexError(f"probe {self.name!r} has no samples")
-        return self.values[-1]
 
 
 class Counters:

@@ -1,18 +1,24 @@
 """MPI-FM: an MPI subset over Fast Messages.
 
 Point-to-point (blocking and nonblocking, tags, wildcards, eager and
-rendezvous protocols) plus the standard collectives, implemented twice:
+rendezvous protocols) plus the standard collectives.  The protocol and its
+copy policy are written once (:class:`~repro.upper.mpi.engine.MpiEngine`);
+a *binding* (:mod:`repro.upper.mpi.bindings`) is the FM calls of one FM
+generation plus which of the paper's three §4.1 features it offers:
 
-* :class:`~repro.upper.mpi.fm1_binding.MpiFm1Binding` — MPI over FM 1.x,
-  reproducing the interface pathologies of §3.2: a send-side assembly copy
-  (header attachment into a contiguous buffer), a receive path that cannot
-  steer data into pre-posted buffers (pool copy + delivery copy), and no
-  receiver pacing, so bursts overrun the buffer pool and force spill copies.
-* :class:`~repro.upper.mpi.fm2_binding.MpiFm2Binding` — MPI over FM 2.x,
-  using gather (header piece + payload piece, no assembly copy), handler
+* :class:`~repro.upper.mpi.bindings.MpiFm1Binding` — MPI over FM 1.x, none
+  of them, reproducing the interface pathologies of §3.2: a send-side
+  assembly copy (header attachment into a contiguous buffer), a receive
+  path that cannot steer data into pre-posted buffers (pool copy +
+  delivery copy), and no receiver pacing, so bursts overrun the buffer
+  pool and force spill copies.
+* :class:`~repro.upper.mpi.bindings.MpiFm2Binding` — MPI over FM 2.x, all
+  three: gather (header piece + payload piece, no assembly copy), handler
   interleaving (header is received and matched *before* the payload is
   steered straight into the posted user buffer) and ``FM_extract(bytes)``
-  receiver pacing in the progress engine.
+  receiver pacing in the progress engine.  ``MpiFm2RdmaBinding`` adds an
+  RDMA endpoint for the rendezvous payload; :mod:`repro.upper.mpi.ablations`
+  takes the three features away one at a time.
 
 Every copy is metered by label, so tests can assert the copy counts the
 paper talks about rather than inferring them from bandwidth.
@@ -21,9 +27,9 @@ paper talks about rather than inferring them from bandwidth.
 from repro.upper.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.upper.mpi.comm import Communicator
 from repro.upper.mpi.engine import MpiEngine
-from repro.upper.mpi.fm1_binding import MPI1_DEFAULT_COSTS, MpiFm1Binding
-from repro.upper.mpi.fm2_binding import MPI2_DEFAULT_COSTS, MpiFm2Binding
-from repro.upper.mpi.rdma_binding import MpiFm2RdmaBinding
+from repro.upper.mpi.bindings import (MPI1_DEFAULT_COSTS, MPI2_DEFAULT_COSTS,
+                                      MpiFm1Binding, MpiFm2Binding,
+                                      MpiFm2RdmaBinding)
 from repro.upper.mpi.status import MpiError, Request, Status
 from repro.upper.mpi.world import build_mpi_world
 

@@ -1,125 +1,48 @@
 """Ablated MPI-over-FM-2.x bindings: each disables one §4.1 feature.
 
 The paper argues for three API features by showing what their absence cost
-MPI on FM 1.x.  These bindings disable each feature *individually* on top
-of FM 2.x, so the benchmark harness can attribute the efficiency loss
-feature by feature (DESIGN.md's ablation index):
-
-* :class:`NoGatherBinding` — sends assemble envelope + payload into a
-  contiguous buffer first (one full memcpy), as an FM-1.x-style contiguous
-  interface forces.
-* :class:`NoInterleavingBinding` — the handler cannot steer mid-message:
-  every payload is received into a staging pool buffer and copied to the
-  user buffer afterwards, pre-posted receive or not.
-* :class:`NoPacingCosts` — the progress engine extracts without a byte
-  budget (FM 1.x semantics) and the small unexpected pool spills under
-  bursts, adding the §3.2 overrun copy.
+MPI on FM 1.x.  Each binding here is :class:`MpiFm2Binding` with *one*
+feature attribute flipped (see :class:`~repro.upper.mpi.bindings.MpiBinding`
+for what the engine then does), so the benchmark harness can attribute the
+efficiency loss feature by feature (DESIGN.md's ablation index).  Their
+copies are metered as ``ablation.*``.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Generator
 
-from repro.hardware.memory import Buffer
-
-from repro.upper.mpi.constants import KIND_CTS, KIND_EAGER, KIND_RENDEZVOUS_DATA, KIND_RTS
-from repro.upper.mpi.engine import UnexpectedMsg
-from repro.upper.mpi.envelope import ENVELOPE_BYTES, Envelope
-from repro.upper.mpi.fm2_binding import MPI2_DEFAULT_COSTS, MpiFm2Binding
-from repro.upper.mpi.status import MpiError
+from repro.upper.mpi.bindings import MPI2_DEFAULT_COSTS, MpiFm2Binding
 
 
 class NoGatherBinding(MpiFm2Binding):
-    """FM 2.x receive path, but sends pay an FM-1.x-style assembly copy."""
+    """FM 2.x receive path, but sends assemble envelope + payload into one
+    contiguous buffer first (one full memcpy; multi-piece payloads are
+    packed before that), as an FM-1.x-style contiguous interface forces."""
 
-    def send_message(self, dest: int, envelope: Envelope, payload: bytes) -> Generator:
-        cpu = self.engine.cpu
-        total = ENVELOPE_BYTES + len(payload)
-        assembly = Buffer(total, name="ablation.assembly")
-        assembly.write(envelope.pack(), 0)
-        if payload:
-            source = Buffer.from_bytes(payload, name="ablation.user")
-            yield from cpu.memcpy(source, 0, assembly, ENVELOPE_BYTES,
-                                  len(payload), label="ablation.send_assembly")
-        stream = yield from self.fm.begin_message(dest, total, self.handler_id)
-        yield from self.fm.send_piece(stream, assembly, 0, total)
-        yield from self.fm.end_message(stream)
-
-    def send_message_pieces(self, dest, envelope, pieces) -> Generator:
-        """No gather: multi-piece payloads are packed first, like FM 1.x."""
-        cpu = self.engine.cpu
-        total = sum(len(piece) for piece in pieces)
-        packed = Buffer(total, name="ablation.pack")
-        offset = 0
-        for piece in pieces:
-            if piece:
-                source = Buffer.from_bytes(piece, name="ablation.user_piece")
-                yield from cpu.memcpy(source, 0, packed, offset, len(piece),
-                                      label="ablation.datatype_pack")
-                offset += len(piece)
-        yield from self.send_message(dest, envelope, packed.read())
+    gather = False
+    label = "ablation"
 
 
 class NoInterleavingBinding(MpiFm2Binding):
-    """Receives cannot steer into posted buffers: always stage, then copy."""
+    """The handler cannot steer mid-message: every payload is received into
+    a staging pool buffer and copied to the user buffer afterwards,
+    pre-posted receive or not."""
 
-    def _handler(self, fm, stream, src: int) -> Generator:
-        engine = self.engine
-        cpu = engine.cpu
-        header = Buffer(ENVELOPE_BYTES, name="ablation.hdr")
-        yield from stream.receive(header, 0, ENVELOPE_BYTES)
-        env = Envelope.unpack(header.read())
-        yield from cpu.execute(engine.costs.match_ns)
-
-        if env.kind == KIND_CTS:
-            engine.arrival_cts(env)
-            return
-        if env.kind == KIND_RTS:
-            engine.arrival_rts(env)
-            return
-        if env.kind not in (KIND_EAGER, KIND_RENDEZVOUS_DATA):
-            raise MpiError(f"unknown protocol kind {env.kind}")
-
-        # The whole payload lands in a staging buffer first — the layer
-        # boundary cannot pass the posted buffer's identity down (§3.2).
-        staging = Buffer(env.size, name="ablation.staging")
-        if env.size:
-            yield from stream.receive(staging, 0, env.size)
-
-        if env.kind == KIND_RENDEZVOUS_DATA:
-            posted = engine.take_rendezvous_posted(env)
-        else:
-            posted = engine.match_posted(env)
-        if posted is not None:
-            engine.check_capacity(posted, env)
-            if env.size:
-                yield from cpu.memcpy(staging, 0, posted.buf, 0, env.size,
-                                      label="ablation.staging_deliver")
-            engine.complete_posted(posted, env)
-            return
-        engine.enqueue_unexpected(UnexpectedMsg(env, staging))
+    steer = False
+    label = "ablation"
 
 
 class NoPacingBinding(MpiFm2Binding):
-    """Full FM 2.x data path, but bursts overflow a small pool (spills)."""
+    """Full FM 2.x data path, but bursts overflow a small pool and spill
+    (the §3.2 overrun copy); run it with :data:`NO_PACING_COSTS`."""
 
-    def _handler(self, fm, stream, src: int) -> Generator:
-        yield from super()._handler(fm, stream, src)
-        engine = self.engine
-        if len(engine.unexpected) > engine.costs.pool_slots:
-            entry = engine.unexpected[-1]
-            if entry.data_buf is not None and entry.envelope.size and not entry.spilled:
-                spill = Buffer(entry.envelope.size, name="ablation.spill")
-                yield from engine.cpu.memcpy(
-                    entry.data_buf, 0, spill, 0, entry.envelope.size,
-                    label="ablation.spill_copy")
-                entry.data_buf = spill
-                entry.spilled = True
-                engine.stats_spills += 1
+    paced = False
+    label = "ablation"
 
 
-#: Costs for the no-pacing ablation: unbounded extract, tiny pool.
+#: Costs for the no-pacing ablation: the progress engine extracts without a
+#: byte budget (FM 1.x semantics) into a tiny unexpected pool.
 NO_PACING_COSTS = replace(MPI2_DEFAULT_COSTS, progress_budget=None, pool_slots=2)
 
 ABLATIONS = {

@@ -184,12 +184,9 @@ class Communicator:
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Generator:
         """Blocking probe: progress until a matching message is queued."""
-        while True:
-            status = yield from self.engine.iprobe(self.to_world(source), tag,
-                                                   self.context)
-            if status is not None:
-                return self._localise(status)
-            yield self.engine.env.timeout(300)
+        status = yield from self.engine.probe(self.to_world(source), tag,
+                                              self.context)
+        return self._localise(status)
 
     # -- collectives (implemented in collectives.py, bound here) ---------------------
     def barrier(self) -> Generator:

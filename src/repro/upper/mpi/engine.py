@@ -1,8 +1,9 @@
-"""The per-rank MPI engine: matching, queues, protocol, progress.
+"""The per-rank MPI engine: matching, queues, protocol, copy policy, progress.
 
-One :class:`MpiEngine` lives on each node, wrapping its FM endpoint through
-a *binding* (FM 1.x or FM 2.x, see the sibling modules).  The engine owns
-the two canonical MPI queues:
+One :class:`MpiEngine` lives on each node and owns everything about
+MPI-over-FM that does not depend on the FM generation; what does — the FM
+calls — is its *binding* (:mod:`repro.upper.mpi.bindings`).  The engine
+keeps the two canonical MPI queues:
 
 * **posted receives** — receives waiting for a matching message;
 * **unexpected messages** — messages that arrived before their receive.
@@ -13,8 +14,14 @@ in-order delivery makes cheap to provide, exactly the paper's §3.1 point).
 
 Protocol: messages up to ``costs.eager_threshold`` go **eager** (envelope +
 payload in one FM message); larger ones use **rendezvous** (RTS envelope,
-CTS reply once a receive is matched, then the payload), which bounds
+CTS reply once a receive is matched, then the payload — or, on a binding
+with an RDMA endpoint, an advert the receiver pulls from), which bounds
 unexpected-data buffering.
+
+Copy policy: :meth:`MpiEngine.transmit` is the one send path and
+:meth:`MpiEngine.on_message` the one receive path; the copies in them are
+switched by the binding's ``gather`` / ``steer`` / ``paced`` attributes, so
+"MPI-FM 2.x is MPI-FM 1.x minus three interface-forced copies" is the code.
 
 Progress is polling, on the shared :class:`~repro.core.progress.Progress`
 engine: ``progress()`` runs one bounded ``FM_extract`` pass and flushes
@@ -30,7 +37,7 @@ time* without progress exceeds ``FmParams.stall_limit_ns``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.hardware.memory import Buffer
@@ -48,7 +55,7 @@ from repro.upper.mpi.constants import (
     KIND_RTS_RDMA,
     INTERNAL_TAG_BASE,
 )
-from repro.upper.mpi.envelope import ENVELOPE_BYTES, Envelope
+from repro.upper.mpi.envelope import ENVELOPE_BYTES, RDMA_DESC, Envelope
 from repro.upper.mpi.status import MpiError, Request, Status
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -69,6 +76,13 @@ class MpiCosts:
     completion_ns: int = 0      # request completion processing in wait()
 
 
+def _matches(context: int, source: int, tag: int, env: Envelope) -> bool:
+    """Does a receive for ``(context, source, tag)`` accept ``env``?"""
+    return (context == env.context
+            and source in (ANY_SOURCE, env.src_rank)
+            and tag in (ANY_TAG, env.tag))
+
+
 @dataclass
 class PostedRecv:
     context: int
@@ -77,19 +91,12 @@ class PostedRecv:
     buf: Buffer                 # user destination buffer
     request: Request
 
-    def matches(self, env: Envelope) -> bool:
-        return (
-            self.context == env.context
-            and self.source in (ANY_SOURCE, env.src_rank)
-            and self.tag in (ANY_TAG, env.tag)
-        )
-
 
 @dataclass
 class UnexpectedMsg:
     envelope: Envelope
-    data_buf: Optional[Buffer]   # eager payload (None for RTS)
-    spilled: bool = False
+    data_buf: Optional[Buffer]   # eager payload (None for RTS / RDMA advert)
+    rkey: Optional[int] = None   # RDMA advert: the region the pull names
 
 
 class MpiEngine:
@@ -107,13 +114,13 @@ class MpiEngine:
         self.posted: list[PostedRecv] = []
         self.unexpected: list[UnexpectedMsg] = []
         self._serials: dict[int, int] = {}               # dest -> next serial
-        self._cts_received: set[tuple[int, int]] = set()  # (src, serial)
-        self._cts_outbox: list[tuple[int, Envelope]] = []  # deferred CTS sends
+        # Rendezvous replies that arrived, as (peer, serial): a CTS, or the
+        # FIN of an RDMA pull — one serial runs one protocol, never both.
+        self._acked: set[tuple[int, int]] = set()
         self._rdv_posted: dict[tuple[int, int], PostedRecv] = {}  # (src, serial)
-        # RDMA rendezvous state (only used by the opt-in RDMA binding;
-        # inert — never populated, never yielded on — otherwise).
-        self._fin_received: set[tuple[int, int]] = set()  # (dest, serial)
-        self._rdma_rts: dict[tuple[int, int], int] = {}   # (src, serial) -> rkey
+        # Replies the handlers deferred (handlers never send): CTS
+        # envelopes, and RDMA pulls as (receive, advert, rkey).
+        self._cts_outbox: list[tuple[int, Envelope]] = []
         self._pull_jobs: list[tuple[PostedRecv, Envelope, int]] = []
         self.binding = binding_cls(self)
         self._progress = Progress(
@@ -133,6 +140,56 @@ class MpiEngine:
         self._serials[dest] = serial + 1
         return serial
 
+    def transmit(self, dest: int, envelope: Envelope, *payload: bytes,
+                 pack: bool = False) -> Generator:
+        """Every send: ``envelope`` then the ``payload`` pieces, as one FM
+        message.
+
+        With ``gather`` the envelope is the first piece and each payload
+        piece follows straight from its source — no copy anywhere on the
+        send path (§4.1).  Without it the message must be made contiguous
+        first (:meth:`_transmit_contiguous`).
+        """
+        binding = self.binding
+        if not binding.gather:
+            return self._transmit_contiguous(dest, envelope, payload, pack)
+        pieces = [Buffer.from_bytes(envelope.pack(), name="mpi.envelope")]
+        pieces += [Buffer.from_bytes(piece, name="mpi.user_send")
+                   for piece in payload if piece]
+        return binding.put(dest, pieces)
+
+    def _transmit_contiguous(self, dest: int, envelope: Envelope,
+                             payload: tuple, pack: bool) -> Generator:
+        """The §3.2 send path: an interface that accepts one contiguous
+        buffer forces the whole payload to be copied behind the 24-byte
+        envelope (``*.send_assembly``), and a multi-piece payload
+        (``pack``, even of one piece) to be packed before that
+        (``*.datatype_pack``) — one extra copy per byte each."""
+        cpu = self.cpu
+        label = self.binding.label
+        if pack:
+            source = Buffer(sum(len(piece) for piece in payload),
+                            name=f"{label}.pack")
+            offset = 0
+            for piece in payload:
+                if piece:
+                    yield from cpu.memcpy(
+                        Buffer.from_bytes(piece, name=f"{label}.user_piece"),
+                        0, source, offset, len(piece),
+                        label=f"{label}.datatype_pack")
+                    offset += len(piece)
+        else:
+            # send(): the payload is one user buffer (none for control).
+            source = Buffer.from_bytes(b"".join(payload),
+                                       name=f"{label}.user_send")
+        assembly = Buffer(ENVELOPE_BYTES + source.size,
+                          name=f"{label}.assembly[{self.rank}]")
+        assembly.write(envelope.pack(), 0)
+        if source.size:
+            yield from cpu.memcpy(source, 0, assembly, ENVELOPE_BYTES,
+                                  source.size, label=f"{label}.send_assembly")
+        yield from self.binding.put(dest, [assembly])
+
     def send(self, dest: int, tag: int, data: bytes, context: int = 0) -> Generator:
         """Blocking (eager- or rendezvous-protocol) send of ``data``."""
         self._check_peer(dest, tag)
@@ -141,69 +198,63 @@ class MpiEngine:
         yield from self.cpu.execute(self.costs.send_overhead_ns
                                     + self.costs.header_build_ns)
         serial = self.next_serial(dest)
-        if len(data) <= self.costs.eager_threshold:
-            envelope = Envelope(context, self.rank, tag, len(data),
-                                KIND_EAGER, serial)
-            yield from self.binding.send_message(dest, envelope, data)
-            if obs is not None:
-                obs.span("mpi", "MPI_Send", t0,
-                         track=self._track, dest=dest, tag=tag,
-                         bytes=len(data), protocol="eager")
-            return
-        # Rendezvous: RTS, wait for CTS, then the payload.
-        self.stats_rendezvous += 1
-        if getattr(self.binding, "rdma", None) is not None:
-            yield from self._send_rendezvous_rdma(dest, tag, data,
-                                                  context, serial)
-            if obs is not None:
-                obs.span("mpi", "MPI_Send", t0,
-                         track=self._track, dest=dest, tag=tag,
-                         bytes=len(data), protocol="rendezvous-rdma")
-            return
-        rts = Envelope(context, self.rank, tag, len(data), KIND_RTS, serial)
-        yield from self.binding.send_message(dest, rts, b"")
-        key = (dest, serial)
-        yield from self._progress.wait_until(
-            lambda: key in self._cts_received,
-            f"no CTS from rank {dest} (serial {serial}) — "
-            "receiver never posted?")
-        self._cts_received.remove(key)
-        data_env = Envelope(context, self.rank, tag, len(data),
-                            KIND_RENDEZVOUS_DATA, serial)
-        yield from self.binding.send_message(dest, data_env, data)
+        size = len(data)
+        if size <= self.costs.eager_threshold:
+            protocol = "eager"
+            yield from self.transmit(
+                dest, Envelope(context, self.rank, tag, size, KIND_EAGER,
+                               serial), data)
+        else:
+            self.stats_rendezvous += 1
+            rts = Envelope(context, self.rank, tag, size, KIND_RTS, serial)
+            if self.binding.rdma is not None:
+                protocol = "rendezvous-rdma"
+                yield from self._send_rendezvous_rdma(
+                    dest, replace(rts, kind=KIND_RTS_RDMA), data)
+            else:
+                # Rendezvous: RTS, wait for CTS, then the payload.
+                protocol = "rendezvous"
+                yield from self.transmit(dest, rts)
+                yield from self._wait_ack(
+                    dest, serial, f"no CTS from rank {dest} (serial "
+                    f"{serial}) — receiver never posted?")
+                yield from self.transmit(
+                    dest, replace(rts, kind=KIND_RENDEZVOUS_DATA), data)
         if obs is not None:
-            obs.span("mpi", "MPI_Send", t0, track=self._track,
-                     dest=dest, tag=tag, bytes=len(data),
-                     protocol="rendezvous")
+            obs.span("mpi", "MPI_Send", t0, track=self._track, dest=dest,
+                     tag=tag, bytes=size, protocol=protocol)
 
-    def _send_rendezvous_rdma(self, dest: int, tag: int, data: bytes,
-                              context: int, serial: int) -> Generator:
-        """Rendezvous over one-sided RDMA read (the opt-in binding):
-        register the payload, advertise it (the RTS_RDMA envelope carries
-        an rkey descriptor), and let the receiver *pull* — the sender
-        transmits zero data packets.  The FIN reply bounds the region's
-        lifetime so the source buffer can be deregistered."""
+    def _send_rendezvous_rdma(self, dest: int, advert: Envelope,
+                              data: bytes) -> Generator:
+        """Rendezvous over one-sided RDMA read: register the payload,
+        advertise it (the RTS_RDMA envelope carries an rkey descriptor),
+        and let the receiver *pull* — the sender transmits zero data
+        packets.  The FIN reply bounds the region's lifetime so the source
+        buffer can be deregistered."""
+        rdma = self.binding.rdma
         self.stats_rdma_rendezvous += 1
         source = Buffer.from_bytes(data, name=f"mpi.rdma_src[{self.rank}]")
-        rkey = yield from self.binding.rdma.register(source)
-        rts = Envelope(context, self.rank, tag, len(data),
-                       KIND_RTS_RDMA, serial)
-        yield from self.binding.send_message(dest, rts,
-                                             self.binding.pack_desc(rkey))
-        key = (dest, serial)
-        yield from self._progress.wait_until(
-            lambda: key in self._fin_received,
-            f"no RDMA FIN from rank {dest} (serial {serial}) — "
+        rkey = yield from rdma.register(source)
+        yield from self.transmit(dest, advert, RDMA_DESC.pack(rkey))
+        yield from self._wait_ack(
+            dest, advert.serial,
+            f"no RDMA FIN from rank {dest} (serial {advert.serial}) — "
             "receiver never pulled?")
-        self._fin_received.remove(key)
-        yield from self.binding.rdma.deregister(rkey)
+        yield from rdma.deregister(rkey)
+
+    def _wait_ack(self, dest: int, serial: int, what: str) -> Generator:
+        """Progress until ``dest`` has answered rendezvous ``serial``."""
+        key = (dest, serial)
+        yield from self._progress.wait_until(lambda: key in self._acked, what)
+        self._acked.remove(key)
 
     def send_pieces(self, dest: int, tag: int, pieces: list[bytes],
                     context: int = 0) -> Generator:
         """Eager send of a multi-piece payload (derived-datatype style).
 
-        Over FM 2.x each piece gathers straight from its source; over
-        FM 1.x the binding must pack first (a metered per-byte copy).  The
+        With gather each piece goes straight from its source — the
+        paper's gather argument applied to derived datatypes; without it
+        the pieces are packed first (a metered per-byte copy).  The
         receiver sees one contiguous message either way.
         """
         self._check_peer(dest, tag)
@@ -217,7 +268,7 @@ class MpiEngine:
                                     + self.costs.header_build_ns)
         serial = self.next_serial(dest)
         envelope = Envelope(context, self.rank, tag, total, KIND_EAGER, serial)
-        yield from self.binding.send_message_pieces(dest, envelope, pieces)
+        yield from self.transmit(dest, envelope, *pieces, pack=True)
 
     def isend(self, dest: int, tag: int, data: bytes, context: int = 0) -> Generator:
         """Nonblocking send.
@@ -241,17 +292,14 @@ class MpiEngine:
         yield from self.cpu.execute(self.costs.recv_overhead_ns)
         request = Request("recv")
         # Unexpected queue first (FIFO — preserves non-overtaking).
-        for i, entry in enumerate(self.unexpected):
-            posted_probe = PostedRecv(context, source, tag,
-                                      Buffer(0), request)
-            if posted_probe.matches(entry.envelope):
-                del self.unexpected[i]
-                yield from self._complete_from_unexpected(entry, request, max_bytes)
-                return request
-        posted = PostedRecv(context, source, tag,
-                            Buffer(max_bytes, name=f"mpi.recv[{self.rank}]"),
-                            request)
-        self.posted.append(posted)
+        index = self._find_unexpected(context, source, tag)
+        if index is not None:
+            yield from self._complete_from_unexpected(
+                self.unexpected.pop(index), request, max_bytes)
+            return request
+        self.posted.append(PostedRecv(
+            context, source, tag,
+            Buffer(max_bytes, name=f"mpi.recv[{self.rank}]"), request))
         return request
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
@@ -313,12 +361,32 @@ class MpiEngine:
                context: int = 0) -> Generator:
         """Nonblocking probe of the unexpected queue (after one progress)."""
         yield from self.progress()
-        probe = PostedRecv(context, source, tag, Buffer(0), Request("recv"))
-        for entry in self.unexpected:
-            if probe.matches(entry.envelope):
-                e = entry.envelope
-                return Status(source=e.src_rank, tag=e.tag, count=e.size)
+        return self._probe_status(context, source, tag)
+
+    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
+              context: int = 0) -> Generator:
+        """Blocking probe: progress until a matching message is queued."""
+        yield from self._progress.wait_until(
+            lambda: self._find_unexpected(context, source, tag) is not None,
+            f"probe() saw no message from {source} with tag {tag}")
+        return self._probe_status(context, source, tag)
+
+    def _find_unexpected(self, context: int, source: int,
+                         tag: int) -> Optional[int]:
+        """Queue index of the oldest unexpected message a receive for
+        ``(context, source, tag)`` would take, or None."""
+        for index, entry in enumerate(self.unexpected):
+            if _matches(context, source, tag, entry.envelope):
+                return index
         return None
+
+    def _probe_status(self, context: int, source: int,
+                      tag: int) -> Optional[Status]:
+        index = self._find_unexpected(context, source, tag)
+        if index is None:
+            return None
+        env = self.unexpected[index].envelope
+        return Status(source=env.src_rank, tag=env.tag, count=env.size)
 
     # -- progress ---------------------------------------------------------------------
     def progress(self) -> Generator:
@@ -327,24 +395,15 @@ class MpiEngine:
         return self._progress.progress()
 
     def _flush(self) -> Generator:
-        flushed = yield from self._flush_cts()
-        pulled = yield from self._run_pull_jobs()
-        return flushed or pulled
-
-    def _flush_cts(self) -> Generator:
+        """Send what the handlers deferred: each CTS, then each RDMA pull —
+        a one-sided read straight into the posted buffer (the remote NIC
+        serves it in firmware with no sender-host involvement), then a FIN
+        so the sender can deregister."""
         flushed = False
         while self._cts_outbox:
-            dest, envelope = self._cts_outbox.pop(0)
-            yield from self.binding.send_message(dest, envelope, b"")
+            dest, cts = self._cts_outbox.pop(0)
+            yield from self.transmit(dest, cts)
             flushed = True
-        return flushed
-
-    def _run_pull_jobs(self) -> Generator:
-        """Execute queued RDMA pulls (the receiver side of the opt-in
-        rendezvous): a one-sided read straight into the posted buffer —
-        the remote NIC serves it in firmware with no sender-host
-        involvement — then a FIN so the sender can deregister."""
-        ran = False
         while self._pull_jobs:
             posted, env, rkey = self._pull_jobs.pop(0)
             yield from self.binding.rdma.rdma_get(env.src_rank, rkey,
@@ -352,75 +411,133 @@ class MpiEngine:
             self.stats_rdma_pulls += 1
             fin = Envelope(env.context, self.rank, INTERNAL_TAG_BASE, 0,
                            KIND_RDMA_FIN, env.serial)
-            yield from self.binding.send_message(env.src_rank, fin, b"")
-            self.complete_posted(posted, env)
-            ran = True
-        return ran
+            yield from self.transmit(env.src_rank, fin)
+            self._complete(posted, env)
+            flushed = True
+        return flushed
 
-    # -- arrival handling (called by the binding's FM handler) ----------------------------
-    def match_posted(self, env: Envelope) -> Optional[PostedRecv]:
-        """Find-and-remove the first posted receive matching ``env``."""
-        for i, posted in enumerate(self.posted):
-            if posted.matches(env):
-                return self.posted.pop(i)
-        return None
+    # -- the one receive path (called by the binding's FM handler) -------------------------
+    def on_message(self, env: Envelope, source) -> Generator:
+        """An MPI message arrived: ``env`` is its envelope, ``source`` the
+        binding's handle on the payload behind it (FM 1.x: the staging
+        buffer; FM 2.x: the receive stream, payload possibly still on the
+        wire).
 
-    def check_capacity(self, posted: PostedRecv, env: Envelope) -> None:
+        With ``steer`` the payload is matched and then landed in the posted
+        buffer; without it, staged whole, *then* matched, *then* copied
+        (``*.deliver``).  Without ``paced`` an unexpected burst past
+        ``costs.pool_slots`` is copied again (``*.spill_copy``).  Why each
+        copy is forced: :class:`~repro.upper.mpi.bindings.MpiBinding`.
+        """
+        binding = self.binding
+        cpu = self.cpu
+        yield from cpu.execute(self.costs.match_ns)
+        kind = env.kind
+        if kind == KIND_CTS:
+            self._acked.add((env.src_rank, env.serial))
+            return
+        if kind == KIND_RTS:
+            self._arrival_rts(env)
+            return
+        if binding.rdma is not None:
+            if kind == KIND_RDMA_FIN:
+                self._acked.add((env.src_rank, env.serial))
+                return
+            if kind == KIND_RTS_RDMA:
+                desc = Buffer(RDMA_DESC.size, name="mpi.rdma_desc")
+                yield from binding.land(source, desc, RDMA_DESC.size)
+                (rkey,) = RDMA_DESC.unpack(desc.read())
+                self._arrival_rts(env, rkey)
+                return
+        if kind not in (KIND_EAGER, KIND_RENDEZVOUS_DATA):
+            raise MpiError(f"unknown protocol kind {kind}")
+
+        size = env.size
+        if binding.steer:
+            posted = self._take_posted(env)
+            if posted is not None:
+                if size:
+                    yield from binding.land(source, posted.buf, size)
+                self._complete(posted, env)
+                return
+        staged, offset = yield from binding.stage(
+            source, size, kind == KIND_RENDEZVOUS_DATA)
+        # Match only now — with ``steer``, *again*: a handler can be parked
+        # mid-stage (budget spent, packets still on the wire) while its
+        # receive is posted, and must not leave it to the next message.
+        posted = self._take_posted(env)
+        if posted is not None:
+            if size:
+                yield from cpu.memcpy(staged, offset, posted.buf, 0, size,
+                                      label=f"{binding.label}.deliver")
+            self._complete(posted, env)
+            return
+
+        # Unexpected: the staged payload is the pool entry.
+        entry = UnexpectedMsg(env, staged)
+        self._enqueue_unexpected(entry)
+        if (not binding.paced and size
+                and len(self.unexpected) > self.costs.pool_slots):
+            entry.data_buf = Buffer(
+                size, name=f"{binding.label}.spill[{self.rank}]")
+            yield from cpu.memcpy(staged, 0, entry.data_buf, 0, size,
+                                  label=f"{binding.label}.spill_copy")
+            self.stats_spills += 1
+
+    def _take_posted(self, env: Envelope) -> Optional[PostedRecv]:
+        """Find-and-remove the receive ``env`` lands in: the one its RTS
+        was matched to (rendezvous data), else the first posted match —
+        None means unexpected.  Too small a receive is a truncation."""
+        if env.kind == KIND_RENDEZVOUS_DATA:
+            posted = self._rdv_posted.pop((env.src_rank, env.serial), None)
+            if posted is None:
+                raise MpiError(
+                    f"rank {self.rank}: rendezvous data with no matched "
+                    f"receive (src {env.src_rank}, serial {env.serial})"
+                )
+        else:
+            for index, posted in enumerate(self.posted):
+                if _matches(posted.context, posted.source, posted.tag, env):
+                    del self.posted[index]
+                    break
+            else:
+                return None
         if env.size > posted.buf.size:
             raise MpiError(
                 f"rank {self.rank}: message of {env.size} bytes truncates "
                 f"receive posted for {posted.buf.size} "
                 f"(source {env.src_rank}, tag {env.tag})"
             )
+        return posted
 
-    def complete_posted(self, posted: PostedRecv, env: Envelope) -> None:
+    def _complete(self, posted: PostedRecv, env: Envelope) -> None:
         posted.request.finish(
             Status(source=env.src_rank, tag=env.tag, count=env.size),
             data=posted.buf.read(0, env.size),
         )
 
-    def enqueue_unexpected(self, entry: UnexpectedMsg) -> None:
+    def _enqueue_unexpected(self, entry: UnexpectedMsg) -> None:
         self.unexpected.append(entry)
         self.stats_unexpected += 1
 
-    def arrival_rts(self, env: Envelope) -> None:
-        """An RTS arrived: match now or park it as unexpected."""
-        posted = self.match_posted(env)
+    def _arrival_rts(self, env: Envelope, rkey: Optional[int] = None) -> None:
+        """An RTS (or, with ``rkey``, an RDMA advert) arrived: answer it if
+        a receive is posted, else park it as unexpected."""
+        posted = self._take_posted(env)
         if posted is None:
-            self.enqueue_unexpected(UnexpectedMsg(env, None))
+            self._enqueue_unexpected(UnexpectedMsg(env, None, rkey))
+        else:
+            self._grant(posted, env, rkey)
+
+    def _grant(self, posted: PostedRecv, rts: Envelope,
+               rkey: Optional[int]) -> None:
+        """``rts`` has met its receive: queue the CTS that asks for the
+        data (remembering where it goes), or the pull of an RDMA advert.
+        Deferred to the next flush — handlers never send."""
+        if rkey is not None:
+            self._pull_jobs.append((posted, rts, rkey))
             return
-        self.check_capacity(posted, env)
-        self._rdv_posted[(env.src_rank, env.serial)] = posted
-        self._queue_cts(env)
-
-    def arrival_cts(self, env: Envelope) -> None:
-        self._cts_received.add((env.src_rank, env.serial))
-
-    def arrival_rts_rdma(self, env: Envelope, rkey: int) -> None:
-        """An RDMA-read RTS arrived: queue the pull if a receive is
-        posted, else park the advert (envelope + rkey) as unexpected."""
-        posted = self.match_posted(env)
-        if posted is None:
-            self._rdma_rts[(env.src_rank, env.serial)] = rkey
-            self.enqueue_unexpected(UnexpectedMsg(env, None))
-            return
-        self.check_capacity(posted, env)
-        self._pull_jobs.append((posted, env, rkey))
-
-    def arrival_fin(self, env: Envelope) -> None:
-        self._fin_received.add((env.src_rank, env.serial))
-
-    def take_rendezvous_posted(self, env: Envelope) -> PostedRecv:
-        key = (env.src_rank, env.serial)
-        posted = self._rdv_posted.pop(key, None)
-        if posted is None:
-            raise MpiError(
-                f"rank {self.rank}: rendezvous data with no matched receive "
-                f"(src {env.src_rank}, serial {env.serial})"
-            )
-        return posted
-
-    def _queue_cts(self, rts: Envelope) -> None:
+        self._rdv_posted[(rts.src_rank, rts.serial)] = posted
         cts = Envelope(rts.context, self.rank, INTERNAL_TAG_BASE,
                        0, KIND_CTS, rts.serial)
         self._cts_outbox.append((rts.src_rank, cts))
@@ -434,23 +551,18 @@ class MpiEngine:
                 f"rank {self.rank}: unexpected message of {env.size} bytes "
                 f"truncates receive of {max_bytes}"
             )
-        if env.kind == KIND_RTS:
-            # Late match of a rendezvous: adopt a posted slot and ask for data.
-            posted = PostedRecv(env.context, env.src_rank, env.tag,
-                                Buffer(max_bytes), request)
-            self._rdv_posted[(env.src_rank, env.serial)] = posted
-            self._queue_cts(env)
-            return
-        if env.kind == KIND_RTS_RDMA:
-            # Late match of an RDMA advert: the next progress pass pulls.
-            posted = PostedRecv(env.context, env.src_rank, env.tag,
-                                Buffer(max_bytes), request)
-            rkey = self._rdma_rts.pop((env.src_rank, env.serial))
-            self._pull_jobs.append((posted, env, rkey))
+        user_buf = Buffer(max_bytes, name=f"mpi.recv[{self.rank}]")
+        if entry.data_buf is None:
+            # Late match of a rendezvous: adopt a posted slot and ask for
+            # (or, next progress pass, pull) the data.
+            self._grant(PostedRecv(env.context, env.src_rank, env.tag,
+                                   user_buf, request), env, entry.rkey)
             return
         yield from self.cpu.execute(self.costs.match_ns)
-        user_buf = Buffer(max_bytes, name=f"mpi.recv[{self.rank}]")
-        yield from self.binding.deliver_unexpected(entry, user_buf)
+        if env.size:
+            # Pool (or spill) buffer -> user buffer at MPI_Recv time.
+            yield from self.cpu.memcpy(entry.data_buf, 0, user_buf, 0, env.size,
+                                       label=f"{self.binding.label}.deliver")
         request.finish(
             Status(source=env.src_rank, tag=env.tag, count=env.size),
             data=user_buf.read(0, env.size),

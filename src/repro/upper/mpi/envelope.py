@@ -16,6 +16,11 @@ _FORMAT = "<iiiiii"
 ENVELOPE_BYTES = struct.calcsize(_FORMAT)
 assert ENVELOPE_BYTES == 24, "the paper's MPI header is 24 bytes"
 
+#: The RTS_RDMA descriptor: the rkey the receiver's pull names.  It rides
+#: as the message payload after the 24-byte envelope (which stays the
+#: paper's size — the advert is a normal small FM message).
+RDMA_DESC = struct.Struct("<q")
+
 
 @dataclass(frozen=True)
 class Envelope:

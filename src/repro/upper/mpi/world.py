@@ -5,38 +5,29 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.cluster.cluster import Cluster
+from repro.upper.mpi.bindings import (MPI1_DEFAULT_COSTS, MPI2_DEFAULT_COSTS,
+                                      MpiFm1Binding, MpiFm2Binding)
 from repro.upper.mpi.comm import Communicator
 from repro.upper.mpi.engine import MpiCosts, MpiEngine
-from repro.upper.mpi.fm1_binding import MPI1_DEFAULT_COSTS, MpiFm1Binding
-from repro.upper.mpi.fm2_binding import MPI2_DEFAULT_COSTS, MpiFm2Binding
+
+#: ``fm_version`` -> (binding, calibrated costs) a world gets by default.
+DEFAULTS = {1: (MpiFm1Binding, MPI1_DEFAULT_COSTS),
+            2: (MpiFm2Binding, MPI2_DEFAULT_COSTS)}
 
 
 def build_mpi_world(cluster: Cluster, costs: Optional[MpiCosts] = None,
-                    binding_cls=None, rdma: bool = False) -> list[Communicator]:
+                    binding_cls=None) -> list[Communicator]:
     """One ``comm_world`` communicator per node, bound to the cluster's FM.
 
     The binding (FM 1.x copy-based vs FM 2.x gather-scatter) follows the
     cluster's ``fm_version``; ``costs`` overrides the calibrated defaults
-    and ``binding_cls`` substitutes an alternative binding (used by the
-    feature-ablation benchmarks).  ``rdma=True`` (FM 2.x only, default
-    off) routes rendezvous payloads over one-sided RDMA read — see
-    :mod:`repro.upper.mpi.rdma_binding`.  Rank ``i`` is node ``i``.
+    and ``binding_cls`` substitutes another binding of the same FM
+    generation — a feature ablation, or
+    :class:`~repro.upper.mpi.bindings.MpiFm2RdmaBinding` to route
+    rendezvous payloads over one-sided RDMA read.  Rank ``i`` is node ``i``.
     """
-    if cluster.fm_version == 1:
-        if rdma:
-            raise ValueError("RDMA rendezvous needs FM 2.x (fm_version=2)")
-        binding_cls = binding_cls or MpiFm1Binding
-        costs = costs or MPI1_DEFAULT_COSTS
-    elif cluster.fm_version == 2:
-        if rdma and binding_cls is None:
-            from repro.upper.mpi.rdma_binding import MpiFm2RdmaBinding
-            binding_cls = MpiFm2RdmaBinding
-        binding_cls = binding_cls or MpiFm2Binding
-        costs = costs or MPI2_DEFAULT_COSTS
-    else:  # pragma: no cover - cluster already validates
-        raise ValueError(f"unsupported fm_version {cluster.fm_version}")
-    comms = []
-    for node in cluster.nodes:
-        engine = MpiEngine(node, costs, cluster.n_nodes, binding_cls)
-        comms.append(Communicator(engine, context=0))
-    return comms
+    default_binding, default_costs = DEFAULTS[cluster.fm_version]
+    return [Communicator(MpiEngine(node, costs or default_costs,
+                                   cluster.n_nodes,
+                                   binding_cls or default_binding), context=0)
+            for node in cluster.nodes]

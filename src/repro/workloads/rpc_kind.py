@@ -168,14 +168,6 @@ class RpcKind:
                 and len(s.shard_policies) != s.servers:
             raise ValueError(f"{len(s.shard_policies)} shard_policies for "
                              f"{s.servers} servers")
-        if s.partition_groups:
-            npg = s.n_nodes // s.partition_groups
-            per_group = -(-s.servers // s.partition_groups)
-            if per_group > npg:
-                raise ValueError(
-                    f"{s.servers} servers striped over {s.partition_groups} "
-                    f"groups need {per_group} server slots per group, "
-                    f"groups only have {npg} nodes")
         if s.replicas > 1:
             if s.servers < 2:
                 raise ValueError(

@@ -116,6 +116,16 @@ def obs_digests_text() -> str:
     return dumps_deterministic({name: obs_digest(name) for name in OBS_CASES})
 
 
+def mpi_world(binding: str, costs=None):
+    """``(cluster, comms)``: two nodes under ``MPI_BINDING_CASES[binding]``
+    on its FM generation's machine; ``costs`` overrides the case's own."""
+    fm_version, binding_cls, case_costs = MPI_BINDING_CASES[binding]
+    cluster = Cluster(2, machine=SPARC_FM1 if fm_version == 1 else PPRO_FM2,
+                      fm_version=fm_version)
+    return cluster, build_mpi_world(cluster, costs=costs or case_costs,
+                                    binding_cls=binding_cls)
+
+
 def mpi_binding_entry(binding: str, mode: str, size: int) -> dict:
     """Rank 0 sends ``MPI_MESSAGES`` payloads of ``size`` bytes to rank 1,
     which receives them by ``mode``: ``window`` pre-posts every ``irecv``
@@ -124,10 +134,7 @@ def mpi_binding_entry(binding: str, mode: str, size: int) -> dict:
     so everything lands unexpected (and a two-slot pool spills);
     ``pieces`` is ``recv`` with each payload sent as three gather pieces.
     """
-    fm_version, binding_cls, costs = MPI_BINDING_CASES[binding]
-    cluster = Cluster(2, machine=SPARC_FM1 if fm_version == 1 else PPRO_FM2,
-                      fm_version=fm_version)
-    comms = build_mpi_world(cluster, costs=costs, binding_cls=binding_cls)
+    cluster, comms = mpi_world(binding)
     engine = comms[1].engine
     payloads = [bytes((7 * i + j) % 251 for j in range(size))
                 for i in range(MPI_MESSAGES)]

@@ -1,27 +1,6 @@
-"""Probes and counters."""
+"""Counters."""
 
-import pytest
-
-from repro.simkernel.monitor import Counters, Probe
-
-
-class TestProbe:
-    def test_records_time_and_value(self, env):
-        probe = Probe(env, name="queue-depth")
-        def worker(env):
-            for depth in (1, 3, 2):
-                yield env.timeout(10)
-                probe.record(depth)
-        proc = env.process(worker(env))
-        env.run(until=proc)
-        assert probe.times == [10, 20, 30]
-        assert probe.values == [1, 3, 2]
-        assert probe.last == 2
-        assert len(probe) == 3
-
-    def test_last_on_empty_raises(self, env):
-        with pytest.raises(IndexError):
-            _ = Probe(env, name="empty").last
+from repro.simkernel.monitor import Counters
 
 
 class TestCounters:

@@ -1,19 +1,20 @@
-"""The opt-in MPI RDMA rendezvous binding: pull-based large transfers,
-default-off byte-identity, and protocol accounting."""
+"""The MPI RDMA rendezvous binding: pull-based large transfers, the
+default binding untouched by it, and protocol accounting."""
 
 import pytest
 
 from repro.cluster import Cluster
 from repro.configs import PPRO_FM2
-from repro.upper.mpi import build_mpi_world
-from repro.upper.mpi.fm2_binding import MPI2_DEFAULT_COSTS
+from repro.upper.mpi import (MPI2_DEFAULT_COSTS, MpiFm2Binding,
+                             MpiFm2RdmaBinding, build_mpi_world)
 
 LARGE = MPI2_DEFAULT_COSTS.eager_threshold + 1
 
 
 def make_world(rdma, n=2):
     cluster = Cluster(n, machine=PPRO_FM2, fm_version=2)
-    return cluster, build_mpi_world(cluster, rdma=rdma)
+    return cluster, build_mpi_world(
+        cluster, binding_cls=MpiFm2RdmaBinding if rdma else None)
 
 
 class TestRdmaRendezvous:
@@ -118,9 +119,9 @@ class TestDefaultOff:
         assert comms[0].engine.stats_rdma_rendezvous == 0
         assert comms[0].engine.stats_rendezvous == 1
 
-    def test_default_off_is_byte_identical_in_time_and_stats(self):
-        """The flag default must leave the classic binding untouched:
-        same completion time, same message counts, to the nanosecond."""
+    def test_default_is_the_classic_binding_in_time_and_stats(self):
+        """The default is ``binding_cls=MpiFm2Binding``: same completion
+        time, same message counts, to the nanosecond."""
         def run_once(**kwargs):
             cluster = Cluster(2, machine=PPRO_FM2, fm_version=2)
             comms = build_mpi_world(cluster, **kwargs)
@@ -134,13 +135,13 @@ class TestDefaultOff:
                     comms[0].engine.fm.stats_sent_messages,
                     comms[0].engine.fm.stats_sent_packets,
                     comms[1].engine.fm.stats_recv_messages)
-        assert run_once() == run_once(rdma=False)
+        assert run_once() == run_once(binding_cls=MpiFm2Binding)
 
     def test_rdma_needs_fm2(self):
         from repro.configs import SPARC_FM1
         cluster = Cluster(2, machine=SPARC_FM1, fm_version=1)
-        with pytest.raises(ValueError):
-            build_mpi_world(cluster, rdma=True)
+        with pytest.raises(TypeError, match="needs an FM2 endpoint"):
+            build_mpi_world(cluster, binding_cls=MpiFm2RdmaBinding)
 
 
 class TestDeterminism:

@@ -95,6 +95,25 @@ class TestMpiStallUnderCpuSlow:
         # where a 50x slowdown stretched detection towards 50x the limit.
         assert cluster.now <= 2 * STALL_LIMIT_NS
 
+    @pytest.mark.parametrize("faulted", [False, True],
+                             ids=["plain", "cpu-slow"])
+    def test_probe_of_a_silent_rank_fails_within_the_limit(self, faulted):
+        # probe() used to poll iprobe on a 300 ns timer with no stall
+        # clock: the event heap never drained and the run never returned.
+        # until_ns turns that hang into a TimeoutError failure.
+        cluster = make_cluster()
+        if faulted:
+            slow_node(cluster, node=1)
+        comms = build_mpi_world(cluster)
+
+        def prober(node):
+            yield from comms[1].probe(0, 5)
+
+        with pytest.raises(MpiError, match=r"rank 1: probe\(\) saw no "
+                                           "message from 0 with tag 5"):
+            cluster.run([None, prober], until_ns=10 * STALL_LIMIT_NS)
+        assert cluster.now <= STALL_LIMIT_NS + SLOP_NS
+
 
 class TestShmemStallUnderCpuSlow:
     def test_unserved_get_fails_within_the_limit(self):
