@@ -51,7 +51,7 @@ class Buffer:
         if nbytes is None:
             nbytes = len(self.data) - offset
         self._check_range(offset, nbytes)
-        return bytes(self.data[offset: offset + nbytes])
+        return bytes(memoryview(self.data)[offset: offset + nbytes])
 
     def view(self, offset: int = 0, nbytes: Optional[int] = None) -> memoryview:
         """Zero-copy read-only window onto ``nbytes`` starting at ``offset``.

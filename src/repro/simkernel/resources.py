@@ -18,7 +18,7 @@ import heapq
 from typing import TYPE_CHECKING, Optional
 
 from repro.simkernel.errors import SimulationError
-from repro.simkernel.events import Event
+from repro.simkernel.events import Event, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simkernel.env import Environment
@@ -62,7 +62,7 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._users: set[Request] = set()
-        self._inline = 0  # slots held through acquire() -> None
+        self._inline = 0  # slots held through acquire(), not a Request
         self._queue: list[tuple[tuple, Request]] = []  # heap keyed by request key
         self._seq = 0
 
@@ -83,25 +83,31 @@ class Resource:
         self._admit_or_queue(req)
         return req
 
-    def acquire(self) -> Optional[Request]:
+    def acquire(self) -> Optional[Event]:
         """Claim a slot; ``None`` means it is already held, with no event.
 
-        At a quiet instant with a free slot the grant would fire next with
-        the caller as its only waiter, so the slot is taken inline; otherwise
-        this is :meth:`request`.  Either token goes back to :meth:`release`,
-        in a ``finally`` (``if req is not None: yield req`` sits inside it).
+        A free slot is taken inline.  At a quiet instant the grant would
+        fire next with the caller as its only waiter, so there is no event
+        at all; otherwise the caller still waits its turn, on a zero-delay
+        timeout that takes the queue position the grant's event had.
+        Only a busy slot is a :meth:`request`.  Any token goes back to
+        :meth:`release`, in a ``finally`` (``if req is not None: yield req``
+        sits inside it).
         """
         env = self.env
-        if len(self._users) + self._inline < self.capacity and env.quiet:
+        if len(self._users) + self._inline < self.capacity:
             self._inline += 1
-            env.elided += 1
-            return None
+            if env.quiet:
+                env.elided += 1
+                return None
+            return env.timeout(0)
         return self.request()
 
-    def release(self, request: Optional[Request]) -> None:
+    def release(self, request: Optional[Event]) -> None:
         """Release a held request, or cancel a queued one (idempotent);
-        ``None`` releases one inline hold taken by :meth:`acquire`."""
-        if request is None:
+        ``None`` or a timeout releases one inline hold taken by
+        :meth:`acquire`."""
+        if request is None or request.__class__ is Timeout:
             if not self._inline:
                 raise SimulationError(f"{self!r}: no inline hold to release")
             self._inline -= 1
@@ -121,7 +127,7 @@ class Resource:
     def _admit_or_queue(self, req: Request) -> None:
         if len(self._users) + self._inline < self.capacity:
             self._users.add(req)
-            req.succeed(req)
+            req.succeed()
         else:
             heapq.heappush(self._queue, (req.key, req))
 
@@ -129,7 +135,7 @@ class Resource:
         while self._queue and len(self._users) + self._inline < self.capacity:
             _key, req = heapq.heappop(self._queue)
             self._users.add(req)
-            req.succeed(req)
+            req.succeed()  # no value: a request that held itself is a cycle
 
     def __repr__(self) -> str:
         return (f"<{type(self).__name__} {self.name!r} users={self.count}"

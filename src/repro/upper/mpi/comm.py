@@ -131,7 +131,7 @@ class Communicator:
                                     self.context)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
-             max_bytes: int = 1 << 20) -> Generator:
+             max_bytes: Optional[int] = None) -> Generator:
         data, status = yield from self.engine.recv(
             self.to_world(source), tag, max_bytes, self.context)
         return data, self._localise(status)
@@ -143,7 +143,7 @@ class Communicator:
         return request
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
-              max_bytes: int = 1 << 20) -> Generator:
+              max_bytes: Optional[int] = None) -> Generator:
         request = yield from self.engine.irecv(self.to_world(source), tag,
                                                max_bytes, self.context)
         return request
@@ -175,7 +175,7 @@ class Communicator:
 
     def sendrecv(self, senddata: bytes, dest: int, recvsource: int,
                  sendtag: int = 0, recvtag: int = ANY_TAG,
-                 max_bytes: int = 1 << 20) -> Generator:
+                 max_bytes: Optional[int] = None) -> Generator:
         """Simultaneous send and receive (deadlock-free pairwise exchange)."""
         recv_req = yield from self.irecv(recvsource, recvtag, max_bytes)
         yield from self.send(senddata, dest, sendtag)

@@ -88,8 +88,9 @@ class PostedRecv:
     context: int
     source: int                 # rank or ANY_SOURCE
     tag: int                    # tag or ANY_TAG
-    buf: Buffer                 # user destination buffer
+    max_bytes: Optional[int]    # largest message accepted (None: any)
     request: Request
+    buf: Optional[Buffer] = None  # user destination, sized by the envelope
 
 
 @dataclass
@@ -284,26 +285,28 @@ class MpiEngine:
         return request
 
     # -- receiving ------------------------------------------------------------------
-    def irecv(self, source: int, tag: int, max_bytes: int,
+    def irecv(self, source: int, tag: int, max_bytes: Optional[int] = None,
               context: int = 0) -> Generator:
-        """Post a receive; returns a :class:`Request` immediately."""
-        if max_bytes < 0:
+        """Post a receive; returns a :class:`Request` immediately.
+
+        ``max_bytes`` bounds the message accepted (``None``: any size); it
+        reserves nothing — the user buffer exists once an envelope has
+        matched (:meth:`_bind`)."""
+        if max_bytes is not None and max_bytes < 0:
             raise MpiError(f"negative receive size {max_bytes}")
         yield from self.cpu.execute(self.costs.recv_overhead_ns)
-        request = Request("recv")
+        posted = PostedRecv(context, source, tag, max_bytes, Request("recv"))
         # Unexpected queue first (FIFO — preserves non-overtaking).
         index = self._find_unexpected(context, source, tag)
         if index is not None:
             yield from self._complete_from_unexpected(
-                self.unexpected.pop(index), request, max_bytes)
-            return request
-        self.posted.append(PostedRecv(
-            context, source, tag,
-            Buffer(max_bytes, name=f"mpi.recv[{self.rank}]"), request))
-        return request
+                self.unexpected.pop(index), posted)
+        else:
+            self.posted.append(posted)
+        return posted.request
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
-             max_bytes: int = 1 << 20, context: int = 0) -> Generator:
+             max_bytes: Optional[int] = None, context: int = 0) -> Generator:
         """Blocking receive; returns ``(data, Status)``."""
         obs = self.env.obs
         t0 = self.env.now
@@ -487,7 +490,7 @@ class MpiEngine:
     def _take_posted(self, env: Envelope) -> Optional[PostedRecv]:
         """Find-and-remove the receive ``env`` lands in: the one its RTS
         was matched to (rendezvous data), else the first posted match —
-        None means unexpected.  Too small a receive is a truncation."""
+        None means unexpected."""
         if env.kind == KIND_RENDEZVOUS_DATA:
             posted = self._rdv_posted.pop((env.src_rank, env.serial), None)
             if posted is None:
@@ -495,19 +498,25 @@ class MpiEngine:
                     f"rank {self.rank}: rendezvous data with no matched "
                     f"receive (src {env.src_rank}, serial {env.serial})"
                 )
-        else:
-            for index, posted in enumerate(self.posted):
-                if _matches(posted.context, posted.source, posted.tag, env):
-                    del self.posted[index]
-                    break
-            else:
-                return None
-        if env.size > posted.buf.size:
+            return posted
+        for index, posted in enumerate(self.posted):
+            if _matches(posted.context, posted.source, posted.tag, env):
+                del self.posted[index]
+                return self._bind(posted, env)
+        return None
+
+    def _bind(self, posted: PostedRecv, env: Envelope) -> PostedRecv:
+        """``env`` has met its receive — posted or late, eager or the RTS
+        of a rendezvous: only now is there a size, so only now is there a
+        user buffer (the paper's point: choose the destination after the
+        header).  A message past the receive's bound is a truncation."""
+        if posted.max_bytes is not None and env.size > posted.max_bytes:
             raise MpiError(
                 f"rank {self.rank}: message of {env.size} bytes truncates "
-                f"receive posted for {posted.buf.size} "
+                f"receive posted for {posted.max_bytes} "
                 f"(source {env.src_rank}, tag {env.tag})"
             )
+        posted.buf = Buffer(env.size, name=f"mpi.recv[{self.rank}]")
         return posted
 
     def _complete(self, posted: PostedRecv, env: Envelope) -> None:
@@ -543,30 +552,22 @@ class MpiEngine:
         self._cts_outbox.append((rts.src_rank, cts))
 
     # -- completing a receive from the unexpected queue ------------------------------------
-    def _complete_from_unexpected(self, entry: UnexpectedMsg, request: Request,
-                                  max_bytes: int) -> Generator:
+    def _complete_from_unexpected(self, entry: UnexpectedMsg,
+                                  posted: PostedRecv) -> Generator:
         env = entry.envelope
-        if env.size > max_bytes:
-            raise MpiError(
-                f"rank {self.rank}: unexpected message of {env.size} bytes "
-                f"truncates receive of {max_bytes}"
-            )
-        user_buf = Buffer(max_bytes, name=f"mpi.recv[{self.rank}]")
+        self._bind(posted, env)
         if entry.data_buf is None:
-            # Late match of a rendezvous: adopt a posted slot and ask for
-            # (or, next progress pass, pull) the data.
-            self._grant(PostedRecv(env.context, env.src_rank, env.tag,
-                                   user_buf, request), env, entry.rkey)
+            # Late match of a rendezvous: ask for (or, next progress pass,
+            # pull) the data.
+            self._grant(posted, env, entry.rkey)
             return
         yield from self.cpu.execute(self.costs.match_ns)
         if env.size:
             # Pool (or spill) buffer -> user buffer at MPI_Recv time.
-            yield from self.cpu.memcpy(entry.data_buf, 0, user_buf, 0, env.size,
+            yield from self.cpu.memcpy(entry.data_buf, 0, posted.buf, 0,
+                                       env.size,
                                        label=f"{self.binding.label}.deliver")
-        request.finish(
-            Status(source=env.src_rank, tag=env.tag, count=env.size),
-            data=user_buf.read(0, env.size),
-        )
+        self._complete(posted, env)
 
     # -- misc ------------------------------------------------------------------------
     def _check_peer(self, dest: int, tag: int) -> None:

@@ -12,7 +12,9 @@ A spec file is a JSON object of :class:`~repro.workloads.runner.Scenario`
 fields (``name`` required, everything else defaulted).  Reports are
 deterministic JSON (sorted keys, canonical separators): the same spec
 produces byte-identical output on every run, so reports can be committed
-and diffed.
+and diffed.  ``-o R.json`` also writes ``R.runinfo.json`` — wall seconds,
+event counts, peak RSS, versions: the run's health on *this* host, so never
+compared and never part of the report.
 
 ``--nic-stall NODE:START:END:EXTRA_NS`` (repeatable) composes a
 deterministic :class:`~repro.faults.plan.FaultPlan` of NIC firmware
@@ -28,10 +30,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import platform
+import resource
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
+
+import numpy
 
 from repro.obs.export import dumps_deterministic, export_trace, trace_events, \
     validate_trace_events
@@ -157,13 +164,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             plan = PRESET_PLANS[opts.preset]
     except ValueError as exc:
         parser.error(str(exc))
+    started = time.perf_counter()
     outcome = execute_scenario(scenario, plan=plan, observe=observe)
+    wall_s = time.perf_counter() - started
     if opts.trace is not None:
         validate_trace_events(trace_events(outcome.observer.spans))
         print(export_trace(outcome.observer, opts.trace), file=sys.stderr)
     text = dumps_deterministic(outcome.report)
     if opts.out is not None:
-        Path(opts.out).write_text(text)
+        out = Path(opts.out)
+        out.write_text(text)
+        env = outcome.cluster.env
+        out.with_suffix(".runinfo.json").write_text(json.dumps({
+            "wall_s": round(wall_s, 3),
+            "scheduled_events": env.scheduled_events,
+            "elided": env.elided,
+            "ru_maxrss": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+        }, indent=1, sort_keys=True) + "\n")
         print(opts.out)
     else:
         print(text)

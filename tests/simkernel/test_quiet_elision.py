@@ -16,7 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.simkernel import Environment, Interrupt, Resource, Store
 from repro.simkernel.errors import SimulationError
-from repro.simkernel.resources import Mutex
+from repro.simkernel.events import Timeout
+from repro.simkernel.resources import Mutex, Request
 from repro.simkernel.store import EMPTY
 
 from tests._elision import elision_declined
@@ -41,9 +42,10 @@ MODELS = st.fixed_dictionaries({
 })
 
 
-def simulate(model):
+def simulate(model, tokens=None):
     """Run one model; returns ``(log, env)``, the log being every model
-    action as ``(time, actor, action, detail)`` in execution order."""
+    action as ``(time, actor, action, detail)`` in execution order.
+    ``tokens`` collects the type of what each ``acquire()`` returned."""
     env = Environment()
     resources = [Resource(env, capacity=c) for c in model["resources"]]
     stores = [Store(env, capacity=c) for c in model["stores"]]
@@ -56,6 +58,8 @@ def simulate(model):
                 if kind == "hold":
                     resource = resources[which % len(resources)]
                     req = resource.acquire()
+                    if tokens is not None:
+                        tokens.append(type(req))
                     try:
                         if req is not None:
                             yield req
@@ -138,6 +142,24 @@ def test_the_property_exercises_the_fast_path():
     assert env.elided == 3
 
 
+def test_the_property_exercises_every_acquire_outcome():
+    """Three processes start on one nanosecond and want one lock: the
+    first finds it free at an instant that is not quiet, the others find
+    it busy; once they are through, the first comes back alone."""
+    model = {"resources": [1], "stores": [1], "driver": "run",
+             "programs": [[("hold", 0, 5), ("sleep", 0, 5), ("hold", 0, 1)],
+                          [("hold", 0, 2)],
+                          [("hold", 0, 2)]]}
+    tokens = []
+    _log, env = simulate(model, tokens)
+    assert tokens == [Timeout, Request, Request, type(None)]
+    assert env.elided == 1
+    with elision_declined():
+        tokens.clear()
+        simulate(model, tokens)
+    assert tokens == [Request] * 4
+
+
 # -- unit pins --------------------------------------------------------------------
 def hold(env, resource, duration, log=None):
     req = resource.acquire()
@@ -190,6 +212,7 @@ class TestInlineHolds:
         req = lock.acquire()
         assert req is not None and req.triggered and env.elided == 0
         lock.release(req)
+        assert not lock.locked()
 
     def test_releasing_a_hold_never_taken_is_an_error(self, env):
         with pytest.raises(SimulationError, match="no inline hold"):
@@ -217,6 +240,63 @@ class TestInlineHolds:
         lock = Mutex(env)
         body = hold(env, lock, 100)
         next(body)                             # now parked on the timeout
+        assert lock.locked()
+        body.close()                           # GeneratorExit at the yield
+        assert not lock.locked()
+
+
+class TestFreeButNotQuiet:
+    """A free slot at an instant with other events runnable: the slot is
+    taken inline, the caller waits its turn on a zero-delay timeout."""
+
+    @pytest.fixture
+    def busy_env(self, env):
+        env.timeout(0)                         # something else runs now
+        assert not env.quiet
+        return env
+
+    def test_the_token_is_a_timeout_and_no_request_is_made(self, busy_env,
+                                                           monkeypatch):
+        lock = Mutex(busy_env)
+        monkeypatch.setattr(Resource, "request", None)      # would raise
+        before = busy_env.scheduled_events
+        token = lock.acquire()
+        assert type(token) is Timeout and token.triggered
+        assert busy_env.scheduled_events == before + 1      # the grant's slot
+        assert busy_env.elided == 0
+
+    def test_it_counts_as_a_holder(self, busy_env):
+        pool = Resource(busy_env, capacity=2)
+        first, second = pool.acquire(), pool.acquire()
+        assert type(first) is Timeout and type(second) is Timeout
+        assert pool.count == 2
+        third = pool.acquire()                 # full: a queued Request
+        assert type(third) is Request and not third.triggered
+        pool.release(first)
+        assert pool.count == 2 and third.triggered and pool.queued == 0
+
+    def test_interrupted_holder_releases(self, busy_env):
+        lock = Mutex(busy_env)
+        outcome = []
+
+        def victim():
+            try:
+                yield from hold(busy_env, lock, 100, outcome)
+            except Interrupt:
+                outcome.append("interrupted")
+
+        target = busy_env.process(victim())
+        busy_env.timeout(0)                    # still runnable at its start
+        busy_env.run_steps(2)                  # the fixture's, then the start
+        assert lock.locked() and outcome == []  # parked on the token
+        target.interrupt()                     # lands behind it, mid-hold
+        busy_env.run()
+        assert outcome == [0, "interrupted"] and not lock.locked()
+
+    def test_closed_holder_releases(self, busy_env):
+        lock = Mutex(busy_env)
+        body = hold(busy_env, lock, 100)
+        assert type(next(body)) is Timeout     # parked on the token
         assert lock.locked()
         body.close()                           # GeneratorExit at the yield
         assert not lock.locked()

@@ -1,9 +1,11 @@
 """Resources: mutual exclusion, FIFO/priority grant order, release."""
 
+import gc
+
 import pytest
 
 from repro.simkernel import Environment, PriorityResource, Resource
-from repro.simkernel.resources import Mutex, held_by_anyone
+from repro.simkernel.resources import Mutex, Request, held_by_anyone
 
 
 def hold(env, resource, log, name, duration, priority=None):
@@ -88,6 +90,27 @@ class TestResource:
         resource.request()
         assert resource.count == 1
         assert resource.queued == 2
+
+    def test_a_released_request_is_freed_by_refcount(self, env):
+        """``run()`` pauses the cyclic collector, so a grant that made the
+        request its own value (a cycle) lived until the run ended."""
+        resource = Resource(env)
+
+        def contender():
+            for _ in range(3):
+                yield from hold(env, resource, [], "x", 5)
+
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(4):
+                env.process(contender())
+            env.run()
+            assert resource.count == 0 and resource.queued == 0
+            assert not [obj for obj in gc.get_objects()
+                        if isinstance(obj, Request)]
+        finally:
+            gc.enable()
 
     def test_held_by_anyone_helper(self, env):
         resource = Resource(env)

@@ -106,6 +106,30 @@ class TestAllreduce:
             assert np.allclose(value, expected)
 
 
+@pytest.mark.parametrize("n_ranks", [2, 3])
+class TestPastOneMebibyte:
+    """Collectives receive with no bound: ``recv`` used to default to
+    1 MiB, so these died with "truncates receive posted for 1048576"."""
+
+    def test_allreduce(self, n_ranks):
+        def body(rank, comm, node):
+            local = np.full((1 << 19) + 4, rank + 1, np.float32)
+            result = yield from comm.allreduce(local)
+            return result
+        results = run_collective(n_ranks, body)
+        total = sum(range(1, n_ranks + 1))
+        for value in results.values():
+            assert value.nbytes == (2 << 20) + 16 and (value == total).all()
+
+    def test_bcast(self, n_ranks):
+        payload = bytes(range(256)) * (1 << 13) + b"sixteen more !!!"
+        def body(rank, comm, node):
+            result = yield from comm.bcast(payload if rank == 0 else None)
+            return result
+        results = run_collective(n_ranks, body)
+        assert all(value == payload for value in results.values())
+
+
 @pytest.mark.parametrize("n_ranks", [2, 4])
 @pytest.mark.parametrize("root", [0, 1])
 class TestGatherScatter:
