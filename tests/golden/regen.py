@@ -16,6 +16,10 @@ receive path itself, below any scenario: every binding and ablation ×
 payload sizes on both sides of the eager threshold × four receive modes,
 each entry the finish time, event counts, engine stats and per-node copy
 bytes of a four-message exchange (see :func:`mpi_binding_entry`).
+``paper.figures.json`` pins the paper's evaluation exactly (the bands under
+``benchmarks/`` are +-15 %): the text table of every figure ``python -m
+repro.bench.regen`` prints, the series behind the six curve figures at
+4 dp, and the ``latency_vs_hops`` rows.
 
 The rule these files exist for: *unchanged means matches golden; an
 intentional re-baseline is a reviewable diff of this directory.*
@@ -35,6 +39,9 @@ import json
 import sys
 from pathlib import Path
 
+from repro.bench.export import FIGURE_SERIES
+from repro.bench.extensions import latency_vs_hops
+from repro.bench.regen import FIGURES
 from repro.cluster import Cluster
 from repro.configs import PPRO_FM2, SPARC_FM1
 from repro.obs.export import dumps_deterministic, trace_events
@@ -73,6 +80,9 @@ MPI_MESSAGES = 4
 #: Bindings whose ``CopyMeter`` labels are pinned by tests/upper/mpi; the
 #: ablations' labels are their own business, so only their totals are held.
 MPI_LABELLED = ("fm1", "fm2", "rdma")
+
+#: The golden pinning the paper's figures (see :func:`paper_figures_text`).
+PAPER_FIGURES = "paper.figures"
 
 
 def cases() -> dict:
@@ -206,8 +216,25 @@ def mpi_bindings_text() -> str:
                                 for binding in MPI_BINDING_CASES})
 
 
+def paper_figures_text() -> str:
+    """The canonical ``paper.figures.json``: per figure the exact ``table``
+    text and, for the curve figures, ``series`` — each curve's MB/s values
+    at 4 dp, keyed by position so a relabelled series is not a drift —
+    plus the extension table ``latency_vs_hops``."""
+    figures = {}
+    for name, figure in FIGURES.items():
+        figures[name] = {"table": figure()}
+        if name in FIGURE_SERIES:
+            figures[name]["series"] = [
+                [round(mbs, 4) for mbs in sweep.bandwidths_mbs]
+                for sweep in FIGURE_SERIES[name]()]
+    return dumps_deterministic({"figures": figures,
+                                "latency_vs_hops": latency_vs_hops()})
+
+
 #: Goldens that are not one scenario's report: ``{name: fresh text}``.
-DERIVED = {OBS_DIGESTS: obs_digests_text, MPI_BINDINGS: mpi_bindings_text}
+DERIVED = {OBS_DIGESTS: obs_digests_text, MPI_BINDINGS: mpi_bindings_text,
+           PAPER_FIGURES: paper_figures_text}
 
 
 def main(argv=None) -> int:

@@ -7,7 +7,8 @@ re-baseline shows up as a reviewable diff of ``tests/golden/*.json``
 files — attaching one may not move a report byte — and what they export
 (trace events, metrics) is pinned by digest in ``obs.digests.json``.
 ``mpi.bindings.json`` holds the MPI receive path of every binding and
-ablation to the nanosecond, event and copied byte.
+ablation to the nanosecond, event and copied byte, and
+``paper.figures.json`` every figure of the paper to the printed digit.
 """
 
 import json
@@ -42,6 +43,11 @@ def test_observed_export_matches_golden_digest(name):
 def test_mpi_binding_matches_golden(binding):
     golden = json.loads(regen.golden_text(regen.MPI_BINDINGS))
     assert regen.mpi_binding_entries(binding) == golden[binding]
+
+
+def test_paper_figures_match_golden():
+    assert regen.paper_figures_text() == regen.golden_text(
+        regen.PAPER_FIGURES)
 
 
 def test_every_case_has_a_golden_and_every_golden_a_case():
