@@ -41,6 +41,7 @@ class TestDataflowSmoke:
         assert results["latency"]["p50_ns"] > 0
         assert results["throughput_rps"] > 0
         assert results["stages"] and results["edges"]
+        assert all(edge["messages"] >= 1 for edge in results["edges"])
         assert report["scenario"]["name"] == preset
         assert report["scenario"]["pipeline"] in ("rollup",
                                                   "scatter_gather")

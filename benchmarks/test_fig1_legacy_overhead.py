@@ -9,36 +9,16 @@ under 8 MB/s — the motivation for a low-overhead messaging layer.
 import pytest
 
 from conftest import run_once
-from repro.bench.report import curve_table
-from repro.bench.sweeps import SweepResult
-from repro.legacy import (
-    ETHERNET_100MBIT,
-    ETHERNET_1GBIT,
-    FixedOverheadStack,
-    theoretical_bandwidth_mbs,
-)
-
-SIZES = [8, 16, 32, 64, 128, 256, 512, 1024]
+from repro.bench.figures import FIGURES
 
 
 def test_fig1_legacy_bandwidth_curves(benchmark, show):
-    def regenerate():
-        mbit = [theoretical_bandwidth_mbs(s, ETHERNET_100MBIT) for s in SIZES]
-        gbit = [theoretical_bandwidth_mbs(s, ETHERNET_1GBIT) for s in SIZES]
-        # Also exercise the simulated stack at a few sizes as a cross-check.
-        sim = [FixedOverheadStack(ETHERNET_1GBIT).measure_bandwidth_mbs(s)
-               for s in (8, 256, 1024)]
-        return mbit, gbit, sim
-
-    mbit, gbit, sim = run_once(benchmark, regenerate)
-    show(curve_table(
-        "Figure 1 — legacy stack bandwidth, 125 us/packet overhead",
-        [SweepResult("100 Mbit/s", SIZES, mbit),
-         SweepResult("1 Gbit/s", SIZES, gbit)],
-    ))
+    result = run_once(benchmark, FIGURES["fig1"])
+    show(result.table)
+    mbit, gbit = (curve.bandwidths_mbs for curve in result.curves)
 
     # Shape: short messages are overhead-bound on both wires.
-    for i, size in enumerate(SIZES):
+    for i, size in enumerate(result.curves[0].sizes):
         if size <= 256:
             assert gbit[i] / mbit[i] < 1.2
             assert gbit[i] < 2.1
@@ -46,4 +26,5 @@ def test_fig1_legacy_bandwidth_curves(benchmark, show):
     assert gbit[-1] == pytest.approx(7.7, rel=0.05)
     assert mbit[-1] == pytest.approx(4.95, rel=0.05)
     # Simulated pipeline agrees with the analytic curve.
-    assert sim[2] == pytest.approx(gbit[-1], rel=0.10)
+    assert result.values["simulated_1gbit_1024_mbs"] == pytest.approx(
+        gbit[-1], rel=0.10)

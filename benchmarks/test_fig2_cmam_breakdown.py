@@ -9,41 +9,25 @@ of messaging cost is the software bridging network/application semantics.
 """
 
 from conftest import run_once
-from repro.bench.report import bar_table
-from repro.cmam import COMPONENTS, CmamCostModel, SequenceKind, Side
-
-GROUPS = [
-    ("finite/src", SequenceKind.FINITE, Side.SRC),
-    ("finite/dest", SequenceKind.FINITE, Side.DEST),
-    ("finite/total", SequenceKind.FINITE, Side.TOTAL),
-    ("indef/total", SequenceKind.INDEFINITE, Side.TOTAL),
-    ("indef/dest", SequenceKind.INDEFINITE, Side.DEST),
-    ("indef/src", SequenceKind.INDEFINITE, Side.SRC),
-]
+from repro.bench.figures import FIGURES
 
 
 def test_fig2_cmam_overhead_breakdown(benchmark, show):
-    def regenerate():
-        model = CmamCostModel(message_words=16, packet_words=4)
-        values = {}
-        for label, seq, side in GROUPS:
-            for component, cycles in model.breakdown(side, seq).items():
-                values[(component, label)] = float(cycles)
-        return model, values
-
-    model, values = run_once(benchmark, regenerate)
-    show(bar_table("Figure 2 — CMAM overhead breakdown (cycles)",
-                   [g for g, _s, _d in GROUPS], list(COMPONENTS), values))
+    result = run_once(benchmark, FIGURES["fig2"])
+    show(result.table)
+    cycles = result.values     # "<sequence>/<side>/<component or TOTAL>"
 
     # Anchors from the paper's text.
-    assert model.total() == 397
-    assert model.cycles("buffer_mgmt") == 148
-    assert model.cycles("in_order") == 21
-    assert model.cycles("fault_tolerance") == 47
-    assert model.guarantee_cycles() == 216
+    assert cycles["finite/total/TOTAL"] == 397
+    assert cycles["finite/total/buffer_mgmt"] == 148
+    assert cycles["finite/total/in_order"] == 21
+    assert cycles["finite/total/fault_tolerance"] == 47
+    assert cycles["finite/total/TOTAL"] - cycles["finite/total/base"] == 216
     # Figure shape: indefinite-sequence bars are taller, dest > src,
     # and the guarantee share sits in the 50-70% band for both protocols.
-    assert model.total(sequence=SequenceKind.INDEFINITE) > model.total()
-    assert model.total(Side.DEST) > model.total(Side.SRC)
-    for seq in SequenceKind:
-        assert 0.50 <= model.guarantee_fraction(sequence=seq) <= 0.70
+    assert cycles["indef/total/TOTAL"] > cycles["finite/total/TOTAL"]
+    assert cycles["finite/dest/TOTAL"] > cycles["finite/src/TOTAL"]
+    for sequence in ("finite", "indef"):
+        total = cycles[f"{sequence}/total/TOTAL"]
+        guarantees = total - cycles[f"{sequence}/total/base"]
+        assert 0.50 <= guarantees / total <= 0.70

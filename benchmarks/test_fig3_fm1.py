@@ -9,22 +9,13 @@
 import pytest
 
 from conftest import run_once
-from repro.bench.breakdown import breakdown_sweep
-from repro.bench.microbench import fm_pingpong_latency_us
-from repro.bench.nhalf import n_half
-from repro.bench.report import HeadlineRow, curve_table, headline_table
-from repro.bench.sweeps import FIG3_SIZES, bandwidth_sweep
-from repro.cluster import Cluster
-from repro.configs import SPARC_FM1
+from repro.bench.figures import FIGURES, PAPER
 
 
 def test_fig3a_overhead_breakdown(benchmark, show):
-    def regenerate():
-        return breakdown_sweep(SPARC_FM1, FIG3_SIZES, n_messages=40)
-
-    link, bus, flow = run_once(benchmark, regenerate)
-    show(curve_table("Figure 3(a) — FM 1.x overhead breakdown",
-                     [link, bus, flow]))
+    result = run_once(benchmark, FIGURES["fig3a"])
+    show(result.table)
+    link, bus, flow = result.curves
 
     # Shape claims: the bus crossing costs most of the link bandwidth
     # (paper: ~60 -> ~20 MB/s at 512 B); flow control, properly designed,
@@ -37,23 +28,9 @@ def test_fig3a_overhead_breakdown(benchmark, show):
 
 
 def test_fig3b_fm1_overall(benchmark, show):
-    def regenerate():
-        sweep = bandwidth_sweep(SPARC_FM1, 1, FIG3_SIZES, n_messages=40,
-                                label="FM 1.x")
-        latency = fm_pingpong_latency_us(Cluster(2, SPARC_FM1, 1), 16,
-                                         iterations=15)
-        return sweep, latency
-
-    sweep, latency = run_once(benchmark, regenerate)
-    measured_nhalf = n_half(sweep.sizes, sweep.bandwidths_mbs)
-    show(curve_table("Figure 3(b) — FM 1.x overall performance", [sweep]))
-    show(headline_table("FM 1.x headline metrics", [
-        HeadlineRow("one-way latency (16 B)", "14 us", f"{latency:.1f} us"),
-        HeadlineRow("peak bandwidth", "17.6 MB/s",
-                    f"{sweep.peak_mbs:.1f} MB/s"),
-        HeadlineRow("N-half", "54 B", f"{measured_nhalf:.0f} B"),
-    ]))
-
-    assert latency == pytest.approx(14.0, rel=0.15)
-    assert sweep.peak_mbs == pytest.approx(17.6, rel=0.15)
-    assert measured_nhalf == pytest.approx(54, rel=0.30)
+    result = run_once(benchmark, FIGURES["fig3b"])
+    show(result.table)
+    for key, tolerance in (("fm1_latency_us", 0.15), ("fm1_peak_mbs", 0.15),
+                           ("fm1_n_half_bytes", 0.30)):
+        assert result.values[key] == pytest.approx(PAPER[key].value,
+                                                   rel=tolerance), key

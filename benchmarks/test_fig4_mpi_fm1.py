@@ -7,32 +7,14 @@ interface copies (send assembly; staging -> pool -> user on receive) and
 the lack of receiver pacing (pool overruns force spill copies).
 """
 
-import pytest
-
 from conftest import run_once
-from repro.bench.mpibench import mpi_stream
-from repro.bench.report import curve_table, efficiency_table
-from repro.bench.sweeps import FIG456_SIZES, SweepResult, bandwidth_sweep
-from repro.cluster import Cluster
-from repro.configs import SPARC_FM1
+from repro.bench.figures import FIGURES
 
 
 def test_fig4_mpi_fm1_efficiency(benchmark, show):
-    def regenerate():
-        fm = bandwidth_sweep(SPARC_FM1, 1, FIG456_SIZES, n_messages=40,
-                             label="FM 1.x")
-        mpi_bandwidths = []
-        for size in FIG456_SIZES:
-            cluster = Cluster(2, SPARC_FM1, 1)
-            mpi_bandwidths.append(
-                mpi_stream(cluster, size, n_messages=30).bandwidth_mbs)
-        mpi = SweepResult("MPI-FM 1.x", list(FIG456_SIZES), mpi_bandwidths)
-        return fm, mpi
-
-    fm, mpi = run_once(benchmark, regenerate)
-    show(curve_table("Figure 4(a) — MPI-FM 1.x vs FM 1.x (absolute)",
-                     [fm, mpi]))
-    show(efficiency_table("Figure 4(b) — MPI-FM 1.x efficiency", mpi, fm))
+    result = run_once(benchmark, FIGURES["fig4"])
+    show(result.table)
+    fm, mpi = result.curves
 
     efficiencies = [m / f for m, f in zip(mpi.bandwidths_mbs, fm.bandwidths_mbs)]
     # The paper's bands: never above ~35-45%, around 20% for short messages.

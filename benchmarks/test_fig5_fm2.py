@@ -8,40 +8,22 @@ improvement over FM 1.x.
 import pytest
 
 from conftest import run_once
-from repro.bench.microbench import fm_pingpong_latency_us
-from repro.bench.nhalf import n_half
-from repro.bench.report import HeadlineRow, curve_table, headline_table
-from repro.bench.sweeps import FIG456_SIZES, bandwidth_sweep
-from repro.cluster import Cluster
-from repro.configs import PPRO_FM2, SPARC_FM1
+from repro.bench.figures import FIGURES, PAPER
 
 
 def test_fig5_fm2_performance(benchmark, show):
-    def regenerate():
-        sweep = bandwidth_sweep(PPRO_FM2, 2, FIG456_SIZES, n_messages=40,
-                                label="FM 2.1")
-        latency = fm_pingpong_latency_us(Cluster(2, PPRO_FM2, 2), 16,
-                                         iterations=15)
-        fm1_peak = bandwidth_sweep(SPARC_FM1, 1, (256, 512), n_messages=40,
-                                   label="FM 1.x").peak_mbs
-        return sweep, latency, fm1_peak
+    result = run_once(benchmark, FIGURES["fig5"])
+    show(result.table)
+    measured = result.values
+    (sweep,) = result.curves
 
-    sweep, latency, fm1_peak = run_once(benchmark, regenerate)
-    measured_nhalf = n_half(sweep.sizes, sweep.bandwidths_mbs)
-    show(curve_table("Figure 5 — FM 2.1 on a 200 MHz PPro", [sweep]))
-    show(headline_table("FM 2.x headline metrics", [
-        HeadlineRow("one-way latency (16 B)", "11 us", f"{latency:.1f} us"),
-        HeadlineRow("peak bandwidth", "77 MB/s", f"{sweep.peak_mbs:.1f} MB/s"),
-        HeadlineRow("N-half", "< 256 B", f"{measured_nhalf:.0f} B"),
-        HeadlineRow("speedup over FM 1.x", "~4x",
-                    f"{sweep.peak_mbs / fm1_peak:.1f}x"),
-    ]))
-
-    assert latency == pytest.approx(11.0, rel=0.15)
-    assert sweep.peak_mbs == pytest.approx(77.0, rel=0.15)
-    assert measured_nhalf < 256
-    # §1: "nearly fourfold increase of absolute performance".
-    assert 3.5 <= sweep.peak_mbs / fm1_peak <= 5.0
+    for key in ("fm2_latency_us", "fm2_peak_mbs"):
+        assert measured[key] == pytest.approx(PAPER[key].value, rel=0.15), key
+    assert measured["fm2_n_half_bytes"] < PAPER["fm2_n_half_bytes"].value
+    # §1: "nearly fourfold increase of absolute performance" — over the
+    # FM 1.x peak Figure 3(b) measures.
+    fm1_peak = FIGURES["fig3b"]().values["fm1_peak_mbs"]
+    assert 3.5 <= measured["fm2_peak_mbs"] / fm1_peak <= 5.0
     # Rapid growth of the bandwidth curve (§4.2): half power well before
     # one packet, then a steady climb to the peak at 2 KB.
     assert sweep.bandwidths_mbs == sorted(sweep.bandwidths_mbs)

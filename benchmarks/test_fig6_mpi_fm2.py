@@ -10,44 +10,18 @@ FM_extract(bytes) prevents buffer-pool overruns.
 import pytest
 
 from conftest import run_once
-from repro.bench.mpibench import mpi_pingpong_latency_us, mpi_stream
-from repro.bench.report import HeadlineRow, curve_table, efficiency_table, headline_table
-from repro.bench.sweeps import FIG456_SIZES, SweepResult, bandwidth_sweep
-from repro.cluster import Cluster
-from repro.configs import PPRO_FM2
+from repro.bench.figures import FIGURES, PAPER
 
 
 def test_fig6_mpi_fm2_efficiency(benchmark, show):
-    def regenerate():
-        fm = bandwidth_sweep(PPRO_FM2, 2, FIG456_SIZES, n_messages=40,
-                             label="FM 2.0")
-        mpi_bandwidths = []
-        for size in FIG456_SIZES:
-            cluster = Cluster(2, PPRO_FM2, 2)
-            mpi_bandwidths.append(
-                mpi_stream(cluster, size, n_messages=30).bandwidth_mbs)
-        mpi = SweepResult("MPI-FM 2.0", list(FIG456_SIZES), mpi_bandwidths)
-        latency = mpi_pingpong_latency_us(Cluster(2, PPRO_FM2, 2), 16,
-                                          iterations=12)
-        return fm, mpi, latency
-
-    fm, mpi, latency = run_once(benchmark, regenerate)
-    show(curve_table("Figure 6(a) — MPI-FM 2.0 vs FM 2.0 (absolute)",
-                     [fm, mpi]))
-    show(efficiency_table("Figure 6(b) — MPI-FM 2.0 efficiency", mpi, fm))
-    show(headline_table("MPI-FM 2.x headline metrics", [
-        HeadlineRow("one-way latency (16 B)", "17 us", f"{latency:.1f} us",
-                    "lean MPI layer"),
-        HeadlineRow("peak bandwidth", "70 MB/s", f"{mpi.peak_mbs:.1f} MB/s"),
-        HeadlineRow("efficiency @ 16 B", ">= 70%",
-                    f"{100 * mpi.at(16) / fm.at(16):.0f}%"),
-        HeadlineRow("efficiency @ 2 KB", "~90%",
-                    f"{100 * mpi.at(2048) / fm.at(2048):.0f}%"),
-    ]))
+    result = run_once(benchmark, FIGURES["fig6"])
+    show(result.table)
+    fm, mpi = result.curves
 
     efficiencies = [m / f for m, f in zip(mpi.bandwidths_mbs, fm.bandwidths_mbs)]
-    assert mpi.peak_mbs == pytest.approx(70.0, rel=0.15)
-    assert 12.0 <= latency <= 19.6
+    assert mpi.peak_mbs == pytest.approx(PAPER["mpi2_peak_mbs"].value,
+                                         rel=0.15)
+    assert 12.0 <= result.values["mpi2_latency_us"] <= 19.6
     # The abstract's band: 70-90% delivered to MPI across the size range.
     assert 0.62 <= efficiencies[0] <= 0.80
     assert efficiencies[-1] >= 0.85

@@ -5,71 +5,19 @@ table, paper vs measured (the machine-readable version of EXPERIMENTS.md).
 import pytest
 
 from conftest import run_once
-from repro.bench.microbench import fm_pingpong_latency_us, fm_stream_bandwidth_mbs
-from repro.bench.mpibench import mpi_pingpong_latency_us, mpi_stream_bandwidth_mbs
-from repro.bench.nhalf import n_half
-from repro.bench.report import HeadlineRow, headline_table
-from repro.cluster import Cluster
-from repro.configs import PPRO_FM2, SPARC_FM1
-
-SIZES = (16, 32, 64, 128, 256, 512, 1024, 2048)
+from repro.bench.figures import FIGURES, PAPER
 
 
 def test_headline_summary(benchmark, show):
-    def regenerate():
-        fm1_curve = [fm_stream_bandwidth_mbs(Cluster(2, SPARC_FM1, 1), s, 40)
-                     for s in SIZES]
-        fm2_curve = [fm_stream_bandwidth_mbs(Cluster(2, PPRO_FM2, 2), s, 40)
-                     for s in SIZES]
-        mpi2_curve = [mpi_stream_bandwidth_mbs(Cluster(2, PPRO_FM2, 2), s, 30)
-                      for s in SIZES]
-        return {
-            "fm1_latency": fm_pingpong_latency_us(Cluster(2, SPARC_FM1, 1),
-                                                  16, iterations=15),
-            "fm2_latency": fm_pingpong_latency_us(Cluster(2, PPRO_FM2, 2),
-                                                  16, iterations=15),
-            "mpi2_latency": mpi_pingpong_latency_us(Cluster(2, PPRO_FM2, 2),
-                                                    16, iterations=12),
-            "fm1_peak": max(fm1_curve),
-            "fm2_peak": max(fm2_curve),
-            "mpi2_peak": max(mpi2_curve),
-            "fm1_nhalf": n_half(list(SIZES[:6]), fm1_curve[:6]),
-            "fm2_nhalf": n_half(list(SIZES), fm2_curve),
-            "eff16": mpi2_curve[0] / fm2_curve[0],
-            "eff2048": mpi2_curve[-1] / fm2_curve[-1],
-        }
+    result = run_once(benchmark, FIGURES["scorecard"])
+    show(result.table)
+    m = result.values
 
-    m = run_once(benchmark, regenerate)
-
-    def pct(measured, paper):
-        return f"{100 * (measured - paper) / paper:+.0f}%"
-
-    show(headline_table("Reproduction scorecard — paper vs measured", [
-        HeadlineRow("FM 1.x latency", "14 us", f"{m['fm1_latency']:.1f} us",
-                    pct(m["fm1_latency"], 14)),
-        HeadlineRow("FM 1.x peak BW", "17.6 MB/s", f"{m['fm1_peak']:.1f}",
-                    pct(m["fm1_peak"], 17.6)),
-        HeadlineRow("FM 1.x N-half", "54 B", f"{m['fm1_nhalf']:.0f} B",
-                    pct(m["fm1_nhalf"], 54)),
-        HeadlineRow("FM 2.x latency", "11 us", f"{m['fm2_latency']:.1f} us",
-                    pct(m["fm2_latency"], 11)),
-        HeadlineRow("FM 2.x peak BW", "77 MB/s", f"{m['fm2_peak']:.1f}",
-                    pct(m["fm2_peak"], 77)),
-        HeadlineRow("FM 2.x N-half", "< 256 B", f"{m['fm2_nhalf']:.0f} B"),
-        HeadlineRow("MPI-FM 2.x latency", "17 us", f"{m['mpi2_latency']:.1f} us",
-                    pct(m["mpi2_latency"], 17)),
-        HeadlineRow("MPI-FM 2.x peak BW", "70 MB/s", f"{m['mpi2_peak']:.1f}",
-                    pct(m["mpi2_peak"], 70)),
-        HeadlineRow("MPI eff @ 16 B", "70%", f"{100 * m['eff16']:.0f}%"),
-        HeadlineRow("MPI eff @ 2 KB", "~90%", f"{100 * m['eff2048']:.0f}%"),
-    ]))
-
-    assert m["fm1_latency"] == pytest.approx(14, rel=0.15)
-    assert m["fm1_peak"] == pytest.approx(17.6, rel=0.15)
-    assert m["fm1_nhalf"] == pytest.approx(54, rel=0.30)
-    assert m["fm2_latency"] == pytest.approx(11, rel=0.15)
-    assert m["fm2_peak"] == pytest.approx(77, rel=0.15)
-    assert m["fm2_nhalf"] < 256
-    assert m["mpi2_peak"] == pytest.approx(70, rel=0.15)
-    assert 0.62 <= m["eff16"] <= 0.80
-    assert m["eff2048"] >= 0.85
+    for key, tolerance in (("fm1_latency_us", 0.15), ("fm1_peak_mbs", 0.15),
+                           ("fm1_n_half_bytes", 0.30),
+                           ("fm2_latency_us", 0.15), ("fm2_peak_mbs", 0.15),
+                           ("mpi2_peak_mbs", 0.15)):
+        assert m[key] == pytest.approx(PAPER[key].value, rel=tolerance), key
+    assert m["fm2_n_half_bytes"] < PAPER["fm2_n_half_bytes"].value
+    assert 0.62 <= m["mpi2_eff_16"] <= 0.80
+    assert m["mpi2_eff_2048"] >= 0.85

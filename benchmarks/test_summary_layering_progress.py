@@ -6,33 +6,14 @@ One table, both generations side by side: the fraction of FM's bandwidth
 MPI extracts, per message size — the whole paper in eight rows.
 """
 
-import pytest
-
 from conftest import run_once
-from repro.bench.mpibench import mpi_stream
+from repro.bench.figures import FIGURES
 from repro.bench.report import efficiency_table
-from repro.bench.sweeps import FIG456_SIZES, SweepResult, bandwidth_sweep
-from repro.cluster import Cluster
-from repro.configs import PPRO_FM2, SPARC_FM1
-
-
-def measure_generation(machine, version: int):
-    fm = bandwidth_sweep(machine, version, FIG456_SIZES, n_messages=40,
-                         label=f"FM {version}.x")
-    mpi = SweepResult(f"MPI-FM {version}.x", list(FIG456_SIZES), [
-        mpi_stream(Cluster(2, machine, version), size, 30).bandwidth_mbs
-        for size in FIG456_SIZES])
-    return fm, mpi
 
 
 def test_summary_layering_progress(benchmark, show):
-    def regenerate():
-        return {
-            1: measure_generation(SPARC_FM1, 1),
-            2: measure_generation(PPRO_FM2, 2),
-        }
-
-    results = run_once(benchmark, regenerate)
+    results = run_once(benchmark, lambda: {1: FIGURES["fig4"]().curves,
+                                           2: FIGURES["fig6"]().curves})
     for version, (fm, mpi) in results.items():
         show(efficiency_table(
             f"Layering efficiency, generation {version} "

@@ -6,8 +6,13 @@
 * :mod:`~repro.bench.sweeps` — message-size sweeps producing the curves of
   Figures 3-6.
 * :mod:`~repro.bench.nhalf` — the half-power point (N-half) estimator.
-* :mod:`~repro.bench.report` — fixed-width tables comparing measured
-  values against the paper's.
+* :mod:`~repro.bench.figures` — the paper's figures, each defined once:
+  ``FIGURES[name]()`` -> table, curves, values; ``PAPER`` holds the
+  reference numbers.
+* :mod:`~repro.bench.report` — the renderers: fixed-width tables comparing
+  measured values against the paper's, CSV and JSON.
+* :mod:`~repro.bench.regen` — ``python -m repro.bench.regen [names]
+  [--csv DIR] [--json DIR]``.
 * :mod:`~repro.bench.calibration` — first-order analytic predictions used
   to calibrate ``repro.configs`` (documented in DESIGN.md §4).
 """

@@ -19,14 +19,14 @@ library); stage 3 is the real FM 1.x measurement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.hardware.packet import Packet, PacketFlags, PacketHeader
 from repro.hardware.params import MachineParams
 
-from repro.bench.microbench import IDLE_POLL_NS, fm_stream
-from repro.bench.sweeps import SweepResult
+from repro.bench.microbench import IDLE_POLL_NS
+from repro.bench.sweeps import SweepResult, bandwidth_sweep, sweep_with
 from repro.cluster.cluster import Cluster
 
 
@@ -107,17 +107,12 @@ def breakdown_sweep(machine: MachineParams, sizes: Sequence[int],
     results = []
     for stage in STAGES:
         if stage.flow_control:
-            bandwidths = []
-            for size in sizes:
-                cluster = Cluster(2, machine=machine, fm_version=1)
-                bandwidths.append(
-                    fm_stream(cluster, size, n_messages=n_messages).bandwidth_mbs)
-            results.append(SweepResult(stage.name, list(sizes), bandwidths))
+            results.append(bandwidth_sweep(machine, 1, sizes, n_messages,
+                                           label=stage.name))
             continue
         stage_machine = machine if stage.cross_bus else _free_bus(machine)
-        bandwidths = [
-            lean_stream_bandwidth_mbs(stage_machine, size, n_messages)
-            for size in sizes
-        ]
-        results.append(SweepResult(stage.name, list(sizes), bandwidths))
+        results.append(sweep_with(
+            lambda size: lean_stream_bandwidth_mbs(stage_machine, size,
+                                                   n_messages),
+            sizes, stage.name))
     return results

@@ -15,10 +15,10 @@ user of the library would run next.
 
 from __future__ import annotations
 
-from repro.bench.microbench import IDLE_POLL_NS
-from repro.bench.mpibench import mpi_pingpong_latency_us
+from repro.bench.microbench import (IDLE_POLL_NS, fm_pingpong, fm_send,
+                                    register_handler)
 from repro.cluster.cluster import Cluster
-from repro.configs import PPRO_FM2
+from repro.configs import PPRO_FM2, SPARC_FM1
 from repro.hardware.params import MachineParams
 from repro.hardware.topology import single_switch, switch_chain
 from repro.upper.mpi.world import build_mpi_world
@@ -38,32 +38,19 @@ def aggregate_pair_bandwidth(machine: MachineParams, fm_version: int,
     done = {i: 0 for i in range(n_pairs)}
     spans: dict[int, list[int]] = {}
 
-    if fm_version == 1:
-        def handler(fm, src, staging, nbytes):
-            pair = fm.node_id // 2
-            done[pair] += 1
-            spans[pair][1] = fm.env.now
-            return
-            yield  # pragma: no cover
-    else:
-        def handler(fm, stream, src):
-            yield from stream.receive_bytes(stream.msg_bytes)
-            pair = stream.fm.node_id // 2
-            done[pair] += 1
-            spans[pair][1] = stream.fm.env.now
+    def arrived(fm):
+        pair = fm.node_id // 2
+        done[pair] += 1
+        spans[pair][1] = fm.env.now
 
-    hid = {node.fm.register_handler(handler) for node in cluster.nodes}.pop()
+    hid = register_handler(cluster, arrived)
 
     def make_sender(pair: int):
         def sender(node):
             spans[pair] = [node.env.now, node.env.now]
             buf = node.buffer(msg_bytes)
             for _ in range(n_messages):
-                if fm_version == 1:
-                    yield from node.fm.send(2 * pair + 1, hid, buf, msg_bytes)
-                else:
-                    yield from node.fm.send_buffer(2 * pair + 1, hid, buf,
-                                                   msg_bytes)
+                yield from fm_send(node.fm, 2 * pair + 1, hid, buf, msg_bytes)
         return sender
 
     def make_receiver(pair: int):
@@ -88,7 +75,6 @@ def aggregate_pair_bandwidth(machine: MachineParams, fm_version: int,
 def latency_vs_hops(machine: MachineParams = PPRO_FM2,
                     max_switches: int = 4) -> list[tuple[int, float]]:
     """(switch count, one-way 16 B latency in µs) across a switch chain."""
-    from repro.bench.microbench import fm_pingpong_latency_us
     results = []
     for n_switches in range(1, max_switches + 1):
         n_hosts = 2 * n_switches
@@ -96,57 +82,15 @@ def latency_vs_hops(machine: MachineParams = PPRO_FM2,
         cluster = Cluster(n_hosts, machine=machine, fm_version=2,
                           topology=topo)
         # Ping-pong between the two extreme hosts: crosses every switch.
-        latency = _corner_pingpong(cluster, 0, n_hosts - 1)
-        results.append((n_switches, latency))
+        result = fm_pingpong(cluster, 16, iterations=10, warmup=2,
+                             nodes=(0, n_hosts - 1))
+        results.append((n_switches, result.one_way_latency_us))
     return results
-
-
-def _corner_pingpong(cluster: Cluster, a: int, b: int,
-                     iterations: int = 10) -> float:
-    """One-way 16-byte latency between two arbitrary nodes (µs)."""
-    arrived = [0] * cluster.n_nodes
-
-    def handler(fm, stream, src):
-        yield from stream.receive_bytes(stream.msg_bytes)
-        arrived[stream.fm.node_id] += 1
-
-    hid = {node.fm.register_handler(handler) for node in cluster.nodes}.pop()
-    timestamps: list[int] = []
-    total = iterations + 2
-
-    def make_program(me: int, peer: int, starts: bool):
-        def program(node):
-            buf = node.buffer(16)
-            count = 0
-            if starts:
-                timestamps.append(node.env.now)
-                yield from node.fm.send_buffer(peer, hid, buf, 16)
-            while count < total:
-                before = arrived[me]
-                yield from node.fm.extract()
-                if arrived[me] == before:
-                    yield node.env.timeout(IDLE_POLL_NS)
-                    continue
-                count += arrived[me] - before
-                if starts:
-                    timestamps.append(node.env.now)
-                if count < total or not starts:
-                    yield from node.fm.send_buffer(peer, hid, buf, 16)
-        return program
-
-    programs: list = [None] * cluster.n_nodes
-    programs[a] = make_program(a, b, True)
-    programs[b] = make_program(b, a, False)
-    cluster.run(programs)
-    rtts = [timestamps[i + 1] - timestamps[i] for i in range(len(timestamps) - 1)]
-    rtts = rtts[2:]
-    return sum(rtts) / len(rtts) / 2.0 / 1000.0
 
 
 def alltoall_scaling(fm_version: int, node_counts=(2, 4, 8),
                      chunk_bytes: int = 512) -> list[tuple[int, float]]:
     """(nodes, alltoall completion µs) for the given FM binding."""
-    from repro.configs import SPARC_FM1
     machine = SPARC_FM1 if fm_version == 1 else PPRO_FM2
     results = []
     for n in node_counts:

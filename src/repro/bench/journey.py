@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from repro.bench.microbench import fm_send, register_handler
 from repro.cluster.cluster import Cluster
 from repro.hardware.params import MachineParams
 
@@ -82,17 +83,7 @@ def packet_journey_detail(machine: MachineParams, fm_version: int,
     captured: list = []
     done: list[int] = []
 
-    if fm_version == 1:
-        def handler(fm, src, staging, nbytes):
-            done.append(fm.env.now)
-            return
-            yield  # pragma: no cover
-    else:
-        def handler(fm, stream, src):
-            yield from stream.receive_bytes(stream.msg_bytes)
-            done.append(stream.fm.env.now)
-
-    hid = {node.fm.register_handler(handler) for node in cluster.nodes}.pop()
+    hid = register_handler(cluster, lambda fm: done.append(fm.env.now))
 
     # Capture submitted packets by wrapping the sender NIC's submit.
     nic = cluster.node(0).nic
@@ -104,10 +95,7 @@ def packet_journey_detail(machine: MachineParams, fm_version: int,
     def sender(node):
         buf = node.buffer(msg_bytes)
         start.append(node.env.now)
-        if fm_version == 1:
-            yield from node.fm.send(1, hid, buf, msg_bytes)
-        else:
-            yield from node.fm.send_buffer(1, hid, buf, msg_bytes)
+        yield from fm_send(node.fm, 1, hid, buf, msg_bytes)
 
     def receiver(node):
         while not done:

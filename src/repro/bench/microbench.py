@@ -14,7 +14,7 @@ Figures 4 and 6.  Conventions follow the paper's community practice:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.simkernel.units import MICROSECOND
 
@@ -49,25 +49,35 @@ def _register_on_all(cluster: Cluster, handler) -> int:
     return ids.pop()
 
 
-# -- ping-pong -------------------------------------------------------------------
-
-def fm_pingpong(cluster: Cluster, msg_bytes: int = 16, iterations: int = 30,
-                warmup: int = 3) -> PingPongResult:
-    """Round-trip ping-pong between nodes 0 and 1 on raw FM."""
-    fm_version = cluster.fm_version
-    arrived = [0] * cluster.n_nodes   # messages received per node
-
-    if fm_version == 1:
+def register_handler(cluster: Cluster, on_message: Callable) -> int:
+    """Register on every node a handler, in the cluster's FM generation's
+    form, that takes the whole message in and then calls ``on_message(fm)``
+    with the receiving endpoint; returns the handler id."""
+    if cluster.fm_version == 1:
         def handler(fm, src, staging, nbytes):
-            arrived[fm.node_id] += 1
+            on_message(fm)
             return
             yield  # pragma: no cover - generator marker
     else:
         def handler(fm, stream, src):
             yield from stream.receive_bytes(stream.msg_bytes)
-            arrived[stream.fm.node_id] += 1
+            on_message(stream.fm)
+    return _register_on_all(cluster, handler)
 
-    hid = _register_on_all(cluster, handler)
+
+# -- ping-pong -------------------------------------------------------------------
+
+def fm_pingpong(cluster: Cluster, msg_bytes: int = 16, iterations: int = 30,
+                warmup: int = 3,
+                nodes: tuple[int, int] = (0, 1)) -> PingPongResult:
+    """Round-trip ping-pong on raw FM between ``nodes`` (the first starts);
+    every other node of the cluster stays idle."""
+    arrived = [0] * cluster.n_nodes   # messages received per node
+
+    def count(fm):
+        arrived[fm.node_id] += 1
+
+    hid = register_handler(cluster, count)
     total = warmup + iterations
     timestamps: list[int] = []
 
@@ -78,7 +88,7 @@ def fm_pingpong(cluster: Cluster, msg_bytes: int = 16, iterations: int = 30,
             count = 0
             if starts:
                 timestamps.append(node.env.now)
-                yield from _fm_send(fm, peer, hid, buf, msg_bytes)
+                yield from fm_send(fm, peer, hid, buf, msg_bytes)
             while count < total:
                 before = arrived[me]
                 yield from fm.extract()
@@ -89,10 +99,14 @@ def fm_pingpong(cluster: Cluster, msg_bytes: int = 16, iterations: int = 30,
                 if starts:
                     timestamps.append(node.env.now)
                 if count < total or not starts:
-                    yield from _fm_send(fm, peer, hid, buf, msg_bytes)
+                    yield from fm_send(fm, peer, hid, buf, msg_bytes)
         return program
 
-    cluster.run([make_program(0, 1, True), make_program(1, 0, False)])
+    first, second = nodes
+    programs: list = [None] * cluster.n_nodes
+    programs[first] = make_program(first, second, True)
+    programs[second] = make_program(second, first, False)
+    cluster.run(programs)
     # timestamps[k] -> timestamps[k+1] is one round trip.
     rtts = [timestamps[i + 1] - timestamps[i] for i in range(len(timestamps) - 1)]
     rtts = rtts[warmup:]
@@ -101,7 +115,8 @@ def fm_pingpong(cluster: Cluster, msg_bytes: int = 16, iterations: int = 30,
                           round_trips=len(rtts))
 
 
-def _fm_send(fm, dest: int, hid: int, buf, nbytes: int):
+def fm_send(fm, dest: int, hid: int, buf, nbytes: int):
+    """Send ``buf`` whole through either FM generation's API."""
     if isinstance(fm, FM1):
         yield from fm.send(dest, hid, buf, nbytes)
     elif isinstance(fm, FM2):
@@ -145,7 +160,7 @@ def fm_stream(cluster: Cluster, msg_bytes: int, n_messages: int = 60,
         buf = node.buffer(msg_bytes, fill=bytes(i % 251 for i in range(msg_bytes)))
         start_at[0] = node.env.now
         for _ in range(n_messages):
-            yield from _fm_send(node.fm, 1, hid, buf, msg_bytes)
+            yield from fm_send(node.fm, 1, hid, buf, msg_bytes)
 
     def receiver(node: Node):
         # FM 2.x handlers deliver into a reusable sink buffer, mirroring the

@@ -18,7 +18,6 @@ from repro.upper.mpi.world import build_mpi_world
 
 #: How many receives the bandwidth test keeps pre-posted.
 POSTED_WINDOW = 8
-IDLE_POLL_NS = 300
 
 
 @dataclass
@@ -27,8 +26,6 @@ class MpiStreamResult:
     msg_bytes: int
     n_messages: int
     elapsed_ns: int
-    unexpected: int
-    spills: int
 
 
 def mpi_pingpong_latency_us(cluster: Cluster, msg_bytes: int = 16,
@@ -96,18 +93,9 @@ def mpi_stream(cluster: Cluster, msg_bytes: int, n_messages: int = 60) -> MpiStr
     cluster.run([sender, receiver])
     elapsed = marks["end"] - marks["start"]
     bandwidth = msg_bytes * n_messages / (elapsed / 1e9)
-    engine = comms[1].engine
     return MpiStreamResult(
         bandwidth_mbs=bandwidth / 1e6,
         msg_bytes=msg_bytes,
         n_messages=n_messages,
         elapsed_ns=elapsed,
-        unexpected=engine.stats_unexpected,
-        spills=engine.stats_spills,
     )
-
-
-def mpi_stream_bandwidth_mbs(cluster: Cluster, msg_bytes: int,
-                             n_messages: int = 60) -> float:
-    """MPI streaming bandwidth in MB/s (10^6 bytes/s)."""
-    return mpi_stream(cluster, msg_bytes, n_messages).bandwidth_mbs

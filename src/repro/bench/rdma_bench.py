@@ -18,7 +18,7 @@ from typing import Sequence
 
 from repro.hardware.params import MachineParams
 
-from repro.bench.sweeps import SweepResult
+from repro.bench.sweeps import SweepResult, sweep_with
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
 from repro.core.rdma import NicCollectives, RdmaEndpoint
@@ -60,12 +60,10 @@ def rdma_bandwidth_sweep(machine: MachineParams, sizes: Sequence[int],
                          n_messages: int = 60,
                          label: str = "RDMA put") -> SweepResult:
     """Put-bandwidth curve, one fresh two-node cluster per size."""
-    bandwidths = []
-    for size in sizes:
-        cluster = Cluster(2, machine=machine, fm_version=2)
-        bandwidths.append(rdma_stream(cluster, size, n_messages=n_messages))
-    return SweepResult(label=label, sizes=list(sizes),
-                       bandwidths_mbs=bandwidths)
+    return sweep_with(
+        lambda size: rdma_stream(Cluster(2, machine=machine, fm_version=2),
+                                 size, n_messages=n_messages),
+        sizes, label)
 
 
 def _collective_latency(cluster: Cluster, run_iteration,

@@ -1,11 +1,16 @@
 """Regenerate every figure/table of the paper from the command line.
 
-``python -m repro.bench.regen``            — all figures
-``python -m repro.bench.regen fig5 fig6``  — a subset
+``python -m repro.bench.regen``                  — all figures, as tables
+``python -m repro.bench.regen fig5 fig6``        — a subset
+``python -m repro.bench.regen --json out/``      — and ``out/<name>.json``
+``python -m repro.bench.regen fig5 --csv out/``  — and ``out/fig5.csv``
 
-This is the pytest-free path to the same measurements the benchmark suite
-makes; it exists so a reader can reproduce the evaluation without knowing
-pytest-benchmark.  Output is the same fixed-width tables.
+This is the pytest-free path to the measurements the benchmark suite asserts
+on: both read :data:`repro.bench.figures.FIGURES`, so the tables, the files
+and the bands are one result in three renderings.  Every figure has a JSON
+form (its curves and its scalar values); the curve figures also have a CSV
+form.  Without names, a form is written for every figure that has it;
+*naming* a figure for a form it lacks is a usage error.
 """
 
 from __future__ import annotations
@@ -13,179 +18,54 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Callable
+from pathlib import Path
 
-from repro.bench.breakdown import breakdown_sweep
-from repro.bench.microbench import fm_pingpong_latency_us
-from repro.bench.mpibench import mpi_pingpong_latency_us, mpi_stream
-from repro.bench.nhalf import n_half
-from repro.bench.report import (
-    HeadlineRow,
-    bar_table,
-    curve_table,
-    efficiency_table,
-    headline_table,
-)
-from repro.bench.sweeps import FIG3_SIZES, FIG456_SIZES, SweepResult, bandwidth_sweep
-from repro.cluster import Cluster
-from repro.cmam import COMPONENTS, CmamCostModel, SequenceKind, Side
-from repro.configs import PPRO_FM2, SPARC_FM1
-from repro.legacy import ETHERNET_100MBIT, ETHERNET_1GBIT, theoretical_bandwidth_mbs
+from repro.bench.figures import FIGURES
+from repro.bench.report import sweeps_to_csv, sweeps_to_json
 
 
-def fig1() -> str:
-    """Regenerate Figure 1 as a text table."""
-    sizes = [8, 16, 32, 64, 128, 256, 512, 1024]
-    return curve_table(
-        "Figure 1 — legacy stack bandwidth, 125 us/packet overhead",
-        [SweepResult("100 Mbit/s", sizes,
-                     [theoretical_bandwidth_mbs(s, ETHERNET_100MBIT)
-                      for s in sizes]),
-         SweepResult("1 Gbit/s", sizes,
-                     [theoretical_bandwidth_mbs(s, ETHERNET_1GBIT)
-                      for s in sizes])])
-
-
-def fig2() -> str:
-    """Regenerate Figure 2 as a text table."""
-    model = CmamCostModel(16, 4)
-    groups = [("finite/src", SequenceKind.FINITE, Side.SRC),
-              ("finite/dest", SequenceKind.FINITE, Side.DEST),
-              ("finite/total", SequenceKind.FINITE, Side.TOTAL),
-              ("indef/total", SequenceKind.INDEFINITE, Side.TOTAL),
-              ("indef/dest", SequenceKind.INDEFINITE, Side.DEST),
-              ("indef/src", SequenceKind.INDEFINITE, Side.SRC)]
-    values = {(component, label): float(model.cycles(component, side, seq))
-              for label, seq, side in groups
-              for component in COMPONENTS}
-    return bar_table("Figure 2 — CMAM overhead breakdown (cycles)",
-                     [label for label, _s, _d in groups], list(COMPONENTS),
-                     values)
-
-
-def fig3a() -> str:
-    """Regenerate Figure 3(a) as a text table."""
-    curves = breakdown_sweep(SPARC_FM1, FIG3_SIZES, n_messages=40)
-    return curve_table("Figure 3(a) — FM 1.x overhead breakdown", curves)
-
-
-def fig3b() -> str:
-    """Regenerate Figure 3(b) as a text table."""
-    sweep = bandwidth_sweep(SPARC_FM1, 1, FIG3_SIZES, n_messages=40,
-                            label="FM 1.x")
-    latency = fm_pingpong_latency_us(Cluster(2, SPARC_FM1, 1), 16, 15)
-    table = curve_table("Figure 3(b) — FM 1.x overall performance", [sweep])
-    headline = headline_table("FM 1.x headline metrics", [
-        HeadlineRow("one-way latency (16 B)", "14 us", f"{latency:.1f} us"),
-        HeadlineRow("peak bandwidth", "17.6 MB/s", f"{sweep.peak_mbs:.1f}"),
-        HeadlineRow("N-half", "54 B",
-                    f"{n_half(sweep.sizes, sweep.bandwidths_mbs):.0f} B"),
-    ])
-    return table + "\n\n" + headline
-
-
-def _mpi_vs_fm(machine, version: int, fm_label: str, mpi_label: str,
-               fig_a: str, fig_b: str) -> str:
-    fm = bandwidth_sweep(machine, version, FIG456_SIZES, n_messages=40,
-                         label=fm_label)
-    mpi = SweepResult(mpi_label, list(FIG456_SIZES), [
-        mpi_stream(Cluster(2, machine, version), size, 30).bandwidth_mbs
-        for size in FIG456_SIZES])
-    return (curve_table(fig_a, [fm, mpi]) + "\n\n"
-            + efficiency_table(fig_b, mpi, fm))
-
-
-def fig4() -> str:
-    """Regenerate Figure 4 as a text table."""
-    return _mpi_vs_fm(SPARC_FM1, 1, "FM 1.x", "MPI-FM 1.x",
-                      "Figure 4(a) — MPI-FM 1.x vs FM 1.x (absolute)",
-                      "Figure 4(b) — MPI-FM 1.x efficiency")
-
-
-def fig5() -> str:
-    """Regenerate Figure 5 as a text table."""
-    sweep = bandwidth_sweep(PPRO_FM2, 2, FIG456_SIZES, n_messages=40,
-                            label="FM 2.1")
-    latency = fm_pingpong_latency_us(Cluster(2, PPRO_FM2, 2), 16, 15)
-    return (curve_table("Figure 5 — FM 2.1 on a 200 MHz PPro", [sweep])
-            + "\n\n" + headline_table("FM 2.x headline metrics", [
-                HeadlineRow("one-way latency (16 B)", "11 us",
-                            f"{latency:.1f} us"),
-                HeadlineRow("peak bandwidth", "77 MB/s",
-                            f"{sweep.peak_mbs:.1f}"),
-                HeadlineRow("N-half", "< 256 B",
-                            f"{n_half(sweep.sizes, sweep.bandwidths_mbs):.0f} B"),
-            ]))
-
-
-def fig6() -> str:
-    """Regenerate Figure 6 as a text table."""
-    body = _mpi_vs_fm(PPRO_FM2, 2, "FM 2.0", "MPI-FM 2.0",
-                      "Figure 6(a) — MPI-FM 2.0 vs FM 2.0 (absolute)",
-                      "Figure 6(b) — MPI-FM 2.0 efficiency")
-    latency = mpi_pingpong_latency_us(Cluster(2, PPRO_FM2, 2), 16, 12)
-    return body + f"\n\nMPI-FM 2.0 one-way latency (16 B): {latency:.1f} us (paper: 17 us)"
-
-
-def journey() -> str:
-    """Extension: per-stage latency attribution for both FM generations."""
-    from repro.bench.journey import packet_journey
-    parts = []
-    for label, machine, version in (("FM 1.x", SPARC_FM1, 1),
-                                    ("FM 2.x", PPRO_FM2, 2)):
-        trip = packet_journey(machine, version)
-        parts.append(f"{label} — 16 B one-way journey\n{trip.render()}")
-    return "\n\n".join(parts)
-
-
-def scorecard() -> str:
-    """The paper-vs-measured headline table (see EXPERIMENTS.md)."""
-    fm1 = bandwidth_sweep(SPARC_FM1, 1, FIG456_SIZES, n_messages=40,
-                          label="FM1")
-    fm2 = bandwidth_sweep(PPRO_FM2, 2, FIG456_SIZES, n_messages=40,
-                          label="FM2")
-    lat1 = fm_pingpong_latency_us(Cluster(2, SPARC_FM1, 1), 16, 15)
-    lat2 = fm_pingpong_latency_us(Cluster(2, PPRO_FM2, 2), 16, 15)
-    return headline_table("Reproduction scorecard — paper vs measured", [
-        HeadlineRow("FM 1.x latency", "14 us", f"{lat1:.1f} us"),
-        HeadlineRow("FM 1.x peak BW", "17.6 MB/s", f"{fm1.peak_mbs:.1f}"),
-        HeadlineRow("FM 1.x N-half", "54 B",
-                    f"{n_half(fm1.sizes[:6], fm1.bandwidths_mbs[:6]):.0f} B"),
-        HeadlineRow("FM 2.x latency", "11 us", f"{lat2:.1f} us"),
-        HeadlineRow("FM 2.x peak BW", "77 MB/s", f"{fm2.peak_mbs:.1f}"),
-        HeadlineRow("FM 2.x N-half", "< 256 B", f"{fm2.n_half_bytes:.0f} B"),
-    ])
-
-
-FIGURES: dict[str, Callable[[], str]] = {
-    "fig1": fig1, "fig2": fig2, "fig3a": fig3a, "fig3b": fig3b,
-    "fig4": fig4, "fig5": fig5, "fig6": fig6,
-    "journey": journey, "scorecard": scorecard,
-}
+def _write(directory: str, name: str, form: str, text: str) -> None:
+    path = Path(directory) / f"{name}.{form}"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    print(f"[{form}: {path}]")
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(
+        prog="python -m repro.bench.regen",
         description="Regenerate the paper's figures from the simulator.")
-    parser.add_argument("figures", nargs="*", choices=[*FIGURES, []],
-                        help="subset to regenerate (default: all)")
+    parser.add_argument("figures", nargs="*", metavar="name",
+                        help=f"subset to regenerate, of: {', '.join(FIGURES)} "
+                             "(default: all)")
     parser.add_argument("--csv", metavar="DIR", default=None,
-                        help="also write the curve figures as CSV into DIR")
+                        help="also write each curve figure as DIR/<name>.csv")
+    parser.add_argument("--json", metavar="DIR", default=None,
+                        help="also write each figure's curves and values "
+                             "as DIR/<name>.json")
     args = parser.parse_args(argv)
-    names = args.figures or list(FIGURES)
-    for name in names:
+    unknown = [name for name in args.figures if name not in FIGURES]
+    if unknown:
+        parser.error(f"unknown figure(s) {', '.join(unknown)}; "
+                     f"choices: {', '.join(FIGURES)}")
+    results, seconds = {}, {}
+    for name in args.figures or FIGURES:
         start = time.perf_counter()
-        table = FIGURES[name]()
-        elapsed = time.perf_counter() - start
-        print(table)
-        print(f"[{name}: regenerated in {elapsed:.2f} s]\n")
-    if args.csv is not None:
-        from repro.bench.export import FIGURE_SERIES, export_figure_csv
-        for name in names:
-            if name in FIGURE_SERIES:
-                path = export_figure_csv(name, args.csv)
-                print(f"[csv: {path}]")
+        results[name] = FIGURES[name]()
+        seconds[name] = time.perf_counter() - start
+    curveless = [name for name in args.figures if not results[name].curves]
+    if args.csv is not None and curveless:
+        parser.error(f"{', '.join(curveless)}: no CSV form (no curves); "
+                     "--json carries the values")
+    for name, result in results.items():
+        print(result.table)
+        print(f"[{name}: regenerated in {seconds[name]:.2f} s]\n")
+        if args.csv is not None and result.curves:
+            _write(args.csv, name, "csv", sweeps_to_csv(result.curves))
+        if args.json is not None:
+            _write(args.json, name, "json",
+                   sweeps_to_json(result.curves, result.values))
     return 0
 
 

@@ -1,27 +1,68 @@
-"""Fixed-width text tables: the figures as the paper's rows and series.
+"""Renderers: a figure as a fixed-width text table, as CSV and as JSON.
 
-Benchmarks print these so ``pytest benchmarks/ --benchmark-only`` output can
-be compared against the paper line by line (EXPERIMENTS.md records the
-paper-vs-measured pairs).
+Benchmarks and ``python -m repro.bench.regen`` print the tables so the output
+can be compared against the paper line by line (EXPERIMENTS.md records the
+paper-vs-measured pairs); ``regen --csv/--json`` writes the same series as
+files to plot or diff.  CSV columns are ``size_bytes`` plus one per series;
+JSON is deterministic (:func:`repro.obs.export.dumps_deterministic`), so a
+repeated export is byte-identical.  Both carry bandwidths at 4 dp.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from repro.bench.sweeps import SweepResult
+from repro.obs.export import dumps_deterministic
 
 
-def curve_table(title: str, sweeps: Sequence[SweepResult],
-                unit: str = "MB/s") -> str:
-    """One row per message size, one column per sweep."""
+def _shared_sizes(sweeps: Sequence[SweepResult]) -> list[int]:
+    """The one size axis every sweep of a figure must cover."""
     if not sweeps:
         raise ValueError("need at least one sweep")
     sizes = sweeps[0].sizes
     for s in sweeps[1:]:
         if s.sizes != sizes:
             raise ValueError("sweeps cover different sizes")
+    return sizes
+
+
+def sweeps_to_csv(sweeps: Sequence[SweepResult]) -> str:
+    """Aligned sweeps as CSV text (header + one row per size)."""
+    sizes = _shared_sizes(sweeps)
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["size_bytes"] + [s.label for s in sweeps])
+    for i, size in enumerate(sizes):
+        writer.writerow([size] + [f"{s.bandwidths_mbs[i]:.4f}" for s in sweeps])
+    return out.getvalue()
+
+
+def sweeps_to_json(sweeps: Sequence[SweepResult],
+                   values: Optional[Mapping[str, float]] = None) -> str:
+    """Aligned sweeps as deterministic JSON text: ``sizes`` is the shared
+    axis, ``series`` maps each label to its bandwidths.
+
+    With ``values`` — a figure's scalars — the document gains that key and
+    ``sweeps`` may be empty: Figure 2, the journey and the scorecard have
+    numbers but no curve.
+    """
+    sizes = _shared_sizes(sweeps) if sweeps or values is None else []
+    document = {"sizes": list(sizes),
+                "series": {s.label: [round(b, 4) for b in s.bandwidths_mbs]
+                           for s in sweeps}}
+    if values is not None:
+        document["values"] = {key: round(v, 4) for key, v in values.items()}
+    return dumps_deterministic(document)
+
+
+def curve_table(title: str, sweeps: Sequence[SweepResult],
+                unit: str = "MB/s") -> str:
+    """One row per message size, one column per sweep."""
+    sizes = _shared_sizes(sweeps)
     width = max(12, max(len(s.label) for s in sweeps) + 2)
     lines = [title, "=" * len(title)]
     header = f"{'size (B)':>10}" + "".join(f"{s.label:>{width}}" for s in sweeps)

@@ -1,8 +1,9 @@
 """Message-size sweeps: the curves behind Figures 3-6.
 
 Each sweep builds a *fresh* cluster per message size (so no state leaks
-between points) and measures streaming bandwidth.  Sweep results carry
-enough metadata to render the paper's figures as text tables.
+between points) and measures streaming bandwidth, on raw FM or through MPI.
+Sweep results carry enough metadata to render the paper's figures as text
+tables.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import Callable, Optional, Sequence
 from repro.hardware.params import MachineParams
 
 from repro.bench.microbench import fm_stream
+from repro.bench.mpibench import mpi_stream
 from repro.bench.nhalf import n_half
 from repro.cluster.cluster import Cluster
 
@@ -55,15 +57,22 @@ def bandwidth_sweep(machine: MachineParams, fm_version: int,
                     label: str = "", fm_params=None,
                     extract_budget: Optional[int] = None) -> SweepResult:
     """Streaming-bandwidth curve on raw FM for each message size."""
-    bandwidths = []
-    for size in sizes:
+    def measure(size: int) -> float:
         cluster = Cluster(2, machine=machine, fm_version=fm_version,
                           fm_params=fm_params)
-        result = fm_stream(cluster, size, n_messages=n_messages,
-                           extract_budget=extract_budget)
-        bandwidths.append(result.bandwidth_mbs)
-    return SweepResult(label=label or f"FM{fm_version}", sizes=list(sizes),
-                       bandwidths_mbs=bandwidths)
+        return fm_stream(cluster, size, n_messages=n_messages,
+                         extract_budget=extract_budget).bandwidth_mbs
+    return sweep_with(measure, sizes, label or f"FM{fm_version}")
+
+
+def mpi_bandwidth_sweep(machine: MachineParams, fm_version: int,
+                        sizes: Sequence[int], n_messages: int = 60,
+                        label: str = "") -> SweepResult:
+    """Streaming-bandwidth curve through MPI-FM for each message size."""
+    def measure(size: int) -> float:
+        cluster = Cluster(2, machine=machine, fm_version=fm_version)
+        return mpi_stream(cluster, size, n_messages).bandwidth_mbs
+    return sweep_with(measure, sizes, label or f"MPI-FM{fm_version}")
 
 
 def sweep_with(measure: Callable[[int], float], sizes: Sequence[int],

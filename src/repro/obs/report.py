@@ -11,9 +11,11 @@ benchmark scenarios: run a scenario with full observability on, then print
 * credit-stall counts and stalled nanoseconds;
 * a span summary per (layer, operation) and per-link delivered rates.
 
-For the rpc scenarios (which mint per-request trace contexts) the report
-can also reconstruct causal request trees: :func:`request_roots` finds
-every traced request, :func:`critical_path` extracts the chain of
+A scenario is one of the six microbenchmarks in :data:`SCENARIOS` or any
+workload preset (``repro.workloads.presets.PRESETS``, run with its built-in
+fault plan).  For the rpc presets (which mint per-request trace contexts)
+the report can also reconstruct causal request trees: :func:`request_roots`
+finds every traced request, :func:`critical_path` extracts the chain of
 last-finishing spans under a root, and :func:`render_waterfall` draws a
 per-request waterfall with the critical path highlighted.
 
@@ -23,6 +25,7 @@ Command line::
     python -m repro.obs.report stream-fm2 --msg-bytes 2048 --messages 40 \
         --trace out/stream.json      # also export a Perfetto trace
     python -m repro.obs.report rpc-sharded --waterfall 2
+    python -m repro.obs.report dataflow-rollup-stall    # any preset
 """
 
 from __future__ import annotations
@@ -33,12 +36,16 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.bench.journey import Journey, packet_journey_detail
+from repro.bench.microbench import fm_pingpong, fm_stream
+from repro.bench.mpibench import mpi_stream
 from repro.cluster.cluster import Cluster
 from repro.configs import PPRO_FM2, SPARC_FM1
 from repro.obs.export import export_trace
 from repro.obs.metrics import nearest_rank
 from repro.obs.observer import Observer
 from repro.obs.span import Span, layer_rank
+from repro.workloads.presets import PRESET_PLANS, PRESETS
+from repro.workloads.runner import execute_scenario
 
 
 @dataclass
@@ -218,68 +225,43 @@ def _journey(machine, fm_version: int, msg_bytes: int, label: str,
     return BreakdownReport(label, cluster, observer, journey=journey)
 
 
-def _stream(machine, fm_version: int, msg_bytes: int, label: str,
-            n_messages: int) -> BreakdownReport:
-    from repro.bench.microbench import fm_stream
-    cluster = Cluster(2, machine=machine, fm_version=fm_version)
-    observer = cluster.observe()
-    fm_stream(cluster, msg_bytes, n_messages=n_messages)
-    return BreakdownReport(label, cluster, observer)
-
-
-def _pingpong(machine, fm_version: int, msg_bytes: int, label: str,
+def _microbench(run: Callable) -> Callable:
+    """A builder running ``run(cluster, msg_bytes, count)`` — a stream or a
+    ping-pong of ``repro.bench`` — on an observed two-node cluster."""
+    def build(machine, fm_version: int, msg_bytes: int, label: str,
               n_messages: int) -> BreakdownReport:
-    from repro.bench.microbench import fm_pingpong
-    cluster = Cluster(2, machine=machine, fm_version=fm_version)
-    observer = cluster.observe()
-    fm_pingpong(cluster, msg_bytes, iterations=n_messages)
-    return BreakdownReport(label, cluster, observer)
-
-
-def _mpi_stream(machine, fm_version: int, msg_bytes: int, label: str,
-                n_messages: int) -> BreakdownReport:
-    from repro.bench.mpibench import mpi_stream
-    cluster = Cluster(2, machine=machine, fm_version=fm_version)
-    observer = cluster.observe()
-    mpi_stream(cluster, msg_bytes, n_messages=n_messages)
-    return BreakdownReport(label, cluster, observer)
-
-
-def _rpc(machine, fm_version: int, msg_bytes: int, label: str,
-         n_messages: int) -> BreakdownReport:
-    # Traced RPC workload: every request carries a TraceContext, so the
-    # report can render per-request waterfalls and critical paths.
-    from repro.workloads.runner import Scenario, execute_scenario
-    sharded = label == "rpc-sharded"
-    scenario = Scenario(
-        name=label, kind="rpc", fm_version=fm_version,
-        machine="ppro" if machine is PPRO_FM2 else "sparc",
-        n_nodes=10 if sharded else 4, servers=4 if sharded else 1,
-        rate_rps=40_000.0, n_requests=n_messages,
-        req_bytes=msg_bytes, resp_bytes=msg_bytes, work_ns=2_000)
-    outcome = execute_scenario(scenario, observe=True)
-    return BreakdownReport(label, outcome.cluster, outcome.observer)
+        cluster = Cluster(2, machine=machine, fm_version=fm_version)
+        observer = cluster.observe()
+        run(cluster, msg_bytes, n_messages)
+        return BreakdownReport(label, cluster, observer)
+    return build
 
 
 #: scenario name -> (builder, machine, fm version, default bytes, default count)
 SCENARIOS: dict[str, tuple[Callable, object, int, int, int]] = {
     "journey-fm1": (_journey, SPARC_FM1, 1, 16, 1),
     "journey-fm2": (_journey, PPRO_FM2, 2, 16, 1),
-    "stream-fm1": (_stream, SPARC_FM1, 1, 1024, 40),
-    "stream-fm2": (_stream, PPRO_FM2, 2, 1024, 40),
-    "pingpong-fm2": (_pingpong, PPRO_FM2, 2, 16, 20),
-    "mpi-stream-fm2": (_mpi_stream, PPRO_FM2, 2, 1024, 30),
-    "rpc-fm2": (_rpc, PPRO_FM2, 2, 64, 20),
-    "rpc-sharded": (_rpc, PPRO_FM2, 2, 256, 20),
+    "stream-fm1": (_microbench(fm_stream), SPARC_FM1, 1, 1024, 40),
+    "stream-fm2": (_microbench(fm_stream), PPRO_FM2, 2, 1024, 40),
+    "pingpong-fm2": (_microbench(fm_pingpong), PPRO_FM2, 2, 16, 20),
+    "mpi-stream-fm2": (_microbench(mpi_stream), PPRO_FM2, 2, 1024, 30),
 }
 
 
 def run_scenario(name: str, msg_bytes: Optional[int] = None,
                  n_messages: Optional[int] = None) -> BreakdownReport:
-    """Run one named scenario with full observability; returns the report."""
+    """Run one microbenchmark scenario, or one workload preset as it is
+    defined, with full observability; returns the report."""
+    if name in PRESETS:
+        if msg_bytes is not None or n_messages is not None:
+            raise ValueError(f"preset {name!r} runs as defined: message "
+                             "size and count are its own")
+        outcome = execute_scenario(PRESETS[name], plan=PRESET_PLANS.get(name),
+                                   observe=True)
+        return BreakdownReport(name, outcome.cluster, outcome.observer)
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; "
-                         f"choices: {sorted(SCENARIOS)}")
+                         f"choices: {sorted({*SCENARIOS, *PRESETS})}")
     builder, machine, fm_version, default_bytes, default_count = SCENARIOS[name]
     return builder(machine, fm_version,
                    default_bytes if msg_bytes is None else msg_bytes,
@@ -293,25 +275,34 @@ def main(argv: Optional[list[str]] = None) -> int:
         prog="python -m repro.obs.report",
         description="Per-stage latency breakdown of a benchmark scenario.",
     )
-    parser.add_argument("scenario", choices=sorted(SCENARIOS))
+    parser.add_argument("scenario", choices=sorted({*SCENARIOS, *PRESETS}),
+                        metavar="scenario",
+                        help="a microbenchmark (" + ", ".join(sorted(SCENARIOS))
+                             + ") or any workload preset ("
+                             + ", ".join(sorted(PRESETS)) + ")")
     parser.add_argument("--msg-bytes", type=int, default=None,
-                        help="message size (scenario default otherwise)")
+                        help="message size (microbenchmarks only; scenario "
+                             "default otherwise)")
     parser.add_argument("--messages", type=int, default=None,
-                        help="message / iteration count")
+                        help="message / iteration count (microbenchmarks "
+                             "only)")
     parser.add_argument("--trace", metavar="PATH", default=None,
                         help="also export a Perfetto trace-event JSON file")
     parser.add_argument("--waterfall", type=int, default=0, metavar="N",
                         help="render per-request waterfalls for the first "
-                             "N traced requests (rpc scenarios)")
+                             "N traced requests (rpc presets)")
     args = parser.parse_args(argv)
 
-    report = run_scenario(args.scenario, msg_bytes=args.msg_bytes,
-                          n_messages=args.messages)
+    try:
+        report = run_scenario(args.scenario, msg_bytes=args.msg_bytes,
+                              n_messages=args.messages)
+    except ValueError as exc:
+        parser.error(str(exc))
     print(report.render())
     if args.waterfall:
         roots = request_roots(report.obs)
         if not roots:
-            print("\nno traced requests (use an rpc scenario for waterfalls)")
+            print("\nno traced requests (use an rpc preset for waterfalls)")
         for root in roots[:args.waterfall]:
             print()
             print(render_waterfall(report.obs, root))

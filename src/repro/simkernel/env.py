@@ -20,7 +20,7 @@ from __future__ import annotations
 import gc
 import sys
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Optional
 
 from repro.simkernel.errors import SimulationError, StopProcess
@@ -38,6 +38,8 @@ from repro.simkernel.events import (
 from repro.simkernel.process import Process
 
 _PENDING = Event._PENDING
+#: Heap key of ``run(until=<int>)``'s stop marker: after every priority.
+_STOP_KEY = float("inf")
 
 
 class Environment:
@@ -131,6 +133,8 @@ class Environment:
         succeeded here at normal priority with the caller as sole waiter
         would be the next one fired, so ``Resource.acquire`` and ``Store.
         put_now/get_now`` do the handshake inline: same actions, same order.
+        Under ``run(until=t)`` the stop marker is a heap entry at ``t``, so
+        that one instant is never quiet and its handshakes take an event.
         """
         heap = self._heap
         return (not self._imm and not self._fanout
@@ -215,7 +219,7 @@ class Environment:
         The next event is the smaller of the heap head and the immediate
         queue head (immediate entries are all at the current time; a heap
         entry wins only if it is at the current time with a smaller key).
-        This merge rule is shared verbatim with the drain loops, so both
+        This merge rule is shared verbatim with the drain loop, so both
         paths fire events in the same order.
         """
         imm = self._imm
@@ -295,7 +299,7 @@ class Environment:
             else:
                 return
             trace = self.trace
-            if trace is not None:
+            if trace is not None and key != _STOP_KEY:
                 self.last_key = key
                 trace(now, event)
             callbacks = event.callbacks
@@ -372,104 +376,6 @@ class Environment:
                 event.callbacks = []
                 pool.append(event)
 
-    def _drain_time(self, until_time: int) -> None:
-        """Like :meth:`_drain` but stops before passing ``until_time``.
-
-        Kept as a separate loop so the common ``run()``/``run(until=event)``
-        paths pay nothing for the extra per-iteration heap peek.
-        """
-        heap = self._heap
-        imm = self._imm
-        getrefcount = sys.getrefcount
-        now = self._now
-        while True:
-            if imm:
-                # Immediate entries never pass until_time (they are at the
-                # current instant, which run() has already bounds-checked).
-                if heap and heap[0][0] == now and heap[0][1] < imm[0][0]:
-                    now, key, event = heappop(heap)
-                else:
-                    key, event = imm.popleft()
-            elif heap:
-                if heap[0][0] > until_time:
-                    return
-                now, key, event = heappop(heap)
-                self._now = now
-            else:
-                return
-            trace = self.trace
-            if trace is not None:
-                self.last_key = key
-                trace(now, event)
-            callbacks = event.callbacks
-            event.callbacks = None
-            event._processed = True
-            if len(callbacks) == 1:
-                cb = callbacks[0]
-                if cb.__class__ is Process:
-                    # Dominant case: exactly one waiting process.  Drive its
-                    # generator right here — a faithful inline of
-                    # Process._resume, minus the per-event call frame.
-                    self._active_process = cb
-                    try:
-                        if event._ok:
-                            next_event = cb._send(event._value)
-                        else:
-                            event._defused = True
-                            next_event = cb._throw(event._value)
-                    except StopIteration as exc:
-                        self._active_process = None
-                        self._active_processes -= 1
-                        cb.succeed(exc.value)
-                    except StopProcess as exc:
-                        self._active_process = None
-                        self._active_processes -= 1
-                        cb._generator.close()
-                        cb.succeed(exc.value)
-                    except BaseException as exc:
-                        self._active_process = None
-                        self._active_processes -= 1
-                        cb.fail(exc)
-                    else:
-                        self._active_process = None
-                        try:
-                            next_event.callbacks.append(cb)
-                            cb._target = next_event
-                        except AttributeError:
-                            if isinstance(next_event, Event) and next_event._processed:
-                                cb._resume(next_event)  # rare: already fired
-                            else:
-                                self._active_processes -= 1
-                                cb.fail(SimulationError(
-                                    f"process {cb.name!r} yielded a "
-                                    f"non-event: {next_event!r}"))
-                        else:
-                            if next_event.env is not self:
-                                next_event.callbacks.remove(cb)
-                                self._active_processes -= 1
-                                cb.fail(SimulationError(
-                                    f"process {cb.name!r} yielded an event "
-                                    "from another environment"))
-                else:
-                    cb(event)
-            else:
-                self._fanout = True
-                for callback in callbacks:
-                    callback(event)
-                self._fanout = False
-            if not event._ok and not event._defused:
-                raise event._value
-            pool = event._pool
-            if (pool is not None
-                    and len(pool) < _POOL_CAP
-                    and getrefcount(event) == 2):
-                # Only detach what must not leak; flag/value resets happen at
-                # the pop sites (event()/timeout()/Store.put/Store.get), which
-                # overwrite most fields anyway.
-                event.env = None
-                event.callbacks = []
-                pool.append(event)
-
     def run(self, until: Optional[int | Event] = None) -> Any:
         """Run until the heap drains, time ``until`` passes, or event fires.
 
@@ -525,14 +431,24 @@ class Environment:
             # Empty-heap (or already-idle-past-until) fast path: advance the
             # clock without touching any event machinery.
             if self._imm or (self._heap and self._heap[0][0] <= until):
+                # The one drain loop stops at a marker that sorts after
+                # everything due at ``until``, delay-0 events scheduled while
+                # that instant is processed included.  It is the kernel's
+                # own: no sequence number, never shown to ``trace``.
+                marker = Event(self)
+                stop = (until, _STOP_KEY, marker)
+                heappush(self._heap, stop)
                 gc_was_enabled = gc.isenabled()
                 if gc_was_enabled:
                     gc.disable()
                 try:
-                    self._drain_time(until)
+                    self._drain(marker)
                 finally:
                     if gc_was_enabled:
                         gc.enable()
+                    if not marker._processed:  # an exception left it unfired
+                        self._heap.remove(stop)
+                        heapify(self._heap)
             self._now = until
             return None
 

@@ -14,7 +14,8 @@ deterministic JSON (sorted keys, canonical separators): the same spec
 produces byte-identical output on every run, so reports can be committed
 and diffed.  ``-o R.json`` also writes ``R.runinfo.json`` — wall seconds,
 event counts, peak RSS, versions: the run's health on *this* host, so never
-compared and never part of the report.
+compared and never part of the report.  Neither ``-o`` nor ``--trace``
+creates a directory: a path into a missing one is refused before the run.
 
 ``--nic-stall NODE:START:END:EXTRA_NS`` (repeatable) composes a
 deterministic :class:`~repro.faults.plan.FaultPlan` of NIC firmware
@@ -143,10 +144,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"unknown preset {opts.preset!r}; "
                      f"choices: {', '.join(sorted(PRESETS))}")
     observe = opts.observe or opts.trace is not None
-    # A spec or override the scenario rejects is a usage error (exit 2,
-    # one line), not a traceback; anything raised once the run has started
-    # still propagates.
+    # A spec or override the scenario rejects, a spec file that cannot be
+    # read and an output path whose directory is missing are usage errors
+    # (exit 2, one line) found before the run, not tracebacks after it;
+    # anything raised once the run has started still propagates.
     try:
+        for flag, target in (("-o", opts.out), ("--trace", opts.trace)):
+            if target is not None and not Path(target).parent.is_dir():
+                raise ValueError(f"{flag} {target}: no directory "
+                                 f"{Path(target).parent} (not created here)")
         if opts.spec is not None:
             scenario = Scenario.from_dict(
                 json.loads(Path(opts.spec).read_text()))
@@ -162,7 +168,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              episodes=tuple(opts.nic_stall))
         elif opts.preset in PRESET_PLANS and not opts.no_fault:
             plan = PRESET_PLANS[opts.preset]
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         parser.error(str(exc))
     started = time.perf_counter()
     outcome = execute_scenario(scenario, plan=plan, observe=observe)

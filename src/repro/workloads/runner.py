@@ -212,10 +212,23 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, spec: dict) -> "Scenario":
-        unknown = set(spec) - {f.name for f in
-                               cls.__dataclass_fields__.values()}
+        """The scenario a parsed JSON spec describes.  Whatever a spec file
+        can get wrong before validation proper — not an object, an unknown
+        field, no ``name``, a string where a number goes — is a
+        ``ValueError`` that names it."""
+        if not isinstance(spec, dict):
+            raise ValueError("a scenario spec is a JSON object of Scenario "
+                             f"fields, got a {type(spec).__name__}")
+        fields = cls.__dataclass_fields__
+        unknown = set(spec) - set(fields)
         if unknown:
             raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
+        if "name" not in spec:
+            raise ValueError("a scenario spec needs a 'name'")
+        for key, value in spec.items():
+            if (isinstance(fields[key].default, (int, float))
+                    and not isinstance(value, (int, float))):
+                raise ValueError(f"{key} must be a number, got {value!r}")
         return cls(**spec)
 
 

@@ -1,11 +1,16 @@
 """Microbenchmark harness sanity (mechanics, not calibration)."""
 
+import json
+
 import pytest
 
 from repro.bench.breakdown import STAGES, breakdown_sweep, lean_stream_bandwidth_mbs
 from repro.bench.microbench import fm_pingpong, fm_stream
 from repro.cluster import Cluster
 from repro.configs import PPRO_FM2, SPARC_FM1
+from repro.hardware.topology import switch_chain
+
+from tests.golden import regen
 
 
 class TestPingPong:
@@ -24,6 +29,18 @@ class TestPingPong:
         result = fm_pingpong(Cluster(2, PPRO_FM2, 2), 16, iterations=7,
                              warmup=2)
         assert result.round_trips == 7
+
+    def test_far_corners_of_a_switch_chain_are_the_pinned_hop_table(self):
+        """``nodes`` picks the pair: hosts 0 and n-1 of a chain cross every
+        switch, which is ``latency_vs_hops`` — to the last digit."""
+        pinned = json.loads(regen.golden_text(regen.PAPER_FIGURES))
+        for n_switches, latency_us in pinned["latency_vs_hops"]:
+            n = 2 * n_switches
+            cluster = Cluster(n, PPRO_FM2, 2,
+                              topology=switch_chain(n, hosts_per_switch=2))
+            result = fm_pingpong(cluster, 16, iterations=10, warmup=2,
+                                 nodes=(0, n - 1))
+            assert result.one_way_latency_us == latency_us
 
 
 class TestStream:

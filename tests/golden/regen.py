@@ -39,9 +39,8 @@ import json
 import sys
 from pathlib import Path
 
-from repro.bench.export import FIGURE_SERIES
 from repro.bench.extensions import latency_vs_hops
-from repro.bench.regen import FIGURES
+from repro.bench.figures import FIGURES
 from repro.cluster import Cluster
 from repro.configs import PPRO_FM2, SPARC_FM1
 from repro.obs.export import dumps_deterministic, trace_events
@@ -223,11 +222,12 @@ def paper_figures_text() -> str:
     plus the extension table ``latency_vs_hops``."""
     figures = {}
     for name, figure in FIGURES.items():
-        figures[name] = {"table": figure()}
-        if name in FIGURE_SERIES:
+        result = figure()
+        figures[name] = {"table": result.table}
+        if result.curves:
             figures[name]["series"] = [
                 [round(mbs, 4) for mbs in sweep.bandwidths_mbs]
-                for sweep in FIGURE_SERIES[name]()]
+                for sweep in result.curves]
     return dumps_deterministic({"figures": figures,
                                 "latency_vs_hops": latency_vs_hops()})
 

@@ -50,6 +50,15 @@ def test_paper_figures_match_golden():
         regen.PAPER_FIGURES)
 
 
+def test_rdma_pingpong_report_is_a_clean_transport_run():
+    # The report is the golden (test_report_matches_golden), so reading the
+    # file is reading the run: 40 rounds of a 4 KB put each way, no errors.
+    results = json.loads(regen.golden_text("rdma-pingpong"))["results"]
+    assert results["transport_errors"]["total"] == 0
+    assert results["rounds"] == 40
+    assert results["put_bytes"] == 40 * 2 * 4096
+
+
 def test_every_case_has_a_golden_and_every_golden_a_case():
     on_disk = {path.stem for path in regen.GOLDEN_DIR.glob("*.json")}
     assert on_disk == {*regen.cases(), *regen.DERIVED}

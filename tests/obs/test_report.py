@@ -10,6 +10,7 @@ from repro.obs.report import (
     request_roots,
     run_scenario,
 )
+from repro.workloads.presets import PRESETS
 
 
 class TestJourneyScenario:
@@ -69,47 +70,84 @@ class TestStreamScenarios:
             run_scenario("no-such-scenario")
 
 
+@pytest.fixture(scope="module")
+def rpc_open():
+    """The ``rpc-open`` preset observed: 3 clients x 60 traced requests."""
+    return run_scenario("rpc-open")
+
+
 class TestRequestWaterfalls:
-    def test_rpc_scenario_has_traced_roots(self):
-        report = run_scenario("rpc-fm2", n_messages=4)
-        roots = request_roots(report.obs)
-        # 3 clients x 4 requests, every one traced from the client side.
-        assert len(roots) == 12
+    def test_rpc_scenario_has_traced_roots(self, rpc_open):
+        roots = request_roots(rpc_open.obs)
+        # 3 clients x 60 requests, every one traced from the client side.
+        assert len(roots) == 180
         assert all(r.name == "rpc.request" for r in roots)
         assert all(r.parent_id is None and r.trace_id is not None
                    for r in roots)
 
-    def test_critical_path_descends_to_a_leaf(self):
-        report = run_scenario("rpc-fm2", n_messages=2)
-        root = request_roots(report.obs)[0]
-        path = critical_path(report.obs, root)
+    def test_critical_path_descends_to_a_leaf(self, rpc_open):
+        root = request_roots(rpc_open.obs)[0]
+        path = critical_path(rpc_open.obs, root)
         assert path[0] is root
         # Each step is a child of the previous and the serve hop is on it.
         for parent, child in zip(path, path[1:]):
             assert child.parent_id == parent.span_id
         assert any(s.name == "rpc.serve" for s in path)
 
-    def test_waterfall_renders_tree(self):
-        report = run_scenario("rpc-fm2", n_messages=2)
-        root = request_roots(report.obs)[0]
-        text = render_waterfall(report.obs, root)
+    def test_waterfall_renders_tree(self, rpc_open):
+        root = request_roots(rpc_open.obs)[0]
+        text = render_waterfall(rpc_open.obs, root)
         assert "rpc.request" in text and "rpc.serve" in text
         assert "=" in text    # critical path highlighted
         # Every span row of the trace appears.
         assert len(text.splitlines()) == \
-            2 + len(report.obs.spans_for_trace(root.trace_id))
+            2 + len(rpc_open.obs.spans_for_trace(root.trace_id))
 
     def test_non_rpc_scenarios_have_no_roots(self):
         report = run_scenario("stream-fm2", n_messages=3)
         assert request_roots(report.obs) == []
 
 
+class TestPresets:
+    """Any workload preset is a scenario: the one that is the report's
+    namesake is the preset, not a private copy, and runs as defined."""
+
+    def test_rpc_sharded_is_the_preset(self):
+        report = run_scenario("rpc-sharded")
+        preset = PRESETS["rpc-sharded"]
+        clients = preset.n_nodes - preset.servers
+        assert len(request_roots(report.obs)) == clients * preset.n_requests
+        assert "per-stage packet breakdown" in report.render()
+
+    def test_a_preset_keeps_its_fault_plan_and_reports_its_stalls(self):
+        report = run_scenario("dataflow-rollup-stall")
+        count, stalled_ns = report.credit_stalls()
+        assert count > 0 and stalled_ns > 0
+        assert f"credit stalls: {count} ({stalled_ns} ns stalled)" \
+            in report.render()
+
+    def test_a_preset_takes_no_size_or_count(self, capsys):
+        with pytest.raises(ValueError, match="runs as defined"):
+            run_scenario("rpc-open", n_messages=4)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["rpc-open", "--msg-bytes", "64"])
+        assert exit_info.value.code == 2
+        assert "runs as defined" in capsys.readouterr().err
+
+
 class TestCli:
     def test_all_scenarios_registered(self):
         assert set(SCENARIOS) == {
             "journey-fm1", "journey-fm2", "stream-fm1", "stream-fm2",
-            "pingpong-fm2", "mpi-stream-fm2", "rpc-fm2", "rpc-sharded",
+            "pingpong-fm2", "mpi-stream-fm2",
         }
+        assert not set(SCENARIOS) & set(PRESETS)
+
+    def test_waterfall_cli_on_a_preset(self, capsys):
+        assert main(["rpc-open", "--waterfall", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "scenario 'rpc-open'" in out
+        assert out.count("critical path: app/rpc.request") == 1
 
     def test_journey_cli_exits_zero(self, capsys):
         assert main(["journey-fm2"]) == 0

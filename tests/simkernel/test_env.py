@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.simkernel import Environment, PRIORITY_HIGH, PRIORITY_LOW
+from repro.simkernel import (Environment, PRIORITY_HIGH, PRIORITY_LOW,
+                             PRIORITY_NORMAL)
 from repro.simkernel.errors import SimulationError
+from repro.simkernel.trace import Tracer
 
 
 class TestClock:
@@ -131,6 +133,74 @@ class TestRunModes:
         event = env.event()
         with pytest.raises(ValueError, match="past"):
             env.schedule(event, delay=-5)
+
+
+class TestStopMarker:
+    """``run(until=<int>)`` is the one drain loop stopped by a marker in
+    the heap; the marker is the kernel's own and must never show."""
+
+    @staticmethod
+    def _model(env, log):
+        def ticker(name, period):
+            while True:
+                yield env.timeout(period)
+                log.append((env.now, name))
+        env.process(ticker("a", 3))
+        env.process(ticker("b", 5))
+
+    def test_marker_is_never_traced_or_counted(self):
+        traced, stepped = Environment(), Environment()
+        tracer = Tracer().attach(traced)
+        log, reference = [], []
+        self._model(traced, log)
+        self._model(stepped, reference)
+        traced.run(until=15)
+        # 3, 5, 6, 9, 10, 12, 15, 15: what falls due by 15, marker excluded.
+        while stepped.peek() is not None and stepped.peek() <= 15:
+            stepped.run_steps(1)
+        assert log == reference and log[-2:] == [(15, "b"), (15, "a")]
+        assert traced.scheduled_events == stepped.scheduled_events
+        assert traced.now == 15 and traced.peek() == 18
+        # Two process starts + the eight timeouts; every record decodes to
+        # a model priority.
+        assert len(tracer.records) == 2 + len(log)
+        assert {r.priority for r in tracer.records} == {PRIORITY_NORMAL}
+
+    def test_everything_due_at_until_fires_before_run_returns(self, env):
+        fired = []
+
+        def at_until(event):
+            fired.append("first")
+            # Scheduled while the instant itself is being processed.
+            env.timeout(0, priority=PRIORITY_LOW).callbacks.append(
+                lambda e: fired.append("low"))
+            env.timeout(0).callbacks.append(lambda e: fired.append("normal"))
+
+        env.timeout(20).callbacks.append(at_until)
+        env.timeout(20, priority=PRIORITY_LOW).callbacks.append(
+            lambda e: fired.append("low, scheduled ahead"))
+        env.timeout(21).callbacks.append(lambda e: fired.append("late"))
+        env.run(until=20)
+        assert fired == ["first", "normal", "low, scheduled ahead", "low"]
+        assert env.now == 20 and env.peek() == 21
+
+    def test_exception_does_not_leave_a_stale_marker(self, env):
+        def boom():
+            yield env.timeout(10)
+            raise RuntimeError("boom")
+        env.process(boom(), name="boom")
+        env.timeout(30)
+        with pytest.raises(RuntimeError, match="boom"):
+            env.run(until=500)
+        env.run()
+        assert env.now == 30
+
+    def test_instant_of_until_is_not_quiet(self, env):
+        seen = []
+        env.timeout(10).callbacks.append(lambda e: seen.append(env.quiet))
+        env.timeout(20).callbacks.append(lambda e: seen.append(env.quiet))
+        env.run(until=20)
+        assert seen == [True, False]
 
 
 class TestGcRestoredOnError:

@@ -268,6 +268,33 @@ class TestCliRejectsBadOverrides:
         assert exit_info.value.code == 2
         assert "unknown scenario fields" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, flags, message", [
+        ('{"kind": "rpc"}', [], "a scenario spec needs a 'name'"),
+        ('{"name": "x", "n_nodes": "four"}', [],
+         "n_nodes must be a number, got 'four'"),
+        (None, [], "No such file or directory"),
+        ("[1, 2]", [], "a scenario spec is a JSON object"),
+        ('{"name": "x"}', ["-o", "no/such/dir/r.json"],
+         "-o no/such/dir/r.json: no directory no/such/dir"),
+        ('{"name": "x"}', ["--trace", "no/such/dir/t.json"],
+         "--trace no/such/dir/t.json: no directory no/such/dir"),
+    ])
+    def test_every_usage_error_is_found_before_the_run(
+            self, spec, flags, message, tmp_path, capsys, monkeypatch):
+        from repro.workloads import run
+
+        def never(*args, **kwargs):
+            raise AssertionError("the scenario ran")
+        monkeypatch.setattr(run, "execute_scenario", never)
+        monkeypatch.chdir(tmp_path)
+        if spec is not None:
+            (tmp_path / "spec.json").write_text(spec)
+        with pytest.raises(SystemExit) as exit_info:
+            run.main(["--spec", "spec.json", *flags])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err.splitlines()[-1]
+        assert not (tmp_path / "no").exists()
+
     def test_a_spec_still_carrying_partitions_names_the_field(
             self, tmp_path, capsys):
         from repro.workloads.run import main
