@@ -241,6 +241,8 @@ class PipelineKind:
     fields = ("pipeline", "n_sources", "branches", "window_ns",
               "window_slide_ns", "partition_by", "stage_placement",
               "sink_work_ns")
+    #: Source arrival gaps and record keys are numpy streams.
+    uses_numpy = True
 
     def report_fields(self, scenario: "Scenario") -> tuple[str, ...]:
         """Which of :attr:`fields` this scenario's report carries: all."""

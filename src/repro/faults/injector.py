@@ -26,13 +26,12 @@ from __future__ import annotations
 import zlib
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 from repro.simkernel.monitor import Counters
 
 from repro.faults.plan import CpuSlow, FaultPlan, LinkFault, NicStall
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
     from repro.hardware.packet import Packet
     from repro.simkernel.env import Environment
 
@@ -86,6 +85,7 @@ class FaultInjector:
         """The deterministic RNG stream for one component."""
         gen = self._rngs.get(stream)
         if gen is None:
+            import numpy as np
             gen = self._rngs[stream] = np.random.default_rng(
                 (self.plan.seed, zlib.crc32(stream.encode())))
         return gen

@@ -30,8 +30,6 @@ from __future__ import annotations
 import zlib
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 from repro.simkernel.store import EMPTY, Store
 from repro.simkernel.units import transfer_time_ns
 
@@ -65,8 +63,13 @@ class Link:
         self.bytes: int = 0
         self.corrupted: int = 0
         self.dropped: int = 0
-        # Deterministic per-link RNG; only consulted when error injection is on.
-        self._rng = np.random.default_rng(zlib.crc32(name.encode()) & 0xFFFFFFFF)
+        # Deterministic per-link RNG, consulted only when error injection is
+        # on — so only then made: a fault-free link never loads numpy.
+        self._rng = None
+        if params.drop_rate > 0.0 or params.bit_error_rate > 0.0:
+            import numpy as np
+            self._rng = np.random.default_rng(
+                zlib.crc32(name.encode()) & 0xFFFFFFFF)
 
     def connect(self, target: Store) -> None:
         """Set the downstream input store packets are delivered into."""

@@ -27,8 +27,6 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
-
 from repro.hardware.memory import CopyMeter
 from repro.simkernel.monitor import Counters
 
@@ -84,8 +82,10 @@ class Reservoir:
         self.samples: list[int] = []
         self.count = 0
         self.total = 0
-        self._rng = (np.random.default_rng(seed)
-                     if capacity is not None else None)
+        self._rng = None
+        if capacity is not None:
+            import numpy as np
+            self._rng = np.random.default_rng(seed)
 
     def record(self, value: int) -> None:
         """Add one sample (reservoir-sampled once past capacity)."""

@@ -13,19 +13,18 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
-import numpy as np
-
 from repro.upper.shmem.shmem import Shmem, ShmemError
 
 if TYPE_CHECKING:  # pragma: no cover
-    pass
+    import numpy as np
 
 
 class GaError(Exception):
     """Global Arrays usage errors."""
 
 
-_ITEM = np.dtype(np.float64).itemsize
+#: Bytes per element: every global array is float64.
+_ITEM = 8
 
 
 class GlobalArray:
@@ -62,6 +61,7 @@ class GlobalArray:
 
     def local_view(self) -> np.ndarray:
         """My block as a numpy view (mutating it mutates the array)."""
+        import numpy as np
         n = self._local_rows(self.me)
         return np.frombuffer(self.local.data, dtype=np.float64,
                              count=n * self.cols).reshape(n, self.cols)
@@ -70,6 +70,7 @@ class GlobalArray:
     def get(self, row_lo: int, row_hi: int, col_lo: int = 0,
             col_hi: int | None = None) -> Generator:
         """Fetch the patch [row_lo, row_hi) x [col_lo, col_hi) as an ndarray."""
+        import numpy as np
         col_hi = self.cols if col_hi is None else col_hi
         self._check_patch(row_lo, row_hi, col_lo, col_hi)
         obs = self.shmem.env.obs
@@ -92,6 +93,7 @@ class GlobalArray:
 
     def put(self, row_lo: int, values: np.ndarray, col_lo: int = 0) -> Generator:
         """Store a 2-D patch starting at (row_lo, col_lo)."""
+        import numpy as np
         values = np.ascontiguousarray(values, dtype=np.float64)
         if values.ndim != 2:
             raise GaError(f"put needs a 2-D patch, got shape {values.shape}")
@@ -114,6 +116,7 @@ class GlobalArray:
 
     def acc(self, row_lo: int, values: np.ndarray, col_lo: int = 0) -> Generator:
         """Accumulate (add) a 2-D patch starting at (row_lo, col_lo)."""
+        import numpy as np
         values = np.ascontiguousarray(values, dtype=np.float64)
         if values.ndim != 2:
             raise GaError(f"acc needs a 2-D patch, got shape {values.shape}")

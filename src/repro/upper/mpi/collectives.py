@@ -16,11 +16,12 @@ all ranks must pass arrays of identical dtype and shape.
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Generator, Optional, Sequence
 
 from repro.upper.mpi.status import MpiError
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 def _tree_parent(relative: int) -> int:
@@ -77,8 +78,12 @@ def _binomial_children(relative: int, size: int) -> list[int]:
     return children
 
 
-def reduce(comm, array: np.ndarray, op=np.add, root: int = 0) -> Generator:
-    """Binomial-tree reduction; returns the result at root, None elsewhere."""
+def reduce(comm, array: np.ndarray, op=None, root: int = 0) -> Generator:
+    """Binomial-tree reduction (``op`` defaults to ``numpy.add``); returns
+    the result at root, None elsewhere."""
+    import numpy as np
+    if op is None:
+        op = np.add
     size, rank = comm.size, comm.rank
     _check_root(root, size)
     accumulator = np.array(array, copy=True)
@@ -103,12 +108,16 @@ def reduce(comm, array: np.ndarray, op=np.add, root: int = 0) -> Generator:
     return accumulator if rank == root else None
 
 
-def allreduce(comm, array: np.ndarray, op=np.add) -> Generator:
+def allreduce(comm, array: np.ndarray, op=None) -> Generator:
     """Recursive-doubling allreduce; returns the result on every rank.
 
     For non-power-of-two sizes, surplus ranks fold into partners first and
     receive the final result at the end (the standard pre/post phase).
+    ``op`` defaults to ``numpy.add``.
     """
+    import numpy as np
+    if op is None:
+        op = np.add
     size, rank = comm.size, comm.rank
     accumulator = np.array(array, copy=True)
     if size == 1:
@@ -218,13 +227,16 @@ def alltoall(comm, chunks: Sequence[bytes]) -> Generator:
     return result
 
 
-def scan(comm, array: np.ndarray, op=np.add) -> Generator:
+def scan(comm, array: np.ndarray, op=None) -> Generator:
     """Inclusive prefix reduction: rank k returns op over ranks 0..k.
 
     Linear pipeline: receive the prefix from rank-1, fold in my value,
     forward to rank+1 — the textbook algorithm, O(n) latency but one
-    message per link.
+    message per link.  ``op`` defaults to ``numpy.add``.
     """
+    import numpy as np
+    if op is None:
+        op = np.add
     size, rank = comm.size, comm.rank
     accumulator = np.array(array, copy=True)
     if size == 1:
@@ -240,7 +252,7 @@ def scan(comm, array: np.ndarray, op=np.add) -> Generator:
     return accumulator
 
 
-def reduce_scatter(comm, array: np.ndarray, op=np.add) -> Generator:
+def reduce_scatter(comm, array: np.ndarray, op=None) -> Generator:
     """Reduce ``array`` across ranks, scatter equal blocks of the result.
 
     ``array`` must have a leading dimension divisible by the communicator
@@ -248,6 +260,7 @@ def reduce_scatter(comm, array: np.ndarray, op=np.add) -> Generator:
     as reduce-to-root + scatter (simple and correct; the ring-optimised
     variant is a performance refinement the tests don't require).
     """
+    import numpy as np
     size, rank = comm.size, comm.rank
     if array.shape[0] % size != 0:
         raise MpiError(

@@ -11,22 +11,25 @@ program as ``yield from comm.send(...)``.
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Generator, Optional, Sequence
 
 from repro.upper.mpi.constants import ANY_SOURCE, ANY_TAG, MAX_USER_TAG
 from repro.upper.mpi.engine import MpiEngine
 from repro.upper.mpi.status import MpiError, Request, Status
 
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
 
 def to_bytes(array: np.ndarray) -> bytes:
     """Serialise a numpy array's data for transmission."""
+    import numpy as np
     return np.ascontiguousarray(array).tobytes()
 
 
 def from_bytes(data: bytes, dtype, shape=None) -> np.ndarray:
     """Deserialise bytes back into a numpy array."""
+    import numpy as np
     array = np.frombuffer(data, dtype=dtype).copy()
     return array.reshape(shape) if shape is not None else array
 
@@ -198,12 +201,12 @@ class Communicator:
         result = yield from collectives.bcast(self, data, root)
         return result
 
-    def reduce(self, array: np.ndarray, op=np.add, root: int = 0) -> Generator:
+    def reduce(self, array: np.ndarray, op=None, root: int = 0) -> Generator:
         from repro.upper.mpi import collectives
         result = yield from collectives.reduce(self, array, op, root)
         return result
 
-    def allreduce(self, array: np.ndarray, op=np.add) -> Generator:
+    def allreduce(self, array: np.ndarray, op=None) -> Generator:
         from repro.upper.mpi import collectives
         result = yield from collectives.allreduce(self, array, op)
         return result
@@ -242,6 +245,7 @@ class Communicator:
         derived-datatype case where FM 2.x's gather avoids MPI_Pack."""
         if array.ndim != 2:
             raise MpiError(f"send_strided needs a 2-D array, got {array.ndim}-D")
+        import numpy as np
         pieces = [np.ascontiguousarray(row).tobytes() for row in array]
         yield from self.send_pieces(pieces, dest, tag)
 
@@ -254,6 +258,7 @@ class Communicator:
     def recv_array(self, dtype, shape, source: int = ANY_SOURCE,
                    tag: int = ANY_TAG) -> Generator:
         """Receive a numpy array of the agreed dtype and shape."""
+        import numpy as np
         expected = int(np.prod(shape)) * np.dtype(dtype).itemsize
         data, status = yield from self.recv(source, tag, max_bytes=expected)
         if status.count != expected:
@@ -263,12 +268,12 @@ class Communicator:
             )
         return from_bytes(data, dtype, shape), status
 
-    def scan(self, array: np.ndarray, op=np.add) -> Generator:
+    def scan(self, array: np.ndarray, op=None) -> Generator:
         from repro.upper.mpi import collectives
         result = yield from collectives.scan(self, array, op)
         return result
 
-    def reduce_scatter(self, array: np.ndarray, op=np.add) -> Generator:
+    def reduce_scatter(self, array: np.ndarray, op=None) -> Generator:
         from repro.upper.mpi import collectives
         result = yield from collectives.reduce_scatter(self, array, op)
         return result

@@ -25,14 +25,13 @@ import struct
 from collections import deque
 from typing import TYPE_CHECKING, Generator, Optional
 
-import numpy as np
-
 from repro.hardware.memory import Buffer
 
 from repro.core.fm2.api import FM2
 from repro.core.progress import Progress
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
     from repro.cluster.node import Node
 
 _HEADER = "<iiiii"          # op, region, offset, size, token
@@ -124,6 +123,7 @@ class Shmem:
     def acc(self, pe: int, region_id: int, offset: int,
             values: np.ndarray) -> Generator:
         """Accumulate (add) ``values`` into ``pe``'s region (float64)."""
+        import numpy as np
         data = np.ascontiguousarray(values, dtype=np.float64).tobytes()
         self._check_remote(pe, region_id, offset, len(data))
         self._puts_issued += 1
@@ -208,6 +208,7 @@ class Shmem:
         elif op == OP_ACC:
             region = self.region(region_id)
             data = yield from stream.receive_bytes(size)
+            import numpy as np
             incoming = np.frombuffer(data, dtype=np.float64)
             current = np.frombuffer(region.read(offset, size), dtype=np.float64)
             result = current + incoming

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
-import numpy as np
-
 from repro.upper.mpi.comm import Communicator
 from repro.upper.mpi.world import build_mpi_world
 
@@ -93,6 +91,8 @@ def allreduce_program(comm: Communicator, *, iterations: int,
         raise ValueError(f"grad_bytes must be a positive multiple of 4, "
                          f"got {grad_bytes}")
 
+    import numpy as np
+
     def program() -> Generator:
         env = comm.engine.env
         cpu = comm.engine.node.cpu
@@ -128,9 +128,11 @@ class MpiKind:
     fields = ()
 
     def __init__(self, program: Callable[..., Callable[[], Generator]],
-                 payload_field: str):
+                 payload_field: str, uses_numpy: bool):
         self.program = program
         self.payload_field = payload_field
+        #: Whether the kernel's payload is an ndarray (halo ships ``bytes``).
+        self.uses_numpy = uses_numpy
 
     def report_fields(self, scenario: "Scenario") -> tuple[str, ...]:
         """Nothing beyond the shared fields."""

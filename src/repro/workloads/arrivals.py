@@ -34,13 +34,15 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import TYPE_CHECKING, Iterator, Union
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 def client_rng(seed: int, client: str) -> np.random.Generator:
     """The deterministic RNG stream for one client of one scenario."""
+    import numpy as np
     return np.random.default_rng((seed, zlib.crc32(client.encode())))
 
 
@@ -177,6 +179,7 @@ def _bursty_gaps(spec: Bursty, rng: np.random.Generator) -> Iterator[int]:
 
 def _aggregate_gaps(spec: AggregateOpenLoop,
                     rng: np.random.Generator) -> Iterator[int]:
+    import numpy as np
     mean = spec.mean_gap_ns
     if not spec.poisson:
         gap = max(1, round(mean))

@@ -87,6 +87,7 @@ class RdmaKind:
 
     #: Nothing beyond the shared fields is reported.
     fields = ()
+    uses_numpy = False
 
     def report_fields(self, scenario: "Scenario") -> tuple[str, ...]:
         """Nothing beyond the shared fields."""

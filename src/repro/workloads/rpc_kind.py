@@ -152,6 +152,8 @@ class RpcKind:
     #: The replication knobs only exist in a report once replication is
     #: on; unreplicated reports keep the flat schema.
     fields = ("replicas", "probe_interval_ns", "failover_timeout_ns")
+    #: Arrival gaps and request keys are numpy streams.
+    uses_numpy = True
 
     def report_fields(self, scenario: "Scenario") -> tuple[str, ...]:
         """Which of :attr:`fields` this scenario's report carries."""

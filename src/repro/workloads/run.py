@@ -13,9 +13,10 @@ fields (``name`` required, everything else defaulted).  Reports are
 deterministic JSON (sorted keys, canonical separators): the same spec
 produces byte-identical output on every run, so reports can be committed
 and diffed.  ``-o R.json`` also writes ``R.runinfo.json`` — wall seconds,
-event counts, peak RSS, versions: the run's health on *this* host, so never
-compared and never part of the report.  Neither ``-o`` nor ``--trace``
-creates a directory: a path into a missing one is refused before the run.
+cold-start CPU seconds, event counts, peak RSS, versions: the run's health
+on *this* host, so never compared and never part of the report.  Neither
+``-o`` nor ``--trace`` creates a directory: a path into a missing one is
+refused before the run.
 
 ``--nic-stall NODE:START:END:EXTRA_NS`` (repeatable) composes a
 deterministic :class:`~repro.faults.plan.FaultPlan` of NIC firmware
@@ -38,8 +39,6 @@ import time
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
-
-import numpy
 
 from repro.obs.export import dumps_deterministic, export_trace, trace_events, \
     validate_trace_events
@@ -160,6 +159,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             scenario = PRESETS[opts.preset]
         if opts.replicas is not None:
             scenario = replace(scenario, replicas=opts.replicas)
+        scenario.preload()
         plan = None
         if opts.nic_stall:
             from repro.faults.plan import FaultPlan
@@ -170,6 +170,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             plan = PRESET_PLANS[opts.preset]
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
+    # Cold start: CPU seconds used so far (interpreter, imports, spec).  Not
+    # a stamp at the top of this file, which ``python -m`` reaches only after
+    # importing the ``repro.workloads`` package, i.e. nearly everything.
+    import_s = time.process_time()
     started = time.perf_counter()
     outcome = execute_scenario(scenario, plan=plan, observe=observe)
     wall_s = time.perf_counter() - started
@@ -183,11 +187,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         env = outcome.cluster.env
         out.with_suffix(".runinfo.json").write_text(json.dumps({
             "wall_s": round(wall_s, 3),
+            "import_s": round(import_s, 3),
             "scheduled_events": env.scheduled_events,
             "elided": env.elided,
             "ru_maxrss": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
             "python": platform.python_version(),
-            "numpy": numpy.__version__,
+            # null when the run never loaded it (raw FM, RDMA).
+            "numpy": getattr(sys.modules.get("numpy"), "__version__", None),
         }, indent=1, sort_keys=True) + "\n")
         print(opts.out)
     else:

@@ -10,9 +10,9 @@ observer (the standard ``Cluster.inject_faults`` / ``Cluster.observe``
 hooks — zero cost when absent, bit-identical results when passive), then
 hand over to the scenario's entry in :data:`KINDS`, which owns everything
 kind-specific: ``validate(scenario)``, ``build_stats(env, scenario)``,
-``run(cluster, scenario, stats) -> extra report sections``, and the
-names of the fields only its reports carry.  Each kind object lives
-beside its mechanism and documents its own fields.
+``run(cluster, scenario, stats) -> extra report sections``, the names
+of the fields only its reports carry, and whether its runs use numpy.
+Each kind object lives beside its mechanism and documents its own fields.
 
 Determinism: the report is a pure function of ``(scenario, plan)``.  Two
 calls with equal specs produce byte-identical JSON, and every preset's
@@ -46,8 +46,8 @@ ARRIVALS = ("open", "open-fixed", "closed", "bursty")
 #: line here.
 KINDS = {
     "rpc": RpcKind(),
-    "halo": MpiKind(halo_program, "halo_bytes"),
-    "allreduce": MpiKind(allreduce_program, "grad_bytes"),
+    "halo": MpiKind(halo_program, "halo_bytes", uses_numpy=False),
+    "allreduce": MpiKind(allreduce_program, "grad_bytes", uses_numpy=True),
     "pipeline": PipelineKind(),
     "rdma": RdmaKind(),
 }
@@ -229,7 +229,17 @@ class Scenario:
             if (isinstance(fields[key].default, (int, float))
                     and not isinstance(value, (int, float))):
                 raise ValueError(f"{key} must be a number, got {value!r}")
-        return cls(**spec)
+        scenario = cls(**spec)
+        scenario.preload()
+        return scenario
+
+    def preload(self) -> None:
+        """Import numpy now if this kind's runs draw from it or fill
+        arrays: otherwise the import lands on the run's first draw, and a
+        caller that times set-up and run apart (``perfbench``,
+        ``*.runinfo.json``) would book it to the run."""
+        if KINDS[self.kind].uses_numpy:
+            import numpy  # noqa: F401
 
 
 def scenario_topology(

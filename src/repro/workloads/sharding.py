@@ -35,8 +35,6 @@ import zlib
 from bisect import bisect_right
 from typing import Generator, Iterator, Optional, Sequence
 
-import numpy as np
-
 from repro.workloads.arrivals import ArrivalSpec, client_rng
 from repro.workloads.rpc import RpcClient, RpcEndpoint
 
@@ -68,6 +66,7 @@ def key_stream(seed: int, client: str, n_keys: int,
     if skew == 0.0:
         while True:
             yield int(rng.integers(0, n_keys))
+    import numpy as np
     weights = 1.0 / np.arange(1, n_keys + 1, dtype=np.float64) ** skew
     p = weights / weights.sum()
     # Precomputed CDF + one uniform draw per key: O(log n_keys) per draw

@@ -74,6 +74,6 @@ def test_cli_output_file_is_the_golden_byte_for_byte(tmp_path):
     assert out.read_text() == regen.golden_text("rpc-open")
     # The run's health on this host rides beside the report, never in it.
     info = json.loads((tmp_path / "report.runinfo.json").read_text())
-    assert set(info) == {"wall_s", "scheduled_events", "elided", "ru_maxrss",
-                         "python", "numpy"}
+    assert set(info) == {"wall_s", "import_s", "scheduled_events", "elided",
+                         "ru_maxrss", "python", "numpy"}
     assert info["scheduled_events"] > info["elided"] > 0

@@ -153,6 +153,20 @@ class TestFaultInjection:
         assert first > 0                      # errors do happen at 1e-3 BER
         assert first == second                # and deterministically so
 
+    def test_static_stream_is_seeded_by_the_link_name(self, env):
+        """The stream a lossy link draws from is numpy's, seeded by the crc
+        of the link's name — and a fault-free link makes none."""
+        import zlib
+
+        import numpy as np
+
+        assert Link(env, PARAMS, name="h0->s0")._rng is None
+        lossy = Link(env, LinkParams(bandwidth=160e6, propagation_ns=100,
+                                     slots=2, drop_rate=0.5), name="h0->s0")
+        reference = np.random.default_rng(zlib.crc32(b"h0->s0") & 0xFFFFFFFF)
+        assert [lossy._rng.random() for _ in range(4)] == \
+            [reference.random() for _ in range(4)]
+
     def test_corrupt_packets_fail_crc(self, env):
         link, sink = wired_link(env, LinkParams(
             bandwidth=160e6, propagation_ns=0, slots=4, bit_error_rate=0.999))

@@ -1,9 +1,9 @@
 """Topologies: builders, port numbering, source routes."""
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.hardware import topology
 from repro.hardware.topology import (
     Topology,
     fat_tree_2level,
@@ -13,6 +13,13 @@ from repro.hardware.topology import (
     switch_mesh,
     switch_node,
 )
+
+
+@pytest.fixture
+def nx():
+    """networkx is a test-only dependency: the oracle routes are held to,
+    and a second graph type for ``Topology`` to accept."""
+    return pytest.importorskip("networkx")
 
 
 class TestBuilders:
@@ -68,7 +75,7 @@ class TestSwitchMesh:
 
 
 class TestValidation:
-    def test_host_needs_one_link(self):
+    def test_host_needs_one_link(self, nx):
         g = nx.Graph()
         g.add_edge(host_node(0), switch_node(0))
         g.add_edge(host_node(0), switch_node(1))
@@ -77,14 +84,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="exactly one link"):
             Topology(g, n_hosts=2, n_switches=2)
 
-    def test_disconnected_rejected(self):
+    def test_disconnected_rejected(self, nx):
         g = nx.Graph()
         g.add_edge(host_node(0), switch_node(0))
         g.add_edge(host_node(1), switch_node(1))
         with pytest.raises(ValueError, match="connected"):
             Topology(g, n_hosts=2, n_switches=2)
 
-    def test_missing_host_rejected(self):
+    def test_missing_host_rejected(self, nx):
         g = nx.Graph()
         g.add_edge(host_node(0), switch_node(0))
         with pytest.raises(ValueError, match="missing"):
@@ -161,3 +168,61 @@ def test_every_route_is_walkable(topo, data):
         assert 0 <= port < len(neighbors)
         position = neighbors[port]
     assert position == host_node(dst)
+
+
+def crossed_leaves() -> Topology:
+    """Two leaves that list the same two spines in opposite orders: the one
+    shape here where *which search expands first* decides the route (the
+    builders are symmetric, so on them only neighbour order shows)."""
+    g = topology.Graph()
+    for u, v in ((host_node(0), switch_node(0)), (host_node(1), switch_node(1)),
+                 (switch_node(0), switch_node(2)), (switch_node(0), switch_node(3)),
+                 (switch_node(1), switch_node(3)), (switch_node(1), switch_node(2))):
+        g.add_edge(u, v)
+    return Topology(g, n_hosts=2, n_switches=4)
+
+
+def _builder_grid():
+    """Every builder over hosts 2-13, 1-4 per switch, 1-6 groups / leaves,
+    1-3 spines, and the asymmetric case."""
+    yield crossed_leaves, ()
+    for n in range(2, 14):
+        yield single_switch, (n,)
+        for per_switch in range(1, 5):
+            yield switch_chain, (n, per_switch)
+        for groups in range(1, 7):
+            if n % groups == 0:
+                yield switch_mesh, (n, groups)
+    for leaves in range(1, 7):
+        for per_leaf in range(1, 5):
+            if leaves * per_leaf >= 2:
+                for spines in range(1, 4):
+                    yield fat_tree_2level, (leaves, per_leaf, spines)
+
+
+def test_routes_are_networkx_shortest_paths(nx, monkeypatch):
+    """The differential oracle for ``topology.shortest_path``: on every
+    ordered host pair of every builder, the route is the one
+    ``networkx.shortest_path`` picks on the same graph built in the same
+    edge order.  A fat tree has one equal-length path per spine, which
+    pins the neighbour order and the first-meeting rule; ``crossed_leaves``
+    pins which search goes first (and with them every golden byte that
+    crosses more than one switch)."""
+    pairs = 0
+    for builder, args in _builder_grid():
+        topo = builder(*args)
+        with monkeypatch.context() as patch:
+            # The builder itself lays down the networkx twin: same nodes,
+            # same edges, same order.
+            patch.setattr(topology, "Graph", nx.Graph)
+            twin = builder(*args)
+        assert isinstance(twin.graph, nx.Graph)
+        for a in range(topo.n_hosts):
+            for b in range(topo.n_hosts):
+                expected = nx.shortest_path(twin.graph, host_node(a),
+                                            host_node(b))
+                assert topo.path(a, b) == expected, (builder.__name__, args)
+                # A Topology over an nx.Graph routes the same way.
+                assert twin.path(a, b) == expected
+                pairs += 1
+    assert pairs == 14_262
