@@ -269,9 +269,14 @@ class FmEndpoint:
         something to extract, instead of burning simulated time re-polling
         an empty region.  The capped timeout (:data:`IDLE_WAIT_CAP_NS`)
         covers the missed-wakeup case.
+
+        One event either way (:meth:`Environment.first_of`): the process
+        yields the wake-up itself and the cap timer triggers that same
+        event, so a deposit resumes the waiter directly; a wake-up whose
+        cap fired first stays in the NIC's list and is skipped, not
+        fired, by the next flush.
         """
-        yield self.env.any_of([self.nic.rx_wakeup(),
-                               self.env.timeout(IDLE_WAIT_CAP_NS)])
+        yield self.env.first_of(self.nic.rx_wakeup(), IDLE_WAIT_CAP_NS)
 
     # -- packet construction and injection -----------------------------------------
     def make_header(self, dest: int, handler_id: int, msg_id: int, seq: int,

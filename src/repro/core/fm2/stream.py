@@ -265,11 +265,9 @@ class RecvStream:
         if self._data_ready is not None:
             ready, self._data_ready = self._data_ready, None
             ready.succeed()
-        parked = self._parked
-        done = self.handler_process
-        result = yield self.fm.env.any_of([parked, done])
-        if done.triggered and not done.ok:  # pragma: no cover - re-raised by kernel
-            raise done.value
+        # Parked, or finished: the handler process wakes the same event, and
+        # a handler that raised is thrown into the extracting process here.
+        yield self.fm.env.first_of(self._parked, self.handler_process)
         self._parked = None
 
     @property

@@ -28,16 +28,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
+from repro.core.common import IDLE_WAIT_CAP_NS
 from repro.hardware.memory import Buffer
 from repro.hardware.nic import RDMA_MTU, RdmaCompletion
 from repro.hardware.packet import HEADER_BYTES, Packet, PacketFlags, PacketHeader
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
-
-#: Cap on completion-wait event sleeps (same rationale as the RPC layer:
-#: the wakeup event is one-shot, so re-check on a bounded cadence).
-CQ_WAIT_CAP_NS = 20_000
 
 #: Give up waiting for a completion after this long — a one-sided op that
 #: never completes is a protocol error (dead peer, unmatched region) and
@@ -210,6 +207,11 @@ def wait_cq(owner, match: Callable[[RdmaCompletion], bool]) -> Generator:
     """Shared completion wait: poll-scan the queue, sleep on ``cq_wakeup``
     (capped), fail loudly past the stall limit.  ``owner`` provides
     ``env`` / ``cpu`` / ``nic`` (RdmaEndpoint and NicCollectives both do).
+
+    The sleep is :meth:`FmEndpoint.idle_wait`'s, on the completion queue:
+    one event, woken by the next post or by the same
+    :data:`IDLE_WAIT_CAP_NS` timer (the wake-up is one-shot, so the scan
+    is repeated on a bounded cadence).
     """
     env = owner.env
     nic = owner.nic
@@ -226,4 +228,4 @@ def wait_cq(owner, match: Callable[[RdmaCompletion], bool]) -> Generator:
                 f"node {nic.node_id} waited {env.now - t0} ns for an RDMA "
                 f"completion (dead peer or unmatched region?); cq depth "
                 f"{len(cq)}, unmatched drops {nic.rdma_unmatched}")
-        yield env.any_of([nic.cq_wakeup(), env.timeout(CQ_WAIT_CAP_NS)])
+        yield env.first_of(nic.cq_wakeup(), IDLE_WAIT_CAP_NS)

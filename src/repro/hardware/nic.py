@@ -352,7 +352,7 @@ class Nic:
         if self._cq_waiters:
             waiters, self._cq_waiters = self._cq_waiters, []
             for event in waiters:
-                event.succeed()
+                event.wake()
 
     def _fw_inject(self, packet: Packet):
         """Firmware-originated send: straight into tx SRAM (the payload is
@@ -451,7 +451,7 @@ class Nic:
             if self._rx_waiters:
                 waiters, self._rx_waiters = self._rx_waiters, []
                 for event in waiters:
-                    event.succeed()
+                    event.wake()
 
     # -- RDMA receive paths ---------------------------------------------------
     def _rx_rdma(self, packet: Packet, t0: int):

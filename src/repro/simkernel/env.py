@@ -195,6 +195,31 @@ class Environment:
     def all_of(self, events) -> AllOf:
         return AllOf(self, events)
 
+    def first_of(self, event: Event, *alternatives: Event | int) -> Event:
+        """``event``, armed to be woken by whichever alternative fires first.
+
+        The capped wait as one event: each alternative — another event, or
+        an int delay in ns for which a timer is made — gets the single
+        callback ``event.wake``, and the caller yields ``event`` itself, so
+        a wake-up reaches the waiter in one hop with no :class:`Condition`
+        and no result dict.  The value is ``None``; a failed alternative is
+        thrown into the waiter.  ``event`` belongs to the wait: an
+        alternative the caller must be able to tell apart afterwards (a
+        request's completion event, say) goes on the right, behind a fresh
+        ``env.event()``.
+        """
+        wake = event.wake
+        for alt in alternatives:
+            if alt.__class__ is int:
+                alt = self.timeout(alt)
+            if alt.env is not event.env:
+                raise ValueError("all events in a wait must share one environment")
+            if alt.callbacks is None:  # already fired
+                wake(alt)
+            else:
+                alt.callbacks.append(wake)
+        return event
+
     # -- scheduling -------------------------------------------------------------
     def schedule(self, event: Event, delay: int = 0, priority: int = PRIORITY_NORMAL) -> None:
         """Queue a triggered event to fire ``delay`` ns from now."""

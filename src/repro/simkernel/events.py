@@ -176,6 +176,20 @@ class Event:
             self.defuse_source(event)
             self.fail(event._value)
 
+    def wake(self, source: Optional["Event"] = None) -> None:
+        """Idempotent :meth:`trigger`: a no-op once triggered, so it can be
+        the callback of several alternatives (a cap timer, a process, a
+        NIC waiter flush) of which only the first one counts.  A failed
+        ``source`` is defused either way and fails a still-pending waiter,
+        exactly as ``Condition._check`` treats a constituent.
+        """
+        if source is not None and not source._ok:
+            source._defused = True
+            if not self._triggered:
+                self.fail(source._value)
+        elif not self._triggered:
+            self.succeed()
+
     def defuse(self) -> None:
         """Mark a failed event as handled so ``run()`` won't re-raise it."""
         self._defused = True

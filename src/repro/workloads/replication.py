@@ -216,7 +216,7 @@ class ReplicatedClient(ShardedClient):
             if not event.triggered:
                 remaining = t_sent + self.failover_timeout_ns - env.now
                 if remaining > 0:
-                    yield env.any_of([event, env.timeout(remaining)])
+                    yield env.first_of(env.event(), event, remaining)
             if event.triggered:
                 self._routes.pop(req_id, None)
                 return
@@ -334,7 +334,7 @@ class ShardSupervisor:
             if not event.triggered:
                 remaining = t0 + self.probe_timeout_ns - env.now
                 if remaining > 0:
-                    yield env.any_of([event, env.timeout(remaining)])
+                    yield env.first_of(env.event(), event, remaining)
             if event.triggered:
                 status, _plen = event.value
                 if status == RPC_OK:

@@ -588,7 +588,7 @@ class RpcClient:
             return
         remaining = t_sent + self.abandon_after_ns - self.env.now
         if remaining > 0:
-            yield self.env.any_of([event, self.env.timeout(remaining)])
+            yield self.env.first_of(self.env.event(), event, remaining)
         if not event.triggered:
             self.endpoint.abandon(req_id)
 

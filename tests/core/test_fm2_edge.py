@@ -29,6 +29,45 @@ class TestHandlerFailures:
         with pytest.raises(RuntimeError, match="handler blew up"):
             fm2_cluster.run([sender, receiver], until_ns=100_000_000)
 
+    def test_extractor_catches_a_mid_message_failure_and_carries_on(
+            self, fm2_cluster):
+        """The failed handler process is defused once and thrown into the
+        process blocked in ``FM_extract``; nothing escapes ``run()``, the
+        rest of the message is discarded and the next one is delivered."""
+        nbytes = 3 * fm2_cluster.node(0).fm.params.packet_payload
+        caught, delivered = [], []
+
+        def bad(fm, stream, src):
+            yield from stream.receive_bytes(8)
+            raise RuntimeError("handler blew up")
+
+        def good(fm, stream, src):
+            delivered.append(len((yield from stream.receive_bytes(
+                stream.msg_bytes))))
+
+        bad_id = {n.fm.register_handler(bad) for n in fm2_cluster.nodes}.pop()
+        good_id = {n.fm.register_handler(good) for n in fm2_cluster.nodes}.pop()
+
+        def sender(node):
+            buf = node.buffer(nbytes)
+            yield from node.fm.send_buffer(1, bad_id, buf, nbytes)
+            yield from node.fm.send_buffer(1, good_id, buf, nbytes)
+
+        def receiver(node):
+            while not delivered:
+                try:
+                    got = yield from node.fm.extract()
+                except RuntimeError as exc:
+                    caught.append(str(exc))
+                    continue
+                if not got:
+                    yield from node.fm.idle_wait()
+
+        fm2_cluster.run([sender, receiver], until_ns=100_000_000)
+        assert caught == ["handler blew up"]
+        assert delivered == [nbytes]
+        assert fm2_cluster.node(1).fm.pending_handlers() == 0
+
     def test_handler_protocol_misuse_propagates(self, fm2_cluster):
         def handler(fm, stream, src):
             yield from stream.receive_bytes(stream.msg_bytes + 5)

@@ -148,8 +148,9 @@ class TestStallClock:
 
 class TestEventSequence:
     def test_starved_recv_event_counts_are_pinned(self):
-        # pass -> stall check -> rx_wakeup event, Timeout, AnyOf, per idle
-        # iteration: one event more or fewer anywhere in the loop moves
+        # pass -> stall check -> cap Timeout, then the rx_wakeup event it
+        # wakes, per idle iteration (nothing ever arrives, so every wait caps
+        # out): one event more or fewer anywhere in the loop moves
         # these counts, and with them every recorded events_per_op.
         cluster = make_cluster()
         comms = build_mpi_world(cluster)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simkernel import Store
+from repro.simkernel import Environment, Store
 from repro.hardware.bus import IoBus
 from repro.hardware.link import Link
 from repro.hardware.nic import Nic
@@ -166,3 +166,43 @@ class TestReceivePath:
         # deposited; the rest are stuck in SRAM/upstream, not dropped.
         assert nic.recv_region.level == 4
         assert nic.received_packets <= 5
+
+
+class TestStaleWakeups:
+    """A ``rx_wakeup`` / ``cq_wakeup`` whose cap fired first stays listed
+    until the next deposit; flushing it must cost a flag test, not an
+    event scheduled and fired for nobody."""
+
+    @staticmethod
+    def capped_out(env, wakeup, n):
+        def host():
+            for _ in range(n):
+                yield env.first_of(wakeup(), 20)
+        env.run(until=env.process(host()))
+
+    def deposit_cost(self, n):
+        env = Environment()
+        nic, _sink = build_nic(env)
+        self.capped_out(env, nic.rx_wakeup, n)
+        assert len(nic._rx_waiters) == n
+        live = nic.rx_wakeup()
+        before = env.scheduled_events
+        def network():
+            yield nic.rx_sram.put(make_packet())
+        env.process(network())
+        env.run()
+        assert live.processed and not nic._rx_waiters
+        return env.scheduled_events - before
+
+    def test_deposit_after_n_capped_out_waits_is_o1(self):
+        assert self.deposit_cost(500) == self.deposit_cost(5)
+
+    def test_completion_after_n_capped_out_waits_is_o1(self, env):
+        nic, _sink = build_nic(env)
+        self.capped_out(env, nic.cq_wakeup, 500)
+        live = nic.cq_wakeup()
+        before = env.scheduled_events
+        nic._post_completion("write", 0, 1, 1, 0)
+        assert env.scheduled_events == before + 1      # the live waiter
+        env.run()
+        assert live.processed and not nic._cq_waiters

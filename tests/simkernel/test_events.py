@@ -162,3 +162,102 @@ class TestAllOf:
         cond.defuse()
         with pytest.raises(KeyError):
             env.run(until=cond)
+
+
+class TestWake:
+    """``Event.wake``: the idempotent trigger behind ``first_of``."""
+
+    def test_wakes_a_pending_event_once(self, env):
+        event = env.event()
+        event.wake()
+        assert event.triggered and event.ok and event.value is None
+        before = env.scheduled_events
+        event.wake()                       # no EventAlreadyTriggered ...
+        event.wake(env.timeout(1))
+        assert env.scheduled_events == before + 1   # ... only the timer
+        env.run()
+        assert event.processed
+
+    def test_is_a_callback(self, env):
+        event = env.event()
+        timer = env.timeout(10, value="ignored")
+        timer.callbacks.append(event.wake)
+        env.run(until=event)
+        assert env.now == 10 and event.value is None
+
+    def test_failed_source_fails_the_waiter_and_is_defused(self, env):
+        event, source = env.event(), env.event()
+        source.callbacks.append(event.wake)
+        source.fail(ValueError("inner"))
+        with pytest.raises(ValueError, match="inner"):
+            env.run(until=event)
+        env.run()                          # neither failure escapes run()
+
+    def test_late_failure_is_defused_not_delivered(self, env):
+        event, source = env.event(), env.event()
+        source.callbacks.append(event.wake)
+        event.wake()
+        source.fail(ValueError("late"))
+        env.run()
+        assert event.ok and not source.ok
+
+
+class TestFirstOf:
+    def test_returns_the_event_woken_by_the_delay(self, env):
+        event = env.event()
+        assert env.first_of(event, 25) is event
+        env.run(until=event)
+        assert env.now == 25
+
+    def test_the_event_itself_wins_in_one_hop(self, env):
+        seen = []
+
+        def waiter():
+            event = env.event()
+            env.timeout(5).callbacks.append(lambda _timer: (
+                event.succeed(), seen.append((env.now, env.scheduled_events))))
+            yield env.first_of(event, 1_000)
+            seen.append((env.now, env.scheduled_events))
+
+        env.process(waiter())
+        env.run()
+        # Nothing is scheduled between the succeed and the waiter resuming.
+        assert seen[0] == seen[1] and seen[0][0] == 5
+        assert env.now == 1_000            # the cap still fires, for nobody
+
+    def test_first_of_several_alternatives(self, env):
+        request = env.event()
+        wait = env.first_of(env.event(), request, 50)
+        request.succeed("response")
+        env.run(until=wait)
+        assert env.now == 0 and wait.value is None and request.value == "response"
+
+    def test_already_fired_alternative(self, env):
+        fired = env.event().succeed()
+        env.run()
+        wait = env.first_of(env.event(), fired)
+        assert wait.triggered
+
+    def test_failed_alternative_is_thrown_into_the_waiter(self, env):
+        caught = []
+
+        def boom():
+            yield env.timeout(3)
+            raise KeyError("handler")
+
+        def waiter():
+            try:
+                yield env.first_of(env.event(), env.process(boom()))
+            except KeyError as exc:
+                caught.append((env.now, exc.args))
+
+        env.process(waiter())
+        env.run()
+        assert caught == [(3, ("handler",))]
+
+    def test_cross_environment_rejected(self, env):
+        other = Environment()
+        with pytest.raises(ValueError, match="environment"):
+            env.first_of(env.event(), other.timeout(1))
+        with pytest.raises(ValueError, match="environment"):
+            env.first_of(other.event(), 1)

@@ -2,7 +2,9 @@
 
 import importlib
 import inspect
+import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -64,3 +66,14 @@ def test_package_all_exports_resolve():
 
 def test_version_is_set():
     assert repro.__version__
+
+
+def test_conditions_stay_off_the_hot_paths():
+    """A capped wait is ``Environment.first_of`` — one event.  ``any_of`` /
+    ``all_of`` build a ``Condition`` and belong to the kernel and its two
+    once-per-run callers."""
+    root = pathlib.Path(repro.__file__).parent
+    users = {str(path.relative_to(root)) for path in root.rglob("*.py")
+             if re.search(r"\b(any_of|all_of|AnyOf|AllOf)\(", path.read_text())}
+    assert users <= {"simkernel/env.py", "simkernel/events.py",
+                     "cluster/cluster.py", "dataflow/engine.py"}

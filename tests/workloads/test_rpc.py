@@ -164,6 +164,39 @@ class TestStaleResponses:
                 == counters["sent"])
 
 
+    def test_failed_request_event_reaches_the_awaiting_client(self):
+        """A request event that *fails* inside the abandon window is defused
+        once and thrown into ``_await`` (as the ``AnyOf`` it replaced did);
+        the client's program can catch it and the run goes on."""
+        from repro.cluster.cluster import Cluster
+        from repro.configs import PPRO_FM2
+        from repro.workloads.arrivals import ClosedLoop
+        from repro.workloads.rpc import RpcClient, RpcEndpoint
+        from repro.workloads.stats import WorkloadStats
+
+        cluster = Cluster(2, machine=PPRO_FM2, fm_version=2)
+        env = cluster.env
+        stats = WorkloadStats(env, name="failed")
+        endpoint = RpcEndpoint(cluster.node(1), stats)
+        client = RpcClient(endpoint, 0, arrivals=ClosedLoop(0), seed=2,
+                           n_requests=1, abandon_after_ns=12_000)
+        caught = []
+
+        def program(node):
+            request = env.event()
+            env.timeout(3_000).callbacks.append(
+                lambda _timer: request.fail(ConnectionError("peer reset")))
+            try:
+                yield from client._await(7, request, env.now)
+            except ConnectionError as exc:
+                caught.append((env.now, str(exc)))
+            yield env.timeout(20_000)        # past the cap: it wakes nobody
+
+        cluster.run([None, program])
+        assert caught == [(3_000, "peer reset")]
+        assert cluster.now == 23_000
+
+
 class TestAbandonAnchoring:
     def test_open_loop_drain_abandons_on_send_anchored_budgets(self):
         """Regression: the abandon budget anchors at *send* time.
