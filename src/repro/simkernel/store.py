@@ -110,9 +110,11 @@ class Store:
                 env._seq = seq
                 env._imm.append((_NORMAL_KEY + seq, get))
             return event
+        # Blocked: a put is queued only against a full store, and a full
+        # store has no queued get (each operation leaves the store settled),
+        # so there is nothing to transfer until a get frees a slot.
         event._triggered = False
         self._puts.append(event)
-        self._settle()
         return event
 
     def get(self) -> StoreGet:
@@ -149,9 +151,10 @@ class Store:
                 env._seq = seq
                 env._imm.append((_NORMAL_KEY + seq, put))
             return event
+        # Blocked, by the mirror invariant: a get is queued only against an
+        # empty store, which has no queued put.
         event._triggered = False
         self._gets.append(event)
-        self._settle()
         return event
 
     def put_now(self, item: Any) -> bool:
