@@ -270,11 +270,11 @@ class FmEndpoint:
         an empty region.  The capped timeout (:data:`IDLE_WAIT_CAP_NS`)
         covers the missed-wakeup case.
 
-        One event either way (:meth:`Environment.first_of`): the process
-        yields the wake-up itself and the cap timer triggers that same
-        event, so a deposit resumes the waiter directly; a wake-up whose
-        cap fired first stays in the NIC's list and is skipped, not
-        fired, by the next flush.
+        The wait is one event (:meth:`Environment.first_of`): the process
+        yields the wake-up itself and the cap timer wakes that same event,
+        so a deposit resumes the waiter directly; a wake-up whose cap fired
+        first stays in the NIC's list and is skipped, not fired, by the
+        next flush.
         """
         yield self.env.first_of(self.nic.rx_wakeup(), IDLE_WAIT_CAP_NS)
 

@@ -198,15 +198,13 @@ class Environment:
     def first_of(self, event: Event, *alternatives: Event | int) -> Event:
         """``event``, armed to be woken by whichever alternative fires first.
 
-        The capped wait as one event: each alternative — another event, or
-        an int delay in ns for which a timer is made — gets the single
-        callback ``event.wake``, and the caller yields ``event`` itself, so
-        a wake-up reaches the waiter in one hop with no :class:`Condition`
-        and no result dict.  The value is ``None``; a failed alternative is
-        thrown into the waiter.  ``event`` belongs to the wait: an
-        alternative the caller must be able to tell apart afterwards (a
-        request's completion event, say) goes on the right, behind a fresh
-        ``env.event()``.
+        The capped wait as one event: each alternative — an event, or an
+        int delay in ns — gets the one callback ``event.wake`` and the
+        caller yields ``event`` itself: one hop from wake-up to waiter, no
+        :class:`Condition`, no result dict (the value is ``None``; a failed
+        alternative is thrown into the waiter).  ``event`` is spent by the
+        wait, so an event the caller still has to read afterwards (a
+        request's completion) goes on the right of a fresh ``env.event()``.
         """
         wake = event.wake
         for alt in alternatives:
@@ -214,7 +212,7 @@ class Environment:
                 alt = self.timeout(alt)
             if alt.env is not event.env:
                 raise ValueError("all events in a wait must share one environment")
-            if alt.callbacks is None:  # already fired
+            if alt._processed:
                 wake(alt)
             else:
                 alt.callbacks.append(wake)

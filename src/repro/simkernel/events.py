@@ -10,7 +10,8 @@ An :class:`Event` has three states:
 Processes wait on events by ``yield``-ing them; the kernel resumes the
 process when the event is processed.  Composite conditions (:class:`AnyOf`,
 :class:`AllOf`) let a process wait for whichever of several events fires
-first, or for all of them.
+first, or for all of them; a wait that only needs "first of these" is
+``Environment.first_of`` — :meth:`Event.wake` as the one callback, no condition.
 """
 
 from __future__ import annotations
@@ -168,20 +169,13 @@ class Event:
         self.env.schedule(self, delay=0, priority=priority)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger with the state of another event (callback-compatible)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.defuse_source(event)
-            self.fail(event._value)
-
     def wake(self, source: Optional["Event"] = None) -> None:
-        """Idempotent :meth:`trigger`: a no-op once triggered, so it can be
-        the callback of several alternatives (a cap timer, a process, a
-        NIC waiter flush) of which only the first one counts.  A failed
-        ``source`` is defused either way and fails a still-pending waiter,
-        exactly as ``Condition._check`` treats a constituent.
+        """Succeed unless already triggered (callback-compatible).
+
+        Idempotent, so it can be the callback of several alternatives (a
+        cap timer, a process, a NIC waiter flush) of which only the first
+        counts.  A failed ``source`` is defused either way and fails a
+        still-pending waiter, as ``Condition._check`` treats a constituent.
         """
         if source is not None and not source._ok:
             source._defused = True
@@ -193,10 +187,6 @@ class Event:
     def defuse(self) -> None:
         """Mark a failed event as handled so ``run()`` won't re-raise it."""
         self._defused = True
-
-    @staticmethod
-    def defuse_source(event: "Event") -> None:
-        event._defused = True
 
     # -- composition ---------------------------------------------------------
     def __or__(self, other: "Event") -> "Condition":

@@ -110,9 +110,8 @@ class Store:
                 env._seq = seq
                 env._imm.append((_NORMAL_KEY + seq, get))
             return event
-        # Blocked: a put is queued only against a full store, and a full
-        # store has no queued get (each operation leaves the store settled),
-        # so there is nothing to transfer until a get frees a slot.
+        # Blocked, and nothing to settle: a put is queued only against a full
+        # store, which has no queued get (every operation leaves it settled).
         event._triggered = False
         self._puts.append(event)
         return event

@@ -36,7 +36,12 @@ class TraceRecord:
 
 @dataclass
 class Tracer:
-    """Records processed events; install with :meth:`attach`."""
+    """Records processed events; install with :meth:`attach`.
+
+    Nothing under ``src/`` attaches one: it is the reference recorder of
+    ``tests/test_determinism.py`` and the kernel tests, which compare full
+    ``(time, seq, priority)`` histories across runs and execution paths.
+    """
 
     records: list[TraceRecord] = field(default_factory=list)
     #: Optional predicate limiting what gets recorded.
