@@ -10,11 +10,12 @@ Paper primitive                             This implementation
 ``FM_extract(bytes)``                       ``fm.extract(max_bytes)``
 ==========================================  =========================================
 
-Handlers are generator functions ``handler(fm, stream, src)``.  Each runs as
-its own logical thread, started transparently when the first packet of its
-message is extracted, descheduled inside ``stream.receive`` while data is in
-flight, and resumed as later packets arrive — so several handlers can be
-pending at once and a long message from one sender does not block others.
+Handlers are generator functions ``handler(fm, stream, src)``.  Each is a
+logical thread of the process inside ``FM_extract`` — a coroutine started
+when the first packet of its message is extracted, descheduled inside
+``stream.receive`` while data is in flight, and resumed by whichever extract
+takes the next packet — so several handlers can be pending at once and a
+long message from one sender does not block others.
 
 All primitives are generators: ``yield from fm.begin_message(...)`` etc.
 """
@@ -142,23 +143,12 @@ class FM2(FmEndpoint):
             self._streams[key] = stream
             handler = self.handlers.lookup(header.handler_id)
             yield from self.cpu.call()
-            stream.handler_process = self.env.process(
-                handler(self, stream, header.src),
-                name=f"fm2.handler[{self.node_id}]{key}",
-            )
-            if obs is not None:
-                # FM 2.x handlers run as their own processes: seed the new
-                # process with the first packet's trace context so every
-                # span it records joins the originating request's tree.
-                obs.bind_process(stream.handler_process, packet.trace)
+            stream.handler = handler(self, stream, header.src)
+            stream.trace = packet.trace
         yield from stream.feed(packet)
 
         if stream.complete and stream.handler_finished:
             stream.discard_unconsumed()
             del self._streams[key]
-            if obs is not None:
-                # Drop the seeded context with the stream, or the observer
-                # pins every finished handler process for the whole run.
-                obs.bind_process(stream.handler_process, None)
             self.stats_recv_messages += 1
         return packet.payload_bytes

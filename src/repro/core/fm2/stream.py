@@ -9,11 +9,13 @@ A :class:`RecvStream` is the handler-visible byte stream of one incoming
 message.  The extract loop feeds it packet payloads; the handler consumes it
 with ``receive`` in chunks of any size, each chunk copied exactly once, from
 the receive region straight into the handler-chosen destination buffer.
-The handler runs as its own simulation process; extract and the handler
-rendezvous through the two one-shot events ``_data_ready`` (handler parked,
-waiting for bytes) and ``_parked`` (extract parked, waiting for the handler
-to consume what is available or finish) — this is the paper's "transparent
-handler multithreading" made concrete.
+The handler is a coroutine of whichever process is inside ``FM_extract``:
+``feed`` resumes it for one *slice* — until it finishes, or runs out of data
+in ``receive`` and parks by yielding ``_PARK`` — and re-yields to the kernel
+every event the handler yields on the way (CPU charges, deposits, whatever it
+waits on).  That is the paper's "transparent handler multithreading": a
+user-level switch inside ``FM_extract`` on the one host CPU, no kernel
+process and no event per switch.
 """
 
 from __future__ import annotations
@@ -24,12 +26,18 @@ from typing import TYPE_CHECKING, Generator, Optional
 from repro.hardware.memory import Buffer
 from repro.hardware.packet import HEADER_BYTES, Packet, PacketFlags
 
+from repro.simkernel.errors import StopProcess
+
 from repro.core.common import FmProtocolError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.simkernel.events import Event
-    from repro.simkernel.process import Process
+    from repro.obs.span import TraceContext
     from repro.core.fm2.api import FM2
+
+#: What ``receive`` yields when it has outrun arrival: the slice loop in
+#: ``feed`` takes it as "descheduled" and returns to the extract loop instead
+#: of passing it to the kernel.
+_PARK = object()
 
 
 class SendStream:
@@ -153,9 +161,12 @@ class RecvStream:
         #: immutable bytes payloads, or zero-copy memoryview slices of them
         #: when a receive consumed only part of a chunk.
         self._chunks: deque = deque()
-        self._data_ready: Optional["Event"] = None   # handler parked here
-        self._parked: Optional["Event"] = None       # extract parked here
-        self.handler_process: Optional["Process"] = None
+        #: The handler coroutine and the first packet's trace context, both
+        #: set by ``FM2._process_packet`` before the first ``feed``.
+        self.handler: Optional[Generator] = None
+        self.trace: Optional["TraceContext"] = None
+        self.handler_finished = False   # returned, or raised
+        self._in_slice = False          # some process is driving the handler
 
     # -- handler side: FM_receive ------------------------------------------------
     @property
@@ -185,7 +196,12 @@ class RecvStream:
         copied = 0
         while copied < nbytes:
             if not self._chunks:
-                yield from self._wait_for_data()
+                if self.complete:
+                    raise FmProtocolError(
+                        f"internal: stream ({self.src}, {self.msg_id}) "
+                        f"complete but handler still waiting for data"
+                    )
+                yield _PARK
                 continue
             chunk = self._chunks.popleft()
             take = min(len(chunk), nbytes - copied)
@@ -214,21 +230,6 @@ class RecvStream:
         yield from self.receive(buf, 0, nbytes)
         return buf.read()
 
-    def _wait_for_data(self) -> Generator:
-        if self.complete:
-            raise FmProtocolError(
-                f"internal: stream ({self.src}, {self.msg_id}) complete but "
-                f"handler still waiting for data"
-            )
-        self._data_ready = self.fm.env.event()
-        self._unpark_extract()
-        yield self._data_ready
-
-    def _unpark_extract(self) -> None:
-        if self._parked is not None:
-            parked, self._parked = self._parked, None
-            parked.succeed()
-
     # -- extract side ---------------------------------------------------------------
     def feed(self, packet: Packet) -> Generator:
         """Append a packet's payload and run the handler until it parks.
@@ -254,25 +255,45 @@ class RecvStream:
                     f"{self.arrived_bytes} of {self.msg_bytes} bytes"
                 )
             self.complete = True
-        yield from self._run_handler_slice()
-
-    def _run_handler_slice(self) -> Generator:
-        """Wake (or start) the handler and wait until it parks or finishes."""
-        assert self.handler_process is not None, "feed() before handler spawn"
-        if self.handler_process.triggered:
+        if self.handler_finished:
             return
-        self._parked = self.fm.env.event()
-        if self._data_ready is not None:
-            ready, self._data_ready = self._data_ready, None
-            ready.succeed()
-        # Parked, or finished: the handler process wakes the same event, and
-        # a handler that raised is thrown into the extracting process here.
-        yield self.fm.env.first_of(self._parked, self.handler_process)
-        self._parked = None
-
-    @property
-    def handler_finished(self) -> bool:
-        return self.handler_process is not None and self.handler_process.triggered
+        handler = self.handler
+        if self._in_slice:
+            if handler.gi_running:
+                raise FmProtocolError(
+                    f"node {self.fm.node_id}: handler re-entered FM_extract "
+                    f"and was fed its own message ({self.src}, {self.msg_id})"
+                )
+            # Another process of this node is mid-slice (the handler is
+            # waiting on one of its own events): it will find the bytes.
+            return
+        # One slice.  The extracting process carries the first packet's trace
+        # context for its duration, so the handler's spans join that tree.
+        obs = self.fm.env.obs
+        self._in_slice = True
+        if obs is not None:
+            prev = obs.bind(self.trace)
+        try:
+            event = handler.send(None)
+            while event is not _PARK:
+                # The kernel resumes the extracting process with the event's
+                # value, or throws a failed event's exception in: forward
+                # either to the handler, as its own process would have.
+                try:
+                    value = yield event
+                except BaseException as exc:
+                    event = handler.throw(exc)
+                else:
+                    event = handler.send(value)
+        except (StopIteration, StopProcess):
+            self.handler_finished = True
+        except BaseException:
+            self.handler_finished = True
+            raise
+        finally:
+            self._in_slice = False
+            if obs is not None:
+                obs.bind(prev)
 
     def discard_unconsumed(self) -> int:
         """Drop bytes the handler chose not to receive; returns the count.

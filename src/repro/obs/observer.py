@@ -26,12 +26,13 @@ event, ``env.obs`` sees semantic intervals.
 :meth:`Observer.mint_trace` starts a request tree, :meth:`Observer.bind`
 attaches a :class:`~repro.obs.span.TraceContext` to the *currently
 running* simulation process (a discrete-event simulator has no threads,
-so the active process is the natural carrier), :meth:`Observer.derive`
-forks a child hop on a remote node, and :meth:`Observer.bind_process`
-seeds a freshly spawned handler process with the context carried by the
-packet that started it.  Spans recorded while a context is bound join
-the request's tree automatically; span ids are allocated from one
-deterministic counter, so two identical runs build identical trees.
+so the active process is the natural carrier) and :meth:`Observer.derive`
+forks a child hop on a remote node.  An FM 2.x handler is a coroutine of
+the process inside ``FM_extract``: that process carries the context of the
+packet that started the handler for as long as it is resuming it.  Spans
+recorded while a context is bound join the request's tree automatically;
+span ids are allocated from one deterministic counter, so two identical
+runs build identical trees.
 """
 
 from __future__ import annotations
@@ -113,17 +114,6 @@ class Observer:
         else:
             self._bound[proc] = ctx
         return prev
-
-    def bind_process(self, process: Any, ctx: Optional[TraceContext]) -> None:
-        """Seed a (possibly not-yet-running) process with ``ctx`` — how the
-        FM 2.x extract path hands the packet's context to the handler
-        process it spawns — or, with ``None``, drop its binding: the same
-        path does that when it retires the stream, so a finished handler
-        pins neither its process nor its context for the rest of the run."""
-        if ctx is None:
-            self._bound.pop(process, None)
-        else:
-            self._bound[process] = ctx
 
     def current(self) -> Optional[TraceContext]:
         """The context bound to the currently running process, if any."""

@@ -88,6 +88,151 @@ class TestHandlerFailures:
             fm2_cluster.run([sender, receiver], until_ns=100_000_000)
 
 
+    def test_handler_fed_its_own_message_from_a_nested_extract_fails_loud(
+            self, fm2_cluster):
+        """A handler may call ``FM_extract`` itself, but not to be handed the
+        next packet of the message it is in the middle of: that is named at
+        the feed, not left to end in the kernel's generic deadlock report."""
+        def handler(fm, stream, src):
+            yield from stream.receive_bytes(1024)
+            yield fm.env.timeout(200_000)        # the rest arrives meanwhile
+            yield from fm.extract()
+
+        hid = {n.fm.register_handler(handler) for n in fm2_cluster.nodes}.pop()
+
+        def sender(node):
+            buf = node.buffer(4096)
+            yield from node.fm.send_buffer(1, hid, buf, 4096)
+
+        def receiver(node):
+            while True:
+                got = yield from node.fm.extract()
+                if not got:
+                    yield from node.fm.idle_wait()
+
+        with pytest.raises(FmProtocolError) as err:
+            fm2_cluster.run([sender, receiver], until_ns=100_000_000)
+        message = str(err.value)
+        assert "handler re-entered FM_extract" in message
+        assert "node 1" in message and "(0, 0)" in message
+
+    def test_failed_event_reaches_the_handler_not_the_extractor(
+            self, fm2_cluster):
+        """Whatever a handler waits on is waited on by the extracting
+        process for it: a failed event is thrown into the handler, which may
+        catch it and carry on, as when it was a process of its own."""
+        env = fm2_cluster.env
+        gate = env.event()
+        seen = []
+
+        def handler(fm, stream, src):
+            try:
+                yield gate
+            except KeyError as exc:
+                seen.append(repr(exc))
+            seen.append(len((yield from stream.receive_bytes(
+                stream.msg_bytes))))
+
+        hid = {n.fm.register_handler(handler) for n in fm2_cluster.nodes}.pop()
+
+        def sender(node):
+            buf = node.buffer(64)
+            yield from node.fm.send_buffer(1, hid, buf, 64)
+            yield env.timeout(50_000)
+            gate.fail(KeyError("gate"))
+
+        def receiver(node):
+            while len(seen) < 2:
+                got = yield from node.fm.extract()
+                if not got:
+                    yield from node.fm.idle_wait()
+
+        fm2_cluster.run([sender, receiver], until_ns=100_000_000)
+        assert seen == ["KeyError('gate')", 64]
+        assert fm2_cluster.node(1).fm.pending_handlers() == 0
+
+    def test_second_extractor_leaves_a_mid_slice_handler_to_its_driver(
+            self, fm2_cluster):
+        """Two programs of one node extract.  While the first is inside a
+        slice (the handler sleeps between two receives) the second is handed
+        the message's next packets: it adds the bytes and returns, and the
+        handler finds them when the first resumes it."""
+        payload = fm2_cluster.fm_params.packet_payload
+        nbytes = 4 * payload
+        data = bytes(i % 251 for i in range(nbytes))
+        got, second_fed = [], []
+
+        def handler(fm, stream, src):
+            head = yield from stream.receive_bytes(payload)
+            yield fm.env.timeout(300_000)
+            got.append(head + (yield from stream.receive_bytes(
+                nbytes - payload)))
+
+        hid = {n.fm.register_handler(handler) for n in fm2_cluster.nodes}.pop()
+
+        def sender(node):
+            buf = node.buffer(nbytes, fill=data)
+            yield from node.fm.send_buffer(1, hid, buf, nbytes)
+
+        def first(node):
+            while not got:
+                if not (yield from node.fm.extract()):
+                    yield from node.fm.idle_wait()
+
+        def second(node):
+            yield node.env.timeout(100_000)
+            while not got:
+                fed = yield from node.fm.extract()
+                if fed:
+                    second_fed.append(fed)
+                else:
+                    yield node.env.timeout(10_000)
+
+        fm2_cluster.spawn(second, 1, name="second@1")
+        fm2_cluster.run([sender, first], until_ns=100_000_000)
+        assert got == [data]
+        assert sum(second_fed) == nbytes - payload
+        fm = fm2_cluster.node(1).fm
+        assert fm._streams == {} and fm.stats_recv_messages == 1
+
+
+class TestInterleaving:
+    def test_two_long_messages_progress_packet_by_packet(self):
+        """Two senders, one long message each, handlers that take a packet's
+        worth at a time: neither handler runs to the end before the other has
+        started — each is resumed as its own packets arrive."""
+        cluster = Cluster(3, machine=PPRO_FM2, fm_version=2)
+        payload = cluster.fm_params.packet_payload
+        packets = 8
+        log = []
+
+        def handler(fm, stream, src):
+            while stream.remaining:
+                chunk = yield from stream.receive_bytes(payload)
+                assert chunk == bytes([src + 1]) * payload
+                log.append(src)
+
+        hid = {n.fm.register_handler(handler) for n in cluster.nodes}.pop()
+
+        def make_sender(rank):
+            def sender(node):
+                buf = node.buffer(packets * payload,
+                                  fill=bytes([rank + 1]) * (packets * payload))
+                yield from node.fm.send_buffer(2, hid, buf, packets * payload)
+            return sender
+
+        def receiver(node):
+            while len(log) < 2 * packets:
+                if not (yield from node.fm.extract()):
+                    yield from node.fm.idle_wait()
+
+        cluster.run([make_sender(0), make_sender(1), receiver])
+        assert log.count(0) == log.count(1) == packets
+        switches = sum(a != b for a, b in zip(log, log[1:]))
+        assert switches >= packets        # not one message, then the other
+        assert cluster.node(2).fm._streams == {}
+
+
 class TestConcurrentSendStreams:
     def test_two_open_streams_to_different_destinations(self):
         """FM 2.x allows interleaving pieces of messages to different

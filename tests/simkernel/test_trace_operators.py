@@ -160,14 +160,15 @@ class TestTracer:
             [tuple(r) for r in second.records]
 
     def test_fm_run_traceable(self, fm2_cluster):
-        """End to end: tracing a full FM exchange names the firmware loops."""
-        tracer = Tracer(keep=lambda r: r.kind == "process").attach(
-            fm2_cluster.env)
-        done = []
+        """End to end: an FM 2.x handler is a coroutine of the extracting
+        program — no process of its own, its charges fire under the
+        receiver's."""
+        tracer = Tracer().attach(fm2_cluster.env)
+        ran_in = []
 
         def handler(fm, stream, src):
             yield from stream.receive_bytes(stream.msg_bytes)
-            done.append(1)
+            ran_in.append((fm.env.active_process.name, fm.env.now))
 
         hid = {n.fm.register_handler(handler)
                for n in fm2_cluster.nodes}.pop()
@@ -177,11 +178,17 @@ class TestTracer:
             yield from node.fm.send_buffer(1, hid, buf, 64)
 
         def receiver(node):
-            while not done:
+            while not ran_in:
                 got = yield from node.fm.extract()
                 if not got:
                     yield node.env.timeout(500)
 
         fm2_cluster.run([sender, receiver])
-        names = set(tracer.names("process"))
-        assert any("handler" in name for name in names)
+        [(process, finished_at)] = ran_in
+        assert process == "prog@1"
+        assert set(tracer.names("process")) == {"prog@0", "prog@1"}
+        # The one deposit of the 64 bytes is a traced timeout ending where
+        # the handler resumed.
+        deposit = fm2_cluster.node(1).cpu.memcpy_cost(64)
+        assert any(r.name == f"+{deposit}" and r.time == finished_at
+                   for r in tracer.records if r.kind == "timeout")

@@ -28,7 +28,7 @@ def stream(machine, fm_version):
     def run():
         cluster = Cluster(2, machine=machine, fm_version=fm_version)
         result = fm_stream(cluster, 1500, n_messages=40)
-        return {"stream": asdict(result), "now": cluster.now}, cluster.env
+        return {"stream": asdict(result), "now": cluster.now}, cluster
     return run
 
 
@@ -65,13 +65,13 @@ def rdma_and_barriers():
 
     cluster.run([make_program(rank) for rank in range(n)])
     assert region.read(0, nbytes) == payload == local.read(0, nbytes)
-    return {"left_at": left_at, "now": cluster.now}, cluster.env
+    return {"left_at": left_at, "now": cluster.now}, cluster
 
 
 def preset(name, plan=None):
     def run():
         outcome = execute_scenario(PRESETS[name], plan=plan)
-        return outcome.report, outcome.cluster.env
+        return outcome.report, outcome.cluster
     return run
 
 
@@ -100,15 +100,16 @@ def observed(run):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Packet, "stamp", stamp)
-        report, env = run()
-    return dumps_deterministic(report), waypoints, env
+        report, cluster = run()
+    return dumps_deterministic(report), waypoints, cluster
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_same_report_same_waypoints_one_event_per_elision(name):
-    report, waypoints, env = observed(SCENARIOS[name])
+    report, waypoints, cluster = observed(SCENARIOS[name])
     with elision_declined():
-        ref_report, ref_waypoints, ref_env = observed(SCENARIOS[name])
+        ref_report, ref_waypoints, ref_cluster = observed(SCENARIOS[name])
+    env, ref_env = cluster.env, ref_cluster.env
     assert report == ref_report
     assert waypoints == ref_waypoints and waypoints
     assert ref_env.elided == 0 < env.elided

@@ -77,3 +77,24 @@ def test_conditions_stay_off_the_hot_paths():
              if re.search(r"\b(any_of|all_of|AnyOf|AllOf)\(", path.read_text())}
     assert users <= {"simkernel/env.py", "simkernel/events.py",
                      "cluster/cluster.py", "dataflow/engine.py"}
+
+
+def test_capped_waits_are_the_five_known_sites():
+    """``first_of`` call sites, counted per file: the idle wait, the
+    completion-queue wait and three deadline waits.  An FM 2.x handler slice
+    is not one — the extractor drives the handler, it does not wait for it."""
+    root = pathlib.Path(repro.__file__).parent
+    sites = {str(path.relative_to(root)): n for path in root.rglob("*.py")
+             if (n := path.read_text().count("first_of("))}
+    assert sites == {"simkernel/env.py": 1,          # the definition
+                     "core/common.py": 1, "core/rdma/api.py": 1,
+                     "workloads/rpc.py": 1, "workloads/replication.py": 2}
+
+
+def test_no_fm_layer_spawns_a_process():
+    """Handlers run inside ``FM_extract`` (inline on FM 1.x, as the
+    extractor's coroutine on FM 2.x); nothing under ``core`` starts a kernel
+    process."""
+    core = pathlib.Path(repro.__file__).parent / "core"
+    assert [str(path.relative_to(core)) for path in core.rglob("*.py")
+            if "env.process(" in path.read_text()] == []
