@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.hardware.memory import Buffer
 from repro.hardware.packet import HEADER_BYTES, Packet, PacketFlags
-
 from repro.simkernel.errors import StopProcess
 
 from repro.core.common import FmProtocolError
@@ -285,11 +284,10 @@ class RecvStream:
                     event = handler.throw(exc)
                 else:
                     event = handler.send(value)
-        except (StopIteration, StopProcess):
+        except BaseException as exc:
             self.handler_finished = True
-        except BaseException:
-            self.handler_finished = True
-            raise
+            if not isinstance(exc, (StopIteration, StopProcess)):
+                raise       # into the extracting program, which may catch it
         finally:
             self._in_slice = False
             if obs is not None:

@@ -4,8 +4,8 @@ A process wraps a Python generator.  Each ``yield`` hands the kernel an
 :class:`~repro.simkernel.events.Event`; the kernel resumes the generator
 with the event's value once it fires (or throws the event's exception into
 the generator).  A process is itself an event that fires when the generator
-returns, so processes can wait on each other — this is how, e.g., an FM 2.x
-handler coroutine is joined by the extract loop.
+returns, so processes can wait on each other — this is how ``Cluster.run``
+joins the programs it started.
 """
 
 from __future__ import annotations

@@ -69,6 +69,7 @@ def handlers_as_processes():
     shipped_feed = RecvStream.feed
 
     def feed(self, packet):
+        # ``FM2._process_packet`` sets ``handler`` just before the first feed.
         if packet.header.is_first:
             self.handler = _rendezvous(self, self.handler)
         return shipped_feed(self, packet)

@@ -17,14 +17,14 @@ import pytest
 from repro.core.fm2 import FM2
 
 from tests._handlers import handlers_as_processes
-from tests.test_elision_differential import SCENARIOS, observed
+from tests.test_elision_differential import SCENARIOS, observed, shipped
 
 NO_FM2_HANDLER = ("fm1-stream", "rdma-and-barriers")
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_same_report_same_waypoints_fewer_events(name):
-    report, waypoints, cluster = observed(SCENARIOS[name])
+    report, waypoints, cluster = shipped(name)
     with handlers_as_processes():
         ref_report, ref_waypoints, ref_cluster = observed(SCENARIOS[name])
     env, ref_env = cluster.env, ref_cluster.env

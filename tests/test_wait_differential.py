@@ -16,12 +16,12 @@ from __future__ import annotations
 import pytest
 
 from tests._waits import waits_as_conditions
-from tests.test_elision_differential import SCENARIOS, observed
+from tests.test_elision_differential import SCENARIOS, observed, shipped
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_same_report_same_waypoints_fewer_events(name):
-    report, waypoints, cluster = observed(SCENARIOS[name])
+    report, waypoints, cluster = shipped(name)
     with waits_as_conditions():
         ref_report, ref_waypoints, ref_cluster = observed(SCENARIOS[name])
     env, ref_env = cluster.env, ref_cluster.env
