@@ -15,7 +15,7 @@ user of the library would run next.
 
 from __future__ import annotations
 
-from repro.bench.microbench import (IDLE_POLL_NS, fm_pingpong, fm_send,
+from repro.bench.microbench import (extract_until, fm_pingpong, fm_send,
                                     register_handler)
 from repro.cluster.cluster import Cluster
 from repro.configs import PPRO_FM2, SPARC_FM1
@@ -55,10 +55,7 @@ def aggregate_pair_bandwidth(machine: MachineParams, fm_version: int,
 
     def make_receiver(pair: int):
         def receiver(node):
-            while done[pair] < n_messages:
-                got = yield from node.fm.extract()
-                if not got:
-                    yield node.env.timeout(IDLE_POLL_NS)
+            return extract_until(node, lambda: done[pair] >= n_messages)
         return receiver
 
     programs = []

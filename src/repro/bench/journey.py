@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.bench.microbench import fm_send, register_handler
+from repro.bench.microbench import (extract_until, fm_send,
+                                    register_handler)
 from repro.cluster.cluster import Cluster
 from repro.hardware.params import MachineParams
 
@@ -98,10 +99,7 @@ def packet_journey_detail(machine: MachineParams, fm_version: int,
         yield from fm_send(node.fm, 1, hid, buf, msg_bytes)
 
     def receiver(node):
-        while not done:
-            got = yield from node.fm.extract()
-            if not got:
-                yield node.env.timeout(200)
+        return extract_until(node, lambda: done)
 
     cluster.run([sender, receiver])
     first_packet = captured[0]

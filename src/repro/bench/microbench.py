@@ -21,7 +21,6 @@ from repro.simkernel.units import MICROSECOND
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
 from repro.core.fm1.api import FM1
-from repro.core.fm2.api import FM2
 
 #: Poll backoff used by benchmark receive loops when nothing is pending.
 IDLE_POLL_NS = 200
@@ -63,6 +62,17 @@ def register_handler(cluster: Cluster, on_message: Callable) -> int:
             yield from stream.receive_bytes(stream.msg_bytes)
             on_message(stream.fm)
     return _register_on_all(cluster, handler)
+
+
+def extract_until(node: Node, done: Callable[[], bool],
+                  budget: Optional[int] = None):
+    """The raw-FM program's receive loop: ``FM_extract`` until ``done()``,
+    backing off :data:`IDLE_POLL_NS` after a pass that presented nothing.
+    ``budget`` is FM 2.x's ``FM_extract(bytes)`` limit."""
+    while not done():
+        got = yield from node.fm.extract(budget)
+        if not got:
+            yield node.env.timeout(IDLE_POLL_NS)
 
 
 # -- ping-pong -------------------------------------------------------------------
@@ -117,12 +127,8 @@ def fm_pingpong(cluster: Cluster, msg_bytes: int = 16, iterations: int = 30,
 
 def fm_send(fm, dest: int, hid: int, buf, nbytes: int):
     """Send ``buf`` whole through either FM generation's API."""
-    if isinstance(fm, FM1):
-        yield from fm.send(dest, hid, buf, nbytes)
-    elif isinstance(fm, FM2):
-        yield from fm.send_buffer(dest, hid, buf, nbytes)
-    else:  # pragma: no cover - defensive
-        raise TypeError(f"unknown FM endpoint {fm!r}")
+    send = fm.send if isinstance(fm, FM1) else fm.send_buffer
+    return send(dest, hid, buf, nbytes)
 
 
 def fm_pingpong_latency_us(cluster: Cluster, msg_bytes: int = 16,
@@ -166,13 +172,8 @@ def fm_stream(cluster: Cluster, msg_bytes: int, n_messages: int = 60,
         # FM 2.x handlers deliver into a reusable sink buffer, mirroring the
         # paper's bandwidth test (FM_receive into a buffer).
         node.fm._bench_sink = node.buffer(max(msg_bytes, 1), name="bench_sink")
-        while done_count[0] < n_messages:
-            if fm_version == 2:
-                got = yield from node.fm.extract(extract_budget)
-            else:
-                got = yield from node.fm.extract()
-            if not got:
-                yield node.env.timeout(IDLE_POLL_NS)
+        return extract_until(node, lambda: done_count[0] >= n_messages,
+                             extract_budget if fm_version == 2 else None)
 
     cluster.run([sender, receiver])
     elapsed = done_at[0] - start_at[0]

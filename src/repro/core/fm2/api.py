@@ -18,6 +18,9 @@ takes the next packet — so several handlers can be pending at once and a
 long message from one sender does not block others.
 
 All primitives are generators: ``yield from fm.begin_message(...)`` etc.
+A layer above that sends header + payload calls ``fm.send_gather(dest,
+handler, pieces)`` — the three send primitives in sequence, one
+``FM_send_piece`` per piece — and returns that generator as its own send.
 """
 
 from __future__ import annotations
@@ -78,6 +81,18 @@ class FM2(FmEndpoint):
         if obs is not None:
             obs.span("fm", "FM_end_message", t0, track=self._track,
                      dest=stream.dest, bytes=stream.msg_bytes)
+
+    def send_gather(self, dest: int, handler_id: int,
+                    pieces: list[Buffer]) -> Generator:
+        """One message gathered from ``pieces``, each sent whole and in
+        order — the header + payload send of every layer above.  Sends
+        exactly the pieces given: a zero-length piece still costs its
+        ``FM_send_piece``, so callers leave an empty payload out."""
+        stream = yield from self.begin_message(
+            dest, sum([piece.size for piece in pieces]), handler_id)
+        for piece in pieces:
+            yield from self.send_piece(stream, piece, 0, piece.size)
+        yield from self.end_message(stream)
 
     def send_buffer(self, dest: int, handler_id: int, buf: Buffer, nbytes: int,
                     offset: int = 0) -> Generator:
@@ -145,10 +160,13 @@ class FM2(FmEndpoint):
             yield from self.cpu.call()
             stream.handler = handler(self, stream, header.src)
             stream.trace = packet.trace
-        yield from stream.feed(packet)
-
-        if stream.complete and stream.handler_finished:
-            stream.discard_unconsumed()
-            del self._streams[key]
-            self.stats_recv_messages += 1
+        try:
+            yield from stream.feed(packet)
+        finally:
+            # Also when the handler raised: the extracting program may
+            # catch that, and the message is over either way.
+            if stream.complete and stream.handler_finished:
+                stream.discard_unconsumed()
+                del self._streams[key]
+                self.stats_recv_messages += 1
         return packet.payload_bytes

@@ -53,9 +53,7 @@ class RdmaStalledError(RdmaError):
 class RdmaEndpoint:
     """Per-node RDMA attachment: registration plus the put/get verbs."""
 
-    def __init__(self, node: "Node", mtu: int = RDMA_MTU):
-        if mtu < 1:
-            raise ValueError(f"mtu must be positive, got {mtu}")
+    def __init__(self, node: "Node"):
         self.node = node
         self.env = node.env
         self.cpu = node.cpu
@@ -63,7 +61,6 @@ class RdmaEndpoint:
         self.nic = node.nic
         self.node_id = node.node_id
         self._track = f"node{node.node_id}/rdma"
-        self.mtu = mtu
         self._next_rkey = 1
         self._next_op_id = 0
         self.stats_puts = 0
@@ -110,9 +107,9 @@ class RdmaEndpoint:
         op_id = self._alloc_op_id()
         offset = 0
         seq = 0
-        last_seq = (nbytes - 1) // self.mtu
+        last_seq = (nbytes - 1) // RDMA_MTU
         while offset < nbytes:
-            chunk = min(self.mtu, nbytes - offset)
+            chunk = min(RDMA_MTU, nbytes - offset)
             yield from self.nic.tx_dma.transfer(HEADER_BYTES + chunk)
             flags = PacketFlags.RDMA_WRITE
             if seq == 0:

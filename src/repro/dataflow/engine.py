@@ -241,6 +241,10 @@ class PipelineKind:
     fields = ("pipeline", "n_sources", "branches", "window_ns",
               "window_slide_ns", "partition_by", "stage_placement",
               "sink_work_ns")
+    #: Every Scenario field a pipeline run reads beyond the cluster shape.
+    reads = fields + (
+        "arrival", "rate_rps", "burst_on_ns", "burst_off_ns", "req_bytes",
+        "work_ns", "n_keys", "queue_capacity", "extract_budget")
     #: Source arrival gaps and record keys are numpy streams.
     uses_numpy = True
 
@@ -275,18 +279,6 @@ class PipelineKind:
             raise ValueError(
                 f"{s.stage_placement!r} placement of this pipeline "
                 f"needs >= {need} nodes, got {s.n_nodes}")
-        if s.servers != 1 or s.replicas != 1:
-            raise ValueError(
-                "sharding/replication are rpc concepts; pipelines "
-                "express parallelism as branches")
-        if s.population or s.partition_groups:
-            raise ValueError(
-                "pipelines place stages on one crossbar and draw no "
-                "aggregate sources (population/partition_groups must be 0)")
-        if s.sample_interval_ns:
-            raise ValueError(
-                "pipeline telemetry is per-stage (queue depth + credit "
-                "stalls); time-series sampling and SLOs are rpc-only")
 
     def build_stats(self, env, scenario: "Scenario") -> PipelineStats:
         """Per-stage pipeline stats."""

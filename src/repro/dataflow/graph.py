@@ -163,41 +163,45 @@ class StreamGraph:
                         f"stage {stage.name!r} is not fully connected")
 
 
-@dataclass(frozen=True)
-class Stream:
-    """Fluent handle over one stage of a :class:`StreamGraph`."""
+class _Operators:
+    """The operator vocabulary, declared once.  A user says only how the
+    next stage(s) are created: ``_then(name, kind, **params)``."""
 
     graph: StreamGraph
-    stage_id: int
 
-    @property
-    def spec(self) -> StageSpec:
-        return self.graph.stages[self.stage_id]
+    def _operator(self, name: Optional[str], kind: str, **params):
+        return self._then(name or f"{kind}{len(self.graph.stages)}", kind,
+                          **params)
+
+    def map(self, op: str = "identity", *, work_ns: int = 0,
+            name: Optional[str] = None):
+        """Apply a named :data:`~repro.dataflow.ops.MAP_OPS` transform."""
+        return self._operator(name, "map", op=op, work_ns=work_ns)
+
+    def filter(self, op: str, *, work_ns: int = 0,
+               name: Optional[str] = None):
+        """Keep records passing a named predicate; the rest are counted
+        (``filtered``) and conserved in the report's accounting."""
+        return self._operator(name, "filter", op=op, work_ns=work_ns)
+
+    def window(self, window_ns: int, *, slide_ns: int = 0, agg: str = "sum",
+               work_ns: int = 0, name: Optional[str] = None):
+        """Tumbling (``slide_ns=0``) or sliding windowed aggregation."""
+        return self._operator(name, "window", op=agg, work_ns=work_ns,
+                              window_ns=window_ns, slide_ns=slide_ns)
+
+
+@dataclass(frozen=True)
+class MergedStreams(_Operators):
+    """Several streams treated as one logical input (n-ary connect)."""
+
+    graph: StreamGraph
+    stage_ids: tuple[int, ...]
 
     def _then(self, name: str, kind: str, **params) -> "Stream":
         stage = self.graph._add_stage(name, kind, **params)
-        self.graph._connect((self.stage_id,), stage.stage_id)
+        self.graph._connect(self.stage_ids, stage.stage_id)
         return Stream(self.graph, stage.stage_id)
-
-    def map(self, op: str = "identity", *, work_ns: int = 0,
-            name: Optional[str] = None) -> "Stream":
-        """Apply a named :data:`~repro.dataflow.ops.MAP_OPS` transform."""
-        return self._then(name or f"map{len(self.graph.stages)}", "map",
-                          op=op, work_ns=work_ns)
-
-    def filter(self, op: str, *, work_ns: int = 0,
-               name: Optional[str] = None) -> "Stream":
-        """Keep records passing a named predicate; the rest are counted
-        (``filtered``) and conserved in the report's accounting."""
-        return self._then(name or f"filter{len(self.graph.stages)}", "filter",
-                          op=op, work_ns=work_ns)
-
-    def window(self, window_ns: int, *, slide_ns: int = 0, agg: str = "sum",
-               work_ns: int = 0, name: Optional[str] = None) -> "Stream":
-        """Tumbling (``slide_ns=0``) or sliding windowed aggregation."""
-        return self._then(name or f"window{len(self.graph.stages)}", "window",
-                          op=agg, work_ns=work_ns, window_ns=window_ns,
-                          slide_ns=slide_ns)
 
     def sink(self, name: str = "sink", *, work_ns: int = 0) -> "Stream":
         """Terminal stage: records die here (latency measured on arrival)."""
@@ -211,57 +215,31 @@ class Stream:
             raise ValueError(f"partition width must be positive, got {n}")
         if by not in ("hash", "round_robin"):
             raise ValueError(f"partition by must be hash/round_robin, got {by!r}")
-        return PendingFanout(self.graph, (self.stage_id,), n, by)
+        return PendingFanout(self.graph, self.stage_ids, n, by)
 
     def scatter(self, n: int) -> "PendingFanout":
         """streamz-style scatter: round-robin fan-out over ``n`` lanes."""
         return self.partition(n, by="round_robin")
 
 
-@dataclass(frozen=True)
-class MergedStreams:
-    """Several streams treated as one logical input (n-ary connect)."""
+class Stream(MergedStreams):
+    """Fluent handle over one stage of a :class:`StreamGraph`: the
+    one-upstream :class:`MergedStreams`."""
 
-    graph: StreamGraph
-    stage_ids: tuple[int, ...]
+    def __init__(self, graph: StreamGraph, stage_id: int):
+        super().__init__(graph, (stage_id,))
 
-    def _then(self, name: str, kind: str, **params) -> Stream:
-        stage = self.graph._add_stage(name, kind, **params)
-        self.graph._connect(self.stage_ids, stage.stage_id)
-        return Stream(self.graph, stage.stage_id)
+    @property
+    def stage_id(self) -> int:
+        return self.stage_ids[0]
 
-    def map(self, op: str = "identity", *, work_ns: int = 0,
-            name: Optional[str] = None) -> Stream:
-        return self._then(name or f"map{len(self.graph.stages)}", "map",
-                          op=op, work_ns=work_ns)
-
-    def filter(self, op: str, *, work_ns: int = 0,
-               name: Optional[str] = None) -> Stream:
-        return self._then(name or f"filter{len(self.graph.stages)}", "filter",
-                          op=op, work_ns=work_ns)
-
-    def window(self, window_ns: int, *, slide_ns: int = 0, agg: str = "sum",
-               work_ns: int = 0, name: Optional[str] = None) -> Stream:
-        return self._then(name or f"window{len(self.graph.stages)}", "window",
-                          op=agg, work_ns=work_ns, window_ns=window_ns,
-                          slide_ns=slide_ns)
-
-    def sink(self, name: str = "sink", *, work_ns: int = 0) -> Stream:
-        return self._then(name, "sink", work_ns=work_ns)
-
-    def partition(self, n: int, by: str = "hash") -> "PendingFanout":
-        if n < 1:
-            raise ValueError(f"partition width must be positive, got {n}")
-        if by not in ("hash", "round_robin"):
-            raise ValueError(f"partition by must be hash/round_robin, got {by!r}")
-        return PendingFanout(self.graph, self.stage_ids, n, by)
-
-    def scatter(self, n: int) -> "PendingFanout":
-        return self.partition(n, by="round_robin")
+    @property
+    def spec(self) -> StageSpec:
+        return self.graph.stages[self.stage_id]
 
 
 @dataclass(frozen=True)
-class PendingFanout:
+class PendingFanout(_Operators):
     """A declared fan-out whose lane stages don't exist yet; the next
     operator call materialises them (one stage per lane, each upstream
     connected to all lanes through the fan-out selector)."""
@@ -271,9 +249,8 @@ class PendingFanout:
     n: int
     by: str
 
-    def _lanes(self, base: Optional[str], kind: str, **params) -> "StreamSet":
+    def _then(self, base: str, kind: str, **params) -> "StreamSet":
         graph = self.graph
-        base = base or f"{kind}{len(graph.stages)}"
         lanes = []
         for branch in range(self.n):
             stage = graph._add_stage(f"{base}.{branch}", kind,
@@ -283,19 +260,6 @@ class PendingFanout:
         for src in self.srcs:
             graph._fanout(src, dsts, self.by)
         return StreamSet(graph, tuple(lanes))
-
-    def map(self, op: str = "identity", *, work_ns: int = 0,
-            name: Optional[str] = None) -> "StreamSet":
-        return self._lanes(name, "map", op=op, work_ns=work_ns)
-
-    def filter(self, op: str, *, work_ns: int = 0,
-               name: Optional[str] = None) -> "StreamSet":
-        return self._lanes(name, "filter", op=op, work_ns=work_ns)
-
-    def window(self, window_ns: int, *, slide_ns: int = 0, agg: str = "sum",
-               work_ns: int = 0, name: Optional[str] = None) -> "StreamSet":
-        return self._lanes(name, "window", op=agg, work_ns=work_ns,
-                           window_ns=window_ns, slide_ns=slide_ns)
 
 
 @dataclass(frozen=True)

@@ -62,8 +62,3 @@ def pack_message(edge_id: int, records: Iterable[tuple], flags: int,
     n_records = len(body) // RECORD.size
     pad = n_records * (record_bytes - RECORD.size)
     return EDGE_HEADER.pack(edge_id, n_records, flags) + body + b"\0" * pad
-
-
-def message_bytes(n_records: int, record_bytes: int) -> int:
-    """Wire size of a message carrying ``n_records``."""
-    return EDGE_HEADER.size + n_records * record_bytes

@@ -6,7 +6,7 @@ How backpressure works here (the tentpole mechanism, end to end):
    .Store` input queue.
 2. Each node runs one *pump* (mirroring :class:`~repro.workloads.rpc
    .RpcServer`'s): drain the endpoint inbox into the destination stages'
-   queues, then ``extract_some(budget)``, then ``fm.idle_wait()``.
+   queues, then ``fm.extract(budget)``, then ``fm.idle_wait()``.
    ``yield queue.put(record)`` **blocks while the queue is full** — and a
    blocked pump extracts nothing.
 3. With extract stopped, the NIC's host receive region fills and credit
@@ -21,16 +21,14 @@ No dataflow-specific protocol, retransmission, or ack machinery: the FM
 credit scheme the paper already has *is* the backpressure carrier, which
 is the layering argument this subsystem exists to exercise.
 
-When a node hosts *several* remote-fed stages, the pump keeps one lane
-(a bounded staging deque) per destination stage and round-robins
-delivery across them, so a full queue stalls only its own lane: records
-for co-hosted stages keep flowing.  Extraction is gated on the fullest
-lane reaching its bound (one queue's worth of staging), at which point
-the pump parks in a blocking ``put`` on that stage — restoring exactly
-the strict backpressure chain above.  A node hosting a single remote-fed
-stage skips the lane machinery entirely and delivers in strict arrival
-order (nothing to be unfair to; identical behaviour to the original
-pump).
+The pump keeps one lane (a bounded staging deque) per remote-fed stage
+and round-robins delivery across them, so a full queue stalls only its
+own lane: records for co-hosted stages keep flowing.  Extraction is gated
+on a lane reaching its bound, at which point the pump parks in a blocking
+``put`` on that stage — restoring exactly the strict backpressure chain
+above.  Lanes that share a pump stage one queue's worth each; a lone lane
+stages only the record it is delivering, which is strict arrival-order
+delivery, event for event.
 
 Same-node edges never touch FM (FM forbids self-sends): a local handoff
 charges the host memcpy cost for the record's wire footprint and puts
@@ -109,11 +107,7 @@ class DataflowEndpoint:
                      flags: int, record_bytes: int) -> Generator:
         payload = pack_message(edge_id, records, flags, record_bytes)
         buf = Buffer.from_bytes(payload, name=f"dataflow.edge{edge_id}")
-        yield from self.fm.send_buffer(dest, self.handler_id, buf,
-                                       len(payload))
-
-    def extract_some(self, budget_bytes: Optional[int]) -> Generator:
-        yield from self.fm.extract(budget_bytes)
+        return self.fm.send_gather(dest, self.handler_id, [buf])
 
 
 class EdgeRuntime:
@@ -401,97 +395,77 @@ class NodeRuntime:
             self.env.process(self._pump(), name=f"dataflow.pump@{node_id}")
 
     def _pump(self) -> Generator:
-        """Inbox -> bounded stage queues -> extract -> idle-wait.
+        """Inbox -> lanes -> bounded stage queues -> extract -> idle-wait.
 
-        The ``yield queue.put(...)`` is the whole backpressure mechanism:
-        while it blocks, this process is not extracting, the receive
-        region fills, credits are withheld, senders stall.  With several
-        remote-fed stages co-hosted, delivery round-robins per-stage
-        lanes so one full queue stalls only its own lane (see the module
-        docstring).
-        """
-        fed_stages: list[StageRuntime] = []
-        for edge in self.in_edges.values():
-            if edge.dst not in fed_stages:
-                fed_stages.append(edge.dst)
-        if len(fed_stages) > 1:
-            yield from self._pump_fair(fed_stages)
-            return
-        endpoint = self.endpoint
-        inbox = endpoint.inbox
-        nic = self.node.nic
-        edges = self.in_edges
-        while True:
-            while inbox:
-                edge_id, records, flags = inbox.popleft()
-                edge = edges[edge_id]
-                dst = edge.dst
-                for record in records:
-                    yield dst.queue.put(record)
-                    edge.received += 1
-                    self.stats.note_queue_depth(dst.stage_stats,
-                                                dst.queue.level)
-                if flags & EOS_FLAG:
-                    yield dst.queue.put(Eos(edge_id))
-            yield from endpoint.extract_some(self.extract_budget)
-            if not inbox and nic.recv_region.level == 0:
-                yield from endpoint.fm.idle_wait()
-
-    def _pump_fair(self, fed_stages: list["StageRuntime"]) -> Generator:
-        """The multi-stage pump: per-stage staging lanes, round-robin
-        delivery, extraction gated on the fullest lane.
+        The blocking ``yield queue.put(...)`` is the whole backpressure
+        mechanism: while it blocks, this process is not extracting, the
+        receive region fills, credits are withheld, senders stall.
 
         Invariants: every parsed record sits in exactly one place (lane or
         queue) until consumed — zero drops; extraction stops once any lane
-        stages a full queue's worth, so total node-side buffering stays
-        bounded at (queue + lane) per stage and the FM credit chain still
-        carries backpressure to the senders.
+        reaches its bound, so node-side buffering stays bounded at
+        (queue + lane) per stage and the FM credit chain still carries
+        backpressure to the senders.
         """
-        endpoint = self.endpoint
-        inbox = endpoint.inbox
+        fm = self.endpoint.fm
+        inbox = self.endpoint.inbox
         nic = self.node.nic
         edges = self.in_edges
-        lanes: dict[StageRuntime, deque] = {s: deque() for s in fed_stages}
-        bounds = {s: max(1, s.queue.capacity) for s in fed_stages}
-        rr = 0
-        n = len(fed_stages)
+        lanes = {edge.dst: deque() for edge in edges.values()}
+        n = len(lanes)
+        gates = [(stage, lane, self._lane_bound(stage, shared=n > 1))
+                 for stage, lane in lanes.items()]
+        rr = -1             # passes made: the round-robin start advances
+        leftovers = False   # on every one; a lane kept what found no room
         while True:
-            # Parse arrivals into their destination lanes.
-            while inbox:
-                edge_id, records, flags = inbox.popleft()
-                edge = edges[edge_id]
-                lane = lanes[edge.dst]
-                for record in records:
-                    lane.append((edge, record))
-                if flags & EOS_FLAG:
-                    lane.append((edge, Eos(edge_id)))
-            # Round-robin delivery: each stage drains its lane while its
-            # queue has room; a full queue parks only its own lane.
-            for i in range(n):
-                stage = fed_stages[(rr + i) % n]
-                lane = lanes[stage]
-                while lane and not stage.queue.is_full:
-                    yield from self._deliver(stage, lane.popleft())
-            rr = (rr + 1) % n
-            # Extraction gate: a lane at its bound means that stage is the
-            # bottleneck — park in a blocking put on it (this is where the
-            # backpressure chain re-engages) instead of staging more.
-            blocked = next((s for s in fed_stages
-                            if len(lanes[s]) >= bounds[s]), None)
-            if blocked is not None:
-                yield from self._deliver(blocked, lanes[blocked].popleft())
-                continue
-            yield from endpoint.extract_some(self.extract_budget)
+            rr += 1
+            if inbox or leftovers:
+                while inbox:
+                    edge_id, records, flags = inbox.popleft()
+                    edge = edges[edge_id]
+                    lane = lanes[edge.dst]
+                    for record in records:
+                        lane.append((edge, record))
+                    if flags & EOS_FLAG:
+                        lane.append((edge, Eos(edge_id)))
+                # Round-robin delivery: each stage drains its lane while its
+                # queue has room; a full queue parks only its own lane.
+                for i in range(n):
+                    stage, lane, _bound = gates[(rr + i) % n]
+                    while lane and not stage.queue.is_full:
+                        edge, item = lane.popleft()
+                        yield stage.queue.put(item)
+                        self._note_delivered(stage, edge, item)
+                leftovers = any(lanes.values())
+                # Extraction gate: a lane at its bound marks the bottleneck
+                # stage — park in a blocking put on it (the backpressure
+                # chain re-engages here) instead of staging more.
+                at_bound = False
+                for stage, lane, bound in gates:
+                    if len(lane) >= bound:
+                        edge, item = lane.popleft()
+                        yield stage.queue.put(item)
+                        self._note_delivered(stage, edge, item)
+                        at_bound = True
+                        break
+                if at_bound:
+                    continue
+            yield from fm.extract(self.extract_budget)
             if not inbox and nic.recv_region.level == 0:
-                yield from endpoint.fm.idle_wait()
+                yield from fm.idle_wait()
 
-    def _deliver(self, stage: "StageRuntime", entry: tuple) -> Generator:
-        edge, item = entry
-        yield stage.queue.put(item)
+    @staticmethod
+    def _lane_bound(stage: "StageRuntime", shared: bool) -> int:
+        """Records a lane may stage before the pump stops extracting: one
+        queue's worth when lanes share the pump; a lone lane has nobody to
+        keep flowing for, so it stages only the record it is delivering."""
+        return max(1, stage.queue.capacity) if shared else 1
+
+    def _note_delivered(self, stage: "StageRuntime", edge: EdgeRuntime,
+                        item) -> None:
         if type(item) is not Eos:
             edge.received += 1
-            self.stats.note_queue_depth(stage.stage_stats,
-                                        stage.queue.level)
+            self.stats.note_queue_depth(stage.stage_stats, stage.queue.level)
 
     def done_events(self) -> list:
         return [stage.done for stage in self.stages]

@@ -399,6 +399,16 @@ class Environment:
                 event.callbacks = []
                 pool.append(event)
 
+    def _drain_collector_paused(self, target: Optional[Event]) -> None:
+        gc_was_enabled = gc.isenabled()
+        if gc_was_enabled:
+            gc.disable()
+        try:
+            self._drain(target)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+
     def run(self, until: Optional[int | Event] = None) -> Any:
         """Run until the heap drains, time ``until`` passes, or event fires.
 
@@ -416,27 +426,13 @@ class Environment:
         abandoned processes) is collected once the run returns.
         """
         if until is None:
-            gc_was_enabled = gc.isenabled()
-            if gc_was_enabled:
-                gc.disable()
-            try:
-                self._drain(None)
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
+            self._drain_collector_paused(None)
             return None
 
         if isinstance(until, Event):
             target = until
             if not target._processed:
-                gc_was_enabled = gc.isenabled()
-                if gc_was_enabled:
-                    gc.disable()
-                try:
-                    self._drain(target)
-                finally:
-                    if gc_was_enabled:
-                        gc.enable()
+                self._drain_collector_paused(target)
             if not target._processed:
                 raise SimulationError(
                     "run(until=event): event heap drained before the event fired "
@@ -461,14 +457,9 @@ class Environment:
                 marker = Event(self)
                 stop = (until, _STOP_KEY, marker)
                 heappush(self._heap, stop)
-                gc_was_enabled = gc.isenabled()
-                if gc_was_enabled:
-                    gc.disable()
                 try:
-                    self._drain(marker)
+                    self._drain_collector_paused(marker)
                 finally:
-                    if gc_was_enabled:
-                        gc.enable()
                     if not marker._processed:  # an exception left it unfired
                         self._heap.remove(stop)
                         heapify(self._heap)

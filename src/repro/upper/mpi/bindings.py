@@ -149,12 +149,7 @@ class MpiFm2Binding(MpiBinding):
     label = "mpi2"
 
     def put(self, dest: int, pieces: list[Buffer]) -> Generator:
-        fm = self.fm
-        stream = yield from fm.begin_message(
-            dest, sum(piece.size for piece in pieces), self.handler_id)
-        for piece in pieces:
-            yield from fm.send_piece(stream, piece, 0, piece.size)
-        yield from fm.end_message(stream)
+        return self.fm.send_gather(dest, self.handler_id, pieces)
 
     def _handler(self, fm, stream, src: int) -> Generator:
         header = Buffer(ENVELOPE_BYTES, name="mpi2.hdr")

@@ -32,8 +32,6 @@ def _tree_parent(relative: int) -> int:
 def barrier(comm) -> Generator:
     """Dissemination barrier: ceil(log2 n) rounds of token exchanges."""
     size, rank = comm.size, comm.rank
-    if size == 1:
-        return
     tag = comm.next_collective_tag()
     distance = 1
     while distance < size:
@@ -49,8 +47,6 @@ def bcast(comm, data: Optional[bytes], root: int = 0) -> Generator:
     _check_root(root, size)
     if rank == root and data is None:
         raise MpiError("bcast root must supply data")
-    if size == 1:
-        return data
     tag = comm.next_collective_tag()
     relative = (rank - root) % size
     if relative != 0:
@@ -87,8 +83,6 @@ def reduce(comm, array: np.ndarray, op=None, root: int = 0) -> Generator:
     size, rank = comm.size, comm.rank
     _check_root(root, size)
     accumulator = np.array(array, copy=True)
-    if size == 1:
-        return accumulator
     tag = comm.next_collective_tag()
     relative = (rank - root) % size
     bit = 1
@@ -101,9 +95,7 @@ def reduce(comm, array: np.ndarray, op=None, root: int = 0) -> Generator:
         if child_rel < size:
             child = (child_rel + root) % size
             raw, _status = yield from comm.recv(child, tag)
-            incoming = np.frombuffer(raw, dtype=accumulator.dtype).reshape(
-                accumulator.shape)
-            accumulator = op(accumulator, incoming)
+            accumulator = op(accumulator, _as_array(raw, accumulator))
         bit <<= 1
     return accumulator if rank == root else None
 
@@ -120,8 +112,6 @@ def allreduce(comm, array: np.ndarray, op=None) -> Generator:
         op = np.add
     size, rank = comm.size, comm.rank
     accumulator = np.array(array, copy=True)
-    if size == 1:
-        return accumulator
     tag = comm.next_collective_tag()
     pof2 = 1
     while pof2 * 2 <= size:
@@ -133,13 +123,10 @@ def allreduce(comm, array: np.ndarray, op=None) -> Generator:
         partner = rank - pof2
         yield from comm.send(accumulator.tobytes(), partner, tag)
         raw, _ = yield from comm.recv(partner, tag + 1)
-        return np.frombuffer(raw, dtype=accumulator.dtype).reshape(
-            accumulator.shape)
+        return _as_array(raw, accumulator)
     if rank < surplus:
         raw, _ = yield from comm.recv(rank + pof2, tag)
-        incoming = np.frombuffer(raw, dtype=accumulator.dtype).reshape(
-            accumulator.shape)
-        accumulator = op(accumulator, incoming)
+        accumulator = op(accumulator, _as_array(raw, accumulator))
 
     # Butterfly among the power-of-two group.
     distance = 1
@@ -147,9 +134,7 @@ def allreduce(comm, array: np.ndarray, op=None) -> Generator:
         partner = rank ^ distance
         raw, _ = yield from comm.sendrecv(accumulator.tobytes(), partner,
                                           partner, sendtag=tag, recvtag=tag)
-        incoming = np.frombuffer(raw, dtype=accumulator.dtype).reshape(
-            accumulator.shape)
-        accumulator = op(accumulator, incoming)
+        accumulator = op(accumulator, _as_array(raw, accumulator))
         distance <<= 1
 
     # Post-phase: return results to the surplus ranks.
@@ -195,8 +180,6 @@ def allgather(comm, data: bytes) -> Generator:
     size, rank = comm.size, comm.rank
     pieces: list[Optional[bytes]] = [None] * size
     pieces[rank] = data
-    if size == 1:
-        return pieces
     tag = comm.next_collective_tag()
     right = (rank + 1) % size
     left = (rank - 1) % size
@@ -239,14 +222,10 @@ def scan(comm, array: np.ndarray, op=None) -> Generator:
         op = np.add
     size, rank = comm.size, comm.rank
     accumulator = np.array(array, copy=True)
-    if size == 1:
-        return accumulator
     tag = comm.next_collective_tag()
     if rank > 0:
         raw, _status = yield from comm.recv(rank - 1, tag)
-        prefix = np.frombuffer(raw, dtype=accumulator.dtype).reshape(
-            accumulator.shape)
-        accumulator = op(prefix, accumulator)
+        accumulator = op(_as_array(raw, accumulator), accumulator)
     if rank < size - 1:
         yield from comm.send(accumulator.tobytes(), rank + 1, tag)
     return accumulator
@@ -275,8 +254,13 @@ def reduce_scatter(comm, array: np.ndarray, op=None) -> Generator:
     else:
         chunks = None
     raw = yield from scatter(comm, chunks, root=0)
-    out_shape = (block,) + array.shape[1:]
-    return np.frombuffer(raw, dtype=array.dtype).reshape(out_shape).copy()
+    return _as_array(raw, array[:block]).copy()
+
+
+def _as_array(raw: bytes, like: np.ndarray) -> np.ndarray:
+    """``raw`` viewed as an array of ``like``'s dtype and shape."""
+    import numpy as np
+    return np.frombuffer(raw, dtype=like.dtype).reshape(like.shape)
 
 
 def _check_root(root: int, size: int) -> None:

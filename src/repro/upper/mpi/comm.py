@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator, Optional, Sequence
 
+from repro.upper.mpi import collectives
 from repro.upper.mpi.constants import ANY_SOURCE, ANY_TAG, MAX_USER_TAG
 from repro.upper.mpi.engine import MpiEngine
 from repro.upper.mpi.status import MpiError, Request, Status
@@ -193,43 +194,28 @@ class Communicator:
 
     # -- collectives (implemented in collectives.py, bound here) ---------------------
     def barrier(self) -> Generator:
-        from repro.upper.mpi import collectives
-        yield from collectives.barrier(self)
+        return collectives.barrier(self)
 
     def bcast(self, data: Optional[bytes], root: int = 0) -> Generator:
-        from repro.upper.mpi import collectives
-        result = yield from collectives.bcast(self, data, root)
-        return result
+        return collectives.bcast(self, data, root)
 
     def reduce(self, array: np.ndarray, op=None, root: int = 0) -> Generator:
-        from repro.upper.mpi import collectives
-        result = yield from collectives.reduce(self, array, op, root)
-        return result
+        return collectives.reduce(self, array, op, root)
 
     def allreduce(self, array: np.ndarray, op=None) -> Generator:
-        from repro.upper.mpi import collectives
-        result = yield from collectives.allreduce(self, array, op)
-        return result
+        return collectives.allreduce(self, array, op)
 
     def gather(self, data: bytes, root: int = 0) -> Generator:
-        from repro.upper.mpi import collectives
-        result = yield from collectives.gather(self, data, root)
-        return result
+        return collectives.gather(self, data, root)
 
     def scatter(self, chunks: Optional[Sequence[bytes]], root: int = 0) -> Generator:
-        from repro.upper.mpi import collectives
-        result = yield from collectives.scatter(self, chunks, root)
-        return result
+        return collectives.scatter(self, chunks, root)
 
     def allgather(self, data: bytes) -> Generator:
-        from repro.upper.mpi import collectives
-        result = yield from collectives.allgather(self, data)
-        return result
+        return collectives.allgather(self, data)
 
     def alltoall(self, chunks: Sequence[bytes]) -> Generator:
-        from repro.upper.mpi import collectives
-        result = yield from collectives.alltoall(self, chunks)
-        return result
+        return collectives.alltoall(self, chunks)
 
     def send_pieces(self, pieces: Sequence[bytes], dest: int,
                     tag: int = 0) -> Generator:
@@ -269,14 +255,10 @@ class Communicator:
         return from_bytes(data, dtype, shape), status
 
     def scan(self, array: np.ndarray, op=None) -> Generator:
-        from repro.upper.mpi import collectives
-        result = yield from collectives.scan(self, array, op)
-        return result
+        return collectives.scan(self, array, op)
 
     def reduce_scatter(self, array: np.ndarray, op=None) -> Generator:
-        from repro.upper.mpi import collectives
-        result = yield from collectives.reduce_scatter(self, array, op)
-        return result
+        return collectives.reduce_scatter(self, array, op)
 
     # -- internals ------------------------------------------------------------
     def next_collective_tag(self) -> int:

@@ -174,16 +174,12 @@ class Shmem:
     # -- wire -----------------------------------------------------------------------
     def _send(self, pe: int, op: int, region_id: int, offset: int, size: int,
               token: int, payload: bytes) -> Generator:
-        header = Buffer.from_bytes(
+        pieces = [Buffer.from_bytes(
             struct.pack(_HEADER, op, region_id, offset, size, token),
-            name="shmem.hdr")
-        total = HEADER_BYTES + len(payload)
-        stream = yield from self.fm.begin_message(pe, total, self.handler_id)
-        yield from self.fm.send_piece(stream, header, 0, HEADER_BYTES)
+            name="shmem.hdr")]
         if payload:
-            body = Buffer.from_bytes(payload, name="shmem.payload")
-            yield from self.fm.send_piece(stream, body, 0, len(payload))
-        yield from self.fm.end_message(stream)
+            pieces.append(Buffer.from_bytes(payload, name="shmem.payload"))
+        return self.fm.send_gather(pe, self.handler_id, pieces)
 
     def _handler(self, fm, stream, src: int) -> Generator:
         raw = yield from stream.receive_bytes(HEADER_BYTES)

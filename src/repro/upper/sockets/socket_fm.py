@@ -250,19 +250,15 @@ class SocketStack:
 
     # -- wire ------------------------------------------------------------------------
     def _send_segment(self, sock: Socket, kind: int, payload: bytes) -> Generator:
-        yield from self._send_raw(sock.peer_node, sock.peer_conn_id, kind, payload)
+        return self._send_raw(sock.peer_node, sock.peer_conn_id, kind, payload)
 
     def _send_raw(self, peer_node: int, conn_id: int, kind: int,
                   payload: bytes) -> Generator:
-        header = Buffer.from_bytes(struct.pack(_HEADER, conn_id, kind),
-                                   name="sock.hdr")
-        total = HEADER_BYTES + len(payload)
-        stream = yield from self.fm.begin_message(peer_node, total, self.handler_id)
-        yield from self.fm.send_piece(stream, header, 0, HEADER_BYTES)
+        pieces = [Buffer.from_bytes(struct.pack(_HEADER, conn_id, kind),
+                                    name="sock.hdr")]
         if payload:
-            body = Buffer.from_bytes(payload, name="sock.payload")
-            yield from self.fm.send_piece(stream, body, 0, len(payload))
-        yield from self.fm.end_message(stream)
+            pieces.append(Buffer.from_bytes(payload, name="sock.payload"))
+        return self.fm.send_gather(peer_node, self.handler_id, pieces)
 
     # -- FM handler -----------------------------------------------------------------
     def _handler(self, fm, stream, src: int) -> Generator:

@@ -131,6 +131,11 @@ class MpiKind:
                  payload_field: str, uses_numpy: bool):
         self.program = program
         self.payload_field = payload_field
+        #: The Scenario fields an MPI run reads beyond the cluster shape.
+        self.reads = ("compute_ns", payload_field,
+                      "sample_interval_ns", "slo_availability",
+                      "slo_latency_p99_ns", "partition_groups",
+                      "trunk_propagation_ns")
         #: Whether the kernel's payload is an ndarray (halo ships ``bytes``).
         self.uses_numpy = uses_numpy
 
@@ -139,10 +144,7 @@ class MpiKind:
         return ()
 
     def validate(self, scenario: "Scenario") -> None:
-        """Reject the rpc-only mechanisms (raises ``ValueError``)."""
-        if scenario.replicas > 1 or scenario.population:
-            raise ValueError(
-                "replicas > 1 and population need kind='rpc'")
+        """No cross-field checks beyond the shared ones."""
 
     def build_stats(self, env: "Environment",
                     scenario: "Scenario") -> WorkloadStats:

@@ -87,6 +87,7 @@ class RdmaKind:
 
     #: Nothing beyond the shared fields is reported.
     fields = ()
+    reads = ("req_bytes",)
     uses_numpy = False
 
     def report_fields(self, scenario: "Scenario") -> tuple[str, ...]:
@@ -95,9 +96,6 @@ class RdmaKind:
 
     def validate(self, scenario: "Scenario") -> None:
         """Cross-field checks of an rdma scenario (raises ``ValueError``)."""
-        if scenario.replicas > 1 or scenario.population:
-            raise ValueError(
-                "replicas > 1 and population need kind='rpc'")
         if scenario.fm_version != 2:
             raise ValueError(
                 "the one-sided transport extends the FM 2.x NIC "
@@ -109,10 +107,6 @@ class RdmaKind:
             raise ValueError(
                 f"req_bytes (per-put payload) must be positive, "
                 f"got {scenario.req_bytes}")
-        if scenario.partition_groups:
-            raise ValueError(
-                "the rdma pingpong is a two-node smoke workload on one "
-                "crossbar; partition_groups must be 0")
 
     def build_stats(self, env: "Environment",
                     scenario: "Scenario") -> RdmaStats:

@@ -213,10 +213,8 @@ class ReplicatedClient(ShardedClient):
         env = self.env
         endpoint = self.endpoint
         while True:
-            if not event.triggered:
-                remaining = t_sent + self.failover_timeout_ns - env.now
-                if remaining > 0:
-                    yield env.first_of(env.event(), event, remaining)
+            yield from endpoint.await_response(
+                event, t_sent + self.failover_timeout_ns)
             if event.triggered:
                 self._routes.pop(req_id, None)
                 return
@@ -331,10 +329,8 @@ class ShardSupervisor:
             t0 = env.now
             req_id, event = yield from endpoint.send_request(
                 node, 0, PROBE_BYTES)
-            if not event.triggered:
-                remaining = t0 + self.probe_timeout_ns - env.now
-                if remaining > 0:
-                    yield env.first_of(env.event(), event, remaining)
+            yield from endpoint.await_response(
+                event, t0 + self.probe_timeout_ns)
             if event.triggered:
                 status, _plen = event.value
                 if status == RPC_OK:

@@ -207,32 +207,40 @@ class RpcEndpoint:
             self.stats.note_sent(REQ_HEADER.size + payload_len, shard=shard)
         return req_id, event
 
+    def await_response(self, event, deadline_ns: int) -> Generator:
+        """Wait for a request's ``event`` no later than ``deadline_ns``;
+        the caller reads ``event.triggered`` to tell which came first."""
+        if not event.triggered:
+            remaining = deadline_ns - self.env.now
+            if remaining > 0:
+                yield self.env.first_of(self.env.event(), event, remaining)
+
     def send_response(self, dest: int, req_id: int, status: int,
                       payload_len: int) -> Generator:
         """Send a response for ``req_id`` back to ``dest`` with ``status``."""
         header = RESP_HEADER.pack(req_id, status, payload_len)
-        yield from self._send(dest, self.response_handler, header, payload_len)
+        return self._send(dest, self.response_handler, header, payload_len)
 
     def _send(self, dest: int, handler_id: int, header: bytes,
               payload_len: int) -> Generator:
-        total = len(header) + payload_len
         if self.is_fm1:
-            # FM 1.x interface cost: the message must be contiguous, so
-            # header + payload are assembled into one buffer first (§3.2).
-            cpu = self.fm.cpu
-            yield from cpu.execute(cpu.memcpy_cost(total))
-            message = Buffer.from_bytes(header + bytes(payload_len),
-                                        name="rpc.assembled")
-            yield from self.fm.send(dest, handler_id, message, total)
-            return
+            return self._send_fm1(dest, handler_id, header, payload_len)
         # FM 2.x: gather the pieces straight through the API — no copy.
-        stream = yield from self.fm.begin_message(dest, total, handler_id)
-        head = Buffer.from_bytes(header, name="rpc.header")
-        yield from self.fm.send_piece(stream, head, 0, len(header))
+        pieces = [Buffer.from_bytes(header, name="rpc.header")]
         if payload_len:
-            payload = Buffer(payload_len, name="rpc.payload")
-            yield from self.fm.send_piece(stream, payload, 0, payload_len)
-        yield from self.fm.end_message(stream)
+            pieces.append(Buffer(payload_len, name="rpc.payload"))
+        return self.fm.send_gather(dest, handler_id, pieces)
+
+    def _send_fm1(self, dest: int, handler_id: int, header: bytes,
+                  payload_len: int) -> Generator:
+        # FM 1.x interface cost: the message must be contiguous, so
+        # header + payload are assembled into one buffer first (§3.2).
+        total = len(header) + payload_len
+        cpu = self.fm.cpu
+        yield from cpu.execute(cpu.memcpy_cost(total))
+        message = Buffer.from_bytes(header + bytes(payload_len),
+                                    name="rpc.assembled")
+        yield from self.fm.send(dest, handler_id, message, total)
 
     # -- receive side -------------------------------------------------------
     def extract_some(self, budget_bytes: Optional[int] = None) -> Generator:
@@ -586,9 +594,8 @@ class RpcClient:
         if self.abandon_after_ns is None:
             yield event
             return
-        remaining = t_sent + self.abandon_after_ns - self.env.now
-        if remaining > 0:
-            yield self.env.first_of(self.env.event(), event, remaining)
+        yield from self.endpoint.await_response(
+            event, t_sent + self.abandon_after_ns)
         if not event.triggered:
             self.endpoint.abandon(req_id)
 

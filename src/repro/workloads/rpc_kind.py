@@ -152,6 +152,17 @@ class RpcKind:
     #: The replication knobs only exist in a report once replication is
     #: on; unreplicated reports keep the flat schema.
     fields = ("replicas", "probe_interval_ns", "failover_timeout_ns")
+    #: Every Scenario field an rpc run reads beyond the cluster shape and
+    #: the run length (``n_requests`` / ``iterations``: a harness scales
+    #: both without asking the kind, so no kind claims them).
+    reads = fields + (
+        "arrival", "rate_rps", "think_ns", "think_exponential", "burst_on_ns",
+        "burst_off_ns", "req_bytes", "resp_bytes", "work_ns", "workers",
+        "queue_capacity", "policy", "deadline_ns", "abandon_after_ns",
+        "extract_budget", "servers", "balancer", "vnodes", "n_keys",
+        "key_skew", "shard_policies", "sample_interval_ns",
+        "slo_availability", "slo_latency_p99_ns", "partition_groups",
+        "trunk_propagation_ns", "population")
     #: Arrival gaps and request keys are numpy streams.
     uses_numpy = True
 

@@ -11,7 +11,9 @@ hooks — zero cost when absent, bit-identical results when passive), then
 hand over to the scenario's entry in :data:`KINDS`, which owns everything
 kind-specific: ``validate(scenario)``, ``build_stats(env, scenario)``,
 ``run(cluster, scenario, stats) -> extra report sections``, the names
-of the fields only its reports carry, and whether its runs use numpy.
+of the fields it reads (``reads`` — a field only other kinds read must
+hold its default, checked at construction) and of the fields only its
+reports carry, and whether its runs use numpy.
 Each kind object lives beside its mechanism and documents its own fields.
 
 Determinism: the report is a pure function of ``(scenario, plan)``.  Two
@@ -182,6 +184,14 @@ class Scenario:
                 and not 0.0 < self.slo_availability < 1.0):
             raise ValueError(f"slo_availability must be in (0, 1), "
                              f"got {self.slo_availability}")
+        for name, field in self.__dataclass_fields__.items():
+            readers = [k for k, kind in KINDS.items() if name in kind.reads]
+            value = getattr(self, name)
+            if readers and self.kind not in readers and value != field.default:
+                raise ValueError(
+                    f"{name} is read by kind {'/'.join(readers)} only: "
+                    f"kind={self.kind!r} would ignore it, so it must hold "
+                    f"its default {field.default!r}, got {value!r}")
         KINDS[self.kind].validate(self)
 
     def slo_specs(self, n_shards: int) -> tuple[SloSpec, ...]:

@@ -126,6 +126,39 @@ class TestGather:
         fm2_cluster.run([sender, receiver_until(1, log)])
         assert fm2_cluster.node(0).cpu.meter.copies == 0
 
+    @pytest.mark.parametrize("header_bytes, payload_bytes",
+                             [(16, 48), (24, 4096), (8, 0)])
+    def test_send_gather_is_the_spelled_out_sequence(self, header_bytes,
+                                                     payload_bytes):
+        """``send_gather([header, payload])`` ends at the same simulated
+        instant, on the same packets and copy-meter bytes, as
+        ``begin_message`` / ``send_piece`` x 2 / ``end_message`` — a
+        zero-length piece included: it still costs its ``FM_send_piece``."""
+        def run(send):
+            cluster = Cluster(2, machine=PPRO_FM2, fm_version=2)
+            log = []
+            hid = register_all(cluster, collect_handler(log))
+            def sender(node):
+                pieces = [node.buffer(header_bytes, fill=b"h" * header_bytes),
+                          node.buffer(payload_bytes, fill=b"p" * payload_bytes)]
+                yield from send(node.fm, hid, pieces)
+                return node.env.now
+            sent_at, _ = cluster.run([sender, receiver_until(1, log)])
+            meters = [dict(node.cpu.meter.by_label) for node in cluster.nodes]
+            return (log, sent_at, cluster.now,
+                    cluster.node(0).fm.stats_sent_packets, meters)
+
+        def spelled_out(fm, hid, pieces):
+            header, payload = pieces
+            stream = yield from fm.begin_message(
+                1, header.size + payload.size, hid)
+            yield from fm.send_piece(stream, header, 0, header.size)
+            yield from fm.send_piece(stream, payload, 0, payload.size)
+            yield from fm.end_message(stream)
+
+        assert run(lambda fm, hid, pieces: fm.send_gather(1, hid, pieces)) \
+            == run(spelled_out)
+
 
 class TestScatter:
     def test_piecewise_receive(self, fm2_cluster):

@@ -69,6 +69,37 @@ class TestHandlerFailures:
         assert delivered == [nbytes]
         assert fm2_cluster.node(1).fm.pending_handlers() == 0
 
+    def test_a_failure_on_the_last_packet_still_retires_the_stream(
+            self, fm2_cluster):
+        """A handler that takes its whole message in and then raises leaves
+        nothing behind once the extracting program has caught it: the
+        stream is retired and the message counted, like any other."""
+        caught = []
+
+        def bad(fm, stream, src):
+            yield from stream.receive_bytes(stream.msg_bytes)
+            raise RuntimeError("handler blew up")
+
+        hid = {n.fm.register_handler(bad) for n in fm2_cluster.nodes}.pop()
+
+        def sender(node):
+            yield from node.fm.send_buffer(1, hid, node.buffer(16), 16)
+
+        def receiver(node):
+            while not caught:
+                try:
+                    yield from node.fm.extract()
+                except RuntimeError as exc:
+                    caught.append(str(exc))
+                else:
+                    yield from node.fm.idle_wait()
+
+        fm2_cluster.run([sender, receiver], until_ns=100_000_000)
+        fm = fm2_cluster.node(1).fm
+        assert caught == ["handler blew up"]
+        assert fm._streams == {}
+        assert fm.stats_recv_messages == 1
+
     def test_handler_protocol_misuse_propagates(self, fm2_cluster):
         def handler(fm, stream, src):
             yield from stream.receive_bytes(stream.msg_bytes + 5)

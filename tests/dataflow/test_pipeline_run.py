@@ -163,7 +163,7 @@ class TestScenarioValidation:
             pipeline_scenario(req_bytes=16)
 
     def test_pipeline_rejects_sharding(self):
-        with pytest.raises(ValueError, match="branches"):
+        with pytest.raises(ValueError, match="servers is read by kind rpc only"):
             pipeline_scenario(servers=4)
 
     def test_unknown_pipeline_rejected(self):

@@ -79,16 +79,37 @@ def test_conditions_stay_off_the_hot_paths():
                      "cluster/cluster.py", "dataflow/engine.py"}
 
 
-def test_capped_waits_are_the_five_known_sites():
-    """``first_of`` call sites, counted per file: the idle wait, the
-    completion-queue wait and three deadline waits.  An FM 2.x handler slice
-    is not one — the extractor drives the handler, it does not wait for it."""
+def _occurrences(needle):
+    """``needle`` counted per file of ``src/repro``, files without it left
+    out."""
     root = pathlib.Path(repro.__file__).parent
-    sites = {str(path.relative_to(root)): n for path in root.rglob("*.py")
-             if (n := path.read_text().count("first_of("))}
-    assert sites == {"simkernel/env.py": 1,          # the definition
-                     "core/common.py": 1, "core/rdma/api.py": 1,
-                     "workloads/rpc.py": 1, "workloads/replication.py": 2}
+    return {str(path.relative_to(root)): n for path in root.rglob("*.py")
+            if (n := path.read_text().count(needle))}
+
+
+def test_capped_waits_are_the_three_known_sites():
+    """``first_of`` call sites, counted per file: the idle wait, the
+    completion-queue wait and the one deadline wait for a request.  An FM 2.x
+    handler slice is not one — the extractor drives the handler, it does not
+    wait for it."""
+    assert _occurrences("first_of(") == {
+        "simkernel/env.py": 1,          # the definition
+        "core/common.py": 1, "core/rdma/api.py": 1, "workloads/rpc.py": 1}
+
+
+def test_layers_above_fm_send_through_send_gather():
+    """The ``FM_begin_message`` / ``FM_send_piece`` / ``FM_end_message``
+    sequence is spelled out under ``core/fm2`` only."""
+    assert set(_occurrences("begin_message(")) == {"core/fm2/api.py"}
+
+
+def test_the_poll_back_off_is_written_once_per_driver():
+    """``extract_until`` and the arrival-keyed ping-pong in ``microbench``,
+    the lean no-FM driver in ``breakdown``, and ``swreliable``'s own
+    constant: no third copy of the raw-FM receive loop."""
+    assert _occurrences("timeout(IDLE_POLL_NS)") == {
+        "bench/microbench.py": 2, "bench/breakdown.py": 1,
+        "ext/swreliable.py": 1}
 
 
 def test_no_fm_layer_spawns_a_process():

@@ -97,6 +97,35 @@ class TestSplit:
         results = run_spmd(4, body)
         assert all(value == (1, 0) for value in results.values())
 
+    @pytest.mark.parametrize("collective, args, expected", [
+        ("barrier", (), None),
+        ("bcast", (b"x",), b"x"),
+        ("reduce", (np.arange(4.0),), np.arange(4.0)),
+        ("allreduce", (np.arange(4.0),), np.arange(4.0)),
+        ("gather", (b"x",), [b"x"]),
+        ("scatter", ([b"x"],), b"x"),
+        ("allgather", (b"x",), [b"x"]),
+        ("alltoall", ([b"x"],), [b"x"]),
+        ("scan", (np.arange(4.0),), np.arange(4.0)),
+        ("reduce_scatter", (np.arange(4.0),), np.arange(4.0)),
+    ])
+    def test_every_collective_on_a_singleton_is_the_identity(
+            self, collective, args, expected):
+        """No special case for one rank: every general loop runs zero
+        rounds, sends nothing and takes no simulated time."""
+        def body(rank, comm, node):
+            solo = yield from comm.split(color=rank)
+            before = node.env.now, node.fm.stats_sent_messages
+            result = yield from getattr(solo, collective)(*args)
+            assert (node.env.now, node.fm.stats_sent_messages) == before
+            return result
+        for result in run_spmd(2, body).values():
+            if isinstance(expected, np.ndarray):
+                assert result is not args[0]
+                np.testing.assert_array_equal(result, expected)
+            else:
+                assert result == expected
+
     def test_wildcard_status_in_sub_ranks(self):
         def body(rank, comm, node):
             sub = yield from comm.split(color=0, key=-rank)   # reversed

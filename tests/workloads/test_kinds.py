@@ -36,18 +36,46 @@ class TestKindsTable:
 
 
 class TestValidationAtConstruction:
-    @pytest.mark.parametrize("base, overrides, message", [
+    @pytest.mark.parametrize("base, overrides, readers", [
         ("rdma-pingpong", {"n_nodes": 4, "partition_groups": 2},
-         "partition_groups must be 0"),
+         "rpc/halo/allreduce"),
         ("dataflow-rollup", {"n_nodes": 12, "partition_groups": 2},
-         "population/partition_groups must be 0"),
-        ("mpi-halo", {"population": 8},
-         "replicas > 1 and population need kind='rpc'"),
+         "rpc/halo/allreduce"),
+        ("dataflow-rollup", {"sample_interval_ns": 50_000},
+         "rpc/halo/allreduce"),
+        ("mpi-halo", {"population": 8}, "rpc"),
+        ("mpi-halo", {"servers": 3}, "rpc"),
+        ("mpi-halo", {"balancer": "least_pending"}, "rpc"),
+        ("mpi-halo", {"workers": 9}, "rpc"),
+        ("mpi-halo", {"pipeline": "scatter_gather"}, "pipeline"),
+        ("mpi-halo", {"grad_bytes": 64}, "allreduce"),
+        ("rpc-open", {"halo_bytes": 64}, "halo"),
+        ("rpc-open", {"req_bytes": 32, "window_ns": 5}, "pipeline"),
     ])
     def test_kinds_fence_the_model_fields_they_do_not_build(
-            self, base, overrides, message):
-        with pytest.raises(ValueError, match=message):
+            self, base, overrides, readers):
+        field = list(overrides)[-1]
+        with pytest.raises(
+                ValueError,
+                match=f"{field} is read by kind {readers} only.*must hold"):
             replace(PRESETS[base], **overrides)
+
+    def test_a_spelled_out_default_is_not_a_foreign_setting(self):
+        """``perfbench/specs`` spell defaults out: the check compares
+        values, not presence."""
+        Scenario.from_dict({"name": "x", "kind": "halo", "arrival": "open",
+                            "servers": 1, "pipeline": "rollup"})
+
+    def test_run_length_is_every_kinds_to_scale(self):
+        """``perfbench`` scales ``n_requests`` and ``iterations`` on every
+        spec without asking its kind: no kind claims either."""
+        replace(PRESETS["mpi-halo"], n_requests=4, iterations=4)
+        replace(PRESETS["rpc-open"], n_requests=4, iterations=4)
+
+    def test_every_kind_reads_only_fields_scenario_has(self):
+        names = {f.name for f in fields(Scenario)}
+        for kind in KINDS.values():
+            assert set(kind.fields) <= set(kind.reads) <= names
 
     @pytest.mark.parametrize("base, overrides", [
         ("rpc-open", {"policy": "bogus"}),
