@@ -46,7 +46,7 @@ def main() -> None:
             # Receiver flow control: present at most 2 KB per extract call.
             got = yield from node.fm.extract(max_bytes=2048)
             if not got:
-                yield node.env.timeout(500)
+                yield 500                 # sleep 500 ns before polling again
         src, header, body = received[0]
         print(f"[{ns_to_us(node.env.now):9.2f} us] node1: from node{src}, "
               f"header={header!r}, payload={len(body)} bytes intact="

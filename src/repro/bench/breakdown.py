@@ -90,7 +90,7 @@ def lean_stream_bandwidth_mbs(machine: MachineParams, msg_bytes: int,
         while got < total_packets:
             packet = node.nic.recv_region.try_get()
             if packet is None:
-                yield env.timeout(IDLE_POLL_NS)
+                yield IDLE_POLL_NS
                 continue
             yield from node.cpu.execute(LEAN_PER_PACKET_NS)
             got += 1

@@ -72,7 +72,7 @@ def extract_until(node: Node, done: Callable[[], bool],
     while not done():
         got = yield from node.fm.extract(budget)
         if not got:
-            yield node.env.timeout(IDLE_POLL_NS)
+            yield IDLE_POLL_NS
 
 
 # -- ping-pong -------------------------------------------------------------------
@@ -103,7 +103,7 @@ def fm_pingpong(cluster: Cluster, msg_bytes: int = 16, iterations: int = 30,
                 before = arrived[me]
                 yield from fm.extract()
                 if arrived[me] == before:
-                    yield node.env.timeout(IDLE_POLL_NS)
+                    yield IDLE_POLL_NS
                     continue
                 count += arrived[me] - before
                 if starts:

@@ -36,7 +36,7 @@ def rdma_stream(cluster: Cluster, msg_bytes: int,
                              fill=bytes(i % 251 for i in range(msg_bytes)))
         # Let the receiver's registration land first (it is instantaneous
         # in sim order anyway, but keep the dependency explicit).
-        yield node.env.timeout(1)
+        yield 1
         start_at[0] = node.env.now
         for _ in range(n_messages):
             yield from endpoints[0].rdma_put(1, 1, source, msg_bytes)

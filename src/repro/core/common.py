@@ -237,7 +237,7 @@ class FmEndpoint:
                 self.stats_credit_stalls += 1
             yield from self.cpu.poll()
             if self.params.credit_spin_ns:
-                yield self.env.timeout(self.params.credit_spin_ns)
+                yield self.params.credit_spin_ns
             if self.stall_hook is not None:
                 yield from self.stall_hook()
             # Simulated time, not a sum of nominal poll costs: time inside

@@ -287,7 +287,7 @@ class SourceRuntime(StageRuntime):
         for _ in range(self.n_records):
             t_next += next(gaps)
             if env.now < t_next:
-                yield env.timeout(t_next - env.now)
+                yield t_next - env.now
             key = int(rng.integers(0, self.n_keys))
             value = int(rng.integers(1, 1_000))
             self.stats.note_emitted(self.stage_stats)

@@ -237,7 +237,7 @@ class SwReliablePair:
             self.rto_ns = min(self.rto_ns * 2, self.params.max_rto_ns)
             progressed = True
         if not progressed:
-            yield self.env.timeout(IDLE_POLL_NS)
+            yield IDLE_POLL_NS
 
     def _absorb_ack(self, ack_next: int) -> bool:
         """Cumulative ACK: everything below ``ack_next`` is delivered."""

@@ -51,7 +51,7 @@ class IoBus:
             try:
                 if bus_req is not None:
                     yield bus_req
-                yield self.env.timeout(cost)
+                yield cost
                 self.pio_bytes += nbytes
                 self.busy_ns += cost
                 cpu.busy_ns += cost
@@ -69,7 +69,7 @@ class IoBus:
         try:
             if bus_req is not None:
                 yield bus_req
-            yield self.env.timeout(cost)
+            yield cost
             self.dma_bytes += nbytes
             self.busy_ns += cost
         finally:

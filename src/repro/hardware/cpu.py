@@ -54,7 +54,7 @@ class HostCpu:
         try:
             if req is not None:
                 yield req
-            yield self.env.timeout(cost_ns)
+            yield cost_ns
             self.busy_ns += cost_ns
         finally:
             self.lock.release(req)

@@ -98,7 +98,7 @@ class Link:
                 packet = yield self.ingress.get()
             obs = self.env.obs
             t0 = self.env.now
-            yield self.env.timeout(self.wire_time(packet))
+            yield self.wire_time(packet)
             packet.stamp(self._wire_label, self.env.now)
             dropped = self._apply_faults(packet)
             self.packets += 1
@@ -132,7 +132,7 @@ class Link:
                 flight = yield self._flight.get()
             packet, ready_at = flight
             if ready_at > self.env.now:
-                yield self.env.timeout(ready_at - self.env.now)
+                yield ready_at - self.env.now
             if not target.put_now(packet):
                 yield target.put(packet)
 

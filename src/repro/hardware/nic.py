@@ -371,12 +371,12 @@ class Nic:
                 packet = yield self.tx_sram.get()
             obs = self.env.obs
             t0 = self.env.now
-            yield self.env.timeout(self.params.firmware_send_ns)
+            yield self.params.firmware_send_ns
             faults = self.env.faults
             if faults is not None:
                 stall = faults.nic_stall_ns(self.node_id, self.name, "tx")
                 if stall:
-                    yield self.env.timeout(stall)
+                    yield stall
             self.sent_packets += 1
             packet.stamp(self._inject_label, self.env.now)
             if obs is not None:
@@ -394,12 +394,12 @@ class Nic:
                 packet = yield self.rx_sram.get()
             obs = self.env.obs
             t0 = self.env.now
-            yield self.env.timeout(self.params.firmware_recv_ns)
+            yield self.params.firmware_recv_ns
             faults = self.env.faults
             if faults is not None:
                 stall = faults.nic_stall_ns(self.node_id, self.name, "rx")
                 if stall:
-                    yield self.env.timeout(stall)
+                    yield stall
             if packet.header.is_control:
                 if not packet.crc_ok():
                     # A damaged credit return must be discarded, not
@@ -459,7 +459,7 @@ class Nic:
         one-sided bypass: no handler, no receive-region slot, no credit."""
         header = packet.header
         obs = self.env.obs
-        yield self.env.timeout(self.params.rdma_match_ns)
+        yield self.params.rdma_match_ns
         if not packet.crc_ok():
             # Same policy as corrupt control: a damaged one-sided packet
             # must never touch registered memory — drop and count.
@@ -540,7 +540,7 @@ class Nic:
         last_seq = (max(nbytes - 1, 0)) // RDMA_MTU
         while offset < nbytes:
             chunk = min(RDMA_MTU, nbytes - offset)
-            yield self.env.timeout(self.params.rdma_match_ns)
+            yield self.params.rdma_match_ns
             yield from self.tx_dma.transfer(HEADER_BYTES + chunk)
             flags = PacketFlags.RDMA_READ_RESP
             if seq == 0:
@@ -603,7 +603,7 @@ class Nic:
         k = 0
         while (1 << k) < n:
             step = 1 << k
-            yield env.timeout(self.params.collective_step_ns)
+            yield self.params.collective_step_ns
             packet = Packet(
                 PacketHeader(src=me, dest=(me + step) % n,
                              handler_id=COLL_BARRIER, msg_id=state.coll_id,
@@ -641,7 +641,7 @@ class Nic:
             seq = 0
             while offset < nbytes:
                 chunk = min(RDMA_MTU, nbytes - offset)
-                yield env.timeout(self.params.collective_step_ns)
+                yield self.params.collective_step_ns
                 yield from self.tx_dma.transfer(HEADER_BYTES + chunk)
                 data = state.buffer.view(offset, chunk)
                 for child in children:
@@ -658,7 +658,7 @@ class Nic:
                     yield event
                 packet = state.pending.popleft()
                 header = packet.header
-                yield env.timeout(self.params.collective_step_ns)
+                yield self.params.collective_step_ns
                 yield from self.recv_dma.transfer(packet.wire_bytes)
                 state.buffer.write(packet.payload, header.roffset)
                 received += len(packet.payload)

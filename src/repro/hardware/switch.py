@@ -69,7 +69,7 @@ class Switch:
                 packet = yield in_store.get()
             obs = self.env.obs
             t0 = self.env.now
-            yield self.env.timeout(self.params.routing_ns)
+            yield self.params.routing_ns
             if not packet.route:
                 raise RoutingError(
                     f"packet {packet!r} reached {self.name!r} with an empty route"

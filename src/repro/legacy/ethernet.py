@@ -44,4 +44,4 @@ class EthernetWire:
 
     def transmit(self, env: "Environment", payload: int) -> Generator:
         """Occupy the wire for one frame (simulation helper)."""
-        yield env.timeout(self.wire_time_ns(payload))
+        yield self.wire_time_ns(payload)

@@ -67,13 +67,13 @@ class FixedOverheadStack:
         def pipeline():
             wire_free_at = 0
             for _ in range(n_messages):
-                yield env.timeout(overhead_ns)          # protocol processing
+                yield overhead_ns                       # protocol processing
                 start = max(env.now, wire_free_at)      # wait for the wire
                 if start > env.now:
-                    yield env.timeout(start - env.now)
+                    yield start - env.now
                 wire_free_at = env.now + wire_ns
             # Last packet must finish serialising.
-            yield env.timeout(wire_free_at - env.now)
+            yield wire_free_at - env.now
             done["at"] = env.now
 
         env.process(pipeline())

@@ -10,7 +10,8 @@ the Fast Messages reproduction:
   ``(time, priority, sequence number)``, so a simulation is a pure function
   of its inputs;
 * **generator processes** — hosts, NIC firmware loops, DMA engines and user
-  programs are written as generators that ``yield`` events;
+  programs are written as generators that ``yield`` events, or an ``int``
+  number of ns to sleep;
 * **resources and stores** — model exclusive devices (a host CPU, a DMA
   engine) and bounded queues (NIC packet slots, link slots) with blocking
   semantics, which is how link-level back-pressure is expressed.
@@ -23,7 +24,7 @@ Typical use::
 
     def producer(env, store):
         for i in range(3):
-            yield env.timeout(10)
+            yield 10                  # sleep 10 ns
             yield store.put(i)
 
     store = Store(env, capacity=1)

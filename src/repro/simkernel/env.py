@@ -13,6 +13,12 @@ Two execution paths share one event ordering:
 Both paths pop the same heap in the same order, so simulated results are
 bit-identical whichever drives the run — ``tests/test_determinism.py``
 compares full (time, seq, priority) traces across the two.
+
+A process that yields an ``int`` sleeps: the heap entry is the process
+itself (:meth:`Environment._sleep`), keyed exactly as ``timeout(delay)``
+would have been, and both paths recognise a popped live process as a sleep
+that has ended.  ``timeout()`` is for an event somebody holds (a wait's cap,
+a test); nothing waits on a sleep but the sleeper.
 """
 
 from __future__ import annotations
@@ -35,9 +41,11 @@ from repro.simkernel.events import (
     SEQ_BITS,
     Timeout,
 )
-from repro.simkernel.process import Process
+from repro.simkernel.process import Process, _SLEPT, _bad_yield
 
 _PENDING = Event._PENDING
+#: Heap key offset of a sleep: normal priority, as ``timeout()`` uses.
+_NORMAL = PRIORITY_NORMAL << SEQ_BITS
 #: Heap key of ``run(until=<int>)``'s stop marker: after every priority.
 _STOP_KEY = float("inf")
 
@@ -161,7 +169,11 @@ class Environment:
         return Event(self)
 
     def timeout(self, delay: int, value: Any = None, priority: int = PRIORITY_NORMAL) -> Timeout:
-        """An event that fires ``delay`` nanoseconds from now."""
+        """An event that fires ``delay`` nanoseconds from now.
+
+        For an event somebody holds — a wait's cap, a value to read back.  A
+        process that only has to let time pass yields ``delay`` itself.
+        """
         pool = _TIMEOUT_FREE
         if pool and type(delay) is int and delay >= 0:
             timeout = pool.pop()
@@ -219,6 +231,46 @@ class Environment:
         return event
 
     # -- scheduling -------------------------------------------------------------
+    def _sleep(self, process: Process, delay: int) -> None:
+        """Queue ``process`` itself to resume ``delay`` ns from now.
+
+        The sequence number and key are those ``timeout(delay)`` would have
+        taken at this point, so the order of everything is unchanged; the
+        key is kept in ``process._target`` for :meth:`_cancel_sleep`.  The
+        drain loop inlines this.
+        """
+        seq = self._seq + 1
+        self._seq = seq
+        key = _NORMAL + seq
+        process._target = key
+        if delay:
+            heappush(self._heap, (self._now + delay, key, process))
+        else:
+            self._imm.append((key, process))
+
+    def _cancel_sleep(self, key: int) -> None:
+        """Make the queue entry of an interrupted sleep inert.
+
+        The entry keeps its place (time and key) and its payload becomes a
+        fresh event with no callbacks, so it fires where the sleep would have
+        and resumes nobody.  Entries never compare past their unique key, so
+        swapping the payload in place keeps the heap a heap.
+        """
+        inert = Event(self)
+        inert._triggered = True
+        inert._value = None
+        heap = self._heap
+        for i, entry in enumerate(heap):
+            if entry[1] == key:
+                heap[i] = (entry[0], key, inert)
+                return
+        imm = self._imm
+        for i, entry in enumerate(imm):
+            if entry[0] == key:
+                imm[i] = (key, inert)
+                return
+        raise SimulationError(f"no queued sleep has key {key}")  # pragma: no cover
+
     def schedule(self, event: Event, delay: int = 0, priority: int = PRIORITY_NORMAL) -> None:
         """Queue a triggered event to fire ``delay`` ns from now."""
         if delay < 0:
@@ -263,6 +315,9 @@ class Environment:
         if self.trace is not None:
             self.last_key = key
             self.trace(when, event)
+        if event.__class__ is Process and not event._triggered:
+            event._resume(_SLEPT)              # a sleep ended
+            return
         callbacks, event.callbacks = event.callbacks, None
         event._processed = True
         self._fanout = len(callbacks) > 1
@@ -325,37 +380,63 @@ class Environment:
             if trace is not None and key != _STOP_KEY:
                 self.last_key = key
                 trace(now, event)
-            callbacks = event.callbacks
-            event.callbacks = None
-            event._processed = True
-            if len(callbacks) == 1:
-                cb = callbacks[0]
+            if event.__class__ is Process and not event._triggered:
+                # A sleep ended: the entry is the sleeper itself, resumed
+                # with None.  No event fired, so nothing to recycle.
+                cb = event
+                send = cb._send
+                value = None
+            else:
+                callbacks = event.callbacks
+                event.callbacks = None
+                event._processed = True
+                cb = callbacks[0] if len(callbacks) == 1 else None
                 if cb.__class__ is Process:
-                    # Dominant case: exactly one waiting process.  Drive its
-                    # generator right here — a faithful inline of
-                    # Process._resume, minus the per-event call frame.
-                    self._active_process = cb
-                    try:
-                        if event._ok:
-                            next_event = cb._send(event._value)
-                        else:
-                            event._defused = True
-                            next_event = cb._throw(event._value)
-                    except StopIteration as exc:
-                        self._active_process = None
-                        self._active_processes -= 1
-                        cb.succeed(exc.value)
-                    except StopProcess as exc:
-                        self._active_process = None
-                        self._active_processes -= 1
-                        cb._generator.close()
-                        cb.succeed(exc.value)
-                    except BaseException as exc:
-                        self._active_process = None
-                        self._active_processes -= 1
-                        cb.fail(exc)
+                    # Dominant case: exactly one waiting process.
+                    if event._ok:
+                        send = cb._send
                     else:
-                        self._active_process = None
+                        event._defused = True
+                        send = cb._throw
+                    value = event._value
+                elif cb is not None:
+                    cb(event)
+                    cb = None
+                else:
+                    self._fanout = True
+                    for callback in callbacks:
+                        callback(event)
+                    self._fanout = False
+            if cb is not None:
+                # Drive the generator right here — a faithful inline of
+                # Process._resume (and of _sleep), minus the call frames.
+                self._active_process = cb
+                try:
+                    next_event = send(value)
+                except StopIteration as exc:
+                    self._active_process = None
+                    self._active_processes -= 1
+                    cb.succeed(exc.value)
+                except StopProcess as exc:
+                    self._active_process = None
+                    self._active_processes -= 1
+                    cb._generator.close()
+                    cb.succeed(exc.value)
+                except BaseException as exc:
+                    self._active_process = None
+                    self._active_processes -= 1
+                    cb.fail(exc)
+                else:
+                    self._active_process = None
+                    if next_event.__class__ is int and next_event >= 0:
+                        seq = self._seq + 1
+                        self._seq = seq
+                        cb._target = key = _NORMAL + seq
+                        if next_event:
+                            heappush(heap, (now + next_event, key, cb))
+                        else:
+                            imm.append((key, cb))
+                    else:
                         try:
                             next_event.callbacks.append(cb)
                             cb._target = next_event
@@ -364,9 +445,7 @@ class Environment:
                                 cb._resume(next_event)  # rare: already fired
                             else:
                                 self._active_processes -= 1
-                                cb.fail(SimulationError(
-                                    f"process {cb.name!r} yielded a "
-                                    f"non-event: {next_event!r}"))
+                                cb.fail(_bad_yield(cb, next_event))
                         else:
                             if next_event.env is not self:
                                 next_event.callbacks.remove(cb)
@@ -374,14 +453,9 @@ class Environment:
                                 cb.fail(SimulationError(
                                     f"process {cb.name!r} yielded an event "
                                     "from another environment"))
-                else:
-                    cb(event)
-            else:
-                self._fanout = True
-                for callback in callbacks:
-                    callback(event)
-                self._fanout = False
-            if not event._ok and not event._defused:
+                if cb is event:
+                    continue
+            elif not event._ok and not event._defused:
                 raise event._value
             if event is target:
                 return

@@ -43,9 +43,9 @@ SEQ_BITS = 52
 #
 # The hot path allocates one Event subclass instance plus one callbacks list
 # per simulated event.  Most of those objects are *anonymous*: a process does
-# ``yield env.timeout(5)`` or ``yield store.put(item)`` and never touches the
-# event again, so the instant its callbacks have run the kernel holds the only
-# reference.  ``Environment``'s drain loop detects exactly that case with a
+# ``yield store.put(item)`` or waits on a wake-up and never touches the event
+# again, so the instant its callbacks have run the kernel holds the only
+# reference.  (A sleep, ``yield 5``, is no event at all.)  ``Environment``'s drain loop detects exactly that case with a
 # refcount probe (two references: the loop local and getrefcount's argument)
 # and recycles the event and its callbacks list into a per-class free list.
 # Events the model still references (``t = env.timeout(...)``; condition
@@ -211,8 +211,9 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed delay.
 
-    This is how simulated time is consumed: cost models compute a duration in
-    nanoseconds and the acting process yields ``env.timeout(duration)``.
+    For somebody who holds it — a wait's cap (``Environment.first_of``), a
+    test.  A process that only lets time pass yields the duration itself, a
+    sleep, which is no event (see ``Environment._sleep``).
     """
 
     __slots__ = ("delay",)

@@ -1,11 +1,13 @@
 """Processes: generator coroutines driven by events.
 
-A process wraps a Python generator.  Each ``yield`` hands the kernel an
-:class:`~repro.simkernel.events.Event`; the kernel resumes the generator
+A process wraps a Python generator.  Each ``yield`` hands the kernel either
+an :class:`~repro.simkernel.events.Event` — the kernel resumes the generator
 with the event's value once it fires (or throws the event's exception into
-the generator).  A process is itself an event that fires when the generator
-returns, so processes can wait on each other — this is how ``Cluster.run``
-joins the programs it started.
+the generator) — or a non-negative ``int``: a sleep of that many ns, after
+which the generator resumes with ``None``.  A sleep is not an event: the
+process itself is the queue entry (see ``Environment._sleep``).  A process is
+itself an event that fires when the generator returns, so processes can wait
+on each other — this is how ``Cluster.run`` joins the programs it started.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.simkernel.errors import Interrupt, SimulationError, StopProcess
-from repro.simkernel.events import Event, PRIORITY_NORMAL
+from repro.simkernel.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simkernel.env import Environment
@@ -38,7 +40,7 @@ class Process(Event):
             )
         super().__init__(env)
         self._generator = generator
-        self._target: Optional[Event] = None
+        self._target: Optional[Event | int] = None
         self.name = name or generator.__name__
         # One bound method each, created once: the kernel calls send/throw
         # per yield, and per-access bound-method allocation is measurable on
@@ -55,8 +57,10 @@ class Process(Event):
 
     @property
     def target(self) -> Optional[Event]:
-        """The event this process is currently waiting on (None if running)."""
-        return self._target
+        """The event this process is currently waiting on (None if running
+        or sleeping)."""
+        target = self._target
+        return target if isinstance(target, Event) else None
 
     @property
     def is_alive(self) -> bool:
@@ -65,9 +69,10 @@ class Process(Event):
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
 
-        The interrupt is delivered as a high-priority immediate event, so a
-        process blocked on e.g. a long DMA completion wakes "now".  The event
-        it was waiting on is *not* cancelled; the process may re-wait on it.
+        The interrupt is delivered as an immediate event, so a process
+        blocked on e.g. a long DMA completion wakes "now".  The event it was
+        waiting on is *not* cancelled; the process may re-wait on it.  A
+        sleep is: its queue entry stays in place but resumes nobody.
         """
         if self._triggered:
             raise SimulationError(f"cannot interrupt dead process {self.name!r}")
@@ -82,25 +87,27 @@ class Process(Event):
     def _resume_interrupt(self, event: Event) -> None:
         if self._triggered:
             return  # process finished between interrupt scheduling and delivery
-        if self._target is not None and self._target.callbacks is not None:
+        target = self._target
+        if target.__class__ is int:
+            self.env._cancel_sleep(target)
+        elif target is not None and target.callbacks is not None:
             try:
-                self._target.callbacks.remove(self)
+                target.callbacks.remove(self)
             except ValueError:  # pragma: no cover - already detached
                 pass
         self._target = None
         self._resume(event)
 
-    def _resume(self, event: Event, throw: Optional[bool] = None) -> None:
+    def _resume(self, event: Event) -> None:
         """Advance the generator after ``event`` fired (the kernel callback).
 
-        ``throw`` defaults to "throw iff the event failed"; the body is the
-        old ``_step`` inlined — one frame per resume instead of two.
-        ``_target`` is left stale while the generator runs (it is overwritten
-        at the next yield or the process dies); only the interrupt path needs
-        it cleared eagerly, which ``_resume_interrupt`` does itself.
+        Throws iff the event failed; the body is the old ``_step`` inlined —
+        one frame per resume instead of two.  ``_target`` is left stale while
+        the generator runs (it is overwritten at the next yield or the process
+        dies); only the interrupt path needs it cleared eagerly, which
+        ``_resume_interrupt`` does itself.  While the process sleeps it holds
+        the sleep's heap key, an ``int``.
         """
-        if throw is None:
-            throw = not event._ok
         # Callbacks only ever run from the kernel's drain/step loops (never
         # nested inside another resume), so the previous active process is
         # always None — set/clear directly instead of saving and restoring.
@@ -109,11 +116,11 @@ class Process(Event):
         try:
             while True:
                 try:
-                    if throw:
+                    if event._ok:
+                        next_event = self._send(event._value)
+                    else:
                         event._defused = True
                         next_event = self._throw(event._value)
-                    else:
-                        next_event = self._send(event._value)
                 except StopIteration as exc:
                     env._active_processes -= 1
                     self.succeed(exc.value)
@@ -128,6 +135,9 @@ class Process(Event):
                     self.fail(exc)
                     return
 
+                if next_event.__class__ is int and next_event >= 0:
+                    env._sleep(self, next_event)
+                    return
                 # Optimistically register on the yielded event; the rare cases
                 # (already processed -> callbacks is None, or not an event at
                 # all) surface as AttributeError, keeping the per-yield path
@@ -137,12 +147,10 @@ class Process(Event):
                 except AttributeError:
                     if isinstance(next_event, Event) and next_event._processed:
                         # Already fired: continue synchronously.
-                        event, throw = next_event, not next_event._ok
+                        event = next_event
                         continue
                     env._active_processes -= 1
-                    self.fail(SimulationError(
-                        f"process {self.name!r} yielded a non-event: {next_event!r}"
-                    ))
+                    self.fail(_bad_yield(self, next_event))
                     return
                 if next_event.env is not env:
                     next_event.callbacks.remove(self)
@@ -163,3 +171,17 @@ class Process(Event):
         state = "dead" if self._triggered else "alive"
         return f"<Process {self.name!r} {state}>"
 
+
+def _bad_yield(process: Process, value: Any) -> SimulationError:
+    """The error a process fails with for yielding neither an event nor a
+    sleep (``bool`` is not a sleep, nor is a negative or fractional ns)."""
+    return SimulationError(
+        f"process {process.name!r} yielded {value!r}: neither an event nor "
+        "a non-negative int delay in ns")
+
+
+#: What the reference path resumes a sleeper with: a spent event, value None.
+_SLEPT = Event(None)
+_SLEPT._value = None
+_SLEPT._triggered = _SLEPT._processed = True
+_SLEPT.callbacks = None

@@ -6,7 +6,7 @@ a process does::
 
     with cpu.request() as req:
         yield req
-        yield env.timeout(cost)
+        yield cost
 
 The ``with`` form releases on exit even if the process is interrupted while
 holding (or waiting for) the resource.
@@ -18,7 +18,7 @@ import heapq
 from typing import TYPE_CHECKING, Optional
 
 from repro.simkernel.errors import SimulationError
-from repro.simkernel.events import Event, Timeout
+from repro.simkernel.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simkernel.env import Environment
@@ -83,16 +83,16 @@ class Resource:
         self._admit_or_queue(req)
         return req
 
-    def acquire(self) -> Optional[Event]:
+    def acquire(self) -> Optional[Event | int]:
         """Claim a slot; ``None`` means it is already held, with no event.
 
         A free slot is taken inline.  At a quiet instant the grant would
         fire next with the caller as its only waiter, so there is no event
-        at all; otherwise the caller still waits its turn, on a zero-delay
-        timeout that takes the queue position the grant's event had.
-        Only a busy slot is a :meth:`request`.  Any token goes back to
-        :meth:`release`, in a ``finally`` (``if req is not None: yield req``
-        sits inside it).
+        at all; otherwise the caller still waits its turn: the token is
+        ``0``, a zero-length sleep, which takes the queue position the
+        grant's event had.  Only a busy slot is a :meth:`request`.  Any
+        token goes back to :meth:`release`, in a ``finally`` (``if req is
+        not None: yield req`` sits inside it).
         """
         env = self.env
         if len(self._users) + self._inline < self.capacity:
@@ -100,14 +100,16 @@ class Resource:
             if env.quiet:
                 env.elided += 1
                 return None
-            return env.timeout(0)
+            return 0
         return self.request()
 
-    def release(self, request: Optional[Event]) -> None:
+    def release(self, request: Optional[Event | int]) -> None:
         """Release a held request, or cancel a queued one (idempotent);
-        ``None`` or a timeout releases one inline hold taken by
-        :meth:`acquire`."""
-        if request is None or request.__class__ is Timeout:
+        ``None`` or ``0`` releases one inline hold taken by :meth:`acquire`."""
+        if request is None or request.__class__ is int:
+            if request:
+                raise SimulationError(
+                    f"{self!r}: {request!r} is not a token acquire() returns")
             if not self._inline:
                 raise SimulationError(f"{self!r}: no inline hold to release")
             self._inline -= 1

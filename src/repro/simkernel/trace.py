@@ -21,7 +21,7 @@ if TYPE_CHECKING:  # pragma: no cover
 @dataclass
 class TraceRecord:
     time: int
-    kind: str       # "timeout" | "process" | "event"
+    kind: str       # "sleep" | "timeout" | "process" | "event"
     name: str
     #: Scheduling tie-break pair of the fired event (kernel heap order);
     #: ``seq`` is the global schedule sequence number, ``priority`` the
@@ -94,7 +94,10 @@ class Tracer:
         else:  # pragma: no cover - attach() always sets _env
             priority, seq = 0, 0
         if isinstance(event, Process):
-            record = TraceRecord(time, "process", event.name, seq, priority)
+            # A live process in the queue is a sleep ending; a finished one
+            # is the process's own completion event.
+            kind = "process" if event._triggered else "sleep"
+            record = TraceRecord(time, kind, event.name, seq, priority)
         elif isinstance(event, Timeout):
             record = TraceRecord(time, "timeout", f"+{event.delay}", seq, priority)
         else:

@@ -128,7 +128,7 @@ class RdmaKind:
             yield from ep.register(landing)              # rkey 1 on node 0
             source = node.buffer(nbytes,
                                  fill=bytes(i % 251 for i in range(nbytes)))
-            yield node.env.timeout(SETTLE_NS)
+            yield SETTLE_NS
             for _ in range(iterations):
                 t0 = node.env.now
                 yield from ep.rdma_put(1, 1, source, nbytes)

@@ -325,7 +325,7 @@ class ShardSupervisor:
         endpoint = self.endpoint
         node = self.directory.shard_nodes[shard]
         while True:
-            yield env.timeout(self.probe_interval_ns)
+            yield self.probe_interval_ns
             t0 = env.now
             req_id, event = yield from endpoint.send_request(
                 node, 0, PROBE_BYTES)
@@ -349,7 +349,7 @@ class ShardSupervisor:
         bank = self._workload_stats.timeseries
         env = self.env
         while True:
-            yield env.timeout(bank.interval_ns)
+            yield bank.interval_ns
             now_window = env.now // bank.interval_ns
             for shard, detector in enumerate(self._detectors):
                 completed = bank.rate("completed", shard=str(shard))

@@ -557,7 +557,7 @@ class RpcClient:
         for _ in range(self.n_requests):
             t_next += next(self._gaps)
             if env.now < t_next:
-                yield env.timeout(t_next - env.now)
+                yield t_next - env.now
             deadline = t_next + self.deadline_ns if self.deadline_ns else 0
             t_sent = env.now
             req_id, event = yield from self._issue(deadline, t_intended=t_next)
@@ -576,7 +576,7 @@ class RpcClient:
             yield from self._await(req_id, event, t_sent)
             think = next(self._gaps)
             if think:
-                yield env.timeout(think)
+                yield think
         self._sending = False
 
     def _await(self, req_id: int, event, t_sent: int) -> Generator:

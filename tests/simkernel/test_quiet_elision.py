@@ -16,7 +16,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.simkernel import Environment, Interrupt, Resource, Store
 from repro.simkernel.errors import SimulationError
-from repro.simkernel.events import Timeout
 from repro.simkernel.resources import Mutex, Request
 from repro.simkernel.store import EMPTY
 
@@ -45,7 +44,8 @@ MODELS = st.fixed_dictionaries({
 def simulate(model, tokens=None):
     """Run one model; returns ``(log, env)``, the log being every model
     action as ``(time, actor, action, detail)`` in execution order.
-    ``tokens`` collects the type of what each ``acquire()`` returned."""
+    ``tokens`` collects what each ``acquire()`` returned: ``0``, ``None``
+    or the type of the event."""
     env = Environment()
     resources = [Resource(env, capacity=c) for c in model["resources"]]
     stores = [Store(env, capacity=c) for c in model["stores"]]
@@ -59,7 +59,7 @@ def simulate(model, tokens=None):
                     resource = resources[which % len(resources)]
                     req = resource.acquire()
                     if tokens is not None:
-                        tokens.append(type(req))
+                        tokens.append(req if req in (0, None) else type(req))
                     try:
                         if req is not None:
                             yield req
@@ -152,7 +152,7 @@ def test_the_property_exercises_every_acquire_outcome():
                           [("hold", 0, 2)]]}
     tokens = []
     _log, env = simulate(model, tokens)
-    assert tokens == [Timeout, Request, Request, type(None)]
+    assert tokens == [0, Request, Request, None]
     assert env.elided == 1
     with elision_declined():
         tokens.clear()
@@ -210,8 +210,17 @@ class TestInlineHolds:
         env.timeout(0)                         # something else runs now
         assert not env.quiet
         req = lock.acquire()
-        assert req is not None and req.triggered and env.elided == 0
+        assert req == 0 and lock.locked() and env.elided == 0
         lock.release(req)
+        assert not lock.locked()
+
+    def test_a_token_is_zero_or_none(self, env):
+        lock = Mutex(env)
+        assert lock.acquire() is None
+        with pytest.raises(SimulationError, match="not a token"):
+            lock.release(5)
+        assert lock.locked()
+        lock.release(0)
         assert not lock.locked()
 
     def test_releasing_a_hold_never_taken_is_an_error(self, env):
@@ -247,7 +256,7 @@ class TestInlineHolds:
 
 class TestFreeButNotQuiet:
     """A free slot at an instant with other events runnable: the slot is
-    taken inline, the caller waits its turn on a zero-delay timeout."""
+    taken inline, the caller waits its turn in a zero-length sleep."""
 
     @pytest.fixture
     def busy_env(self, env):
@@ -255,20 +264,21 @@ class TestFreeButNotQuiet:
         assert not env.quiet
         return env
 
-    def test_the_token_is_a_timeout_and_no_request_is_made(self, busy_env,
-                                                           monkeypatch):
+    def test_the_token_is_zero_and_no_request_is_made(self, busy_env,
+                                                      monkeypatch):
         lock = Mutex(busy_env)
         monkeypatch.setattr(Resource, "request", None)      # would raise
         before = busy_env.scheduled_events
         token = lock.acquire()
-        assert type(token) is Timeout and token.triggered
-        assert busy_env.scheduled_events == before + 1      # the grant's slot
+        assert token == 0 and token.__class__ is int and lock.locked()
+        # The grant's slot is taken when the holder yields the token.
+        assert busy_env.scheduled_events == before
         assert busy_env.elided == 0
 
     def test_it_counts_as_a_holder(self, busy_env):
         pool = Resource(busy_env, capacity=2)
         first, second = pool.acquire(), pool.acquire()
-        assert type(first) is Timeout and type(second) is Timeout
+        assert first == 0 and second == 0
         assert pool.count == 2
         third = pool.acquire()                 # full: a queued Request
         assert type(third) is Request and not third.triggered
@@ -296,7 +306,7 @@ class TestFreeButNotQuiet:
     def test_closed_holder_releases(self, busy_env):
         lock = Mutex(busy_env)
         body = hold(busy_env, lock, 100)
-        assert type(next(body)) is Timeout     # parked on the token
+        assert next(body) == 0                 # parked on the token
         assert lock.locked()
         body.close()                           # GeneratorExit at the yield
         assert not lock.locked()

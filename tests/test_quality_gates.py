@@ -107,9 +107,17 @@ def test_the_poll_back_off_is_written_once_per_driver():
     """``extract_until`` and the arrival-keyed ping-pong in ``microbench``,
     the lean no-FM driver in ``breakdown``, and ``swreliable``'s own
     constant: no third copy of the raw-FM receive loop."""
-    assert _occurrences("timeout(IDLE_POLL_NS)") == {
+    assert _occurrences("yield IDLE_POLL_NS") == {
         "bench/microbench.py": 2, "bench/breakdown.py": 1,
         "ext/swreliable.py": 1}
+
+
+def test_a_sleep_is_yielded_as_an_int():
+    """A process that only lets time pass yields the delay (``yield ns``);
+    ``env.timeout`` is for an event somebody holds, such as a wait's cap."""
+    root = pathlib.Path(repro.__file__).parent
+    assert [str(path.relative_to(root)) for path in root.rglob("*.py")
+            if re.search(r"yield [\w.]*timeout\(", path.read_text())] == []
 
 
 def test_no_fm_layer_spawns_a_process():
