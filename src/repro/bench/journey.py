@@ -104,6 +104,6 @@ def packet_journey_detail(machine: MachineParams, fm_version: int,
     cluster.run([sender, receiver])
     first_packet = captured[0]
     marks = [("api_enter", start[0])]
-    marks += list(first_packet.waypoints)
+    marks += [waypoint[:2] for waypoint in first_packet.waypoints]
     marks.append(("handler_done", done[0]))
     return Journey(marks=marks), cluster

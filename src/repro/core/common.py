@@ -86,7 +86,7 @@ class FmTransportError(FmError):
         if self.waypoints:
             lines.append("  journey:")
             prev_time = self.waypoints[0][1]
-            for location, time_ns in self.waypoints:
+            for location, time_ns, *_hop in self.waypoints:
                 lines.append(f"    {time_ns:>12} ns  (+{time_ns - prev_time:>8})  {location}")
                 prev_time = time_ns
         return "\n".join(lines)

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.simkernel.store import EMPTY, Store
 from repro.simkernel.units import transfer_time_ns
 
-from repro.hardware.packet import Packet, PacketFlags
+from repro.hardware.packet import WIRE_HOP, Packet, PacketFlags
 from repro.hardware.params import LinkParams
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -49,10 +49,6 @@ class Link:
         self.name = name
         self._wire_label = f"{name}.wire"
         self._track = f"fabric/{name}"
-        # The observer whose ``link.bytes`` meter is held, and that meter's
-        # ``mark`` (see ``_serialise``).
-        self._bytes_obs = None
-        self._bytes_mark = None
         #: Upstream components put packets here; bounded = transmit buffer.
         self.ingress: Store = Store(env, capacity=params.slots, name=f"{name}.ingress")
         #: In-flight window between serialiser and deliverer.
@@ -96,24 +92,13 @@ class Link:
             packet: Packet = self.ingress.get_now()
             if packet is EMPTY:
                 packet = yield self.ingress.get()
-            obs = self.env.obs
             t0 = self.env.now
             yield self.wire_time(packet)
-            packet.stamp(self._wire_label, self.env.now)
+            packet.stamp(self._wire_label, self.env.now, WIRE_HOP, t0,
+                         self._track)
             dropped = self._apply_faults(packet)
             self.packets += 1
             self.bytes += packet.wire_bytes
-            if obs is not None:
-                obs.span("fabric", "wire", t0, track=self._track,
-                         src=packet.header.src, dest=packet.header.dest,
-                         bytes=packet.wire_bytes)
-                if obs is not self._bytes_obs:
-                    # Keyed on the observer object: one may be attached
-                    # late, or replaced.
-                    self._bytes_obs = obs
-                    self._bytes_mark = obs.metrics.meter(
-                        "link.bytes", link=self.name).mark
-                self._bytes_mark(packet.wire_bytes)
             if dropped:
                 # Lossy-link mode: the packet burned wire time but never
                 # arrives.  Downstream sees nothing — detection (if any) is
@@ -171,6 +156,7 @@ class Link:
                 obs.span("fault", "link_drop", self.env.now,
                          track=self._track, src=packet.header.src,
                          dest=packet.header.dest, seq=packet.header.seq)
+                obs.hops(packet)
         return dropped
 
     def __repr__(self) -> str:

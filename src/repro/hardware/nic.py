@@ -58,7 +58,8 @@ from repro.hardware.bus import IoBus
 from repro.hardware.dma import DmaEngine
 from repro.hardware.link import Link
 from repro.hardware.memory import Buffer
-from repro.hardware.packet import HEADER_BYTES, Packet, PacketFlags, PacketHeader
+from repro.hardware.packet import (HEADER_BYTES, RX_HOP, TX_HOP, Packet,
+                                   PacketFlags, PacketHeader)
 from repro.hardware.params import NicParams
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -369,7 +370,6 @@ class Nic:
             packet: Packet = self.tx_sram.get_now()
             if packet is EMPTY:
                 packet = yield self.tx_sram.get()
-            obs = self.env.obs
             t0 = self.env.now
             yield self.params.firmware_send_ns
             faults = self.env.faults
@@ -378,12 +378,8 @@ class Nic:
                 if stall:
                     yield stall
             self.sent_packets += 1
-            packet.stamp(self._inject_label, self.env.now)
-            if obs is not None:
-                obs.span("nic", "tx_firmware", t0,
-                         track=self._tx_track, ctx=packet.trace,
-                         dest=packet.header.dest, seq=packet.header.seq,
-                         bytes=packet.wire_bytes)
+            packet.stamp(self._inject_label, self.env.now, TX_HOP, t0,
+                         self._tx_track)
             if not self.tx_link.ingress.put_now(packet):
                 yield self.tx_link.ingress.put(packet)
 
@@ -412,46 +408,43 @@ class Nic:
                         obs.span("nic", "corrupt_control_drop", t0,
                                  track=self._rx_track, src=packet.header.src,
                                  credits=packet.header.credit_return)
-                    continue
-                # Credit return: update the mailbox, consume no host slot.
-                peer = packet.header.src
-                self.credit_mailbox[peer] = (
-                    self.credit_mailbox.get(peer, 0) + packet.header.credit_return
-                )
-                self.control_packets += 1
-                if obs is not None:
-                    obs.span("nic", "credit_absorb", t0,
-                             track=self._rx_track, src=peer,
-                             ctx=packet.trace,
-                             credits=packet.header.credit_return)
-                continue
-            if packet.header.is_rdma:
+                else:
+                    # Credit return: update the mailbox, consume no host slot.
+                    peer = packet.header.src
+                    self.credit_mailbox[peer] = (self.credit_mailbox.get(
+                        peer, 0) + packet.header.credit_return)
+                    self.control_packets += 1
+                    if obs is not None:
+                        obs.span("nic", "credit_absorb", t0,
+                                 track=self._rx_track, src=peer,
+                                 ctx=packet.trace,
+                                 credits=packet.header.credit_return)
+            elif packet.header.is_rdma:
                 yield from self._rx_rdma(packet, t0)
-                continue
-            if packet.header.is_collective:
+            elif packet.header.is_collective:
                 self._rx_collective(packet, t0)
-                continue
-            yield from self.recv_dma.transfer(packet.wire_bytes)
-            self.received_packets += 1
-            packet.stamp(self._dma_done_label, self.env.now)
+            else:
+                yield from self.recv_dma.transfer(packet.wire_bytes)
+                self.received_packets += 1
+                packet.stamp(self._dma_done_label, self.env.now, RX_HOP, t0,
+                             self._rx_track)
+                if obs is not None:
+                    if obs is not self._depth_obs:
+                        # Keyed on the observer object: one may be
+                        # attached late, or replaced.
+                        self._depth_obs = obs
+                        self._depth_record = obs.metrics.histogram(
+                            "nic.recv_region_depth", nic=self.name).record
+                    self._depth_record(self.recv_region.level)
+                if not self.recv_region.put_now(packet):
+                    yield self.recv_region.put(packet)
+                if self._rx_waiters:
+                    waiters, self._rx_waiters = self._rx_waiters, []
+                    for event in waiters:
+                        event.wake()
+            # Every hop is stamped: the packet leaves the hardware here.
             if obs is not None:
-                obs.span("nic", "rx_dma", t0,
-                         track=self._rx_track, ctx=packet.trace,
-                         src=packet.header.src, seq=packet.header.seq,
-                         bytes=packet.wire_bytes)
-                if obs is not self._depth_obs:
-                    # Keyed on the observer object: one may be attached
-                    # late, or replaced.
-                    self._depth_obs = obs
-                    self._depth_record = obs.metrics.histogram(
-                        "nic.recv_region_depth", nic=self.name).record
-                self._depth_record(self.recv_region.level)
-            if not self.recv_region.put_now(packet):
-                yield self.recv_region.put(packet)
-            if self._rx_waiters:
-                waiters, self._rx_waiters = self._rx_waiters, []
-                for event in waiters:
-                    event.wake()
+                obs.hops(packet)
 
     # -- RDMA receive paths ---------------------------------------------------
     def _rx_rdma(self, packet: Packet, t0: int):

@@ -58,6 +58,9 @@ _FIRST, _LAST, _CONTROL, _CORRUPT, _COLLECTIVE = (int(flag) for flag in (
 _RDMA = int(PacketFlags.RDMA_WRITE | PacketFlags.RDMA_READ_REQ
             | PacketFlags.RDMA_READ_RESP)
 
+#: Kinds of hop waypoint: a crossing the observer records as a span.
+WIRE_HOP, FORWARD_HOP, TX_HOP, RX_HOP = range(4)
+
 
 @dataclass
 class PacketHeader:
@@ -123,7 +126,11 @@ class Packet:
     ``waypoints`` records ``(location, time_ns)`` stamps as the packet
     moves through the system — NIC injection, link transit, switch
     forwarding, DMA arrival, extraction — enabling per-stage latency
-    attribution (see ``repro.bench.journey``).
+    attribution (see ``repro.bench.journey``).  It is the observer's
+    source too: a hop stamp (``kind`` one of the ``*_HOP`` constants)
+    appends ``kind, t_start, track`` and a switch's ports, what its span
+    needs and the end time does not give (:meth:`Observer.hops
+    <repro.obs.observer.Observer.hops>`).
 
     ``trace`` is the causal :class:`~repro.obs.span.TraceContext` stamped
     at injection time when an observer is attached and the sending process
@@ -135,7 +142,7 @@ class Packet:
     payload: bytes
     route: list[int] = field(default_factory=list)
     crc: int = 0
-    waypoints: list[tuple[str, int]] = field(default_factory=list)
+    waypoints: list[tuple] = field(default_factory=list)
     trace: Optional["TraceContext"] = None
 
     def __post_init__(self) -> None:
@@ -167,9 +174,10 @@ class Packet:
         return (not _and(self.header.flags, _CORRUPT)
                 and compute_crc(self.payload) == self.crc)
 
-    def stamp(self, location: str, time_ns: int) -> None:
-        """Record a waypoint on this packet's journey."""
-        self.waypoints.append((location, time_ns))
+    def stamp(self, *waypoint) -> None:
+        """Record a waypoint, ``(location, time_ns)`` or a hop's longer
+        tuple, on this packet's journey."""
+        self.waypoints.append(waypoint)
 
     def __repr__(self) -> str:
         h = self.header

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.simkernel.store import EMPTY, Store
 
 from repro.hardware.link import Link
-from repro.hardware.packet import Packet
+from repro.hardware.packet import FORWARD_HOP, Packet
 from repro.hardware.params import SwitchParams
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -67,7 +67,6 @@ class Switch:
             packet: Packet = in_store.get_now()
             if packet is EMPTY:
                 packet = yield in_store.get()
-            obs = self.env.obs
             t0 = self.env.now
             yield self.params.routing_ns
             if not packet.route:
@@ -87,11 +86,8 @@ class Switch:
                     f"of {self.name!r}"
                 )
             self.forwarded += 1
-            packet.stamp(self._forward_label, self.env.now)
-            if obs is not None:
-                obs.span("fabric", "forward", t0, track=self._track,
-                         in_port=port, out_port=out_port,
-                         src=packet.header.src, dest=packet.header.dest)
+            packet.stamp(self._forward_label, self.env.now, FORWARD_HOP, t0,
+                         self._track, port, out_port)
             if not link.ingress.put_now(packet):
                 yield link.ingress.put(packet)
 

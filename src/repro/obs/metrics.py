@@ -160,7 +160,7 @@ class Histogram(Reservoir):
 class RateMeter:
     """Amounts bucketed into fixed windows of simulated time.
 
-    ``mark(amount)`` adds to the bucket covering ``env.now``; the series of
+    ``mark(amount, at=now)`` adds to the bucket covering ``at``; the series of
     (window start, amount) pairs yields delivered-rate curves over the run
     (e.g. link MB/s per simulated millisecond).
     """
@@ -177,9 +177,9 @@ class RateMeter:
         self.total: int = 0
         self._buckets: dict[int, int] = {}
 
-    def mark(self, amount: int = 1) -> None:
-        """Add ``amount`` to the current window's bucket."""
-        index = self.env.now // self.window_ns
+    def mark(self, amount: int = 1, at: Optional[int] = None) -> None:
+        """Add ``amount`` to the bucket of the window covering ``at``."""
+        index = (self.env.now if at is None else at) // self.window_ns
         self._buckets[index] = self._buckets.get(index, 0) + amount
         self.total += amount
 

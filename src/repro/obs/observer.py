@@ -39,8 +39,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
+from repro.hardware.packet import FORWARD_HOP, TX_HOP, WIRE_HOP
 from repro.obs.metrics import Metrics
 from repro.obs.span import Span, TraceContext
+
+#: ``(layer, name)`` of the span each hop kind becomes (:meth:`Observer.hops`).
+_HOP_SPANS = (("fabric", "wire"), ("fabric", "forward"),
+              ("nic", "tx_firmware"), ("nic", "rx_dma"))
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.packet import Packet
@@ -62,6 +67,8 @@ class Observer:
         # ``record``, resolved on the pair's first packet (packet_done).
         self._stage_records: dict[tuple[str, str], Callable[[int], None]] = {}
         self._latency_record: Optional[Callable[[int], None]] = None
+        # Link track -> its ``link.bytes`` meter's bound ``mark`` (hops).
+        self._bytes_marks: dict[str, Callable[..., None]] = {}
 
     # -- lifecycle ------------------------------------------------------------
     def attach(self, env: "Environment") -> "Observer":
@@ -158,6 +165,46 @@ class Observer:
         self.spans.append(span)
         return span
 
+    def hops(self, packet: "Packet") -> None:
+        """Record the hop spans of a packet leaving the hardware (the
+        receiving NIC, or a link that drops it), built from its hop stamps
+        (:attr:`Packet.waypoints <repro.hardware.packet.Packet>`).  Not
+        through :meth:`span`: fabric hops carry no trace and NIC hops the
+        packet's own, never the calling process's.  A wire hop marks
+        ``link.bytes`` at its own end time."""
+        header = packet.header
+        nbytes = packet.wire_bytes
+        ctx = packet.trace
+        for _location, t_end, *hop in packet.waypoints:
+            if not hop:
+                continue
+            kind, t_start, track, *ports = hop
+            if kind == WIRE_HOP:
+                attrs = {"src": header.src, "dest": header.dest,
+                         "bytes": nbytes}
+                marks = self._bytes_marks
+                if track not in marks:
+                    # A link's track is ``fabric/<link name>``.
+                    marks[track] = self.metrics.meter(
+                        "link.bytes", link=track.partition("/")[2]).mark
+                marks[track](nbytes, t_end)
+            elif kind == FORWARD_HOP:
+                attrs = {"in_port": ports[0], "out_port": ports[1],
+                         "src": header.src, "dest": header.dest}
+            elif kind == TX_HOP:
+                attrs = {"dest": header.dest, "seq": header.seq,
+                         "bytes": nbytes}
+            else:
+                attrs = {"src": header.src, "seq": header.seq,
+                         "bytes": nbytes}
+            layer, name = _HOP_SPANS[kind]
+            hop_ctx = ctx if kind >= TX_HOP else None
+            span_id = self._next_span_id = self._next_span_id + 1
+            self.spans.append(Span(
+                layer, name, t_start, t_end, track, attrs,
+                hop_ctx and hop_ctx.trace_id, span_id,
+                hop_ctx and hop_ctx.span_id))
+
     def packet_done(self, packet: "Packet", end_name: str, end_time: int) -> None:
         """Fold one delivered packet's waypoints into per-stage histograms.
 
@@ -172,9 +219,11 @@ class Observer:
         if not waypoints:
             return
         records = self._stage_records
-        prev_name, t_first = waypoints[0]
+        prev_name, t_first = waypoints[0][:2]
         prev_time = t_first
-        for name, time in [*waypoints[1:], (end_name, end_time)]:
+        for waypoint in [*waypoints[1:], (end_name, end_time)]:
+            name = waypoint[0]
+            time = waypoint[1]
             record = records.get((prev_name, name))
             if record is None:
                 record = records[prev_name, name] = self.metrics.histogram(

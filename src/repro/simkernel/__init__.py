@@ -49,7 +49,7 @@ from repro.simkernel.events import (
 )
 from repro.simkernel.process import Process
 from repro.simkernel.env import Environment
-from repro.simkernel.resources import PriorityResource, Request, Resource
+from repro.simkernel.resources import Request, Resource
 from repro.simkernel.store import Store
 from repro.simkernel.units import MICROSECOND, MILLISECOND, NANOSECOND, SECOND, us, ms, ns_to_us, s
 
@@ -66,7 +66,6 @@ __all__ = [
     "PRIORITY_HIGH",
     "PRIORITY_LOW",
     "PRIORITY_NORMAL",
-    "PriorityResource",
     "Process",
     "Request",
     "Resource",

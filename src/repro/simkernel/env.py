@@ -35,7 +35,6 @@ from repro.simkernel.events import (
     _POOL_CAP,
     _TIMEOUT_FREE,
     AllOf,
-    AnyOf,
     Event,
     PRIORITY_NORMAL,
     SEQ_BITS,
@@ -200,9 +199,6 @@ class Environment:
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a new process from a generator."""
         return Process(self, generator, name)
-
-    def any_of(self, events) -> AnyOf:
-        return AnyOf(self, events)
 
     def all_of(self, events) -> AllOf:
         return AllOf(self, events)

@@ -188,19 +188,6 @@ class Event:
         """Mark a failed event as handled so ``run()`` won't re-raise it."""
         self._defused = True
 
-    # -- composition ---------------------------------------------------------
-    def __or__(self, other: "Event") -> "Condition":
-        """``a | b`` — fires when either event fires (AnyOf)."""
-        if not isinstance(other, Event):
-            return NotImplemented
-        return AnyOf(self.env, [self, other])
-
-    def __and__(self, other: "Event") -> "Condition":
-        """``a & b`` — fires when both events have fired (AllOf)."""
-        if not isinstance(other, Event):
-            return NotImplemented
-        return AllOf(self.env, [self, other])
-
     def __repr__(self) -> str:
         state = (
             "processed" if self._processed else "triggered" if self._triggered else "pending"

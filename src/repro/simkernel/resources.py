@@ -1,4 +1,4 @@
-"""Exclusive-use resources with FIFO or priority queueing.
+"""Exclusive-use resources with FIFO queueing.
 
 A :class:`Resource` models a device that at most ``capacity`` processes may
 hold at once — the host CPU, a DMA engine, a bus grant.  Requests are events;
@@ -29,7 +29,7 @@ class Request(Event):
 
     __slots__ = ("resource", "key")
 
-    def __init__(self, resource: "Resource", key: tuple):
+    def __init__(self, resource: "Resource", key: int):
         super().__init__(resource.env)
         self.resource = resource
         self.key = key
@@ -49,10 +49,8 @@ class Request(Event):
 class Resource:
     """A FIFO resource with integer capacity.
 
-    Fairness: grants strictly follow request order (for
-    :class:`PriorityResource`, priority order with FIFO tie-break), which
-    keeps host-CPU contention between the send path and the extract path
-    deterministic.
+    Fairness: grants strictly follow request order, which keeps host-CPU
+    contention between the send path and the extract path deterministic.
     """
 
     def __init__(self, env: "Environment", capacity: int = 1, name: str = ""):
@@ -63,7 +61,7 @@ class Resource:
         self.name = name
         self._users: set[Request] = set()
         self._inline = 0  # slots held through acquire(), not a Request
-        self._queue: list[tuple[tuple, Request]] = []  # heap keyed by request key
+        self._queue: list[tuple[int, Request]] = []  # heap keyed by request key
         self._seq = 0
 
     # -- API -------------------------------------------------------------
@@ -79,7 +77,7 @@ class Resource:
 
     def request(self) -> Request:
         self._seq += 1
-        req = Request(self, key=(self._seq,))
+        req = Request(self, key=self._seq)
         self._admit_or_queue(req)
         return req
 
@@ -143,29 +141,3 @@ class Resource:
         return (f"<{type(self).__name__} {self.name!r} users={self.count}"
                 f"/{self.capacity} queued={len(self._queue)}>")
 
-
-class PriorityResource(Resource):
-    """Resource whose queue is ordered by (priority, arrival)."""
-
-    def request(self, priority: int = 0) -> Request:  # type: ignore[override]
-        self._seq += 1
-        req = Request(self, key=(priority, self._seq))
-        self._admit_or_queue(req)
-        return req
-
-
-class Mutex(Resource):
-    """Capacity-1 resource — a plain lock with deterministic FIFO handoff."""
-
-    def __init__(self, env: "Environment", name: str = ""):
-        super().__init__(env, capacity=1, name=name)
-
-    def locked(self) -> bool:
-        return self.count == 1
-
-
-def held_by_anyone(resource: Resource) -> bool:
-    """True if the resource has at least one holder (test helper)."""
-    if not isinstance(resource, Resource):
-        raise SimulationError(f"not a resource: {resource!r}")
-    return resource.count > 0

@@ -84,8 +84,8 @@ class TestWaypointStamps:
         fm2_cluster.run([sender, receiver])
         assert len(seen) == 3    # 3 packets of 1024
         for packet in seen:
-            locations = [name for name, _t in packet.waypoints]
+            locations = [waypoint[0] for waypoint in packet.waypoints]
             assert "nic0.submit" in locations
             assert "nic1.dma_done" in locations
-            times = [t for _n, t in packet.waypoints]
+            times = [waypoint[1] for waypoint in packet.waypoints]
             assert times == sorted(times)

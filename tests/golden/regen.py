@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import functools
 import hashlib
 import json
 import sys
@@ -48,7 +49,8 @@ from repro.upper.mpi import (ANY_SOURCE, ANY_TAG, MPI2_DEFAULT_COSTS,
                              MpiFm2RdmaBinding, build_mpi_world)
 from repro.upper.mpi.ablations import ABLATIONS
 from repro.workloads.presets import PRESET_PLANS, PRESETS
-from repro.workloads.runner import Scenario, execute_scenario, run_scenario
+from repro.workloads.runner import (Scenario, ScenarioOutcome,
+                                    execute_scenario, run_scenario)
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 SPEC_DIR = GOLDEN_DIR.parents[1] / "perfbench" / "specs"
@@ -101,16 +103,27 @@ def golden_text(name: str) -> str:
 
 
 def fresh_text(name: str, observe: bool = False) -> str:
-    """Run case ``name`` now and return its canonical report."""
+    """Run case ``name`` now and return its canonical report (an observed
+    ``OBS_CASES`` report is read off :func:`observed`)."""
+    if observe and name in OBS_CASES:
+        return dumps_deterministic(observed(name).report)
     scenario, plan = cases()[name]
     return dumps_deterministic(
         run_scenario(scenario, plan=plan, observe=observe))
 
 
-def obs_digest(name: str) -> dict:
-    """Run case ``name`` observed and digest what the observer exports."""
+@functools.cache
+def observed(name: str) -> ScenarioOutcome:
+    """Case ``name`` of ``OBS_CASES`` run once with an observer attached:
+    its report, its export digest and its hop-span laws are read off the
+    same run."""
     scenario, plan = cases()[name]
-    observer = execute_scenario(scenario, plan=plan, observe=True).observer
+    return execute_scenario(scenario, plan=plan, observe=True)
+
+
+def obs_digest(name: str) -> dict:
+    """Digest what the observer of case ``name`` exports."""
+    observer = observed(name).observer
     return {"spans": len(observer.spans),
             "trace_sha256": _sha256(trace_events(observer.spans)),
             "metrics_sha256": _sha256(observer.metrics.as_dict())}

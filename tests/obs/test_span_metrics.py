@@ -253,3 +253,35 @@ class TestObserver:
         assert stages == {"submit -> wire": 150, "wire -> extract": 150}
         (latency,) = observer.metrics.histograms("packet.latency_ns")
         assert latency.total == 300
+
+    def test_hops_builds_one_span_per_hop_stamp(self, env):
+        from repro.hardware.packet import (FORWARD_HOP, TX_HOP, WIRE_HOP,
+                                           Packet, PacketHeader)
+        from repro.obs.span import TraceContext
+        observer = Observer().attach(env)
+        packet = Packet(PacketHeader(0, 1, 0, 7, 3, 4), b"abcd")
+        packet.trace = TraceContext(1, 2)
+        packet.stamp("nic0.submit", 100)
+        packet.stamp("nic0.inject", 180, TX_HOP, 120, "node0/nic.tx")
+        packet.stamp("l0.wire", 250, WIRE_HOP, 180, "fabric/l0")
+        packet.stamp("s0.forward", 300, FORWARD_HOP, 250, "fabric/s0", 2, 5)
+
+        def journey_end():
+            # Later than the stamps, under a context of its own: neither
+            # may leak into the hop spans or the link.bytes buckets.
+            yield 3 * DEFAULT_WINDOW_NS
+            observer.bind(TraceContext(9, 9))
+            observer.hops(packet)
+
+        env.process(journey_end())
+        env.run()
+        assert [(s.layer, s.name, s.t_start, s.t_end, s.track, s.trace_id,
+                 s.parent_id) for s in observer.spans] == [
+            ("nic", "tx_firmware", 120, 180, "node0/nic.tx", 1, 2),
+            ("fabric", "wire", 180, 250, "fabric/l0", None, None),
+            ("fabric", "forward", 250, 300, "fabric/s0", None, None)]
+        assert observer.spans[2].attrs == {"in_port": 2, "out_port": 5,
+                                           "src": 0, "dest": 1}
+        (meter,) = observer.metrics.meters("link.bytes")
+        assert meter.labels == {"link": "l0"}
+        assert meter.series() == [(0, packet.wire_bytes)]

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.simkernel import Environment, Interrupt, Resource, Store
 from repro.simkernel.errors import SimulationError
-from repro.simkernel.resources import Mutex, Request
+from repro.simkernel.resources import Request, Resource
 from repro.simkernel.store import EMPTY
 
 from tests._elision import elision_declined
@@ -175,15 +175,15 @@ def hold(env, resource, duration, log=None):
 
 class TestInlineHolds:
     def test_inline_hold_counts_as_a_holder(self, env):
-        lock = Mutex(env)
+        lock = Resource(env)
         assert lock.acquire() is None          # quiet, free: taken inline
-        assert lock.count == 1 and lock.locked()
+        assert lock.count == 1
         assert env.elided == 1 and env.scheduled_events == 0
         lock.release(None)
-        assert lock.count == 0 and not lock.locked()
+        assert lock.count == 0
 
     def test_a_taken_slot_is_not_handed_out_again(self, env):
-        lock = Mutex(env)
+        lock = Resource(env)
         assert lock.acquire() is None
         second = lock.acquire()                # full: a queued Request
         assert second is not None and not second.triggered
@@ -198,7 +198,7 @@ class TestInlineHolds:
         assert pool.acquire() is not None
 
     def test_releasing_an_inline_hold_grants_the_next_request(self, env):
-        lock = Mutex(env)
+        lock = Resource(env)
         granted = []
         env.process(hold(env, lock, 10, granted))      # inline at t=0
         env.process(hold(env, lock, 10, granted))      # queued behind it
@@ -206,29 +206,29 @@ class TestInlineHolds:
         assert granted == [0, 10] and lock.count == 0
 
     def test_not_quiet_means_an_event(self, env):
-        lock = Mutex(env)
+        lock = Resource(env)
         env.timeout(0)                         # something else runs now
         assert not env.quiet
         req = lock.acquire()
-        assert req == 0 and lock.locked() and env.elided == 0
+        assert req == 0 and lock.count == 1 and env.elided == 0
         lock.release(req)
-        assert not lock.locked()
+        assert lock.count == 0
 
     def test_a_token_is_zero_or_none(self, env):
-        lock = Mutex(env)
+        lock = Resource(env)
         assert lock.acquire() is None
         with pytest.raises(SimulationError, match="not a token"):
             lock.release(5)
-        assert lock.locked()
+        assert lock.count == 1
         lock.release(0)
-        assert not lock.locked()
+        assert lock.count == 0
 
     def test_releasing_a_hold_never_taken_is_an_error(self, env):
         with pytest.raises(SimulationError, match="no inline hold"):
-            Mutex(env).release(None)
+            Resource(env).release(None)
 
     def test_interrupted_holder_releases(self, env):
-        lock = Mutex(env)
+        lock = Resource(env)
 
         def victim():
             try:
@@ -238,20 +238,20 @@ class TestInlineHolds:
 
         def attacker(target):
             yield env.timeout(5)
-            assert lock.locked()
+            assert lock.count == 1
             target.interrupt()
 
         env.process(attacker(env.process(victim())))
         env.run()
-        assert not lock.locked()
+        assert lock.count == 0
 
     def test_closed_holder_releases(self, env):
-        lock = Mutex(env)
+        lock = Resource(env)
         body = hold(env, lock, 100)
         next(body)                             # now parked on the timeout
-        assert lock.locked()
+        assert lock.count == 1
         body.close()                           # GeneratorExit at the yield
-        assert not lock.locked()
+        assert lock.count == 0
 
 
 class TestFreeButNotQuiet:
@@ -266,11 +266,11 @@ class TestFreeButNotQuiet:
 
     def test_the_token_is_zero_and_no_request_is_made(self, busy_env,
                                                       monkeypatch):
-        lock = Mutex(busy_env)
+        lock = Resource(busy_env)
         monkeypatch.setattr(Resource, "request", None)      # would raise
         before = busy_env.scheduled_events
         token = lock.acquire()
-        assert token == 0 and token.__class__ is int and lock.locked()
+        assert token == 0 and token.__class__ is int and lock.count == 1
         # The grant's slot is taken when the holder yields the token.
         assert busy_env.scheduled_events == before
         assert busy_env.elided == 0
@@ -286,7 +286,7 @@ class TestFreeButNotQuiet:
         assert pool.count == 2 and third.triggered and pool.queued == 0
 
     def test_interrupted_holder_releases(self, busy_env):
-        lock = Mutex(busy_env)
+        lock = Resource(busy_env)
         outcome = []
 
         def victim():
@@ -298,18 +298,18 @@ class TestFreeButNotQuiet:
         target = busy_env.process(victim())
         busy_env.timeout(0)                    # still runnable at its start
         busy_env.run_steps(2)                  # the fixture's, then the start
-        assert lock.locked() and outcome == []  # parked on the token
+        assert lock.count == 1 and outcome == []  # parked on the token
         target.interrupt()                     # lands behind it, mid-hold
         busy_env.run()
-        assert outcome == [0, "interrupted"] and not lock.locked()
+        assert outcome == [0, "interrupted"] and lock.count == 0
 
     def test_closed_holder_releases(self, busy_env):
-        lock = Mutex(busy_env)
+        lock = Resource(busy_env)
         body = hold(busy_env, lock, 100)
         assert next(body) == 0                 # parked on the token
-        assert lock.locked()
+        assert lock.count == 1
         body.close()                           # GeneratorExit at the yield
-        assert not lock.locked()
+        assert lock.count == 0
 
 
 class TestStoreNow:

@@ -1,15 +1,15 @@
-"""Resources: mutual exclusion, FIFO/priority grant order, release."""
+"""Resources: mutual exclusion, FIFO grant order, release."""
 
 import gc
 
 import pytest
 
-from repro.simkernel import Environment, PriorityResource, Resource
-from repro.simkernel.resources import Mutex, Request, held_by_anyone
+from repro.simkernel import Environment, Resource
+from repro.simkernel.resources import Request
 
 
-def hold(env, resource, log, name, duration, priority=None):
-    req = resource.request(priority) if priority is not None else resource.request()
+def hold(env, resource, log, name, duration):
+    req = resource.request()
     with req:
         yield req
         log.append((name, "acquire", env.now))
@@ -114,49 +114,15 @@ class TestResource:
         finally:
             gc.enable()
 
-    def test_held_by_anyone_helper(self, env):
-        resource = Resource(env)
-        assert not held_by_anyone(resource)
-        resource.request()
-        assert held_by_anyone(resource)
-
-
-class TestPriorityResource:
-    def test_priority_order(self, env):
-        resource = PriorityResource(env)
-        log = []
-        env.process(hold(env, resource, log, "first", 10, priority=5))
-
-        def late_but_urgent(env):
-            yield env.timeout(1)
-            yield from hold(env, resource, log, "urgent", 10, priority=0)
-
-        def late_and_lazy(env):
-            yield env.timeout(1)
-            yield from hold(env, resource, log, "lazy", 10, priority=9)
-
-        env.process(late_and_lazy(env))
-        env.process(late_but_urgent(env))
-        env.run()
-        acquires = [entry[0] for entry in log if entry[1] == "acquire"]
-        assert acquires == ["first", "urgent", "lazy"]
-
-    def test_equal_priority_fifo(self, env):
-        resource = PriorityResource(env)
-        log = []
-        for name in "abc":
-            env.process(hold(env, resource, log, name, 10, priority=1))
-        env.run()
-        acquires = [entry[0] for entry in log if entry[1] == "acquire"]
-        assert acquires == list("abc")
-
 
 class TestMutex:
+    """A lock is ``Resource(env)``: capacity one by default."""
+
     def test_locked_flag(self, env):
-        mutex = Mutex(env)
-        assert not mutex.locked()
+        mutex = Resource(env)
+        assert mutex.count == 0
         mutex.request()
-        assert mutex.locked()
+        assert mutex.count == 1
 
     def test_capacity_is_one(self, env):
-        assert Mutex(env).capacity == 1
+        assert Resource(env).capacity == 1

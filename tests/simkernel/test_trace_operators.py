@@ -1,8 +1,9 @@
-"""Tracer, and the | / & condition operators on events."""
+"""Tracer, and composing conditions: ``AnyOf`` / ``AllOf`` of events and
+of other conditions."""
 
 import pytest
 
-from repro.simkernel import Environment
+from repro.simkernel import AllOf, AnyOf, Environment
 from repro.simkernel.trace import Tracer
 
 
@@ -11,7 +12,7 @@ class TestOperators:
         fast = env.timeout(10, value="fast")
         slow = env.timeout(100, value="slow")
         def waiter(env):
-            result = yield fast | slow
+            result = yield AnyOf(env, [fast, slow])
             return (env.now, list(result.values()))
         proc = env.process(waiter(env))
         assert env.run(until=proc) == (10, ["fast"])
@@ -20,7 +21,7 @@ class TestOperators:
         a = env.timeout(10, value=1)
         b = env.timeout(100, value=2)
         def waiter(env):
-            result = yield a & b
+            result = yield AllOf(env, [a, b])
             return (env.now, sorted(result.values()))
         proc = env.process(waiter(env))
         assert env.run(until=proc) == (100, [1, 2])
@@ -28,7 +29,7 @@ class TestOperators:
     def test_chained_or(self, env):
         events = [env.timeout(delay) for delay in (30, 10, 20)]
         def waiter(env):
-            yield events[0] | events[1] | events[2]
+            yield AnyOf(env, [AnyOf(env, events[:2]), events[2]])
             return env.now
         proc = env.process(waiter(env))
         assert env.run(until=proc) == 10
@@ -36,14 +37,10 @@ class TestOperators:
     def test_mixed_composition(self, env):
         a, b, c = env.timeout(10), env.timeout(20), env.timeout(500)
         def waiter(env):
-            yield (a & b) | c
+            yield AnyOf(env, [AllOf(env, [a, b]), c])
             return env.now
         proc = env.process(waiter(env))
         assert env.run(until=proc) == 20
-
-    def test_non_event_operand(self, env):
-        with pytest.raises(TypeError):
-            _ = env.timeout(1) | 42
 
 
 class TestTracer:

@@ -93,11 +93,11 @@ def observed(run):
     """``run()`` with every packet waypoint logged in stamping order."""
     waypoints = []
 
-    def stamp(packet, location, time_ns):
+    def stamp(packet, *waypoint):
         header = packet.header
-        waypoints.append((location, time_ns, header.src, header.dest,
+        waypoints.append((*waypoint, header.src, header.dest,
                           header.msg_id, header.seq))
-        packet.waypoints.append((location, time_ns))
+        packet.waypoints.append(waypoint)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Packet, "stamp", stamp)

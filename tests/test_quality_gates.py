@@ -79,6 +79,14 @@ def test_conditions_stay_off_the_hot_paths():
                      "cluster/cluster.py", "dataflow/engine.py"}
 
 
+def test_the_kernel_keeps_only_what_the_model_uses():
+    """Event operators, ``any_of``, priority queueing and the lock subclass
+    had no caller outside their own tests; they stay deleted."""
+    for needle in ("def __or__", "def __and__", "def any_of",
+                   "PriorityResource", "Mutex", "held_by_anyone"):
+        assert _occurrences(needle) == {}, needle
+
+
 def _occurrences(needle):
     """``needle`` counted per file of ``src/repro``, files without it left
     out."""
@@ -118,6 +126,20 @@ def test_a_sleep_is_yielded_as_an_int():
     root = pathlib.Path(repro.__file__).parent
     assert [str(path.relative_to(root)) for path in root.rglob("*.py")
             if re.search(r"yield [\w.]*timeout\(", path.read_text())] == []
+
+
+def test_hardware_stamps_hops_and_the_observer_records_them():
+    """A wire, forward, tx or rx crossing is a hop stamp on the packet; the
+    observer builds its span where the packet leaves the hardware.  So the
+    switch never reads ``env.obs``, the link only where it drops a packet,
+    and the NIC never names the two spans it stamps for."""
+    from repro.hardware.link import Link
+    readers = _occurrences("env.obs")
+    assert "hardware/switch.py" not in readers
+    assert readers["hardware/link.py"] == 1
+    assert "env.obs" in inspect.getsource(Link._apply_faults)
+    nic = (pathlib.Path(repro.__file__).parent / "hardware/nic.py").read_text()
+    assert '"tx_firmware"' not in nic and '"rx_dma"' not in nic
 
 
 def test_no_fm_layer_spawns_a_process():
