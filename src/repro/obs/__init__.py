@@ -11,11 +11,12 @@ class capability of the simulator for arbitrary traffic:
   reports to (off by default, zero simulated-time cost, deterministic),
   including :class:`~repro.obs.span.TraceContext` minting / binding for
   end-to-end request tracing;
-* :mod:`repro.obs.metrics` — named histograms, windowed rate meters, and
-  the pre-existing ``Counters`` / ``CopyMeter`` primitives federated under
-  one per-cluster registry;
+* :mod:`repro.obs.metrics` — named histograms (:class:`Reservoir`),
+  windowed rate meters, and the pre-existing ``Counters`` / ``CopyMeter``
+  primitives federated under one per-cluster registry;
 * :mod:`repro.obs.timeseries` — windowed time series (rates, gauges,
-  quantiles) sampled at fixed simulated-time intervals;
+  quantiles) sampled at fixed simulated-time intervals; its
+  :class:`RateSeries` is also the registry's rate meter;
 * :mod:`repro.obs.slo` — declarative SLOs with error-budget burn-rate
   detection over those windows;
 * :mod:`repro.obs.export` — Perfetto / Chrome trace-event JSON export
@@ -41,7 +42,7 @@ from repro.obs.export import (
     trace_events,
     validate_trace_events,
 )
-from repro.obs.metrics import Histogram, Metrics, RateMeter
+from repro.obs.metrics import Metrics, Reservoir
 from repro.obs.observer import Observer
 from repro.obs.slo import BurnRateDetector, SloEvent, SloSpec, evaluate_slos
 from repro.obs.span import LAYER_ORDER, Span, TraceContext
@@ -55,13 +56,12 @@ from repro.obs.timeseries import (
 __all__ = [
     "BurnRateDetector",
     "GaugeSeries",
-    "Histogram",
     "LAYER_ORDER",
     "Metrics",
     "Observer",
     "QuantileSeries",
-    "RateMeter",
     "RateSeries",
+    "Reservoir",
     "SloEvent",
     "SloSpec",
     "Span",

@@ -6,10 +6,11 @@ the observability layer produces:
 * **histograms** — named distributions with label sets (per-stage packet
   latencies, credit-stall times, queue depths), queried by label; all of
   them are :class:`Reservoir` objects, one sample store with the one
-  quantile rule (:func:`nearest_rank`);
+  quantile rule (:func:`~repro.obs.timeseries.nearest_rank`);
 * **rate meters** — amounts bucketed into fixed simulated-time windows
   (delivered bytes per link per millisecond), from which MB/s series fall
-  out;
+  out; a meter is a :class:`~repro.obs.timeseries.RateSeries`, the one
+  windowed sum;
 * **federated primitives** — the pre-existing
   :class:`~repro.simkernel.monitor.Counters`,
   :class:`~repro.hardware.memory.CopyMeter` and workload
@@ -24,10 +25,16 @@ heap, so metrics add zero simulated time.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.hardware.memory import CopyMeter
+from repro.obs.timeseries import (
+    MetricKey,
+    RateSeries,
+    _key,
+    nearest_rank,
+    render_key,
+)
 from repro.simkernel.monitor import Counters
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -36,67 +43,33 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Default rate-meter window: one simulated millisecond.
 DEFAULT_WINDOW_NS: int = 1_000_000
 
-#: Type of the internal (name, sorted-labels) registry keys.
-MetricKey = tuple[str, tuple[tuple[str, str], ...]]
-
-
-def _key(name: str, labels: dict[str, str]) -> MetricKey:
-    """The registry key of ``name`` + ``labels``, label values normalised
-    to ``str`` — an instrument's own ``labels`` are rebuilt from this key,
-    so what a query compares against is what the key holds.  Label sets
-    of size 0 and 1 (every per-packet lookup) skip the sort."""
-    if not labels:
-        return (name, ())
-    if len(labels) == 1:
-        (k, v), = labels.items()
-        return (name, ((k, str(v)),))
-    return (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
-
-
-def nearest_rank(ordered: Sequence[int], p: float) -> int:
-    """Nearest-rank percentile ``p`` of a sorted, non-empty sequence:
-    ``rank = max(1, ceil(p/100 * n))`` — no interpolation, so the answer
-    is always a recorded value
-    (``numpy.percentile(..., method="inverted_cdf")`` agrees).  The one
-    quantile rule every reservoir, histogram and windowed series uses."""
-    return ordered[max(1, math.ceil(p / 100 * len(ordered))) - 1]
-
 
 class Reservoir:
-    """A streaming sample reservoir with deterministic quantiles.
+    """A named, labelled sample store with deterministic quantiles: every
+    histogram of the registry (:meth:`Metrics.histogram`) and every
+    per-run stats reservoir (:meth:`RunStats.reservoir`).
 
-    Unbounded by default (scenario runs are small); give ``capacity`` to
-    switch to Vitter's Algorithm R with a seeded RNG, keeping a uniform
-    sample of everything seen — still a pure function of the value stream,
-    so reruns stay bit-identical.  Quantiles are :func:`nearest_rank` on
-    the sorted samples, so a summary is a pure function of the recorded
-    values — no floating-point order dependence.
+    Unbounded (scenario runs are small).  Quantiles are
+    :func:`~repro.obs.timeseries.nearest_rank` on the sorted samples, so a
+    summary is a pure function of the recorded values — no floating-point
+    order dependence.
     """
 
-    def __init__(self, name: str, capacity: Optional[int] = None, seed: int = 0):
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be positive, got {capacity}")
+    def __init__(self, name: str, labels: Optional[dict[str, str]] = None):
         self.name = name
-        self.labels: dict[str, str] = {}
-        self.capacity = capacity
+        self.labels: dict[str, str] = dict(labels or {})
         self.samples: list[int] = []
-        self.count = 0
         self.total = 0
-        self._rng = None
-        if capacity is not None:
-            import numpy as np
-            self._rng = np.random.default_rng(seed)
 
     def record(self, value: int) -> None:
-        """Add one sample (reservoir-sampled once past capacity)."""
-        self.count += 1
+        """Add one sample."""
         self.total += value
-        if self.capacity is None or len(self.samples) < self.capacity:
-            self.samples.append(value)
-            return
-        slot = int(self._rng.integers(0, self.count))
-        if slot < self.capacity:
-            self.samples[slot] = value
+        self.samples.append(value)
+
+    @property
+    def count(self) -> int:
+        """Number of samples recorded."""
+        return len(self.samples)
 
     def percentile(self, p: float) -> int:
         """Nearest-rank percentile ``p`` in [0, 100] (raises when empty)."""
@@ -124,16 +97,16 @@ class Reservoir:
     @property
     def mean(self) -> float:
         """Arithmetic mean of everything recorded (raises when empty)."""
-        if self.count == 0:
+        if not self.samples:
             raise ValueError(f"{self.name!r} has no samples")
-        return self.total / self.count
+        return self.total / len(self.samples)
 
     def summary(self) -> dict:
         """Deterministic summary dict (``None`` quantiles when empty)."""
         empty = not self.samples
         return {
             "count": self.count,
-            "mean_ns": None if self.count == 0 else round(self.mean, 1),
+            "mean_ns": None if empty else round(self.mean, 1),
             "p50_ns": None if empty else self.p50,
             "p95_ns": None if empty else self.p95,
             "p99_ns": None if empty else self.p99,
@@ -148,59 +121,6 @@ class Reservoir:
                 f"n={self.count}>")
 
 
-class Histogram(Reservoir):
-    """An unbounded :class:`Reservoir` with a label set — what
-    :meth:`Metrics.histogram` creates, queried by label."""
-
-    def __init__(self, name: str, labels: Optional[dict[str, str]] = None):
-        super().__init__(name)
-        self.labels = dict(labels or {})
-
-
-class RateMeter:
-    """Amounts bucketed into fixed windows of simulated time.
-
-    ``mark(amount, at=now)`` adds to the bucket covering ``at``; the series of
-    (window start, amount) pairs yields delivered-rate curves over the run
-    (e.g. link MB/s per simulated millisecond).
-    """
-
-    def __init__(self, env: "Environment", name: str,
-                 window_ns: int = DEFAULT_WINDOW_NS,
-                 labels: Optional[dict[str, str]] = None):
-        if window_ns < 1:
-            raise ValueError(f"window must be >= 1 ns, got {window_ns}")
-        self.env = env
-        self.name = name
-        self.window_ns = window_ns
-        self.labels: dict[str, str] = dict(labels or {})
-        self.total: int = 0
-        self._buckets: dict[int, int] = {}
-
-    def mark(self, amount: int = 1, at: Optional[int] = None) -> None:
-        """Add ``amount`` to the bucket of the window covering ``at``."""
-        index = (self.env.now if at is None else at) // self.window_ns
-        self._buckets[index] = self._buckets.get(index, 0) + amount
-        self.total += amount
-
-    def series(self) -> list[tuple[int, int]]:
-        """Sorted (window_start_ns, amount) pairs for non-empty windows."""
-        return [(index * self.window_ns, amount)
-                for index, amount in sorted(self._buckets.items())]
-
-    def mean_rate_mbs(self) -> float:
-        """Mean rate in MB/s (10^6 bytes/s) over the spanned windows."""
-        if not self._buckets:
-            return 0.0
-        n_windows = max(self._buckets) - min(self._buckets) + 1
-        elapsed_s = n_windows * self.window_ns / 1e9
-        return self.total / elapsed_s / 1e6
-
-    def __repr__(self) -> str:
-        return (f"<RateMeter {self.name!r} total={self.total} "
-                f"windows={len(self._buckets)}>")
-
-
 class Metrics:
     """Per-cluster registry federating every quantitative signal.
 
@@ -213,23 +133,25 @@ class Metrics:
     def __init__(self, env: Optional["Environment"] = None):
         self.env = env
         self._histograms: dict[MetricKey, Reservoir] = {}
-        self._meters: dict[MetricKey, RateMeter] = {}
+        self._meters: dict[MetricKey, RateSeries] = {}
         self._counters: dict[str, Counters] = {}
         self._copy_meters: dict[str, CopyMeter] = {}
 
     # -- creation -------------------------------------------------------------
-    def histogram(self, name: str, **labels: str) -> Histogram:
+    def histogram(self, name: str, **labels: str) -> Reservoir:
         """Get or create the histogram ``name`` with this exact label set."""
         key = _key(name, labels)
         hist = self._histograms.get(key)
         if hist is None:
-            hist = self._histograms[key] = Histogram(name, dict(key[1]))
+            hist = self._histograms[key] = Reservoir(name, dict(key[1]))
         return hist
 
     def meter(self, name: str, window_ns: int = DEFAULT_WINDOW_NS,
-              **labels: str) -> RateMeter:
+              **labels: str) -> RateSeries:
         """Get or create the rate meter ``name`` with this exact label set
-        (an existing meter must have been created with the same window)."""
+        (an existing meter must have been created with the same window):
+        a :class:`~repro.obs.timeseries.RateSeries` on this registry's
+        clock, marked with ``observe(amount, at=None)``."""
         if self.env is None:
             raise RuntimeError(
                 "rate meters need an environment clock; build this Metrics "
@@ -238,12 +160,12 @@ class Metrics:
         key = _key(name, labels)
         meter = self._meters.get(key)
         if meter is None:
-            meter = self._meters[key] = RateMeter(self.env, name, window_ns,
-                                                  dict(key[1]))
-        elif meter.window_ns != window_ns:
+            meter = self._meters[key] = RateSeries(self.env, name, window_ns,
+                                                   dict(key[1]))
+        elif meter.interval_ns != window_ns:
             raise ValueError(
                 f"meter {render_key(name, meter.labels)!r} already exists "
-                f"with a {meter.window_ns} ns window, not {window_ns} ns")
+                f"with a {meter.interval_ns} ns window, not {window_ns} ns")
         return meter
 
     # -- federation ------------------------------------------------------------
@@ -269,21 +191,14 @@ class Metrics:
 
     # -- queries -----------------------------------------------------------------
     def histograms(self, name: Optional[str] = None,
-                   **labels: str) -> list[Histogram]:
+                   **labels: str) -> list[Reservoir]:
         """Histograms matching ``name`` (if given) and the label subset."""
-        return sorted(
-            (h for h in self._histograms.values()
-             if (name is None or h.name == name) and _subset(labels, h.labels)),
-            key=lambda h: (h.name, sorted(h.labels.items())),
-        )
+        return _matching(self._histograms, name, labels)
 
-    def meters(self, name: Optional[str] = None, **labels: str) -> list[RateMeter]:
+    def meters(self, name: Optional[str] = None,
+               **labels: str) -> list[RateSeries]:
         """Rate meters matching ``name`` (if given) and the label subset."""
-        return sorted(
-            (m for m in self._meters.values()
-             if (name is None or m.name == name) and _subset(labels, m.labels)),
-            key=lambda m: (m.name, sorted(m.labels.items())),
-        )
+        return _matching(self._meters, name, labels)
 
     def counter(self, label: str) -> Counters:
         """The Counters bag registered under ``label``."""
@@ -358,14 +273,10 @@ class RunStats:
         return None
 
 
-def _subset(wanted: dict[str, str], have: dict[str, str]) -> bool:
-    return all(have.get(k) == str(v) for k, v in wanted.items())
-
-
-def render_key(name: str, labels: dict[str, str]) -> str:
-    """``name{a=1,b=2}`` — the stable key syntax of every metrics and
-    time-series export."""
-    if not labels:
-        return name
-    inner = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
-    return f"{name}{{{inner}}}"
+def _matching(instruments: dict, name: Optional[str],
+              labels: dict[str, str]) -> list:
+    """``instruments`` named ``name`` (if given) that carry ``labels``, in
+    key order."""
+    return [inst for key, inst in sorted(instruments.items())
+            if (name is None or key[0] == name)
+            and all(inst.labels.get(k) == str(v) for k, v in labels.items())]

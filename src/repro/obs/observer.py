@@ -67,7 +67,7 @@ class Observer:
         # ``record``, resolved on the pair's first packet (packet_done).
         self._stage_records: dict[tuple[str, str], Callable[[int], None]] = {}
         self._latency_record: Optional[Callable[[int], None]] = None
-        # Link track -> its ``link.bytes`` meter's bound ``mark`` (hops).
+        # Link track -> its ``link.bytes`` meter's bound ``observe`` (hops).
         self._bytes_marks: dict[str, Callable[..., None]] = {}
 
     # -- lifecycle ------------------------------------------------------------
@@ -186,7 +186,7 @@ class Observer:
                 if track not in marks:
                     # A link's track is ``fabric/<link name>``.
                     marks[track] = self.metrics.meter(
-                        "link.bytes", link=track.partition("/")[2]).mark
+                        "link.bytes", link=track.partition("/")[2]).observe
                 marks[track](nbytes, t_end)
             elif kind == FORWARD_HOP:
                 attrs = {"in_port": ports[0], "out_port": ports[1],

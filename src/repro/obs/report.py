@@ -41,9 +41,9 @@ from repro.bench.mpibench import mpi_stream
 from repro.cluster.cluster import Cluster
 from repro.configs import PPRO_FM2, SPARC_FM1
 from repro.obs.export import export_trace
-from repro.obs.metrics import nearest_rank
 from repro.obs.observer import Observer
 from repro.obs.span import Span, layer_rank
+from repro.obs.timeseries import nearest_rank
 from repro.workloads.presets import PRESET_PLANS, PRESETS
 from repro.workloads.runner import execute_scenario
 

@@ -161,35 +161,38 @@ class BurnRateDetector:
                 f"windows={self.windows} breached={self.breached_windows}>")
 
 
-def window_counts(bank: "TimeSeriesBank",
-                  spec: SloSpec) -> list[tuple[int, int, int]]:
+def window_counts(bank: "TimeSeriesBank", spec: SloSpec,
+                  windows: Optional[range] = None) -> list[tuple[int, int, int]]:
     """Per-window ``(t_ns, good, bad)`` for ``spec`` from a stats bank.
 
     Reads the series :class:`~repro.workloads.stats.WorkloadStats`
     records (``completed`` / ``drops`` rates, ``latency_ns`` quantiles;
     shard-scoped specs read the ``shard=<i>``-labelled variants) and
-    walks the bank's window range *densely*, so quiet windows appear
-    with zero counts and the detector's state machine sees every tick.
+    walks ``windows`` — by default the bank's whole window range —
+    *densely*, so quiet windows appear with zero counts and the
+    detector's state machine sees every tick.  An in-simulation reader
+    (the replication supervisor) passes the windows completed since its
+    last read.
     """
-    labels = {} if spec.shard is None else {"shard": str(spec.shard)}
-    span = bank.window_range()
-    if span is None:
-        return []
-    first, last = span
-    rows = []
+    if windows is None:
+        span = bank.window_range()
+        if span is None:
+            return []
+        windows = range(span[0], span[1] + 1)
+    labels = {} if spec.shard is None else {"shard": spec.shard}
+    interval_ns = bank.interval_ns
     if spec.kind == "availability":
         completed = bank.rate("completed", **labels)
         drops = bank.rate("drops", **labels)
-        for i in range(first, last + 1):
-            rows.append((i * bank.interval_ns, completed.window_sum(i),
-                         drops.window_sum(i)))
-        return rows
+        return [(i * interval_ns, completed.window_sum(i), drops.window_sum(i))
+                for i in windows]
     latency = bank.quantile("latency_ns", **labels)
     threshold = spec.threshold_ns
-    for i in range(first, last + 1):
+    rows = []
+    for i in windows:
         values = latency.window_values(i)
         bad = sum(1 for v in values if v > threshold)
-        rows.append((i * bank.interval_ns, len(values) - bad, bad))
+        rows.append((i * interval_ns, len(values) - bad, bad))
     return rows
 
 

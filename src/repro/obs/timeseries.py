@@ -13,6 +13,10 @@ time axis:
 * :class:`QuantileSeries` — full sample list per window with
   deterministic nearest-rank quantiles (windowed p50/p99 latency).
 
+A bank keys its series as the :class:`~repro.obs.metrics.Metrics`
+registry keys its instruments (:func:`_key`), whose rate meters are
+:class:`RateSeries` too.
+
 Everything is bookkeeping-only: recording never touches the event heap,
 so time series obey the observability zero-cost invariant (bit-identical
 simulated results with the bank on or off).  Buckets are sparse — only
@@ -24,12 +28,46 @@ windows to compute error-budget burn rates.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
-
-from repro.obs.metrics import nearest_rank, render_key
+import math
+from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simkernel.env import Environment
+
+#: Type of the (name, sorted-labels) instrument keys of the metrics
+#: registry and of every :class:`TimeSeriesBank`.
+MetricKey = tuple[str, tuple[tuple[str, str], ...]]
+
+
+def _key(name: str, labels: dict[str, str]) -> MetricKey:
+    """The instrument key of ``name`` + ``labels``, label values normalised
+    to ``str`` — an instrument's own ``labels`` are rebuilt from this key,
+    so what a query compares against is what the key holds.  Label sets
+    of size 0 and 1 (every per-packet lookup) skip the sort."""
+    if not labels:
+        return (name, ())
+    if len(labels) == 1:
+        (k, v), = labels.items()
+        return (name, ((k, str(v)),))
+    return (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
+
+
+def nearest_rank(ordered: Sequence[int], p: float) -> int:
+    """Nearest-rank percentile ``p`` of a sorted, non-empty sequence:
+    ``rank = max(1, ceil(p/100 * n))`` — no interpolation, so the answer
+    is always a recorded value
+    (``numpy.percentile(..., method="inverted_cdf")`` agrees).  The one
+    quantile rule every reservoir, histogram and windowed series uses."""
+    return ordered[max(1, math.ceil(p / 100 * len(ordered))) - 1]
+
+
+def render_key(name: str, labels: dict[str, str]) -> str:
+    """``name{a=1,b=2}`` — the stable key syntax of every metrics and
+    time-series export."""
+    if not labels:
+        return name
+    inner = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
+    return f"{name}{{{inner}}}"
 
 
 class _Series:
@@ -39,14 +77,13 @@ class _Series:
 
     def __init__(self, env: "Environment", name: str, interval_ns: int,
                  labels: dict[str, str]):
+        if interval_ns < 1:
+            raise ValueError(f"window must be >= 1 ns, got {interval_ns}")
         self.env = env
         self.name = name
         self.interval_ns = interval_ns
         self.labels = labels
         self._buckets: dict[int, object] = {}
-
-    def _window(self) -> int:
-        return self.env.now // self.interval_ns
 
     def windows(self) -> list[int]:
         """Sorted indices of windows that saw at least one observation."""
@@ -62,13 +99,17 @@ class _Series:
 
 
 class RateSeries(_Series):
-    """Per-window sums of a counted quantity (requests, bytes, drops)."""
+    """Per-window sums of a counted quantity (requests, bytes, drops) —
+    the one windowed sum: a bank's rate series and a registry meter
+    (:meth:`~repro.obs.metrics.Metrics.meter`, e.g. delivered bytes per
+    link per simulated millisecond) alike."""
 
     kind = "rate"
 
-    def observe(self, amount: int = 1) -> None:
-        """Add ``amount`` to the current window's sum."""
-        i = self._window()
+    def observe(self, amount: int = 1, at: Optional[int] = None) -> None:
+        """Add ``amount`` to the sum of the window covering ``at``
+        (default: now)."""
+        i = (self.env.now if at is None else at) // self.interval_ns
         self._buckets[i] = self._buckets.get(i, 0) + amount
 
     def window_sum(self, window: int) -> int:
@@ -84,6 +125,13 @@ class RateSeries(_Series):
         return [[i * self.interval_ns, self._buckets[i]]
                 for i in sorted(self._buckets)]
 
+    def mean_rate_mbs(self) -> float:
+        """Mean rate in MB/s (10^6 bytes/s) over the spanned windows."""
+        if not self._buckets:
+            return 0.0
+        n_windows = max(self._buckets) - min(self._buckets) + 1
+        return self.total / (n_windows * self.interval_ns / 1e9) / 1e6
+
 
 class GaugeSeries(_Series):
     """Per-window last/max of a sampled level (queue depth)."""
@@ -92,7 +140,7 @@ class GaugeSeries(_Series):
 
     def observe(self, level: int) -> None:
         """Sample the gauge at ``env.now``."""
-        i = self._window()
+        i = self.env.now // self.interval_ns
         entry = self._buckets.get(i)
         if entry is None:
             self._buckets[i] = [level, level]
@@ -106,7 +154,7 @@ class GaugeSeries(_Series):
 
 
 class QuantileSeries(_Series):
-    """Per-window sample lists with :func:`~repro.obs.metrics.nearest_rank`
+    """Per-window sample lists with :func:`nearest_rank`
     quantiles, so a windowed p99 agrees with the aggregate reservoir when
     a run fits one window."""
 
@@ -114,7 +162,8 @@ class QuantileSeries(_Series):
 
     def observe(self, value: int) -> None:
         """Add one sample to the current window."""
-        self._buckets.setdefault(self._window(), []).append(value)
+        self._buckets.setdefault(self.env.now // self.interval_ns,
+                                 []).append(value)
 
     def window_values(self, window: int) -> list[int]:
         """The raw samples of ``window`` (empty for untouched windows)."""
@@ -149,14 +198,14 @@ class TimeSeriesBank:
                 f"interval_ns must be positive, got {interval_ns}")
         self.env = env
         self.interval_ns = interval_ns
-        self._series: dict[tuple, _Series] = {}
+        self._series: dict[tuple[str, MetricKey], _Series] = {}
 
     def _get(self, cls, name: str, labels: dict[str, str]) -> _Series:
-        key = (cls.kind, name, tuple(sorted(labels.items())))
-        series = self._series.get(key)
+        key = _key(name, labels)
+        series = self._series.get((cls.kind, key))
         if series is None:
-            series = cls(self.env, name, self.interval_ns, labels)
-            self._series[key] = series
+            series = self._series[cls.kind, key] = cls(
+                self.env, name, self.interval_ns, dict(key[1]))
         return series
 
     def rate(self, name: str, **labels: str) -> RateSeries:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import Generator, Iterator, Optional, Sequence
 
-from repro.obs.slo import BurnRateDetector, SloSpec
+from repro.obs.slo import BurnRateDetector, SloSpec, window_counts
 
 from repro.workloads.arrivals import ArrivalSpec
 from repro.workloads.rpc import RPC_OK, RpcEndpoint
@@ -293,7 +293,6 @@ class ShardSupervisor:
         self.probes_timed_out = 0
         self._workload_stats = workload_stats
         self._detectors: Optional[list[BurnRateDetector]] = None
-        self._fed: list[int] = []
         if (workload_stats is not None
                 and workload_stats.timeseries is not None
                 and availability_target is not None):
@@ -302,7 +301,6 @@ class ShardSupervisor:
                     f"supervisor.availability.shard{i}", "availability",
                     availability_target, shard=i))
                 for i in range(directory.n_shards)]
-            self._fed = [0] * directory.n_shards
         self._started = False
 
     def start(self) -> None:
@@ -348,22 +346,19 @@ class ShardSupervisor:
         newly *complete* window to the per-shard detectors."""
         bank = self._workload_stats.timeseries
         env = self.env
+        fed = 0
         while True:
             yield bank.interval_ns
             now_window = env.now // bank.interval_ns
             for shard, detector in enumerate(self._detectors):
-                completed = bank.rate("completed", shard=str(shard))
-                drops = bank.rate("drops", shard=str(shard))
-                for i in range(self._fed[shard], now_window):
-                    events = detector.feed(i * bank.interval_ns,
-                                           completed.window_sum(i),
-                                           drops.window_sum(i))
-                    for event in events:
+                for row in window_counts(bank, detector.spec,
+                                         range(fed, now_window)):
+                    for event in detector.feed(*row):
                         if event.kind == "breach_start":
                             self.health.mark_down(shard, "slo_breach")
                         # breach_end is not a re-admission: only a
                         # successful probe brings a shard back.
-                self._fed[shard] = now_window
+            fed = now_window
 
     def result(self) -> dict:
         """Deterministic control-plane fragment for the run report."""

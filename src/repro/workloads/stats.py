@@ -9,7 +9,7 @@ needs:
 * a :class:`~repro.simkernel.monitor.Counters` bag of request outcomes
   (``sent``, ``completed``, ``shed``, ``expired``, request/response
   bytes);
-* a queue-depth time series sampled at every enqueue/dequeue;
+* the running maximum of the queue depth sampled at every dequeue;
 * first-send / last-completion marks, from which delivered throughput
   (requests/s) and goodput (MB/s) fall out.
 
@@ -65,8 +65,8 @@ class WorkloadStats(RunStats):
         super().__init__(env, name)
         self.latency = self.reservoir("latency_ns")
         self.queue_wait = self.reservoir("queue_wait_ns")
-        #: (time_ns, depth) samples, one per enqueue/dequeue.
-        self.queue_depth: list[tuple[int, int]] = []
+        #: Deepest server queue sampled (``note_queue_depth``).
+        self.queue_depth_max = 0
         # The registry whose ``<name>.queue_depth`` histogram is held, and
         # that histogram's ``record`` (see ``note_queue_depth``).
         self._depth_metrics: Optional[Metrics] = None
@@ -108,7 +108,7 @@ class WorkloadStats(RunStats):
             return
         getattr(bank, kind)(name).observe(value)
         if shard is not None:
-            getattr(bank, kind)(name, shard=str(shard)).observe(value)
+            getattr(bank, kind)(name, shard=shard).observe(value)
 
     # -- recording --------------------------------------------------------------
     def note_sent(self, nbytes: int, shard: Optional[int] = None) -> None:
@@ -169,7 +169,8 @@ class WorkloadStats(RunStats):
 
     def note_queue_depth(self, depth: int, shard: Optional[int] = None) -> None:
         """Sample the server queue depth observed at dequeue time."""
-        self.queue_depth.append((self.env.now, depth))
+        if depth > self.queue_depth_max:
+            self.queue_depth_max = depth
         self._series("gauge", "queue_depth", depth, shard)
         metrics = self._metrics
         if metrics is not None:
@@ -282,7 +283,7 @@ class WorkloadStats(RunStats):
     def _window_availability(self, idx, shard: Optional[int] = None) -> dict:
         """Good/bad/goodput totals over time-series windows ``idx``."""
         bank = self.timeseries
-        labels = {} if shard is None else {"shard": str(shard)}
+        labels = {} if shard is None else {"shard": shard}
         completed = bank.rate("completed", **labels)
         drops = bank.rate("drops", **labels)
         delivered = bank.rate("delivered_bytes", **labels)
@@ -319,11 +320,10 @@ class WorkloadStats(RunStats):
         return report
 
     def _report_flat(self) -> dict:
-        depths = [depth for _t, depth in self.queue_depth]
         return {
             "latency": self.latency.summary(),
             "queue_wait": self.queue_wait.summary(),
-            "queue_depth_max": max(depths) if depths else 0,
+            "queue_depth_max": self.queue_depth_max,
             "throughput_rps": round(self.throughput_rps(), 2),
             "goodput_mbs": round(self.goodput_mbs(), 4),
             "sent": self.counters["sent"],

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.hardware.memory import CopyMeter
-from repro.obs.metrics import DEFAULT_WINDOW_NS, Histogram, Metrics, RateMeter
+from repro.obs.metrics import DEFAULT_WINDOW_NS, Metrics, Reservoir
 from repro.obs.observer import Observer
 from repro.obs.span import LAYER_ORDER, Span, layer_rank
+from repro.obs.timeseries import RateSeries
 from repro.simkernel.monitor import Counters
 
 
@@ -29,7 +30,7 @@ class TestSpan:
 
 class TestHistogram:
     def test_percentiles_nearest_rank(self):
-        hist = Histogram("lat")
+        hist = Reservoir("lat")
         for value in [10, 20, 30, 40, 50, 60, 70, 80, 90, 100]:
             hist.record(value)
         assert hist.p50 == 50
@@ -41,45 +42,71 @@ class TestHistogram:
         assert hist.total == 550
 
     def test_single_sample(self):
-        hist = Histogram("lat")
+        hist = Reservoir("lat")
         hist.record(42)
         assert hist.p50 == hist.p99 == 42
 
     def test_empty_raises(self):
-        hist = Histogram("lat")
+        hist = Reservoir("lat")
         with pytest.raises(ValueError):
             _ = hist.p50
         with pytest.raises(ValueError):
             _ = hist.mean
 
     def test_bad_percentile_rejected(self):
-        hist = Histogram("lat")
+        hist = Reservoir("lat")
         hist.record(1)
         with pytest.raises(ValueError):
             hist.percentile(101)
 
 
 class TestRateMeter:
+    """A rate meter is the registry's :class:`RateSeries`."""
+
     def test_buckets_by_window(self, env):
-        meter = RateMeter(env, "bytes", window_ns=100)
-        meter.mark(10)
+        meter = Metrics(env).meter("bytes", window_ns=100)
+        meter.observe(10)
 
         def worker(env):
             yield env.timeout(250)
-            meter.mark(20)
+            meter.observe(20)
         env.run(until=env.process(worker(env)))
         assert meter.total == 30
-        assert meter.series() == [(0, 10), (200, 20)]
+        assert meter.points() == [[0, 10], [200, 20]]
 
     def test_mean_rate(self, env):
-        meter = RateMeter(env, "bytes", window_ns=1000)
-        meter.mark(2000)   # 2000 bytes in one 1 us window = 2000 MB/s
+        metrics = Metrics(env)
+        meter = metrics.meter("bytes", window_ns=1000)
+        meter.observe(2000)   # 2000 bytes in one 1 us window = 2000 MB/s
         assert meter.mean_rate_mbs() == pytest.approx(2000.0)
-        assert RateMeter(env, "idle").mean_rate_mbs() == 0.0
+        assert metrics.meter("idle").mean_rate_mbs() == 0.0
 
     def test_bad_window_rejected(self, env):
-        with pytest.raises(ValueError):
-            RateMeter(env, "x", window_ns=0)
+        with pytest.raises(ValueError, match="window"):
+            Metrics(env).meter("x", window_ns=0)
+
+    def test_matches_the_bucketing_it_replaced(self, env):
+        """A hand-driven sequence, including a mark dated before ``now``,
+        gives the buckets, total and mean rate of the old dedicated
+        meter: ``at // window`` buckets, a running sum, and
+        ``total / (spanned windows * window)``."""
+        meter = Metrics(env).meter("bytes", window_ns=100)
+        assert isinstance(meter, RateSeries)
+
+        def worker(env):
+            meter.observe(7)                          # t=0 -> window 0
+            yield env.timeout(320)
+            meter.observe(30, at=40)                  # dated t=40 -> window 0
+            meter.observe(5)                          # t=320 -> window 3
+            yield env.timeout(200)
+            meter.observe(11, at=env.now - 1)         # t=519 -> window 5
+        env.run(until=env.process(worker(env)))
+        assert meter.points() == [[0, 37], [300, 5], [500, 11]]
+        assert meter.total == 53
+        # Windows 0..5 spanned: 53 bytes over 600 ns.
+        assert meter.mean_rate_mbs() == 53 / (6 * 100 / 1e9) / 1e6
+        with pytest.raises(ValueError, match="window"):
+            Metrics(env).meter("bytes", window_ns=0)
 
 
 class TestMetrics:
@@ -110,12 +137,12 @@ class TestMetrics:
         metrics = Metrics(env)
         assert metrics.meter("b", link="l0") is metrics.meter("b", link="l0")
         assert len(metrics.meters("b")) == 1
-        assert metrics.meters("b")[0].window_ns == DEFAULT_WINDOW_NS
+        assert metrics.meters("b")[0].interval_ns == DEFAULT_WINDOW_NS
 
     def test_meter_window_mismatch_rejected(self, env):
         metrics = Metrics(env)
         metrics.meter("b", 500, link="l0")
-        assert metrics.meter("b", 500, link="l0").window_ns == 500
+        assert metrics.meter("b", 500, link="l0").interval_ns == 500
         with pytest.raises(ValueError, match="500 ns window"):
             metrics.meter("b", link="l0")
 
@@ -159,7 +186,7 @@ class TestMetrics:
     def test_as_dict_summary(self, env):
         metrics = Metrics(env)
         metrics.histogram("lat", stage="wire").record(100)
-        metrics.meter("bytes", link="l0").mark(500)
+        metrics.meter("bytes", link="l0").observe(500)
         summary = metrics.as_dict()
         assert summary["histograms"]["lat{stage=wire}"]["count"] == 1
         assert summary["histograms"]["lat{stage=wire}"]["p50"] == 100
@@ -284,4 +311,4 @@ class TestObserver:
                                            "src": 0, "dest": 1}
         (meter,) = observer.metrics.meters("link.bytes")
         assert meter.labels == {"link": "l0"}
-        assert meter.series() == [(0, packet.wire_bytes)]
+        assert meter.points() == [[0, packet.wire_bytes]]

@@ -6,7 +6,7 @@ import pytest
 
 from repro.faults import FaultPlan, NicStall
 from repro.obs.export import dumps_deterministic
-from repro.obs.metrics import Histogram, Reservoir
+from repro.obs.metrics import Metrics, Reservoir
 from repro.obs.slo import BurnRateDetector, SloSpec, evaluate_slos, window_counts
 from repro.obs.timeseries import TimeSeriesBank
 from repro.simkernel import Environment
@@ -79,6 +79,16 @@ class TestTimeSeriesBank:
         doc = bank.as_dict()
         assert set(doc["series"]) == {"sent", "sent{shard=1}"}
         assert doc["interval_ns"] == 100
+
+    def test_label_values_key_as_str(self):
+        """``shard=1`` and ``shard="1"`` are one series, exported once."""
+        bank = drive([
+            (0, lambda b: b.rate("x", shard=1).observe()),
+            (0, lambda b: b.rate("x", shard="1").observe()),
+        ])
+        assert bank.as_dict()["series"]["x{shard=1}"]["points"] == [[0, 2]]
+        assert bank.rate("x", shard=1) is bank.rate("x", shard="1")
+        assert bank.rate("x", shard=1).labels == {"shard": "1"}
 
     def test_window_range_spans_all_series(self):
         bank = drive([
@@ -175,6 +185,20 @@ class TestWindowCounts:
             bank, SloSpec("l", "latency", 0.99, threshold_ns=100))
         assert rows == [(0, 1, 1), (100, 1, 0)]
 
+    def test_explicit_window_range(self):
+        """A reader that has consumed some windows asks for the rest; a
+        range past the data reads zeros, an empty range reads nothing."""
+        bank = drive([
+            (0, lambda b: b.rate("completed", shard=2).observe(4)),
+            (250, lambda b: b.rate("drops", shard="2").observe(3)),
+        ])
+        spec = SloSpec("a", "availability", 0.9, shard=2)
+        assert window_counts(bank, spec) == [
+            (0, 4, 0), (100, 0, 0), (200, 0, 3)]
+        assert window_counts(bank, spec, range(1, 4)) == [
+            (100, 0, 0), (200, 0, 3), (300, 0, 0)]
+        assert window_counts(bank, spec, range(3, 3)) == []
+
     def test_evaluate_slos_report_shape(self):
         bank = drive([(0, lambda b: b.rate("completed").observe(10))])
         doc = evaluate_slos(bank, (SloSpec("a", "availability", 0.99),))
@@ -184,12 +208,13 @@ class TestWindowCounts:
 
 
 class TestPercentileAgreement:
-    """Histogram, Reservoir, and QuantileSeries share one quantile rule."""
+    """A registry histogram, a stats reservoir, and a QuantileSeries share
+    one quantile rule."""
 
     @pytest.mark.parametrize("n", [1, 2, 7, 100, 199])
     def test_three_implementations_agree(self, n):
         values = [(i * 7919) % 1000 for i in range(n)]
-        hist = Histogram("h")
+        hist = Metrics().histogram("h")
         reservoir = Reservoir("r")
         for v in values:
             hist.record(v)

@@ -142,6 +142,16 @@ def test_hardware_stamps_hops_and_the_observer_records_them():
     assert '"tx_firmware"' not in nic and '"rx_dma"' not in nic
 
 
+def test_one_windowed_sum_and_one_window_read():
+    """A windowed sum is ``RateSeries``, the registry's meters included, and
+    a reservoir keeps every sample; the supervisor reads its per-window
+    good/bad counts through ``slo.window_counts`` like the report does."""
+    for needle in ("RateMeter", "capacity"):
+        assert [path for path in _occurrences(needle)
+                if path.startswith("obs/")] == [], needle
+    assert "workloads/replication.py" not in _occurrences("window_sum")
+
+
 def test_no_fm_layer_spawns_a_process():
     """Handlers run inside ``FM_extract`` (inline on FM 1.x, as the
     extractor's coroutine on FM 2.x); nothing under ``core`` starts a kernel

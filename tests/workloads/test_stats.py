@@ -1,4 +1,4 @@
-"""Reservoir quantiles vs numpy, the determinism guard, and stats federation."""
+"""Reservoir quantiles vs numpy, workload stats, and stats federation."""
 
 from __future__ import annotations
 
@@ -47,29 +47,6 @@ class TestReservoirQuantiles:
             reservoir.percentile(101)
 
 
-class TestReservoirSampling:
-    def test_capacity_bounds_kept_samples_not_count(self):
-        reservoir = Reservoir("t", capacity=32, seed=0)
-        for value in range(1000):
-            reservoir.record(value)
-        assert len(reservoir) == 32
-        assert reservoir.count == 1000
-        assert reservoir.total == sum(range(1000))
-
-    def test_determinism_guard_bit_identical_samples(self):
-        # Same seed, same value stream -> bit-identical kept samples.
-        def fill():
-            reservoir = Reservoir("t", capacity=16, seed=42)
-            for value in range(500):
-                reservoir.record(value * 3)
-            return reservoir.samples
-        assert fill() == fill()
-
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            Reservoir("t", capacity=0)
-
-
 class FakeEnv(SimpleNamespace):
     """Stats only read ``env.now``; a mutable stand-in is enough."""
 
@@ -116,12 +93,13 @@ class TestWorkloadStats:
 
     def test_queue_depth_series_and_waits(self):
         env, stats = self.make()
+        assert stats.report()["queue_depth_max"] == 0
         env.now = 5
         stats.note_queue_depth(3)
         env.now = 9
         stats.note_queue_depth(1)
         stats.note_queue_wait(400)
-        assert stats.queue_depth == [(5, 3), (9, 1)]
+        assert stats.queue_depth_max == 3       # a running maximum, no samples
         report = stats.report()
         assert report["queue_depth_max"] == 3
         assert report["queue_wait"]["p50_ns"] == 400
