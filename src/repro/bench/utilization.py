@@ -26,7 +26,6 @@ class Utilization:
     sender_bus: float
     receiver_cpu: float
     receiver_bus: float
-    link_bytes: int
     sender_copy_bytes: int
     receiver_copy_bytes: int
 
@@ -63,7 +62,6 @@ def _snapshot(cluster: Cluster, elapsed_ns: int) -> Utilization:
         sender_bus=min(1.0, sender.bus.busy_ns / elapsed_ns),
         receiver_cpu=min(1.0, receiver.cpu.busy_ns / elapsed_ns),
         receiver_bus=min(1.0, receiver.bus.busy_ns / elapsed_ns),
-        link_bytes=sender.nic.sent_packets,
         sender_copy_bytes=sender.cpu.meter.bytes,
         receiver_copy_bytes=receiver.cpu.meter.bytes,
     )

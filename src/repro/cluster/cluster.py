@@ -88,10 +88,11 @@ class Cluster:
 
         Creates one (with a fresh metrics registry) when ``observer`` is
         ``None``, hooks it onto the environment so every instrumented layer
-        starts emitting spans, and federates each node's CPU copy meter under
-        the label ``node<i>.cpu``.  Returns the observer.  Observation is
-        purely passive: simulated results are bit-identical with or without
-        it.
+        starts emitting spans, and registers each node's CPU copy meter
+        under the label ``node<i>.cpu``.  The registry reads the fault
+        counters from ``env.faults`` itself, whichever was attached first.
+        Returns the observer.  Observation is purely passive: simulated
+        results are bit-identical with or without it.
         """
         from repro.obs.observer import Observer  # deferred: obs is optional
 
@@ -100,9 +101,6 @@ class Cluster:
         observer.attach(self.env)
         for i, node in enumerate(self.nodes):
             observer.metrics.register_copy_meter(f"node{i}.cpu", node.cpu.meter)
-        if self.env.faults is not None:
-            observer.metrics.register_counters("faults",
-                                               self.env.faults.counters)
         return observer
 
     def inject_faults(self, plan=None):
@@ -111,19 +109,13 @@ class Cluster:
         Pass a :class:`~repro.faults.plan.FaultPlan` (or ``None`` for an
         empty one, which injects nothing).  Same contract as
         :meth:`observe`: the hook costs nothing when absent, and a plan
-        with no episodes leaves the run bit-identical.  If an observer is
-        already attached, the injector's fault counters are federated into
-        its metrics registry; returns the injector (its ``events`` list is
-        the deterministic fault trace).
+        with no episodes leaves the run bit-identical.  An observer's
+        registry reports the injector's counters under ``faults``; returns
+        the injector (its ``events`` list is the deterministic fault trace).
         """
         from repro.faults import FaultInjector  # deferred: faults is optional
 
-        injector = FaultInjector(plan)
-        injector.attach(self.env)
-        if self.env.obs is not None:
-            self.env.obs.metrics.register_counters("faults",
-                                                   injector.counters)
-        return injector
+        return FaultInjector(plan).attach(self.env)
 
     # -- program execution ------------------------------------------------------
     def spawn(self, program: Program, node_id: int, name: str = "") -> Process:

@@ -26,7 +26,7 @@ slots, link slots, bus arbitration), which all still applies.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Generator
 
 from repro.core.common import IDLE_WAIT_CAP_NS
 from repro.hardware.memory import Buffer
@@ -170,17 +170,6 @@ class RdmaEndpoint:
         """Consume the first completion satisfying ``match`` (one status
         poll per scan; sleeps on the NIC's completion wakeup between)."""
         return (yield from wait_cq(self, match))
-
-    def poll_completion(
-            self, match: Callable[[RdmaCompletion], bool]
-    ) -> Optional[RdmaCompletion]:
-        """Non-blocking scan-and-consume of the completion queue."""
-        cq = self.nic.cq
-        for i, completion in enumerate(cq):
-            if match(completion):
-                del cq[i]
-                return completion
-        return None
 
     # -- internals -----------------------------------------------------------
     def _check_peer(self, dest: int) -> None:

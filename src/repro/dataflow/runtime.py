@@ -189,7 +189,7 @@ class StageRuntime:
 
     # -- emission ----------------------------------------------------------
     def _emit(self, record: tuple) -> Generator:
-        self.stage_stats.counters.add("emitted")
+        self.stage_stats.counters["emitted"] += 1
         for group in self.out_groups:
             edge = group.select(record)
             yield from self._send(edge, [record], 0)
@@ -209,7 +209,7 @@ class StageRuntime:
                 edge.received += 1
                 self.stats.note_queue_depth(edge.dst.stage_stats,
                                             edge.dst.queue.level)
-                self.stats.counters.add("local_handoffs")
+                self.stats.counters["local_handoffs"] += 1
             if flags & EOS_FLAG:
                 yield edge.dst.queue.put(Eos(edge.edge_id))
             return
@@ -217,7 +217,7 @@ class StageRuntime:
             edge.dst_node, edge.edge_id, records, flags, self.record_bytes)
         edge.sent += len(records)
         edge.messages += 1
-        self.stats.counters.add("messages")
+        self.stats.counters["messages"] += 1
 
     def _send_eos(self) -> Generator:
         """Close every out edge (even ones that never carried a record)."""
@@ -310,24 +310,24 @@ class OperatorRuntime(StageRuntime):
 
     def _consume(self, record: tuple) -> Generator:
         counters = self.stage_stats.counters
-        counters.add("received")
+        counters["received"] += 1
         if self.spec.work_ns:
             yield from self.node.cpu.compute(self.spec.work_ns)
         key, value, count, ts = record
         if self._map is not None:
             key, value = self._map(key, value)
-            counters.add("processed")
+            counters["processed"] += 1
             yield from self._emit((key, value, count, ts))
             return
         if self._pred is not None:
             if self._pred(key, value):
-                counters.add("processed")
+                counters["processed"] += 1
                 yield from self._emit(record)
             else:
                 self.stats.note_filtered(self.stage_stats, count)
             return
         closed = self._window.add(key, value, count, ts, self.env.now)
-        counters.add("processed")
+        counters["processed"] += 1
         if closed:
             yield from self._flush(closed)
 

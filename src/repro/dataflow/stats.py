@@ -3,7 +3,7 @@
 :class:`PipelineStats` plays the role :class:`~repro.workloads.stats
 .WorkloadStats` plays for RPC — one object per run, bookkeeping only
 (recording never touches the event heap), a pure function of the
-simulated run, and federable into an observer's metrics registry.  The
+simulated run, counting into the stats' registry an observer adopts.  The
 shape differs because the unit of work differs: a record flows through
 *stages*, so the report carries a per-stage section (received /
 processed / emitted / filtered counts, max queue depth, credit-stall
@@ -19,29 +19,26 @@ tight?" is answerable per stage from the report.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING, Optional
 
-from repro.obs.metrics import Metrics, RunStats
-from repro.simkernel.monitor import Counters
+from repro.obs.metrics import RunStats
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simkernel.env import Environment
 
 
 class StageStats:
-    """Counters for one placed stage."""
+    """Counters for one placed stage: ``counters`` is the pipeline
+    registry's ``<pipeline>.<name>`` bag."""
 
-    def __init__(self, name: str, kind: str, node: int):
+    def __init__(self, name: str, kind: str, node: int, counters: Counter):
         self.name = name
         self.kind = kind
         self.node = node
-        self.counters = Counters()
+        self.counters = counters
         self.queue_depth_max = 0
         self.done_ns: Optional[int] = None
-        # The registry whose ``<pipeline>.<name>.queue_depth`` histogram is
-        # held, and its ``record`` (``PipelineStats.note_queue_depth``).
-        self.depth_metrics: Optional[Metrics] = None
-        self.depth_record = None
 
     def note_queue_depth(self, depth: int) -> None:
         if depth > self.queue_depth_max:
@@ -83,59 +80,45 @@ class PipelineStats(RunStats):
     def add_stage(self, name: str, kind: str, node: int) -> StageStats:
         if name in self.stages:
             raise ValueError(f"duplicate stage stats {name!r}")
-        stage = StageStats(name, kind, node)
-        self.stages[name] = stage
-        if self._metrics is not None:
-            self._metrics.register_counters(f"{self.name}.{name}",
-                                            stage.counters)
+        stage = self.stages[name] = StageStats(
+            name, kind, node, self.metrics.counters(f"{self.name}.{name}"))
         return stage
-
-    def federate(self, metrics: Metrics) -> None:
-        """Register with an observer's metrics registry (aggregate bag
-        plus one ``<name>.<stage>`` bag per stage)."""
-        super().federate(metrics)
-        for name, stage in self.stages.items():
-            metrics.register_counters(f"{self.name}.{name}", stage.counters)
 
     # -- recording ---------------------------------------------------------
     def note_emitted(self, stage: StageStats) -> None:
         """A source put one fresh record into the pipeline (the stage's
         own ``emitted`` counter is bumped by the send path)."""
-        self.counters.add("emitted")
+        self.counters["emitted"] += 1
         if self.t_first_emit is None:
             self.t_first_emit = self.env.now
 
     def note_delivered(self, stage: StageStats, latency_ns: int,
                        source_records: int) -> None:
         """A sink consumed one record carrying ``source_records`` counts."""
-        stage.counters.add("received")
-        stage.counters.add("processed")
-        self.counters.add("delivered")
-        self.counters.add("delivered_source_records", source_records)
+        stage.counters["received"] += 1
+        stage.counters["processed"] += 1
+        self.counters["delivered"] += 1
+        self.counters["delivered_source_records"] += source_records
         self.latency.record(latency_ns)
         self.t_last_delivery = self.env.now
 
     def note_filtered(self, stage: StageStats, source_records: int) -> None:
         """A filter stage dropped-by-predicate ``source_records`` counts
         (conserved, not lost: they show up in the conservation section)."""
-        stage.counters.add("filtered")
-        self.counters.add("filtered_records", source_records)
+        stage.counters["filtered"] += 1
+        self.counters["filtered_records"] += source_records
 
     def note_credit_stall(self, stage: StageStats, stall_ns: int) -> None:
-        stage.counters.add("credit_stalls")
-        stage.counters.add("credit_stall_ns", stall_ns)
-        self.counters.add("credit_stalls")
-        self.counters.add("credit_stall_ns", stall_ns)
+        stage.counters["credit_stalls"] += 1
+        stage.counters["credit_stall_ns"] += stall_ns
+        self.counters["credit_stalls"] += 1
+        self.counters["credit_stall_ns"] += stall_ns
 
     def note_queue_depth(self, stage: StageStats, depth: int) -> None:
         stage.note_queue_depth(depth)
-        metrics = self._metrics
-        if metrics is not None:
-            if metrics is not stage.depth_metrics:
-                stage.depth_metrics = metrics
-                stage.depth_record = metrics.histogram(
-                    f"{self.name}.{stage.name}.queue_depth").record
-            stage.depth_record(depth)
+        if self.env.obs is not None:
+            self.metrics.histogram(
+                f"{self.name}.{stage.name}.queue_depth").record(depth)
 
     # -- reporting ---------------------------------------------------------
     def elapsed_ns(self) -> int:

@@ -24,9 +24,8 @@ Determinism contract (pinned by ``tests/test_determinism.py``):
 from __future__ import annotations
 
 import zlib
+from collections import Counter
 from typing import TYPE_CHECKING, Optional
-
-from repro.simkernel.monitor import Counters
 
 from repro.faults.plan import CpuSlow, FaultPlan, LinkFault, NicStall
 
@@ -60,9 +59,9 @@ class FaultInjector:
         #: event order.  Two runs with the same plan produce identical lists.
         self.events: list[tuple] = []
         #: Totals (``link.corrupt``, ``link.drop``, ``nic.stall_ns``,
-        #: ``cpu.slow_ns``, ...); register with a metrics registry via
-        #: ``Cluster.observe()`` / ``inject_faults()`` federation.
-        self.counters = Counters()
+        #: ``cpu.slow_ns``, ...); an observer's registry reports them under
+        #: ``faults`` (:meth:`~repro.obs.metrics.Metrics.as_dict`).
+        self.counters: Counter = Counter()
         self._rngs: dict[str, np.random.Generator] = {}
         # Per-component episode caches (component name -> matching episodes).
         self._link_cache: dict[str, tuple] = {}
@@ -117,7 +116,7 @@ class FaultInjector:
             header = packet.header
             self._record(fate, link_name,
                          (header.src, header.dest, header.msg_id, header.seq))
-            self.counters.add(f"link.{fate}")
+            self.counters[f"link.{fate}"] += 1
         return fate
 
     def nic_stall_ns(self, node_id: int, nic_name: str, side: str) -> int:
@@ -136,7 +135,7 @@ class FaultInjector:
                 extra += episode.extra_ns
         if extra:
             self._record("stall", nic_name, (side, extra))
-            self.counters.add("nic.stall_ns", extra)
+            self.counters["nic.stall_ns"] += extra
         return extra
 
     def cpu_cost(self, cpu_name: str, cost_ns: int) -> int:
@@ -167,7 +166,7 @@ class FaultInjector:
         extra = scaled + jitter - cost_ns
         if extra:
             # Per-call events would swamp the trace; totals only.
-            self.counters.add("cpu.slow_ns", extra)
+            self.counters["cpu.slow_ns"] += extra
         return scaled + jitter
 
     # -- recording --------------------------------------------------------------

@@ -12,8 +12,9 @@ class capability of the simulator for arbitrary traffic:
   including :class:`~repro.obs.span.TraceContext` minting / binding for
   end-to-end request tracing;
 * :mod:`repro.obs.metrics` — named histograms (:class:`Reservoir`),
-  windowed rate meters, and the pre-existing ``Counters`` / ``CopyMeter``
-  primitives federated under one per-cluster registry;
+  windowed rate meters, counter bags and each node's ``CopyMeter`` in one
+  per-run registry — the stats' registry, which an observed run's
+  observer adopts;
 * :mod:`repro.obs.timeseries` — windowed time series (rates, gauges,
   quantiles) sampled at fixed simulated-time intervals; its
   :class:`RateSeries` is also the registry's rate meter;

@@ -1,7 +1,7 @@
-"""The metrics registry: histograms, rate meters, and federated counters.
+"""The metrics registry: histograms, rate meters, and counter bags.
 
-One :class:`Metrics` object per cluster collects every quantitative signal
-the observability layer produces:
+One :class:`Metrics` object per run collects every quantitative signal
+the observability layer and the run's stats produce:
 
 * **histograms** — named distributions with label sets (per-stage packet
   latencies, credit-stall times, queue depths), queried by label; all of
@@ -11,13 +11,16 @@ the observability layer produces:
   (delivered bytes per link per millisecond), from which MB/s series fall
   out; a meter is a :class:`~repro.obs.timeseries.RateSeries`, the one
   windowed sum;
-* **federated primitives** — the pre-existing
-  :class:`~repro.simkernel.monitor.Counters`,
-  :class:`~repro.hardware.memory.CopyMeter` and workload
-  :class:`Reservoir` objects scattered through the stack, adopted here
-  (not copied) under stable labels so one object can answer "where did
-  the bytes/copies/stalls go in *this* run".  :class:`RunStats` is the
-  base of every per-run stats object that federates this way.
+* **counter bags** — one :class:`collections.Counter` per label
+  (:meth:`Metrics.counters`), plus the fault injector's bag and each
+  node's :class:`~repro.hardware.memory.CopyMeter`, read under stable
+  labels so one object can answer "where did the bytes/copies/stalls go
+  in *this* run".
+
+:class:`RunStats`, the base of every per-run stats object, owns the run's
+registry and counts straight into it; an observed run's observer adopts
+that registry (``Observer(stats.metrics)``), so every sample is recorded
+once and nothing is registered after the fact.
 
 Everything here is bookkeeping-only: recording never touches the event
 heap, so metrics add zero simulated time.
@@ -25,6 +28,7 @@ heap, so metrics add zero simulated time.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.hardware.memory import CopyMeter
@@ -35,7 +39,6 @@ from repro.obs.timeseries import (
     nearest_rank,
     render_key,
 )
-from repro.simkernel.monitor import Counters
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simkernel.env import Environment
@@ -122,19 +125,20 @@ class Reservoir:
 
 
 class Metrics:
-    """Per-cluster registry federating every quantitative signal.
+    """Per-run registry of every quantitative signal.
 
-    Histograms and meters are created on first use (get-or-create by name
-    plus label set); existing :class:`Counters` / :class:`CopyMeter`
-    instances are adopted via the ``register_*`` methods.  All query
-    results are deterministically ordered.
+    Histograms, meters and counter bags are created on first use
+    (get-or-create by name plus label set); each node's
+    :class:`CopyMeter` is adopted via :meth:`register_copy_meter`, and the
+    fault counters are read from ``env.faults``.  All query results are
+    deterministically ordered.
     """
 
     def __init__(self, env: Optional["Environment"] = None):
         self.env = env
         self._histograms: dict[MetricKey, Reservoir] = {}
         self._meters: dict[MetricKey, RateSeries] = {}
-        self._counters: dict[str, Counters] = {}
+        self._counters: defaultdict[str, Counter] = defaultdict(Counter)
         self._copy_meters: dict[str, CopyMeter] = {}
 
     # -- creation -------------------------------------------------------------
@@ -168,20 +172,9 @@ class Metrics:
                 f"with a {meter.interval_ns} ns window, not {window_ns} ns")
         return meter
 
-    # -- federation ------------------------------------------------------------
-    def register_counters(self, label: str, counters: Counters) -> None:
-        """Adopt an existing Counters bag under ``label``."""
-        if label in self._counters:
-            raise ValueError(f"counters {label!r} already registered")
-        self._counters[label] = counters
-
-    def register_histogram(self, reservoir: Reservoir) -> None:
-        """Adopt an existing reservoir as the histogram of its name and
-        labels: every sample is recorded once, by its owner."""
-        key = _key(reservoir.name, reservoir.labels)
-        if key in self._histograms:
-            raise ValueError(f"histogram {reservoir.name!r} already exists")
-        self._histograms[key] = reservoir
+    def counters(self, label: str) -> Counter:
+        """Get or create the counter bag ``label``."""
+        return self._counters[label]
 
     def register_copy_meter(self, label: str, meter: CopyMeter) -> None:
         """Adopt an existing CopyMeter under ``label``."""
@@ -200,10 +193,6 @@ class Metrics:
         """Rate meters matching ``name`` (if given) and the label subset."""
         return _matching(self._meters, name, labels)
 
-    def counter(self, label: str) -> Counters:
-        """The Counters bag registered under ``label``."""
-        return self._counters[label]
-
     def copy_bytes_by_label(self) -> dict[str, dict[str, int]]:
         """``{owner: {copy label: bytes}}`` across all registered CopyMeters."""
         return {
@@ -212,7 +201,9 @@ class Metrics:
         }
 
     def as_dict(self) -> dict:
-        """A flat, deterministic summary of everything registered."""
+        """A flat, deterministic summary of everything registered, plus
+        the fault injector's counters under ``faults`` when one is
+        attached to this registry's environment."""
         out: dict = {"histograms": {}, "meters": {}, "counters": {},
                      "copy_bytes": self.copy_bytes_by_label()}
         for hist in self.histograms():
@@ -226,16 +217,20 @@ class Metrics:
             label = render_key(meter.name, meter.labels)
             out["meters"][label] = {"total": meter.total,
                                     "mean_rate_mbs": meter.mean_rate_mbs()}
-        for owner, counters in sorted(self._counters.items()):
-            out["counters"][owner] = dict(sorted(counters.as_dict().items()))
+        counters = dict(self._counters)
+        if self.env is not None and self.env.faults is not None:
+            counters["faults"] = self.env.faults.counters
+        for owner, bag in sorted(counters.items()):
+            out["counters"][owner] = dict(sorted(bag.items()))
         return out
 
 
 class RunStats:
-    """What every per-run stats object shares: the clock, a name, a
-    :class:`~repro.simkernel.monitor.Counters` bag, named reservoirs, and
-    federation into an observer's :class:`Metrics` — counters and
-    reservoirs are adopted, so an observed run records each sample once.
+    """What every per-run stats object shares: the clock, a name, and the
+    run's :class:`Metrics` registry — a counter bag
+    (``metrics.counters(name)``) and named reservoirs in it.  Shard
+    sub-stats pass their parent's registry; an observed run's observer
+    adopts it, so each sample is recorded once.
 
     Subclasses add their ``note_*`` recorders and a ``report()``.
     """
@@ -245,27 +240,16 @@ class RunStats:
     timeseries = None
     shards: Sequence["RunStats"] = ()
 
-    def __init__(self, env: "Environment", name: str):
+    def __init__(self, env: "Environment", name: str,
+                 metrics: Optional[Metrics] = None):
         self.env = env
         self.name = name
-        self.counters = Counters()
-        self._reservoirs: list[Reservoir] = []
-        self._metrics: Optional[Metrics] = None
+        self.metrics = metrics if metrics is not None else Metrics(env)
+        self.counters = self.metrics.counters(name)
 
     def reservoir(self, suffix: str) -> Reservoir:
-        """Create the reservoir ``<name>.<suffix>`` (federated with the
-        rest of this object)."""
-        reservoir = Reservoir(f"{self.name}.{suffix}")
-        self._reservoirs.append(reservoir)
-        return reservoir
-
-    def federate(self, metrics: Metrics) -> None:
-        """Register the counters and reservoirs with an observer's
-        metrics registry under ``self.name``."""
-        metrics.register_counters(self.name, self.counters)
-        for reservoir in self._reservoirs:
-            metrics.register_histogram(reservoir)
-        self._metrics = metrics
+        """The registry's histogram ``<name>.<suffix>``."""
+        return self.metrics.histogram(f"{self.name}.{suffix}")
 
     def fault_window_report(self, windows) -> Optional[dict]:
         """Per-fault-episode scoring, for stats that have windowed series

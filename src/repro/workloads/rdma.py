@@ -46,8 +46,8 @@ class RdmaStats(RunStats):
         if self.t_first is None:
             self.t_first = self.env.now - rtt_ns
         self.t_last = self.env.now
-        self.counters.add("rounds")
-        self.counters.add("put_bytes", 2 * nbytes)  # one put each way
+        self.counters["rounds"] += 1
+        self.counters["put_bytes"] += 2 * nbytes  # one put each way
         self.rtt.record(rtt_ns)
 
     def transport_errors(self) -> dict:

@@ -90,7 +90,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--observe", action="store_true",
-        help="attach the observer (spans + metrics federation); results "
+        help="attach the observer (spans + the stats' registry); results "
              "are bit-identical either way",
     )
     parser.add_argument(

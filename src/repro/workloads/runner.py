@@ -32,6 +32,7 @@ from repro.dataflow.engine import PIPELINES, PLACEMENTS, PipelineKind
 from repro.hardware.params import LinkParams
 from repro.hardware.topology import Topology, switch_mesh
 from repro.obs.metrics import RunStats
+from repro.obs.observer import Observer
 from repro.obs.slo import SloSpec, evaluate_slos
 from repro.workloads.apps import MpiKind, allreduce_program, halo_program
 from repro.workloads.arrivals import ArrivalSpec, Bursty, ClosedLoop, OpenLoop
@@ -309,15 +310,14 @@ def execute_scenario(scenario: Scenario, plan=None,
     """Run one scenario to completion; returns the full outcome.
 
     ``plan`` is an optional :class:`~repro.faults.plan.FaultPlan`;
-    ``observe=True`` attaches an observer (spans + metrics federation +
-    per-request trace contexts) — both compose through the cluster's
-    standard hooks and neither changes the simulated results.
+    ``observe=True`` attaches an observer (spans + per-request trace
+    contexts) whose metrics registry is the stats' own — both compose
+    through the cluster's standard hooks and neither changes the simulated
+    results.
     """
     cluster, stats = build_scenario(scenario)
     injector = cluster.inject_faults(plan) if plan is not None else None
-    observer = cluster.observe() if observe else None
-    if observer is not None:
-        stats.federate(observer.metrics)
+    observer = cluster.observe(Observer(stats.metrics)) if observe else None
     sections = KINDS[scenario.kind].run(cluster, scenario, stats)
     report = {
         "scenario": scenario_report_dict(scenario),
@@ -331,7 +331,7 @@ def execute_scenario(scenario: Scenario, plan=None,
     if injector is not None:
         report["faults"] = {
             "events": len(injector.events),
-            "counters": dict(sorted(injector.counters.as_dict().items())),
+            "counters": dict(sorted(injector.counters.items())),
         }
         windows = stats.fault_window_report(plan.windows())
         if windows is not None:

@@ -6,7 +6,7 @@ needs:
 * a :class:`~repro.obs.metrics.Reservoir` of end-to-end request
   latencies (plus one for server queue waits) with deterministic
   nearest-rank p50/p95/p99;
-* a :class:`~repro.simkernel.monitor.Counters` bag of request outcomes
+* a :class:`collections.Counter` bag of request outcomes
   (``sent``, ``completed``, ``shed``, ``expired``, request/response
   bytes);
 * the running maximum of the queue depth sampled at every dequeue;
@@ -19,10 +19,11 @@ pure function of the simulated run: two runs of the same scenario spec
 produce bit-identical sample lists (pinned by
 ``tests/workloads/test_stats.py``).
 
-When a run is observed (``cluster.observe()``), :meth:`WorkloadStats.federate`
-hands the counters and reservoirs to the observer's metrics registry
-(adopted, not copied), so the breakdown CLI and Perfetto exports see
-workload signals alongside the per-layer spans.
+The counters and reservoirs live in the stats' registry
+(``stats.metrics``, shared with the per-shard sub-stats); an observed run's
+observer adopts that registry, so the breakdown CLI and Perfetto exports
+see workload signals alongside the per-layer spans.  Queue-depth samples
+go into it only while an observer is attached.
 
 With ``sample_interval_ns`` set, the aggregate object additionally owns a
 :class:`~repro.obs.timeseries.TimeSeriesBank` and every ``note_*`` call
@@ -45,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class WorkloadStats(RunStats):
-    """All quantitative signals of one workload run, federated on demand.
+    """All quantitative signals of one workload run.
 
     With ``n_shards`` set, the aggregate object carries one nested
     :class:`WorkloadStats` per shard (``self.shards``), and every
@@ -56,21 +57,19 @@ class WorkloadStats(RunStats):
     """
 
     def __init__(self, env: "Environment", name: str = "workload",
-                 n_shards: int = 0, sample_interval_ns: int = 0):
+                 n_shards: int = 0, sample_interval_ns: int = 0,
+                 metrics: Optional[Metrics] = None):
         if n_shards < 0:
             raise ValueError(f"n_shards must be non-negative, got {n_shards}")
         if sample_interval_ns < 0:
             raise ValueError(f"sample_interval_ns must be non-negative, "
                              f"got {sample_interval_ns}")
-        super().__init__(env, name)
+        super().__init__(env, name, metrics)
         self.latency = self.reservoir("latency_ns")
         self.queue_wait = self.reservoir("queue_wait_ns")
         #: Deepest server queue sampled (``note_queue_depth``).
         self.queue_depth_max = 0
-        # The registry whose ``<name>.queue_depth`` histogram is held, and
-        # that histogram's ``record`` (see ``note_queue_depth``).
-        self._depth_metrics: Optional[Metrics] = None
-        self._depth_record = None
+        self._depth_record = None       # see ``note_queue_depth``
         self.t_first_send: Optional[int] = None
         self.t_last_done: Optional[int] = None
         #: Windowed time series (None unless ``sample_interval_ns`` > 0).
@@ -81,18 +80,8 @@ class WorkloadStats(RunStats):
             if sample_interval_ns else None)
         #: Per-shard sub-stats (empty for unsharded runs).
         self.shards: list["WorkloadStats"] = [
-            WorkloadStats(env, f"{name}.shard{i}") for i in range(n_shards)]
-
-    # -- federation -----------------------------------------------------------
-    def federate(self, metrics: Metrics) -> None:
-        """Register with an observer's metrics registry (see module doc).
-
-        Per-shard stats federate under ``<name>.shard<i>``, so the
-        breakdown CLI sees shard-level outcomes alongside the aggregate.
-        """
-        super().federate(metrics)
-        for shard in self.shards:
-            shard.federate(metrics)
+            WorkloadStats(env, f"{name}.shard{i}", metrics=self.metrics)
+            for i in range(n_shards)]
 
     def _shard(self, shard: Optional[int]) -> Optional["WorkloadStats"]:
         if shard is None or not self.shards:
@@ -116,8 +105,8 @@ class WorkloadStats(RunStats):
         now = self.env.now
         if self.t_first_send is None:
             self.t_first_send = now
-        self.counters.add("sent")
-        self.counters.add("request_bytes", nbytes)
+        self.counters["sent"] += 1
+        self.counters["request_bytes"] += nbytes
         self._series("rate", "sent", 1, shard)
         sub = self._shard(shard)
         if sub is not None:
@@ -127,8 +116,8 @@ class WorkloadStats(RunStats):
                        shard: Optional[int] = None) -> None:
         """Record one successful completion and its end-to-end latency."""
         self.t_last_done = self.env.now
-        self.counters.add("completed")
-        self.counters.add("response_bytes", response_bytes)
+        self.counters["completed"] += 1
+        self.counters["response_bytes"] += response_bytes
         self.latency.record(latency_ns)
         self._series("rate", "completed", 1, shard)
         self._series("rate", "delivered_bytes", response_bytes, shard)
@@ -140,7 +129,7 @@ class WorkloadStats(RunStats):
     def note_dropped(self, kind: str, shard: Optional[int] = None) -> None:
         """Count one lost request: ``kind`` is ``shed``, ``expired``, or
         ``abandoned`` (client gave up waiting)."""
-        self.counters.add(kind)
+        self.counters[kind] += 1
         self._series("rate", "drops", 1, shard)
         sub = self._shard(shard)
         if sub is not None:
@@ -151,7 +140,7 @@ class WorkloadStats(RunStats):
         another replica.  Not a drop — the logical request is still live —
         so it never touches the ``drops`` series the availability SLO
         reads; the failed shard's trouble shows up on its own series."""
-        self.counters.add("failover")
+        self.counters["failover"] += 1
         self._series("rate", "failovers", 1, shard)
         sub = self._shard(shard)
         if sub is not None:
@@ -161,7 +150,7 @@ class WorkloadStats(RunStats):
         """Count one failover re-issue (the send following a failover).
         Logical request counts (``sent``) are untouched: the request was
         already counted when first issued."""
-        self.counters.add("retried")
+        self.counters["retried"] += 1
         self._series("rate", "retries", 1, shard)
         sub = self._shard(shard)
         if sub is not None:
@@ -172,11 +161,11 @@ class WorkloadStats(RunStats):
         if depth > self.queue_depth_max:
             self.queue_depth_max = depth
         self._series("gauge", "queue_depth", depth, shard)
-        metrics = self._metrics
-        if metrics is not None:
-            if metrics is not self._depth_metrics:
-                self._depth_metrics = metrics
-                self._depth_record = metrics.histogram(
+        if self.env.obs is not None:
+            # The histogram's ``record`` is held: a registry lookup per
+            # sample costs the observed hot path two calls.
+            if self._depth_record is None:
+                self._depth_record = self.metrics.histogram(
                     f"{self.name}.queue_depth").record
             self._depth_record(depth)
         sub = self._shard(shard)

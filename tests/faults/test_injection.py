@@ -273,9 +273,17 @@ class TestClusterIntegration:
         cluster = Cluster(2, machine=PPRO_FM2, fm_version=2)
         observer = cluster.observe()
         injector = cluster.inject_faults(FaultPlan(seed=0))
-        assert observer.metrics._counters["faults"] is injector.counters
-        # Same federation when the injector is attached first.
+        injector.counters["link.drop"] += 2
+        assert observer.metrics.as_dict()["counters"]["faults"] == {
+            "link.drop": 2}
+        # The same when the injector is attached first.
         cluster2 = Cluster(2, machine=PPRO_FM2, fm_version=2)
         injector2 = cluster2.inject_faults(FaultPlan(seed=0))
         observer2 = cluster2.observe()
-        assert observer2.metrics._counters["faults"] is injector2.counters
+        assert observer2.metrics.as_dict()["counters"]["faults"] == {}
+        injector2.counters["nic.stall_ns"] += 40
+        assert observer2.metrics.as_dict()["counters"]["faults"] == {
+            "nic.stall_ns": 40}
+        # No injector, no ``faults`` bag.
+        assert "faults" not in Cluster(2).observe().metrics.as_dict()[
+            "counters"]

@@ -7,7 +7,6 @@ from repro.obs.metrics import DEFAULT_WINDOW_NS, Metrics, Reservoir
 from repro.obs.observer import Observer
 from repro.obs.span import LAYER_ORDER, Span, layer_rank
 from repro.obs.timeseries import RateSeries
-from repro.simkernel.monitor import Counters
 
 
 class TestSpan:
@@ -163,22 +162,19 @@ class TestMetrics:
 
     def test_federates_counters_and_copy_meters(self):
         metrics = Metrics()
-        counters = Counters()
-        counters.add("spills", 3)
-        metrics.register_counters("mpi.rank0", counters)
+        metrics.counters("mpi.rank0")["spills"] += 3
+        assert metrics.counters("mpi.rank0") is metrics.counters("mpi.rank0")
         meter = CopyMeter()
         meter.record(64, "fm1.staging_copy")
         metrics.register_copy_meter("node0.cpu", meter)
-        assert metrics.counter("mpi.rank0")["spills"] == 3
+        assert metrics.counters("mpi.rank0")["spills"] == 3
+        assert metrics.as_dict()["counters"] == {"mpi.rank0": {"spills": 3}}
         assert metrics.copy_bytes_by_label() == {
             "node0.cpu": {"fm1.staging_copy": 64}
         }
 
     def test_duplicate_registration_rejected(self):
         metrics = Metrics()
-        metrics.register_counters("x", Counters())
-        with pytest.raises(ValueError):
-            metrics.register_counters("x", Counters())
         metrics.register_copy_meter("y", CopyMeter())
         with pytest.raises(ValueError):
             metrics.register_copy_meter("y", CopyMeter())

@@ -159,3 +159,12 @@ def test_no_fm_layer_spawns_a_process():
     core = pathlib.Path(repro.__file__).parent / "core"
     assert [str(path.relative_to(core)) for path in core.rglob("*.py")
             if "env.process(" in path.read_text()] == []
+
+
+def test_one_registry_per_run():
+    """A run's stats count into their own ``Metrics`` registry, which an
+    observed run's observer adopts: nothing is registered after the fact,
+    and a counter bag is a ``collections.Counter``."""
+    for needle in ("federate", "register_counters", "register_histogram",
+                   "simkernel.monitor", "Counters("):
+        assert _occurrences(needle) == {}, needle

@@ -196,18 +196,18 @@ class TestShardedRuns:
                 == dumps_deterministic(run_scenario(spec)))
 
     def test_observer_federates_per_shard_counters(self):
-        # run_scenario(observe=True) must register shard counter bags.
+        # An observer adopting the stats' registry sees the shard bags.
         from repro.cluster.cluster import Cluster
         from repro.configs import PPRO_FM2
+        from repro.obs.observer import Observer
         from repro.workloads.rpc import RpcEndpoint, RpcServer
         from repro.workloads.sharding import ShardDirectory, ShardedClient
         from repro.workloads.stats import WorkloadStats
         from repro.workloads.arrivals import ClosedLoop
 
         cluster = Cluster(3, machine=PPRO_FM2, fm_version=2)
-        observer = cluster.observe()
         stats = WorkloadStats(cluster.env, name="w", n_shards=2)
-        stats.federate(observer.metrics)
+        observer = cluster.observe(Observer(stats.metrics))
         endpoints = [RpcEndpoint(node, stats) for node in cluster.nodes]
         # Shards started the way RpcKind.wire does.
         for shard, endpoint in enumerate(endpoints[:2]):
@@ -218,9 +218,31 @@ class TestShardedRuns:
             key_stream(1, "c", 16), arrivals=ClosedLoop(0), seed=1,
             n_requests=8)
         cluster.run([None, None, lambda node: client.run()])
-        assert observer.metrics.counter("w.shard0")["completed"] == 4
-        assert observer.metrics.counter("w.shard1")["completed"] == 4
-        assert observer.metrics.counter("w")["completed"] == 8
+        assert observer.metrics.counters("w.shard0")["completed"] == 4
+        assert observer.metrics.counters("w.shard1")["completed"] == 4
+        assert observer.metrics.counters("w")["completed"] == 8
+
+    def test_observed_run_reports_into_the_stats_registry(self):
+        from repro.workloads.runner import execute_scenario
+        outcome = execute_scenario(sharded(servers=2, clients=2),
+                                   observe=True)
+        metrics, stats = outcome.stats.metrics, outcome.stats
+        assert outcome.observer.metrics is metrics
+        for i, shard in enumerate(stats.shards):
+            assert metrics.counters(f"{stats.name}.shard{i}") is shard.counters
+        counters = metrics.as_dict()["counters"]
+        assert (counters[f"{stats.name}.shard0"]["completed"]
+                + counters[f"{stats.name}.shard1"]["completed"]
+                == counters[stats.name]["completed"] > 0)
+        assert metrics.histograms(f"{stats.name}.queue_depth")
+
+    def test_unobserved_run_keeps_no_queue_depth_samples(self):
+        from repro.workloads.presets import PRESETS
+        from repro.workloads.runner import execute_scenario
+        stats = execute_scenario(PRESETS["rpc-sharded"]).stats
+        assert stats.queue_depth_max > 0
+        assert not [h for h in stats.metrics.histograms()
+                    if h.name.endswith(".queue_depth")]
 
     def test_scenario_validation(self):
         with pytest.raises(ValueError):

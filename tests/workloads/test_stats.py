@@ -48,12 +48,13 @@ class TestReservoirQuantiles:
 
 
 class FakeEnv(SimpleNamespace):
-    """Stats only read ``env.now``; a mutable stand-in is enough."""
+    """Stats only read ``env.now`` and ``env.obs``; a mutable stand-in is
+    enough."""
 
 
 class TestWorkloadStats:
     def make(self):
-        env = FakeEnv(now=0)
+        env = FakeEnv(now=0, obs=None)
         return env, WorkloadStats(env, name="w")
 
     def test_throughput_over_active_window(self):
@@ -105,20 +106,23 @@ class TestWorkloadStats:
         assert report["queue_wait"]["p50_ns"] == 400
 
     def test_federation_registers_counters_and_mirrors_samples(self):
-        from repro.obs.metrics import Metrics
+        # The stats count into their own registry: the reservoirs are its
+        # histograms and the bag is its ``counters(name)``.
         env, stats = self.make()
-        metrics = Metrics()
-        stats.federate(metrics)
+        metrics = stats.metrics
         stats.note_sent(10)
         env.now = 100
         stats.note_completed(100, 10)
         stats.note_queue_wait(40)
         stats.note_queue_depth(2)
         hist = metrics.histogram("w.latency_ns")
-        assert hist is stats.latency            # adopted, not mirrored
+        assert hist is stats.latency            # one record, not a mirror
         assert hist.count == 1
         assert metrics.histogram("w.queue_wait_ns").count == 1
+        assert metrics.counters("w") is stats.counters
+        assert metrics.counters("w")["sent"] == 1
+        # Queue-depth samples are kept only while an observer is attached.
+        assert metrics.histograms("w.queue_depth") == []
+        env.obs = object()
+        stats.note_queue_depth(2)
         assert metrics.histogram("w.queue_depth").count == 1
-        # The counters bag is adopted, not copied.
-        stats.counters.add("sent")
-        assert stats.counters["sent"] == 2
