@@ -1,12 +1,14 @@
 """Extension — resilience sweep under planned fault episodes.
 
 The §3.1 layering argument stress-tested with the :mod:`repro.faults`
-framework instead of static link parameters: scheduled bit-error and
-lossy-link episodes drive two sweeps on the same substrate:
+framework, the one way a link errs: scheduled bit-error and lossy-link
+episodes drive two sweeps on the same substrate:
 
 * **software go-back-N** — goodput, per-message latency, and the
-  bytes-wasted fraction as the BER and the drop rate rise; the protocol
-  keeps delivering, paying a measurable and growing recovery tax;
+  bytes-wasted fraction and retransmissions as the BER and the drop rate
+  rise; the protocol keeps delivering, paying a measurable and growing
+  recovery tax (its clean-network cost against FM is
+  ``test_ext_software_reliability.py``);
 * **FM 2.x** — no recovery by design: the interesting number is how
   *quickly* it fails loudly, measured as the gap between the first
   injected corruption (from the injector's fault trace) and the
@@ -126,7 +128,8 @@ def test_ext_resilience_sweep(benchmark, show):
                 f"go-back-N, {label} {level:g}",
                 f"{r['mean_latency_ns'] / 1e3:.0f} us",
                 f"{r['goodput_mbs']:.1f} MB/s",
-                f"{r['stats']['wasted_fraction'] * 100:.1f}% bytes wasted"))
+                f"{r['stats']['wasted_fraction'] * 100:.1f}% bytes wasted, "
+                f"{r['stats']['retransmissions']} rexmit"))
     for ber, latency in detection.items():
         rows.append(HeadlineRow(
             f"FM 2.x, BER {ber:g}", f"{latency / 1e3:.0f} us", "-",
@@ -141,6 +144,8 @@ def test_ext_resilience_sweep(benchmark, show):
     assert clean["stats"]["wasted_fraction"] == 0.0
     assert bers[2e-5]["stats"]["wasted_fraction"] < \
         bers[1e-4]["stats"]["wasted_fraction"]
+    assert bers[2e-5]["stats"]["retransmissions"] < \
+        bers[1e-4]["stats"]["retransmissions"]
     # Same shape for outright loss; latency rises with the drop rate.
     assert clean["goodput_mbs"] > drops[0.02]["goodput_mbs"] > \
         drops[0.08]["goodput_mbs"] > 0

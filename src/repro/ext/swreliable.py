@@ -23,10 +23,10 @@ retransmission — over the same simulated hardware, bypassing FM entirely:
 
 On a clean network it delivers the same guarantees as FM at a measurable
 bandwidth cost (the Figure 2 story quantified on our substrate); on a
-lossy network — bit-error bursts or outright packet drops, injected
-statically via :class:`~repro.hardware.params.LinkParams` or per-window
-via :mod:`repro.faults` — it keeps working, where FM, by design, fails
-loudly (:class:`~repro.core.common.FmTransportError`).
+lossy network — bit-error bursts or outright packet drops, injected as
+:class:`~repro.faults.LinkFault` episodes of a fault plan — it keeps
+working, where FM, by design, fails loudly
+(:class:`~repro.core.common.FmTransportError`).
 """
 
 from __future__ import annotations

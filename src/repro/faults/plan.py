@@ -4,10 +4,10 @@ A :class:`FaultPlan` is pure data — a seed plus a tuple of *episodes*,
 each describing one kind of trouble on one slice of the simulated
 hardware over one window of simulated time:
 
-* :class:`LinkFault` — a burst of bit errors (packets arrive with the
-  CORRUPT flag set, as today's static ``bit_error_rate``) and/or a lossy
-  window in which packets are *dropped outright* (the new failure mode
-  FM's substrate never exhibits, but the resilience sweep needs);
+* :class:`LinkFault` — the only way a link errs: a burst of bit errors
+  (packets arrive with the CORRUPT flag set) and/or a lossy window in which
+  packets are *dropped outright* (a failure FM's substrate never exhibits,
+  but the software reliability shim and the resilience sweep need);
 * :class:`NicStall` — the NIC firmware takes ``extra_ns`` longer per
   packet (a firmware hiccup / descriptor-ring contention episode);
 * :class:`CpuSlow` — a host CPU runs slower by ``factor`` and/or with
@@ -45,8 +45,8 @@ class LinkFault:
     (``link:h0->s0``, ``link:s0->h1``, ...); ``"*"`` afflicts every link.
     Within ``[start_ns, end_ns)`` each serialised packet is dropped with
     probability ``drop_rate`` and otherwise corrupted with probability
-    ``1-(1-ber)^bits`` — the same error model as the static
-    ``LinkParams.bit_error_rate``, but windowed and schedulable.
+    ``1-(1-ber)^bits``.  A noisy or lossy link for a whole run is one
+    episode with the default window and ``link="*"``.
     """
 
     link: str = "*"

@@ -6,28 +6,21 @@ propagation delay of hop ``i`` overlaps the serialisation of packet ``i+1``
 (cut-through at packet granularity).  The downstream input buffer is a
 bounded store: when it fills, delivery blocks, the in-flight window fills,
 and the serialiser stalls — the packet-granular analogue of Myrinet's
-byte-granular STOP/GO back-pressure.  **Links never drop packets** by
-default; this is the property FM's reliability layering relies on (§3.1 of
-the paper).
+byte-granular STOP/GO back-pressure.  **Links never drop or corrupt
+packets** on their own; this is the property FM's reliability layering
+relies on (§3.1 of the paper).
 
-Optional fault injection, two ways:
-
-* **static** — ``LinkParams.bit_error_rate`` corrupts packets with
-  probability ``1-(1-ber)^bits`` (sets the CORRUPT flag) and
-  ``LinkParams.drop_rate`` discards them outright, both from a
-  deterministic per-link RNG;
-* **planned** — an attached :class:`repro.faults.FaultInjector`
-  (``env.faults``) is consulted per packet and can corrupt or drop within
-  scheduled episode windows, drawing from its own per-link streams.
-
-The FM layers' behaviour under corruption (fail loudly) and the software
-reliability shim's behaviour under both (recover) are exercised by the
-fault-injection and resilience tests.
+A link errs only when an experiment says so: an attached
+:class:`repro.faults.FaultInjector` (``env.faults``) is consulted per
+serialised packet and can corrupt (set the CORRUPT flag) or drop it within
+a plan's :class:`~repro.faults.LinkFault` windows, drawing from its own
+per-link streams and recording every fault it injects.  The FM layers'
+behaviour under corruption (fail loudly) and the software reliability
+shim's (recover) are exercised by the fault-injection and resilience tests.
 """
 
 from __future__ import annotations
 
-import zlib
 from typing import TYPE_CHECKING, Optional
 
 from repro.simkernel.store import EMPTY, Store
@@ -59,13 +52,6 @@ class Link:
         self.bytes: int = 0
         self.corrupted: int = 0
         self.dropped: int = 0
-        # Deterministic per-link RNG, consulted only when error injection is
-        # on — so only then made: a fault-free link never loads numpy.
-        self._rng = None
-        if params.drop_rate > 0.0 or params.bit_error_rate > 0.0:
-            import numpy as np
-            self._rng = np.random.default_rng(
-                zlib.crc32(name.encode()) & 0xFFFFFFFF)
 
     def connect(self, target: Store) -> None:
         """Set the downstream input store packets are delivered into."""
@@ -123,41 +109,27 @@ class Link:
 
     # -- fault injection ------------------------------------------------------
     def _apply_faults(self, packet: Packet) -> bool:
-        """Static error model plus any planned episodes; True = drop.
+        """Ask the attached injector for this packet's fate; True = drop.
 
-        The static draws come from the link's own RNG (and are only made
-        when the corresponding rate is nonzero, so enabling one mode never
-        shifts the other's stream); planned episodes draw from the
-        injector's per-link streams.
+        The injector records the fault (event, counter, ``fault`` span);
+        the link keeps its own tallies and, for a drop, ends the packet's
+        hop record here since it never reaches a NIC.
         """
-        params = self.params
-        dropped = False
-        if params.drop_rate > 0.0 and self._rng.random() < params.drop_rate:
-            dropped = True
-        if params.bit_error_rate > 0.0 and not dropped:
-            bits = packet.wire_bytes * 8
-            p_error = 1.0 - (1.0 - params.bit_error_rate) ** bits
-            if self._rng.random() < p_error:
-                packet.header.flags |= PacketFlags.CORRUPT
-                self.corrupted += 1
         faults = self.env.faults
-        if faults is not None and not dropped:
-            fate = faults.link_fate(self.name, packet)
-            if fate == "drop":
-                dropped = True
-            elif fate == "corrupt":
-                if not packet.header.flags & PacketFlags.CORRUPT:
-                    self.corrupted += 1
-                packet.header.flags |= PacketFlags.CORRUPT
-        if dropped:
+        if faults is None:
+            return False
+        fate = faults.link_fate(self.name, packet)
+        if fate == "corrupt":
+            if not packet.header.flags & PacketFlags.CORRUPT:
+                self.corrupted += 1
+            packet.header.flags |= PacketFlags.CORRUPT
+        elif fate == "drop":
             self.dropped += 1
             obs = self.env.obs
             if obs is not None:
-                obs.span("fault", "link_drop", self.env.now,
-                         track=self._track, src=packet.header.src,
-                         dest=packet.header.dest, seq=packet.header.seq)
                 obs.hops(packet)
-        return dropped
+            return True
+        return False
 
     def __repr__(self) -> str:
         return (f"<{type(self).__name__} {self.name!r} packets={self.packets} "

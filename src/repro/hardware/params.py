@@ -107,29 +107,20 @@ class LinkParams:
     ``slots`` bounds packets in flight per hop: when the downstream input
     buffer is full the link stalls, which is the slot-granular analogue of
     Myrinet's byte-granular back-pressure (STOP/GO) flow control.
-    ``bit_error_rate`` is 0.0 by default (Myrinet's measured error rate was
-    effectively zero; FM's reliability argument depends on this) but can be
-    raised by fault-injection tests.  ``drop_rate`` is the lossy-link mode:
-    the fraction of serialised packets silently discarded — a failure the
-    real substrate never exhibits, so FM makes no attempt to survive it;
-    the software-reliability extension and the resilience sweep do.  Both
-    knobs can also be driven per-window by a :mod:`repro.faults` plan.
+    A link never corrupts or loses a packet on its own (Myrinet's measured
+    error rate was effectively zero; FM's reliability argument depends on
+    this): a noisy or lossy link is a :class:`repro.faults.LinkFault`
+    episode in a fault plan.
     """
 
     bandwidth: float            # bytes/s (Myrinet: 1.28 Gb/s = 160e6 B/s)
     propagation_ns: int         # cable + pipeline latency per hop
     slots: int                  # downstream buffer slots (back-pressure window)
-    bit_error_rate: float = 0.0
-    drop_rate: float = 0.0      # fraction of packets dropped (1.0 = dead link)
 
     def __post_init__(self) -> None:
         _check_positive("bandwidth", self.bandwidth)
         _check_nonneg("propagation_ns", self.propagation_ns)
         _check_positive("slots", self.slots)
-        if not 0.0 <= self.bit_error_rate < 1.0:
-            raise ValueError(f"bit_error_rate must be in [0, 1), got {self.bit_error_rate}")
-        if not 0.0 <= self.drop_rate <= 1.0:
-            raise ValueError(f"drop_rate must be in [0, 1], got {self.drop_rate}")
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ def switch_node(j: int) -> GraphNode:
 
 def edge_id(src: GraphNode, dst: GraphNode) -> str:
     """Stable textual id of one directed edge: names its link (and so
-    seeds the link's RNG)."""
+    what a :class:`~repro.faults.LinkFault` pattern matches)."""
     return f"{src[0]}{src[1]}->{dst[0]}{dst[1]}"
 
 

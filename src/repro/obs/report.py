@@ -24,6 +24,7 @@ Command line::
     python -m repro.obs.report journey-fm2
     python -m repro.obs.report stream-fm2 --msg-bytes 2048 --messages 40 \
         --trace out/stream.json      # also export a Perfetto trace
+                                     # (into an existing directory)
     python -m repro.obs.report rpc-sharded --waterfall 2
     python -m repro.obs.report dataflow-rollup-stall    # any preset
 """
@@ -33,6 +34,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Optional
 
 from repro.bench.journey import Journey, packet_journey_detail
@@ -40,7 +42,7 @@ from repro.bench.microbench import fm_pingpong, fm_stream
 from repro.bench.mpibench import mpi_stream
 from repro.cluster.cluster import Cluster
 from repro.configs import PPRO_FM2, SPARC_FM1
-from repro.obs.export import export_trace
+from repro.obs.export import export_trace, trace_events, validate_trace_events
 from repro.obs.observer import Observer
 from repro.obs.span import Span, layer_rank
 from repro.obs.timeseries import nearest_rank
@@ -292,6 +294,11 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="render per-request waterfalls for the first "
                              "N traced requests (rpc presets)")
     args = parser.parse_args(argv)
+    # As in ``repro.workloads.run``: --trace creates no directory, and a
+    # path into a missing one is refused before the run.
+    if args.trace and not Path(args.trace).parent.is_dir():
+        parser.error(f"--trace {args.trace}: no directory "
+                     f"{Path(args.trace).parent} (not created here)")
 
     try:
         report = run_scenario(args.scenario, msg_bytes=args.msg_bytes,
@@ -310,6 +317,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             steps = " -> ".join(f"{s.layer}/{s.name}" for s in path)
             print(f"critical path: {steps}")
     if args.trace:
+        validate_trace_events(trace_events(report.obs.spans))
         path = export_trace(report.obs, args.trace)
         print(f"\ntrace written to {path} (open in ui.perfetto.dev)")
     return 0

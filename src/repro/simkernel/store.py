@@ -244,22 +244,3 @@ class Store:
         return (f"<Store {self.name!r} level={len(self.items)}/{cap} "
                 f"puts={len(self._puts)} gets={len(self._gets)}>")
 
-
-class PeekableStore(Store):
-    """Store that additionally allows observing the head without removal."""
-
-    __slots__ = ()
-
-    def peek(self) -> Optional[Any]:
-        return self.items[0] if self.items else None
-
-
-def drain(store: Store) -> list[Any]:
-    """Remove and return all immediately available items (test helper)."""
-    out = []
-    while True:
-        item = store.try_get()
-        if item is None:
-            break
-        out.append(item)
-    return out

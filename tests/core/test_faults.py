@@ -15,6 +15,7 @@ from repro.core.common import (
     FmParams,
     FmStalledError,
 )
+from repro.faults import FaultPlan, LinkFault
 
 
 def collect2(log):
@@ -25,8 +26,8 @@ def collect2(log):
 
 class TestCorruption:
     def test_fm2_detects_corruption(self):
-        machine = PPRO_FM2.with_link(bit_error_rate=1e-4)
-        cluster = Cluster(2, machine=machine, fm_version=2)
+        cluster = Cluster(2, machine=PPRO_FM2, fm_version=2)
+        cluster.inject_faults(FaultPlan(episodes=(LinkFault(ber=1e-4),)))
         log = []
         hid = {n.fm.register_handler(collect2(log)) for n in cluster.nodes}.pop()
 
@@ -45,10 +46,10 @@ class TestCorruption:
             cluster.run([sender, receiver], until_ns=10_000_000_000)
 
     def test_corruption_is_deterministic(self):
-        """Same seed-free model, same run: the failure time is identical."""
+        """Same plan, same run: the failure time is identical."""
         def run_once():
-            machine = PPRO_FM2.with_link(bit_error_rate=1e-4)
-            cluster = Cluster(2, machine=machine, fm_version=2)
+            cluster = Cluster(2, machine=PPRO_FM2, fm_version=2)
+            cluster.inject_faults(FaultPlan(episodes=(LinkFault(ber=1e-4),)))
             log = []
             hid = {n.fm.register_handler(collect2(log))
                    for n in cluster.nodes}.pop()

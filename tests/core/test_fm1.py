@@ -6,6 +6,7 @@ from repro.cluster import Cluster
 from repro.configs import SPARC_FM1
 from repro.core.common import FmCorruptionError, FmProtocolError, FmStalledError
 from repro.core.fm1.api import SEND4_BYTES
+from repro.faults import FaultPlan, LinkFault
 
 
 def sink_handler(log):
@@ -189,8 +190,8 @@ class TestHandlers:
 
 class TestFaults:
     def test_corruption_raises(self):
-        machine = SPARC_FM1.with_link(bit_error_rate=0.01)
-        cluster = Cluster(2, machine=machine, fm_version=1)
+        cluster = Cluster(2, machine=SPARC_FM1, fm_version=1)
+        cluster.inject_faults(FaultPlan(episodes=(LinkFault(ber=0.01),)))
         log = []
         hid = [n.fm.register_handler(sink_handler(log)) for n in cluster.nodes][0]
         def sender(node):

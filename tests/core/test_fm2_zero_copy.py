@@ -16,6 +16,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.configs import PPRO_FM2
 from repro.core.common import FmCorruptionError
+from repro.faults import FaultPlan, LinkFault
 from repro.hardware.memory import Buffer
 from repro.hardware.packet import Packet, PacketFlags, PacketHeader, compute_crc
 
@@ -150,8 +151,8 @@ class TestReassemblyByteIdentity:
 
 class TestCorruptionPath:
     def test_crc_detects_corruption_over_zero_copy_path(self):
-        machine = PPRO_FM2.with_link(bit_error_rate=1e-4)
-        cluster = Cluster(2, machine=machine, fm_version=2)
+        cluster = Cluster(2, machine=PPRO_FM2, fm_version=2)
+        cluster.inject_faults(FaultPlan(episodes=(LinkFault(ber=1e-4),)))
         log = []
         hid = register_all(cluster, collect_handler(log))
 

@@ -6,13 +6,20 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.cluster import Cluster
 from repro.configs import PPRO_FM2
 from repro.ext import SwRelParams, SwReliablePair
+from repro.faults import FaultPlan, LinkFault
+
+
+def lossy_cluster(ber=0.0, drop_rate=0.0):
+    """Two FM 2.x nodes whose every link errs for the whole run."""
+    cluster = Cluster(2, machine=PPRO_FM2, fm_version=2)
+    if ber or drop_rate:
+        cluster.inject_faults(FaultPlan(episodes=(
+            LinkFault(ber=ber, drop_rate=drop_rate),)))
+    return cluster
 
 
 def run_transfer(payloads, ber=0.0, drop_rate=0.0, params=None):
-    machine = PPRO_FM2
-    if ber or drop_rate:
-        machine = PPRO_FM2.with_link(bit_error_rate=ber, drop_rate=drop_rate)
-    cluster = Cluster(2, machine=machine, fm_version=2)
+    cluster = lossy_cluster(ber, drop_rate)
     pair = SwReliablePair(cluster, 0, 1, params=params)
     got = []
     sender_done = [False]
@@ -106,8 +113,7 @@ class TestLossyNetwork:
         got, _pair, _cluster = run_transfer(payloads, ber=ber)
         assert got == payloads
 
-        machine = PPRO_FM2.with_link(bit_error_rate=ber)
-        cluster = Cluster(2, machine=machine, fm_version=2)
+        cluster = lossy_cluster(ber=ber)
 
         def handler(fm, stream, src):
             yield from stream.receive_bytes(stream.msg_bytes)
@@ -147,8 +153,7 @@ class TestResilienceRegressions:
         """Regression: both the window-wait loop in send_message and drain
         are bounded — a channel that drops everything raises instead of
         burning simulated time forever."""
-        machine = PPRO_FM2.with_link(drop_rate=1.0)
-        cluster = Cluster(2, machine=machine, fm_version=2)
+        cluster = lossy_cluster(drop_rate=1.0)
         params = SwRelParams(give_up_ns=3_000_000)
         pair = SwReliablePair(cluster, 0, 1, params=params)
         failure = []

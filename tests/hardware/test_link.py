@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.faults import FaultInjector, FaultPlan, LinkFault
 from repro.simkernel import Environment, Store
 from repro.hardware.link import Link
 from repro.hardware.packet import HEADER_BYTES, Packet, PacketFlags, PacketHeader
@@ -140,9 +141,9 @@ class TestFaultInjection:
     def test_high_ber_corrupts_deterministically(self):
         def run_once():
             env = Environment()
-            link, sink = wired_link(env, LinkParams(
-                bandwidth=160e6, propagation_ns=100, slots=2,
-                bit_error_rate=1e-3))
+            FaultInjector(FaultPlan(episodes=(
+                LinkFault(link="test-link", ber=1e-3),))).attach(env)
+            link, sink = wired_link(env)
             def sender():
                 for seq in range(50):
                     yield link.ingress.put(make_packet(seq))
@@ -153,23 +154,11 @@ class TestFaultInjection:
         assert first > 0                      # errors do happen at 1e-3 BER
         assert first == second                # and deterministically so
 
-    def test_static_stream_is_seeded_by_the_link_name(self, env):
-        """The stream a lossy link draws from is numpy's, seeded by the crc
-        of the link's name — and a fault-free link makes none."""
-        import zlib
-
-        import numpy as np
-
-        assert Link(env, PARAMS, name="h0->s0")._rng is None
-        lossy = Link(env, LinkParams(bandwidth=160e6, propagation_ns=100,
-                                     slots=2, drop_rate=0.5), name="h0->s0")
-        reference = np.random.default_rng(zlib.crc32(b"h0->s0") & 0xFFFFFFFF)
-        assert [lossy._rng.random() for _ in range(4)] == \
-            [reference.random() for _ in range(4)]
-
     def test_corrupt_packets_fail_crc(self, env):
+        FaultInjector(FaultPlan(episodes=(
+            LinkFault(link="test-link", ber=0.999),))).attach(env)
         link, sink = wired_link(env, LinkParams(
-            bandwidth=160e6, propagation_ns=0, slots=4, bit_error_rate=0.999))
+            bandwidth=160e6, propagation_ns=0, slots=4))
         def sender():
             yield link.ingress.put(make_packet())
         env.process(sender())
@@ -177,8 +166,3 @@ class TestFaultInjection:
         packet = sink.try_get()
         assert packet.header.flags & PacketFlags.CORRUPT
         assert not packet.crc_ok()
-
-    def test_invalid_ber_rejected(self):
-        with pytest.raises(ValueError):
-            LinkParams(bandwidth=1e6, propagation_ns=0, slots=1,
-                       bit_error_rate=1.5)

@@ -52,8 +52,6 @@ class TestValidation:
             LinkParams(**{**GOOD_LINK, "bandwidth": 0})
         with pytest.raises(ValueError):
             LinkParams(**{**GOOD_LINK, "slots": 0})
-        with pytest.raises(ValueError):
-            LinkParams(**{**GOOD_LINK, "bit_error_rate": -0.1})
 
     def test_switch_validation(self):
         with pytest.raises(ValueError):
@@ -64,11 +62,11 @@ class TestValidation:
 
 class TestWithHelpers:
     def test_with_link_changes_only_link(self):
-        modified = PPRO_FM2.with_link(bit_error_rate=1e-5)
-        assert modified.link.bit_error_rate == 1e-5
+        modified = PPRO_FM2.with_link(propagation_ns=1234)
+        assert modified.link.propagation_ns == 1234
         assert modified.link.bandwidth == PPRO_FM2.link.bandwidth
         assert modified.cpu == PPRO_FM2.cpu
-        assert PPRO_FM2.link.bit_error_rate == 0.0   # original untouched
+        assert PPRO_FM2.link.propagation_ns != 1234   # original untouched
 
     def test_with_cpu(self):
         modified = SPARC_FM1.with_cpu(memcpy_bw=50e6)
@@ -94,8 +92,6 @@ class TestCalibratedConfigs:
         assert machine.bus.dma_bw >= machine.link.bandwidth / 4
         # memcpy must beat PIO (else the copy-avoidance story is moot).
         assert machine.cpu.memcpy_bw >= machine.bus.pio_bw * 0.7
-        # Clean network by default.
-        assert machine.link.bit_error_rate == 0.0
 
     def test_ppro_is_uniformly_faster(self):
         assert PPRO_FM2.cpu.memcpy_bw > SPARC_FM1.cpu.memcpy_bw

@@ -5,7 +5,8 @@ observer records them where the packet's journey ends
 (:meth:`repro.obs.observer.Observer.hops`).  So after a run that has
 quiesced, every crossing the hardware counted has exactly one span.  A
 terminal that forgets to hand its packet over shows up here as a span
-count below the hardware's tally.
+count below the hardware's tally.  A packet a link drops has one
+``fault``/``drop`` span, the injector's.
 """
 
 from collections import Counter
@@ -15,6 +16,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.configs import PPRO_FM2
 from repro.ext import SwReliablePair
+from repro.faults import FaultPlan, LinkFault
 
 from tests.golden import regen
 
@@ -29,7 +31,7 @@ def assert_every_counted_hop_has_one_span(observer, cluster):
         switch.forwarded for switch in fabric.switches)
     assert spans["nic", "tx_firmware"] == sum(nic.sent_packets for nic in nics)
     assert spans["nic", "rx_dma"] == sum(nic.received_packets for nic in nics)
-    assert spans["fault", "link_drop"] == sum(link.dropped for link in links)
+    assert spans["fault", "drop"] == sum(link.dropped for link in links)
     assert spans["fabric", "wire"] > 0
     meters = {meter.labels["link"]: meter.total
               for meter in observer.metrics.meters("link.bytes")}
@@ -46,8 +48,9 @@ def test_every_counted_hop_has_one_span(name):
 def test_a_dropped_packet_ends_its_journey_on_the_link():
     """No preset loses a packet on a link; a software-reliable transfer over
     a lossy one does, and completes."""
-    machine = PPRO_FM2.with_link(drop_rate=0.05, bit_error_rate=2e-5)
-    cluster = Cluster(2, machine=machine, fm_version=2)
+    cluster = Cluster(2, machine=PPRO_FM2, fm_version=2)
+    cluster.inject_faults(FaultPlan(episodes=(
+        LinkFault(ber=2e-5, drop_rate=0.05),)))
     observer = cluster.observe()
     pair = SwReliablePair(cluster, 0, 1)
     payloads = [bytes([i]) * 1800 for i in range(10)]
@@ -70,4 +73,4 @@ def test_a_dropped_packet_ends_its_journey_on_the_link():
     cluster.run([sender, receiver])
     assert got == payloads
     spans = assert_every_counted_hop_has_one_span(observer, cluster)
-    assert spans["fault", "link_drop"] > 0
+    assert spans["fault", "drop"] > 0

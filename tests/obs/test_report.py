@@ -166,6 +166,17 @@ class TestCli:
         validate_trace_events(trace)
         assert distinct_tracks(trace) >= 5
 
+    def test_cli_trace_into_a_missing_directory_is_refused_before_the_run(
+            self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["journey-fm2", "--trace", str(missing / "x.json")])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "not created here" in captured.err
+        assert captured.out == ""           # the scenario never ran
+        assert not missing.exists()
+
     def test_cli_overrides(self, capsys):
         assert main(["stream-fm2", "--msg-bytes", "512",
                      "--messages", "4"]) == 0

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.simkernel import Environment, Store
-from repro.simkernel.store import PeekableStore, drain
 
 
 class TestBasics:
@@ -130,19 +129,3 @@ class TestCancelGet:
         event = other.get()
         store.cancel_get(event)  # no raise
 
-
-class TestHelpers:
-    def test_peekable(self, env):
-        store = PeekableStore(env)
-        assert store.peek() is None
-        store.put(1)
-        store.put(2)
-        assert store.peek() == 1
-        assert store.level == 2
-
-    def test_drain(self, env):
-        store = Store(env)
-        for i in range(3):
-            store.put(i)
-        assert drain(store) == [0, 1, 2]
-        assert store.level == 0

@@ -1,5 +1,6 @@
 """Repository-wide quality gates: documentation and API hygiene."""
 
+import dataclasses
 import importlib
 import inspect
 import pathlib
@@ -168,3 +169,15 @@ def test_one_registry_per_run():
     for needle in ("federate", "register_counters", "register_histogram",
                    "simkernel.monitor", "Counters("):
         assert _occurrences(needle) == {}, needle
+
+
+def test_a_link_errs_only_through_a_fault_plan():
+    """``LinkParams`` describes the wire and nothing else: a noisy or lossy
+    link is a ``LinkFault`` episode.  So the substrate draws no random
+    numbers; only ``repro.faults`` does."""
+    from repro.hardware.params import LinkParams
+    assert [field.name for field in dataclasses.fields(LinkParams)] == [
+        "bandwidth", "propagation_ns", "slots"]
+    assert [path for path in _occurrences("import numpy")
+            if path.split("/")[0] in
+            ("hardware", "core", "simkernel", "cluster")] == []
