@@ -47,7 +47,9 @@ class RdmaError(Exception):
 
 
 class RdmaStalledError(RdmaError):
-    """A completion wait exceeded :data:`CQ_STALL_LIMIT_NS`."""
+    """A completion wait exceeded :data:`CQ_STALL_LIMIT_NS`.  The message
+    counts what the waiting NIC saw: corrupt packets it dropped, bytes that
+    landed without a completion, unmatched drops."""
 
 
 class RdmaEndpoint:
@@ -210,8 +212,15 @@ def wait_cq(owner, match: Callable[[RdmaCompletion], bool]) -> Generator:
                 del cq[i]
                 return completion
         if env.now - t0 > CQ_STALL_LIMIT_NS:
+            # Name what this NIC saw go wrong; guess at what it cannot see
+            # (a dead peer or link, an unmatched region there) only if nothing.
+            seen = (nic.corrupt_offload_packets, nic.corrupt_control_packets,
+                    nic.landed_without_completion(), nic.rdma_unmatched)
+            guess = "" if any(seen) else "dead peer or unmatched region?; "
             raise RdmaStalledError(
                 f"node {nic.node_id} waited {env.now - t0} ns for an RDMA "
-                f"completion (dead peer or unmatched region?); cq depth "
-                f"{len(cq)}, unmatched drops {nic.rdma_unmatched}")
+                f"completion ({guess}corrupt offload packets {seen[0]}, "
+                f"corrupt control packets {seen[1]}, {seen[2]} B landed "
+                f"without a completion, unmatched drops {seen[3]}); "
+                f"cq depth {len(cq)}")
         yield env.first_of(nic.cq_wakeup(), IDLE_WAIT_CAP_NS)

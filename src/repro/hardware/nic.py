@@ -198,6 +198,8 @@ class Nic:
         self.cq: deque[RdmaCompletion] = deque()
         self._cq_waiters: list = []
         self._colls: dict[int, _CollState] = {}
+        #: (src, msg_id) -> bytes landed of a put whose last chunk has not.
+        self._open_writes: dict[tuple[int, int], int] = {}
         self.rdma_write_packets: int = 0
         self.rdma_write_bytes: int = 0
         self.rdma_reads_served: int = 0
@@ -346,6 +348,13 @@ class Nic:
                 f"(attach the NIC before use)")
         self.fabric.stamp_route(packet)
 
+    def landed_without_completion(self) -> int:
+        """Bytes one-sided ops have written into this node's memory that no
+        completion here accounts for yet: puts whose last chunk has not
+        landed, and gets still short of their length."""
+        return (sum(self._open_writes.values())
+                + sum(get.received for get in self._pending_gets.values()))
+
     def _post_completion(self, kind: str, peer: int, rkey: int, op_id: int,
                          nbytes: int) -> None:
         self.cq.append(RdmaCompletion(kind, peer, rkey, op_id, nbytes,
@@ -472,9 +481,13 @@ class Nic:
             self.rdma_write_packets += 1
             self.rdma_write_bytes += len(packet.payload)
             packet.stamp(self._rdma_write_label, self.env.now)
+            put = (header.src, header.msg_id)
+            landed = self._open_writes.pop(put, 0) + len(packet.payload)
             if header.is_last:
                 self._post_completion("write", header.src, header.rkey,
                                       header.msg_id, header.msg_bytes)
+            else:
+                self._open_writes[put] = landed
             if obs is not None:
                 obs.span("nic", "rdma_write", t0,
                          track=self._rx_track,

@@ -18,9 +18,17 @@ Contract with the instrumentation sites (enforced by design, pinned by
 * **deterministic** — span order is event order, so two identical runs
   produce byte-identical exports.
 
-The observer composes with (and is independent of) the event-granularity
-:class:`~repro.simkernel.trace.Tracer`: ``env.trace`` sees every kernel
-event, ``env.obs`` sees semantic intervals.
+The observer is independent of the kernel's ``env.trace`` hook:
+``env.trace`` sees every kernel event, ``env.obs`` sees semantic intervals.
+
+**The span log.**  A span costs its fields, not an object: the observer
+keeps one columnar log — six ints per span, packed into an ``array("q")``
+(site, ``t_start``, ``t_end``, ``trace_id``, ``span_id``, ``parent_id``; 0
+stands for ``None``, lossless because ids start at 1), the attribute
+values in one flat list, and each distinct ``(layer, name, track, attr
+keys)`` interned once as a *site*.  :attr:`Observer.spans` builds the
+:class:`~repro.obs.span.Span` objects from the rows on first read, so
+every reader sees the same spans, ids and order a list of them would hold.
 
 **Causal tracing.**  The observer also owns the trace-context machinery:
 :meth:`Observer.mint_trace` starts a request tree, :meth:`Observer.bind`
@@ -37,15 +45,24 @@ runs build identical trees.
 
 from __future__ import annotations
 
+import struct
+from array import array
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.hardware.packet import FORWARD_HOP, TX_HOP, WIRE_HOP
 from repro.obs.metrics import Metrics
-from repro.obs.span import Span, TraceContext
+from repro.obs.span import Span, TraceContext, reversed_interval
 
-#: ``(layer, name)`` of the span each hop kind becomes (:meth:`Observer.hops`).
-_HOP_SPANS = (("fabric", "wire"), ("fabric", "forward"),
-              ("nic", "tx_firmware"), ("nic", "rx_dma"))
+#: Fields per span row of the log: site, t_start, t_end, trace_id,
+#: span_id, parent_id.
+_ROW = 6
+#: A record appends its row to a list, packed into the array in one
+#: ``struct`` call whenever a multiple of this many span ids has been
+#: allocated (``array.extend`` parses each int on its own and would cost a
+#: span ~1 µs more than the ``Span`` it replaces).  A row takes a fresh id
+#: unless its id was allocated ahead (a request's root), so the list holds
+#: about that many rows.
+_PACK_EVERY = 1024
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.packet import Packet
@@ -57,7 +74,17 @@ class Observer:
 
     def __init__(self, metrics: Optional[Metrics] = None):
         self.env: Optional["Environment"] = None
-        self.spans: list[Span] = []
+        # The span log (see the module doc): packed rows, the rows not
+        # packed yet, attr values, sites.
+        self._rows = array("q")
+        self._tail: list[int] = []
+        self._vals: list[Any] = []
+        self._sites: dict[tuple, int] = {}
+        self._site_table: list[tuple] = []
+        # The spans built so far from the log, and the first attr value of
+        # the next row to build.
+        self._spans: list[Span] = []
+        self._vals_built = 0
         self.metrics = metrics if metrics is not None else Metrics()
         self._next_span_id = 0
         self._next_trace_id = 0
@@ -86,8 +113,10 @@ class Observer:
 
     # -- causal trace contexts -------------------------------------------------
     def _alloc_span_id(self) -> int:
-        self._next_span_id += 1
-        return self._next_span_id
+        span_id = self._next_span_id = self._next_span_id + 1
+        if not span_id % _PACK_EVERY:
+            self._pack()
+        return span_id
 
     def mint_trace(self) -> TraceContext:
         """Start a new request tree: fresh trace id + pre-allocated root
@@ -133,7 +162,7 @@ class Observer:
     def span(self, layer: str, name: str, t_start: int,
              t_end: Optional[int] = None, track: str = "",
              ctx: Optional[TraceContext] = None,
-             span_id: Optional[int] = None, **attrs: Any) -> Span:
+             span_id: Optional[int] = None, **attrs: Any) -> None:
         """Record a completed interval; ``t_end`` defaults to ``env.now``.
 
         Causal linkage: ``ctx`` defaults to the active process's bound
@@ -142,46 +171,61 @@ class Observer:
         ctx.span_id``.  Pass ``span_id`` explicitly to record a span whose
         id was pre-allocated at mint/derive time (the root and hop spans),
         in which case the span parents to ``ctx`` only if the ids differ.
+        The span is read back through :attr:`spans`.
         """
-        # The per-crossing hot path, so one frame: id allocation and
-        # :meth:`current` are written out, and the clock and the active
-        # process are read from the slots ``Environment`` documents for it.
+        # The per-crossing hot path, so one frame: id allocation,
+        # :meth:`current` and the site lookup are written out, and the clock
+        # and the active process are read from the slots ``Environment``
+        # documents for it.
         env = self.env
         if t_end is None:
             if env is None:
                 raise RuntimeError("span() before attach()")
             t_end = env._now
+        if t_end < t_start:
+            raise reversed_interval(layer, name, t_start, t_end)
         if ctx is None and env is not None:
             ctx = self._bound.get(env._active_process)
         if span_id is None:
             span_id = self._next_span_id = self._next_span_id + 1
+            if not span_id % _PACK_EVERY:
+                self._pack()
         if ctx is None:
-            trace_id = parent_id = None
+            trace_id = parent_id = 0
         else:
             trace_id = ctx.trace_id
-            parent_id = ctx.span_id if ctx.span_id != span_id else None
-        span = Span(layer, name, t_start, t_end, track, attrs,
-                    trace_id, span_id, parent_id)
-        self.spans.append(span)
-        return span
+            parent_id = ctx.span_id if ctx.span_id != span_id else 0
+        key = (layer, name, track, *attrs)
+        try:
+            site = self._sites[key]
+        except KeyError:
+            site = self._intern(key)
+        self._tail += (site, t_start, t_end, trace_id, span_id, parent_id)
+        if attrs:
+            self._vals += attrs.values()
 
     def hops(self, packet: "Packet") -> None:
         """Record the hop spans of a packet leaving the hardware (the
         receiving NIC, or a link that drops it), built from its hop stamps
         (:attr:`Packet.waypoints <repro.hardware.packet.Packet>`).  Not
         through :meth:`span`: fabric hops carry no trace and NIC hops the
-        packet's own, never the calling process's.  A wire hop marks
-        ``link.bytes`` at its own end time."""
+        packet's own, never the calling process's; each hop is one row of
+        the log.  A wire hop marks ``link.bytes`` at its own end time."""
         header = packet.header
         nbytes = packet.wire_bytes
         ctx = packet.trace
+        trace_id, parent_id = ((0, 0) if ctx is None
+                              else (ctx.trace_id, ctx.span_id))
+        sites = self._sites
+        tail = self._tail
+        vals = self._vals
         for _location, t_end, *hop in packet.waypoints:
             if not hop:
                 continue
             kind, t_start, track, *ports = hop
             if kind == WIRE_HOP:
-                attrs = {"src": header.src, "dest": header.dest,
-                         "bytes": nbytes}
+                key = ("fabric", "wire", track, "src", "dest", "bytes")
+                values = (header.src, header.dest, nbytes)
                 marks = self._bytes_marks
                 if track not in marks:
                     # A link's track is ``fabric/<link name>``.
@@ -189,21 +233,41 @@ class Observer:
                         "link.bytes", link=track.partition("/")[2]).observe
                 marks[track](nbytes, t_end)
             elif kind == FORWARD_HOP:
-                attrs = {"in_port": ports[0], "out_port": ports[1],
-                         "src": header.src, "dest": header.dest}
+                key = ("fabric", "forward", track,
+                       "in_port", "out_port", "src", "dest")
+                values = (ports[0], ports[1], header.src, header.dest)
             elif kind == TX_HOP:
-                attrs = {"dest": header.dest, "seq": header.seq,
-                         "bytes": nbytes}
+                key = ("nic", "tx_firmware", track, "dest", "seq", "bytes")
+                values = (header.dest, header.seq, nbytes)
             else:
-                attrs = {"src": header.src, "seq": header.seq,
-                         "bytes": nbytes}
-            layer, name = _HOP_SPANS[kind]
-            hop_ctx = ctx if kind >= TX_HOP else None
+                key = ("nic", "rx_dma", track, "src", "seq", "bytes")
+                values = (header.src, header.seq, nbytes)
+            if t_end < t_start:
+                raise reversed_interval(key[0], key[1], t_start, t_end)
+            vals += values
+            try:
+                site = sites[key]
+            except KeyError:
+                site = self._intern(key)
             span_id = self._next_span_id = self._next_span_id + 1
-            self.spans.append(Span(
-                layer, name, t_start, t_end, track, attrs,
-                hop_ctx and hop_ctx.trace_id, span_id,
-                hop_ctx and hop_ctx.span_id))
+            if not span_id % _PACK_EVERY:
+                self._pack()
+            if kind >= TX_HOP:
+                tail += (site, t_start, t_end, trace_id, span_id, parent_id)
+            else:
+                tail += (site, t_start, t_end, 0, span_id, 0)
+
+    def _pack(self) -> None:
+        """Move the rows not packed yet into the array."""
+        tail = self._tail
+        self._rows.frombytes(struct.pack(f"{len(tail)}q", *tail))
+        tail.clear()
+
+    def _intern(self, key: tuple) -> int:
+        """A new site: ``key`` is ``(layer, name, track, *attr keys)``."""
+        site = self._sites[key] = len(self._site_table)
+        self._site_table.append((*key[:3], key[3:]))
+        return site
 
     def packet_done(self, packet: "Packet", end_name: str, end_time: int) -> None:
         """Fold one delivered packet's waypoints into per-stage histograms.
@@ -236,6 +300,34 @@ class Observer:
         self._latency_record(end_time - t_first)
 
     # -- queries -----------------------------------------------------------------
+    @property
+    def spans(self) -> list[Span]:
+        """Every recorded span, in recording (event) order.
+
+        Built from the log on read, incrementally: rows recorded since the
+        last read become :class:`Span` objects and join the same list."""
+        if self._tail:
+            self._pack()
+        spans = self._spans
+        rows = self._rows
+        built = len(spans)
+        if built * _ROW < len(rows):
+            table = self._site_table
+            vals = self._vals
+            at = self._vals_built
+            fields = iter(rows[built * _ROW:])
+            for site, t_start, t_end, trace_id, span_id, parent_id in zip(
+                    *[fields] * _ROW):             # one row per step
+                layer, name, track, keys = table[site]
+                end = at + len(keys)
+                spans.append(Span(layer, name, t_start, t_end, track,
+                                  dict(zip(keys, vals[at:end])),
+                                  trace_id or None, span_id,
+                                  parent_id or None))
+                at = end
+            self._vals_built = at
+        return spans
+
     def spans_for(self, layer: Optional[str] = None,
                   name: Optional[str] = None,
                   track: Optional[str] = None) -> list[Span]:
@@ -247,7 +339,7 @@ class Observer:
 
     def tracks(self) -> list[str]:
         """Sorted distinct component tracks that emitted at least one span."""
-        return sorted({s.track for s in self.spans})
+        return sorted({site[2] for site in self._site_table})
 
     def trace_ids(self) -> list[int]:
         """Sorted distinct trace ids that recorded at least one span."""
@@ -259,7 +351,9 @@ class Observer:
         return [s for s in self.spans if s.trace_id == trace_id]
 
     def __len__(self) -> int:
-        return len(self.spans)
+        """Spans recorded, counted from the log (builds no :class:`Span`)."""
+        return (len(self._rows) + len(self._tail)) // _ROW
 
     def __repr__(self) -> str:
-        return f"<Observer spans={len(self.spans)} tracks={len(self.tracks())}>"
+        return f"<Observer spans={len(self)} tracks={len(self.tracks())}>"
+

@@ -84,10 +84,8 @@ class Span:
 
     def __post_init__(self) -> None:
         if self.t_end < self.t_start:
-            raise ValueError(
-                f"span {self.layer}/{self.name} ends before it starts "
-                f"({self.t_start} .. {self.t_end})"
-            )
+            raise reversed_interval(self.layer, self.name, self.t_start,
+                                    self.t_end)
 
     @property
     def duration_ns(self) -> int:
@@ -101,3 +99,10 @@ class Span:
     def __repr__(self) -> str:
         return (f"<Span {self.layer}/{self.name} [{self.t_start}, {self.t_end}) "
                 f"track={self.track!r}>")
+
+
+def reversed_interval(layer: str, name: str, t_start: int,
+                      t_end: int) -> ValueError:
+    """The error for a span that ends before it starts."""
+    return ValueError(f"span {layer}/{name} ends before it starts "
+                      f"({t_start} .. {t_end})")

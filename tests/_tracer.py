@@ -1,9 +1,10 @@
-"""Structured run tracing: what fired when.
+"""The reference event recorder of the determinism and kernel tests.
 
-Attach a :class:`Tracer` to an environment and every processed event is
-recorded as ``(time, kind, name)``.  Useful for debugging protocol
-interleavings (which firmware loop ran between two extracts?) and for
-asserting determinism at event granularity, which the property tests do.
+Attach a :class:`Tracer` to an environment (it chains on the kernel's
+``env.trace`` hook) and every processed event is recorded as ``(time,
+kind, name)`` plus its ``(seq, priority)`` tie-break pair.  Nothing in the
+simulator attaches one; the tests compare full histories across runs and
+execution paths with it.
 """
 
 from __future__ import annotations
@@ -36,12 +37,7 @@ class TraceRecord:
 
 @dataclass
 class Tracer:
-    """Records processed events; install with :meth:`attach`.
-
-    Nothing under ``src/`` attaches one: it is the reference recorder of
-    ``tests/test_determinism.py`` and the kernel tests, which compare full
-    ``(time, seq, priority)`` histories across runs and execution paths.
-    """
+    """Records processed events; install with :meth:`attach`."""
 
     records: list[TraceRecord] = field(default_factory=list)
     #: Optional predicate limiting what gets recorded.

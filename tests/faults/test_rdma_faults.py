@@ -6,7 +6,9 @@ to notice a lost packet; the only thing that notices is the completion
 wait.  Under a :class:`~repro.faults.LinkFault` that drops every packet,
 each wait must end in a named :class:`RdmaStalledError` once it has
 waited past :data:`CQ_STALL_LIMIT_NS` (checked at most one
-:data:`IDLE_WAIT_CAP_NS` sleep later), never in a hang.
+:data:`IDLE_WAIT_CAP_NS` sleep later), never in a hang.  Under bit errors
+the error names what the waiting NIC counted instead of guessing at a
+dead peer.
 """
 
 import re
@@ -74,6 +76,8 @@ def test_target_waiting_for_a_lost_put_stalls_loudly():
     with pytest.raises(RdmaStalledError, match="node 1 waited") as failure:
         cluster.run([initiator, target])
     assert cluster.now - wait_started[0] == stalled_wait_ns(failure.value)
+    assert "(dead peer or unmatched region?; corrupt offload packets 0" \
+        in str(failure.value)                       # it saw nothing
     assert injector.counters["link.drop"] == 4      # every 1 KB chunk
     assert eps[0].stats_puts == 1                   # locally complete
     assert cluster.node(1).nic.rdma_write_bytes == 0
@@ -94,3 +98,35 @@ def test_nic_barrier_with_a_dead_uplink_stalls_loudly():
     assert cluster.now == 100_022_524
     assert injector.counters["link.drop"] == 2
     assert [coll.stats_barriers for coll in colls] == [0, 0, 0, 1]
+
+
+def test_put_over_a_noisy_link_names_the_corrupt_chunks():
+    """Three of four 1 KB chunks fail their CRC at the target; the fourth
+    lands but is not the last, so no completion is posted."""
+    cluster = Cluster(2, machine=PPRO_FM2, fm_version=2)
+    injector = cluster.inject_faults(FaultPlan(episodes=(
+        LinkFault(link="link:h0->s0", ber=1e-4),)))
+    eps = [RdmaEndpoint(node) for node in cluster.nodes]
+    region = cluster.node(1).buffer(4096)
+
+    def target(node):
+        yield from eps[1].register(region)
+        yield from eps[1].wait_completion(lambda c: c.kind == "write")
+
+    def initiator(node):
+        yield 10_000
+        source = node.buffer(4096, fill=b"\xab" * 4096)
+        yield from eps[0].rdma_put(1, 1, source, 4096)
+
+    with pytest.raises(RdmaStalledError, match="node 1 waited") as failure:
+        cluster.run([initiator, target])
+    stalled_wait_ns(failure.value)
+    message = str(failure.value)
+    assert ("corrupt offload packets 3, corrupt control packets 0, "
+            "1024 B landed without a completion, unmatched drops 0"
+            in message)
+    assert "dead peer" not in message
+    nic = cluster.node(1).nic
+    assert injector.counters["link.corrupt"] == 3
+    assert (nic.corrupt_offload_packets, nic.rdma_write_bytes) == (3, 1024)
+    assert region.read(0, 4096).count(b"\xab") == 1024

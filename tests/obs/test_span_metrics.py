@@ -7,6 +7,7 @@ from repro.obs.metrics import DEFAULT_WINDOW_NS, Metrics, Reservoir
 from repro.obs.observer import Observer
 from repro.obs.span import LAYER_ORDER, Span, layer_rank
 from repro.obs.timeseries import RateSeries
+from repro.simkernel import Environment
 
 
 class TestSpan:
@@ -219,7 +220,8 @@ class TestObserver:
         observer = Observer()
         with pytest.raises(RuntimeError, match=r"span\(\) before attach\(\)"):
             observer.span("fm", "inject", 0)
-        span = observer.span("fm", "inject", 0, t_end=5)   # needs no clock
+        observer.span("fm", "inject", 0, t_end=5)   # needs no clock
+        span = observer.spans[-1]
         assert (span.t_end, span.trace_id, span.span_id) == (5, None, 1)
 
     def test_queries(self, env):
@@ -231,6 +233,63 @@ class TestObserver:
         assert len(observer.spans_for(layer="fm", track="node0/fm")) == 1
         assert observer.tracks() == ["node0/fm", "node0/nic.tx", "node1/fm"]
         assert len(observer) == 3
+
+    def test_spans_read_mid_run_equal_one_read_at_the_end(self):
+        """The lazy view builds rows once, in order, whatever the reads,
+        across the batches the log packs its rows in."""
+        def record(reads_at):
+            env = Environment()
+            observer = Observer().attach(env)
+            reads = []
+
+            def worker(env):
+                for step in range(2500):
+                    yield 10
+                    observer.span("fm", "inject", env.now - 5,
+                                  track=f"node{step % 2}/fm", bytes=step)
+                    if step % 7 == 1:
+                        observer.span("nic", "tx_firmware", env.now - 3,
+                                      ctx=observer.mint_trace(), seq=step)
+                    if step in reads_at:
+                        reads.append(list(observer.spans))
+            env.process(worker(env))
+            env.run()
+            return observer.spans, reads
+
+        read_thrice, (first, second) = record(reads_at=(1, 1500))
+        read_once, _ = record(reads_at=())
+        assert read_thrice == read_once
+        assert read_thrice[:len(first)] == first
+        assert read_thrice[:len(second)] == second
+        assert len(read_once) == 2500 + 357 and len(second) > 1024
+        assert [(s.t_start, s.t_end, s.track, s.attrs, s.trace_id,
+                 s.span_id, s.parent_id) for s in first] == [
+            (5, 10, "node0/fm", {"bytes": 0}, None, 1, None),
+            (15, 20, "node1/fm", {"bytes": 1}, None, 2, None),
+            (17, 20, "", {"seq": 1}, 1, 4, 3)]
+
+    def test_len_counts_rows_and_builds_no_span(self, env, monkeypatch):
+        import repro.obs.observer as observer_module
+        observer = Observer().attach(env)
+        for start in range(3):
+            observer.span("fm", "inject", start, t_end=start + 1, bytes=8)
+        observer.spans                     # the first read builds three
+        observer.span("fm", "extract", 4, t_end=6)
+
+        def no_span(*args):
+            raise AssertionError("len() built a Span")
+        monkeypatch.setattr(observer_module, "Span", no_span)
+        assert len(observer) == 4
+        monkeypatch.undo()
+        assert len(observer) == len(observer.spans) == 4
+
+    def test_reversed_interval_raises_at_record_time(self, env):
+        observer = Observer().attach(env)
+        with pytest.raises(ValueError,
+                           match=r"span fm/inject ends before it starts "
+                                 r"\(9 \.\. 4\)"):
+            observer.span("fm", "inject", 9, t_end=4)
+        assert len(observer) == 0 and observer.spans == []
 
     def test_cached_instruments_follow_a_replaced_observer(self, fm2_cluster):
         """Links and NICs keep their per-packet instruments per *observer

@@ -5,7 +5,7 @@ import pytest
 from repro.simkernel import (Environment, PRIORITY_HIGH, PRIORITY_LOW,
                              PRIORITY_NORMAL)
 from repro.simkernel.errors import SimulationError
-from repro.simkernel.trace import Tracer
+from tests._tracer import Tracer
 
 
 class TestClock:

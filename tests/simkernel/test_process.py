@@ -208,7 +208,7 @@ class TestSleep:
     def test_a_sleep_takes_the_place_of_a_timeout(self, drive):
         """Same (time, seq, priority) history and the same event count with
         the sleeps written as timeouts, on both execution paths."""
-        from repro.simkernel.trace import Tracer
+        from tests._tracer import Tracer
 
         def history(sleep):
             env = Environment()

@@ -4,7 +4,7 @@ of other conditions."""
 import pytest
 
 from repro.simkernel import AllOf, AnyOf, Environment
-from repro.simkernel.trace import Tracer
+from tests._tracer import Tracer
 
 
 class TestOperators:

@@ -12,9 +12,9 @@ from repro.cluster import Cluster
 from repro.configs import PPRO_FM2
 from repro.obs.export import dumps_deterministic, trace_events
 from repro.obs.observer import Observer
-from repro.simkernel.trace import Tracer
 from repro.upper.mpi import build_mpi_world
 from repro.upper.sockets import SocketStack
+from tests._tracer import Tracer
 
 
 def mixed_workload_trace(observe: bool = False, fault_plan=None):

@@ -181,3 +181,13 @@ def test_a_link_errs_only_through_a_fault_plan():
     assert [path for path in _occurrences("import numpy")
             if path.split("/")[0] in
             ("hardware", "core", "simkernel", "cluster")] == []
+
+
+def test_the_kernel_keeps_only_what_the_model_uses():
+    """The event recorder the determinism and kernel tests compare
+    histories with is a test helper (``tests/_tracer.py``); the kernel
+    keeps only the ``env.trace`` hook it chains on."""
+    root = pathlib.Path(repro.__file__).parent
+    assert not (root / "simkernel" / "trace.py").exists()
+    assert _occurrences("simkernel.trace") == {}
+    assert _occurrences("Tracer") == {}
