@@ -26,7 +26,7 @@ from repro.hardware.bus import IoBus
 from repro.hardware.cpu import HostCpu
 from repro.hardware.fabric import Fabric
 from repro.hardware.nic import Nic
-from repro.hardware.packet import HEADER_BYTES, Packet, PacketFlags, PacketHeader
+from repro.hardware.packet import HEADER_BYTES, Packet, PacketFlags, PacketHeader, framed
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simkernel.env import Environment
@@ -348,7 +348,7 @@ class FmEndpoint:
         self._pending_returns[src] = 0
         header = self.make_header(
             dest=src, handler_id=0, msg_id=0, seq=0, msg_bytes=0,
-            flags=PacketFlags.CONTROL | PacketFlags.FIRST | PacketFlags.LAST,
+            flags=framed(PacketFlags.CONTROL, True, True),
         )
         header.credit_return = pending
         packet = Packet(header, b"")

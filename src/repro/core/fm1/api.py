@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Generator, Optional
 
 from repro.hardware.memory import Buffer
-from repro.hardware.packet import Packet, PacketFlags
+from repro.hardware.packet import Packet, PacketFlags, framed
 
 from repro.core.common import FmEndpoint, FmProtocolError
 
@@ -74,11 +74,7 @@ class FM1(FmEndpoint):
             # synchronously (before any yield), which is the one send-side copy.
             chunk = buf.view(offset + sent, take)
             sent += take
-            flags = PacketFlags.NONE
-            if seq == 0:
-                flags |= PacketFlags.FIRST
-            if seq == n_packets - 1:
-                flags |= PacketFlags.LAST
+            flags = framed(PacketFlags.NONE, seq == 0, seq == n_packets - 1)
             header = self.make_header(dest, handler_id, msg_id, seq, size, flags)
             packet = Packet(header, chunk)
             yield from self.cpu.per_packet()
@@ -105,7 +101,7 @@ class FM1(FmEndpoint):
         msg_id = self.alloc_msg_id(dest)
         header = self.make_header(
             dest, handler_id, msg_id, 0, SEND4_BYTES,
-            PacketFlags.FIRST | PacketFlags.LAST,
+            framed(PacketFlags.NONE, True, True),
         )
         packet = Packet(header, words)
         obs = self.env.obs

@@ -24,7 +24,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.hardware.memory import Buffer
-from repro.hardware.packet import HEADER_BYTES, Packet, PacketFlags
+from repro.hardware.packet import HEADER_BYTES, Packet, PacketFlags, framed
 from repro.simkernel.errors import StopProcess
 
 from repro.core.common import FmProtocolError
@@ -123,15 +123,11 @@ class SendStream:
         self.closed = True
 
     def _emit(self, payload: bytes, last: bool) -> Generator:
-        flags = PacketFlags.NONE
-        if self.next_seq == 0:
-            flags |= PacketFlags.FIRST
         if last:
-            flags |= PacketFlags.LAST
             self._last_emitted = True
         header = self.fm.make_header(
             self.dest, self.handler_id, self.msg_id, self.next_seq,
-            self.msg_bytes, flags,
+            self.msg_bytes, framed(PacketFlags.NONE, self.next_seq == 0, last),
         )
         packet = Packet(header, payload)
         self.sent_bytes += len(payload)

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Callable, Generator
 from repro.core.common import IDLE_WAIT_CAP_NS
 from repro.hardware.memory import Buffer
 from repro.hardware.nic import RDMA_MTU, RdmaCompletion
-from repro.hardware.packet import HEADER_BYTES, Packet, PacketFlags, PacketHeader
+from repro.hardware.packet import HEADER_BYTES, Packet, PacketFlags, PacketHeader, framed
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
@@ -113,11 +113,7 @@ class RdmaEndpoint:
         while offset < nbytes:
             chunk = min(RDMA_MTU, nbytes - offset)
             yield from self.nic.tx_dma.transfer(HEADER_BYTES + chunk)
-            flags = PacketFlags.RDMA_WRITE
-            if seq == 0:
-                flags |= PacketFlags.FIRST
-            if seq == last_seq:
-                flags |= PacketFlags.LAST
+            flags = framed(PacketFlags.RDMA_WRITE, seq == 0, seq == last_seq)
             packet = Packet(
                 PacketHeader(src=self.node_id, dest=dest, handler_id=0,
                              msg_id=op_id, seq=seq, msg_bytes=nbytes,
@@ -151,8 +147,7 @@ class RdmaEndpoint:
         request = Packet(
             PacketHeader(src=self.node_id, dest=dest, handler_id=0,
                          msg_id=op_id, seq=0, msg_bytes=nbytes,
-                         flags=(PacketFlags.RDMA_READ_REQ
-                                | PacketFlags.FIRST | PacketFlags.LAST),
+                         flags=framed(PacketFlags.RDMA_READ_REQ, True, True),
                          rkey=rkey, roffset=remote_offset),
             b"")
         yield from self.bus.pio_write(self.cpu, HEADER_BYTES)

@@ -37,7 +37,7 @@ from typing import Callable, Generator, Optional
 
 from repro.cluster.cluster import Cluster
 from repro.hardware.memory import Buffer
-from repro.hardware.packet import HEADER_BYTES, Packet, PacketFlags, PacketHeader
+from repro.hardware.packet import HEADER_BYTES, Packet, PacketFlags, PacketHeader, framed
 
 #: Acknowledgement marking.  Deliberately NOT the CONTROL flag: the NIC
 #: firmware intercepts CONTROL packets into the credit mailbox (an FM
@@ -151,11 +151,8 @@ class SwReliablePair:
             # simulated time forever.
             yield from self._service_until(
                 lambda: len(self.outstanding) < params.window)
-            flags = PacketFlags.NONE
-            if index == 0:
-                flags |= PacketFlags.FIRST
-            if index == len(chunks) - 1:
-                flags |= PacketFlags.LAST
+            flags = framed(PacketFlags.NONE, index == 0,
+                           index == len(chunks) - 1)
             header = PacketHeader(
                 src=self.src_node.node_id, dest=self.dst_node.node_id,
                 handler_id=0, msg_id=msg_id, seq=self.next_seq,

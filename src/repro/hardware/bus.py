@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator
 
 from repro.simkernel.resources import Resource
-from repro.simkernel.units import transfer_time_ns
+from repro.simkernel.units import bytes_per_sec_to_ns_per_byte
 
 from repro.hardware.cpu import HostCpu
 from repro.hardware.params import BusParams
@@ -33,6 +33,9 @@ class IoBus:
         self.params = params
         self.name = name
         self.arbiter = Resource(env, capacity=1, name=f"{name}.arbiter")
+        #: ``transfer_time_ns``'s rates, resolved once (a cost is per packet).
+        self._pio_ns_per_byte = bytes_per_sec_to_ns_per_byte(params.pio_bw)
+        self._dma_ns_per_byte = bytes_per_sec_to_ns_per_byte(params.dma_bw)
         #: Total bytes moved by each mechanism (for utilisation reports).
         self.pio_bytes: int = 0
         self.dma_bytes: int = 0
@@ -42,7 +45,7 @@ class IoBus:
         """CPU writes ``nbytes`` into NIC SRAM (holds CPU *and* bus)."""
         if nbytes < 0:
             raise ValueError(f"negative PIO size: {nbytes}")
-        cost = self.params.pio_startup_ns + transfer_time_ns(nbytes, self.params.pio_bw)
+        cost = self.pio_cost(nbytes)
         cpu_req = cpu.lock.acquire()
         try:
             if cpu_req is not None:
@@ -64,7 +67,7 @@ class IoBus:
         """DMA ``nbytes`` across the bus (bus only; CPU stays free)."""
         if nbytes < 0:
             raise ValueError(f"negative DMA size: {nbytes}")
-        cost = self.params.dma_startup_ns + transfer_time_ns(nbytes, self.params.dma_bw)
+        cost = self.dma_cost(nbytes)
         bus_req = self.arbiter.acquire()
         try:
             if bus_req is not None:
@@ -76,10 +79,10 @@ class IoBus:
             self.arbiter.release(bus_req)
 
     def pio_cost(self, nbytes: int) -> int:
-        return self.params.pio_startup_ns + transfer_time_ns(nbytes, self.params.pio_bw)
+        return self.params.pio_startup_ns + int(-(-nbytes * self._pio_ns_per_byte // 1))
 
     def dma_cost(self, nbytes: int) -> int:
-        return self.params.dma_startup_ns + transfer_time_ns(nbytes, self.params.dma_bw)
+        return self.params.dma_startup_ns + int(-(-nbytes * self._dma_ns_per_byte // 1))
 
     def __repr__(self) -> str:
         return f"<IoBus {self.name!r} pio={self.pio_bytes}B dma={self.dma_bytes}B>"

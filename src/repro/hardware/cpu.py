@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.simkernel.resources import Resource
-from repro.simkernel.units import transfer_time_ns
+from repro.simkernel.units import bytes_per_sec_to_ns_per_byte
 
 from repro.hardware.memory import Buffer, CopyMeter, copy_bytes
 from repro.hardware.params import CpuParams
@@ -33,6 +33,7 @@ class HostCpu:
         self.params = params
         self.name = name
         self.lock = Resource(env, capacity=1, name=f"{name}.lock")
+        self._memcpy_ns_per_byte = bytes_per_sec_to_ns_per_byte(params.memcpy_bw)
         self.meter = CopyMeter()
         #: Total busy nanoseconds (for utilisation reporting).
         self.busy_ns: int = 0
@@ -65,8 +66,7 @@ class HostCpu:
         """Copy bytes between host buffers: moves data and charges time."""
         copy_bytes(src, src_off, dst, dst_off, nbytes)
         self.meter.record(nbytes, label)
-        cost = self.params.memcpy_startup_ns + transfer_time_ns(nbytes, self.params.memcpy_bw)
-        yield from self.execute(cost)
+        yield from self.execute(self.memcpy_cost(nbytes))
 
     def deposit(self, data, dst: Buffer, dst_off: int = 0,
                 label: str = "unlabelled") -> Generator:
@@ -83,12 +83,11 @@ class HostCpu:
         nbytes = len(data)
         dst.write(data, dst_off)
         self.meter.record(nbytes, label)
-        cost = self.params.memcpy_startup_ns + transfer_time_ns(nbytes, self.params.memcpy_bw)
-        yield from self.execute(cost)
+        yield from self.execute(self.memcpy_cost(nbytes))
 
     def memcpy_cost(self, nbytes: int) -> int:
         """Time a copy of ``nbytes`` would take (no data movement)."""
-        return self.params.memcpy_startup_ns + transfer_time_ns(nbytes, self.params.memcpy_bw)
+        return self.params.memcpy_startup_ns + int(-(-nbytes * self._memcpy_ns_per_byte // 1))
 
     def call(self) -> Generator:
         """One function call / handler dispatch."""

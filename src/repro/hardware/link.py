@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.simkernel.store import EMPTY, Store
-from repro.simkernel.units import transfer_time_ns
+from repro.simkernel.units import bytes_per_sec_to_ns_per_byte
 
 from repro.hardware.packet import WIRE_HOP, Packet, PacketFlags
 from repro.hardware.params import LinkParams
@@ -42,6 +42,8 @@ class Link:
         self.name = name
         self._wire_label = f"{name}.wire"
         self._track = f"fabric/{name}"
+        #: ``transfer_time_ns``'s rate, resolved once (wire time is per packet).
+        self._ns_per_byte = bytes_per_sec_to_ns_per_byte(params.bandwidth)
         #: Upstream components put packets here; bounded = transmit buffer.
         self.ingress: Store = Store(env, capacity=params.slots, name=f"{name}.ingress")
         #: In-flight window between serialiser and deliverer.
@@ -69,17 +71,15 @@ class Link:
         self.env.process(self._serialise(), name=f"{self.name}.serialise")
         self.env.process(self._deliver(), name=f"{self.name}.deliver")
 
-    def wire_time(self, packet: Packet) -> int:
-        return transfer_time_ns(packet.wire_bytes, self.params.bandwidth)
-
     # -- processes ----------------------------------------------------------
     def _serialise(self):
+        ns_per_byte = self._ns_per_byte
         while True:
             packet: Packet = self.ingress.get_now()
             if packet is EMPTY:
                 packet = yield self.ingress.get()
             t0 = self.env.now
-            yield self.wire_time(packet)
+            yield int(-(-packet.wire_bytes * ns_per_byte // 1))
             packet.stamp(self._wire_label, self.env.now, WIRE_HOP, t0,
                          self._track)
             dropped = self._apply_faults(packet)

@@ -59,7 +59,7 @@ from repro.hardware.dma import DmaEngine
 from repro.hardware.link import Link
 from repro.hardware.memory import Buffer
 from repro.hardware.packet import (HEADER_BYTES, RX_HOP, TX_HOP, Packet,
-                                   PacketFlags, PacketHeader)
+                                   PacketFlags, PacketHeader, framed)
 from repro.hardware.params import NicParams
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -198,7 +198,7 @@ class Nic:
         self.cq: deque[RdmaCompletion] = deque()
         self._cq_waiters: list = []
         self._colls: dict[int, _CollState] = {}
-        #: (src, msg_id) -> bytes landed of a put whose last chunk has not.
+        #: (src, msg_id) -> bytes landed of a put not yet landed in full.
         self._open_writes: dict[tuple[int, int], int] = {}
         self.rdma_write_packets: int = 0
         self.rdma_write_bytes: int = 0
@@ -483,10 +483,10 @@ class Nic:
             packet.stamp(self._rdma_write_label, self.env.now)
             put = (header.src, header.msg_id)
             landed = self._open_writes.pop(put, 0) + len(packet.payload)
-            if header.is_last:
+            if landed == header.msg_bytes:
                 self._post_completion("write", header.src, header.rkey,
                                       header.msg_id, header.msg_bytes)
-            else:
+            else:  # a chunk still to come, or one that never will
                 self._open_writes[put] = landed
             if obs is not None:
                 obs.span("nic", "rdma_write", t0,
@@ -548,11 +548,7 @@ class Nic:
             chunk = min(RDMA_MTU, nbytes - offset)
             yield self.params.rdma_match_ns
             yield from self.tx_dma.transfer(HEADER_BYTES + chunk)
-            flags = PacketFlags.RDMA_READ_RESP
-            if seq == 0:
-                flags |= PacketFlags.FIRST
-            if seq == last_seq:
-                flags |= PacketFlags.LAST
+            flags = framed(PacketFlags.RDMA_READ_RESP, seq == 0, seq == last_seq)
             reply = Packet(
                 PacketHeader(src=self.node_id, dest=header.src,
                              handler_id=0, msg_id=header.msg_id, seq=seq,
@@ -614,8 +610,7 @@ class Nic:
                 PacketHeader(src=me, dest=(me + step) % n,
                              handler_id=COLL_BARRIER, msg_id=state.coll_id,
                              seq=k, msg_bytes=0,
-                             flags=(PacketFlags.COLLECTIVE
-                                    | PacketFlags.FIRST | PacketFlags.LAST)),
+                             flags=framed(PacketFlags.COLLECTIVE, True, True)),
                 b"")
             yield from self._fw_inject(packet)
             while state.arrived.get(k, 0) == 0:
@@ -681,11 +676,7 @@ class Nic:
 
     def _bcast_packet(self, state: _CollState, dest: int, seq: int,
                       last_seq: int, offset: int, data) -> Packet:
-        flags = PacketFlags.COLLECTIVE
-        if seq == 0:
-            flags |= PacketFlags.FIRST
-        if seq == last_seq:
-            flags |= PacketFlags.LAST
+        flags = framed(PacketFlags.COLLECTIVE, seq == 0, seq == last_seq)
         return Packet(
             PacketHeader(src=self.node_id, dest=dest, handler_id=COLL_BCAST,
                          msg_id=state.coll_id, seq=seq,

@@ -58,6 +58,19 @@ _FIRST, _LAST, _CONTROL, _CORRUPT, _COLLECTIVE = (int(flag) for flag in (
 _RDMA = int(PacketFlags.RDMA_WRITE | PacketFlags.RDMA_READ_REQ
             | PacketFlags.RDMA_READ_RESP)
 
+#: Every kind in every framing, built once: an IntFlag ``|`` builds a member
+#: per call (about 1.7 us for a FIRST and a LAST), an index reads a tuple.
+_FRAMINGS = {kind: (kind, kind | PacketFlags.FIRST, kind | PacketFlags.LAST,
+                    kind | PacketFlags.FIRST | PacketFlags.LAST)
+             for kind in (PacketFlags.NONE, *PacketFlags)}
+
+
+def framed(kind: PacketFlags, first: bool, last: bool) -> PacketFlags:
+    """``kind`` plus FIRST if ``first`` and LAST if ``last``: the header
+    flags of one packet of a message, the same member on every call."""
+    return _FRAMINGS[kind][first + 2 * last]
+
+
 #: Kinds of hop waypoint: a crossing the observer records as a span.
 WIRE_HOP, FORWARD_HOP, TX_HOP, RX_HOP = range(4)
 

@@ -142,6 +142,9 @@ class Environment:
         put_now/get_now`` do the handshake inline: same actions, same order.
         Under ``run(until=t)`` the stop marker is a heap entry at ``t``, so
         that one instant is never quiet and its handshakes take an event.
+        Those three read the slots behind this test inline, not through the
+        property (they run once per handshake); a change here must follow
+        there.
         """
         heap = self._heap
         return (not self._imm and not self._fanout

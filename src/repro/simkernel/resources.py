@@ -78,7 +78,11 @@ class Resource:
     def request(self) -> Request:
         self._seq += 1
         req = Request(self, key=self._seq)
-        self._admit_or_queue(req)
+        if len(self._users) + self._inline < self.capacity:
+            self._users.add(req)
+            req.succeed()
+        else:
+            heapq.heappush(self._queue, (req.key, req))
         return req
 
     def acquire(self) -> Optional[Event | int]:
@@ -92,10 +96,12 @@ class Resource:
         token goes back to :meth:`release`, in a ``finally`` (``if req is
         not None: yield req`` sits inside it).
         """
-        env = self.env
         if len(self._users) + self._inline < self.capacity:
             self._inline += 1
-            if env.quiet:
+            env = self.env
+            heap = env._heap                   # Environment.quiet, inline
+            if (not env._imm and not env._fanout
+                    and (not heap or heap[0][0] > env._now)):
                 env.elided += 1
                 return None
             return 0
@@ -124,13 +130,6 @@ class Resource:
                     break
 
     # -- internals ------------------------------------------------------------
-    def _admit_or_queue(self, req: Request) -> None:
-        if len(self._users) + self._inline < self.capacity:
-            self._users.add(req)
-            req.succeed()
-        else:
-            heapq.heappush(self._queue, (req.key, req))
-
     def _grant_next(self) -> None:
         while self._queue and len(self._users) + self._inline < self.capacity:
             _key, req = heapq.heappop(self._queue)

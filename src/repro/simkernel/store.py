@@ -164,7 +164,9 @@ class Store:
         """
         env = self.env
         items = self.items
-        if self._puts or len(items) >= self.capacity or not env.quiet:
+        heap = env._heap                       # Environment.quiet, inline
+        if (self._puts or len(items) >= self.capacity or env._imm
+                or env._fanout or (heap and heap[0][0] <= env._now)):
             return False
         env.elided += 1
         if self._gets:
@@ -181,7 +183,9 @@ class Store:
         """
         env = self.env
         items = self.items
-        if self._gets or not items or not env.quiet:
+        heap = env._heap                       # Environment.quiet, inline
+        if (self._gets or not items or env._imm or env._fanout
+                or (heap and heap[0][0] <= env._now)):
             return EMPTY
         env.elided += 1
         item = items.popleft()

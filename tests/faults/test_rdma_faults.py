@@ -130,3 +130,71 @@ def test_put_over_a_noisy_link_names_the_corrupt_chunks():
     assert injector.counters["link.corrupt"] == 3
     assert (nic.corrupt_offload_packets, nic.rdma_write_bytes) == (3, 1024)
     assert region.read(0, 4096).count(b"\xab") == 1024
+
+
+def test_put_missing_its_first_chunk_posts_no_completion():
+    """A drop window covers chunk 0 only; chunks 1-3, the last among them,
+    land. Three quarters of a put is not a write: the target's CQ stays
+    empty and the stall names the 3 072 B that landed."""
+    cluster = Cluster(2, machine=PPRO_FM2, fm_version=2)
+    injector = cluster.inject_faults(FaultPlan(episodes=(
+        LinkFault(link="link:h0->s0", start_ns=0, end_ns=28_000,
+                  drop_rate=1.0),)))
+    eps = [RdmaEndpoint(node) for node in cluster.nodes]
+    region = cluster.node(1).buffer(4096)
+
+    def target(node):
+        yield from eps[1].register(region)
+        yield from eps[1].wait_completion(lambda c: c.kind == "write")
+
+    def initiator(node):
+        yield 10_000
+        source = node.buffer(4096, fill=b"\xab" * 4096)
+        yield from eps[0].rdma_put(1, 1, source, 4096)
+
+    with pytest.raises(RdmaStalledError, match="node 1 waited") as failure:
+        cluster.run([initiator, target])
+    stalled_wait_ns(failure.value)
+    message = str(failure.value)
+    assert ("corrupt offload packets 0, corrupt control packets 0, "
+            "3072 B landed without a completion, unmatched drops 0"
+            in message)
+    assert "dead peer" not in message
+    nic = cluster.node(1).nic
+    assert injector.counters["link.drop"] == 1      # chunk 0 only
+    assert nic.rdma_write_bytes == 3072
+    assert nic.landed_without_completion() == 3072
+    assert not nic.cq
+    assert region.read(0, 4096) == bytes(1024) + b"\xab" * 3072
+
+
+def test_get_over_a_noisy_response_link_names_the_corrupt_chunks():
+    """The request reaches the target clean; all four 1 KB response chunks
+    fail their CRC at the requester, so nothing lands and the requester's
+    stall counts them."""
+    cluster = Cluster(2, machine=PPRO_FM2, fm_version=2)
+    injector = cluster.inject_faults(FaultPlan(episodes=(
+        LinkFault(link="link:s0->h0", ber=1e-3),)))
+    eps = [RdmaEndpoint(node) for node in cluster.nodes]
+    region = cluster.node(1).buffer(4096, fill=b"\xcd" * 4096)
+    landing = cluster.node(0).buffer(4096)
+
+    def target(node):
+        yield from eps[1].register(region)
+
+    def initiator(node):
+        yield 10_000
+        yield from eps[0].rdma_get(1, 1, landing, 4096)
+
+    with pytest.raises(RdmaStalledError, match="node 0 waited") as failure:
+        cluster.run([initiator, target])
+    stalled_wait_ns(failure.value)
+    message = str(failure.value)
+    assert ("corrupt offload packets 4, corrupt control packets 0, "
+            "0 B landed without a completion, unmatched drops 0"
+            in message)
+    assert "dead peer" not in message
+    assert injector.counters["link.corrupt"] == 4
+    assert cluster.node(1).nic.rdma_reads_served == 1
+    assert landing.read(0, 4096) == bytes(4096)
+    assert eps[0].stats_gets == 0

@@ -383,3 +383,71 @@ def test_fanout_dispatch_is_not_quiet(env):
     lone.succeed()
     env.run()
     assert seen == [False, False, True]
+
+
+# -- one quiet rule, three inline readers ---------------------------------------
+#: ``acquire``, ``put_now`` and ``get_now`` test the clauses of
+#: ``Environment.quiet`` inline.  Each probe calls one of them on a fresh
+#: resource or store and returns whether it elided.
+def probe_acquire(env):
+    return Resource(env).acquire() is None
+
+
+def probe_put_now(env):
+    return Store(env, capacity=1).put_now("x")
+
+
+def probe_get_now(env):
+    store = Store(env, capacity=1)
+    store.items.append("x")
+    return store.get_now() is not EMPTY
+
+
+def clauses(env):
+    """The three reasons an instant is not quiet, each on its own."""
+    heap = env._heap
+    return (bool(env._imm), bool(heap) and heap[0][0] <= env.now,
+            env._fanout)
+
+
+def immediate_queue_not_empty(env, busy, calm):
+    first, second = env.timeout(0), env.timeout(0)   # both on _imm
+    first.callbacks.append(busy)                    # the second still queued
+    second.callbacks.append(calm)
+    return (True, False, False)
+
+
+def heap_head_due_now(env, busy, calm):
+    first, second = env.timeout(5), env.timeout(5)   # both on the heap
+    first.callbacks.append(busy)                    # the second due at 5
+    second.callbacks.append(calm)
+    return (False, True, False)
+
+
+def fanout_dispatch(env, busy, calm):
+    gate = env.event()
+    gate.callbacks.extend([busy, lambda event: None])   # a sibling to run
+    gate.succeed()
+    lone = env.timeout(1)
+    lone.callbacks.append(calm)
+    return (False, False, True)
+
+
+@pytest.mark.parametrize("probe", [probe_acquire, probe_put_now,
+                                   probe_get_now])
+@pytest.mark.parametrize("clause", [immediate_queue_not_empty,
+                                    heap_head_due_now, fanout_dispatch])
+def test_each_primitive_elides_exactly_when_the_instant_is_quiet(
+        env, probe, clause):
+    seen = []
+
+    def observe(event):
+        quiet, state, before = env.quiet, clauses(env), env.elided
+        elided = probe(env)
+        assert env.elided - before == elided
+        seen.append((state, quiet, elided))
+
+    expected = clause(env, observe, observe)
+    env.run()
+    assert seen == [(expected, False, False),
+                    ((False, False, False), True, True)]
