@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.hardware.memory import Buffer
 from repro.hardware.packet import HEADER_BYTES, Packet, PacketFlags, framed
-from repro.simkernel.errors import StopProcess
 
 from repro.core.common import FmProtocolError
 
@@ -282,7 +281,7 @@ class RecvStream:
                     event = handler.send(value)
         except BaseException as exc:
             self.handler_finished = True
-            if not isinstance(exc, (StopIteration, StopProcess)):
+            if not isinstance(exc, StopIteration):
                 raise       # into the extracting program, which may catch it
         finally:
             self._in_slice = False

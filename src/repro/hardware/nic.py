@@ -59,7 +59,8 @@ from repro.hardware.dma import DmaEngine
 from repro.hardware.link import Link
 from repro.hardware.memory import Buffer
 from repro.hardware.packet import (HEADER_BYTES, RX_HOP, TX_HOP, Packet,
-                                   PacketFlags, PacketHeader, framed)
+                                   PacketFlags, PacketHeader, framed,
+                                   _and, _RDMA_READ_REQ, _RDMA_WRITE)
 from repro.hardware.params import NicParams
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -111,7 +112,7 @@ class _CollState:
     """One collective table entry (created on post *or* first arrival)."""
 
     __slots__ = ("coll_id", "op", "posted", "n_nodes", "root", "buffer",
-                 "nbytes", "arrived", "round_waiters", "pending",
+                 "nbytes", "received", "arrived", "round_waiters", "pending",
                  "data_waiters")
 
     def __init__(self, coll_id: int):
@@ -122,6 +123,7 @@ class _CollState:
         self.root = 0
         self.buffer: Optional[Buffer] = None
         self.nbytes = 0
+        self.received = 0                     # bcast, non-root: bytes landed
         self.arrived: dict[int, int] = {}     # barrier: round -> count
         self.round_waiters: dict[int, list] = {}
         self.pending: deque[Packet] = deque()  # bcast: undelivered chunks
@@ -351,9 +353,11 @@ class Nic:
     def landed_without_completion(self) -> int:
         """Bytes one-sided ops have written into this node's memory that no
         completion here accounts for yet: puts whose last chunk has not
-        landed, and gets still short of their length."""
+        landed, gets still short of their length, and broadcasts still
+        short of theirs."""
         return (sum(self._open_writes.values())
-                + sum(get.received for get in self._pending_gets.values()))
+                + sum(get.received for get in self._pending_gets.values())
+                + sum(state.received for state in self._colls.values()))
 
     def _post_completion(self, kind: str, peer: int, rkey: int, op_id: int,
                          nbytes: int) -> None:
@@ -471,7 +475,7 @@ class Nic:
                          track=self._rx_track, src=header.src, seq=header.seq)
             return
         flags = header.flags
-        if flags & PacketFlags.RDMA_WRITE:
+        if _and(flags, _RDMA_WRITE):
             region = self.regions.get(header.rkey)
             if region is None or header.roffset + len(packet.payload) > region.size:
                 self.rdma_unmatched += 1
@@ -495,7 +499,7 @@ class Nic:
                          rkey=header.rkey, seq=header.seq,
                          bytes=packet.wire_bytes)
             return
-        if flags & PacketFlags.RDMA_READ_REQ:
+        if _and(flags, _RDMA_READ_REQ):
             # Serve the read in its own firmware process so a long pull
             # never parks the receive loop.
             self.env.process(
@@ -651,8 +655,7 @@ class Nic:
                 offset += chunk
                 seq += 1
         else:
-            received = 0
-            while received < nbytes:
+            while state.received < nbytes:
                 while not state.pending:
                     event = env.event()
                     state.data_waiters.append(event)
@@ -662,7 +665,7 @@ class Nic:
                 yield self.params.collective_step_ns
                 yield from self.recv_dma.transfer(packet.wire_bytes)
                 state.buffer.write(packet.payload, header.roffset)
-                received += len(packet.payload)
+                state.received += len(packet.payload)
                 for child in children:
                     yield from self._fw_inject(self._bcast_packet(
                         state, child, header.seq, last_seq, header.roffset,

@@ -55,6 +55,8 @@ _and = int.__and__
 _FIRST, _LAST, _CONTROL, _CORRUPT, _COLLECTIVE = (int(flag) for flag in (
     PacketFlags.FIRST, PacketFlags.LAST, PacketFlags.CONTROL,
     PacketFlags.CORRUPT, PacketFlags.COLLECTIVE))
+_RDMA_WRITE, _RDMA_READ_REQ = (int(PacketFlags.RDMA_WRITE),
+                               int(PacketFlags.RDMA_READ_REQ))
 _RDMA = int(PacketFlags.RDMA_WRITE | PacketFlags.RDMA_READ_REQ
             | PacketFlags.RDMA_READ_RESP)
 

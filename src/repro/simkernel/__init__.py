@@ -32,15 +32,8 @@ Typical use::
     env.run()
 """
 
-from repro.simkernel.errors import (
-    Interrupt,
-    SimulationError,
-    StopProcess,
-)
+from repro.simkernel.errors import SimulationError
 from repro.simkernel.events import (
-    AllOf,
-    AnyOf,
-    Condition,
     Event,
     Timeout,
     PRIORITY_HIGH,
@@ -54,12 +47,8 @@ from repro.simkernel.store import Store
 from repro.simkernel.units import MICROSECOND, MILLISECOND, NANOSECOND, SECOND, us, ms, ns_to_us, s
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "Condition",
     "Environment",
     "Event",
-    "Interrupt",
     "MICROSECOND",
     "MILLISECOND",
     "NANOSECOND",
@@ -71,7 +60,6 @@ __all__ = [
     "Resource",
     "SECOND",
     "SimulationError",
-    "StopProcess",
     "Store",
     "Timeout",
     "ms",

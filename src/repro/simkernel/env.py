@@ -29,12 +29,11 @@ from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Optional
 
-from repro.simkernel.errors import SimulationError, StopProcess
+from repro.simkernel.errors import SimulationError
 from repro.simkernel.events import (
     _EVENT_FREE,
     _POOL_CAP,
     _TIMEOUT_FREE,
-    AllOf,
     Event,
     PRIORITY_NORMAL,
     SEQ_BITS,
@@ -64,8 +63,7 @@ class Environment:
     """
 
     __slots__ = ("_now", "_heap", "_imm", "_seq", "_active_process",
-                 "_active_processes", "_fanout", "elided", "trace", "last_key",
-                 "obs", "faults")
+                 "_fanout", "elided", "trace", "last_key", "obs", "faults")
 
     def __init__(self, initial_time: int = 0):
         if not isinstance(initial_time, int) or initial_time < 0:
@@ -79,7 +77,6 @@ class Environment:
         self._imm: deque[tuple[int, Event]] = deque()
         self._seq: int = 0
         self._active_process: Optional[Process] = None
-        self._active_processes: int = 0
         #: True while an event with several callbacks is being dispatched.
         self._fanout: bool = False
         #: Handshakes performed inline, without an event (see :attr:`quiet`).
@@ -114,11 +111,6 @@ class Environment:
     def active_process(self) -> Optional[Process]:
         """The process currently executing, if any."""
         return self._active_process
-
-    @property
-    def active_process_count(self) -> int:
-        """Number of processes started but not yet finished."""
-        return self._active_processes
 
     @property
     def scheduled_events(self) -> int:
@@ -203,8 +195,39 @@ class Environment:
         """Start a new process from a generator."""
         return Process(self, generator, name)
 
-    def all_of(self, events) -> AllOf:
-        return AllOf(self, events)
+    def all_of(self, events) -> Event:
+        """An event that succeeds, with ``None``, once all ``events`` have.
+
+        A counter join: each constituent gets one callback that counts it
+        in, and the last one succeeds the join from that callback (at once
+        if ``events`` is empty).  The first failed constituent fails the
+        join; it, and any that fail after it, are defused.
+        """
+        events = list(events)
+        if any(event.env is not self for event in events):
+            raise ValueError("all events in a wait must share one environment")
+        join = self.event()
+        remaining = len(events)
+        if not remaining:
+            return join.succeed()
+
+        def arrive(event: Event) -> None:
+            nonlocal remaining
+            if event._ok:
+                remaining -= 1
+                if not remaining and not join._triggered:
+                    join.succeed()
+            else:
+                event._defused = True
+                if not join._triggered:
+                    join.fail(event._value)
+
+        for event in events:
+            if event._processed:
+                arrive(event)
+            else:
+                event.callbacks.append(arrive)
+        return join
 
     def first_of(self, event: Event, *alternatives: Event | int) -> Event:
         """``event``, armed to be woken by whichever alternative fires first.
@@ -212,10 +235,10 @@ class Environment:
         The capped wait as one event: each alternative — an event, or an
         int delay in ns — gets the one callback ``event.wake`` and the
         caller yields ``event`` itself: one hop from wake-up to waiter, no
-        :class:`Condition`, no result dict (the value is ``None``; a failed
-        alternative is thrown into the waiter).  ``event`` is spent by the
-        wait, so an event the caller still has to read afterwards (a
-        request's completion) goes on the right of a fresh ``env.event()``.
+        result dict (the value is ``None``; a failed alternative is thrown
+        into the waiter).  ``event`` is spent by the wait, so an event the
+        caller still has to read afterwards (a request's completion) goes
+        on the right of a fresh ``env.event()``.
         """
         wake = event.wake
         for alt in alternatives:
@@ -234,41 +257,16 @@ class Environment:
         """Queue ``process`` itself to resume ``delay`` ns from now.
 
         The sequence number and key are those ``timeout(delay)`` would have
-        taken at this point, so the order of everything is unchanged; the
-        key is kept in ``process._target`` for :meth:`_cancel_sleep`.  The
+        taken at this point, so the order of everything is unchanged.  The
         drain loop inlines this.
         """
         seq = self._seq + 1
         self._seq = seq
         key = _NORMAL + seq
-        process._target = key
         if delay:
             heappush(self._heap, (self._now + delay, key, process))
         else:
             self._imm.append((key, process))
-
-    def _cancel_sleep(self, key: int) -> None:
-        """Make the queue entry of an interrupted sleep inert.
-
-        The entry keeps its place (time and key) and its payload becomes a
-        fresh event with no callbacks, so it fires where the sleep would have
-        and resumes nobody.  Entries never compare past their unique key, so
-        swapping the payload in place keeps the heap a heap.
-        """
-        inert = Event(self)
-        inert._triggered = True
-        inert._value = None
-        heap = self._heap
-        for i, entry in enumerate(heap):
-            if entry[1] == key:
-                heap[i] = (entry[0], key, inert)
-                return
-        imm = self._imm
-        for i, entry in enumerate(imm):
-            if entry[0] == key:
-                imm[i] = (key, inert)
-                return
-        raise SimulationError(f"no queued sleep has key {key}")  # pragma: no cover
 
     def schedule(self, event: Event, delay: int = 0, priority: int = PRIORITY_NORMAL) -> None:
         """Queue a triggered event to fire ``delay`` ns from now."""
@@ -414,23 +412,16 @@ class Environment:
                     next_event = send(value)
                 except StopIteration as exc:
                     self._active_process = None
-                    self._active_processes -= 1
-                    cb.succeed(exc.value)
-                except StopProcess as exc:
-                    self._active_process = None
-                    self._active_processes -= 1
-                    cb._generator.close()
                     cb.succeed(exc.value)
                 except BaseException as exc:
                     self._active_process = None
-                    self._active_processes -= 1
                     cb.fail(exc)
                 else:
                     self._active_process = None
                     if next_event.__class__ is int and next_event >= 0:
                         seq = self._seq + 1
                         self._seq = seq
-                        cb._target = key = _NORMAL + seq
+                        key = _NORMAL + seq
                         if next_event:
                             heappush(heap, (now + next_event, key, cb))
                         else:
@@ -438,17 +429,14 @@ class Environment:
                     else:
                         try:
                             next_event.callbacks.append(cb)
-                            cb._target = next_event
                         except AttributeError:
                             if isinstance(next_event, Event) and next_event._processed:
                                 cb._resume(next_event)  # rare: already fired
                             else:
-                                self._active_processes -= 1
                                 cb.fail(_bad_yield(cb, next_event))
                         else:
                             if next_event.env is not self:
                                 next_event.callbacks.remove(cb)
-                                self._active_processes -= 1
                                 cb.fail(SimulationError(
                                     f"process {cb.name!r} yielded an event "
                                     "from another environment"))
@@ -495,8 +483,8 @@ class Environment:
         (and restored to its prior state after): the hot loop churns heap-entry
         tuples fast enough to trigger a gen-0 collection every few hundred
         events, and the kernel's own objects are either pooled or freed by
-        reference counting.  Cyclic garbage produced by the model (conditions,
-        abandoned processes) is collected once the run returns.
+        reference counting.  Cyclic garbage produced by the model (abandoned
+        processes) is collected once the run returns.
         """
         if until is None:
             self._drain_collector_paused(None)

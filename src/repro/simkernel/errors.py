@@ -7,35 +7,5 @@ class SimulationError(Exception):
     """Base class for errors raised by the simulation kernel itself."""
 
 
-class StopProcess(Exception):
-    """Raised inside a process generator to end it early with a value.
-
-    ``return value`` inside the generator is the idiomatic way to finish;
-    ``raise StopProcess(value)`` exists for helpers that want to terminate a
-    process from a non-generator subroutine.
-    """
-
-    def __init__(self, value=None):
-        super().__init__(value)
-        self.value = value
-
-
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it.
-
-    The interrupt ``cause`` is an arbitrary object supplied by the
-    interrupter (e.g. the FM 2.x receive scheduler uses it to preempt a
-    handler coroutine that is blocked on data that will never arrive because
-    the run is being torn down).
-    """
-
-    def __init__(self, cause=None):
-        super().__init__(cause)
-
-    @property
-    def cause(self):
-        return self.args[0]
-
-
 class EventAlreadyTriggered(SimulationError):
     """An event was succeeded/failed twice — always a programming error."""

@@ -8,17 +8,17 @@ An :class:`Event` has three states:
 * *processed* — its callbacks have run.
 
 Processes wait on events by ``yield``-ing them; the kernel resumes the
-process when the event is processed.  Composite conditions (:class:`AnyOf`,
-:class:`AllOf`) let a process wait for whichever of several events fires
-first, or for all of them; a wait that only needs "first of these" is
-``Environment.first_of`` — :meth:`Event.wake` as the one callback, no condition.
+process when the event is processed.  A wait for the first of several
+events is ``Environment.first_of`` (:meth:`Event.wake` as the one callback),
+a wait for all of them ``Environment.all_of`` (a counter join); both hand
+back one plain event.
 """
 
 from __future__ import annotations
 
 import sys
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.simkernel.errors import EventAlreadyTriggered
 
@@ -48,8 +48,8 @@ SEQ_BITS = 52
 # reference.  (A sleep, ``yield 5``, is no event at all.)  ``Environment``'s drain loop detects exactly that case with a
 # refcount probe (two references: the loop local and getrefcount's argument)
 # and recycles the event and its callbacks list into a per-class free list.
-# Events the model still references (``t = env.timeout(...)``; condition
-# constituents; process events) always fail the probe and are left alone, so
+# Events the model still references (``t = env.timeout(...)``; a join's
+# processes; process events) always fail the probe and are left alone, so
 # pooling is invisible to user code.  Pools are keyed by *exact* class;
 # subclasses that are not registered are never pooled.
 _POOL_CAP = 512
@@ -96,7 +96,7 @@ class Event:
 
         Pools hold instances of one exact class; without this, a subclass
         would inherit its parent's ``_pool`` and the drain loop would recycle
-        e.g. an ``AllOf`` into the plain-:class:`Event` free list.
+        e.g. a ``Request`` into the plain-:class:`Event` free list.
         """
         super().__init_subclass__(**kwargs)
         cls._pool = None
@@ -157,7 +157,8 @@ class Event:
 
         The exception propagates into every process waiting on this event.
         If nothing ever waits, the environment re-raises it at ``run()`` time
-        unless :meth:`defused` was called — silent failures hide bugs.
+        unless a wait (``wake``, ``all_of``) has defused it — silent failures
+        hide bugs.
         """
         if self._triggered:
             raise EventAlreadyTriggered(f"{self!r} has already been triggered")
@@ -175,7 +176,7 @@ class Event:
         Idempotent, so it can be the callback of several alternatives (a
         cap timer, a process, a NIC waiter flush) of which only the first
         counts.  A failed ``source`` is defused either way and fails a
-        still-pending waiter, as ``Condition._check`` treats a constituent.
+        still-pending waiter, as ``Environment.all_of`` treats a constituent.
         """
         if source is not None and not source._ok:
             source._defused = True
@@ -183,10 +184,6 @@ class Event:
                 self.fail(source._value)
         elif not self._triggered:
             self.succeed()
-
-    def defuse(self) -> None:
-        """Mark a failed event as handled so ``run()`` won't re-raise it."""
-        self._defused = True
 
     def __repr__(self) -> str:
         state = (
@@ -223,81 +220,6 @@ class Timeout(Event):
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay} at {id(self):#x}>"
-
-
-class Condition(Event):
-    """Waits for a set of events according to an evaluation function.
-
-    The condition's value is a dict mapping each *triggered* constituent
-    event to its value, in trigger order.  A failed constituent fails the
-    whole condition immediately.
-    """
-
-    __slots__ = ("_events", "_evaluate", "_count")
-
-    def __init__(self, env: "Environment", evaluate: Callable[[int, int], bool],
-                 events: Iterable[Event]):
-        super().__init__(env)
-        self._events = tuple(events)
-        self._evaluate = evaluate
-        self._count = 0
-        for event in self._events:
-            if event.env is not env:
-                raise ValueError("all events in a condition must share one environment")
-
-        if not self._events and evaluate(0, 0):
-            self.succeed({})
-            return
-
-        for event in self._events:
-            if event._processed:
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)
-
-    def _ordered_values(self) -> dict[Event, Any]:
-        # Processed, not merely triggered: a Timeout is born triggered but
-        # has not *fired* until the environment processes it.
-        return {e: e._value for e in self._events if e._processed and e._ok}
-
-    def _check(self, event: Event) -> None:
-        if self._triggered:
-            if not event._ok:
-                event._defused = True
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
-        self._count += 1
-        if self._evaluate(len(self._events), self._count):
-            self.succeed(self._ordered_values())
-
-
-def _eval_any(total: int, count: int) -> bool:
-    return count > 0 or total == 0
-
-
-def _eval_all(total: int, count: int) -> bool:
-    return count == total
-
-
-class AnyOf(Condition):
-    """Fires when the first of ``events`` fires."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, _eval_any, events)
-
-
-class AllOf(Condition):
-    """Fires when all of ``events`` have fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, _eval_all, events)
 
 
 #: Free lists for the anonymous-event fast paths (see ``_register_pool``).

@@ -13,9 +13,9 @@ on each other — this is how ``Cluster.run`` joins the programs it started.
 from __future__ import annotations
 
 from types import GeneratorType
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator
 
-from repro.simkernel.errors import Interrupt, SimulationError, StopProcess
+from repro.simkernel.errors import SimulationError
 from repro.simkernel.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -30,7 +30,7 @@ class Process(Event):
     any process waiting on it (or abort ``run()`` if nobody waits).
     """
 
-    __slots__ = ("_generator", "_target", "name", "_send", "_throw")
+    __slots__ = ("_generator", "name", "_send", "_throw")
 
     def __init__(self, env: "Environment", generator: Generator, name: str = ""):
         if not isinstance(generator, GeneratorType):
@@ -40,7 +40,6 @@ class Process(Event):
             )
         super().__init__(env)
         self._generator = generator
-        self._target: Optional[Event | int] = None
         self.name = name or generator.__name__
         # One bound method each, created once: the kernel calls send/throw
         # per yield, and per-access bound-method allocation is measurable on
@@ -53,60 +52,18 @@ class Process(Event):
         init = env.event()
         init.callbacks.append(self)
         init.succeed(None)
-        env._active_processes += 1
-
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting on (None if running
-        or sleeping)."""
-        target = self._target
-        return target if isinstance(target, Event) else None
 
     @property
     def is_alive(self) -> bool:
         return not self._triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        The interrupt is delivered as an immediate event, so a process
-        blocked on e.g. a long DMA completion wakes "now".  The event it was
-        waiting on is *not* cancelled; the process may re-wait on it.  A
-        sleep is: its queue entry stays in place but resumes nobody.
-        """
-        if self._triggered:
-            raise SimulationError(f"cannot interrupt dead process {self.name!r}")
-        if self.env.active_process is self:
-            raise SimulationError("a process cannot interrupt itself")
-        fault = Event(self.env)
-        fault._defused = True
-        fault.callbacks.append(self._resume_interrupt)
-        fault.fail(Interrupt(cause))
-
     # -- kernel internals ---------------------------------------------------
-    def _resume_interrupt(self, event: Event) -> None:
-        if self._triggered:
-            return  # process finished between interrupt scheduling and delivery
-        target = self._target
-        if target.__class__ is int:
-            self.env._cancel_sleep(target)
-        elif target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self)
-            except ValueError:  # pragma: no cover - already detached
-                pass
-        self._target = None
-        self._resume(event)
-
     def _resume(self, event: Event) -> None:
         """Advance the generator after ``event`` fired (the kernel callback).
 
         Throws iff the event failed; the body is the old ``_step`` inlined —
-        one frame per resume instead of two.  ``_target`` is left stale while
-        the generator runs (it is overwritten at the next yield or the process
-        dies); only the interrupt path needs it cleared eagerly, which
-        ``_resume_interrupt`` does itself.  While the process sleeps it holds
-        the sleep's heap key, an ``int``.
+        one frame per resume instead of two.  The process keeps no note of
+        what it waits on: only the event (or, asleep, the heap entry) knows.
         """
         # Callbacks only ever run from the kernel's drain/step loops (never
         # nested inside another resume), so the previous active process is
@@ -122,16 +79,9 @@ class Process(Event):
                         event._defused = True
                         next_event = self._throw(event._value)
                 except StopIteration as exc:
-                    env._active_processes -= 1
-                    self.succeed(exc.value)
-                    return
-                except StopProcess as exc:
-                    env._active_processes -= 1
-                    self._generator.close()
                     self.succeed(exc.value)
                     return
                 except BaseException as exc:
-                    env._active_processes -= 1
                     self.fail(exc)
                     return
 
@@ -149,17 +99,13 @@ class Process(Event):
                         # Already fired: continue synchronously.
                         event = next_event
                         continue
-                    env._active_processes -= 1
                     self.fail(_bad_yield(self, next_event))
                     return
                 if next_event.env is not env:
                     next_event.callbacks.remove(self)
-                    env._active_processes -= 1
                     self.fail(SimulationError(
                         f"process {self.name!r} yielded an event from another environment"
                     ))
-                    return
-                self._target = next_event
                 return
         finally:
             env._active_process = None

@@ -1,15 +1,9 @@
 """Exclusive-use resources with FIFO queueing.
 
 A :class:`Resource` models a device that at most ``capacity`` processes may
-hold at once — the host CPU, a DMA engine, a bus grant.  Requests are events;
-a process does::
-
-    with cpu.request() as req:
-        yield req
-        yield cost
-
-The ``with`` form releases on exit even if the process is interrupted while
-holding (or waiting for) the resource.
+hold at once — the host CPU, a DMA engine, a bus grant.  A process takes a
+slot with :meth:`Resource.acquire` and hands it back with
+:meth:`Resource.release` in a ``finally``.
 """
 
 from __future__ import annotations
@@ -25,7 +19,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Request(Event):
-    """A pending or granted claim on a resource (usable as context manager)."""
+    """A pending or granted claim on a resource; :meth:`Resource.release`
+    gives it back, or withdraws it while it is still queued."""
 
     __slots__ = ("resource", "key")
 
@@ -33,17 +28,6 @@ class Request(Event):
         super().__init__(resource.env)
         self.resource = resource
         self.key = key
-
-    def __enter__(self) -> "Request":
-        return self
-
-    def __exit__(self, exc_type, exc_val, exc_tb) -> None:
-        self.resource.release(self)
-        return None
-
-    def cancel(self) -> None:
-        """Withdraw a not-yet-granted request."""
-        self.resource.release(self)
 
 
 class Resource:

@@ -209,13 +209,6 @@ class Store:
         self._settle()
         return item
 
-    def cancel_get(self, event: StoreGet) -> None:
-        """Withdraw a pending get (used when a poller gives up)."""
-        try:
-            self._gets.remove(event)
-        except ValueError:
-            pass
-
     # -- internals --------------------------------------------------------------
     def _settle(self) -> None:
         """Admit queued puts and satisfy queued gets until quiescent.

@@ -2,9 +2,10 @@
 
 There is no switch for ``Environment.first_of``: the reference run is the
 same code with the helper patched back to the ``AnyOf`` it replaced — a
-``Condition`` over the waiter and its alternatives, woken through a second
+condition over the waiter and its alternatives, woken through a second
 event — which was the only spelling before (the ``tests/_elision.py``
-pattern).
+pattern).  The kernel no longer has conditions, so the ``AnyOf`` lives
+here, cut to what a capped wait uses.
 """
 
 from __future__ import annotations
@@ -13,7 +14,34 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.simkernel import AnyOf, Environment
+from repro.simkernel import Environment, Event
+
+
+class AnyOf(Event):
+    """Fires when the first of ``events`` fires; a failed constituent fails
+    it, and it and any that fail later are defused."""
+
+    def __init__(self, env, events):
+        super().__init__(env)
+        events = tuple(events)
+        for event in events:
+            if event.env is not env:
+                raise ValueError("all events in a condition must share one environment")
+        for event in events:
+            if event._processed:
+                self._check(event)
+            else:
+                event.callbacks.append(self._check)
+
+    def _check(self, event):
+        if not event._ok:
+            event._defused = True
+        if self._triggered:
+            return
+        if event._ok:
+            self.succeed()
+        else:
+            self.fail(event._value)
 
 
 def _any_of(env, event, *alternatives):

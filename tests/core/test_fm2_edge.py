@@ -6,7 +6,6 @@ import pytest
 from repro.cluster import Cluster
 from repro.configs import PPRO_FM2
 from repro.core.common import FmProtocolError
-from repro.simkernel import StopProcess
 
 
 class TestHandlerFailures:
@@ -182,37 +181,6 @@ class TestHandlerFailures:
         fm2_cluster.run([sender, receiver], until_ns=100_000_000)
         assert seen == ["KeyError('gate')", 64]
         assert fm2_cluster.node(1).fm.pending_handlers() == 0
-
-    def test_stop_process_in_a_handler_ends_the_handler_only(
-            self, fm2_cluster):
-        """``raise StopProcess`` from a helper ends the coroutine it is
-        raised in — the handler, as when that was a process — not the
-        program inside ``FM_extract``."""
-        after = []
-
-        def bail():
-            raise StopProcess()
-
-        def handler(fm, stream, src):
-            yield from stream.receive_bytes(8)
-            bail()
-
-        hid = {n.fm.register_handler(handler) for n in fm2_cluster.nodes}.pop()
-
-        def sender(node):
-            buf = node.buffer(64)
-            yield from node.fm.send_buffer(1, hid, buf, 64)
-
-        def receiver(node):
-            fm = node.fm
-            while not fm.stats_recv_messages:
-                if not (yield from fm.extract()):
-                    yield from fm.idle_wait()
-            after.append(fm.pending_handlers())
-
-        fm2_cluster.run([sender, receiver], until_ns=100_000_000)
-        assert after == [0]
-        assert fm2_cluster.node(1).fm._streams == {}
 
     def test_second_extractor_leaves_a_mid_slice_handler_to_its_driver(
             self, fm2_cluster):

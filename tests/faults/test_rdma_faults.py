@@ -198,3 +198,78 @@ def test_get_over_a_noisy_response_link_names_the_corrupt_chunks():
     assert cluster.node(1).nic.rdma_reads_served == 1
     assert landing.read(0, 4096) == bytes(4096)
     assert eps[0].stats_gets == 0
+
+
+def test_bcast_missing_its_first_chunk_names_the_landed_bytes():
+    """A drop window on the root's uplink covers chunk 0 to both of its
+    children; chunks 1-3 reach every non-root node.  Each engine holds
+    3 072 B of a 4 096 B broadcast, and the stall names them instead of
+    guessing at a dead peer."""
+    cluster = Cluster(4, machine=PPRO_FM2, fm_version=2)
+    injector = cluster.inject_faults(FaultPlan(episodes=(
+        LinkFault(link="link:h0->s0", start_ns=0, end_ns=30_000,
+                  drop_rate=1.0),)))
+    colls = [NicCollectives(node, 4) for node in cluster.nodes]
+    buffers = [node.buffer(4096, fill=b"\xab" * 4096 if node.node_id == 0
+                           else None) for node in cluster.nodes]
+
+    def program(node):
+        yield from colls[node.node_id].bcast(buffers[node.node_id], 4096, 0)
+
+    with pytest.raises(RdmaStalledError, match="node 1 waited") as failure:
+        cluster.run([program] * 4)
+    stalled_wait_ns(failure.value)
+    message = str(failure.value)
+    assert ("corrupt offload packets 0, corrupt control packets 0, "
+            "3072 B landed without a completion, unmatched drops 0"
+            in message)
+    assert "dead peer" not in message
+    assert injector.counters["link.drop"] == 2      # chunk 0 to nodes 1, 2
+    for node in cluster.nodes[1:]:
+        assert node.nic.landed_without_completion() == 3072
+        assert node.nic.collective_packets == 3
+        assert buffers[node.node_id].read(0, 4096) == (
+            bytes(1024) + b"\xab" * 3072)
+
+
+def test_nic_barrier_over_a_noisy_link_names_the_corrupt_packets():
+    """A barrier packet is a bare 16 B header, so at this BER each of node
+    0's two sends is hit with p = 12 %: seed 1 hits the round-1 packet to
+    node 2, which waits for it and counts it."""
+    cluster = Cluster(4, machine=PPRO_FM2, fm_version=2)
+    injector = cluster.inject_faults(FaultPlan(seed=1, episodes=(
+        LinkFault(link="link:h0->s0", ber=1e-3),)))
+    colls = [NicCollectives(node, 4) for node in cluster.nodes]
+
+    def program(node):
+        yield from colls[node.node_id].barrier()
+
+    with pytest.raises(RdmaStalledError, match="node 2 waited") as failure:
+        cluster.run([program] * 4)
+    stalled_wait_ns(failure.value)
+    message = str(failure.value)
+    assert "corrupt offload packets 1, corrupt control packets 0" in message
+    assert "dead peer" not in message
+    assert injector.counters["link.corrupt"] == 1
+    assert [coll.stats_barriers for coll in colls] == [1, 1, 0, 1]
+
+
+def test_bcast_over_a_noisy_link_names_the_corrupt_chunks():
+    """Every 1 KB chunk the root sends fails its CRC (p > 99.9 % at this
+    BER); node 1 counts its four and lands nothing."""
+    cluster = Cluster(4, machine=PPRO_FM2, fm_version=2)
+    cluster.inject_faults(FaultPlan(episodes=(
+        LinkFault(link="link:h0->s0", ber=1e-3),)))
+    colls = [NicCollectives(node, 4) for node in cluster.nodes]
+    buffers = [node.buffer(4096) for node in cluster.nodes]
+
+    def program(node):
+        yield from colls[node.node_id].bcast(buffers[node.node_id], 4096, 0)
+
+    with pytest.raises(RdmaStalledError, match="node 1 waited") as failure:
+        cluster.run([program] * 4)
+    stalled_wait_ns(failure.value)
+    message = str(failure.value)
+    assert ("corrupt offload packets 4, corrupt control packets 0, "
+            "0 B landed without a completion" in message)
+    assert "dead peer" not in message

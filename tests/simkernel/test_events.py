@@ -1,8 +1,8 @@
-"""Event lifecycle, triggering, and composite conditions."""
+"""Event lifecycle, triggering, and the two multi-event waits."""
 
 import pytest
 
-from repro.simkernel import AllOf, AnyOf, Environment, Event, Timeout
+from repro.simkernel import Environment, Event, Timeout
 from repro.simkernel.errors import EventAlreadyTriggered
 
 
@@ -35,7 +35,6 @@ class TestEventLifecycle:
 
     def test_fail_then_succeed_rejected(self, env):
         event = env.event()
-        event.defuse()
         event.fail(ValueError("boom"))
         with pytest.raises(EventAlreadyTriggered):
             event.succeed(1)
@@ -46,7 +45,6 @@ class TestEventLifecycle:
 
     def test_fail_marks_not_ok(self, env):
         event = env.event()
-        event.defuse()
         event.fail(RuntimeError("x"))
         assert event.triggered
         assert not event.ok
@@ -55,12 +53,6 @@ class TestEventLifecycle:
         env.event().fail(RuntimeError("unhandled"))
         with pytest.raises(RuntimeError, match="unhandled"):
             env.run()
-
-    def test_defused_failure_is_silent(self, env):
-        event = env.event()
-        event.defuse()
-        event.fail(RuntimeError("handled"))
-        env.run()  # no raise
 
     def test_callbacks_receive_event(self, env):
         event = env.event()
@@ -95,73 +87,46 @@ class TestTimeout:
         assert env.timeout(10).triggered
 
 
-class TestAnyOf:
-    def test_fires_on_first(self, env):
-        first, second = env.timeout(10, value="a"), env.timeout(20, value="b")
-        cond = AnyOf(env, [first, second])
-        env.run(until=cond)
-        assert env.now == 10
-        assert cond.value == {first: "a"}
-
-    def test_simultaneous_events_both_reported(self, env):
-        # Two timeouts at the same instant: the first processed wins, but by
-        # the time the condition value is built both may have triggered.
-        a, b = env.timeout(10, value="a"), env.timeout(10, value="b")
-        cond = AnyOf(env, [a, b])
-        value = env.run(until=cond)
-        assert a in value
-        assert value[a] == "a"
-
-    def test_empty_fires_immediately(self, env):
-        cond = AnyOf(env, [])
-        assert cond.triggered
-
-    def test_failure_fails_condition(self, env):
-        event = env.event()
-        cond = AnyOf(env, [event, env.timeout(100)])
-        event.fail(ValueError("inner"))
-        cond.defuse()
-        with pytest.raises(ValueError, match="inner"):
-            env.run(until=cond)
-
-    def test_already_processed_event(self, env):
-        event = env.event().succeed("early")
-        env.run()
-        cond = AnyOf(env, [event])
-        env.run(until=cond)
-        assert cond.value == {event: "early"}
-
-
 class TestAllOf:
+    """``Environment.all_of``: a counter join, one plain event."""
+
     def test_waits_for_all(self, env):
         a, b = env.timeout(10, value=1), env.timeout(30, value=2)
-        cond = AllOf(env, [a, b])
-        env.run(until=cond)
+        cond = env.all_of([a, b])
+        assert type(cond) is Event
+        assert env.run(until=cond) is None
         assert env.now == 30
-        assert cond.value == {a: 1, b: 2}
-
-    def test_values_in_creation_order(self, env):
-        late = env.timeout(50, value="late")
-        early = env.timeout(5, value="early")
-        cond = AllOf(env, [late, early])
-        value = env.run(until=cond)
-        assert list(value.values()) == ["late", "early"]
 
     def test_empty_fires_immediately(self, env):
-        assert AllOf(env, []).triggered
+        assert env.all_of([]).triggered
 
     def test_cross_environment_rejected(self, env):
         other = Environment()
         with pytest.raises(ValueError, match="environment"):
-            AllOf(env, [other.timeout(1)])
+            env.all_of([other.timeout(1)])
 
     def test_failure_fails_allof(self, env):
         event = env.event()
-        cond = AllOf(env, [event, env.timeout(100)])
+        cond = env.all_of([event, env.timeout(100)])
         event.fail(KeyError("inner"))
-        cond.defuse()
         with pytest.raises(KeyError):
             env.run(until=cond)
+
+    def test_a_later_failure_is_defused(self, env):
+        first, second = env.event(), env.event()
+        cond = env.all_of([first, second, env.timeout(100)])
+        first.fail(KeyError("first"))
+        second.fail(ValueError("second"))
+        with pytest.raises(KeyError):
+            env.run(until=cond)
+        env.run()                       # the second failure raises nowhere
+        assert env.now == 100
+
+    def test_an_already_fired_event_counts(self, env):
+        done = env.event().succeed()
+        env.run()
+        env.run(until=env.all_of([done, env.timeout(5)]))
+        assert env.now == 5
 
 
 class TestWake:

@@ -1,8 +1,8 @@
-"""Process semantics: generators, return values, exceptions, interrupts."""
+"""Process semantics: generators, return values, exceptions, sleeps."""
 
 import pytest
 
-from repro.simkernel import Environment, Interrupt, StopProcess
+from repro.simkernel import Environment
 from repro.simkernel.errors import SimulationError
 
 
@@ -23,15 +23,6 @@ class TestBasics:
             yield env.timeout(1)
         proc = env.process(worker(env))
         assert env.run(until=proc) is None
-
-    def test_stop_process_ends_with_value(self, env):
-        def worker(env):
-            yield env.timeout(1)
-            raise StopProcess("early")
-            yield env.timeout(100)  # pragma: no cover
-        proc = env.process(worker(env))
-        assert env.run(until=proc) == "early"
-        assert env.now == 1
 
     def test_process_waits_on_process(self, env):
         def inner(env):
@@ -58,15 +49,6 @@ class TestBasics:
         assert proc.is_alive
         env.run()
         assert not proc.is_alive
-
-    def test_active_process_count(self, env):
-        def worker(env):
-            yield env.timeout(10)
-        env.process(worker(env))
-        env.process(worker(env))
-        assert env.active_process_count == 2
-        env.run()
-        assert env.active_process_count == 0
 
     def test_already_processed_event_continues_synchronously(self, env):
         done = env.event().succeed("x")
@@ -122,77 +104,6 @@ class TestErrors:
             env.run()
 
 
-class TestInterrupt:
-    def test_interrupt_delivers_cause(self, env):
-        def sleeper(env):
-            try:
-                yield env.timeout(1000)
-            except Interrupt as interrupt:
-                return ("woken", interrupt.cause, env.now)
-        def waker(env, target):
-            yield env.timeout(50)
-            target.interrupt("alarm")
-        proc = env.process(sleeper(env))
-        env.process(waker(env, proc))
-        assert env.run(until=proc) == ("woken", "alarm", 50)
-
-    def test_interrupted_process_can_rewait(self, env):
-        def sleeper(env):
-            timeout = env.timeout(100)
-            try:
-                yield timeout
-            except Interrupt:
-                yield timeout       # resume waiting on the same event
-                return env.now
-        def waker(env, target):
-            yield env.timeout(10)
-            target.interrupt()
-        proc = env.process(sleeper(env))
-        env.process(waker(env, proc))
-        assert env.run(until=proc) == 100
-
-    def test_uncaught_interrupt_fails_process(self, env):
-        def sleeper(env):
-            yield env.timeout(1000)
-        def waker(env, target):
-            yield env.timeout(1)
-            target.interrupt("bye")
-        proc = env.process(sleeper(env))
-        env.process(waker(env, proc))
-        with pytest.raises(Interrupt):
-            env.run()
-
-    def test_interrupt_dead_process_rejected(self, env):
-        def quick(env):
-            yield env.timeout(1)
-        proc = env.process(quick(env))
-        env.run()
-        with pytest.raises(SimulationError, match="dead"):
-            proc.interrupt()
-
-    def test_self_interrupt_rejected(self, env):
-        def worker(env):
-            yield env.timeout(0)
-            me = env.active_process
-            me.interrupt()
-        env.process(worker(env))
-        with pytest.raises(SimulationError, match="itself"):
-            env.run()
-
-    def test_interrupt_after_completion_race_is_noop(self, env):
-        # Interrupt scheduled, but the process ends at the same instant.
-        def sleeper(env):
-            yield env.timeout(10)
-            return "done"
-        def waker(env, target):
-            yield env.timeout(10)
-            if target.is_alive:
-                target.interrupt()
-        proc = env.process(sleeper(env))
-        env.process(waker(env, proc))
-        assert env.run(until=proc) == "done"
-
-
 class TestSleep:
     """A process that yields an ``int`` sleeps: the process itself is the
     queue entry, keyed as ``env.timeout(delay)`` would have been."""
@@ -227,100 +138,6 @@ class TestSleep:
 
         assert (history(lambda env, delay: delay)
                 == history(lambda env, delay: env.timeout(delay)))
-
-    def test_interrupt_mid_sleep_resumes_once(self, env):
-        resumed = []
-
-        def sleeper(env):
-            try:
-                yield 100
-                resumed.append(("woke", env.now))
-            except Interrupt:
-                resumed.append(("interrupted", env.now))
-            yield 500
-            resumed.append(("done", env.now))
-
-        def waker(env, target):
-            target.interrupt()
-            yield 0
-
-        proc = env.process(sleeper(env))
-        env.run(until=0)                        # the sleeper is asleep now
-        env.process(waker(env, proc))
-        env.run()
-        assert resumed == [("interrupted", 0), ("done", 500)]
-        assert not proc.is_alive
-
-    def test_an_interrupt_cancels_a_zero_sleep_taken_after_it(self, env):
-        """Interrupted while waiting on an event, the process is resumed by
-        that event first and goes into ``yield 0`` before the interrupt is
-        delivered: the interrupt cancels the zero-length sleep instead."""
-        gate = env.event()
-        log = []
-
-        def sleeper(env):
-            yield gate
-            try:
-                yield 0
-                log.append("slept")
-            except Interrupt:
-                log.append(("interrupted", env.now))
-            yield 5
-            log.append(("done", env.now))
-
-        def kicker(env, target):
-            gate.succeed()
-            target.interrupt()              # queued behind the gate
-            yield 0
-
-        proc = env.process(sleeper(env))
-        env.run(until=0)
-        env.process(kicker(env, proc))
-        env.run()
-        assert log == [("interrupted", 0), ("done", 5)]
-
-    def test_a_stale_entry_does_not_wake_a_new_sleep(self, env):
-        """Interrupted at 10 out of a sleep until 50, the process sleeps
-        again until 100: the old entry at 50 must not wake it."""
-        woke = []
-
-        def sleeper(env):
-            try:
-                yield 50
-            except Interrupt:
-                pass
-            yield 90
-            woke.append(env.now)
-
-        def waker(env, target):
-            yield 10
-            target.interrupt()
-
-        proc = env.process(sleeper(env))
-        env.process(waker(env, proc))
-        env.run(until=60)
-        assert woke == [] and proc.is_alive and proc.target is None
-        env.run()
-        assert woke == [100]
-
-    def test_a_stale_entry_outlives_its_process(self, env):
-        """The process ends at the instant its cancelled sleep was due."""
-        def sleeper(env):
-            try:
-                yield 10
-            except Interrupt:
-                yield 10 - env.now
-            return env.now
-
-        def waker(env, target):
-            yield 5
-            target.interrupt()
-
-        proc = env.process(sleeper(env))
-        env.process(waker(env, proc))
-        assert env.run(until=proc) == 10
-        env.run()
-        assert env.now == 10 and not env._heap and not env._imm
 
     def test_run_until_a_sleeping_process_waits_for_its_end(self, env):
         def worker(env):

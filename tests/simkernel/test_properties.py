@@ -47,12 +47,16 @@ def test_resource_never_exceeds_capacity(capacity, durations):
     max_active = [0]
 
     def worker(env, duration):
-        with resource.request() as req:
-            yield req
+        req = resource.acquire()
+        try:
+            if req is not None:
+                yield req
             active[0] += 1
             max_active[0] = max(max_active[0], active[0])
             yield env.timeout(duration)
             active[0] -= 1
+        finally:
+            resource.release(req)
 
     for duration in durations:
         env.process(worker(env, duration))

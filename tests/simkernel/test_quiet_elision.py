@@ -4,7 +4,7 @@ At a quiet instant (``Environment.quiet``) an uncontended ``Resource``
 grant or ``Store`` admit is performed inline instead of through an event.
 The claim is that this executes the same model actions in the same order.
 The property test checks it on random small models full of same-nanosecond
-collisions, shared events and interrupts, against the same model run with
+collisions and shared events, against the same model run with
 the primitives declining; the unit tests pin the bookkeeping an inline hold
 must keep.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.simkernel import Environment, Interrupt, Resource, Store
+from repro.simkernel import Environment, Resource, Store
 from repro.simkernel.errors import SimulationError
 from repro.simkernel.resources import Request, Resource
 from repro.simkernel.store import EMPTY
@@ -31,7 +31,6 @@ OPS = st.one_of(
     st.tuples(st.just("get"), INDEX, st.just(0)),
     st.tuples(st.just("sleep"), INDEX, DELAYS),
     st.tuples(st.just("join"), INDEX, st.just(0)),
-    st.tuples(st.just("kick"), INDEX, st.just(0)),
 )
 MODELS = st.fixed_dictionaries({
     "resources": st.lists(st.integers(1, 2), min_size=1, max_size=2),
@@ -54,46 +53,38 @@ def simulate(model, tokens=None):
 
     def worker(me, program):
         for kind, which, arg in program:
-            try:
-                if kind == "hold":
-                    resource = resources[which % len(resources)]
-                    req = resource.acquire()
-                    if tokens is not None:
-                        tokens.append(req if req in (0, None) else type(req))
-                    try:
-                        if req is not None:
-                            yield req
-                        log.append((env.now, me, "acquired", which))
-                        yield env.timeout(arg)
-                    finally:
-                        resource.release(req)
-                    log.append((env.now, me, "released", which))
-                elif kind == "put":
-                    store = stores[which % len(stores)]
-                    if not store.put_now(arg):
-                        yield store.put(arg)
-                    log.append((env.now, me, "put", arg))
-                elif kind == "get":
-                    store = stores[which % len(stores)]
-                    item = store.get_now()
-                    if item is EMPTY:
-                        item = yield store.get()
-                    log.append((env.now, me, "got", item))
-                elif kind == "sleep":
+            if kind == "hold":
+                resource = resources[which % len(resources)]
+                req = resource.acquire()
+                if tokens is not None:
+                    tokens.append(req if req in (0, None) else type(req))
+                try:
+                    if req is not None:
+                        yield req
+                    log.append((env.now, me, "acquired", which))
                     yield env.timeout(arg)
-                    log.append((env.now, me, "slept", arg))
-                elif kind == "join" and me:
-                    # Several joiners of one process make a multi-callback
-                    # event: the case the fan-out guard exists for.
-                    yield procs[which % me]
-                    log.append((env.now, me, "joined", which % me))
-                elif kind == "kick":
-                    target = procs[which % len(procs)]
-                    if target is not procs[me] and target.is_alive:
-                        target.interrupt(me)
-                        log.append((env.now, me, "kicked", which % len(procs)))
-            except Interrupt as interrupt:
-                log.append((env.now, me, "interrupted", interrupt.cause))
+                finally:
+                    resource.release(req)
+                log.append((env.now, me, "released", which))
+            elif kind == "put":
+                store = stores[which % len(stores)]
+                if not store.put_now(arg):
+                    yield store.put(arg)
+                log.append((env.now, me, "put", arg))
+            elif kind == "get":
+                store = stores[which % len(stores)]
+                item = store.get_now()
+                if item is EMPTY:
+                    item = yield store.get()
+                log.append((env.now, me, "got", item))
+            elif kind == "sleep":
+                yield env.timeout(arg)
+                log.append((env.now, me, "slept", arg))
+            elif kind == "join" and me:
+                # Several joiners of one process make a multi-callback
+                # event: the case the fan-out guard exists for.
+                yield procs[which % me]
+                log.append((env.now, me, "joined", which % me))
 
     for me, program in enumerate(model["programs"]):
         procs.append(env.process(worker(me, program), name=f"p{me}"))
@@ -227,24 +218,6 @@ class TestInlineHolds:
         with pytest.raises(SimulationError, match="no inline hold"):
             Resource(env).release(None)
 
-    def test_interrupted_holder_releases(self, env):
-        lock = Resource(env)
-
-        def victim():
-            try:
-                yield from hold(env, lock, 100)
-            except Interrupt:
-                pass
-
-        def attacker(target):
-            yield env.timeout(5)
-            assert lock.count == 1
-            target.interrupt()
-
-        env.process(attacker(env.process(victim())))
-        env.run()
-        assert lock.count == 0
-
     def test_closed_holder_releases(self, env):
         lock = Resource(env)
         body = hold(env, lock, 100)
@@ -284,24 +257,6 @@ class TestFreeButNotQuiet:
         assert type(third) is Request and not third.triggered
         pool.release(first)
         assert pool.count == 2 and third.triggered and pool.queued == 0
-
-    def test_interrupted_holder_releases(self, busy_env):
-        lock = Resource(busy_env)
-        outcome = []
-
-        def victim():
-            try:
-                yield from hold(busy_env, lock, 100, outcome)
-            except Interrupt:
-                outcome.append("interrupted")
-
-        target = busy_env.process(victim())
-        busy_env.timeout(0)                    # still runnable at its start
-        busy_env.run_steps(2)                  # the fixture's, then the start
-        assert lock.count == 1 and outcome == []  # parked on the token
-        target.interrupt()                     # lands behind it, mid-hold
-        busy_env.run()
-        assert outcome == [0, "interrupted"] and lock.count == 0
 
     def test_closed_holder_releases(self, busy_env):
         lock = Resource(busy_env)

@@ -9,12 +9,15 @@ from repro.simkernel.resources import Request
 
 
 def hold(env, resource, log, name, duration):
-    req = resource.request()
-    with req:
-        yield req
+    req = resource.acquire()
+    try:
+        if req is not None:
+            yield req
         log.append((name, "acquire", env.now))
         yield env.timeout(duration)
         log.append((name, "release", env.now))
+    finally:
+        resource.release(req)
 
 
 class TestResource:
@@ -68,20 +71,10 @@ class TestResource:
         holder = resource.request()
         queued = resource.request()
         assert resource.queued == 1
-        queued.cancel()
+        resource.release(queued)            # withdrawn, never granted
         assert resource.queued == 0
         resource.release(holder)
         assert resource.count == 0
-
-    def test_context_manager_releases(self, env):
-        resource = Resource(env)
-        def worker(env):
-            with resource.request() as req:
-                yield req
-                yield env.timeout(10)
-            return resource.count
-        proc = env.process(worker(env))
-        assert env.run(until=proc) == 0
 
     def test_queue_count(self, env):
         resource = Resource(env)

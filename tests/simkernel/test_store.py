@@ -111,21 +111,3 @@ class TestTryGet:
         assert store.try_get() == "a"
         assert pending.triggered
         assert store.level == 1
-
-
-class TestCancelGet:
-    def test_cancel_removes_waiter(self, env):
-        store = Store(env)
-        get_event = store.get()
-        store.cancel_get(get_event)
-        store.put("x")
-        env.run()
-        assert not get_event.triggered
-        assert store.level == 1
-
-    def test_cancel_unknown_is_noop(self, env):
-        store = Store(env)
-        other = Store(env)
-        event = other.get()
-        store.cancel_get(event)  # no raise
-

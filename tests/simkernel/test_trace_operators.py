@@ -1,46 +1,9 @@
-"""Tracer, and composing conditions: ``AnyOf`` / ``AllOf`` of events and
-of other conditions."""
+"""Tracer: the test-side event recorder chained on ``env.trace``."""
 
 import pytest
 
-from repro.simkernel import AllOf, AnyOf, Environment
+from repro.simkernel import Environment
 from tests._tracer import Tracer
-
-
-class TestOperators:
-    def test_or_fires_on_first(self, env):
-        fast = env.timeout(10, value="fast")
-        slow = env.timeout(100, value="slow")
-        def waiter(env):
-            result = yield AnyOf(env, [fast, slow])
-            return (env.now, list(result.values()))
-        proc = env.process(waiter(env))
-        assert env.run(until=proc) == (10, ["fast"])
-
-    def test_and_waits_for_both(self, env):
-        a = env.timeout(10, value=1)
-        b = env.timeout(100, value=2)
-        def waiter(env):
-            result = yield AllOf(env, [a, b])
-            return (env.now, sorted(result.values()))
-        proc = env.process(waiter(env))
-        assert env.run(until=proc) == (100, [1, 2])
-
-    def test_chained_or(self, env):
-        events = [env.timeout(delay) for delay in (30, 10, 20)]
-        def waiter(env):
-            yield AnyOf(env, [AnyOf(env, events[:2]), events[2]])
-            return env.now
-        proc = env.process(waiter(env))
-        assert env.run(until=proc) == 10
-
-    def test_mixed_composition(self, env):
-        a, b, c = env.timeout(10), env.timeout(20), env.timeout(500)
-        def waiter(env):
-            yield AnyOf(env, [AllOf(env, [a, b]), c])
-            return env.now
-        proc = env.process(waiter(env))
-        assert env.run(until=proc) == 20
 
 
 class TestTracer:

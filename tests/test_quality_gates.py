@@ -70,22 +70,14 @@ def test_version_is_set():
 
 
 def test_conditions_stay_off_the_hot_paths():
-    """A capped wait is ``Environment.first_of`` — one event.  ``any_of`` /
-    ``all_of`` build a ``Condition`` and belong to the kernel and its two
-    once-per-run callers."""
+    """A capped wait is ``Environment.first_of`` — one event.  The counter
+    join ``all_of`` belongs to the kernel and its two once-per-run
+    callers; there is no ``AnyOf`` / ``AllOf`` to build."""
     root = pathlib.Path(repro.__file__).parent
     users = {str(path.relative_to(root)) for path in root.rglob("*.py")
              if re.search(r"\b(any_of|all_of|AnyOf|AllOf)\(", path.read_text())}
-    assert users <= {"simkernel/env.py", "simkernel/events.py",
-                     "cluster/cluster.py", "dataflow/engine.py"}
-
-
-def test_the_kernel_keeps_only_what_the_model_uses():
-    """Event operators, ``any_of``, priority queueing and the lock subclass
-    had no caller outside their own tests; they stay deleted."""
-    for needle in ("def __or__", "def __and__", "def any_of",
-                   "PriorityResource", "Mutex", "held_by_anyone"):
-        assert _occurrences(needle) == {}, needle
+    assert users == {"simkernel/env.py", "cluster/cluster.py",
+                     "dataflow/engine.py"}
 
 
 def _occurrences(needle):
@@ -184,9 +176,21 @@ def test_a_link_errs_only_through_a_fault_plan():
 
 
 def test_the_kernel_keeps_only_what_the_model_uses():
-    """The event recorder the determinism and kernel tests compare
-    histories with is a test helper (``tests/_tracer.py``); the kernel
-    keeps only the ``env.trace`` hook it chains on."""
+    """Event operators, ``any_of``, priority queueing, the lock subclass,
+    process interrupts, ``StopProcess``, the active-process counter, the
+    ``Condition`` family and the test-only handles (``defuse``, a request
+    as a context manager, ``cancel_get``) had no caller outside their own
+    tests; they stay deleted.  The event recorder the determinism and
+    kernel tests compare histories with is a test helper
+    (``tests/_tracer.py``); the kernel keeps only the ``env.trace`` hook it
+    chains on."""
+    for needle in ("def __or__", "def __and__", "def any_of",
+                   "PriorityResource", "Mutex", "held_by_anyone",
+                   "class Interrupt", "StopProcess", "def interrupt",
+                   "_cancel_sleep", "_active_processes", "class Condition",
+                   "class AnyOf", "class AllOf", "def defuse",
+                   "def __enter__", "def cancel_get"):
+        assert _occurrences(needle) == {}, needle
     root = pathlib.Path(repro.__file__).parent
     assert not (root / "simkernel" / "trace.py").exists()
     assert _occurrences("simkernel.trace") == {}
