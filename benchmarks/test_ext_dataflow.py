@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from conftest import run_once
 from repro.bench.report import HeadlineRow, headline_table
-from repro.workloads.runner import Scenario, run_scenario
+from repro.dataflow.engine import PipelineScenario
+from repro.workloads.runner import run_scenario
 
 
 def scatter_gather(**overrides):
@@ -35,7 +36,7 @@ def scatter_gather(**overrides):
         work_ns=4_000, n_keys=64, queue_capacity=16,
     )
     spec.update(overrides)
-    return run_scenario(Scenario(**spec))["results"]
+    return run_scenario(PipelineScenario(**spec))["results"]
 
 
 def test_ext_dataflow_placement_throughput(benchmark, show):

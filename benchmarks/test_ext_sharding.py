@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.workloads.runner import Scenario, run_scenario
+from repro.workloads.rpc_kind import RpcScenario
+from repro.workloads.runner import run_scenario
 
 #: Clients are fixed while the shard count sweeps, so offered load is
 #: constant and any capacity growth is the service's, not the drivers'.
@@ -29,7 +30,7 @@ SHARD_COUNTS = (1, 2, 4)
 
 def shard_point(fm_version: int, servers: int, balancer: str = "static",
                 key_skew: float = 0.0) -> dict:
-    return run_scenario(Scenario(
+    return run_scenario(RpcScenario(
         name=f"shard-fm{fm_version}-s{servers}", kind="rpc",
         n_nodes=servers + CLIENTS, servers=servers, balancer=balancer,
         fm_version=fm_version, arrival="open", rate_rps=RATE_RPS,

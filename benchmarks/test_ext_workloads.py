@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.workloads.runner import Scenario, run_scenario
+from repro.workloads.rpc_kind import RpcScenario
+from repro.workloads.runner import run_scenario
 
 #: Per-client offered load points (requests/s); two clients per run.
 SWEEP_RATES = (5_000.0, 10_000.0, 15_000.0, 20_000.0, 30_000.0, 45_000.0)
 
 
 def sweep_point(fm_version: int, rate_rps: float) -> dict:
-    return run_scenario(Scenario(
+    return run_scenario(RpcScenario(
         name=f"knee-fm{fm_version}", kind="rpc", n_nodes=3,
         fm_version=fm_version, arrival="open", rate_rps=rate_rps,
         n_requests=60, req_bytes=512, resp_bytes=512, work_ns=0,
@@ -78,7 +79,7 @@ class TestLoadLatencyKnee:
 
 def incast(policy: str, queue_capacity: int) -> dict:
     # Five clients burst in phase at one server: the classic fan-in.
-    return run_scenario(Scenario(
+    return run_scenario(RpcScenario(
         name=f"incast-{policy}", kind="rpc", n_nodes=6, arrival="bursty",
         rate_rps=60_000.0, burst_on_ns=150_000, burst_off_ns=350_000,
         n_requests=40, req_bytes=256, resp_bytes=256, work_ns=3_000,

@@ -13,8 +13,9 @@ Entry points:
 
 * :func:`~repro.dataflow.graph.StreamGraph` / ``Stream`` — build the DAG.
 * :func:`~repro.dataflow.engine.run_pipeline` — place, wire, run, report.
-* ``Scenario(kind="pipeline", ...)`` in :mod:`repro.workloads.runner` —
-  the workload-layer integration (presets ``dataflow-rollup``,
+* :class:`~repro.dataflow.engine.PipelineScenario` (``kind="pipeline"``)
+  — the workload-layer integration, run by
+  :mod:`repro.workloads.runner` (presets ``dataflow-rollup``,
   ``dataflow-scatter-gather``).
 """
 

@@ -1,5 +1,8 @@
 """Pipeline assembly: scenario -> graph -> placement -> runtimes -> run.
 
+:class:`PipelineScenario` is the ``pipeline`` workload kind: the fields a
+pipeline run reads and the entry points the scenario runner calls.
+
 Two placement policies, both pure functions of ``(graph, n_nodes)`` so
 reruns and tests agree with no coordination:
 
@@ -27,6 +30,7 @@ The pipeline *shapes* the workload layer knows how to build:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.dataflow.graph import StreamGraph
@@ -42,16 +46,16 @@ from repro.dataflow.runtime import (
     StageRuntime,
 )
 from repro.dataflow.stats import PipelineStats
+from repro.scenario import ArrivalFields
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
-    from repro.workloads.runner import Scenario
 
 PIPELINES = ("rollup", "scatter_gather")
 PLACEMENTS = ("spread", "colocate")
 
 
-def build_pipeline_graph(scenario: "Scenario") -> StreamGraph:
+def build_pipeline_graph(scenario: "PipelineScenario") -> StreamGraph:
     """The named pipeline shape for ``scenario.pipeline``."""
     graph = StreamGraph()
     sources = [graph.source(f"source{i}")
@@ -62,12 +66,9 @@ def build_pipeline_graph(scenario: "Scenario") -> StreamGraph:
                                  by=scenario.partition_by).window(
             scenario.window_ns, slide_ns=scenario.window_slide_ns,
             agg="sum", work_ns=scenario.work_ns, name="rollup")
-    elif scenario.pipeline == "scatter_gather":
+    else:  # scatter_gather
         lanes = merged.scatter(scenario.branches).map(
             "square_mod", work_ns=scenario.work_ns, name="work")
-    else:
-        raise ValueError(f"pipeline must be one of {PIPELINES}, "
-                         f"got {scenario.pipeline!r}")
     lanes.sink("sink", work_ns=scenario.sink_work_ns)
     graph.validate()
     return graph
@@ -151,13 +152,9 @@ def _wait_all(env, events) -> object:
 
 
 def build_pipeline(cluster: "Cluster", graph: StreamGraph,
-                   scenario: "Scenario",
+                   scenario: "PipelineScenario",
                    stats: PipelineStats) -> PipelineRun:
     """Wire a validated graph onto a cluster (no processes started)."""
-    if scenario.req_bytes < MIN_RECORD_BYTES:
-        raise ValueError(
-            f"req_bytes (per-record wire footprint) must be >= "
-            f"{MIN_RECORD_BYTES}, got {scenario.req_bytes}")
     placement = place_stages(graph, scenario.stage_placement,
                              cluster.n_nodes)
     run = PipelineRun(cluster, stats)
@@ -207,7 +204,7 @@ def build_pipeline(cluster: "Cluster", graph: StreamGraph,
     return run
 
 
-def run_pipeline(cluster: "Cluster", scenario: "Scenario",
+def run_pipeline(cluster: "Cluster", scenario: "PipelineScenario",
                  stats: PipelineStats,
                  graph: Optional[StreamGraph] = None) -> PipelineRun:
     """Build, spawn, and run the scenario's pipeline to completion."""
@@ -221,7 +218,8 @@ def run_pipeline(cluster: "Cluster", scenario: "Scenario",
     return run
 
 
-class PipelineKind:
+@dataclass(frozen=True)
+class PipelineScenario(ArrivalFields):
     """``kind="pipeline"`` — a streaming dataflow DAG: the scenario's
     ``pipeline`` shape (``rollup`` windowed aggregation or
     ``scatter_gather`` load balancing) with ``n_sources`` arrival-driven
@@ -236,26 +234,26 @@ class PipelineKind:
     stage-queue depth, ``n_keys`` as the key universe.
     """
 
-    #: The dataflow knobs exist only in pipeline reports; every other
-    #: kind keeps its pre-dataflow report schema.
-    fields = ("pipeline", "n_sources", "branches", "window_ns",
-              "window_slide_ns", "partition_by", "stage_placement",
-              "sink_work_ns")
-    #: Every Scenario field a pipeline run reads beyond the cluster shape.
-    reads = fields + (
-        "arrival", "rate_rps", "burst_on_ns", "burst_off_ns", "req_bytes",
-        "work_ns", "n_keys", "queue_capacity", "extract_budget")
+    kind: str = "pipeline"
+    pipeline: str = "rollup"         # rollup | scatter_gather
+    n_sources: int = 2
+    branches: int = 2                # fan-out lanes
+    window_ns: int = 200_000         # rollup window width
+    window_slide_ns: int = 0         # 0 = tumbling
+    partition_by: str = "hash"       # hash | round_robin fan-out selector
+    stage_placement: str = "spread"  # spread | colocate
+    sink_work_ns: int = 0            # per-record sink demand
+
     #: Source arrival gaps and record keys are numpy streams.
     uses_numpy = True
 
-    def report_fields(self, scenario: "Scenario") -> tuple[str, ...]:
-        """Which of :attr:`fields` this scenario's report carries: all."""
-        return self.fields
-
-    def validate(self, scenario: "Scenario") -> None:
-        """Cross-field checks of a pipeline scenario (raises
-        ``ValueError``)."""
-        s = scenario
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        s = self
+        s._choose(pipeline=PIPELINES, stage_placement=PLACEMENTS,
+                  partition_by=("hash", "round_robin"))
+        s._at_least(n_sources=1, branches=1, window_ns=1, window_slide_ns=0,
+                    sink_work_ns=0)
         if s.window_slide_ns and s.window_ns % s.window_slide_ns:
             raise ValueError(
                 f"window_slide_ns must be 0 (tumbling) or divide window_ns "
@@ -280,13 +278,12 @@ class PipelineKind:
                 f"{s.stage_placement!r} placement of this pipeline "
                 f"needs >= {need} nodes, got {s.n_nodes}")
 
-    def build_stats(self, env, scenario: "Scenario") -> PipelineStats:
+    def build_stats(self, env) -> PipelineStats:
         """Per-stage pipeline stats."""
-        return PipelineStats(env, name=f"pipeline.{scenario.name}")
+        return PipelineStats(env, name=f"pipeline.{self.name}")
 
-    def run(self, cluster: "Cluster", scenario: "Scenario",
-            stats: PipelineStats) -> dict:
+    def run(self, cluster: "Cluster", stats: PipelineStats) -> dict:
         """Build, place and run the pipeline; the per-edge rows land in
         ``results`` via the stats object, so no extra section."""
-        run_pipeline(cluster, scenario, stats)
+        run_pipeline(cluster, self, stats)
         return {}

@@ -18,13 +18,16 @@ with :func:`repro.upper.mpi.world.build_mpi_world` first).  Rank 0 records
 one :class:`WorkloadStats` sample per iteration — the iteration is the
 "request": ``note_sent`` at the top, ``note_completed`` with the iteration
 latency at the bottom — so the same report schema covers RPC and MPI
-scenarios.  :class:`MpiKind` is what makes either kernel a scenario kind.
+scenarios.  :class:`HaloScenario` and :class:`AllreduceScenario` make the
+kernels scenario kinds.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
+from repro.scenario import TelemetryFields
 from repro.upper.mpi.comm import Communicator
 from repro.upper.mpi.world import build_mpi_world
 
@@ -33,7 +36,6 @@ from repro.workloads.stats import WorkloadStats
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
     from repro.simkernel.env import Environment
-    from repro.workloads.runner import Scenario
 
 
 def halo_program(comm: Communicator, *, iterations: int, halo_bytes: int,
@@ -116,50 +118,53 @@ def allreduce_program(comm: Communicator, *, iterations: int,
     return program
 
 
-class MpiKind:
-    """``kind="halo"`` / ``kind="allreduce"`` — every node runs one of
-    this module's kernels over MPI-FM for ``iterations`` rounds of
-    ``compute_ns`` compute plus one exchange of the kernel's payload
-    field (``halo_bytes`` / ``grad_bytes``).  Rank 0's per-iteration
-    latency fills the same :class:`WorkloadStats` report rpc runs use.
-    """
+@dataclass(frozen=True)
+class MpiScenario(TelemetryFields):
+    """What ``kind="halo"`` and ``kind="allreduce"`` share: every node runs
+    the kind's :attr:`program` over MPI-FM for ``iterations`` rounds of
+    ``compute_ns`` compute plus one exchange of the kind's payload field
+    (:attr:`payload_field`).  Rank 0's per-iteration latency fills the same
+    :class:`WorkloadStats` report rpc runs use."""
 
-    #: Every MPI knob is reported by every kind (the flat legacy schema).
-    fields = ()
+    compute_ns: int = 5_000
 
-    def __init__(self, program: Callable[..., Callable[[], Generator]],
-                 payload_field: str, uses_numpy: bool):
-        self.program = program
-        self.payload_field = payload_field
-        #: The Scenario fields an MPI run reads beyond the cluster shape.
-        self.reads = ("compute_ns", payload_field,
-                      "sample_interval_ns", "slo_availability",
-                      "slo_latency_p99_ns", "partition_groups",
-                      "trunk_propagation_ns")
-        #: Whether the kernel's payload is an ndarray (halo ships ``bytes``).
-        self.uses_numpy = uses_numpy
-
-    def report_fields(self, scenario: "Scenario") -> tuple[str, ...]:
-        """Nothing beyond the shared fields."""
-        return ()
-
-    def validate(self, scenario: "Scenario") -> None:
-        """No cross-field checks beyond the shared ones."""
-
-    def build_stats(self, env: "Environment",
-                    scenario: "Scenario") -> WorkloadStats:
+    def build_stats(self, env: "Environment") -> WorkloadStats:
         """Unsharded request/response stats: the iteration is the request."""
-        return WorkloadStats(env, name=f"workload.{scenario.name}",
-                             sample_interval_ns=scenario.sample_interval_ns)
+        return WorkloadStats(env, name=f"workload.{self.name}",
+                             sample_interval_ns=self.sample_interval_ns)
 
-    def run(self, cluster: "Cluster", scenario: "Scenario",
-            stats: WorkloadStats) -> dict:
+    def run(self, cluster: "Cluster", stats: WorkloadStats) -> dict:
         """Build the MPI world and run the kernel on every rank."""
-        payload = {self.payload_field: getattr(scenario, self.payload_field)}
-        programs = [self.program(comm, iterations=scenario.iterations,
-                                 compute_ns=scenario.compute_ns, stats=stats,
+        payload = {self.payload_field: getattr(self, self.payload_field)}
+        programs = [self.program(comm, iterations=self.iterations,
+                                 compute_ns=self.compute_ns, stats=stats,
                                  **payload)
                     for comm in build_mpi_world(cluster)]
         cluster.run([(lambda node, program=program: program())
-                     for program in programs], until_ns=scenario.until_ns)
+                     for program in programs], until_ns=self.until_ns)
         return {}
+
+
+@dataclass(frozen=True)
+class HaloScenario(MpiScenario):
+    """``kind="halo"`` — :func:`halo_program` swapping ``halo_bytes`` of
+    ghost cells with both ring neighbours (``bytes``: no numpy)."""
+
+    kind: str = "halo"
+    halo_bytes: int = 256
+
+    program = staticmethod(halo_program)
+    payload_field = "halo_bytes"
+
+
+@dataclass(frozen=True)
+class AllreduceScenario(MpiScenario):
+    """``kind="allreduce"`` — :func:`allreduce_program` reducing a
+    ``grad_bytes`` float32 gradient (an ndarray: numpy is preloaded)."""
+
+    kind: str = "allreduce"
+    grad_bytes: int = 4096
+
+    program = staticmethod(allreduce_program)
+    payload_field = "grad_bytes"
+    uses_numpy = True

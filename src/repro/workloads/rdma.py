@@ -13,15 +13,16 @@ The report doubles as the CI transport smoke gate: it sums every NIC's
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.rdma import RdmaEndpoint
 from repro.obs.metrics import RunStats
+from repro.scenario import Scenario
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
     from repro.simkernel.env import Environment
-    from repro.workloads.runner import Scenario
 
 #: Responder registration must be visible before the first ping leaves;
 #: both sides register at t=0 (one per-message cost, ~2 us) so a 10 us
@@ -80,45 +81,32 @@ class RdmaStats(RunStats):
         }
 
 
-class RdmaKind:
+@dataclass(frozen=True)
+class RdmaScenario(Scenario):
     """``kind="rdma"`` — the two-node one-sided pingpong of this module:
     ``iterations`` rounds of ``req_bytes``-sized puts; the report is the
     CI transport smoke gate."""
 
-    #: Nothing beyond the shared fields is reported.
-    fields = ()
-    reads = ("req_bytes",)
-    uses_numpy = False
+    kind: str = "rdma"
+    req_bytes: int = 64
 
-    def report_fields(self, scenario: "Scenario") -> tuple[str, ...]:
-        """Nothing beyond the shared fields."""
-        return ()
-
-    def validate(self, scenario: "Scenario") -> None:
-        """Cross-field checks of an rdma scenario (raises ``ValueError``)."""
-        if scenario.fm_version != 2:
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.fm_version != 2:
             raise ValueError(
                 "the one-sided transport extends the FM 2.x NIC "
                 "firmware; fm_version must be 2")
-        if scenario.iterations < 1:
-            raise ValueError(
-                f"iterations must be positive, got {scenario.iterations}")
-        if scenario.req_bytes < 1:
-            raise ValueError(
-                f"req_bytes (per-put payload) must be positive, "
-                f"got {scenario.req_bytes}")
+        self._at_least(iterations=1, req_bytes=1)
 
-    def build_stats(self, env: "Environment",
-                    scenario: "Scenario") -> RdmaStats:
+    def build_stats(self, env: "Environment") -> RdmaStats:
         """The pingpong's RTT / transport-error stats."""
-        return RdmaStats(env, name=f"rdma.{scenario.name}")
+        return RdmaStats(env, name=f"rdma.{self.name}")
 
-    def run(self, cluster: "Cluster", scenario: "Scenario",
-            stats: RdmaStats) -> dict:
+    def run(self, cluster: "Cluster", stats: RdmaStats) -> dict:
         """Run the pingpong between nodes 0 and 1 to completion (no
         report section beyond ``results``)."""
-        nbytes = scenario.req_bytes
-        iterations = scenario.iterations
+        nbytes = self.req_bytes
+        iterations = self.iterations
         endpoints = [RdmaEndpoint(node) for node in cluster.nodes]
         stats.nics = [node.nic for node in cluster.nodes]
 
@@ -144,5 +132,5 @@ class RdmaKind:
                 yield from ep.rdma_put(0, 1, landing, nbytes)
 
         programs = [initiator, responder] + [None] * (cluster.n_nodes - 2)
-        cluster.run(programs, until_ns=scenario.until_ns)
+        cluster.run(programs, until_ns=self.until_ns)
         return {}

@@ -1,25 +1,30 @@
 """The ``rpc`` scenario kind: placement, wiring, and the one RPC run path.
 
-Everything that turns an rpc :class:`~repro.workloads.runner.Scenario`
-into endpoints, servers and clients lives here, once.  :meth:`RpcKind.wire`
-is the single wiring function — ``replicas > 1`` is the same function
-taking the supervisor carve-out — and placement, client naming and the
-arrival/key streams are pure functions of the scenario.
+:class:`RpcScenario` declares the fields an rpc run reads, and everything
+that turns one into endpoints, servers and clients lives here, once.
+:meth:`RpcScenario.wire` is the single wiring function — ``replicas > 1``
+is the same function taking the supervisor carve-out — and placement,
+client naming and the arrival/key streams are pure functions of the
+scenario.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from repro.workloads.arrivals import AggregateOpenLoop, ArrivalSpec
+from repro.scenario import ArrivalFields, TelemetryFields
+from repro.workloads.arrivals import AggregateOpenLoop, ArrivalSpec, ClosedLoop
 from repro.workloads.replication import (
     ReplicatedClient,
     ReplicatedDirectory,
     ShardHealth,
     ShardSupervisor,
 )
-from repro.workloads.rpc import RpcClient, RpcEndpoint, RpcServer
+from repro.workloads.rpc import (VALID_POLICIES, RpcClient, RpcEndpoint,
+                                 RpcServer)
 from repro.workloads.sharding import (
+    BALANCER_NAMES,
     ShardDirectory,
     ShardedClient,
     key_stream,
@@ -31,10 +36,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
     from repro.cluster.node import Node
     from repro.simkernel.env import Environment
-    from repro.workloads.runner import Scenario
 
 
-def placement(scenario: "Scenario") -> tuple[list[int], list[int]]:
+def placement(scenario: "RpcScenario") -> tuple[list[int], list[int]]:
     """Node ids of ``(server nodes, client nodes)`` for an rpc scenario.
 
     Ungrouped scenarios keep the legacy layout (servers on ``0..S-1``).
@@ -63,7 +67,7 @@ def population_shares(population: int, n_clients: int) -> list[int]:
     return [base + 1 if j < extra else base for j in range(n_clients)]
 
 
-def client_arrival(scenario: "Scenario", position: int,
+def client_arrival(scenario: "RpcScenario", position: int,
                    n_clients: int) -> tuple[ArrivalSpec, int]:
     """Arrival spec and request budget for the client at ``position`` in
     the scenario's client-node list.
@@ -81,7 +85,7 @@ def client_arrival(scenario: "Scenario", position: int,
     return spec, scenario.n_requests * share
 
 
-def build_server(scenario: "Scenario", endpoint: RpcEndpoint,
+def build_server(scenario: "RpcScenario", endpoint: RpcEndpoint,
                  stats: WorkloadStats,
                  shard: Optional[int] = None) -> RpcServer:
     """The server program for one server node (``shard`` is the global
@@ -99,7 +103,7 @@ def build_server(scenario: "Scenario", endpoint: RpcEndpoint,
                      extract_budget=scenario.extract_budget, shard=shard)
 
 
-def build_client(scenario: "Scenario", endpoint: RpcEndpoint,
+def build_client(scenario: "RpcScenario", endpoint: RpcEndpoint,
                  server_nodes: list[int], position: int, n_clients: int,
                  directory: Optional[ReplicatedDirectory] = None) -> RpcClient:
     """The client program for the client node at ``position`` in the
@@ -131,7 +135,8 @@ def build_client(scenario: "Scenario", endpoint: RpcEndpoint,
                          keys, **common)
 
 
-class RpcKind:
+@dataclass(frozen=True)
+class RpcScenario(ArrivalFields, TelemetryFields):
     """``kind="rpc"`` — request/response traffic under an arrival process.
 
     Node 0 serves, nodes 1..n-1 run :class:`RpcClient` under the
@@ -149,30 +154,43 @@ class RpcKind:
     across them.
     """
 
-    #: The replication knobs only exist in a report once replication is
-    #: on; unreplicated reports keep the flat schema.
-    fields = ("replicas", "probe_interval_ns", "failover_timeout_ns")
-    #: Every Scenario field an rpc run reads beyond the cluster shape and
-    #: the run length (``n_requests`` / ``iterations``: a harness scales
-    #: both without asking the kind, so no kind claims them).
-    reads = fields + (
-        "arrival", "rate_rps", "think_ns", "think_exponential", "burst_on_ns",
-        "burst_off_ns", "req_bytes", "resp_bytes", "work_ns", "workers",
-        "queue_capacity", "policy", "deadline_ns", "abandon_after_ns",
-        "extract_budget", "servers", "balancer", "vnodes", "n_keys",
-        "key_skew", "shard_policies", "sample_interval_ns",
-        "slo_availability", "slo_latency_p99_ns", "partition_groups",
-        "trunk_propagation_ns", "population")
+    kind: str = "rpc"
+    think_ns: int = 0                # closed-loop think time
+    think_exponential: bool = False
+    resp_bytes: int = 64
+    workers: int = 2
+    policy: str = "queue"
+    deadline_ns: int = 0             # request deadline budget (0 = none)
+    abandon_after_ns: Optional[int] = None
+    servers: int = 1
+    balancer: str = "static"         # static | round_robin | least_pending
+    vnodes: int = 64                 # consistent-hash ring virtual nodes
+    key_skew: float = 0.0            # 0 = uniform; >0 = Zipf-like hot keys
+    shard_policies: Optional[tuple] = None   # per-shard override of policy
+    replicas: int = 1
+    probe_interval_ns: int = 150_000   # supervisor probe cadence
+    failover_timeout_ns: int = 250_000  # per-attempt client retry clock
+    # population simulated clients are spread over the client nodes as
+    # AggregateOpenLoop sources (0 = one simulated client per node), and
+    # n_requests is per simulated client.
+    population: int = 0
+
     #: Arrival gaps and request keys are numpy streams.
     uses_numpy = True
 
-    def report_fields(self, scenario: "Scenario") -> tuple[str, ...]:
-        """Which of :attr:`fields` this scenario's report carries."""
-        return self.fields if scenario.replicas > 1 else ()
-
-    def validate(self, scenario: "Scenario") -> None:
-        """Cross-field checks of an rpc scenario (raises ``ValueError``)."""
-        s = scenario
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        s = self
+        if s.shard_policies is not None:
+            # Coerce the JSON-side list to a tuple (the scenario is frozen).
+            object.__setattr__(s, "shard_policies", tuple(s.shard_policies))
+        s._choose(balancer=BALANCER_NAMES)
+        for policy in (s.policy, *(s.shard_policies or ())):
+            if policy not in VALID_POLICIES:
+                raise ValueError(f"policy must be one of {VALID_POLICIES}, "
+                                 f"got {policy!r}")
+        s._at_least(servers=1, replicas=1, probe_interval_ns=1,
+                    failover_timeout_ns=1, population=0, abandon_after_ns=1)
         n_clients = s.n_nodes - s.servers
         if n_clients < 1:
             raise ValueError(
@@ -212,17 +230,21 @@ class RpcKind:
                     f"{n_clients} client nodes — every generator node "
                     "needs at least one simulated client")
 
-    def build_stats(self, env: "Environment",
-                    scenario: "Scenario") -> WorkloadStats:
+    def arrival_spec(self) -> ArrivalSpec:
+        """The arrival-process spec; ``closed`` is rpc's alone."""
+        if self.arrival == "closed":
+            return ClosedLoop(self.think_ns,
+                              exponential=self.think_exponential)
+        return super().arrival_spec()
+
+    def build_stats(self, env: "Environment") -> WorkloadStats:
         """The run's stats object, with one sub-stats per shard when the
         service is sharded."""
-        n_shards = scenario.servers if scenario.servers > 1 else 0
-        return WorkloadStats(env, name=f"workload.{scenario.name}",
-                             n_shards=n_shards,
-                             sample_interval_ns=scenario.sample_interval_ns)
+        return WorkloadStats(env, name=f"workload.{self.name}",
+                             n_shards=self.servers if self.servers > 1 else 0,
+                             sample_interval_ns=self.sample_interval_ns)
 
-    def wire(self, nodes: Iterable["Node"], scenario: "Scenario",
-             stats: WorkloadStats
+    def wire(self, nodes: Iterable["Node"], stats: WorkloadStats
              ) -> tuple[dict[int, RpcClient], Optional[ShardSupervisor]]:
         """Wire endpoints, servers and clients onto the cluster's ``nodes``
         (ascending id order); returns ``({client node id: client},
@@ -235,53 +257,52 @@ class RpcKind:
         pollutes the workload's counters or time series.
         """
         nodes = list(nodes)
-        server_nodes, client_nodes = placement(scenario)
+        server_nodes, client_nodes = placement(self)
         supervisor_node = probe_stats = None
-        if scenario.replicas > 1:
+        if self.replicas > 1:
             supervisor_node = client_nodes.pop()
             probe_stats = WorkloadStats(nodes[0].env,
-                                        name=f"probe.{scenario.name}")
+                                        name=f"probe.{self.name}")
         endpoints = {
             node.node_id: RpcEndpoint(
                 node, probe_stats if node.node_id == supervisor_node
                 else stats)
             for node in nodes}
         for shard, node_id in enumerate(server_nodes):
-            build_server(scenario, endpoints[node_id], stats,
+            build_server(self, endpoints[node_id], stats,
                          shard=shard if stats.shards else None).start()
         directory = supervisor = None
         if supervisor_node is not None:
             directory = ReplicatedDirectory(
-                server_nodes, ShardHealth(nodes[0].env, scenario.servers),
-                replicas=scenario.replicas, vnodes=scenario.vnodes)
+                server_nodes, ShardHealth(nodes[0].env, self.servers),
+                replicas=self.replicas, vnodes=self.vnodes)
             supervisor = ShardSupervisor(
                 endpoints[supervisor_node], directory,
-                probe_interval_ns=scenario.probe_interval_ns,
-                probe_timeout_ns=scenario.failover_timeout_ns,
+                probe_interval_ns=self.probe_interval_ns,
+                probe_timeout_ns=self.failover_timeout_ns,
                 workload_stats=stats,
-                availability_target=scenario.slo_availability)
+                availability_target=self.slo_availability)
             supervisor.start()
         clients = {
-            node_id: build_client(scenario, endpoints[node_id], server_nodes,
+            node_id: build_client(self, endpoints[node_id], server_nodes,
                                   position, len(client_nodes), directory)
             for position, node_id in enumerate(client_nodes)}
         return clients, supervisor
 
-    def run(self, cluster: "Cluster", scenario: "Scenario",
-            stats: WorkloadStats) -> dict:
+    def run(self, cluster: "Cluster", stats: WorkloadStats) -> dict:
         """Wire the whole cluster and run the clients to completion;
         replicated runs add the control-plane ``replication`` section."""
-        clients, supervisor = self.wire(cluster.nodes, scenario, stats)
+        clients, supervisor = self.wire(cluster.nodes, stats)
         programs: list = [None] * cluster.n_nodes
         for node_id, client in clients.items():
             programs[node_id] = (lambda node, client=client: client.run())
-        cluster.run(programs, until_ns=scenario.until_ns)
+        cluster.run(programs, until_ns=self.until_ns)
         if supervisor is None:
             return {}
         return {"replication": {
-            "replicas": scenario.replicas,
-            "probe_interval_ns": scenario.probe_interval_ns,
-            "failover_timeout_ns": scenario.failover_timeout_ns,
+            "replicas": self.replicas,
+            "probe_interval_ns": self.probe_interval_ns,
+            "failover_timeout_ns": self.failover_timeout_ns,
             "failovers": stats.counters["failover"],
             "retried": stats.counters["retried"],
             **supervisor.result(),

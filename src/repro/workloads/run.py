@@ -8,8 +8,10 @@
     python -m repro.workloads.run rpc-sharded-slo \\
         --nic-stall 1:2000000:6000000:120000 --trace trace.json
 
-A spec file is a JSON object of :class:`~repro.workloads.runner.Scenario`
-fields (``name`` required, everything else defaulted).  Reports are
+A spec file is a JSON object of one workload kind's scenario fields:
+``kind`` (default ``rpc``) picks the kind, ``name`` is required, and every
+other field the kind declares is defaulted.  A field the kind lacks, or a
+value of the wrong type, is refused before the run.  Reports are
 deterministic JSON (sorted keys, canonical separators): the same spec
 produces byte-identical output on every run, so reports can be committed
 and diffed.  ``-o R.json`` also writes ``R.runinfo.json`` — wall seconds,
@@ -36,7 +38,7 @@ import platform
 import resource
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -133,7 +135,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             scenario = PRESETS[name]
             sharded = (f" servers={scenario.servers} "
                        f"balancer={scenario.balancer}"
-                       if scenario.servers > 1 else "")
+                       if getattr(scenario, "servers", 1) > 1 else "")
             print(f"{name}: kind={scenario.kind} nodes={scenario.n_nodes} "
                   f"fm={scenario.fm_version}{sharded}")
         return 0
@@ -158,7 +160,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             scenario = PRESETS[opts.preset]
         if opts.replicas is not None:
-            scenario = replace(scenario, replicas=opts.replicas)
+            scenario = Scenario.from_dict(
+                {**asdict(scenario), "replicas": opts.replicas})
         scenario.preload()
         plan = None
         if opts.nic_stall:

@@ -10,7 +10,8 @@ and every stall episode is attributed to the stage that stalled.
 
 from __future__ import annotations
 
-from repro.workloads.runner import Scenario, run_scenario
+from repro.dataflow.engine import PipelineScenario
+from repro.workloads.runner import run_scenario
 
 
 def slow_sink_scenario(**overrides):
@@ -22,7 +23,7 @@ def slow_sink_scenario(**overrides):
         sink_work_ns=50_000, n_keys=8, queue_capacity=4,
     )
     spec.update(overrides)
-    return Scenario(**spec)
+    return PipelineScenario(**spec)
 
 
 class TestSlowSinkBackpressure:

@@ -5,11 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.cluster import Cluster
-from repro.dataflow.engine import (build_pipeline_graph, place_stages,
-                                   required_nodes, run_pipeline)
+from repro.dataflow.engine import (PipelineScenario, build_pipeline_graph,
+                                   place_stages, required_nodes,
+                                   run_pipeline)
 from repro.dataflow.graph import StreamGraph
 from repro.dataflow.stats import PipelineStats
-from repro.workloads.runner import Scenario, run_scenario
+from repro.workloads.runner import run_scenario
 
 
 def pipeline_scenario(**overrides):
@@ -21,7 +22,7 @@ def pipeline_scenario(**overrides):
         n_keys=8, queue_capacity=8,
     )
     spec.update(overrides)
-    return Scenario(**spec)
+    return PipelineScenario(**spec)
 
 
 def conservation_ok(results):
@@ -163,7 +164,7 @@ class TestScenarioValidation:
             pipeline_scenario(req_bytes=16)
 
     def test_pipeline_rejects_sharding(self):
-        with pytest.raises(ValueError, match="servers is read by kind rpc only"):
+        with pytest.raises(TypeError, match="servers"):
             pipeline_scenario(servers=4)
 
     def test_unknown_pipeline_rejected(self):

@@ -19,7 +19,7 @@ from repro.cluster.cluster import Cluster
 from repro.dataflow.engine import run_pipeline
 from repro.dataflow.graph import StreamGraph
 from repro.dataflow.stats import PipelineStats
-from repro.workloads.runner import Scenario
+from repro.dataflow.engine import PipelineScenario
 
 #: Per-record service demand of the slow sink; the fast sink consumes
 #: instantly.  80 records => >= 9.6 ms of serialised slow-sink work.
@@ -46,7 +46,7 @@ PLACEMENT = {0: 1, 1: 2, 2: 0, 3: 0}
 def run_co_hosted(monkeypatch):
     monkeypatch.setattr(engine_mod, "place_stages",
                         lambda graph, placement, n_nodes: dict(PLACEMENT))
-    scenario = Scenario(
+    scenario = PipelineScenario(
         name="pump-fairness", kind="pipeline", pipeline="scatter_gather",
         stage_placement="colocate", arrival="open-fixed", n_nodes=3,
         n_sources=2, branches=1, rate_rps=1_000_000.0,

@@ -8,7 +8,9 @@ each wait must end in a named :class:`RdmaStalledError` once it has
 waited past :data:`CQ_STALL_LIMIT_NS` (checked at most one
 :data:`IDLE_WAIT_CAP_NS` sleep later), never in a hang.  Under bit errors
 the error names what the waiting NIC counted instead of guessing at a
-dead peer.
+dead peer.  A :class:`~repro.faults.NicStall` only delays: a short one
+slows a get or a barrier down, and one longer than the wait limit reads
+as a dead peer, because no NIC counted anything wrong.
 """
 
 import re
@@ -20,7 +22,7 @@ from repro.configs import PPRO_FM2
 from repro.core.common import IDLE_WAIT_CAP_NS
 from repro.core.rdma import NicCollectives, RdmaEndpoint
 from repro.core.rdma.api import CQ_STALL_LIMIT_NS, RdmaStalledError
-from repro.faults import FaultPlan, LinkFault
+from repro.faults import FaultPlan, LinkFault, NicStall
 
 
 def dead_link_cluster(n, link):
@@ -273,3 +275,82 @@ def test_bcast_over_a_noisy_link_names_the_corrupt_chunks():
     assert ("corrupt offload packets 4, corrupt control packets 0, "
             "0 B landed without a completion" in message)
     assert "dead peer" not in message
+
+
+def stalled_nic_cluster(n, extra_ns):
+    """Node 1's NIC takes ``extra_ns`` more per packet, on both firmware
+    sides, for packets it starts in the first 200 us."""
+    cluster = Cluster(n, machine=PPRO_FM2, fm_version=2)
+    injector = cluster.inject_faults(FaultPlan(episodes=(
+        NicStall(node=1, start_ns=0, end_ns=200_000, extra_ns=extra_ns),)))
+    return cluster, injector
+
+
+def stalled_get(cluster):
+    """Node 0 gets 2 KB from node 1's registered region; returns the
+    destination buffer and the list its completion time lands in."""
+    eps = [RdmaEndpoint(node) for node in cluster.nodes]
+    region = cluster.node(1).buffer(4096, fill=bytes(range(256)) * 16)
+    dest = cluster.node(0).buffer(2048)
+    done = []
+
+    def target(node):
+        yield from eps[1].register(region)          # rkey 1
+
+    def initiator(node):
+        yield 10_000                                # after registration
+        yield from eps[0].rdma_get(1, 1, dest, 2048)
+        done.append(node.env.now)
+
+    return [initiator, target], dest, done
+
+
+def nic_barrier(cluster):
+    colls = [NicCollectives(node, cluster.n_nodes) for node in cluster.nodes]
+    programs = [(lambda node: colls[node.node_id].barrier())] * len(colls)
+    return programs, colls
+
+
+def test_get_from_a_stalled_nic_is_late_but_whole():
+    """Node 1 is charged three times, one after another: the read
+    request's rx and the tx of each 1 KB response chunk.  The get ends at
+    202 432 ns instead of 61 611 ns, with every byte in place."""
+    cluster, injector = stalled_nic_cluster(2, 50_000)
+    programs, dest, done = stalled_get(cluster)
+    cluster.run(programs)
+    assert done == [202_432]
+    assert injector.counters["nic.stall_ns"] == 150_000
+    assert dest.read(0, 2048) == bytes(range(256)) * 8
+
+
+def test_nic_barrier_over_a_stalled_nic_is_late_but_completes():
+    """Node 1 sends and receives one barrier packet per round, so it is
+    charged four times: ``nic.stall_ns`` reads 200 000.  That is more than
+    the whole barrier takes (112 024 ns), because a NIC's tx and rx
+    firmware are separate loops that stall side by side: each round's tx
+    and rx charges overlap, and the barrier ends exactly 100 us later than
+    the 12 024 ns it takes unstalled."""
+    cluster, injector = stalled_nic_cluster(4, 50_000)
+    programs, colls = nic_barrier(cluster)
+    cluster.run(programs)
+    assert cluster.now == 112_024
+    assert injector.counters["nic.stall_ns"] == 200_000
+    assert [coll.stats_barriers for coll in colls] == [1] * 4
+
+
+@pytest.mark.parametrize("operation", ["get", "barrier"])
+def test_a_nic_stalled_past_the_wait_limit_reads_as_a_dead_peer(operation):
+    """Held ``2 * CQ_STALL_LIMIT_NS`` per packet, node 1 answers after node
+    0 has given up.  Nothing was corrupt, dropped or left half-landed, so
+    all four counters read zero and the error can only guess "dead
+    peer"."""
+    cluster, _injector = stalled_nic_cluster(
+        2 if operation == "get" else 4, 2 * CQ_STALL_LIMIT_NS)
+    programs = (stalled_get(cluster)[0] if operation == "get"
+                else nic_barrier(cluster)[0])
+    with pytest.raises(RdmaStalledError,
+                       match="node 0 waited 100020000 ns") as failure:
+        cluster.run(programs)
+    assert ("(dead peer or unmatched region?; corrupt offload packets 0, "
+            "corrupt control packets 0, 0 B landed without a completion, "
+            "unmatched drops 0)") in str(failure.value)

@@ -11,16 +11,17 @@ from repro.obs.export import (
     validate_trace_events,
 )
 from repro.workloads.presets import PRESETS
-from repro.workloads.runner import Scenario, execute_scenario
+from repro.workloads.rpc_kind import RpcScenario
+from repro.workloads.runner import execute_scenario
 
 
-def small_rpc(fm_version: int = 2, **overrides) -> Scenario:
+def small_rpc(fm_version: int = 2, **overrides) -> RpcScenario:
     spec = dict(
         name=f"trace-fm{fm_version}", kind="rpc", fm_version=fm_version,
         machine="ppro" if fm_version == 2 else "sparc",
         n_nodes=3, arrival="closed", think_ns=5_000, n_requests=6)
     spec.update(overrides)
-    return Scenario(**spec)
+    return RpcScenario(**spec)
 
 
 class TestTracePropagation:

@@ -19,11 +19,12 @@ import pytest
 
 from repro.obs.export import dumps_deterministic
 from repro.workloads.presets import PRESET_PLANS, PRESETS
-from repro.workloads.runner import Scenario, execute_scenario
+from repro.dataflow.engine import PipelineScenario
+from repro.workloads.runner import execute_scenario
 
 from tests._pumps import lone_lane_bounded_by_its_queue, strict_single_stage_pump
 
-BACKPRESSURED = Scenario(
+BACKPRESSURED = PipelineScenario(
     name="ext-dataflow", kind="pipeline", pipeline="scatter_gather",
     arrival="open-fixed", n_nodes=7, n_sources=2, branches=4,
     rate_rps=2_000_000.0, n_requests=400, req_bytes=64, work_ns=4_000,

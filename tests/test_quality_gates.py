@@ -195,3 +195,13 @@ def test_the_kernel_keeps_only_what_the_model_uses():
     assert not (root / "simkernel" / "trace.py").exists()
     assert _occurrences("simkernel.trace") == {}
     assert _occurrences("Tracer") == {}
+
+
+def test_a_scenario_declares_only_what_its_kind_reads():
+    """Each workload kind is its own frozen scenario class, declaring the
+    fields its run reads.  The per-kind lists that once patched one flat
+    ``Scenario`` (what a kind reads, which fields its reports show, the
+    report's hide-list) stay deleted."""
+    for needle in ("def report_fields", "is read by kind", ".reads =",
+                   "scenario_report_dict"):
+        assert _occurrences(needle) == {}, needle

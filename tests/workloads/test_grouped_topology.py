@@ -19,7 +19,8 @@ from repro.workloads.presets import PRESETS
 from repro.workloads.rpc_kind import (client_arrival, placement,
                                       population_shares)
 from repro.workloads.run import main
-from repro.workloads.runner import Scenario, run_scenario
+from repro.workloads.rpc_kind import RpcScenario
+from repro.workloads.runner import run_scenario
 
 
 class TestPurePlacement:
@@ -36,8 +37,8 @@ class TestPurePlacement:
         assert client_nodes == [1, 2, 3, 5, 6, 7]
 
     def test_more_servers_than_groups_take_the_next_offset(self):
-        scenario = Scenario(name="x", kind="rpc", n_nodes=8,
-                            partition_groups=2, servers=3)
+        scenario = RpcScenario(name="x", kind="rpc", n_nodes=8,
+                               partition_groups=2, servers=3)
         # Server 2 wraps to group 0 at within-group offset 1.
         assert placement(scenario) == ([0, 1, 4], [2, 3, 5, 6, 7])
 
@@ -62,15 +63,15 @@ class TestPurePlacement:
 class TestValidation:
     def test_population_needs_open_arrival(self):
         with pytest.raises(ValueError):
-            Scenario(name="x", kind="rpc", arrival="closed",
-                     n_nodes=4, population=100)
+            RpcScenario(name="x", kind="rpc", arrival="closed",
+                        n_nodes=4, population=100)
         with pytest.raises(ValueError):
-            Scenario(name="x", kind="rpc", arrival="open",
-                     n_nodes=4, population=1)   # fewer than client nodes
+            RpcScenario(name="x", kind="rpc", arrival="open",
+                        n_nodes=4, population=1)   # fewer than client nodes
 
     def test_nodes_must_split_evenly_over_groups(self):
         with pytest.raises(ValueError, match="do not split evenly"):
-            Scenario(name="x", kind="rpc", n_nodes=8, partition_groups=3)
+            RpcScenario(name="x", kind="rpc", n_nodes=8, partition_groups=3)
 
 
 def test_the_trunk_is_a_real_link_of_the_model():

@@ -1,18 +1,45 @@
 """The ``KINDS`` table is the scenario runner's contract: every preset
-runs through it, field ownership is unambiguous, and everything a
-scenario can get wrong is a ``ValueError`` from ``Scenario(...)`` itself —
-never a failure inside a built cluster."""
+runs through it, each kind's class declares exactly the fields its run
+reads, and everything a scenario can get wrong is refused before a
+cluster is built — a field the kind lacks is a ``TypeError`` from the
+class (a ``ValueError`` naming the field and the kind from
+``Scenario.from_dict``), every other mistake a ``ValueError`` from its
+``__post_init__``."""
 
 import json
-from dataclasses import fields, replace
+import re
+from dataclasses import asdict, fields, replace
 
 import pytest
 
 from repro.obs.export import dumps_deterministic
 from repro.workloads.presets import PRESETS
-from repro.workloads.runner import KINDS, Scenario, scenario_report_dict
+from repro.workloads.runner import KINDS, Scenario
 
 from tests.golden import regen
+
+BASE = {"name", "kind", "seed", "n_nodes", "fm_version", "machine",
+        "n_requests", "iterations", "until_ns"}
+ARRIVAL = {"arrival", "rate_rps", "burst_on_ns", "burst_off_ns",
+           "req_bytes", "work_ns", "n_keys", "queue_capacity",
+           "extract_budget"}
+TELEMETRY = {"sample_interval_ns", "slo_availability", "slo_latency_p99_ns",
+             "partition_groups", "trunk_propagation_ns"}
+#: What each kind's run reads beyond the base fields.
+READS = {
+    "rpc": ARRIVAL | TELEMETRY | {
+        "think_ns", "think_exponential", "resp_bytes", "workers", "policy",
+        "deadline_ns", "abandon_after_ns", "servers", "balancer", "vnodes",
+        "key_skew", "shard_policies", "replicas", "probe_interval_ns",
+        "failover_timeout_ns", "population"},
+    "halo": TELEMETRY | {"compute_ns", "halo_bytes"},
+    "allreduce": TELEMETRY | {"compute_ns", "grad_bytes"},
+    "pipeline": ARRIVAL | {
+        "pipeline", "n_sources", "branches", "window_ns", "window_slide_ns",
+        "partition_by", "stage_placement", "sink_work_ns"},
+    "rdma": {"req_bytes"},
+}
+
 
 class TestKindsTable:
     def test_every_preset_kind_is_registered_and_every_kind_exercised(self):
@@ -22,60 +49,73 @@ class TestKindsTable:
                         for scenario, _plan in regen.cases().values()}
         assert golden_kinds == set(KINDS)
 
-    def test_each_field_has_at_most_one_owner(self):
-        names = {f.name for f in fields(Scenario)}
-        owned = [name for kind in KINDS.values() for name in kind.fields]
-        assert len(owned) == len(set(owned)), "a field is claimed twice"
-        assert set(owned) <= names, "a kind claims a field Scenario lacks"
+    def test_each_kind_declares_exactly_the_fields_it_reads(self):
+        for kind, cls in KINDS.items():
+            assert {f.name for f in fields(cls)} == BASE | READS[kind], kind
+            assert cls.__dataclass_fields__["kind"].default == kind
+        assert {kind: len(fields(cls)) for kind, cls in KINDS.items()} == {
+            "rpc": 39, "halo": 16, "allreduce": 16, "pipeline": 26,
+            "rdma": 10}
 
     @pytest.mark.parametrize("name", list(regen.cases()))
     def test_reported_fields_match_the_golden(self, name):
         scenario, _plan = regen.cases()[name]
-        fresh = json.loads(dumps_deterministic(scenario_report_dict(scenario)))
+        fresh = json.loads(dumps_deterministic(asdict(scenario)))
         assert fresh == json.loads(regen.golden_text(name))["scenario"]
+
+    def test_list_prints_one_line_per_preset(self, capsys):
+        from repro.workloads.run import main
+
+        assert main(["list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == sorted(PRESETS)
+        assert lines[sorted(PRESETS).index("rpc-sharded")].endswith(
+            "servers=4 balancer=static")
+        assert lines[sorted(PRESETS).index("mpi-halo")] == (
+            "mpi-halo: kind=halo nodes=4 fm=2")
 
 
 class TestValidationAtConstruction:
-    @pytest.mark.parametrize("base, overrides, readers", [
-        ("rdma-pingpong", {"n_nodes": 4, "partition_groups": 2},
-         "rpc/halo/allreduce"),
-        ("dataflow-rollup", {"n_nodes": 12, "partition_groups": 2},
-         "rpc/halo/allreduce"),
-        ("dataflow-rollup", {"sample_interval_ns": 50_000},
-         "rpc/halo/allreduce"),
-        ("mpi-halo", {"population": 8}, "rpc"),
-        ("mpi-halo", {"servers": 3}, "rpc"),
-        ("mpi-halo", {"balancer": "least_pending"}, "rpc"),
-        ("mpi-halo", {"workers": 9}, "rpc"),
-        ("mpi-halo", {"pipeline": "scatter_gather"}, "pipeline"),
-        ("mpi-halo", {"grad_bytes": 64}, "allreduce"),
-        ("rpc-open", {"halo_bytes": 64}, "halo"),
-        ("rpc-open", {"req_bytes": 32, "window_ns": 5}, "pipeline"),
+    @pytest.mark.parametrize("base, overrides", [
+        ("rdma-pingpong", {"n_nodes": 4, "partition_groups": 2}),
+        ("dataflow-rollup", {"n_nodes": 12, "partition_groups": 2}),
+        ("dataflow-rollup", {"sample_interval_ns": 50_000}),
+        ("mpi-halo", {"population": 8}),
+        ("mpi-halo", {"servers": 3}),
+        ("mpi-halo", {"balancer": "least_pending"}),
+        ("mpi-halo", {"workers": 9}),
+        ("mpi-halo", {"pipeline": "scatter_gather"}),
+        ("mpi-halo", {"grad_bytes": 64}),
+        ("rpc-open", {"halo_bytes": 64}),
+        ("rpc-open", {"req_bytes": 32, "window_ns": 5}),
     ])
     def test_kinds_fence_the_model_fields_they_do_not_build(
-            self, base, overrides, readers):
+            self, base, overrides):
         field = list(overrides)[-1]
-        with pytest.raises(
-                ValueError,
-                match=f"{field} is read by kind {readers} only.*must hold"):
-            replace(PRESETS[base], **overrides)
+        scenario = PRESETS[base]
+        with pytest.raises(TypeError, match=field):
+            replace(scenario, **overrides)
+        with pytest.raises(ValueError, match=re.escape(
+                f"unknown scenario fields: ['{field}'] "
+                f"(kind {scenario.kind!r} has no such field)")):
+            Scenario.from_dict({**asdict(scenario), **overrides})
 
-    def test_a_spelled_out_default_is_not_a_foreign_setting(self):
-        """``perfbench/specs`` spell defaults out: the check compares
-        values, not presence."""
-        Scenario.from_dict({"name": "x", "kind": "halo", "arrival": "open",
-                            "servers": 1, "pipeline": "rollup"})
+    def test_another_kinds_default_is_refused(self):
+        """A field the kind lacks is refused even at its default in the
+        kind that has it: the spec names a knob this run would never read.
+        ``perfbench/specs`` name only their own kind's fields."""
+        with pytest.raises(ValueError, match=re.escape(
+                "['arrival', 'pipeline', 'servers'] (kind 'halo'")):
+            Scenario.from_dict({"name": "x", "kind": "halo", "arrival": "open",
+                                "servers": 1, "pipeline": "rollup"})
+        for path in sorted(regen.SPEC_DIR.glob("*.json")):
+            Scenario.from_dict(json.loads(path.read_text()))
 
     def test_run_length_is_every_kinds_to_scale(self):
         """``perfbench`` scales ``n_requests`` and ``iterations`` on every
-        spec without asking its kind: no kind claims either."""
+        spec without asking its kind: both are base fields."""
         replace(PRESETS["mpi-halo"], n_requests=4, iterations=4)
         replace(PRESETS["rpc-open"], n_requests=4, iterations=4)
-
-    def test_every_kind_reads_only_fields_scenario_has(self):
-        names = {f.name for f in fields(Scenario)}
-        for kind in KINDS.values():
-            assert set(kind.fields) <= set(kind.reads) <= names
 
     @pytest.mark.parametrize("base, overrides", [
         ("rpc-open", {"policy": "bogus"}),

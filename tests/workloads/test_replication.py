@@ -19,7 +19,8 @@ from repro.workloads.replication import (
 )
 from repro.workloads.rpc import RpcEndpoint, RpcServer
 from repro.workloads.presets import PRESET_PLANS, PRESETS
-from repro.workloads.runner import Scenario, run_scenario
+from repro.workloads.rpc_kind import RpcScenario
+from repro.workloads.runner import run_scenario
 from repro.workloads.sharding import make_balancer
 from repro.workloads.stats import WorkloadStats
 
@@ -333,28 +334,29 @@ class TestReplicatedScenarios:
 
     def test_replicated_rerun_is_byte_identical(self):
         from repro.obs.export import dumps_deterministic
-        spec = Scenario(name="rep", kind="rpc", arrival="closed",
-                        n_nodes=7, servers=3, replicas=2, think_ns=20_000,
-                        n_requests=25, work_ns=0,
-                        failover_timeout_ns=100_000,
-                        probe_interval_ns=80_000)
+        spec = RpcScenario(name="rep", kind="rpc", arrival="closed",
+                           n_nodes=7, servers=3, replicas=2, think_ns=20_000,
+                           n_requests=25, work_ns=0,
+                           failover_timeout_ns=100_000,
+                           probe_interval_ns=80_000)
         plan = FaultPlan(seed=2, episodes=(
             NicStall(node=2, start_ns=300_000, end_ns=900_000,
                      extra_ns=200_000),))
         assert (dumps_deterministic(run_scenario(spec, plan=plan))
                 == dumps_deterministic(run_scenario(spec, plan=plan)))
 
-    def test_unreplicated_report_keeps_the_pre_replication_schema(self):
-        report = run_scenario(Scenario(
+    def test_unreplicated_run_has_no_supervisor(self):
+        """The replication knobs are rpc fields, so every rpc report's
+        ``scenario`` carries them; only a replicated run has a supervisor
+        to report on."""
+        report = run_scenario(RpcScenario(
             name="plain", kind="rpc", n_nodes=3, arrival="closed",
             think_ns=5_000, n_requests=5))
         assert "replication" not in report
-        for field in ("replicas", "probe_interval_ns",
-                      "failover_timeout_ns"):
-            assert field not in report["scenario"]
+        assert report["scenario"]["replicas"] == 1
 
     def test_replicated_report_carries_the_control_plane(self):
-        report = run_scenario(Scenario(
+        report = run_scenario(RpcScenario(
             name="rep", kind="rpc", arrival="closed", n_nodes=7,
             servers=3, replicas=2, think_ns=20_000, n_requests=10,
             work_ns=0))
@@ -372,7 +374,7 @@ class TestReplicatedScenarios:
             fields = dict(name="x", kind="rpc", n_nodes=7, servers=3,
                           replicas=2)
             fields.update(overrides)
-            return Scenario(**fields)
+            return RpcScenario(**fields)
 
         spec()                                      # the valid baseline
         spec(n_nodes=8, partition_groups=2)         # grouping is only topology

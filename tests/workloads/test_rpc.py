@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.workloads.presets import PRESETS
+from repro.workloads.apps import AllreduceScenario, HaloScenario
+from repro.workloads.rpc_kind import RpcScenario
 from repro.workloads.runner import Scenario, run_scenario
 
 
@@ -16,12 +18,12 @@ def overload(policy, **overrides):
         work_ns=20_000, workers=1, queue_capacity=4, policy=policy,
     )
     spec.update(overrides)
-    return Scenario(**spec)
+    return RpcScenario(**spec)
 
 
 class TestRpcBasics:
     def test_closed_loop_completes_every_request(self):
-        report = run_scenario(Scenario(
+        report = run_scenario(RpcScenario(
             name="cl", kind="rpc", n_nodes=3, arrival="closed",
             think_ns=5_000, n_requests=20))
         results = report["results"]
@@ -32,7 +34,7 @@ class TestRpcBasics:
         assert results["throughput_rps"] > 0
 
     def test_fm1_transport_works(self):
-        report = run_scenario(Scenario(
+        report = run_scenario(RpcScenario(
             name="fm1", kind="rpc", fm_version=1, n_nodes=2,
             arrival="closed", n_requests=15))
         assert report["results"]["completed"] == 15
@@ -44,8 +46,8 @@ class TestRpcBasics:
         base = dict(name="x", kind="rpc", n_nodes=3, arrival="open",
                     rate_rps=100_000.0, n_requests=30, req_bytes=1024,
                     resp_bytes=1024, work_ns=0)
-        fm1 = run_scenario(Scenario(fm_version=1, **base))["results"]
-        fm2 = run_scenario(Scenario(fm_version=2, **base))["results"]
+        fm1 = run_scenario(RpcScenario(fm_version=1, **base))["results"]
+        fm2 = run_scenario(RpcScenario(fm_version=2, **base))["results"]
         assert fm2["throughput_rps"] > 1.2 * fm1["throughput_rps"]
         assert fm2["latency"]["p99_ns"] < fm1["latency"]["p99_ns"]
 
@@ -81,8 +83,8 @@ class TestPolicies:
 
 class TestDeterminism:
     def test_same_scenario_same_report(self):
-        spec = Scenario(name="d", kind="rpc", n_nodes=3, arrival="open",
-                        rate_rps=30_000.0, n_requests=25)
+        spec = RpcScenario(name="d", kind="rpc", n_nodes=3, arrival="open",
+                           rate_rps=30_000.0, n_requests=25)
         assert run_scenario(spec) == run_scenario(spec)
 
     def test_observer_does_not_change_results(self):
@@ -93,8 +95,8 @@ class TestDeterminism:
 
     def test_empty_fault_plan_is_bit_identical(self):
         from repro.faults import FaultPlan
-        spec = Scenario(name="f", kind="rpc", n_nodes=2, arrival="closed",
-                        n_requests=10)
+        spec = RpcScenario(name="f", kind="rpc", n_nodes=2, arrival="closed",
+                           n_requests=10)
         plain = run_scenario(spec)
         faulted = run_scenario(spec, plan=FaultPlan())
         assert plain["results"] == faulted["results"]
@@ -103,8 +105,8 @@ class TestDeterminism:
     def test_nic_stall_plan_slows_the_service(self):
         from repro.faults import FaultPlan
         from repro.faults.plan import NicStall
-        spec = Scenario(name="f", kind="rpc", n_nodes=2, arrival="closed",
-                        n_requests=15)
+        spec = RpcScenario(name="f", kind="rpc", n_nodes=2, arrival="closed",
+                           n_requests=15)
         plan = FaultPlan(seed=3, episodes=(
             NicStall(node=0, side="rx", extra_ns=3_000),))
         plain = run_scenario(spec)
@@ -240,14 +242,14 @@ class TestAbandonAnchoring:
 
 class TestMpiKinds:
     def test_halo_records_every_iteration(self):
-        results = run_scenario(Scenario(
+        results = run_scenario(HaloScenario(
             name="h", kind="halo", n_nodes=4, iterations=10,
             halo_bytes=128, compute_ns=1_000))["results"]
         assert results["completed"] == 10
         assert results["latency"]["p99_ns"] > 0
 
     def test_allreduce_verifies_the_reduction(self):
-        results = run_scenario(Scenario(
+        results = run_scenario(AllreduceScenario(
             name="a", kind="allreduce", n_nodes=3, iterations=5,
             grad_bytes=1024, compute_ns=1_000))["results"]
         assert results["completed"] == 5
@@ -265,11 +267,11 @@ class TestScenarioSpec:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            Scenario(name="x", kind="batch")
+            Scenario.from_dict({"name": "x", "kind": "batch"})
         with pytest.raises(ValueError):
-            Scenario(name="x", machine="cray")
+            RpcScenario(name="x", machine="cray")
         with pytest.raises(ValueError):
-            Scenario(name="x", arrival="hyperbolic")
+            RpcScenario(name="x", arrival="hyperbolic")
 
 
 class TestCliRejectsBadOverrides:
@@ -282,6 +284,8 @@ class TestCliRejectsBadOverrides:
          "unrecognized arguments: --partitions 2"),
         (["rpc-open", "--replicas", "2"],
          "replicas > 1 needs a sharded service"),
+        (["mpi-halo", "--replicas", "2"],
+         "unknown scenario fields: ['replicas'] (kind 'halo' has no such"),
     ])
     def test_exit_2_with_the_validation_message(self, argv, message, capsys):
         from repro.workloads.run import main
@@ -304,13 +308,27 @@ class TestCliRejectsBadOverrides:
     @pytest.mark.parametrize("spec, flags, message", [
         ('{"kind": "rpc"}', [], "a scenario spec needs a 'name'"),
         ('{"name": "x", "n_nodes": "four"}', [],
-         "n_nodes must be a number, got 'four'"),
+         "n_nodes must be an int, got 'four'"),
         (None, [], "No such file or directory"),
         ("[1, 2]", [], "a scenario spec is a JSON object"),
         ('{"name": "x"}', ["-o", "no/such/dir/r.json"],
          "-o no/such/dir/r.json: no directory no/such/dir"),
         ('{"name": "x"}', ["--trace", "no/such/dir/t.json"],
          "--trace no/such/dir/t.json: no directory no/such/dir"),
+        # Each of these used to construct and then fail in a built cluster.
+        ('{"name": "x", "abandon_after_ns": "5"}', [],
+         "abandon_after_ns must be an int or null, got '5'"),
+        ('{"name": "x", "until_ns": "100"}', [],
+         "until_ns must be an int or null, got '100'"),
+        ('{"name": "x", "kind": "halo", "until_ns": -5}', [],
+         "until_ns must be >= 1, got -5"),
+        ('{"name": "x", "extract_budget": "7"}', [],
+         "extract_budget must be an int or null, got '7'"),
+        ('{"name": "x", "n_requests": 1.5}', [],
+         "n_requests must be an int, got 1.5"),
+        ('{"name": "x", "slo_latency_p99_ns": "5", '
+         '"sample_interval_ns": 10}', [],
+         "slo_latency_p99_ns must be an int or null, got '5'"),
     ])
     def test_every_usage_error_is_found_before_the_run(
             self, spec, flags, message, tmp_path, capsys, monkeypatch):

@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from repro.workloads.rpc_kind import RpcScenario
 from repro.workloads.runner import Scenario, run_scenario
 from repro.workloads.sharding import (
     BALANCER_NAMES,
@@ -26,7 +27,7 @@ def sharded(servers=4, clients=3, **overrides):
         req_bytes=128, resp_bytes=128, work_ns=0, seed=5,
     )
     spec.update(overrides)
-    return Scenario(**spec)
+    return RpcScenario(**spec)
 
 
 class TestHashRing:
