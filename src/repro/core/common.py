@@ -20,13 +20,15 @@ host-visible mailbox — so credit returns are never blocked behind data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro.hardware.bus import IoBus
 from repro.hardware.cpu import HostCpu
 from repro.hardware.fabric import Fabric
 from repro.hardware.nic import Nic
-from repro.hardware.packet import HEADER_BYTES, Packet, PacketFlags, PacketHeader, framed
+from repro.hardware.packet import (HEADER_BYTES, Packet, PacketFlags,
+                                   PacketHeader, Site, framed)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simkernel.env import Environment
@@ -174,7 +176,14 @@ class FmEndpoint:
         self.nic = nic
         self.fabric = fabric
         self.params = params
-        self._track = f"node{node_id}/fm"
+        self._track = track = f"node{node_id}/fm"
+        # Span sites share one namespace: an attribute each would take an
+        # FM 2.x endpoint past the 30 a CPython instance keeps inline.
+        self._sites = SimpleNamespace(
+            credit_stall=Site("fm", "credit_stall", track, "dest"),
+            inject=Site("fm", "inject", track, "dest", "pio_bytes", "wire_bytes"),
+            corruption=Site("fm", "corruption_detected", track, "src", "msg_id", "seq"),
+            credit_return=Site("fm", "credit_return", track, "dest", "credits"))
         self.handlers = HandlerTable()
         # Sender side.
         self._credits: dict[int, int] = {}       # dest -> remaining credits
@@ -255,8 +264,7 @@ class FmEndpoint:
             if self.on_credit_stall is not None:
                 self.on_credit_stall(dest, stall_ns)
             if obs is not None:
-                obs.span("fm", "credit_stall", t0,
-                         track=self._track, dest=dest)
+                obs.record(self._sites.credit_stall, t0, dest)
                 obs.metrics.histogram("fm.credit_stall_ns").record(stall_ns)
 
     # -- idle waiting --------------------------------------------------------
@@ -307,9 +315,8 @@ class FmEndpoint:
         yield from self.nic.submit(packet)
         self.stats_sent_packets += 1
         if obs is not None:
-            obs.span("fm", "inject", t0, track=self._track,
-                     dest=packet.header.dest, pio_bytes=nbytes,
-                     wire_bytes=packet.wire_bytes)
+            obs.record(self._sites.inject, t0, packet.header.dest, nbytes,
+                       packet.wire_bytes)
 
     # -- receiver-side credit returns ------------------------------------------------
     def raise_corruption(self, packet: Packet) -> None:
@@ -319,9 +326,8 @@ class FmEndpoint:
         header = packet.header
         obs = self.env.obs
         if obs is not None:
-            obs.span("fm", "corruption_detected", self.env.now,
-                     track=self._track, src=header.src,
-                     msg_id=header.msg_id, seq=header.seq)
+            obs.record(self._sites.corruption, self.env.now, header.src,
+                       header.msg_id, header.seq)
         raise FmCorruptionError(
             f"node {self.node_id} received a corrupted packet from "
             f"{header.src}: FM relies on the network's (Myrinet's) "
@@ -358,8 +364,7 @@ class FmEndpoint:
         yield from self.inject(packet)
         self.stats_credit_packets += 1
         if obs is not None:
-            obs.span("fm", "credit_return", t0, track=self._track,
-                     dest=src, credits=pending)
+            obs.record(self._sites.credit_return, t0, src, pending)
 
     # -- introspection -----------------------------------------------------------
     def outstanding_credits(self, dest: int) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Generator, Optional
 
 from repro.hardware.memory import Buffer
-from repro.hardware.packet import Packet, PacketFlags, framed
+from repro.hardware.packet import Packet, PacketFlags, Site, framed
 
 from repro.core.common import FmEndpoint, FmProtocolError
 
@@ -47,7 +47,11 @@ class FM1(FmEndpoint):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._reassembly: dict[tuple[int, int], _Reassembly] = {}
-        self._app_track = f"node{self.node_id}/app"
+        sites, track = self._sites, self._track
+        sites.send = Site("fm", "FM_send", track, "dest", "bytes", "packets")
+        sites.send_4 = Site("fm", "FM_send_4", track, "dest", "bytes")
+        sites.extract = Site("fm", "FM_extract", track, "packets", "handlers")
+        sites.handler = Site("app", "handler", f"node{self.node_id}/app", "src", "bytes")
 
     # -- Table 1: FM_send(dest, handler, buf, size) ------------------------------
     def send(self, dest: int, handler_id: int, buf: Buffer, size: int,
@@ -82,8 +86,7 @@ class FM1(FmEndpoint):
             yield from self.inject(packet)
         self.stats_sent_messages += 1
         if obs is not None:
-            obs.span("fm", "FM_send", t0, track=self._track,
-                     dest=dest, bytes=size, packets=n_packets)
+            obs.record(self._sites.send, t0, dest, size, n_packets)
 
     # -- Table 1: FM_send_4(dest, handler, i0..i3) --------------------------------
     def send_4(self, dest: int, handler_id: int, words: bytes) -> Generator:
@@ -111,8 +114,7 @@ class FM1(FmEndpoint):
         yield from self.inject(packet)
         self.stats_sent_messages += 1
         if obs is not None:
-            obs.span("fm", "FM_send_4", t0, track=self._track,
-                     dest=dest, bytes=SEND4_BYTES)
+            obs.record(self._sites.send_4, t0, dest, SEND4_BYTES)
 
     # -- Table 1: FM_extract() ------------------------------------------------
     def extract(self, max_packets: Optional[int] = None) -> Generator:
@@ -138,8 +140,7 @@ class FM1(FmEndpoint):
             processed += 1
             handled += (yield from self._process_packet(packet))
         if obs is not None and processed:
-            obs.span("fm", "FM_extract", t0, track=self._track,
-                     packets=processed, handlers=handled)
+            obs.record(self._sites.extract, t0, processed, handled)
         return handled
 
     # -- internals ----------------------------------------------------------------
@@ -218,7 +219,6 @@ class FM1(FmEndpoint):
             yield from handler(self, header.src, entry.staging,
                                entry.msg_bytes)
         if obs is not None:
-            obs.span("app", "handler", t_handler,
-                     track=self._app_track, ctx=packet.trace,
-                     src=header.src, bytes=entry.msg_bytes)
+            obs.record(self._sites.handler, t_handler, header.src,
+                       entry.msg_bytes, ctx=packet.trace)
         return 1

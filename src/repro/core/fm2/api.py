@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from repro.hardware.memory import Buffer
-from repro.hardware.packet import Packet
+from repro.hardware.packet import Packet, Site
 
 from repro.core.common import FmEndpoint, FmProtocolError
 from repro.core.fm2.stream import RecvStream, SendStream
@@ -40,6 +40,12 @@ class FM2(FmEndpoint):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._streams: dict[tuple[int, int], RecvStream] = {}
+        sites, track = self._sites, self._track
+        sites.begin = Site("fm", "FM_begin_message", track, "dest", "bytes")
+        sites.piece = Site("fm", "FM_send_piece", track, "dest", "bytes")
+        sites.end = Site("fm", "FM_end_message", track, "dest", "bytes")
+        sites.extract = Site("fm", "FM_extract", track, "bytes")
+        sites.receive = Site("fm", "FM_receive", track, "src", "bytes")
 
     # -- send side -----------------------------------------------------------
     def begin_message(self, dest: int, msg_bytes: int, handler_id: int) -> Generator:
@@ -57,8 +63,7 @@ class FM2(FmEndpoint):
         t0 = self.env.now
         yield from self.cpu.per_message()
         if obs is not None:
-            obs.span("fm", "FM_begin_message", t0, track=self._track,
-                     dest=dest, bytes=msg_bytes)
+            obs.record(self._sites.begin, t0, dest, msg_bytes)
         return SendStream(self, dest, handler_id, msg_bytes)
 
     def send_piece(self, stream: SendStream, buf: Buffer, offset: int,
@@ -69,8 +74,7 @@ class FM2(FmEndpoint):
         yield from self.cpu.call()
         yield from stream.push_piece(buf, offset, nbytes)
         if obs is not None:
-            obs.span("fm", "FM_send_piece", t0, track=self._track,
-                     dest=stream.dest, bytes=nbytes)
+            obs.record(self._sites.piece, t0, stream.dest, nbytes)
 
     def end_message(self, stream: SendStream) -> Generator:
         """Close the message; flushes the final packet (FM_end_message)."""
@@ -79,8 +83,7 @@ class FM2(FmEndpoint):
         yield from stream.finish()
         self.stats_sent_messages += 1
         if obs is not None:
-            obs.span("fm", "FM_end_message", t0, track=self._track,
-                     dest=stream.dest, bytes=stream.msg_bytes)
+            obs.record(self._sites.end, t0, stream.dest, stream.msg_bytes)
 
     def send_gather(self, dest: int, handler_id: int,
                     pieces: list[Buffer]) -> Generator:
@@ -125,8 +128,7 @@ class FM2(FmEndpoint):
                 break
             extracted += (yield from self._process_packet(packet))
         if obs is not None and extracted:
-            obs.span("fm", "FM_extract", t0, track=self._track,
-                     bytes=extracted)
+            obs.record(self._sites.extract, t0, extracted)
         return extracted
 
     def pending_handlers(self) -> int:

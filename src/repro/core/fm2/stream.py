@@ -215,8 +215,7 @@ class RecvStream:
             copied += take
             self.consumed_bytes += take
         if obs is not None:
-            obs.span("fm", "FM_receive", t0, track=self.fm._track,
-                     src=self.src, bytes=nbytes)
+            obs.record(self.fm._sites.receive, t0, self.src, nbytes)
 
     def receive_bytes(self, nbytes: int) -> Generator:
         """Convenience: receive into a fresh buffer and return the bytes."""

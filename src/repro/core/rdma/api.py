@@ -31,7 +31,8 @@ from typing import TYPE_CHECKING, Callable, Generator
 from repro.core.common import IDLE_WAIT_CAP_NS
 from repro.hardware.memory import Buffer
 from repro.hardware.nic import RDMA_MTU, RdmaCompletion
-from repro.hardware.packet import HEADER_BYTES, Packet, PacketFlags, PacketHeader, framed
+from repro.hardware.packet import (HEADER_BYTES, Packet, PacketFlags,
+                                   PacketHeader, Site, framed)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
@@ -62,7 +63,9 @@ class RdmaEndpoint:
         self.bus = node.bus
         self.nic = node.nic
         self.node_id = node.node_id
-        self._track = f"node{node.node_id}/rdma"
+        track = f"node{node.node_id}/rdma"
+        self._put_site = Site("rdma", "put", track, "dest", "rkey", "bytes")
+        self._get_site = Site("rdma", "get", track, "dest", "rkey", "bytes")
         self._next_rkey = 1
         self._next_op_id = 0
         self.stats_puts = 0
@@ -126,8 +129,7 @@ class RdmaEndpoint:
         self.stats_puts += 1
         self.stats_put_bytes += nbytes
         if obs is not None:
-            obs.span("rdma", "put", t0, track=self._track,
-                     dest=dest, rkey=rkey, bytes=nbytes)
+            obs.record(self._put_site, t0, dest, rkey, nbytes)
         return op_id
 
     def rdma_get(self, dest: int, rkey: int, buffer: Buffer, nbytes: int,
@@ -157,8 +159,7 @@ class RdmaEndpoint:
         self.stats_gets += 1
         self.stats_get_bytes += nbytes
         if obs is not None:
-            obs.span("rdma", "get", t0, track=self._track,
-                     dest=dest, rkey=rkey, bytes=nbytes)
+            obs.record(self._get_site, t0, dest, rkey, nbytes)
         return op_id
 
     # -- completions ----------------------------------------------------------

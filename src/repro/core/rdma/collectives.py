@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Generator
 
 from repro.core.rdma.api import wait_cq
 from repro.hardware.memory import Buffer
-from repro.hardware.packet import HEADER_BYTES
+from repro.hardware.packet import HEADER_BYTES, Site
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
@@ -43,7 +43,9 @@ class NicCollectives:
         self.bus = node.bus
         self.nic = node.nic
         self.node_id = node.node_id
-        self._track = f"node{node.node_id}/rdma"
+        track = f"node{node.node_id}/rdma"
+        self._barrier_site = Site("rdma", "nic_barrier", track, "coll")
+        self._bcast_site = Site("rdma", "nic_bcast", track, "coll", "root", "bytes")
         self.n_nodes = n_nodes
         self._next_coll_id = 0
         self.stats_barriers = 0
@@ -62,8 +64,7 @@ class NicCollectives:
             self, lambda c: c.kind == "barrier" and c.op_id == coll_id)
         self.stats_barriers += 1
         if obs is not None:
-            obs.span("rdma", "nic_barrier", t0,
-                     track=self._track, coll=coll_id)
+            obs.record(self._barrier_site, t0, coll_id)
 
     def bcast(self, buffer: Buffer, nbytes: int, root: int) -> Generator:
         """Broadcast ``nbytes`` from ``root``'s buffer into everyone
@@ -82,9 +83,7 @@ class NicCollectives:
         self.stats_bcasts += 1
         self.stats_bcast_bytes += nbytes
         if obs is not None:
-            obs.span("rdma", "nic_bcast", t0,
-                     track=self._track,
-                     coll=coll_id, root=root, bytes=nbytes)
+            obs.record(self._bcast_site, t0, coll_id, root, nbytes)
 
     def _alloc(self) -> int:
         coll_id = self._next_coll_id

@@ -43,6 +43,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.hardware.memory import Buffer
+from repro.hardware.packet import Site
 
 from repro.core.fm1.api import FM1
 
@@ -178,7 +179,10 @@ class StageRuntime:
         self.stats = stats
         self.stage_stats = stage_stats
         self.record_bytes = record_bytes
-        self._track = f"node{node.node_id}/dataflow"
+        track = f"node{node.node_id}/dataflow"
+        self._done_site = Site("dataflow", "stage.done", track, "stage", "processed")
+        self._flush_site = Site("dataflow", "window.flush", track,
+                                "stage", "aggregates")
         self.queue: Optional[Store] = None
         if spec.kind != "source":
             self.queue = Store(self.env, capacity=queue_capacity,
@@ -230,9 +234,8 @@ class StageRuntime:
         self.stage_stats.done_ns = self.env.now
         obs = self.env.obs
         if obs is not None:
-            obs.span("dataflow", "stage.done", self.env.now,
-                     track=self._track, stage=self.spec.name,
-                     processed=self.stage_stats.counters["processed"])
+            obs.record(self._done_site, self.env.now, self.spec.name,
+                       self.stage_stats.counters["processed"])
         self.done.succeed()
 
     # -- the shared consume loop ------------------------------------------
@@ -337,9 +340,7 @@ class OperatorRuntime(StageRuntime):
         for aggregate in aggregates:
             yield from self._emit(aggregate)
         if obs is not None:
-            obs.span("dataflow", "window.flush", t0,
-                     track=self._track, stage=self.spec.name,
-                     aggregates=len(aggregates))
+            obs.record(self._flush_site, t0, self.spec.name, len(aggregates))
 
     def _finish(self) -> Generator:
         if self._window is not None:

@@ -37,7 +37,8 @@ from typing import Callable, Generator, Optional
 
 from repro.cluster.cluster import Cluster
 from repro.hardware.memory import Buffer
-from repro.hardware.packet import HEADER_BYTES, Packet, PacketFlags, PacketHeader, framed
+from repro.hardware.packet import (HEADER_BYTES, Packet, PacketFlags,
+                                   PacketHeader, Site, framed)
 
 #: Acknowledgement marking.  Deliberately NOT the CONTROL flag: the NIC
 #: firmware intercepts CONTROL packets into the credit mailbox (an FM
@@ -109,7 +110,8 @@ class SwReliablePair:
             raise ValueError("window exceeds the receive region")
         self.src_node = cluster.node(src)
         self.dst_node = cluster.node(dst)
-        self._track = f"node{src}/swrel"
+        self._retransmit_site = Site("swrel", "retransmit_window", f"node{src}/swrel",
+                                     "why", "packets", "bytes", "rto_ns")
         # Sender state.
         self.next_seq = 0
         self.base = 0                      # oldest unacknowledged seq
@@ -290,10 +292,8 @@ class SwReliablePair:
             entry.retransmitted = True
         self.retransmitted_wire_bytes += resent_bytes
         if obs is not None and resent_bytes:
-            obs.span("swrel", "retransmit_window", t0,
-                     track=self._track, why=why,
-                     packets=len(self.outstanding), bytes=resent_bytes,
-                     rto_ns=self.rto_ns)
+            obs.record(self._retransmit_site, t0, why, len(self.outstanding),
+                       resent_bytes, self.rto_ns)
 
     def _transmit(self, header: PacketHeader, payload: bytes) -> Generator:
         node = self.src_node

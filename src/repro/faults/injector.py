@@ -28,6 +28,7 @@ from collections import Counter
 from typing import TYPE_CHECKING, Optional
 
 from repro.faults.plan import CpuSlow, FaultPlan, LinkFault, NicStall
+from repro.hardware.packet import Site
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -67,6 +68,7 @@ class FaultInjector:
         self._link_cache: dict[str, tuple] = {}
         self._nic_cache: dict[tuple, tuple] = {}
         self._cpu_cache: dict[str, tuple] = {}
+        self._sites: dict[tuple[str, str], Site] = {}   # (kind, component)
 
     # -- lifecycle ------------------------------------------------------------
     def attach(self, env: "Environment") -> "FaultInjector":
@@ -175,8 +177,9 @@ class FaultInjector:
         self.events.append((now, kind, component, detail))
         obs = self.env.obs
         if obs is not None:
-            obs.span("fault", kind, now, track="faults/" + component,
-                     detail=detail)
+            site = self._sites.setdefault((kind, component), Site(
+                "fault", kind, "faults/" + component, "detail"))
+            obs.record(site, now, detail)
 
     def __repr__(self) -> str:
         return (f"<FaultInjector episodes={len(self.plan)} "

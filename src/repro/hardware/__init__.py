@@ -10,7 +10,7 @@ were taken on, at the fidelity the paper's phenomena require:
 * :mod:`~repro.hardware.cpu` — the host CPU cost model and execution lock.
 * :mod:`~repro.hardware.bus` / :mod:`~repro.hardware.dma` — the I/O bus
   (SBus / PCI) with PIO and DMA transfer engines.
-* :mod:`~repro.hardware.packet` — wire packets (header + payload bytes).
+* :mod:`~repro.hardware.packet` — wire packets and the span ``Site`` handle.
 * :mod:`~repro.hardware.link` — full-duplex Myrinet-style links with
   slot-based back-pressure and optional error injection.
 * :mod:`~repro.hardware.switch` — source-routed crossbar switches.

@@ -59,7 +59,7 @@ from repro.hardware.dma import DmaEngine
 from repro.hardware.link import Link
 from repro.hardware.memory import Buffer
 from repro.hardware.packet import (HEADER_BYTES, RX_HOP, TX_HOP, Packet,
-                                   PacketFlags, PacketHeader, framed,
+                                   PacketFlags, PacketHeader, Site, framed,
                                    _and, _RDMA_READ_REQ, _RDMA_WRITE)
 from repro.hardware.params import NicParams
 
@@ -158,10 +158,23 @@ class Nic:
         self._fw_inject_label = f"{self.name}.fw_inject"
         self._rdma_write_label = f"{self.name}.rdma_write"
         self._rdma_read_land_label = f"{self.name}.rdma_read_land"
-        # Span tracks, built once (a span site formats nothing).
-        self._tx_track = f"node{node_id}/nic.tx"
-        self._rx_track = f"node{node_id}/nic.rx"
-        self._coll_track = f"node{node_id}/nic.coll"
+        # Span sites, built once (a span site formats nothing).
+        self._tx_track = tx = f"node{node_id}/nic.tx"
+        self._rx_track = rx = f"node{node_id}/nic.rx"
+        coll = f"node{node_id}/nic.coll"
+        self._control_drop_site = Site("nic", "corrupt_control_drop", rx,
+                                       "src", "credits")
+        self._absorb_site = Site("nic", "credit_absorb", rx, "src", "credits")
+        self._rdma_drop_site = Site("nic", "corrupt_rdma_drop", rx, "src", "seq")
+        self._write_site = Site("nic", "rdma_write", rx, "src", "rkey", "seq", "bytes")
+        self._read_req_site = Site("nic", "rdma_read_req", rx, "src", "rkey", "bytes")
+        self._read_resp_site = Site("nic", "rdma_read_resp", rx,
+                                    "src", "rkey", "seq", "bytes")
+        self._read_serve_site = Site("nic", "rdma_read_serve", tx,
+                                     "dest", "rkey", "bytes")
+        self._coll_rx_site = Site("nic", "collective_rx", rx, "src", "coll", "step")
+        self._barrier_site = Site("nic", "barrier", coll, "coll", "rounds")
+        self._bcast_site = Site("nic", "bcast", coll, "coll", "root", "bytes")
         # The observer whose ``nic.recv_region_depth`` histogram is held,
         # and that histogram's ``record`` (see ``_rx_firmware``).
         self._depth_obs = None
@@ -418,9 +431,9 @@ class Nic:
                     # no recovery for that, by design (§3.1).
                     self.corrupt_control_packets += 1
                     if obs is not None:
-                        obs.span("nic", "corrupt_control_drop", t0,
-                                 track=self._rx_track, src=packet.header.src,
-                                 credits=packet.header.credit_return)
+                        obs.record(self._control_drop_site, t0,
+                                   packet.header.src,
+                                   packet.header.credit_return)
                 else:
                     # Credit return: update the mailbox, consume no host slot.
                     peer = packet.header.src
@@ -428,10 +441,9 @@ class Nic:
                         peer, 0) + packet.header.credit_return)
                     self.control_packets += 1
                     if obs is not None:
-                        obs.span("nic", "credit_absorb", t0,
-                                 track=self._rx_track, src=peer,
-                                 ctx=packet.trace,
-                                 credits=packet.header.credit_return)
+                        obs.record(self._absorb_site, t0, peer,
+                                   packet.header.credit_return,
+                                   ctx=packet.trace)
             elif packet.header.is_rdma:
                 yield from self._rx_rdma(packet, t0)
             elif packet.header.is_collective:
@@ -471,8 +483,7 @@ class Nic:
             # must never touch registered memory — drop and count.
             self.corrupt_offload_packets += 1
             if obs is not None:
-                obs.span("nic", "corrupt_rdma_drop", t0,
-                         track=self._rx_track, src=header.src, seq=header.seq)
+                obs.record(self._rdma_drop_site, t0, header.src, header.seq)
             return
         flags = header.flags
         if _and(flags, _RDMA_WRITE):
@@ -493,11 +504,8 @@ class Nic:
             else:  # a chunk still to come, or one that never will
                 self._open_writes[put] = landed
             if obs is not None:
-                obs.span("nic", "rdma_write", t0,
-                         track=self._rx_track,
-                         ctx=packet.trace, src=header.src,
-                         rkey=header.rkey, seq=header.seq,
-                         bytes=packet.wire_bytes)
+                obs.record(self._write_site, t0, header.src, header.rkey,
+                           header.seq, packet.wire_bytes, ctx=packet.trace)
             return
         if _and(flags, _RDMA_READ_REQ):
             # Serve the read in its own firmware process so a long pull
@@ -506,10 +514,8 @@ class Nic:
                 self._serve_rdma_read(packet),
                 name=f"{self.name}.rdma_read{packet.header.msg_id}")
             if obs is not None:
-                obs.span("nic", "rdma_read_req", t0,
-                         track=self._rx_track,
-                         ctx=packet.trace, src=header.src,
-                         rkey=header.rkey, bytes=header.msg_bytes)
+                obs.record(self._read_req_site, t0, header.src, header.rkey,
+                           header.msg_bytes, ctx=packet.trace)
             return
         # RDMA_READ_RESP: land the pulled bytes at the requester.
         pending = self._pending_gets.get(header.msg_id)
@@ -524,10 +530,8 @@ class Nic:
         pending.received += len(packet.payload)
         packet.stamp(self._rdma_read_land_label, self.env.now)
         if obs is not None:
-            obs.span("nic", "rdma_read_resp", t0,
-                     track=self._rx_track, ctx=packet.trace, src=header.src,
-                     rkey=header.rkey, seq=header.seq,
-                     bytes=packet.wire_bytes)
+            obs.record(self._read_resp_site, t0, header.src, header.rkey,
+                       header.seq, packet.wire_bytes, ctx=packet.trace)
         if pending.received >= pending.nbytes:
             del self._pending_gets[header.msg_id]
             self._post_completion("read", header.src, header.rkey,
@@ -564,9 +568,7 @@ class Nic:
             offset += chunk
             seq += 1
         if obs is not None:
-            obs.span("nic", "rdma_read_serve", t0,
-                     track=self._tx_track,
-                     dest=header.src, rkey=header.rkey, bytes=nbytes)
+            obs.record(self._read_serve_site, t0, header.src, header.rkey, nbytes)
 
     # -- collective state machine ----------------------------------------------
     def _rx_collective(self, packet: Packet, t0: int) -> None:
@@ -594,9 +596,7 @@ class Nic:
                     event.succeed()
         obs = self.env.obs
         if obs is not None:
-            obs.span("nic", "collective_rx", t0,
-                     track=self._rx_track,
-                     src=header.src, coll=header.msg_id, step=header.seq)
+            obs.record(self._coll_rx_site, t0, header.src, header.msg_id, header.seq)
 
     def _barrier_engine(self, state: _CollState):
         """Dissemination barrier run entirely in firmware: round ``k``
@@ -625,8 +625,7 @@ class Nic:
         del self._colls[state.coll_id]
         self._post_completion("barrier", me, 0, state.coll_id, 0)
         if obs is not None:
-            obs.span("nic", "barrier", t0,
-                     track=self._coll_track, coll=state.coll_id, rounds=k)
+            obs.record(self._barrier_site, t0, state.coll_id, k)
 
     def _bcast_engine(self, state: _CollState):
         """Binomial-tree broadcast: the root DMAs its host payload into
@@ -673,9 +672,7 @@ class Nic:
         del self._colls[state.coll_id]
         self._post_completion("bcast", state.root, 0, state.coll_id, nbytes)
         if obs is not None:
-            obs.span("nic", "bcast", t0,
-                     track=self._coll_track,
-                     coll=state.coll_id, root=state.root, bytes=nbytes)
+            obs.record(self._bcast_site, t0, state.coll_id, state.root, nbytes)
 
     def _bcast_packet(self, state: _CollState, dest: int, seq: int,
                       last_seq: int, offset: int, data) -> Packet:

@@ -77,6 +77,16 @@ def framed(kind: PacketFlags, first: bool, last: bool) -> PacketFlags:
 WIRE_HOP, FORWARD_HOP, TX_HOP, RX_HOP = range(4)
 
 
+class Site:
+    """Where a span is recorded (layer, name, track, attr keys): built once by
+    its component; ``Observer.record`` finds it by identity."""
+
+    __slots__ = ("layer", "name", "track", "keys")
+
+    def __init__(self, layer: str, name: str, track: str, *keys: str):
+        self.layer, self.name, self.track, self.keys = layer, name, track, keys
+
+
 @dataclass
 class PacketHeader:
     """Packet metadata (kept as a structured object; its wire size is

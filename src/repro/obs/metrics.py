@@ -8,9 +8,9 @@ the observability layer and the run's stats produce:
   them are :class:`Reservoir` objects, one sample store with the one
   quantile rule (:func:`~repro.obs.timeseries.nearest_rank`);
 * **rate meters** — amounts bucketed into fixed simulated-time windows
-  (delivered bytes per link per millisecond), from which MB/s series fall
-  out; a meter is a :class:`~repro.obs.timeseries.RateSeries`, the one
-  windowed sum;
+  (bytes serialised onto each link per millisecond, dropped packets
+  included), MB/s series; a meter is a
+  :class:`~repro.obs.timeseries.RateSeries`, the one windowed sum;
 * **counter bags** — one :class:`collections.Counter` per label
   (:meth:`Metrics.counters`), plus the fault injector's bag and each
   node's :class:`~repro.hardware.memory.CopyMeter`, read under stable
@@ -62,12 +62,14 @@ class Reservoir:
         self.name = name
         self.labels: dict[str, str] = dict(labels or {})
         self.samples: list[int] = []
-        self.total = 0
+        #: Add one sample: the sample list's own ``append``, so recording
+        #: is one C call (the total is summed when read).
+        self.record = self.samples.append
 
-    def record(self, value: int) -> None:
-        """Add one sample."""
-        self.total += value
-        self.samples.append(value)
+    @property
+    def total(self) -> int:
+        """Sum of every sample."""
+        return sum(self.samples)
 
     @property
     def count(self) -> int:
@@ -88,11 +90,6 @@ class Reservoir:
         return self.percentile(50)
 
     @property
-    def p95(self) -> int:
-        """95th percentile (nearest rank)."""
-        return self.percentile(95)
-
-    @property
     def p99(self) -> int:
         """99th percentile (nearest rank)."""
         return self.percentile(99)
@@ -111,7 +108,7 @@ class Reservoir:
             "count": self.count,
             "mean_ns": None if empty else round(self.mean, 1),
             "p50_ns": None if empty else self.p50,
-            "p95_ns": None if empty else self.p95,
+            "p95_ns": None if empty else self.percentile(95),
             "p99_ns": None if empty else self.p99,
             "max_ns": None if empty else max(self.samples),
         }

@@ -25,8 +25,9 @@ The observer is independent of the kernel's ``env.trace`` hook:
 keeps one columnar log — six ints per span, packed into an ``array("q")``
 (site, ``t_start``, ``t_end``, ``trace_id``, ``span_id``, ``parent_id``; 0
 stands for ``None``, lossless because ids start at 1), the attribute
-values in one flat list, and each distinct ``(layer, name, track, attr
-keys)`` interned once as a *site*.  :attr:`Observer.spans` builds the
+values in one flat list, and a table of the
+:class:`~repro.hardware.packet.Site` objects the emitting components built
+once, each entered on its first span.  :attr:`Observer.spans` builds the
 :class:`~repro.obs.span.Span` objects from the rows on first read, so
 every reader sees the same spans, ids and order a list of them would hold.
 
@@ -49,7 +50,7 @@ import struct
 from array import array
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.hardware.packet import FORWARD_HOP, TX_HOP, WIRE_HOP
+from repro.hardware.packet import FORWARD_HOP, RX_HOP, TX_HOP, WIRE_HOP, Site
 from repro.obs.metrics import Metrics
 from repro.obs.span import Span, TraceContext, reversed_interval
 
@@ -63,6 +64,11 @@ _ROW = 6
 #: unless its id was allocated ahead (a request's root), so the list holds
 #: about that many rows.
 _PACK_EVERY = 1024
+#: Each kind of hop stamp's span: layer, name, attr keys.
+_HOP_SPANS = {WIRE_HOP: ("fabric", "wire", "src", "dest", "bytes"),
+              FORWARD_HOP: ("fabric", "forward", "in_port", "out_port", "src", "dest"),
+              TX_HOP: ("nic", "tx_firmware", "dest", "seq", "bytes"),
+              RX_HOP: ("nic", "rx_dma", "src", "seq", "bytes")}
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.packet import Packet
@@ -75,12 +81,11 @@ class Observer:
     def __init__(self, metrics: Optional[Metrics] = None):
         self.env: Optional["Environment"] = None
         # The span log (see the module doc): packed rows, the rows not
-        # packed yet, attr values, sites.
+        # packed yet, attr values, and each site met -> its row field.
         self._rows = array("q")
         self._tail: list[int] = []
         self._vals: list[Any] = []
-        self._sites: dict[tuple, int] = {}
-        self._site_table: list[tuple] = []
+        self._sites: dict[Site, int] = {}
         # The spans built so far from the log, and the first attr value of
         # the next row to build.
         self._spans: list[Span] = []
@@ -90,10 +95,12 @@ class Observer:
         self._next_trace_id = 0
         # Process -> bound TraceContext (see the module doc).
         self._bound: dict[Any, TraceContext] = {}
-        # (from, to) waypoint pair -> that stage histogram's bound
+        # From waypoint -> to waypoint -> that stage histogram's bound
         # ``record``, resolved on the pair's first packet (packet_done).
-        self._stage_records: dict[tuple[str, str], Callable[[int], None]] = {}
+        self._stages: dict[str, dict[str, Callable[[int], None]]] = {}
         self._latency_record: Optional[Callable[[int], None]] = None
+        # Hop kind -> track -> that hop site's row field (hops).
+        self._hop_sites = {kind: {} for kind in _HOP_SPANS}
         # Link track -> its ``link.bytes`` meter's bound ``observe`` (hops).
         self._bytes_marks: dict[str, Callable[..., None]] = {}
 
@@ -122,7 +129,7 @@ class Observer:
         """Start a new request tree: fresh trace id + pre-allocated root
         span id.  The minting site records the root span later (when the
         request resolves) by passing ``span_id=ctx.span_id`` to
-        :meth:`span`, so children recorded in between still link to it."""
+        :meth:`record`, so children recorded in between still link to it."""
         self._next_trace_id += 1
         return TraceContext(self._next_trace_id, self._alloc_span_id())
 
@@ -140,30 +147,27 @@ class Observer:
 
         Typical use wraps a send path in ``prev = obs.bind(ctx)`` /
         ``obs.bind(prev)`` so every span the send emits joins the trace."""
-        env = self.env
-        proc = env._active_process if env is not None else None
+        proc = self.env._active_process if self.env is not None else None
         if proc is None:
             return None
-        prev = self._bound.get(proc)
-        if ctx is None:
-            self._bound.pop(proc, None)
-        else:
+        prev = self._bound.pop(proc, None)
+        if ctx is not None:
             self._bound[proc] = ctx
         return prev
 
     def current(self) -> Optional[TraceContext]:
         """The context bound to the currently running process, if any."""
         env = self.env
-        if env is None:
-            return None
-        return self._bound.get(env._active_process)
+        return None if env is None else self._bound.get(env._active_process)
 
     # -- recording --------------------------------------------------------------
-    def span(self, layer: str, name: str, t_start: int,
-             t_end: Optional[int] = None, track: str = "",
-             ctx: Optional[TraceContext] = None,
-             span_id: Optional[int] = None, **attrs: Any) -> None:
-        """Record a completed interval; ``t_end`` defaults to ``env.now``.
+    def record(self, site: Site, t_start: int, *values: Any,
+               t_end: Optional[int] = None,
+               ctx: Optional[TraceContext] = None,
+               span_id: Optional[int] = None) -> None:
+        """Record a completed interval at ``site``, with one attr value per
+        ``site.keys`` in that order (``None`` leaves that attr out of the
+        span); ``t_end`` defaults to ``env.now``.
 
         Causal linkage: ``ctx`` defaults to the active process's bound
         context (:meth:`current`); when one applies, the span joins that
@@ -173,19 +177,18 @@ class Observer:
         in which case the span parents to ``ctx`` only if the ids differ.
         The span is read back through :attr:`spans`.
         """
-        # The per-crossing hot path, so one frame: id allocation,
-        # :meth:`current` and the site lookup are written out, and the clock
-        # and the active process are read from the slots ``Environment``
-        # documents for it.
+        # The per-crossing hot path, so one frame: id allocation and
+        # :meth:`current` are written out, and the clock and the active
+        # process are read from the slots ``Environment`` documents for it.
         env = self.env
         if t_end is None:
             if env is None:
-                raise RuntimeError("span() before attach()")
+                raise RuntimeError("record() before attach()")
             t_end = env._now
         if t_end < t_start:
-            raise reversed_interval(layer, name, t_start, t_end)
-        if ctx is None and env is not None:
-            ctx = self._bound.get(env._active_process)
+            raise reversed_interval(site.layer, site.name, t_start, t_end)
+        if ctx is None and env is not None and env._active_process in self._bound:
+            ctx = self._bound[env._active_process]
         if span_id is None:
             span_id = self._next_span_id = self._next_span_id + 1
             if not span_id % _PACK_EVERY:
@@ -195,37 +198,41 @@ class Observer:
         else:
             trace_id = ctx.trace_id
             parent_id = ctx.span_id if ctx.span_id != span_id else 0
-        key = (layer, name, track, *attrs)
         try:
-            site = self._sites[key]
+            row_site = self._sites[site]
         except KeyError:
-            site = self._intern(key)
-        self._tail += (site, t_start, t_end, trace_id, span_id, parent_id)
-        if attrs:
-            self._vals += attrs.values()
+            if len(values) != len(site.keys):
+                raise TypeError(f"{site.name}: {site.keys} got {values}") from None
+            row_site = self._sites[site] = len(self._sites)
+        self._tail += (row_site, t_start, t_end, trace_id, span_id, parent_id)
+        self._vals += values
 
     def hops(self, packet: "Packet") -> None:
         """Record the hop spans of a packet leaving the hardware (the
         receiving NIC, or a link that drops it), built from its hop stamps
         (:attr:`Packet.waypoints <repro.hardware.packet.Packet>`).  Not
-        through :meth:`span`: fabric hops carry no trace and NIC hops the
+        through :meth:`record`: fabric hops carry no trace and NIC hops the
         packet's own, never the calling process's; each hop is one row of
-        the log.  A wire hop marks ``link.bytes`` at its own end time."""
+        the log, its site found by kind and track.  A wire hop marks
+        ``link.bytes`` at its own end time."""
         header = packet.header
         nbytes = packet.wire_bytes
         ctx = packet.trace
         trace_id, parent_id = ((0, 0) if ctx is None
                               else (ctx.trace_id, ctx.span_id))
-        sites = self._sites
+        hop_sites = self._hop_sites
         tail = self._tail
         vals = self._vals
-        for _location, t_end, *hop in packet.waypoints:
+        for waypoint in packet.waypoints:
+            hop = waypoint[2:5]
             if not hop:
-                continue
-            kind, t_start, track, *ports = hop
+                continue                   # a (location, time) stamp
+            kind, t_start, track = hop
+            t_end = waypoint[1]
+            if t_end < t_start:
+                raise reversed_interval(*_HOP_SPANS[kind][:2], t_start, t_end)
             if kind == WIRE_HOP:
-                key = ("fabric", "wire", track, "src", "dest", "bytes")
-                values = (header.src, header.dest, nbytes)
+                vals += (header.src, header.dest, nbytes)
                 marks = self._bytes_marks
                 if track not in marks:
                     # A link's track is ``fabric/<link name>``.
@@ -233,41 +240,27 @@ class Observer:
                         "link.bytes", link=track.partition("/")[2]).observe
                 marks[track](nbytes, t_end)
             elif kind == FORWARD_HOP:
-                key = ("fabric", "forward", track,
-                       "in_port", "out_port", "src", "dest")
-                values = (ports[0], ports[1], header.src, header.dest)
-            elif kind == TX_HOP:
-                key = ("nic", "tx_firmware", track, "dest", "seq", "bytes")
-                values = (header.dest, header.seq, nbytes)
-            else:
-                key = ("nic", "rx_dma", track, "src", "seq", "bytes")
-                values = (header.src, header.seq, nbytes)
-            if t_end < t_start:
-                raise reversed_interval(key[0], key[1], t_start, t_end)
-            vals += values
+                vals += (waypoint[5], waypoint[6], header.src, header.dest)
+            else:                          # a NIC hop: its peer, seq, bytes
+                vals += (header.dest if kind == TX_HOP else header.src,
+                         header.seq, nbytes)
             try:
-                site = sites[key]
+                row_site = hop_sites[kind][track]
             except KeyError:
-                site = self._intern(key)
+                layer, name, *keys = _HOP_SPANS[kind]
+                row_site = hop_sites[kind][track] = self._sites[
+                    Site(layer, name, track, *keys)] = len(self._sites)
             span_id = self._next_span_id = self._next_span_id + 1
             if not span_id % _PACK_EVERY:
                 self._pack()
-            if kind >= TX_HOP:
-                tail += (site, t_start, t_end, trace_id, span_id, parent_id)
-            else:
-                tail += (site, t_start, t_end, 0, span_id, 0)
+            tail += ((row_site, t_start, t_end, trace_id, span_id, parent_id)
+                     if kind >= TX_HOP else (row_site, t_start, t_end, 0, span_id, 0))
 
     def _pack(self) -> None:
         """Move the rows not packed yet into the array."""
         tail = self._tail
         self._rows.frombytes(struct.pack(f"{len(tail)}q", *tail))
         tail.clear()
-
-    def _intern(self, key: tuple) -> int:
-        """A new site: ``key`` is ``(layer, name, track, *attr keys)``."""
-        site = self._sites[key] = len(self._site_table)
-        self._site_table.append((*key[:3], key[3:]))
-        return site
 
     def packet_done(self, packet: "Packet", end_name: str, end_time: int) -> None:
         """Fold one delivered packet's waypoints into per-stage histograms.
@@ -282,16 +275,18 @@ class Observer:
         waypoints = packet.waypoints
         if not waypoints:
             return
-        records = self._stage_records
+        stages = self._stages
         prev_name, t_first = waypoints[0][:2]
         prev_time = t_first
-        for waypoint in [*waypoints[1:], (end_name, end_time)]:
+        for waypoint in (*waypoints[1:], (end_name, end_time)):
             name = waypoint[0]
-            time = waypoint[1]
-            record = records.get((prev_name, name))
-            if record is None:
-                record = records[prev_name, name] = self.metrics.histogram(
+            try:
+                record = stages[prev_name][name]
+            except KeyError:
+                record = self.metrics.histogram(
                     "packet.stage", stage=f"{prev_name} -> {name}").record
+                stages.setdefault(prev_name, {})[name] = record
+            time = waypoint[1]
             record(time - prev_time)
             prev_name, prev_time = name, time
         if self._latency_record is None:
@@ -312,18 +307,18 @@ class Observer:
         rows = self._rows
         built = len(spans)
         if built * _ROW < len(rows):
-            table = self._site_table
+            table = list(self._sites)
             vals = self._vals
             at = self._vals_built
             fields = iter(rows[built * _ROW:])
-            for site, t_start, t_end, trace_id, span_id, parent_id in zip(
+            for row_site, t_start, t_end, trace_id, span_id, parent_id in zip(
                     *[fields] * _ROW):             # one row per step
-                layer, name, track, keys = table[site]
-                end = at + len(keys)
-                spans.append(Span(layer, name, t_start, t_end, track,
-                                  dict(zip(keys, vals[at:end])),
-                                  trace_id or None, span_id,
-                                  parent_id or None))
+                site = table[row_site]
+                end = at + len(site.keys)
+                attrs = {key: value for key, value in zip(site.keys, vals[at:end])
+                         if value is not None}
+                spans.append(Span(site.layer, site.name, t_start, t_end, site.track,
+                                  attrs, trace_id or None, span_id, parent_id or None))
                 at = end
             self._vals_built = at
         return spans
@@ -339,7 +334,7 @@ class Observer:
 
     def tracks(self) -> list[str]:
         """Sorted distinct component tracks that emitted at least one span."""
-        return sorted({site[2] for site in self._site_table})
+        return sorted({site.track for site in self._sites})
 
     def trace_ids(self) -> list[int]:
         """Sorted distinct trace ids that recorded at least one span."""

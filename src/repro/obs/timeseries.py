@@ -7,7 +7,7 @@ fixed ``interval_ns`` windows of simulated time, giving every signal a
 time axis:
 
 * :class:`RateSeries` — counts/amounts per window (completions, drops,
-  delivered bytes): the windowed goodput view;
+  bytes put on a link): the windowed goodput view;
 * :class:`GaugeSeries` — last and max of a sampled level per window
   (queue depth);
 * :class:`QuantileSeries` — full sample list per window with
@@ -101,8 +101,8 @@ class _Series:
 class RateSeries(_Series):
     """Per-window sums of a counted quantity (requests, bytes, drops) —
     the one windowed sum: a bank's rate series and a registry meter
-    (:meth:`~repro.obs.metrics.Metrics.meter`, e.g. delivered bytes per
-    link per simulated millisecond) alike."""
+    (:meth:`~repro.obs.metrics.Metrics.meter`, e.g. the bytes serialised
+    onto a link per simulated millisecond, dropped ones included) alike."""
 
     kind = "rate"
 

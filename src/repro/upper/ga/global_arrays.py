@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
+from repro.hardware.packet import Site
 from repro.upper.shmem.shmem import Shmem, ShmemError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -39,7 +40,11 @@ class GlobalArray:
         self.cols = cols
         self.n_pes = shmem.n_pes
         self.me = shmem.me
-        self._track = f"node{shmem.me}/ga"
+        track = f"node{shmem.me}/ga"
+        self._get_site, self._put_site, self._acc_site = (
+            Site("ga", name, track, "region", "rows", "bytes")
+            for name in ("GA_get", "GA_put", "GA_acc"))
+        self._sync_site = Site("ga", "GA_sync", track, "region")
         self.rows_per_pe = -(-rows // self.n_pes)
         local_rows = self._local_rows(self.me)
         # Every PE registers a region even if it owns zero rows (symmetry).
@@ -86,9 +91,7 @@ class GlobalArray:
                 raw = yield from self.shmem.get(owner, self.region_id, off, nbytes)
             out[row - row_lo] = np.frombuffer(raw, dtype=np.float64)
         if obs is not None:
-            obs.span("ga", "GA_get", t0, track=self._track,
-                     region=self.region_id, rows=row_hi - row_lo,
-                     bytes=out.nbytes)
+            obs.record(self._get_site, t0, self.region_id, row_hi - row_lo, out.nbytes)
         return out
 
     def put(self, row_lo: int, values: np.ndarray, col_lo: int = 0) -> Generator:
@@ -110,9 +113,8 @@ class GlobalArray:
             else:
                 yield from self.shmem.put(owner, self.region_id, off, raw)
         if obs is not None:
-            obs.span("ga", "GA_put", t0, track=self._track,
-                     region=self.region_id, rows=values.shape[0],
-                     bytes=values.nbytes)
+            obs.record(self._put_site, t0, self.region_id, values.shape[0],
+                       values.nbytes)
 
     def acc(self, row_lo: int, values: np.ndarray, col_lo: int = 0) -> Generator:
         """Accumulate (add) a 2-D patch starting at (row_lo, col_lo)."""
@@ -135,9 +137,8 @@ class GlobalArray:
             else:
                 yield from self.shmem.acc(owner, self.region_id, off, values[i])
         if obs is not None:
-            obs.span("ga", "GA_acc", t0, track=self._track,
-                     region=self.region_id, rows=values.shape[0],
-                     bytes=values.nbytes)
+            obs.record(self._acc_site, t0, self.region_id, values.shape[0],
+                       values.nbytes)
 
     def sync(self) -> Generator:
         """Complete my outstanding updates, then barrier (GA_Sync)."""
@@ -146,8 +147,7 @@ class GlobalArray:
         yield from self.shmem.fence()
         yield from self.shmem.barrier()
         if obs is not None:
-            obs.span("ga", "GA_sync", t0, track=self._track,
-                     region=self.region_id)
+            obs.record(self._sync_site, t0, self.region_id)
 
     # -- checks -------------------------------------------------------------------
     def _check_row(self, row: int) -> None:

@@ -41,6 +41,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.hardware.memory import Buffer
+from repro.hardware.packet import Site
 
 from repro.core.progress import Progress
 
@@ -111,7 +112,11 @@ class MpiEngine:
         self.costs = costs
         self.n_ranks = n_ranks
         self.rank = node.node_id
-        self._track = f"node{node.node_id}/mpi"
+        track = f"node{node.node_id}/mpi"
+        self._send_site = Site("mpi", "MPI_Send", track,
+                               "dest", "tag", "bytes", "protocol")
+        self._recv_site = Site("mpi", "MPI_Recv", track, "source", "tag", "bytes")
+        self._wait_site = Site("mpi", "MPI_Wait", track, "kind", "bytes")
         self.posted: list[PostedRecv] = []
         self.unexpected: list[UnexpectedMsg] = []
         self._serials: dict[int, int] = {}               # dest -> next serial
@@ -222,8 +227,7 @@ class MpiEngine:
                 yield from self.transmit(
                     dest, replace(rts, kind=KIND_RENDEZVOUS_DATA), data)
         if obs is not None:
-            obs.span("mpi", "MPI_Send", t0, track=self._track, dest=dest,
-                     tag=tag, bytes=size, protocol=protocol)
+            obs.record(self._send_site, t0, dest, tag, size, protocol)
 
     def _send_rendezvous_rdma(self, dest: int, advert: Envelope,
                               data: bytes) -> Generator:
@@ -313,9 +317,8 @@ class MpiEngine:
         request = yield from self.irecv(source, tag, max_bytes, context)
         yield from self.wait(request)
         if obs is not None:
-            obs.span("mpi", "MPI_Recv", t0, track=self._track,
-                     source=source, tag=tag,
-                     bytes=request.status.count if request.status else 0)
+            obs.record(self._recv_site, t0, source, tag,
+                       request.status.count if request.status else 0)
         return request.data, request.status
 
     def wait(self, request: Request) -> Generator:
@@ -328,9 +331,8 @@ class MpiEngine:
         if self.costs.completion_ns:
             yield from self.cpu.execute(self.costs.completion_ns)
         if obs is not None:
-            obs.span("mpi", "MPI_Wait", t0, track=self._track,
-                     kind=request.kind,
-                     bytes=request.status.count if request.status else 0)
+            obs.record(self._wait_site, t0, request.kind,
+                       request.status.count if request.status else 0)
 
     def waitall(self, requests: list[Request]) -> Generator:
         """Progress until every request completes."""

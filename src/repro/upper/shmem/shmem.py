@@ -26,6 +26,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.hardware.memory import Buffer
+from repro.hardware.packet import Site
 
 from repro.core.fm2.api import FM2
 from repro.core.progress import Progress
@@ -61,7 +62,11 @@ class Shmem:
         self.fm: FM2 = node.fm
         self.n_pes = n_pes
         self.me = node.node_id
-        self._track = f"node{node.node_id}/shmem"
+        track = f"node{node.node_id}/shmem"
+        self._put_site, self._get_site, self._acc_site = (
+            Site("shmem", name, track, "pe", "region", "bytes")
+            for name in ("put", "get", "acc"))
+        self._barrier_site = Site("shmem", "barrier", track, "epoch")
         self.handler_id = self.fm.register_handler(self._handler)
         self.regions: dict[int, Buffer] = {}
         self._next_token = 1
@@ -102,8 +107,7 @@ class Shmem:
         yield from self._send(pe, OP_PUT, region_id, offset, len(data),
                               token=0, payload=data)
         if obs is not None:
-            obs.span("shmem", "put", t0, track=self._track,
-                     pe=pe, region=region_id, bytes=len(data))
+            obs.record(self._put_site, t0, pe, region_id, len(data))
 
     def get(self, pe: int, region_id: int, offset: int, nbytes: int) -> Generator:
         """Read ``nbytes`` from ``pe``'s region at ``offset`` (blocking)."""
@@ -116,8 +120,7 @@ class Shmem:
         yield from self._progress.wait_until(
             lambda: token in self._get_replies, "get reply")
         if obs is not None:
-            obs.span("shmem", "get", t0, track=self._track,
-                     pe=pe, region=region_id, bytes=nbytes)
+            obs.record(self._get_site, t0, pe, region_id, nbytes)
         return self._get_replies.pop(token)
 
     def acc(self, pe: int, region_id: int, offset: int,
@@ -131,8 +134,7 @@ class Shmem:
         t0 = self.env.now
         yield from self._send(pe, OP_ACC, region_id, offset, len(data), 0, data)
         if obs is not None:
-            obs.span("shmem", "acc", t0, track=self._track,
-                     pe=pe, region=region_id, bytes=len(data))
+            obs.record(self._acc_site, t0, pe, region_id, len(data))
 
     def fence(self) -> Generator:
         """Block until every put/acc issued so far is applied remotely."""
@@ -154,8 +156,7 @@ class Shmem:
             f"barrier epoch {epoch}",
         )
         if obs is not None:
-            obs.span("shmem", "barrier", t0, track=self._track,
-                     epoch=epoch)
+            obs.record(self._barrier_site, t0, epoch)
 
     # -- progress ----------------------------------------------------------------
     def progress(self, budget: Optional[int] = None) -> Generator:

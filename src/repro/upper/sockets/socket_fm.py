@@ -19,6 +19,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.hardware.memory import Buffer
+from repro.hardware.packet import Site
 
 from repro.core.fm2.api import FM2
 from repro.core.progress import Progress
@@ -74,9 +75,7 @@ class Socket:
                 self, KIND_DATA, data[offset: offset + take])
             offset += take
         if obs is not None:
-            obs.span("sockets", "send", t0,
-                     track=self.stack._track,
-                     conn=self.conn_id, bytes=len(data))
+            obs.record(self.stack._send_site, t0, self.conn_id, len(data))
 
     def recv(self, nbytes: int) -> Generator:
         """Receive up to ``nbytes``; returns b"" at end of stream.
@@ -109,9 +108,7 @@ class Socket:
         yield from self.stack.cpu.execute(self.stack.cpu.memcpy_cost(len(out)))
         obs = self.stack.env.obs
         if obs is not None:
-            obs.span("sockets", "recv", t0,
-                     track=self.stack._track,
-                     conn=self.conn_id, bytes=len(out))
+            obs.record(self.stack._recv_site, t0, self.conn_id, len(out))
         return bytes(out)
 
     def recv_into(self, buf: Buffer, offset: int, nbytes: int) -> Generator:
@@ -199,7 +196,9 @@ class SocketStack:
         self.env = node.env
         self.cpu = node.cpu
         self.fm: FM2 = node.fm
-        self._track = f"node{node.node_id}/sockets"
+        track = f"node{node.node_id}/sockets"
+        self._send_site = Site("sockets", "send", track, "conn", "bytes")
+        self._recv_site = Site("sockets", "recv", track, "conn", "bytes")
         self.handler_id = self.fm.register_handler(self._handler)
         self._sockets: dict[int, Socket] = {}
         self._next_conn = 1

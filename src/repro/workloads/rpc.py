@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro.hardware.memory import Buffer
+from repro.hardware.packet import Site
 
 from repro.core.fm1.api import FM1
 
@@ -112,7 +113,10 @@ class RpcEndpoint:
         self.fm = node.fm
         self.stats = stats
         self.is_fm1 = isinstance(node.fm, FM1)
-        self._track = f"node{node.node_id}/rpc"
+        track = f"node{node.node_id}/rpc"
+        self._request_site = Site("app", "rpc.request", track,
+                                  "req_id", "status", "shard", "key")
+        self._serve_site = Site("app", "rpc.serve", track, "req_id", "src", "status")
         #: Client side: req_id -> (intended arrival ns, completion event,
         #: shard index or None for unsharded traffic, minted trace context
         #: or None when unobserved, actual send time ns, routing key).
@@ -264,13 +268,9 @@ class RpcEndpoint:
     def abandon(self, req_id: int) -> None:
         """Client gave up on ``req_id``; a late response becomes stale."""
         entry = self.pending.pop(req_id, None)
-        if entry is None:
-            return
-        _t, _event, shard, ctx, t_sent, key = entry
-        self.stats.note_dropped("abandoned", shard=shard)
-        self._finish_trace(ctx, req_id, "abandoned", t_sent, shard, key)
-        if self.on_resolved is not None:
-            self.on_resolved(req_id, shard)
+        if entry is not None:
+            self.stats.note_dropped("abandoned", shard=entry[2])
+            self._resolved(req_id, "abandoned", entry)
 
     def fail_over(self, req_id: int) -> bool:
         """Give up on ``req_id`` *on this replica* ahead of a retry.
@@ -286,28 +286,21 @@ class RpcEndpoint:
         entry = self.pending.pop(req_id, None)
         if entry is None:
             return False
-        _t, _event, shard, ctx, t_sent, key = entry
-        self.stats.note_failover(shard=shard)
-        self._finish_trace(ctx, req_id, "failover", t_sent, shard, key)
-        if self.on_resolved is not None:
-            self.on_resolved(req_id, shard)
+        self.stats.note_failover(shard=entry[2])
+        self._resolved(req_id, "failover", entry)
         return True
 
-    def _finish_trace(self, ctx: Optional["TraceContext"], req_id: int,
-                      status: str, t_sent: int, shard: Optional[int],
-                      key: Optional[int]) -> None:
-        """Record the root ``rpc.request`` span now that the request is
-        resolved (its pre-allocated span id closes the tree)."""
+    def _resolved(self, req_id: int, status: str, entry: tuple) -> None:
+        """Close a resolved request (its ``pending`` entry popped, its
+        stats counted): record the root ``rpc.request`` span, whose
+        pre-allocated span id closes the tree, then fire ``on_resolved``."""
+        _t, _event, shard, ctx, t_sent, key = entry
         obs = self.env.obs
-        if obs is None or ctx is None:
-            return
-        attrs: dict = {"req_id": req_id, "status": status}
-        if shard is not None:
-            attrs["shard"] = shard
-        if key is not None:
-            attrs["key"] = key
-        obs.span("app", "rpc.request", t_sent, track=self._track,
-                 ctx=ctx, span_id=ctx.span_id, **attrs)
+        if obs is not None and ctx is not None:
+            obs.record(self._request_site, t_sent, req_id, status, shard, key,
+                       ctx=ctx, span_id=ctx.span_id)
+        if self.on_resolved is not None:
+            self.on_resolved(req_id, shard)
 
     # -- handlers (SPMD-registered on every participating node) ------------------
     def _hop_contexts(self) -> tuple[Optional["TraceContext"],
@@ -358,7 +351,7 @@ class RpcEndpoint:
         if entry is None:
             self.stale_responses += 1
             return
-        t_intended, event, shard, ctx, t_sent, key = entry
+        t_intended, event, shard, _ctx, _t_sent, _key = entry
         if status == RPC_OK:
             self.stats.note_completed(self.env.now - t_intended,
                                       RESP_HEADER.size + plen, shard=shard)
@@ -366,10 +359,7 @@ class RpcEndpoint:
             self.stats.note_dropped("shed", shard=shard)
         else:
             self.stats.note_dropped("expired", shard=shard)
-        self._finish_trace(ctx, req_id, STATUS_NAMES.get(status, "unknown"),
-                           t_sent, shard, key)
-        if self.on_resolved is not None:
-            self.on_resolved(req_id, shard)
+        self._resolved(req_id, STATUS_NAMES.get(status, "unknown"), entry)
         event.succeed((status, plen))
 
     def __repr__(self) -> str:
@@ -447,10 +437,9 @@ class RpcServer:
                 request.src, request.req_id, status, payload_len)
         finally:
             obs.bind(prev)
-        obs.span("app", "rpc.serve", request.enq_ns, track=endpoint._track,
-                 ctx=request.trace_parent, span_id=request.trace.span_id,
-                 req_id=request.req_id, src=request.src,
-                 status=STATUS_NAMES.get(status, "unknown"))
+        obs.record(endpoint._serve_site, request.enq_ns, request.req_id,
+                   request.src, STATUS_NAMES.get(status, "unknown"),
+                   ctx=request.trace_parent, span_id=request.trace.span_id)
 
     def _pump(self) -> Generator:
         """Extract requests and feed the bounded queue under the policy."""

@@ -9,9 +9,12 @@ scenario — the same fold ``perfbench/layers.py`` uses for
 
 Where the number stands on ``rpc-sharded`` (6 783 spans): 14.3 calls per
 span before tracks, stage histograms and the bound context were resolved
-once instead of per crossing, 7.4 after.  The bound sits ~20 % above the
-latter, so one more frame or lookup per span anywhere on the path fails
-here before it shows up as a slower benchmark.
+once instead of per crossing; 7.4 after; 5.65 with the columnar span log;
+2.70 now that every site hands ``Observer.record`` a ``Site`` its
+component built once, the bound context is read by subscript, and a
+histogram sample is its sample list's ``append``.  The bound sits ~20 %
+above that, so one more frame or lookup per span anywhere on the path
+fails here before it shows up as a slower benchmark.
 """
 
 import cProfile
@@ -23,7 +26,7 @@ from repro.workloads.presets import PRESETS
 from repro.workloads.runner import execute_scenario
 
 OBS_DIR = str(Path(repro.obs.__file__).parent)
-MAX_OBS_CALLS_PER_SPAN = 9.0
+MAX_OBS_CALLS_PER_SPAN = 3.2
 
 
 def test_obs_calls_per_span_within_budget():

@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.cluster import Cluster
+from repro.configs import PPRO_FM2
 from repro.hardware.memory import CopyMeter
+from repro.hardware.packet import Site
 from repro.obs.metrics import DEFAULT_WINDOW_NS, Metrics, Reservoir
+from repro.obs.export import trace_events
 from repro.obs.observer import Observer
 from repro.obs.span import LAYER_ORDER, Span, layer_rank
 from repro.obs.timeseries import RateSeries
@@ -209,7 +213,7 @@ class TestObserver:
 
         def worker(env):
             yield env.timeout(40)
-            observer.span("fm", "inject", 10, track="node0/fm", bytes=16)
+            observer.record(Site("fm", "inject", "node0/fm", "bytes"), 10, 16)
         env.run(until=env.process(worker(env)))
         (span,) = observer.spans
         assert (span.t_start, span.t_end) == (10, 40)
@@ -218,17 +222,18 @@ class TestObserver:
     def test_span_before_attach_raises(self):
         """A real exception, not an ``assert``: it must survive ``-O``."""
         observer = Observer()
-        with pytest.raises(RuntimeError, match=r"span\(\) before attach\(\)"):
-            observer.span("fm", "inject", 0)
-        observer.span("fm", "inject", 0, t_end=5)   # needs no clock
+        site = Site("fm", "inject", "")
+        with pytest.raises(RuntimeError, match=r"record\(\) before attach\(\)"):
+            observer.record(site, 0)
+        observer.record(site, 0, t_end=5)   # needs no clock
         span = observer.spans[-1]
         assert (span.t_end, span.trace_id, span.span_id) == (5, None, 1)
 
     def test_queries(self, env):
         observer = Observer().attach(env)
-        observer.span("fm", "inject", 0, t_end=5, track="node0/fm")
-        observer.span("nic", "tx_firmware", 5, t_end=9, track="node0/nic.tx")
-        observer.span("fm", "inject", 9, t_end=12, track="node1/fm")
+        observer.record(Site("fm", "inject", "node0/fm"), 0, t_end=5)
+        observer.record(Site("nic", "tx_firmware", "node0/nic.tx"), 5, t_end=9)
+        observer.record(Site("fm", "inject", "node1/fm"), 9, t_end=12)
         assert len(observer.spans_for(layer="fm")) == 2
         assert len(observer.spans_for(layer="fm", track="node0/fm")) == 1
         assert observer.tracks() == ["node0/fm", "node0/nic.tx", "node1/fm"]
@@ -241,15 +246,17 @@ class TestObserver:
             env = Environment()
             observer = Observer().attach(env)
             reads = []
+            injects = [Site("fm", "inject", f"node{node}/fm", "bytes")
+                       for node in range(2)]
+            tx = Site("nic", "tx_firmware", "", "seq")
 
             def worker(env):
                 for step in range(2500):
                     yield 10
-                    observer.span("fm", "inject", env.now - 5,
-                                  track=f"node{step % 2}/fm", bytes=step)
+                    observer.record(injects[step % 2], env.now - 5, step)
                     if step % 7 == 1:
-                        observer.span("nic", "tx_firmware", env.now - 3,
-                                      ctx=observer.mint_trace(), seq=step)
+                        observer.record(tx, env.now - 3, step,
+                                        ctx=observer.mint_trace())
                     if step in reads_at:
                         reads.append(list(observer.spans))
             env.process(worker(env))
@@ -271,10 +278,11 @@ class TestObserver:
     def test_len_counts_rows_and_builds_no_span(self, env, monkeypatch):
         import repro.obs.observer as observer_module
         observer = Observer().attach(env)
+        inject = Site("fm", "inject", "", "bytes")
         for start in range(3):
-            observer.span("fm", "inject", start, t_end=start + 1, bytes=8)
+            observer.record(inject, start, 8, t_end=start + 1)
         observer.spans                     # the first read builds three
-        observer.span("fm", "extract", 4, t_end=6)
+        observer.record(Site("fm", "extract", ""), 4, t_end=6)
 
         def no_span(*args):
             raise AssertionError("len() built a Span")
@@ -288,8 +296,35 @@ class TestObserver:
         with pytest.raises(ValueError,
                            match=r"span fm/inject ends before it starts "
                                  r"\(9 \.\. 4\)"):
-            observer.span("fm", "inject", 9, t_end=4)
+            observer.record(Site("fm", "inject", ""), 9, t_end=4)
         assert len(observer) == 0 and observer.spans == []
+
+    def test_record_takes_one_value_per_site_key(self, env):
+        """Values are positional, so a count that does not match the site's
+        keys would misalign every later span's attrs: the site's first
+        span refuses it, and records nothing."""
+        observer = Observer().attach(env)
+        site = Site("fm", "inject", "node0/fm", "dest", "bytes")
+        with pytest.raises(TypeError, match="inject"):
+            observer.record(site, 0, 1, t_end=5)
+        assert len(observer) == 0 and observer.tracks() == []
+        observer.record(site, 0, 1, 16, t_end=5)
+        assert observer.spans[0].attrs == {"dest": 1, "bytes": 16}
+
+    def test_a_none_value_leaves_its_attr_out(self, env):
+        """An optional attr (a request's shard or routing key) is recorded
+        as ``None`` at one site and left out of that span's attrs, without
+        shifting the values of the spans after it."""
+        observer = Observer().attach(env)
+        site = Site("app", "rpc.request", "node0/rpc",
+                    "req_id", "status", "shard", "key")
+        observer.record(site, 0, 1, "ok", None, None, t_end=5)
+        observer.record(site, 0, 2, "ok", 3, None, t_end=6)
+        observer.record(site, 0, 3, "shed", 0, 7, t_end=7)
+        assert [span.attrs for span in observer.spans] == [
+            {"req_id": 1, "status": "ok"},
+            {"req_id": 2, "status": "ok", "shard": 3},
+            {"req_id": 3, "status": "shed", "shard": 0, "key": 7}]
 
     def test_cached_instruments_follow_a_replaced_observer(self, fm2_cluster):
         """Links and NICs keep their per-packet instruments per *observer
@@ -320,6 +355,73 @@ class TestObserver:
                 for m in observer.metrics.meters("link.bytes"))))
         assert seen[0] == seen[1]
         assert seen[0][0] == 1 and len(seen[0][1]) == 2   # host->switch->host
+
+    def test_late_and_replacing_observers_hold_only_their_own_rows(self):
+        """Components build their sites before any observer exists, and
+        each observer enters a site on its own first span.  An observer
+        attached mid-run and one that replaces it mid-run hold only the
+        spans each recorded, with only those spans' sites and tracks.  The
+        first keeps its rows and adds only spans of operations it saw
+        start; between them they hold every span of the single-observer
+        run that did not start before the first attached."""
+        def run(swaps):
+            """Twelve 64 B messages; ``swaps[i](cluster)`` is called once
+            the sender has sent message ``i``."""
+            cluster = Cluster(2, machine=PPRO_FM2, fm_version=2)
+
+            def handler(fm, stream, src):
+                yield from stream.receive_bytes(stream.msg_bytes)
+            (hid,) = {node.fm.register_handler(handler)
+                      for node in cluster.nodes}
+
+            def sender(node):
+                buf = node.buffer(64, fill=b"x" * 64)
+                for i in range(12):
+                    yield from node.fm.send_buffer(1, hid, buf, 64)
+                    if i in swaps:
+                        swaps[i](cluster)
+
+            def receiver(node):
+                got = 0
+                while got < 12 * 64:
+                    got += yield from node.fm.extract()
+                    if got < 12 * 64:
+                        yield from node.fm.idle_wait()
+            cluster.run([sender, receiver])
+
+        def fields(spans):
+            return sorted((s.layer, s.name, s.t_start, s.t_end, s.track,
+                           sorted(s.attrs.items())) for s in spans)
+
+        whole = []
+        run({0: lambda cluster: whole.append(cluster.observe())})
+        observers, kept, swapped_at = [], [], []
+
+        def replace(cluster):
+            if observers:
+                kept.append(list(observers[-1].spans))
+            observers.append(cluster.observe())
+            swapped_at.append(cluster.now)
+        run({3: replace, 8: replace})
+        late, second = observers
+
+        assert late.spans[:len(kept[0])] == kept[0]
+        assert all(s.t_start < swapped_at[1] for s in late.spans[len(kept[0]):])
+        both = fields(late.spans) + fields(second.spans)
+        missing = fields(whole[0].spans)
+        for span in both:
+            missing.remove(span)              # each one exactly once
+        assert both and missing
+        assert all(t_start < swapped_at[0] for _l, _n, t_start, *_ in missing)
+        for observer in observers:
+            spans = observer.spans
+            assert observer.tracks() == sorted({s.track for s in spans})
+            assert sorted((site.layer, site.name, site.track)
+                          for site in observer._sites) == sorted(
+                {(s.layer, s.name, s.track) for s in spans})
+            exported = [event for event in trace_events(spans)["traceEvents"]
+                        if event["ph"] == "X"]
+            assert len(exported) == len(observer) == len(spans)
 
     def test_packet_done_builds_stage_histograms(self, env):
         from repro.hardware.packet import Packet, PacketFlags, PacketHeader

@@ -1,5 +1,6 @@
 """Repository-wide quality gates: documentation and API hygiene."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -205,3 +206,25 @@ def test_a_scenario_declares_only_what_its_kind_reads():
     for needle in ("def report_fields", "is read by kind", ".reads =",
                    "scenario_report_dict"):
         assert _occurrences(needle) == {}, needle
+
+
+def test_every_span_is_recorded_through_a_site():
+    """One recording path: a component builds each of its ``Site`` objects
+    once and hands one to ``Observer.record`` with the attr values in
+    order.  Nothing under ``src/repro`` calls a ``span()``, passes attrs
+    to ``record`` by keyword, or formats a track at a call."""
+    root = pathlib.Path(repro.__file__).parent
+    offenders = []
+    for path in root.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)):
+                continue
+            keywords = {kw.arg for kw in node.keywords}
+            if node.func.attr == "span" or (
+                    node.func.attr == "record"
+                    and not keywords <= {"t_end", "ctx", "span_id"}):
+                offenders.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert offenders == []
+    assert _occurrences("obs.span(") == {}
+    assert _occurrences('track=f"') == {}
