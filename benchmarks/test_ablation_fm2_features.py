@@ -15,6 +15,8 @@ pipelines away (e.g. a receive-side copy when the sender is the
 bottleneck) is still attributed.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import run_once
@@ -25,6 +27,7 @@ from repro.cluster import Cluster
 from repro.configs import PPRO_FM2
 from repro.upper.mpi.ablations import ABLATIONS
 from repro.upper.mpi.world import build_mpi_world
+from repro.workloads.presets import PRESETS
 
 SIZES = (16, 256, 2048)
 BURST_SIZE = 1024
@@ -99,7 +102,8 @@ def test_ablation_fm2_features(benchmark, show):
         return stream, burst
 
     stream, burst = run_once(benchmark, regenerate)
-    fm_base = bandwidth_sweep(PPRO_FM2, 2, SIZES, n_messages=30, label="raw FM")
+    fm_base = bandwidth_sweep(replace(PRESETS["stream-fm2"], n_requests=30),
+                              SIZES, "raw FM")
     sweeps = [fm_base] + [
         SweepResult(label, list(SIZES), [bw for bw, _copies in rows])
         for label, rows in stream.items()

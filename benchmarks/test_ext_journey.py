@@ -11,14 +11,15 @@ import pytest
 
 from conftest import run_once
 from repro.bench.journey import packet_journey
+from repro.cluster import Cluster
 from repro.configs import PPRO_FM2, SPARC_FM1
 
 
 def test_ext_latency_attribution(benchmark, show):
     def regenerate():
         return {
-            "FM 1.x": packet_journey(SPARC_FM1, 1),
-            "FM 2.x": packet_journey(PPRO_FM2, 2),
+            "FM 1.x": packet_journey(Cluster(2, SPARC_FM1, 1)),
+            "FM 2.x": packet_journey(Cluster(2, PPRO_FM2, 2)),
         }
 
     journeys = run_once(benchmark, regenerate)

@@ -9,7 +9,7 @@ beats FM 1.x at every size, with the gap widening with message length.
 import pytest
 
 from conftest import run_once
-from repro.bench.microbench import fm_pingpong_latency_us
+from repro.bench.microbench import fm_pingpong
 from repro.bench.report import HeadlineRow, headline_table
 from repro.cluster import Cluster
 from repro.configs import PPRO_FM2, SPARC_FM1
@@ -20,11 +20,11 @@ SIZES = (16, 128, 1024, 4096)
 def test_ext_latency_vs_size(benchmark, show):
     def regenerate():
         return {
-            "FM 1.x": [fm_pingpong_latency_us(Cluster(2, SPARC_FM1, 1),
-                                              size, iterations=8)
+            "FM 1.x": [fm_pingpong(Cluster(2, SPARC_FM1, 1), size,
+                                   iterations=8).one_way_latency_us
                        for size in SIZES],
-            "FM 2.x": [fm_pingpong_latency_us(Cluster(2, PPRO_FM2, 2),
-                                              size, iterations=8)
+            "FM 2.x": [fm_pingpong(Cluster(2, PPRO_FM2, 2), size,
+                                   iterations=8).one_way_latency_us
                        for size in SIZES],
         }
 

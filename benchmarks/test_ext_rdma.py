@@ -33,6 +33,7 @@ from repro.bench.rdma_bench import (
 from repro.bench.report import HeadlineRow, curve_table, headline_table
 from repro.bench.sweeps import bandwidth_sweep
 from repro.configs import PPRO_FM2
+from repro.workloads.presets import PRESETS
 
 SIZES = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 16384, 65536)
 GROUP_SIZES = (2, 4, 8, 16)
@@ -42,8 +43,7 @@ BCAST_BYTES = 4096
 def test_ext_rdma_put_bandwidth(benchmark, show):
     def regenerate():
         rdma = rdma_bandwidth_sweep(PPRO_FM2, SIZES, n_messages=40)
-        fm2 = bandwidth_sweep(PPRO_FM2, 2, SIZES, n_messages=40,
-                              label="FM 2.x stream")
+        fm2 = bandwidth_sweep(PRESETS["stream-fm2"], SIZES, "FM 2.x stream")
         return rdma, fm2
 
     rdma, fm2 = run_once(benchmark, regenerate)

@@ -11,7 +11,7 @@ sweep's table (``test_ext_resilience.py``).
 """
 
 from conftest import run_once
-from repro.bench.microbench import fm_stream_bandwidth_mbs
+from repro.bench.microbench import fm_stream
 from repro.bench.report import HeadlineRow, headline_table
 from repro.cluster import Cluster
 from repro.configs import PPRO_FM2
@@ -54,8 +54,8 @@ def swrel_stream():
 
 def test_ext_software_reliability(benchmark, show):
     def regenerate():
-        fm_clean = fm_stream_bandwidth_mbs(Cluster(2, PPRO_FM2, 2),
-                                           MSG_BYTES, n_messages=N_MESSAGES)
+        fm_clean = fm_stream(Cluster(2, PPRO_FM2, 2), MSG_BYTES,
+                             n_messages=N_MESSAGES).bandwidth_mbs
         return fm_clean, swrel_stream()
 
     fm_clean, (clean_sw, clean_pair) = run_once(benchmark, regenerate)

@@ -10,27 +10,31 @@ it runs with the regular test suite rather than the benchmark tier.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.bench.journey import packet_journey_detail
-from repro.configs import PPRO_FM2
 from repro.obs.export import (
     distinct_tracks,
     export_trace,
     validate_trace_events,
 )
-from repro.obs.observer import Observer
 from repro.obs.report import main as report_main
+from repro.workloads.presets import PRESETS
+from repro.workloads.runner import execute_scenario
 
 pytestmark = pytest.mark.fast
 
 
+def observed_journey():
+    """The observer of one 64 B FM 2.x journey."""
+    scenario = replace(PRESETS["journey-fm2"], msg_bytes=64)
+    return execute_scenario(scenario, observe=True).observer
+
+
 class TestObservabilitySmoke:
     def test_full_obs_run_exports_valid_trace(self, tmp_path):
-        observer = Observer()
-        journey, cluster = packet_journey_detail(PPRO_FM2, 2, 64,
-                                                 observer=observer)
+        observer = observed_journey()
         assert observer.spans, "no spans emitted with observability on"
         path = export_trace(observer, tmp_path / "smoke.json")
         trace = json.loads(path.read_text())
@@ -38,8 +42,7 @@ class TestObservabilitySmoke:
         assert distinct_tracks(trace) >= 5
 
     def test_metrics_populated(self):
-        observer = Observer()
-        packet_journey_detail(PPRO_FM2, 2, 64, observer=observer)
+        observer = observed_journey()
         (latency,) = observer.metrics.histograms("packet.latency_ns")
         assert latency.count == 1
         assert observer.metrics.histograms("packet.stage")

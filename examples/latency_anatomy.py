@@ -20,14 +20,14 @@ from repro.bench.calibration import (
     predicted_bandwidth_mbs,
     predicted_latency_us,
 )
-from repro.bench.journey import packet_journey_detail
-from repro.bench.microbench import fm_pingpong_latency_us, fm_stream_bandwidth_mbs
+from repro.bench.microbench import fm_pingpong, fm_stream
 from repro.bench.utilization import fm_stream_utilization
 from repro.cluster import Cluster
 from repro.cluster.cluster import default_fm_params
 from repro.configs import PPRO_FM2, SPARC_FM1
 from repro.obs.export import export_trace
-from repro.obs.observer import Observer
+from repro.workloads.presets import PRESETS
+from repro.workloads.runner import execute_scenario
 
 
 def main() -> None:
@@ -37,10 +37,10 @@ def main() -> None:
     ):
         print(f"=== {label} ===\n")
 
-        observer = Observer()
-        journey, _cluster = packet_journey_detail(machine, version,
-                                                  msg_bytes=16,
-                                                  observer=observer)
+        # The journey-fm1/2 presets: one 16 B message, observed.
+        outcome = execute_scenario(PRESETS[f"journey-fm{version}"],
+                                   observe=True)
+        journey, observer = outcome.stats.result, outcome.observer
         print("one 16-byte message, stage by stage:")
         print(journey.render())
         print(f"slowest stage: {journey.longest_stage()}")
@@ -49,10 +49,10 @@ def main() -> None:
         print(f"perfetto trace : {trace_path} "
               f"({len(observer.spans)} spans — open at ui.perfetto.dev)\n")
 
-        latency = fm_pingpong_latency_us(Cluster(2, machine, version), 16,
-                                         iterations=10)
-        bandwidth = fm_stream_bandwidth_mbs(Cluster(2, machine, version),
-                                            2048, n_messages=40)
+        latency = fm_pingpong(Cluster(2, machine, version), 16,
+                              iterations=10).one_way_latency_us
+        bandwidth = fm_stream(Cluster(2, machine, version), 2048,
+                              n_messages=40).bandwidth_mbs
         params = default_fm_params(version)
         print(f"ping-pong latency : {latency:6.2f} us   "
               f"(paper {paper_lat}, model "

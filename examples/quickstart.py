@@ -11,7 +11,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import Cluster, PPRO_FM2
-from repro.bench.microbench import fm_pingpong_latency_us, fm_stream_bandwidth_mbs
+from repro.bench.microbench import fm_pingpong, fm_stream
 from repro.simkernel.units import ns_to_us
 
 
@@ -55,10 +55,11 @@ def main() -> None:
     cluster.run([sender, receiver])
 
     print("\nFM 2.x headline microbenchmarks (paper: 11 us, 77 MB/s):")
-    latency = fm_pingpong_latency_us(Cluster(2, PPRO_FM2, 2), msg_bytes=16)
+    latency = fm_pingpong(Cluster(2, PPRO_FM2, 2),
+                          msg_bytes=16).one_way_latency_us
     print(f"  one-way latency, 16 B : {latency:6.2f} us")
     for size in (128, 1024, 2048):
-        bandwidth = fm_stream_bandwidth_mbs(Cluster(2, PPRO_FM2, 2), size)
+        bandwidth = fm_stream(Cluster(2, PPRO_FM2, 2), size).bandwidth_mbs
         print(f"  bandwidth, {size:5d} B   : {bandwidth:6.2f} MB/s")
 
 

@@ -3,6 +3,8 @@
 * :mod:`~repro.bench.microbench` — ping-pong latency and streaming
   bandwidth on raw FM (1.x and 2.x).
 * :mod:`~repro.bench.mpibench` — the same two microbenchmarks through MPI.
+* :mod:`~repro.bench.journey` — one message's latency, stage by stage.
+* :mod:`~repro.bench.micro` — the three as ``kind="micro"`` scenarios.
 * :mod:`~repro.bench.sweeps` — message-size sweeps producing the curves of
   Figures 3-6.
 * :mod:`~repro.bench.nhalf` — the half-power point (N-half) estimator.
@@ -16,18 +18,3 @@
 * :mod:`~repro.bench.calibration` — first-order analytic predictions used
   to calibrate ``repro.configs`` (documented in DESIGN.md §4).
 """
-
-from repro.bench.microbench import (
-    fm_pingpong_latency_us,
-    fm_stream_bandwidth_mbs,
-)
-from repro.bench.nhalf import n_half
-from repro.bench.sweeps import bandwidth_sweep, SweepResult
-
-__all__ = [
-    "SweepResult",
-    "bandwidth_sweep",
-    "fm_pingpong_latency_us",
-    "fm_stream_bandwidth_mbs",
-    "n_half",
-]

@@ -25,9 +25,11 @@ from typing import Sequence
 from repro.hardware.packet import Packet, PacketFlags, PacketHeader
 from repro.hardware.params import MachineParams
 
+from repro.bench.micro import MicroScenario
 from repro.bench.microbench import IDLE_POLL_NS
 from repro.bench.sweeps import SweepResult, bandwidth_sweep, sweep_with
 from repro.cluster.cluster import Cluster
+from repro.scenario import MACHINES
 
 
 @dataclass(frozen=True)
@@ -101,18 +103,19 @@ def lean_stream_bandwidth_mbs(machine: MachineParams, msg_bytes: int,
     return msg_bytes * n_messages / (elapsed / 1e9) / 1e6
 
 
-def breakdown_sweep(machine: MachineParams, sizes: Sequence[int],
-                    n_messages: int = 50) -> list[SweepResult]:
-    """The three Figure 3(a) curves, top to bottom."""
+def breakdown_sweep(stream: MicroScenario,
+                    sizes: Sequence[int]) -> list[SweepResult]:
+    """The three Figure 3(a) curves, top to bottom, on the machine and at
+    the stream length of the FM 1.x stream microbenchmark ``stream``."""
     results = []
     for stage in STAGES:
         if stage.flow_control:
-            results.append(bandwidth_sweep(machine, 1, sizes, n_messages,
-                                           label=stage.name))
+            results.append(bandwidth_sweep(stream, sizes, stage.name))
             continue
+        machine = MACHINES[stream.machine]
         stage_machine = machine if stage.cross_bus else _free_bus(machine)
         results.append(sweep_with(
             lambda size: lean_stream_bandwidth_mbs(stage_machine, size,
-                                                   n_messages),
+                                                   stream.n_requests),
             sizes, stage.name))
     return results

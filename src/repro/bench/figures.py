@@ -19,20 +19,15 @@ from functools import cache
 from typing import Callable, NamedTuple, Sequence
 
 from repro.bench.breakdown import breakdown_sweep
-from repro.bench.journey import packet_journey
-from repro.bench.microbench import fm_pingpong_latency_us
-from repro.bench.mpibench import mpi_pingpong_latency_us
+from repro.bench.micro import MicroScenario
 from repro.bench.report import (HeadlineRow, bar_table, curve_table,
                                 efficiency_table, headline_table)
 from repro.bench.sweeps import (FIG3_SIZES, FIG456_SIZES, SweepResult,
-                                bandwidth_sweep, mpi_bandwidth_sweep,
-                                sweep_with)
-from repro.cluster import Cluster
+                                bandwidth_sweep, measure, sweep_with)
 from repro.cmam import COMPONENTS, CmamCostModel, SequenceKind, Side
-from repro.configs import PPRO_FM2, SPARC_FM1
-from repro.hardware.params import MachineParams
 from repro.legacy import (ETHERNET_100MBIT, ETHERNET_1GBIT,
                           FixedOverheadStack, theoretical_bandwidth_mbs)
+from repro.workloads.presets import PRESETS
 
 
 class Reference(NamedTuple):
@@ -134,23 +129,25 @@ def fig2() -> FigureResult:
 def fig3a() -> FigureResult:
     """Figure 3(a): FM 1.x bandwidth as link management, the I/O bus
     crossing and flow control are added in turn."""
-    curves = breakdown_sweep(SPARC_FM1, FIG3_SIZES, n_messages=40)
+    curves = breakdown_sweep(PRESETS["stream-fm1"], FIG3_SIZES)
     return FigureResult(
         curve_table("Figure 3(a) — FM 1.x overhead breakdown", curves), curves)
 
 
-def _raw_fm(layer: str, machine: MachineParams, version: int,
-            sizes: Sequence[int], label: str, title: str) -> FigureResult:
-    """A raw-FM figure: the bandwidth curve over its three headline metrics."""
-    sweep = bandwidth_sweep(machine, version, sizes, n_messages=40,
-                            label=label)
-    latency = fm_pingpong_latency_us(Cluster(2, machine, version), 16, 15)
+def _raw_fm(layer: str, sizes: Sequence[int], label: str,
+            title: str) -> FigureResult:
+    """A raw-FM figure: the ``stream-<layer>`` curve and its headline
+    metrics."""
+    stream = PRESETS[f"stream-{layer}"]
+    sweep = bandwidth_sweep(stream, sizes, label)
+    latency = measure(stream, pattern="fm-pingpong", msg_bytes=16,
+                      iterations=15).one_way_latency_us
     rows = {"one-way latency (16 B)": (f"{layer}_latency_us", latency),
             "peak bandwidth": (f"{layer}_peak_mbs", sweep.peak_mbs),
             "N-half": (f"{layer}_n_half_bytes", sweep.n_half_bytes)}
     return FigureResult(
         curve_table(title, [sweep]) + "\n\n"
-        + headline_table(f"FM {version}.x headline metrics",
+        + headline_table(f"FM {stream.fm_version}.x headline metrics",
                          [_row(row, key, value)
                           for row, (key, value) in rows.items()]),
         [sweep], dict(rows.values()))
@@ -159,22 +156,23 @@ def _raw_fm(layer: str, machine: MachineParams, version: int,
 @cache
 def fig3b() -> FigureResult:
     """Figure 3(b): FM 1.x overall on the Sparc/SBus testbed."""
-    return _raw_fm("fm1", SPARC_FM1, 1, FIG3_SIZES, "FM 1.x",
+    return _raw_fm("fm1", FIG3_SIZES, "FM 1.x",
                    "Figure 3(b) — FM 1.x overall performance")
 
 
 @cache
 def fig5() -> FigureResult:
     """Figure 5: FM 2.1 on the 200 MHz Pentium Pro testbed."""
-    return _raw_fm("fm2", PPRO_FM2, 2, FIG456_SIZES, "FM 2.1",
+    return _raw_fm("fm2", FIG456_SIZES, "FM 2.1",
                    "Figure 5 — FM 2.1 on a 200 MHz PPro")
 
 
-def _mpi_vs_fm(figure: int, fm: SweepResult, machine: MachineParams,
-               version: int) -> FigureResult:
-    """MPI-FM against the raw-FM curve ``fm``: (a) absolute, (b) efficiency."""
-    mpi = mpi_bandwidth_sweep(machine, version, FIG456_SIZES, n_messages=30,
-                              label=f"MPI-{fm.label}")
+def _mpi_vs_fm(figure: int, fm: SweepResult,
+               stream: MicroScenario) -> FigureResult:
+    """The MPI ``stream`` against the raw-FM curve ``fm``: (a) absolute,
+    (b) efficiency."""
+    version = stream.fm_version
+    mpi = bandwidth_sweep(stream, FIG456_SIZES, f"MPI-{fm.label}")
     return FigureResult(
         curve_table(f"Figure {figure}(a) — {mpi.label} vs {fm.label} "
                     "(absolute)", [fm, mpi]) + "\n\n"
@@ -189,9 +187,9 @@ def _mpi_vs_fm(figure: int, fm: SweepResult, machine: MachineParams,
 @cache
 def fig4() -> FigureResult:
     """Figure 4: the initial MPI-FM over FM 1.x."""
-    fm = bandwidth_sweep(SPARC_FM1, 1, FIG456_SIZES, n_messages=40,
-                         label="FM 1.x")
-    return _mpi_vs_fm(4, fm, SPARC_FM1, 1)
+    fm = bandwidth_sweep(PRESETS["stream-fm1"], FIG456_SIZES, "FM 1.x")
+    return _mpi_vs_fm(4, fm, replace(PRESETS["mpi-stream-fm2"],
+                                     machine="sparc", fm_version=1))
 
 
 @cache
@@ -199,8 +197,9 @@ def fig6() -> FigureResult:
     """Figure 6: MPI-FM 2.0 against FM 2.0 — Figure 5's curve under the
     name the paper gives it here — and the MPI latency."""
     pair = _mpi_vs_fm(6, replace(fig5().curves[0], label="FM 2.0"),
-                      PPRO_FM2, 2)
-    latency = mpi_pingpong_latency_us(Cluster(2, PPRO_FM2, 2), 16, 12)
+                      PRESETS["mpi-stream-fm2"])
+    latency = measure(PRESETS["pingpong-fm2"], pattern="mpi-pingpong",
+                      iterations=12).one_way_latency_us
     return FigureResult(
         pair.table + f"\n\nMPI-FM 2.0 one-way latency (16 B): {latency:.1f} "
         f"us (paper: {PAPER['mpi2_latency_us'].text})",
@@ -212,9 +211,8 @@ def journey() -> FigureResult:
     """Extension: where one 16 B message's latency goes, stage by stage,
     on both FM generations; ``values`` is keyed ``<layer>/<stage>``."""
     parts, values = [], {}
-    for layer, machine, version in (("fm1", SPARC_FM1, 1),
-                                    ("fm2", PPRO_FM2, 2)):
-        trip = packet_journey(machine, version)
+    for layer, version in (("fm1", 1), ("fm2", 2)):
+        trip = measure(PRESETS[f"journey-{layer}"])
         parts.append(f"FM {version}.x — 16 B one-way journey\n{trip.render()}")
         values.update({f"{layer}/{stage}": float(ns)
                        for stage, ns in trip.stages()})

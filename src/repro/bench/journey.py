@@ -11,15 +11,10 @@ of the paper's overhead-breakdown discussions ("where do the 11 µs go?").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
 
 from repro.bench.microbench import (extract_until, fm_send,
                                     register_handler)
 from repro.cluster.cluster import Cluster
-from repro.hardware.params import MachineParams
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.observer import Observer
 
 
 @dataclass
@@ -60,27 +55,9 @@ class Journey:
         return "\n".join(lines)
 
 
-def packet_journey(machine: MachineParams, fm_version: int,
-                   msg_bytes: int = 16) -> Journey:
-    """One-way journey of a single short message, waypoint by waypoint."""
-    journey, _cluster = packet_journey_detail(machine, fm_version, msg_bytes)
-    return journey
-
-
-def packet_journey_detail(machine: MachineParams, fm_version: int,
-                          msg_bytes: int = 16,
-                          observer: Optional["Observer"] = None,
-                          ) -> tuple[Journey, Cluster]:
-    """Like :func:`packet_journey`, returning the cluster too.
-
-    Pass an :class:`~repro.obs.observer.Observer` to run the journey with
-    full observability on (spans + metrics); ``repro.obs.report`` uses this
-    to cross-check the aggregate per-stage breakdown against the classic
-    one-packet attribution.
-    """
-    cluster = Cluster(2, machine=machine, fm_version=fm_version)
-    if observer is not None:
-        cluster.observe(observer)
+def packet_journey(cluster: Cluster, msg_bytes: int = 16) -> Journey:
+    """One-way journey of a single message from node 0 to node 1 of a
+    fresh ``cluster``, waypoint by waypoint."""
     captured: list = []
     done: list[int] = []
 
@@ -106,4 +83,4 @@ def packet_journey_detail(machine: MachineParams, fm_version: int,
     marks = [("api_enter", start[0])]
     marks += [waypoint[:2] for waypoint in first_packet.waypoints]
     marks.append(("handler_done", done[0]))
-    return Journey(marks=marks), cluster
+    return Journey(marks=marks)

@@ -31,6 +31,12 @@ class PingPongResult:
     one_way_latency_us: float
     round_trips: int
 
+    @classmethod
+    def of(cls, starts: list[int], warmup: int) -> "PingPongResult":
+        """Half the mean round trip between ``starts`` past ``warmup``."""
+        rtts = [b - a for a, b in zip(starts, starts[1:])][warmup:]
+        return cls(sum(rtts) / len(rtts) / 2.0 / MICROSECOND, len(rtts))
+
 
 @dataclass
 class StreamResult:
@@ -117,24 +123,13 @@ def fm_pingpong(cluster: Cluster, msg_bytes: int = 16, iterations: int = 30,
     programs[first] = make_program(first, second, True)
     programs[second] = make_program(second, first, False)
     cluster.run(programs)
-    # timestamps[k] -> timestamps[k+1] is one round trip.
-    rtts = [timestamps[i + 1] - timestamps[i] for i in range(len(timestamps) - 1)]
-    rtts = rtts[warmup:]
-    one_way = sum(rtts) / len(rtts) / 2.0
-    return PingPongResult(one_way_latency_us=one_way / MICROSECOND,
-                          round_trips=len(rtts))
+    return PingPongResult.of(timestamps, warmup)
 
 
 def fm_send(fm, dest: int, hid: int, buf, nbytes: int):
     """Send ``buf`` whole through either FM generation's API."""
     send = fm.send if isinstance(fm, FM1) else fm.send_buffer
     return send(dest, hid, buf, nbytes)
-
-
-def fm_pingpong_latency_us(cluster: Cluster, msg_bytes: int = 16,
-                           iterations: int = 30) -> float:
-    """One-way latency in microseconds (the paper's headline metric)."""
-    return fm_pingpong(cluster, msg_bytes, iterations).one_way_latency_us
 
 
 # -- streaming bandwidth --------------------------------------------------------------
@@ -182,9 +177,3 @@ def fm_stream(cluster: Cluster, msg_bytes: int, n_messages: int = 60,
     bandwidth = msg_bytes * n_messages / (elapsed / 1e9)  # bytes/sec
     return StreamResult(bandwidth_mbs=bandwidth / 1e6, msg_bytes=msg_bytes,
                         n_messages=n_messages, elapsed_ns=elapsed)
-
-
-def fm_stream_bandwidth_mbs(cluster: Cluster, msg_bytes: int,
-                            n_messages: int = 60) -> float:
-    """Streaming bandwidth in MB/s (10^6 bytes/s, as the paper reports)."""
-    return fm_stream(cluster, msg_bytes, n_messages).bandwidth_mbs

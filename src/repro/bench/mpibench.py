@@ -9,23 +9,12 @@ exercised — that path is the paper's point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.simkernel.units import MICROSECOND
-
+from repro.bench.microbench import PingPongResult, StreamResult
 from repro.cluster.cluster import Cluster
 from repro.upper.mpi.world import build_mpi_world
 
 #: How many receives the bandwidth test keeps pre-posted.
 POSTED_WINDOW = 8
-
-
-@dataclass
-class MpiStreamResult:
-    bandwidth_mbs: float
-    msg_bytes: int
-    n_messages: int
-    elapsed_ns: int
 
 
 def mpi_pingpong_latency_us(cluster: Cluster, msg_bytes: int = 16,
@@ -51,12 +40,11 @@ def mpi_pingpong_latency_us(cluster: Cluster, msg_bytes: int = 16,
             yield from comm.send(payload, 0, tag=2)
 
     cluster.run([rank0, rank1])
-    rtts = [timestamps[i + 1] - timestamps[i] for i in range(len(timestamps) - 1)]
-    rtts = rtts[warmup:]
-    return sum(rtts) / len(rtts) / 2.0 / MICROSECOND
+    return PingPongResult.of(timestamps, warmup).one_way_latency_us
 
 
-def mpi_stream(cluster: Cluster, msg_bytes: int, n_messages: int = 60) -> MpiStreamResult:
+def mpi_stream(cluster: Cluster, msg_bytes: int,
+               n_messages: int = 60) -> StreamResult:
     """Unidirectional MPI message stream, rank 0 -> rank 1."""
     comms = build_mpi_world(cluster)
     payload = bytes(i % 251 for i in range(msg_bytes))
@@ -93,9 +81,5 @@ def mpi_stream(cluster: Cluster, msg_bytes: int, n_messages: int = 60) -> MpiStr
     cluster.run([sender, receiver])
     elapsed = marks["end"] - marks["start"]
     bandwidth = msg_bytes * n_messages / (elapsed / 1e9)
-    return MpiStreamResult(
-        bandwidth_mbs=bandwidth / 1e6,
-        msg_bytes=msg_bytes,
-        n_messages=n_messages,
-        elapsed_ns=elapsed,
-    )
+    return StreamResult(bandwidth_mbs=bandwidth / 1e6, msg_bytes=msg_bytes,
+                        n_messages=n_messages, elapsed_ns=elapsed)

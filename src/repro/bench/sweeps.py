@@ -1,22 +1,19 @@
 """Message-size sweeps: the curves behind Figures 3-6.
 
-Each sweep builds a *fresh* cluster per message size (so no state leaks
-between points) and measures streaming bandwidth, on raw FM or through MPI.
-Sweep results carry enough metadata to render the paper's figures as text
-tables.
+Each sweep runs a stream microbenchmark (``kind="micro"``) on a fresh
+cluster per message size (so no state leaks between points), on raw FM or
+through MPI.  Sweep results carry enough metadata to render the paper's
+figures as text tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
-from repro.hardware.params import MachineParams
-
-from repro.bench.microbench import fm_stream
-from repro.bench.mpibench import mpi_stream
+from repro.bench.micro import MicroScenario
 from repro.bench.nhalf import n_half
-from repro.cluster.cluster import Cluster
+from repro.workloads.runner import execute_scenario
 
 #: The paper's x-axes.
 FIG3_SIZES = (16, 32, 64, 128, 256, 512)
@@ -52,27 +49,17 @@ class SweepResult:
         ]
 
 
-def bandwidth_sweep(machine: MachineParams, fm_version: int,
-                    sizes: Sequence[int], n_messages: int = 60,
-                    label: str = "", fm_params=None,
-                    extract_budget: Optional[int] = None) -> SweepResult:
-    """Streaming-bandwidth curve on raw FM for each message size."""
-    def measure(size: int) -> float:
-        cluster = Cluster(2, machine=machine, fm_version=fm_version,
-                          fm_params=fm_params)
-        return fm_stream(cluster, size, n_messages=n_messages,
-                         extract_budget=extract_budget).bandwidth_mbs
-    return sweep_with(measure, sizes, label or f"FM{fm_version}")
+def measure(scenario: MicroScenario, **changes):
+    """One fresh run of ``scenario`` with ``changes``: its driver's result."""
+    return execute_scenario(replace(scenario, **changes)).stats.result
 
 
-def mpi_bandwidth_sweep(machine: MachineParams, fm_version: int,
-                        sizes: Sequence[int], n_messages: int = 60,
-                        label: str = "") -> SweepResult:
-    """Streaming-bandwidth curve through MPI-FM for each message size."""
-    def measure(size: int) -> float:
-        cluster = Cluster(2, machine=machine, fm_version=fm_version)
-        return mpi_stream(cluster, size, n_messages).bandwidth_mbs
-    return sweep_with(measure, sizes, label or f"MPI-FM{fm_version}")
+def bandwidth_sweep(scenario: MicroScenario, sizes: Sequence[int],
+                    label: str) -> SweepResult:
+    """Streaming-bandwidth curve of a stream microbenchmark (``fm-stream``
+    or ``mpi-stream``) for each message size."""
+    return sweep_with(lambda size: measure(scenario, msg_bytes=size)
+                      .bandwidth_mbs, sizes, label)
 
 
 def sweep_with(measure: Callable[[int], float], sizes: Sequence[int],

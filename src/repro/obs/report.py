@@ -3,21 +3,24 @@
 Generalises ``bench/journey.py``'s one-idle-packet attribution to whole
 benchmark scenarios: run a scenario with full observability on, then print
 
-* the classic one-packet journey (for the ``journey-*`` scenarios) whose
-  stage durations sum exactly to the end-to-end latency;
+* the classic one-packet journey (for the ``journey-*`` microbenchmarks)
+  whose stage durations sum exactly to the end-to-end latency;
 * the aggregate per-stage packet breakdown — count / p50 / p99 / total
   nanoseconds per stage over **every** data packet of the run;
 * copy bytes per architectural label per host;
 * credit-stall counts and stalled nanoseconds;
 * a span summary per (layer, operation) and per-link delivered rates.
 
-A scenario is one of the six microbenchmarks in :data:`SCENARIOS` or any
-workload preset (``repro.workloads.presets.PRESETS``, run with its built-in
-fault plan).  For the rpc presets (which mint per-request trace contexts)
-the report can also reconstruct causal request trees: :func:`request_roots`
-finds every traced request, :func:`critical_path` extracts the chain of
-last-finishing spans under a root, and :func:`render_waterfall` draws a
-per-request waterfall with the critical path highlighted.
+A scenario is any workload preset (``repro.workloads.presets.PRESETS``,
+run with its built-in fault plan through ``execute_scenario``).  The
+paper's six microbenchmarks are presets of ``kind="micro"``
+(``journey-fm1/2``, ``stream-fm1/2``, ``pingpong-fm2``, ``mpi-stream-fm2``)
+and only they take another ``--msg-bytes`` / ``--messages``.  For the rpc
+presets (which mint per-request trace contexts) the report can also
+reconstruct causal request trees: :func:`request_roots` finds every traced
+request, :func:`critical_path` extracts the chain of last-finishing spans
+under a root, and :func:`render_waterfall` draws a per-request waterfall
+with the critical path highlighted.
 
 Command line::
 
@@ -33,15 +36,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.bench.journey import Journey, packet_journey_detail
-from repro.bench.microbench import fm_pingpong, fm_stream
-from repro.bench.mpibench import mpi_stream
+from repro.bench.journey import Journey
 from repro.cluster.cluster import Cluster
-from repro.configs import PPRO_FM2, SPARC_FM1
 from repro.obs.export import export_trace, trace_events, validate_trace_events
 from repro.obs.observer import Observer
 from repro.obs.span import Span, layer_rank
@@ -219,56 +219,29 @@ def render_waterfall(obs: Observer, root: Span, bar_width: int = 40) -> str:
 
 # -- scenarios ------------------------------------------------------------------
 
-def _journey(machine, fm_version: int, msg_bytes: int, label: str,
-             n_messages: int) -> BreakdownReport:
-    observer = Observer()
-    journey, cluster = packet_journey_detail(machine, fm_version, msg_bytes,
-                                             observer=observer)
-    return BreakdownReport(label, cluster, observer, journey=journey)
-
-
-def _microbench(run: Callable) -> Callable:
-    """A builder running ``run(cluster, msg_bytes, count)`` — a stream or a
-    ping-pong of ``repro.bench`` — on an observed two-node cluster."""
-    def build(machine, fm_version: int, msg_bytes: int, label: str,
-              n_messages: int) -> BreakdownReport:
-        cluster = Cluster(2, machine=machine, fm_version=fm_version)
-        observer = cluster.observe()
-        run(cluster, msg_bytes, n_messages)
-        return BreakdownReport(label, cluster, observer)
-    return build
-
-
-#: scenario name -> (builder, machine, fm version, default bytes, default count)
-SCENARIOS: dict[str, tuple[Callable, object, int, int, int]] = {
-    "journey-fm1": (_journey, SPARC_FM1, 1, 16, 1),
-    "journey-fm2": (_journey, PPRO_FM2, 2, 16, 1),
-    "stream-fm1": (_microbench(fm_stream), SPARC_FM1, 1, 1024, 40),
-    "stream-fm2": (_microbench(fm_stream), PPRO_FM2, 2, 1024, 40),
-    "pingpong-fm2": (_microbench(fm_pingpong), PPRO_FM2, 2, 16, 20),
-    "mpi-stream-fm2": (_microbench(mpi_stream), PPRO_FM2, 2, 1024, 30),
-}
-
-
 def run_scenario(name: str, msg_bytes: Optional[int] = None,
                  n_messages: Optional[int] = None) -> BreakdownReport:
-    """Run one microbenchmark scenario, or one workload preset as it is
-    defined, with full observability; returns the report."""
-    if name in PRESETS:
-        if msg_bytes is not None or n_messages is not None:
+    """Run one preset (with its fault plan) with full observability;
+    returns the report.  A microbenchmark (``kind="micro"``) takes another
+    message size and count (its stream length and ping-pong round trips);
+    any other preset runs as defined."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown scenario {name!r}; "
+                         f"choices: {sorted(PRESETS)}")
+    scenario = PRESETS[name]
+    if msg_bytes is not None or n_messages is not None:
+        if scenario.kind != "micro":
             raise ValueError(f"preset {name!r} runs as defined: message "
                              "size and count are its own")
-        outcome = execute_scenario(PRESETS[name], plan=PRESET_PLANS.get(name),
-                                   observe=True)
-        return BreakdownReport(name, outcome.cluster, outcome.observer)
-    if name not in SCENARIOS:
-        raise ValueError(f"unknown scenario {name!r}; "
-                         f"choices: {sorted({*SCENARIOS, *PRESETS})}")
-    builder, machine, fm_version, default_bytes, default_count = SCENARIOS[name]
-    return builder(machine, fm_version,
-                   default_bytes if msg_bytes is None else msg_bytes,
-                   name,
-                   default_count if n_messages is None else n_messages)
+        resize = {"msg_bytes": msg_bytes, "n_requests": n_messages,
+                  "iterations": n_messages}
+        scenario = replace(scenario, **{
+            key: value for key, value in resize.items() if value is not None})
+    outcome = execute_scenario(scenario, plan=PRESET_PLANS.get(name),
+                               observe=True)
+    result = getattr(outcome.stats, "result", None)
+    return BreakdownReport(name, outcome.cluster, outcome.observer,
+                           result if isinstance(result, Journey) else None)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -277,16 +250,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         prog="python -m repro.obs.report",
         description="Per-stage latency breakdown of a benchmark scenario.",
     )
-    parser.add_argument("scenario", choices=sorted({*SCENARIOS, *PRESETS}),
+    parser.add_argument("scenario", choices=sorted(PRESETS),
                         metavar="scenario",
-                        help="a microbenchmark (" + ", ".join(sorted(SCENARIOS))
-                             + ") or any workload preset ("
-                             + ", ".join(sorted(PRESETS)) + ")")
+                        help=", ".join(sorted(PRESETS)))
     parser.add_argument("--msg-bytes", type=int, default=None,
-                        help="message size (microbenchmarks only; scenario "
-                             "default otherwise)")
+                        help="message size (microbenchmarks only; the "
+                             "preset's own otherwise)")
     parser.add_argument("--messages", type=int, default=None,
-                        help="message / iteration count (microbenchmarks "
+                        help="message / round-trip count (microbenchmarks "
                              "only)")
     parser.add_argument("--trace", metavar="PATH", default=None,
                         help="also export a Perfetto trace-event JSON file")

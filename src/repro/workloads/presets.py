@@ -9,6 +9,7 @@ for it, and :data:`PRESET_PLANS` the fault plan that belongs with it
 
 from __future__ import annotations
 
+from repro.bench.micro import MicroScenario
 from repro.dataflow.engine import PipelineScenario
 from repro.faults.plan import FaultPlan, NicStall
 from repro.workloads.apps import AllreduceScenario, HaloScenario
@@ -128,6 +129,18 @@ PRESETS = {
         n_requests=300, req_bytes=64, work_ns=500, window_ns=200_000,
         partition_by="hash", n_keys=32, queue_capacity=16,
         until_ns=50_000_000),
+    # The paper's microbenchmarks: Figures 3-6 run them at every size.
+    "journey-fm1": MicroScenario(name="journey-fm1", machine="sparc",
+                                 fm_version=1, pattern="journey"),
+    "journey-fm2": MicroScenario(name="journey-fm2", pattern="journey"),
+    "stream-fm1": MicroScenario(name="stream-fm1", machine="sparc",
+                                fm_version=1, n_requests=40, msg_bytes=1024),
+    "stream-fm2": MicroScenario(name="stream-fm2", n_requests=40,
+                                msg_bytes=1024),
+    "pingpong-fm2": MicroScenario(name="pingpong-fm2", iterations=20,
+                                  pattern="fm-pingpong"),
+    "mpi-stream-fm2": MicroScenario(name="mpi-stream-fm2", n_requests=30,
+                                    pattern="mpi-stream", msg_bytes=1024),
 }
 
 #: One-line description per preset — what ``--list-presets`` prints
@@ -158,6 +171,12 @@ PRESET_DESCRIPTIONS = {
                                "map lanes, gathered into one sink",
     "dataflow-rollup-stall": "the rollup with a built-in NIC stall on an "
                              "interior lane (backpressure, zero drops)",
+    "journey-fm1": "one 16 B FM 1.x message, stage by stage",
+    "journey-fm2": "one 16 B FM 2.x message, stage by stage",
+    "stream-fm1": "40 x 1 KB raw FM 1.x stream (a Figure 3/4 point)",
+    "stream-fm2": "40 x 1 KB raw FM 2.x stream (a Figure 5/6 point)",
+    "pingpong-fm2": "20 round trips of 16 B on raw FM 2.x",
+    "mpi-stream-fm2": "30 x 1 KB MPI-FM 2.x stream (a Figure 6 point)",
 }
 
 #: The NicStall window both fault presets compose: node 1's NIC takes an

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Optional
 
+from repro.bench.micro import MicroScenario
 from repro.cluster.cluster import Cluster
 from repro.dataflow.engine import PipelineScenario
 from repro.obs.metrics import RunStats
@@ -43,6 +44,7 @@ KINDS = {
     "allreduce": AllreduceScenario,
     "pipeline": PipelineScenario,
     "rdma": RdmaScenario,
+    "micro": MicroScenario,
 }
 
 

@@ -15,7 +15,7 @@ from repro.bench.calibration import (
     predicted_n_half_bytes,
 )
 from repro.bench.figures import FIGURES, PAPER
-from repro.bench.microbench import fm_pingpong_latency_us, fm_stream_bandwidth_mbs
+from repro.bench.microbench import fm_pingpong, fm_stream
 from repro.bench.nhalf import n_half
 from repro.cluster import Cluster
 from repro.cluster.cluster import default_fm_params
@@ -137,23 +137,23 @@ class TestAnalyticModelAgreement:
     def test_predicted_peak_within_20_percent(self, machine, version):
         params = default_fm_params(version)
         predicted = predicted_bandwidth_mbs(machine, params, 2048)
-        measured = fm_stream_bandwidth_mbs(Cluster(2, machine, version), 2048,
-                                           n_messages=30)
+        measured = fm_stream(Cluster(2, machine, version), 2048,
+                             n_messages=30).bandwidth_mbs
         assert predicted == pytest.approx(measured, rel=0.20)
 
     @pytest.mark.parametrize("machine,version", [(SPARC_FM1, 1), (PPRO_FM2, 2)])
     def test_predicted_latency_within_30_percent(self, machine, version):
         params = default_fm_params(version)
         predicted = predicted_latency_us(machine, params)
-        measured = fm_pingpong_latency_us(Cluster(2, machine, version), 16,
-                                          iterations=10)
+        measured = fm_pingpong(Cluster(2, machine, version), 16,
+                               iterations=10).one_way_latency_us
         assert predicted == pytest.approx(measured, rel=0.30)
 
     @pytest.mark.parametrize("machine,version", [(SPARC_FM1, 1), (PPRO_FM2, 2)])
     def test_predicted_n_half_same_regime(self, machine, version):
         params = default_fm_params(version)
         predicted = predicted_n_half_bytes(machine, params)
-        curve = [fm_stream_bandwidth_mbs(Cluster(2, machine, version), s, 30)
+        curve = [fm_stream(Cluster(2, machine, version), s, 30).bandwidth_mbs
                  for s in SIZES]
         measured = n_half(list(SIZES), curve)
         assert predicted == pytest.approx(measured, rel=0.5)

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.bench.journey import Journey, packet_journey
+from repro.bench.microbench import fm_pingpong
+from repro.cluster import Cluster
 from repro.configs import PPRO_FM2, SPARC_FM1
 
 
@@ -31,7 +33,7 @@ class TestJourneyContainer:
 class TestPacketJourney:
     @pytest.mark.parametrize("machine,version", [(SPARC_FM1, 1), (PPRO_FM2, 2)])
     def test_waypoints_in_canonical_order(self, machine, version):
-        journey = packet_journey(machine, version)
+        journey = packet_journey(Cluster(2, machine, version))
         names = [name for name, _t in journey.marks]
         assert names[0] == "api_enter"
         assert names[-1] == "handler_done"
@@ -42,19 +44,17 @@ class TestPacketJourney:
         assert order["s0.forward"] < order["nic1.dma_done"]
 
     def test_journey_total_close_to_pingpong_latency(self):
-        from repro.bench.microbench import fm_pingpong_latency_us
-        from repro.cluster import Cluster
-        journey = packet_journey(PPRO_FM2, 2)
-        pingpong = fm_pingpong_latency_us(Cluster(2, PPRO_FM2, 2), 16,
-                                          iterations=10)
+        journey = packet_journey(Cluster(2, PPRO_FM2, 2))
+        pingpong = fm_pingpong(Cluster(2, PPRO_FM2, 2), 16,
+                               iterations=10).one_way_latency_us
         # The two measure slightly different paths (the journey includes a
         # cold receiver's poll discovery; ping-pong spins hot) but must
         # agree within ~10%.
         assert journey.total_ns / 1000 == pytest.approx(pingpong, rel=0.10)
 
     def test_larger_message_takes_longer(self):
-        small = packet_journey(PPRO_FM2, 2, msg_bytes=16)
-        large = packet_journey(PPRO_FM2, 2, msg_bytes=1024)
+        small = packet_journey(Cluster(2, PPRO_FM2, 2), msg_bytes=16)
+        large = packet_journey(Cluster(2, PPRO_FM2, 2), msg_bytes=1024)
         assert large.total_ns > small.total_ns
 
 

@@ -1,6 +1,7 @@
 """Microbenchmark harness sanity (mechanics, not calibration)."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +10,7 @@ from repro.bench.microbench import fm_pingpong, fm_stream
 from repro.cluster import Cluster
 from repro.configs import PPRO_FM2, SPARC_FM1
 from repro.hardware.topology import switch_chain
+from repro.workloads.presets import PRESETS
 
 from tests.golden import regen
 
@@ -79,7 +81,8 @@ class TestBreakdown:
     def test_stage_ordering_matches_figure_3a(self):
         """Link-only is far above the bus-limited curves; flow control costs
         only a little more than the bus crossing."""
-        curves = breakdown_sweep(SPARC_FM1, (64, 256, 512), n_messages=25)
+        curves = breakdown_sweep(replace(PRESETS["stream-fm1"], n_requests=25),
+                                 (64, 256, 512))
         link, bus, flow = curves
         assert link.peak_mbs > 2.5 * bus.peak_mbs
         assert bus.peak_mbs >= flow.peak_mbs

@@ -4,8 +4,6 @@ import json
 
 import pytest
 
-from repro.bench.journey import packet_journey_detail
-from repro.configs import PPRO_FM2
 from repro.obs.export import (
     distinct_tracks,
     dumps_deterministic,
@@ -14,8 +12,14 @@ from repro.obs.export import (
     trace_events,
     validate_trace_events,
 )
-from repro.obs.observer import Observer
 from repro.obs.span import Span
+from repro.workloads.presets import PRESETS
+from repro.workloads.runner import execute_scenario
+
+
+def journey_observer():
+    """The observer of one 16 B FM 2.x journey (``journey-fm2``)."""
+    return execute_scenario(PRESETS["journey-fm2"], observe=True).observer
 
 
 def sample_spans():
@@ -90,15 +94,13 @@ class TestDeterministicDumps:
 
 class TestExportedRun:
     def observed_trace_bytes(self):
-        observer = Observer()
-        packet_journey_detail(PPRO_FM2, 2, 16, observer=observer)
+        observer = journey_observer()
         return dumps_deterministic(trace_events(observer.spans))
 
     def test_fm2_pingpong_trace_valid_with_5_tracks(self, tmp_path):
         """The acceptance criterion: a 2-node FM2 exchange exports valid
         trace-event JSON with at least 5 distinct component tracks."""
-        observer = Observer()
-        packet_journey_detail(PPRO_FM2, 2, 16, observer=observer)
+        observer = journey_observer()
         path = export_trace(observer, tmp_path / "journey.json")
         trace = json.loads(path.read_text())
         validate_trace_events(trace)
@@ -108,7 +110,6 @@ class TestExportedRun:
         assert self.observed_trace_bytes() == self.observed_trace_bytes()
 
     def test_export_creates_directories(self, tmp_path):
-        observer = Observer()
-        packet_journey_detail(PPRO_FM2, 2, 16, observer=observer)
+        observer = journey_observer()
         path = export_trace(observer, tmp_path / "deep" / "nested" / "t.json")
         assert path.exists()

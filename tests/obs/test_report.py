@@ -2,8 +2,8 @@
 
 import pytest
 
+import repro.obs.report as report_module
 from repro.obs.report import (
-    SCENARIOS,
     critical_path,
     main,
     render_waterfall,
@@ -137,11 +137,12 @@ class TestPresets:
 
 class TestCli:
     def test_all_scenarios_registered(self):
-        assert set(SCENARIOS) == {
+        micro = {name for name, scenario in PRESETS.items()
+                 if scenario.kind == "micro"}
+        assert micro == {
             "journey-fm1", "journey-fm2", "stream-fm1", "stream-fm2",
             "pingpong-fm2", "mpi-stream-fm2",
         }
-        assert not set(SCENARIOS) & set(PRESETS)
 
     def test_waterfall_cli_on_a_preset(self, capsys):
         assert main(["rpc-open", "--waterfall", "1"]) == 0
@@ -181,3 +182,19 @@ class TestCli:
         assert main(["stream-fm2", "--msg-bytes", "512",
                      "--messages", "4"]) == 0
         assert "stream-fm2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, field", [
+        (["pingpong-fm2", "--messages", "0"], "n_requests"),
+        (["stream-fm2", "--messages", "0"], "n_requests"),
+        (["stream-fm2", "--msg-bytes", "-4"], "msg_bytes"),
+    ])
+    def test_cli_bad_size_or_count_is_refused_before_the_run(
+            self, argv, field, capsys, monkeypatch):
+        monkeypatch.setattr(report_module, "execute_scenario",
+                            lambda *args, **kwargs: pytest.fail("ran"))
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"{field} must be >= " in captured.err
+        assert captured.out == ""           # the scenario never ran

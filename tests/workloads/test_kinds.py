@@ -38,6 +38,7 @@ READS = {
         "pipeline", "n_sources", "branches", "window_ns", "window_slide_ns",
         "partition_by", "stage_placement", "sink_work_ns"},
     "rdma": {"req_bytes"},
+    "micro": {"pattern", "msg_bytes"},
 }
 
 
@@ -55,7 +56,7 @@ class TestKindsTable:
             assert cls.__dataclass_fields__["kind"].default == kind
         assert {kind: len(fields(cls)) for kind, cls in KINDS.items()} == {
             "rpc": 39, "halo": 16, "allreduce": 16, "pipeline": 26,
-            "rdma": 10}
+            "rdma": 10, "micro": 11}
 
     @pytest.mark.parametrize("name", list(regen.cases()))
     def test_reported_fields_match_the_golden(self, name):
@@ -123,6 +124,15 @@ class TestValidationAtConstruction:
         ("rpc-open", {"fm_version": 3}),
         ("mpi-halo", {"n_nodes": 1}),
         ("rdma-pingpong", {"n_nodes": 1}),
+        # A microbenchmark is two nodes, a known pattern and at least one
+        # message or round trip of at least 0 bytes (every pattern
+        # completes at 0 bytes), and runs to completion.
+        ("journey-fm2", {"n_nodes": 4}),
+        ("stream-fm2", {"pattern": "fm-broadcast"}),
+        ("stream-fm2", {"n_requests": 0}),
+        ("pingpong-fm2", {"iterations": 0}),
+        ("stream-fm2", {"msg_bytes": -4}),
+        ("journey-fm1", {"until_ns": 1_000_000}),
     ])
     def test_bad_values_fail_before_anything_is_built(self, base, overrides):
         (field,) = overrides
