@@ -4,7 +4,7 @@ Exercises the pipeline scenario CLI end to end on both dataflow presets:
 each run emits the full pipeline report schema (conservation, per-stage
 telemetry, per-edge rows), reruns are byte-identical, the observer
 changes nothing, the stall preset composes its built-in fault plan, and
-``--list-presets`` describes every registered preset.  Fast by
+``list`` describes every registered preset.  Fast by
 construction, so it runs with the regular test suite rather than the
 benchmark tier.
 """
@@ -73,11 +73,12 @@ class TestDataflowSmoke:
 
 class TestListPresets:
     def test_every_preset_is_listed_with_a_description(self, capsys):
-        out = run_cli(["--list-presets"], capsys)
+        out = run_cli(["list"], capsys)
         lines = [line for line in out.splitlines() if line.strip()]
         assert len(lines) == len(PRESETS)
         for line in lines:
-            name, _, description = line.partition("  ")
+            shape, _, description = line.partition("  ")
+            name = shape.partition(":")[0]
             assert name.strip() in PRESETS
             assert description.strip()
 

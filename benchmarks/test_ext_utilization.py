@@ -7,21 +7,31 @@ onto host memcpy (the copies), while MPI on FM 2.x leaves the profile
 nearly identical to raw FM.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import run_once
 from repro.bench.report import HeadlineRow, headline_table
-from repro.bench.utilization import fm_stream_utilization, mpi_stream_utilization
-from repro.configs import PPRO_FM2, SPARC_FM1
+from repro.bench.utilization import stream_utilization
+from repro.workloads.presets import PRESETS
 
 
 def test_ext_component_utilization(benchmark, show):
     def regenerate():
         return {
-            "FM 1.x @512B": fm_stream_utilization(SPARC_FM1, 1, 512),
-            "FM 2.x @2KB": fm_stream_utilization(PPRO_FM2, 2, 2048),
-            "MPI-FM 1.x @512B": mpi_stream_utilization(SPARC_FM1, 1, 512),
-            "MPI-FM 2.x @2KB": mpi_stream_utilization(PPRO_FM2, 2, 2048),
+            label: stream_utilization(replace(PRESETS[preset], **fields))
+            for label, preset, fields in (
+                ("FM 1.x @512B", "stream-fm1",
+                 {"msg_bytes": 512, "n_requests": 60}),
+                ("FM 2.x @2KB", "stream-fm2",
+                 {"msg_bytes": 2048, "n_requests": 60}),
+                ("MPI-FM 1.x @512B", "mpi-stream-fm2",
+                 {"machine": "sparc", "fm_version": 1, "msg_bytes": 512,
+                  "n_requests": 40}),
+                ("MPI-FM 2.x @2KB", "mpi-stream-fm2",
+                 {"msg_bytes": 2048, "n_requests": 40}),
+            )
         }
 
     results = run_once(benchmark, regenerate)

@@ -19,8 +19,8 @@ from repro.obs.export import (
     export_trace,
     validate_trace_events,
 )
-from repro.obs.report import main as report_main
 from repro.workloads.presets import PRESETS
+from repro.workloads.run import main as run_main
 from repro.workloads.runner import execute_scenario
 
 pytestmark = pytest.mark.fast
@@ -49,7 +49,7 @@ class TestObservabilitySmoke:
         assert observer.metrics.copy_bytes_by_label()
 
     def test_report_cli_exits_zero(self, capsys):
-        assert report_main(["journey-fm2"]) == 0
+        assert run_main(["journey-fm2", "--breakdown"]) == 0
         out = capsys.readouterr().out
         assert "breakdown report" in out
         assert "TOTAL" in out

@@ -14,6 +14,7 @@ https://ui.perfetto.dev to see every layer crossing on its own track.
 Run:  python examples/latency_anatomy.py
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 from repro.bench.calibration import (
@@ -21,7 +22,7 @@ from repro.bench.calibration import (
     predicted_latency_us,
 )
 from repro.bench.microbench import fm_pingpong, fm_stream
-from repro.bench.utilization import fm_stream_utilization
+from repro.bench.utilization import stream_utilization
 from repro.cluster import Cluster
 from repro.cluster.cluster import default_fm_params
 from repro.configs import PPRO_FM2, SPARC_FM1
@@ -61,7 +62,8 @@ def main() -> None:
               f"(paper {paper_bw}, model "
               f"{predicted_bandwidth_mbs(machine, params, 2048):.2f})\n")
 
-        util = fm_stream_utilization(machine, version, 2048, n_messages=40)
+        util = stream_utilization(replace(PRESETS[f"stream-fm{version}"],
+                                          msg_bytes=2048, n_requests=40))
         print("streaming at 2 KB, who is busy:")
         for metric, value in util.rows():
             print(f"  {metric:<26} {value}")

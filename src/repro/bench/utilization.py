@@ -4,17 +4,20 @@ The paper's overhead arguments are about *which component saturates*: FM
 1.x is I/O-bus-bound on the Sparc, FM 2.x is send-CPU/PIO-bound on the
 PPro, and MPI layers shift load onto host memcpy.  This module measures
 busy fractions of every component over a streaming run, turning those
-claims into numbers.
+claims into numbers.  A stream is a ``kind="micro"`` scenario
+(``fm-stream`` or ``mpi-stream``) run through ``execute_scenario``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.bench.microbench import fm_stream
-from repro.bench.mpibench import mpi_stream
-from repro.cluster.cluster import Cluster
-from repro.hardware.params import MachineParams
+from repro.workloads.runner import execute_scenario
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.bench.micro import MicroScenario
+    from repro.cluster.cluster import Cluster
 
 
 @dataclass
@@ -67,17 +70,7 @@ def _snapshot(cluster: Cluster, elapsed_ns: int) -> Utilization:
     )
 
 
-def fm_stream_utilization(machine: MachineParams, fm_version: int,
-                          msg_bytes: int, n_messages: int = 60) -> Utilization:
-    """Utilisation during a raw-FM unidirectional stream."""
-    cluster = Cluster(2, machine=machine, fm_version=fm_version)
-    result = fm_stream(cluster, msg_bytes, n_messages=n_messages)
-    return _snapshot(cluster, result.elapsed_ns)
-
-
-def mpi_stream_utilization(machine: MachineParams, fm_version: int,
-                           msg_bytes: int, n_messages: int = 40) -> Utilization:
-    """Utilisation during an MPI unidirectional stream."""
-    cluster = Cluster(2, machine=machine, fm_version=fm_version)
-    result = mpi_stream(cluster, msg_bytes, n_messages=n_messages)
-    return _snapshot(cluster, result.elapsed_ns)
+def stream_utilization(scenario: MicroScenario) -> Utilization:
+    """Utilisation during one unidirectional stream scenario."""
+    outcome = execute_scenario(scenario)
+    return _snapshot(outcome.cluster, outcome.stats.result.elapsed_ns)

@@ -22,9 +22,9 @@ class capability of the simulator for arbitrary traffic:
   detection over those windows;
 * :mod:`repro.obs.export` — Perfetto / Chrome trace-event JSON export
   with causal flow arrows (open any run in ``ui.perfetto.dev``);
-* :mod:`repro.obs.report` — the per-stage breakdown report CLI
-  (``python -m repro.obs.report <scenario>``), plus per-request
-  waterfalls / critical paths for traced rpc scenarios.
+* :mod:`repro.obs.report` — the per-stage breakdown report of an
+  observed run (``python -m repro.workloads.run <preset> --breakdown``),
+  plus per-request waterfalls / critical paths for traced rpc scenarios.
 
 Quickstart::
 
@@ -73,22 +73,7 @@ __all__ = [
     "evaluate_slos",
     "export_trace",
     "flow_pid_pairs",
-    "report",
     "trace_events",
     "validate_trace_events",
 ]
 
-
-def __getattr__(name: str):
-    """Lazy ``repro.obs.report`` access.
-
-    Importing :mod:`repro.obs.report` eagerly would make ``python -m
-    repro.obs.report`` warn about the module being found in
-    ``sys.modules`` before execution (runpy double-import); the module-
-    level ``__main__`` shim (``python -m repro.obs``) plus this lazy hook
-    give both spellings without the wart.
-    """
-    if name == "report":
-        import repro.obs.report as report
-        return report
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,7 +1,7 @@
 """Breakdown report: where the time went in *this* run.
 
 Generalises ``bench/journey.py``'s one-idle-packet attribution to whole
-benchmark scenarios: run a scenario with full observability on, then print
+benchmark scenarios: from an observed run, render
 
 * the classic one-packet journey (for the ``journey-*`` microbenchmarks)
   whose stage durations sum exactly to the end-to-end latency;
@@ -11,43 +11,34 @@ benchmark scenarios: run a scenario with full observability on, then print
 * credit-stall counts and stalled nanoseconds;
 * a span summary per (layer, operation) and per-link delivered rates.
 
-A scenario is any workload preset (``repro.workloads.presets.PRESETS``,
-run with its built-in fault plan through ``execute_scenario``).  The
-paper's six microbenchmarks are presets of ``kind="micro"``
-(``journey-fm1/2``, ``stream-fm1/2``, ``pingpong-fm2``, ``mpi-stream-fm2``)
-and only they take another ``--msg-bytes`` / ``--messages``.  For the rpc
+:meth:`BreakdownReport.of` builds the report from the outcome of any
+observed :func:`~repro.workloads.runner.execute_scenario`.  For the rpc
 presets (which mint per-request trace contexts) the report can also
 reconstruct causal request trees: :func:`request_roots` finds every traced
 request, :func:`critical_path` extracts the chain of last-finishing spans
 under a root, and :func:`render_waterfall` draws a per-request waterfall
 with the critical path highlighted.
 
-Command line::
+The command line is ``repro.workloads.run``'s ``--breakdown``::
 
-    python -m repro.obs.report journey-fm2
-    python -m repro.obs.report stream-fm2 --msg-bytes 2048 --messages 40 \
-        --trace out/stream.json      # also export a Perfetto trace
-                                     # (into an existing directory)
-    python -m repro.obs.report rpc-sharded --waterfall 2
-    python -m repro.obs.report dataflow-rollup-stall    # any preset
+    python -m repro.workloads.run journey-fm2 --breakdown
+    python -m repro.workloads.run stream-fm2 --breakdown --set msg_bytes=2048
+    python -m repro.workloads.run rpc-sharded --waterfall 2
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
-from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
 
 from repro.bench.journey import Journey
-from repro.cluster.cluster import Cluster
-from repro.obs.export import export_trace, trace_events, validate_trace_events
 from repro.obs.observer import Observer
 from repro.obs.span import Span, layer_rank
 from repro.obs.timeseries import nearest_rank
-from repro.workloads.presets import PRESET_PLANS, PRESETS
-from repro.workloads.runner import execute_scenario
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.cluster.cluster import Cluster
+    from repro.workloads.runner import ScenarioOutcome
 
 
 @dataclass
@@ -59,13 +50,18 @@ class BreakdownReport:
     obs: Observer
     journey: Optional[Journey] = None   # set by the one-packet scenarios
 
+    @classmethod
+    def of(cls, outcome: ScenarioOutcome) -> BreakdownReport:
+        """The report of one observed scenario run."""
+        result = getattr(outcome.stats, "result", None)
+        return cls(outcome.scenario.name, outcome.cluster, outcome.observer,
+                   result if isinstance(result, Journey) else None)
+
     def stage_rows(self) -> list[tuple[str, int, int, int, int]]:
         """(stage, count, p50 ns, p99 ns, total ns) per packet stage."""
-        rows = []
-        for hist in self.obs.metrics.histograms("packet.stage"):
-            rows.append((hist.labels["stage"], hist.count, hist.p50,
-                         hist.p99, hist.total))
-        return rows
+        return [(hist.labels["stage"], hist.count, hist.p50, hist.p99,
+                 hist.total)
+                for hist in self.obs.metrics.histograms("packet.stage")]
 
     def credit_stalls(self) -> tuple[int, int]:
         """(stall count, total stalled ns) summed over all endpoints."""
@@ -74,8 +70,9 @@ class BreakdownReport:
                       in self.obs.metrics.histograms("fm.credit_stall_ns"))
         return count, stalled
 
-    def render(self) -> str:
-        """The full fixed-width text report."""
+    def render(self, waterfalls: int = 0) -> str:
+        """The full fixed-width text report, then the waterfall and
+        critical path of each of the first ``waterfalls`` traced requests."""
         lines = [f"breakdown report — scenario {self.scenario!r} "
                  f"({self.cluster.machine.name}, FM{self.cluster.fm_version})"]
         lines.append("=" * len(lines[0]))
@@ -125,6 +122,16 @@ class BreakdownReport:
             lines += ["", "delivered link rates:"]
             for link, rate in delivered:
                 lines.append(f"  {link:<26}{rate:>10.2f} MB/s")
+
+        roots = request_roots(self.obs) if waterfalls else []
+        if waterfalls and not roots:
+            lines += ["", "no traced requests (use an rpc preset for "
+                          "waterfalls)"]
+        for root in roots[:waterfalls]:
+            steps = " -> ".join(f"{s.layer}/{s.name}"
+                                for s in critical_path(self.obs, root))
+            lines += ["", render_waterfall(self.obs, root),
+                      f"critical path: {steps}"]
         return "\n".join(lines)
 
     def span_summary(self) -> list[tuple[str, str, int, int, int, int]]:
@@ -215,84 +222,3 @@ def render_waterfall(obs: Observer, root: Span, bar_width: int = 40) -> str:
 
     emit(root, 0)
     return "\n".join(lines)
-
-
-# -- scenarios ------------------------------------------------------------------
-
-def run_scenario(name: str, msg_bytes: Optional[int] = None,
-                 n_messages: Optional[int] = None) -> BreakdownReport:
-    """Run one preset (with its fault plan) with full observability;
-    returns the report.  A microbenchmark (``kind="micro"``) takes another
-    message size and count (its stream length and ping-pong round trips);
-    any other preset runs as defined."""
-    if name not in PRESETS:
-        raise ValueError(f"unknown scenario {name!r}; "
-                         f"choices: {sorted(PRESETS)}")
-    scenario = PRESETS[name]
-    if msg_bytes is not None or n_messages is not None:
-        if scenario.kind != "micro":
-            raise ValueError(f"preset {name!r} runs as defined: message "
-                             "size and count are its own")
-        resize = {"msg_bytes": msg_bytes, "n_requests": n_messages,
-                  "iterations": n_messages}
-        scenario = replace(scenario, **{
-            key: value for key, value in resize.items() if value is not None})
-    outcome = execute_scenario(scenario, plan=PRESET_PLANS.get(name),
-                               observe=True)
-    result = getattr(outcome.stats, "result", None)
-    return BreakdownReport(name, outcome.cluster, outcome.observer,
-                           result if isinstance(result, Journey) else None)
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    """``python -m repro.obs.report`` entry point."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.report",
-        description="Per-stage latency breakdown of a benchmark scenario.",
-    )
-    parser.add_argument("scenario", choices=sorted(PRESETS),
-                        metavar="scenario",
-                        help=", ".join(sorted(PRESETS)))
-    parser.add_argument("--msg-bytes", type=int, default=None,
-                        help="message size (microbenchmarks only; the "
-                             "preset's own otherwise)")
-    parser.add_argument("--messages", type=int, default=None,
-                        help="message / round-trip count (microbenchmarks "
-                             "only)")
-    parser.add_argument("--trace", metavar="PATH", default=None,
-                        help="also export a Perfetto trace-event JSON file")
-    parser.add_argument("--waterfall", type=int, default=0, metavar="N",
-                        help="render per-request waterfalls for the first "
-                             "N traced requests (rpc presets)")
-    args = parser.parse_args(argv)
-    # As in ``repro.workloads.run``: --trace creates no directory, and a
-    # path into a missing one is refused before the run.
-    if args.trace and not Path(args.trace).parent.is_dir():
-        parser.error(f"--trace {args.trace}: no directory "
-                     f"{Path(args.trace).parent} (not created here)")
-
-    try:
-        report = run_scenario(args.scenario, msg_bytes=args.msg_bytes,
-                              n_messages=args.messages)
-    except ValueError as exc:
-        parser.error(str(exc))
-    print(report.render())
-    if args.waterfall:
-        roots = request_roots(report.obs)
-        if not roots:
-            print("\nno traced requests (use an rpc preset for waterfalls)")
-        for root in roots[:args.waterfall]:
-            print()
-            print(render_waterfall(report.obs, root))
-            path = critical_path(report.obs, root)
-            steps = " -> ".join(f"{s.layer}/{s.name}" for s in path)
-            print(f"critical path: {steps}")
-    if args.trace:
-        validate_trace_events(trace_events(report.obs.spans))
-        path = export_trace(report.obs, args.trace)
-        print(f"\ntrace written to {path} (open in ui.perfetto.dev)")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

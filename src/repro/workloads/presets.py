@@ -1,8 +1,8 @@
 """The named scenarios the CLI, the smoke tests and the goldens run.
 
 :data:`PRESETS` maps a name to a ready-made scenario of its kind's class,
-:data:`PRESET_DESCRIPTIONS` holds the one-liner ``--list-presets`` prints
-for it, and :data:`PRESET_PLANS` the fault plan that belongs with it
+:data:`PRESET_DESCRIPTIONS` holds the one-liner ``run list`` prints after
+its shape, and :data:`PRESET_PLANS` the fault plan that belongs with it
 (composed automatically by the CLI).  Every preset has a golden report under
 ``tests/golden/`` — add one with ``python tests/golden/regen.py``.
 """
@@ -143,7 +143,7 @@ PRESETS = {
                                     pattern="mpi-stream", msg_bytes=1024),
 }
 
-#: One-line description per preset — what ``--list-presets`` prints
+#: One-line description per preset — what ``run list`` prints
 #: (tests enforce full coverage of :data:`PRESETS`).
 PRESET_DESCRIPTIONS = {
     "rpc-open": "open-loop Poisson RPC against a single server",

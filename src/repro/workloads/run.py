@@ -1,12 +1,13 @@
-"""CLI: run a workload scenario and emit its JSON report.
+"""CLI: run a workload scenario and emit its JSON report or its breakdown.
 
     python -m repro.workloads.run rpc-open                 # named preset
     python -m repro.workloads.run --spec scenario.json     # your own spec
     python -m repro.workloads.run rpc-closed -o report.json
-    python -m repro.workloads.run --list-presets           # names + blurbs
-    python -m repro.workloads.run list                     # preset shapes
+    python -m repro.workloads.run list                     # shapes + blurbs
     python -m repro.workloads.run rpc-sharded-slo \\
         --nic-stall 1:2000000:6000000:120000 --trace trace.json
+    python -m repro.workloads.run stream-fm2 --breakdown --set msg_bytes=2048
+    python -m repro.workloads.run rpc-open --waterfall 2   # + request trees
 
 A spec file is a JSON object of one workload kind's scenario fields:
 ``kind`` (default ``rpc``) picks the kind, ``name`` is required, and every
@@ -19,6 +20,12 @@ cold-start CPU seconds, event counts, peak RSS, versions: the run's health
 on *this* host, so never compared and never part of the report.  Neither
 ``-o`` nor ``--trace`` creates a directory: a path into a missing one is
 refused before the run.
+
+``--set FIELD=VALUE`` (repeatable) changes a field of the preset or spec
+(VALUE is JSON, else a string) and is validated like a spec file.
+``--breakdown`` prints the observed run's
+:class:`~repro.obs.report.BreakdownReport` instead of the JSON;
+``--waterfall N`` adds the first N traced requests' critical paths.
 
 ``--nic-stall NODE:START:END:EXTRA_NS`` (repeatable) composes a
 deterministic :class:`~repro.faults.plan.FaultPlan` of NIC firmware
@@ -44,7 +51,7 @@ from typing import Optional, Sequence
 
 from repro.obs.export import dumps_deterministic, export_trace, trace_events, \
     validate_trace_events
-
+from repro.obs.report import BreakdownReport
 from repro.workloads.presets import PRESET_DESCRIPTIONS, PRESET_PLANS, \
     PRESETS
 from repro.workloads.runner import Scenario, execute_scenario
@@ -70,8 +77,21 @@ def parse_nic_stall(text: str):
         raise argparse.ArgumentTypeError(f"--nic-stall {text!r}: {exc}")
 
 
+def parse_setting(text: str) -> tuple[str, object]:
+    """``FIELD=VALUE`` -> ``(field, value)``: VALUE as JSON, or as the
+    string itself when it is not JSON."""
+    field, equals, value = text.partition("=")
+    if not equals or not field:
+        raise argparse.ArgumentTypeError(
+            f"--set wants FIELD=VALUE, got {text!r}")
+    try:
+        return field, json.loads(value)
+    except ValueError:
+        return field, value
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point: run one preset or ``--spec`` scenario, print JSON."""
+    """CLI entry point: run a preset or ``--spec`` scenario, print a report."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.workloads.run",
         description="Run a deterministic workload scenario and report "
@@ -80,15 +100,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "preset", nargs="?", default=None,
         help=f"named scenario to run (one of: {', '.join(sorted(PRESETS))}; "
-             "or 'list' to enumerate them)",
+             "or 'list' to print each one's shape and description)",
     )
     parser.add_argument(
         "--spec", default=None, metavar="FILE",
         help="JSON file of Scenario fields (instead of a preset)",
     )
     parser.add_argument(
-        "--list-presets", action="store_true",
-        help="print every preset name with a one-line description and exit",
+        "--set", action="append", default=[], metavar="FIELD=VALUE",
+        type=parse_setting,
+        help="change a scenario field (repeatable; VALUE is JSON, else a "
+             "string), e.g. --set replicas=2",
     )
     parser.add_argument(
         "--observe", action="store_true",
@@ -113,10 +135,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
              "default)",
     )
     parser.add_argument(
-        "--replicas", default=None, type=int, metavar="R",
-        help="override the scenario's replication factor (R >= 2 places "
-             "each key on R ring-successor shards with supervised "
-             "failover; 1 = unreplicated)",
+        "--breakdown", action="store_true",
+        help="print the observed run's breakdown report instead of JSON",
+    )
+    parser.add_argument(
+        "--waterfall", type=int, default=0, metavar="N",
+        help="with the breakdown (implied), draw the first N traced "
+             "requests' waterfalls and critical paths (rpc presets)",
     )
     parser.add_argument(
         "-o", "--out", default=None, metavar="FILE",
@@ -124,12 +149,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     opts = parser.parse_args(argv)
 
-    if opts.list_presets:
-        width = max(len(name) for name in PRESETS)
-        for name in sorted(PRESETS):
-            description = PRESET_DESCRIPTIONS.get(name, "")
-            print(f"{name:<{width}}  {description}")
-        return 0
     if opts.preset == "list":
         for name in sorted(PRESETS):
             scenario = PRESETS[name]
@@ -137,14 +156,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                        f"balancer={scenario.balancer}"
                        if getattr(scenario, "servers", 1) > 1 else "")
             print(f"{name}: kind={scenario.kind} nodes={scenario.n_nodes} "
-                  f"fm={scenario.fm_version}{sharded}")
+                  f"fm={scenario.fm_version}{sharded}  "
+                  f"{PRESET_DESCRIPTIONS[name]}")
         return 0
     if (opts.preset is None) == (opts.spec is None):
         parser.error("give exactly one of: a preset name, or --spec FILE")
     if opts.spec is None and opts.preset not in PRESETS:
         parser.error(f"unknown preset {opts.preset!r}; "
                      f"choices: {', '.join(sorted(PRESETS))}")
-    observe = opts.observe or opts.trace is not None
+    if opts.waterfall < 0:
+        parser.error(f"--waterfall must be >= 0, got {opts.waterfall}")
+    breakdown = opts.breakdown or opts.waterfall > 0
+    observe = opts.observe or opts.trace is not None or breakdown
     # A spec or override the scenario rejects, a spec file that cannot be
     # read and an output path whose directory is missing are usage errors
     # (exit 2, one line) found before the run, not tracebacks after it;
@@ -159,9 +182,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 json.loads(Path(opts.spec).read_text()))
         else:
             scenario = PRESETS[opts.preset]
-        if opts.replicas is not None:
-            scenario = Scenario.from_dict(
-                {**asdict(scenario), "replicas": opts.replicas})
+        if opts.set:
+            scenario = Scenario.from_dict({**asdict(scenario),
+                                           **dict(opts.set)})
         scenario.preload()
         plan = None
         if opts.nic_stall:
@@ -198,9 +221,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # null when the run never loaded it (raw FM, RDMA).
             "numpy": getattr(sys.modules.get("numpy"), "__version__", None),
         }, indent=1, sort_keys=True) + "\n")
-        print(opts.out)
-    else:
-        print(text)
+        text = opts.out
+    if breakdown:
+        text = BreakdownReport.of(outcome).render(opts.waterfall)
+    print(text)
     return 0
 
 

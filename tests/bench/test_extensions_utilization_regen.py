@@ -1,5 +1,7 @@
 """Extension studies, utilisation analysis, and the regen CLI."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bench.extensions import (
@@ -8,12 +10,15 @@ from repro.bench.extensions import (
     latency_vs_hops,
 )
 from repro.bench.regen import FIGURES, main as regen_main
-from repro.bench.utilization import (
-    Utilization,
-    fm_stream_utilization,
-    mpi_stream_utilization,
-)
+from repro.bench.utilization import Utilization, stream_utilization
 from repro.configs import PPRO_FM2, SPARC_FM1
+from repro.workloads.presets import PRESETS
+
+
+def stream(preset, msg_bytes, n_messages, **fields):
+    """Utilisation of ``preset`` at another size and count."""
+    return stream_utilization(replace(PRESETS[preset], msg_bytes=msg_bytes,
+                                      n_requests=n_messages, **fields))
 
 
 class TestAggregatePairs:
@@ -56,21 +61,22 @@ class TestAlltoallScaling:
 
 class TestUtilization:
     def test_fm1_is_send_side_bound(self):
-        util = fm_stream_utilization(SPARC_FM1, 1, 512, n_messages=30)
+        util = stream("stream-fm1", 512, 30)
         assert util.bottleneck == "sender_cpu"
         assert util.sender_bus > 0.6
 
     def test_fm2_send_path_copyless(self):
-        util = fm_stream_utilization(PPRO_FM2, 2, 2048, n_messages=30)
+        util = stream("stream-fm2", 2048, 30)
         assert util.sender_copy_bytes == 0
 
     def test_mpi1_receiver_copies_dominate(self):
-        util = mpi_stream_utilization(SPARC_FM1, 1, 512, n_messages=20)
+        util = stream("mpi-stream-fm2", 512, 20, machine="sparc",
+                      fm_version=1)
         payload = 512 * 20
         assert util.receiver_copy_bytes > 3 * payload
 
     def test_rows_render(self):
-        util = fm_stream_utilization(PPRO_FM2, 2, 256, n_messages=10)
+        util = stream("stream-fm2", 256, 10)
         rows = dict(util.rows())
         assert "bottleneck" in rows
         assert rows["sender CPU busy"].endswith("%")

@@ -1,16 +1,28 @@
-"""The breakdown report: scenarios, stage accounting, and the CLI."""
+"""The breakdown report: scenarios, stage accounting, and the CLI
+(``repro.workloads.run --breakdown``)."""
+
+from dataclasses import asdict, replace
 
 import pytest
 
-import repro.obs.report as report_module
+import repro.workloads.run as run_module
 from repro.obs.report import (
+    BreakdownReport,
     critical_path,
-    main,
     render_waterfall,
     request_roots,
-    run_scenario,
 )
-from repro.workloads.presets import PRESETS
+from repro.workloads.presets import PRESET_PLANS, PRESETS
+from repro.workloads.run import main
+from repro.workloads.runner import Scenario, execute_scenario
+
+
+def run_scenario(name, **fields):
+    """The breakdown of preset ``name`` observed with its own fault plan,
+    with ``fields`` changed."""
+    outcome = execute_scenario(replace(PRESETS[name], **fields),
+                               plan=PRESET_PLANS.get(name), observe=True)
+    return BreakdownReport.of(outcome)
 
 
 class TestJourneyScenario:
@@ -41,7 +53,7 @@ class TestJourneyScenario:
 
 class TestStreamScenarios:
     def test_stream_fm2_aggregates_all_packets(self):
-        report = run_scenario("stream-fm2", msg_bytes=1024, n_messages=10)
+        report = run_scenario("stream-fm2", msg_bytes=1024, n_requests=10)
         (latency,) = report.obs.metrics.histograms("packet.latency_ns")
         assert latency.count == 10   # 1024B fits one FM2 packet per message
         assert report.obs.metrics.meters("link.bytes")
@@ -50,24 +62,26 @@ class TestStreamScenarios:
         assert "delivered link rates" in text
 
     def test_pingpong_scenario_both_directions(self):
-        report = run_scenario("pingpong-fm2", n_messages=5)
+        report = run_scenario("pingpong-fm2", iterations=5)
         tracks = report.obs.tracks()
         assert "node0/nic.tx" in tracks and "node1/nic.tx" in tracks
 
     def test_mpi_scenario_has_mpi_spans(self):
-        report = run_scenario("mpi-stream-fm2", msg_bytes=256, n_messages=5)
+        report = run_scenario("mpi-stream-fm2", msg_bytes=256, n_requests=5)
         layers = {layer for layer, *_r in report.span_summary()}
         assert "mpi" in layers and "fm" in layers and "nic" in layers
 
     def test_copy_bytes_federated_per_node(self):
-        report = run_scenario("stream-fm2", msg_bytes=1024, n_messages=5)
+        report = run_scenario("stream-fm2", msg_bytes=1024, n_requests=5)
         copies = report.obs.metrics.copy_bytes_by_label()
         assert "node1.cpu" in copies
         assert copies["node1.cpu"].get("fm2.deliver", 0) == 5 * 1024
 
-    def test_unknown_scenario_rejected(self):
-        with pytest.raises(ValueError, match="unknown scenario"):
-            run_scenario("no-such-scenario")
+    def test_unknown_scenario_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["no-such-scenario", "--breakdown"])
+        assert exit_info.value.code == 2
+        assert "unknown preset 'no-such-scenario'" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -104,13 +118,14 @@ class TestRequestWaterfalls:
             2 + len(rpc_open.obs.spans_for_trace(root.trace_id))
 
     def test_non_rpc_scenarios_have_no_roots(self):
-        report = run_scenario("stream-fm2", n_messages=3)
+        report = run_scenario("stream-fm2", n_requests=3)
         assert request_roots(report.obs) == []
 
 
 class TestPresets:
     """Any workload preset is a scenario: the one that is the report's
-    namesake is the preset, not a private copy, and runs as defined."""
+    namesake is the preset, not a private copy, and takes only its own
+    kind's fields."""
 
     def test_rpc_sharded_is_the_preset(self):
         report = run_scenario("rpc-sharded")
@@ -127,12 +142,14 @@ class TestPresets:
             in report.render()
 
     def test_a_preset_takes_no_size_or_count(self, capsys):
-        with pytest.raises(ValueError, match="runs as defined"):
-            run_scenario("rpc-open", n_messages=4)
+        with pytest.raises(ValueError, match="unknown scenario fields"):
+            Scenario.from_dict({**asdict(PRESETS["rpc-open"]),
+                                "msg_bytes": 64})
         with pytest.raises(SystemExit) as exit_info:
-            main(["rpc-open", "--msg-bytes", "64"])
+            main(["rpc-open", "--breakdown", "--set", "msg_bytes=64"])
         assert exit_info.value.code == 2
-        assert "runs as defined" in capsys.readouterr().err
+        assert "unknown scenario fields: ['msg_bytes']" \
+            in capsys.readouterr().err
 
 
 class TestCli:
@@ -151,14 +168,15 @@ class TestCli:
         assert out.count("critical path: app/rpc.request") == 1
 
     def test_journey_cli_exits_zero(self, capsys):
-        assert main(["journey-fm2"]) == 0
+        assert main(["journey-fm2", "--breakdown"]) == 0
         out = capsys.readouterr().out
         assert "one-packet journey" in out
         assert "credit stalls" in out
 
     def test_cli_trace_export(self, tmp_path, capsys):
         trace_path = tmp_path / "out.json"
-        assert main(["journey-fm2", "--trace", str(trace_path)]) == 0
+        assert main(["journey-fm2", "--breakdown", "--trace",
+                     str(trace_path)]) == 0
         assert trace_path.exists()
         import json
 
@@ -171,7 +189,8 @@ class TestCli:
             self, tmp_path, capsys):
         missing = tmp_path / "missing"
         with pytest.raises(SystemExit) as exit_info:
-            main(["journey-fm2", "--trace", str(missing / "x.json")])
+            main(["journey-fm2", "--breakdown", "--trace",
+                  str(missing / "x.json")])
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert "not created here" in captured.err
@@ -179,18 +198,21 @@ class TestCli:
         assert not missing.exists()
 
     def test_cli_overrides(self, capsys):
-        assert main(["stream-fm2", "--msg-bytes", "512",
-                     "--messages", "4"]) == 0
+        assert main(["stream-fm2", "--breakdown", "--set", "msg_bytes=512",
+                     "--set", "n_requests=4"]) == 0
         assert "stream-fm2" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv, field", [
-        (["pingpong-fm2", "--messages", "0"], "n_requests"),
-        (["stream-fm2", "--messages", "0"], "n_requests"),
-        (["stream-fm2", "--msg-bytes", "-4"], "msg_bytes"),
+        (["pingpong-fm2", "--breakdown", "--set", "n_requests=0"],
+         "n_requests"),
+        (["stream-fm2", "--breakdown", "--set", "n_requests=0"],
+         "n_requests"),
+        (["stream-fm2", "--breakdown", "--set", "msg_bytes=-4"],
+         "msg_bytes"),
     ])
     def test_cli_bad_size_or_count_is_refused_before_the_run(
             self, argv, field, capsys, monkeypatch):
-        monkeypatch.setattr(report_module, "execute_scenario",
+        monkeypatch.setattr(run_module, "execute_scenario",
                             lambda *args, **kwargs: pytest.fail("ran"))
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
@@ -198,3 +220,29 @@ class TestCli:
         captured = capsys.readouterr()
         assert f"{field} must be >= " in captured.err
         assert captured.out == ""           # the scenario never ran
+
+    def test_the_breakdown_leaves_the_json_report_as_it_was(self, tmp_path,
+                                                           capsys):
+        plain, observed = tmp_path / "plain.json", tmp_path / "observed.json"
+        assert main(["dataflow-rollup-stall", "-o", str(plain)]) == 0
+        assert main(["dataflow-rollup-stall", "-o", str(observed),
+                     "--breakdown"]) == 0
+        assert observed.read_bytes() == plain.read_bytes()
+        assert observed.with_suffix(".runinfo.json").exists()
+        out = capsys.readouterr().out
+        assert "scenario 'dataflow-rollup-stall'" in out
+        assert "credit stalls:" in out
+
+    def test_a_spec_under_a_nic_stall_breaks_down_the_stalled_run(
+            self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"kind": "micro", "name": "stream", '
+                        '"n_requests": 20, "msg_bytes": 1024}')
+        assert main(["--spec", str(spec), "--breakdown"]) == 0
+        clean = capsys.readouterr().out
+        assert main(["--spec", str(spec), "--breakdown",
+                     "--nic-stall", "1:0:100000000:5000"]) == 0
+        stalled = capsys.readouterr().out
+        assert "scenario 'stream'" in stalled
+        assert "fault    stall" in stalled and "fault" not in clean
+        assert stalled != clean

@@ -138,3 +138,17 @@ def test_kinds_that_never_touch_numpy_never_load_it(preset):
     assert len(facts) == 3
     for step, modules in facts.items():
         assert modules == {"numpy": False, "networkx": False}, step
+
+
+REPORT = """
+import json, sys
+import repro.obs.report
+print(json.dumps(sorted(name for name in sys.modules if name.startswith(
+    ("repro.workloads", "repro.dataflow", "repro.upper")))))
+"""
+
+
+def test_the_breakdown_report_loads_no_workload():
+    """``repro.obs.report`` renders an observed run; the runs themselves
+    (workloads, dataflow, the MPI layer) are its caller's imports."""
+    assert fresh_interpreter(REPORT) == []

@@ -13,7 +13,7 @@ from dataclasses import asdict, fields, replace
 import pytest
 
 from repro.obs.export import dumps_deterministic
-from repro.workloads.presets import PRESETS
+from repro.workloads.presets import PRESET_DESCRIPTIONS, PRESETS
 from repro.workloads.runner import KINDS, Scenario
 
 from tests.golden import regen
@@ -71,9 +71,11 @@ class TestKindsTable:
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(":")[0] for line in lines] == sorted(PRESETS)
         assert lines[sorted(PRESETS).index("rpc-sharded")].endswith(
-            "servers=4 balancer=static")
+            "servers=4 balancer=static  "
+            + PRESET_DESCRIPTIONS["rpc-sharded"])
         assert lines[sorted(PRESETS).index("mpi-halo")] == (
-            "mpi-halo: kind=halo nodes=4 fm=2")
+            "mpi-halo: kind=halo nodes=4 fm=2  "
+            "MPI halo-exchange stencil over FM")
 
 
 class TestValidationAtConstruction:

@@ -1,7 +1,6 @@
-"""Preset drift guard: PRESETS, PRESET_DESCRIPTIONS and the
-``--list-presets`` CLI output must agree in both directions, so a new
-preset cannot ship undescribed and a removed one cannot leave a stale
-blurb behind."""
+"""Preset drift guard: PRESETS, PRESET_DESCRIPTIONS and the ``list`` CLI
+output must agree in both directions, so a new preset cannot ship
+undescribed and a removed one cannot leave a stale blurb behind."""
 
 from repro.workloads.run import main
 from repro.workloads.presets import (
@@ -14,7 +13,7 @@ from repro.workloads.presets import (
 class TestPresetTables:
     def test_every_preset_is_described(self):
         missing = set(PRESETS) - set(PRESET_DESCRIPTIONS)
-        assert not missing, f"presets without a --list-presets blurb: " \
+        assert not missing, f"presets without a listed blurb: " \
                             f"{sorted(missing)}"
 
     def test_no_stale_descriptions(self):
@@ -37,18 +36,19 @@ class TestPresetTables:
 
 class TestListPresetsCli:
     def listed_names(self, capsys):
-        assert main(["--list-presets"]) == 0
+        assert main(["list"]) == 0
         out = capsys.readouterr().out
-        return [line.split()[0] for line in out.splitlines() if line.strip()]
+        return [line.split(":")[0] for line in out.splitlines()
+                if line.strip()]
 
     def test_cli_lists_exactly_the_presets(self, capsys):
         assert self.listed_names(capsys) == sorted(PRESETS)
 
     def test_cli_prints_each_blurbs_first_words(self, capsys):
-        assert main(["--list-presets"]) == 0
+        assert main(["list"]) == 0
         out = capsys.readouterr().out
         for name, blurb in PRESET_DESCRIPTIONS.items():
             first_words = " ".join(blurb.split()[:3])
             assert any(name in line and first_words in line
                        for line in out.splitlines()), \
-                f"{name}'s blurb not rendered by --list-presets"
+                f"{name}'s blurb not rendered by list"

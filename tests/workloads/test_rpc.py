@@ -282,10 +282,14 @@ class TestCliRejectsBadOverrides:
     @pytest.mark.parametrize("argv, message", [
         (["rpc-open", "--partitions", "2"],
          "unrecognized arguments: --partitions 2"),
-        (["rpc-open", "--replicas", "2"],
+        (["rpc-open", "--set", "replicas=2"],
          "replicas > 1 needs a sharded service"),
-        (["mpi-halo", "--replicas", "2"],
+        (["mpi-halo", "--set", "replicas=2"],
          "unknown scenario fields: ['replicas'] (kind 'halo' has no such"),
+        (["stream-fm2", "--set", "msg_bytes=-4"],
+         "msg_bytes must be >= 0, got -4"),
+        (["stream-fm2", "--set", "n_requests=0"],
+         "n_requests must be >= 1, got 0"),
     ])
     def test_exit_2_with_the_validation_message(self, argv, message, capsys):
         from repro.workloads.run import main
@@ -315,6 +319,12 @@ class TestCliRejectsBadOverrides:
          "-o no/such/dir/r.json: no directory no/such/dir"),
         ('{"name": "x"}', ["--trace", "no/such/dir/t.json"],
          "--trace no/such/dir/t.json: no directory no/such/dir"),
+        ('{"name": "x"}', ["--waterfall", "-1"],
+         "--waterfall must be >= 0, got -1"),
+        ('{"name": "x"}', ["--set", "nofield"],
+         "argument --set: --set wants FIELD=VALUE, got 'nofield'"),
+        ('{"name": "x"}', ["--set", "turbo=1"],
+         "unknown scenario fields: ['turbo'] (kind 'rpc' has no such"),
         # Each of these used to construct and then fail in a built cluster.
         ('{"name": "x", "abandon_after_ns": "5"}', [],
          "abandon_after_ns must be an int or null, got '5'"),
