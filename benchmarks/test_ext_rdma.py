@@ -22,27 +22,30 @@ dissemination, broadcast trees) without the host on the data path.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from conftest import run_once
-from repro.bench.rdma_bench import (
-    host_barrier_latency_ns,
-    host_bcast_latency_ns,
-    nic_barrier_latency_ns,
-    nic_bcast_latency_ns,
-    rdma_bandwidth_sweep,
-)
 from repro.bench.report import HeadlineRow, curve_table, headline_table
-from repro.bench.sweeps import bandwidth_sweep
-from repro.configs import PPRO_FM2
+from repro.bench.sweeps import bandwidth_sweep, measure
 from repro.workloads.presets import PRESETS
 
 SIZES = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 16384, 65536)
 GROUP_SIZES = (2, 4, 8, 16)
 BCAST_BYTES = 4096
+#: The FM 2.x stream's 40 messages, as one-sided puts.
+PUTS = replace(PRESETS["stream-fm2"], pattern="rdma-stream")
+
+
+def collective_ns(pattern: str, n_nodes: int) -> float:
+    """Mean of 10 rounds of ``pattern`` over ``n_nodes`` (a broadcast
+    moves ``BCAST_BYTES``)."""
+    return measure(PRESETS["pingpong-fm2"], pattern=pattern, n_nodes=n_nodes,
+                   msg_bytes=BCAST_BYTES, iterations=10).latency_ns
 
 
 def test_ext_rdma_put_bandwidth(benchmark, show):
     def regenerate():
-        rdma = rdma_bandwidth_sweep(PPRO_FM2, SIZES, n_messages=40)
+        rdma = bandwidth_sweep(PUTS, SIZES, "RDMA put")
         fm2 = bandwidth_sweep(PRESETS["stream-fm2"], SIZES, "FM 2.x stream")
         return rdma, fm2
 
@@ -71,20 +74,16 @@ def test_ext_rdma_put_bandwidth(benchmark, show):
     assert fm2.at(65536) < 0.8 * fm2.peak_mbs
     assert rdma.at(65536) > 0.95 * rdma.peak_mbs
     # Simulation determinism: regenerating a point reproduces it exactly.
-    assert rdma_bandwidth_sweep(PPRO_FM2, (4096,),
-                                n_messages=40).at(4096) == rdma.at(4096)
+    assert bandwidth_sweep(PUTS, (4096,), "RDMA put").at(4096) \
+        == rdma.at(4096)
 
 
 def test_ext_rdma_collective_scaling(benchmark, show):
     def regenerate():
         return {
-            n: {
-                "nic_barrier": nic_barrier_latency_ns(PPRO_FM2, n),
-                "host_barrier": host_barrier_latency_ns(PPRO_FM2, n),
-                "nic_bcast": nic_bcast_latency_ns(PPRO_FM2, n, BCAST_BYTES),
-                "host_bcast": host_bcast_latency_ns(PPRO_FM2, n,
-                                                    BCAST_BYTES),
-            }
+            n: {pattern.replace("-", "_"): collective_ns(pattern, n)
+                for pattern in ("nic-barrier", "host-barrier", "nic-bcast",
+                                "host-bcast")}
             for n in GROUP_SIZES
         }
 
@@ -119,4 +118,4 @@ def test_ext_rdma_collective_scaling(benchmark, show):
     bcast_host_growth = results[16]["host_bcast"] - results[2]["host_bcast"]
     assert bcast_nic_growth < 0.5 * bcast_host_growth
     # Simulation determinism: a regenerated point reproduces exactly.
-    assert nic_barrier_latency_ns(PPRO_FM2, 8) == results[8]["nic_barrier"]
+    assert collective_ns("nic-barrier", 8) == results[8]["nic_barrier"]

@@ -13,19 +13,16 @@ the follow-on questions its design raises, on the same substrate:
 import pytest
 
 from conftest import run_once
-from repro.bench.extensions import (
-    aggregate_pair_bandwidth,
-    alltoall_scaling,
-    latency_vs_hops,
-)
 from repro.bench.report import HeadlineRow, headline_table
-from repro.configs import PPRO_FM2
+from repro.bench.sweeps import latency_vs_hops, measure
+from repro.workloads.presets import PRESETS
 
 
 def test_ext_crossbar_pair_scaling(benchmark, show):
     def regenerate():
-        return {n: aggregate_pair_bandwidth(PPRO_FM2, 2, n, msg_bytes=1024,
-                                            n_messages=25)
+        return {n: [pair.bandwidth_mbs for pair in measure(
+                    PRESETS["stream-fm2"], pattern="pair-streams",
+                    n_nodes=2 * n, msg_bytes=1024, n_requests=25).pairs]
                 for n in (1, 2, 4)}
 
     results = run_once(benchmark, regenerate)
@@ -44,7 +41,7 @@ def test_ext_crossbar_pair_scaling(benchmark, show):
 
 def test_ext_latency_per_hop(benchmark, show):
     def regenerate():
-        return latency_vs_hops(max_switches=4)
+        return latency_vs_hops(PRESETS["pingpong-fm2"], max_switches=4)
 
     results = run_once(benchmark, regenerate)
     show(headline_table("Extension — one-way 16 B latency vs switch hops", [
@@ -63,8 +60,12 @@ def test_ext_latency_per_hop(benchmark, show):
 def test_ext_alltoall_scaling(benchmark, show):
     def regenerate():
         return {
-            "FM 1.x": alltoall_scaling(1, node_counts=(2, 4, 8)),
-            "FM 2.x": alltoall_scaling(2, node_counts=(2, 4, 8)),
+            f"FM {version}.x": [
+                (n, measure(PRESETS[f"stream-fm{version}"],
+                            pattern="mpi-alltoall", n_nodes=n,
+                            msg_bytes=512).completion_us)
+                for n in (2, 4, 8)]
+            for version in (1, 2)
         }
 
     results = run_once(benchmark, regenerate)

@@ -4,9 +4,10 @@
   bandwidth on raw FM (1.x and 2.x).
 * :mod:`~repro.bench.mpibench` — the same two microbenchmarks through MPI.
 * :mod:`~repro.bench.journey` — one message's latency, stage by stage.
-* :mod:`~repro.bench.micro` — the three as ``kind="micro"`` scenarios.
-* :mod:`~repro.bench.sweeps` — message-size sweeps producing the curves of
-  Figures 3-6.
+* :mod:`~repro.bench.micro` — these, RDMA puts and collectives
+  (:mod:`~repro.bench.rdma_bench`) and Figure 3(a)'s lean stages
+  (:mod:`~repro.bench.breakdown`) as ``kind="micro"`` patterns.
+* :mod:`~repro.bench.sweeps` — the curves of Figures 3-6 and the hop table.
 * :mod:`~repro.bench.nhalf` — the half-power point (N-half) estimator.
 * :mod:`~repro.bench.figures` — the paper's figures, each defined once:
   ``FIGURES[name]()`` -> table, curves, values; ``PAPER`` holds the

@@ -12,63 +12,57 @@ bandwidth after each addition:
 3. **Flow Control** — adds credits, credit-return traffic and buffer
    management: the full FM 1.x protocol (this stage equals Figure 3(b)).
 
-Stages 1-2 are driven by a deliberately stripped "lean" driver below that
-bypasses the FM layer (as the paper's staged prototypes bypassed the full
-library); stage 3 is the real FM 1.x measurement.
+Stages 1-2 are the ``link-stream`` and ``bus-stream`` patterns of
+``kind="micro"``: a deliberately stripped "lean" driver below that bypasses
+the FM layer (as the paper's staged prototypes bypassed the full library),
+``link-stream`` on a machine whose I/O bus costs nothing; stage 3 is the
+real FM 1.x stream, ``fm-stream``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import replace
+from typing import TYPE_CHECKING, Sequence
 
 from repro.hardware.packet import Packet, PacketFlags, PacketHeader
 from repro.hardware.params import MachineParams
 
-from repro.bench.micro import MicroScenario
-from repro.bench.microbench import IDLE_POLL_NS
-from repro.bench.sweeps import SweepResult, bandwidth_sweep, sweep_with
+from repro.bench.microbench import IDLE_POLL_NS, StreamResult
 from repro.cluster.cluster import Cluster
-from repro.scenario import MACHINES
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.bench.micro import MicroScenario
+    from repro.bench.sweeps import SweepResult
 
 
-@dataclass(frozen=True)
-class Stage:
-    name: str
-    cross_bus: bool       # charge PIO (send) and DMA (receive)
-    flow_control: bool    # full FM 1.x instead of the lean driver
+#: Figure 3(a)'s curves, top to bottom: stage name -> the stream pattern
+#: that measures it.
+STAGES = {"Link Mgmt": "link-stream", "I/O bus Mgmt": "bus-stream",
+          "Flow Control": "fm-stream"}
 
-
-STAGES = (
-    Stage("Link Mgmt", cross_bus=False, flow_control=False),
-    Stage("I/O bus Mgmt", cross_bus=True, flow_control=False),
-    Stage("Flow Control", cross_bus=True, flow_control=True),
-)
 
 #: Driver cost per packet for the lean (stage 1-2) path: a few instructions
 #: to write a descriptor, far below FM's full per-packet bookkeeping.
 LEAN_PER_PACKET_NS = 300
 
 
-def _free_bus(machine: MachineParams) -> MachineParams:
+def free_bus(machine: MachineParams) -> MachineParams:
     """A machine whose I/O bus is infinitely fast (stage 1)."""
     return machine.with_bus(pio_bw=1e15, pio_startup_ns=0,
                             dma_bw=1e15, dma_startup_ns=0)
 
 
-def lean_stream_bandwidth_mbs(machine: MachineParams, msg_bytes: int,
-                              n_messages: int = 60,
-                              packet_payload: int = 128) -> float:
-    """Streaming bandwidth of the lean driver (no FM, no flow control)."""
-    cluster = Cluster(2, machine=machine, fm_version=1)
+def lean_stream(cluster: Cluster, msg_bytes: int, n_messages: int,
+                packet_payload: int = 128) -> StreamResult:
+    """Streaming node 0 -> node 1 through the lean driver (no FM, no flow
+    control)."""
     env = cluster.env
-    src, dst = cluster.node(0), cluster.node(1)
     n_packets_per_msg = max(1, -(-msg_bytes // packet_payload))
     total_packets = n_packets_per_msg * n_messages
-    marks = {}
+    span = [0, 0]   # first send, last packet in
 
     def sender(node):
-        marks["start"] = env.now
+        span[0] = env.now
         for m in range(n_messages):
             remaining = msg_bytes
             seq = 0
@@ -96,26 +90,18 @@ def lean_stream_bandwidth_mbs(machine: MachineParams, msg_bytes: int,
                 continue
             yield from node.cpu.execute(LEAN_PER_PACKET_NS)
             got += 1
-        marks["end"] = env.now
+        span[1] = env.now
 
     cluster.run([sender, receiver])
-    elapsed = marks["end"] - marks["start"]
-    return msg_bytes * n_messages / (elapsed / 1e9) / 1e6
+    return StreamResult.of(msg_bytes, n_messages, span[1] - span[0])
 
 
-def breakdown_sweep(stream: MicroScenario,
-                    sizes: Sequence[int]) -> list[SweepResult]:
+def breakdown_sweep(stream: "MicroScenario",
+                    sizes: Sequence[int]) -> list["SweepResult"]:
     """The three Figure 3(a) curves, top to bottom, on the machine and at
     the stream length of the FM 1.x stream microbenchmark ``stream``."""
-    results = []
-    for stage in STAGES:
-        if stage.flow_control:
-            results.append(bandwidth_sweep(stream, sizes, stage.name))
-            continue
-        machine = MACHINES[stream.machine]
-        stage_machine = machine if stage.cross_bus else _free_bus(machine)
-        results.append(sweep_with(
-            lambda size: lean_stream_bandwidth_mbs(stage_machine, size,
-                                                   stream.n_requests),
-            sizes, stage.name))
-    return results
+    # Not on top: sweeps imports the runner, whose micro kind imports this.
+    from repro.bench.sweeps import bandwidth_sweep
+
+    return [bandwidth_sweep(replace(stream, pattern=pattern), sizes, name)
+            for name, pattern in STAGES.items()]

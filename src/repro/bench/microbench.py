@@ -45,6 +45,22 @@ class StreamResult:
     n_messages: int
     elapsed_ns: int
 
+    @classmethod
+    def of(cls, msg_bytes: int, n_messages: int,
+           elapsed_ns: int) -> "StreamResult":
+        """``n_messages`` of ``msg_bytes`` delivered in ``elapsed_ns``, in
+        the paper's MB/s (10^6 bytes/second)."""
+        if elapsed_ns <= 0:
+            raise RuntimeError(
+                "bandwidth measurement produced non-positive time")
+        return cls(msg_bytes * n_messages / (elapsed_ns / 1e9) / 1e6,
+                   msg_bytes, n_messages, elapsed_ns)
+
+
+@dataclass
+class PairStreams:
+    pairs: list[StreamResult]   # pair i streams node 2i -> node 2i+1
+
 
 def _register_on_all(cluster: Cluster, handler) -> int:
     """Register the same handler on every node (SPMD convention)."""
@@ -171,9 +187,33 @@ def fm_stream(cluster: Cluster, msg_bytes: int, n_messages: int = 60,
                              extract_budget if fm_version == 2 else None)
 
     cluster.run([sender, receiver])
-    elapsed = done_at[0] - start_at[0]
-    if elapsed <= 0:
-        raise RuntimeError("bandwidth measurement produced non-positive time")
-    bandwidth = msg_bytes * n_messages / (elapsed / 1e9)  # bytes/sec
-    return StreamResult(bandwidth_mbs=bandwidth / 1e6, msg_bytes=msg_bytes,
-                        n_messages=n_messages, elapsed_ns=elapsed)
+    return StreamResult.of(msg_bytes, n_messages, done_at[0] - start_at[0])
+
+
+def pair_streams(cluster: Cluster, msg_bytes: int,
+                 n_messages: int) -> PairStreams:
+    """Every node pair streaming at once, node ``2i`` -> node ``2i+1``: on
+    one non-blocking crossbar each pair should keep its solo bandwidth."""
+    arrived = [0] * cluster.n_nodes   # messages in, per receiver
+    start = [0] * cluster.n_nodes     # first send, per sender
+    end = [0] * cluster.n_nodes       # last handler done, per receiver
+
+    def count(fm):
+        arrived[fm.node_id] += 1
+        end[fm.node_id] = fm.env.now
+
+    hid = register_handler(cluster, count)
+
+    def sender(node: Node):
+        start[node.node_id] = node.env.now
+        buf = node.buffer(msg_bytes)
+        for _ in range(n_messages):
+            yield from fm_send(node.fm, node.node_id + 1, hid, buf, msg_bytes)
+
+    def receiver(node: Node):
+        me = node.node_id
+        return extract_until(node, lambda: arrived[me] >= n_messages)
+
+    cluster.run([sender, receiver] * (cluster.n_nodes // 2))
+    return PairStreams([StreamResult.of(msg_bytes, n_messages, last - first)
+                        for first, last in zip(start[::2], end[1::2])])

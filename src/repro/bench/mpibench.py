@@ -9,6 +9,8 @@ exercised — that path is the paper's point.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.bench.microbench import PingPongResult, StreamResult
 from repro.cluster.cluster import Cluster
 from repro.upper.mpi.world import build_mpi_world
@@ -79,7 +81,25 @@ def mpi_stream(cluster: Cluster, msg_bytes: int,
         marks["end"] = node.env.now
 
     cluster.run([sender, receiver])
-    elapsed = marks["end"] - marks["start"]
-    bandwidth = msg_bytes * n_messages / (elapsed / 1e9)
-    return StreamResult(bandwidth_mbs=bandwidth / 1e6, msg_bytes=msg_bytes,
-                        n_messages=n_messages, elapsed_ns=elapsed)
+    return StreamResult.of(msg_bytes, n_messages,
+                           marks["end"] - marks["start"])
+
+
+@dataclass
+class AlltoallResult:
+    completion_us: float   # until the last rank holds every chunk
+
+
+def mpi_alltoall(cluster: Cluster, chunk_bytes: int) -> AlltoallResult:
+    """One MPI alltoall of ``chunk_bytes`` per rank pair over every node."""
+    comms = build_mpi_world(cluster)
+    finish = []
+
+    def program(node):
+        chunks = [bytes(chunk_bytes) for _ in range(cluster.n_nodes)]
+        result = yield from comms[node.node_id].alltoall(chunks)
+        assert len(result) == cluster.n_nodes
+        finish.append(node.env.now)
+
+    cluster.run([program] * cluster.n_nodes)
+    return AlltoallResult(max(finish) / 1000.0)

@@ -1,5 +1,7 @@
 """RDMA microbenchmarks: one-sided streaming bandwidth and collective
 latency, the measurements behind the extension figures in EXPERIMENTS.md.
+They run as the ``rdma-stream`` and the four collective patterns of
+``kind="micro"`` (:mod:`repro.bench.micro`).
 
 Conventions mirror :mod:`repro.bench.microbench`:
 
@@ -14,19 +16,21 @@ Conventions mirror :mod:`repro.bench.microbench`:
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import dataclass
+from functools import partial
 
 from repro.hardware.params import MachineParams
 
-from repro.bench.sweeps import SweepResult, sweep_with
+from repro.bench.microbench import StreamResult
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
 from repro.core.rdma import NicCollectives, RdmaEndpoint
+from repro.upper.mpi.world import build_mpi_world
 
 
-def rdma_stream(cluster: Cluster, msg_bytes: int,
-                n_messages: int = 60) -> float:
-    """Streaming one-sided put bandwidth node 0 -> node 1, in MB/s."""
+def rdma_put_stream(cluster: Cluster, msg_bytes: int,
+                    n_messages: int) -> StreamResult:
+    """Streaming one-sided puts node 0 -> node 1."""
     endpoints = [RdmaEndpoint(node) for node in cluster.nodes]
     start_at = [0]
     done_at = [0]
@@ -50,89 +54,61 @@ def rdma_stream(cluster: Cluster, msg_bytes: int,
         done_at[0] = node.env.now
 
     cluster.run([sender, receiver])
-    elapsed = done_at[0] - start_at[0]
-    if elapsed <= 0:
-        raise RuntimeError("bandwidth measurement produced non-positive time")
-    return msg_bytes * n_messages / (elapsed / 1e9) / 1e6
+    return StreamResult.of(msg_bytes, n_messages, done_at[0] - start_at[0])
 
 
-def rdma_bandwidth_sweep(machine: MachineParams, sizes: Sequence[int],
-                         n_messages: int = 60,
-                         label: str = "RDMA put") -> SweepResult:
-    """Put-bandwidth curve, one fresh two-node cluster per size."""
-    return sweep_with(
-        lambda size: rdma_stream(Cluster(2, machine=machine, fm_version=2),
-                                 size, n_messages=n_messages),
-        sizes, label)
+def rdma_stream(cluster: Cluster, msg_bytes: int,
+                n_messages: int = 60) -> float:
+    """Streaming one-sided put bandwidth node 0 -> node 1, in MB/s."""
+    return rdma_put_stream(cluster, msg_bytes, n_messages).bandwidth_mbs
 
 
-def _collective_latency(cluster: Cluster, run_iteration,
-                        iterations: int) -> float:
+@dataclass
+class CollectiveResult:
+    latency_ns: float   # mean full-group round, the first one excluded
+    rounds: int
+
+
+#: collective pattern -> ``(cluster, nbytes) -> one round per rank``: the
+#: NIC firmware's engines, or the host MPI stack as the software fallback.
+COLLECTIVES = {
+    "nic-barrier": lambda cluster, nbytes: [
+        NicCollectives(node, cluster.n_nodes).barrier
+        for node in cluster.nodes],
+    "host-barrier": lambda cluster, nbytes: [
+        comm.barrier for comm in build_mpi_world(cluster)],
+    "nic-bcast": lambda cluster, nbytes: [
+        partial(NicCollectives(node, cluster.n_nodes).bcast,
+                node.buffer(nbytes, fill=bytes(nbytes)), nbytes, 0)
+        for node in cluster.nodes],
+    "host-bcast": lambda cluster, nbytes: [
+        partial(comm.bcast, bytes(nbytes) if rank == 0 else None, root=0)
+        for rank, comm in enumerate(build_mpi_world(cluster))],
+}
+
+
+def collective_latency(cluster: Cluster, pattern: str, nbytes: int,
+                       iterations: int) -> CollectiveResult:
     """Average full-group completion time of ``iterations`` back-to-back
-    collective rounds (first round excluded as warm-up)."""
+    rounds of the collective ``pattern`` (first round excluded as
+    warm-up)."""
+    rounds = COLLECTIVES[pattern](cluster, nbytes)
     marks: list[int] = []
 
-    def make_program(rank: int):
-        def program(node: Node):
-            for _ in range(iterations + 1):
-                yield from run_iteration(rank, node)
-                if rank == 0:
-                    marks.append(node.env.now)
-        return program
+    def program(node: Node):
+        for _ in range(iterations + 1):
+            yield from rounds[node.node_id]()
+            if node.node_id == 0:
+                marks.append(node.env.now)
 
-    cluster.run([make_program(r) for r in range(cluster.n_nodes)])
+    cluster.run([program] * cluster.n_nodes)
     deltas = [b - a for a, b in zip(marks, marks[1:])]
-    return sum(deltas) / len(deltas)
+    return CollectiveResult(sum(deltas) / len(deltas), len(deltas))
 
 
 def nic_barrier_latency_ns(machine: MachineParams, n_nodes: int,
                            iterations: int = 10) -> float:
-    """Average NIC-offloaded dissemination-barrier latency."""
-    cluster = Cluster(n_nodes, machine=machine, fm_version=2)
-    colls = [NicCollectives(node, n_nodes) for node in cluster.nodes]
-
-    def run_iteration(rank, node):
-        yield from colls[rank].barrier()
-
-    return _collective_latency(cluster, run_iteration, iterations)
-
-
-def host_barrier_latency_ns(machine: MachineParams, n_nodes: int,
-                            iterations: int = 10) -> float:
-    """Average host-level MPI barrier latency (the software fallback)."""
-    from repro.upper.mpi import build_mpi_world
-    cluster = Cluster(n_nodes, machine=machine, fm_version=2)
-    comms = build_mpi_world(cluster)
-
-    def run_iteration(rank, node):
-        yield from comms[rank].barrier()
-
-    return _collective_latency(cluster, run_iteration, iterations)
-
-
-def nic_bcast_latency_ns(machine: MachineParams, n_nodes: int,
-                         nbytes: int, iterations: int = 10) -> float:
-    """Average NIC-offloaded binomial-tree broadcast latency."""
-    cluster = Cluster(n_nodes, machine=machine, fm_version=2)
-    colls = [NicCollectives(node, n_nodes) for node in cluster.nodes]
-    buffers = [node.buffer(nbytes, fill=bytes(nbytes))
-               for node in cluster.nodes]
-
-    def run_iteration(rank, node):
-        yield from colls[rank].bcast(buffers[rank], nbytes, 0)
-
-    return _collective_latency(cluster, run_iteration, iterations)
-
-
-def host_bcast_latency_ns(machine: MachineParams, n_nodes: int,
-                          nbytes: int, iterations: int = 10) -> float:
-    """Average host-level MPI broadcast latency (the software fallback)."""
-    from repro.upper.mpi import build_mpi_world
-    cluster = Cluster(n_nodes, machine=machine, fm_version=2)
-    comms = build_mpi_world(cluster)
-    payload = bytes(nbytes)
-
-    def run_iteration(rank, node):
-        yield from comms[rank].bcast(payload if rank == 0 else None, root=0)
-
-    return _collective_latency(cluster, run_iteration, iterations)
+    """Average NIC-offloaded dissemination-barrier latency (``perfbench``
+    checks its own barrier driver against this)."""
+    return collective_latency(Cluster(n_nodes, machine=machine, fm_version=2),
+                              "nic-barrier", 0, iterations).latency_ns

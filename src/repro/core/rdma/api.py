@@ -98,7 +98,9 @@ class RdmaEndpoint:
         *target* NIC's queue.
         """
         self._check_peer(dest)
-        if nbytes < 1 or local_offset + nbytes > buffer.size:
+        if nbytes < 1:
+            raise RdmaError(f"put of {nbytes} B: must move at least 1 B")
+        if local_offset + nbytes > buffer.size:
             raise RdmaError(
                 f"put of {nbytes} B at offset {local_offset} does not fit "
                 f"buffer of {buffer.size} B")
@@ -137,7 +139,9 @@ class RdmaEndpoint:
         """One-sided read of ``nbytes`` from the remote region ``rkey``
         into a local buffer; returns after the data has landed."""
         self._check_peer(dest)
-        if nbytes < 1 or local_offset + nbytes > buffer.size:
+        if nbytes < 1:
+            raise RdmaError(f"get of {nbytes} B: must move at least 1 B")
+        if local_offset + nbytes > buffer.size:
             raise RdmaError(
                 f"get of {nbytes} B at offset {local_offset} does not fit "
                 f"buffer of {buffer.size} B")

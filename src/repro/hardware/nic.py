@@ -330,7 +330,9 @@ class Nic:
                    buffer: Buffer, nbytes: int) -> None:
         """Arm the NIC broadcast engine: on the root, ``buffer`` is the
         payload source; elsewhere it is the landing region."""
-        if nbytes < 1 or nbytes > buffer.size:
+        if nbytes < 1:
+            raise ValueError(f"bcast of {nbytes} B: must move at least 1 B")
+        if nbytes > buffer.size:
             raise ValueError(
                 f"bcast of {nbytes} B does not fit buffer of {buffer.size} B")
         state = self._coll_state(coll_id, COLL_BCAST)

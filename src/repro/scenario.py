@@ -83,6 +83,10 @@ class Scenario:
             if value is not None and value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
 
+    def machine_params(self):
+        """The ``MachineParams`` to build the cluster with."""
+        return MACHINES[self.machine]
+
     def topology(self, machine):
         """The ``(topology, trunk LinkParams)`` to build the cluster with;
         ``(None, None)`` is the single crossbar."""

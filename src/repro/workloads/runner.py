@@ -31,7 +31,7 @@ from repro.dataflow.engine import PipelineScenario
 from repro.obs.metrics import RunStats
 from repro.obs.observer import Observer
 from repro.obs.slo import evaluate_slos
-from repro.scenario import MACHINES, Scenario
+from repro.scenario import Scenario
 from repro.workloads.apps import AllreduceScenario, HaloScenario
 from repro.workloads.rdma import RdmaScenario
 from repro.workloads.rpc_kind import RpcScenario
@@ -68,7 +68,7 @@ class ScenarioOutcome:
 
 def build_scenario(scenario: Scenario) -> tuple[Cluster, RunStats]:
     """The ``(cluster, stats)`` a scenario runs on."""
-    machine = MACHINES[scenario.machine]
+    machine = scenario.machine_params()
     topology, trunk = scenario.topology(machine)
     cluster = Cluster(scenario.n_nodes, machine=machine,
                       fm_version=scenario.fm_version, topology=topology,

@@ -4,14 +4,9 @@ from dataclasses import replace
 
 import pytest
 
-from repro.bench.extensions import (
-    aggregate_pair_bandwidth,
-    alltoall_scaling,
-    latency_vs_hops,
-)
 from repro.bench.regen import FIGURES, main as regen_main
+from repro.bench.sweeps import latency_vs_hops, measure
 from repro.bench.utilization import Utilization, stream_utilization
-from repro.configs import PPRO_FM2, SPARC_FM1
 from repro.workloads.presets import PRESETS
 
 
@@ -21,29 +16,38 @@ def stream(preset, msg_bytes, n_messages, **fields):
                                       n_requests=n_messages, **fields))
 
 
+def pair_bandwidths(preset, n_pairs, msg_bytes, n_messages):
+    """Per-pair MB/s of ``n_pairs`` pairs streaming at once on one
+    crossbar, on ``preset``'s machine and FM generation."""
+    result = measure(PRESETS[preset], pattern="pair-streams",
+                     n_nodes=2 * n_pairs, msg_bytes=msg_bytes,
+                     n_requests=n_messages)
+    return [pair.bandwidth_mbs for pair in result.pairs]
+
+
+def alltoall_us(preset, n_nodes):
+    """One MPI alltoall of 512 B chunks over ``n_nodes``, in µs."""
+    return measure(PRESETS[preset], pattern="mpi-alltoall", n_nodes=n_nodes,
+                   msg_bytes=512).completion_us
+
+
 class TestAggregatePairs:
     def test_single_pair_matches_plain_stream(self):
-        (bandwidth,) = aggregate_pair_bandwidth(PPRO_FM2, 2, 1,
-                                                msg_bytes=1024, n_messages=20)
+        (bandwidth,) = pair_bandwidths("stream-fm2", 1, 1024, 20)
         assert 40 < bandwidth < 90
 
     def test_two_pairs_no_interference(self):
-        pair_bandwidths = aggregate_pair_bandwidth(PPRO_FM2, 2, 2,
-                                                   msg_bytes=1024,
-                                                   n_messages=20)
-        assert len(pair_bandwidths) == 2
-        assert max(pair_bandwidths) / min(pair_bandwidths) < 1.1
+        bandwidths = pair_bandwidths("stream-fm2", 2, 1024, 20)
+        assert len(bandwidths) == 2
+        assert max(bandwidths) / min(bandwidths) < 1.1
 
     def test_fm1_pairs_also_scale(self):
-        pair_bandwidths = aggregate_pair_bandwidth(SPARC_FM1, 1, 2,
-                                                   msg_bytes=512,
-                                                   n_messages=15)
-        assert all(b > 10 for b in pair_bandwidths)
+        assert all(b > 10 for b in pair_bandwidths("stream-fm1", 2, 512, 15))
 
 
 class TestLatencyVsHops:
     def test_monotone_and_bounded(self):
-        results = latency_vs_hops(max_switches=3)
+        results = latency_vs_hops(PRESETS["pingpong-fm2"], max_switches=3)
         latencies = [latency for _n, latency in results]
         assert latencies == sorted(latencies)
         assert latencies[0] == pytest.approx(10.1, rel=0.2)
@@ -52,11 +56,11 @@ class TestLatencyVsHops:
 
 class TestAlltoallScaling:
     def test_grows_with_nodes_and_fm2_wins(self):
-        fm1 = alltoall_scaling(1, node_counts=(2, 4))
-        fm2 = alltoall_scaling(2, node_counts=(2, 4))
-        assert fm1[0][1] < fm1[1][1]
-        assert fm2[0][1] < fm2[1][1]
-        assert fm2[0][1] < fm1[0][1]
+        fm1 = [alltoall_us("stream-fm1", n) for n in (2, 4)]
+        fm2 = [alltoall_us("stream-fm2", n) for n in (2, 4)]
+        assert fm1[0] < fm1[1]
+        assert fm2[0] < fm2[1]
+        assert fm2[0] < fm1[0]
 
 
 class TestUtilization:

@@ -1,8 +1,10 @@
-"""The paper's microbenchmarks as a workload kind (``kind="micro"``): a
-figure point is one ``execute_scenario`` run of a preset, so it measures
+"""Every microbenchmark as a workload kind (``kind="micro"``): a figure or
+extension point is one ``execute_scenario`` run of a preset, so it measures
 exactly what its driver measures on a fresh cluster, and it takes a fault
 plan like every other preset (an observer too: ``tests/golden`` holds each
 micro preset's observed report to its golden)."""
+
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +16,7 @@ from repro.cluster import Cluster
 from repro.configs import PPRO_FM2
 from repro.faults.plan import FaultPlan, NicStall
 from repro.workloads.presets import PRESETS
-from repro.workloads.runner import run_scenario
+from repro.workloads.runner import execute_scenario, run_scenario
 
 
 def fresh():
@@ -56,3 +58,62 @@ def test_a_figure_point_under_a_nic_stall():
     assert stalled["faults"]["events"] > 0
     assert (stalled["results"]["bandwidth_mbs"]
             < clean["results"]["bandwidth_mbs"])
+
+
+def stall(node, end_ns):
+    """Node ``node``'s NIC 20 us slower per packet until ``end_ns``."""
+    return FaultPlan(episodes=(NicStall(node=node, start_ns=0, end_ns=end_ns,
+                                        extra_ns=20_000),))
+
+
+def test_rdma_puts_under_a_nic_stall():
+    """The Figure 5 stream as one-sided puts: the stalled target NIC lands
+    the same 40 puts in 380 us more."""
+    puts = replace(PRESETS["stream-fm2"], pattern="rdma-stream")
+    clean = run_scenario(puts)
+    stalled = run_scenario(puts, plan=stall(1, 600_000))
+    assert round(clean["results"]["bandwidth_mbs"], 2) == 89.72
+    assert round(stalled["results"]["bandwidth_mbs"], 2) == 48.97
+    assert stalled["faults"]["events"] == 19
+
+
+def test_a_nic_barrier_under_a_nic_stall_and_an_observer():
+    barrier = replace(PRESETS["pingpong-fm2"], pattern="nic-barrier",
+                      n_nodes=8)
+    assert run_scenario(barrier)["results"]["latency_ns"] == 16_524.0
+    stalled = run_scenario(barrier, plan=stall(3, 200_000))
+    assert round(stalled["results"]["latency_ns"], 1) == 23_221.6
+    observed = execute_scenario(barrier, observe=True)
+    assert len(observed.observer) > 0
+    assert observed.report["results"]["latency_ns"] == 16_524.0
+
+
+#: case -> (preset, fields, result field, the exact value the driver each
+#: pattern replaced returned): collectives over 8 nodes, 10 rounds, a 4 KB
+#: broadcast; a 512 B alltoall over 8 nodes; 40 puts of 4 KB.
+PINNED = {
+    "nic-barrier": ("pingpong-fm2", {"n_nodes": 8, "msg_bytes": 4096,
+                                     "iterations": 10}, "latency_ns",
+                    16_524.0),
+    "host-barrier": ("pingpong-fm2", {"n_nodes": 8, "msg_bytes": 4096,
+                                      "iterations": 10}, "latency_ns",
+                     44_371.2),
+    "nic-bcast": ("pingpong-fm2", {"n_nodes": 8, "msg_bytes": 4096,
+                                   "iterations": 10}, "latency_ns", 71_476.3),
+    "host-bcast": ("pingpong-fm2", {"n_nodes": 8, "msg_bytes": 4096,
+                                    "iterations": 10}, "latency_ns",
+                   156_159.0),
+    "mpi-alltoall/fm1": ("stream-fm1", {"n_nodes": 8, "msg_bytes": 512},
+                         "completion_us", 1_125.705),
+    "mpi-alltoall/fm2": ("stream-fm2", {"n_nodes": 8, "msg_bytes": 512},
+                         "completion_us", 238.434),
+    "rdma-stream": ("stream-fm2", {"msg_bytes": 4096}, "bandwidth_mbs",
+                    93.62323163578368),
+}
+
+
+@pytest.mark.parametrize("case", PINNED)
+def test_each_group_pattern_and_the_put_stream_is_pinned(case):
+    preset, fields, field, value = PINNED[case]
+    result = measure(PRESETS[preset], pattern=case.split("/")[0], **fields)
+    assert getattr(result, field) == value

@@ -5,8 +5,9 @@ from dataclasses import replace
 
 import pytest
 
-from repro.bench.breakdown import STAGES, breakdown_sweep, lean_stream_bandwidth_mbs
+from repro.bench.breakdown import STAGES, breakdown_sweep
 from repro.bench.microbench import fm_pingpong, fm_stream
+from repro.bench.sweeps import measure
 from repro.cluster import Cluster
 from repro.configs import PPRO_FM2, SPARC_FM1
 from repro.hardware.topology import switch_chain
@@ -75,7 +76,7 @@ class TestStream:
 
 class TestBreakdown:
     def test_three_stages(self):
-        assert [stage.name for stage in STAGES] == [
+        assert list(STAGES) == [
             "Link Mgmt", "I/O bus Mgmt", "Flow Control"]
 
     def test_stage_ordering_matches_figure_3a(self):
@@ -89,8 +90,8 @@ class TestBreakdown:
         assert flow.peak_mbs > 0.8 * bus.peak_mbs
 
     def test_lean_driver_reaches_near_link_speed(self):
-        from repro.bench.breakdown import _free_bus
-        bandwidth = lean_stream_bandwidth_mbs(_free_bus(SPARC_FM1), 512,
-                                              n_messages=30)
+        """Stage 1, ``link-stream``, runs the lean driver on a free bus."""
+        bandwidth = measure(PRESETS["stream-fm1"], pattern="link-stream",
+                            msg_bytes=512, n_requests=30).bandwidth_mbs
         wire_payload_limit = SPARC_FM1.link.bandwidth / 1e6 * (128 / 144)
         assert bandwidth > 0.9 * wire_payload_limit

@@ -127,6 +127,16 @@ class TestPut:
         with pytest.raises(RdmaError):
             rdma_cluster.run([program, None])
 
+    @pytest.mark.parametrize("verb", ["put", "get"])
+    def test_zero_length_names_the_length_not_the_buffer(self, rdma_cluster,
+                                                        verb):
+        ep = endpoints(rdma_cluster)[0]
+        def program(node):
+            yield from getattr(ep, f"rdma_{verb}")(1, 1, node.buffer(64), 0)
+        with pytest.raises(RdmaError,
+                           match=f"^{verb} of 0 B: must move at least 1 B$"):
+            rdma_cluster.run([program, None])
+
 
 class TestGet:
     def test_get_round_trips_remote_bytes(self, rdma_cluster):

@@ -40,8 +40,8 @@ import json
 import sys
 from pathlib import Path
 
-from repro.bench.extensions import latency_vs_hops
 from repro.bench.figures import FIGURES
+from repro.bench.sweeps import latency_vs_hops
 from repro.cluster import Cluster
 from repro.configs import PPRO_FM2, SPARC_FM1
 from repro.obs.export import dumps_deterministic, trace_events
@@ -242,7 +242,8 @@ def paper_figures_text() -> str:
                 [round(mbs, 4) for mbs in sweep.bandwidths_mbs]
                 for sweep in result.curves]
     return dumps_deterministic({"figures": figures,
-                                "latency_vs_hops": latency_vs_hops()})
+                                "latency_vs_hops": latency_vs_hops(
+                                    PRESETS["pingpong-fm2"])})
 
 
 #: Goldens that are not one scenario's report: ``{name: fresh text}``.

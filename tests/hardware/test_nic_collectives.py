@@ -116,6 +116,15 @@ class TestBcast:
         with pytest.raises(ValueError):
             cluster.run([program, None])
 
+    def test_zero_length_names_the_length_not_the_buffer(self):
+        cluster = make_cluster(2)
+        coll = NicCollectives(cluster.node(0), 2)
+        def program(node):
+            yield from coll.bcast(node.buffer(64), 0, root=0)
+        with pytest.raises(ValueError,
+                           match="^bcast of 0 B: must move at least 1 B$"):
+            cluster.run([program, None])
+
     def test_opcode_mismatch_on_same_coll_id_rejected(self):
         cluster = make_cluster(2)
         nic = cluster.node(0).nic

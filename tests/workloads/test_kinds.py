@@ -135,8 +135,21 @@ class TestValidationAtConstruction:
         ("pingpong-fm2", {"iterations": 0}),
         ("stream-fm2", {"msg_bytes": -4}),
         ("journey-fm1", {"until_ns": 1_000_000}),
+        # A one-sided put and a NIC broadcast move at least one byte, on
+        # the FM 2.x NIC firmware, as does a NIC barrier; the two-node
+        # patterns run on two nodes, and the pairing ones on an even count.
+        ("stream-fm2", {"pattern": "rdma-stream", "msg_bytes": 0}),
+        ("pingpong-fm2", {"pattern": "nic-bcast", "msg_bytes": 0}),
+        ("stream-fm2", {"pattern": "rdma-stream", "fm_version": 1}),
+        ("pingpong-fm2", {"pattern": "nic-barrier", "n_nodes": 4,
+                          "fm_version": 1}),
+        ("pingpong-fm2", {"pattern": "nic-bcast", "fm_version": 1}),
+        ("stream-fm2", {"pattern": "rdma-stream", "n_nodes": 4}),
+        ("stream-fm1", {"pattern": "link-stream", "n_nodes": 4}),
+        ("stream-fm2", {"pattern": "pair-streams", "n_nodes": 3}),
+        ("pingpong-fm2", {"pattern": "chain-pingpong", "n_nodes": 5}),
     ])
     def test_bad_values_fail_before_anything_is_built(self, base, overrides):
-        (field,) = overrides
+        field = list(overrides)[-1]
         with pytest.raises(ValueError, match=field):
             replace(PRESETS[base], **overrides)
