@@ -66,7 +66,6 @@ SPARC_FM1 = MachineParams(
     ),
     nic=NicParams(
         sram_packet_slots=8,
-        host_queue_slots=8,
         recv_region_slots=256,
         firmware_send_ns=1000,
         firmware_recv_ns=900,
@@ -102,7 +101,6 @@ PPRO_FM2 = MachineParams(
     ),
     nic=NicParams(
         sram_packet_slots=8,
-        host_queue_slots=8,
         recv_region_slots=256,
         firmware_send_ns=1600,
         firmware_recv_ns=1600,

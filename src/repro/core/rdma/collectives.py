@@ -50,7 +50,6 @@ class NicCollectives:
         self._next_coll_id = 0
         self.stats_barriers = 0
         self.stats_bcasts = 0
-        self.stats_bcast_bytes = 0
 
     def barrier(self) -> Generator:
         """Block until every node in the group has entered this barrier."""
@@ -81,7 +80,6 @@ class NicCollectives:
         yield from wait_cq(
             self, lambda c: c.kind == "bcast" and c.op_id == coll_id)
         self.stats_bcasts += 1
-        self.stats_bcast_bytes += nbytes
         if obs is not None:
             obs.record(self._bcast_site, t0, coll_id, root, nbytes)
 

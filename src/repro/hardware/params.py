@@ -84,7 +84,6 @@ class NicParams:
     """
 
     sram_packet_slots: int      # on-board packet staging slots (each direction)
-    host_queue_slots: int       # depth of the host-side send descriptor queue
     recv_region_slots: int      # host receive region capacity, in packets
     firmware_send_ns: int       # firmware processing per packet, send side
     firmware_recv_ns: int       # firmware processing per packet, receive side
@@ -92,7 +91,7 @@ class NicParams:
     collective_step_ns: int = 400  # firmware work per collective state step
 
     def __post_init__(self) -> None:
-        for name in ("sram_packet_slots", "host_queue_slots", "recv_region_slots"):
+        for name in ("sram_packet_slots", "recv_region_slots"):
             _check_positive(name, getattr(self, name))
         _check_nonneg("firmware_send_ns", self.firmware_send_ns)
         _check_nonneg("firmware_recv_ns", self.firmware_recv_ns)

@@ -7,16 +7,16 @@ messages that dominate real traffic, no matter how fast the wire gets.
 """
 
 from repro.legacy.stack import (
+    ETHERNET_100MBIT,
+    ETHERNET_1GBIT,
     FixedOverheadStack,
     LEGACY_UDP_OVERHEAD_US,
     theoretical_bandwidth_mbs,
 )
-from repro.legacy.ethernet import ETHERNET_100MBIT, ETHERNET_1GBIT, EthernetWire
 
 __all__ = [
     "ETHERNET_100MBIT",
     "ETHERNET_1GBIT",
-    "EthernetWire",
     "FixedOverheadStack",
     "LEGACY_UDP_OVERHEAD_US",
     "theoretical_bandwidth_mbs",

@@ -12,13 +12,16 @@ model is exercised by code, not just algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.simkernel.env import Environment
 from repro.simkernel.units import us
 
 #: The paper's per-packet protocol processing overhead (§2.2).
 LEGACY_UDP_OVERHEAD_US = 125.0
+
+#: Ethernet wire rates in bytes/second.
+ETHERNET_100MBIT = 100e6 / 8
+ETHERNET_1GBIT = 1e9 / 8
 
 
 def theoretical_bandwidth_mbs(msg_bytes: int, wire_rate_bytes_per_sec: float,
@@ -36,12 +39,6 @@ def theoretical_bandwidth_mbs(msg_bytes: int, wire_rate_bytes_per_sec: float,
         raise ValueError("overhead must be non-negative")
     seconds = overhead_us * 1e-6 + msg_bytes / wire_rate_bytes_per_sec
     return msg_bytes / seconds / 1e6
-
-
-def bandwidth_curve(sizes: Sequence[int], wire_rate: float,
-                    overhead_us: float = LEGACY_UDP_OVERHEAD_US) -> list[float]:
-    """The Figure 1 curve: bandwidth at each message size (MB/s)."""
-    return [theoretical_bandwidth_mbs(s, wire_rate, overhead_us) for s in sizes]
 
 
 @dataclass

@@ -18,7 +18,5 @@ KIND_RDMA_FIN = 5     # RDMA rendezvous done (receiver -> sender): the
 
 #: User tags must stay below this; collectives use tags at and above it.
 MAX_USER_TAG = 1 << 20
-#: Collective operations use this tag space (per-collective sequence).
-COLLECTIVE_TAG_BASE = MAX_USER_TAG
 #: Internal point-to-point control (rendezvous CTS) tag space.
 INTERNAL_TAG_BASE = 1 << 24

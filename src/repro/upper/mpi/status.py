@@ -36,7 +36,6 @@ class Request:
         self.complete = False
         self.status: Optional[Status] = None
         self.data: Optional[bytes] = None   # received payload (recv requests)
-        self.cancelled = False
 
     def finish(self, status: Optional[Status] = None, data: Optional[bytes] = None) -> None:
         if self.complete:

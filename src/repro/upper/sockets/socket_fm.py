@@ -124,39 +124,54 @@ class Socket:
         self._check_established()
         if self.posted is not None:
             raise SocketError("recv_into while another receive is posted")
-        # Drain anything already buffered (that data already missed posting).
-        pre = 0
-        while self.rx_chunks and pre < nbytes:
-            chunk = self.rx_chunks.popleft()
-            take = min(len(chunk), nbytes - pre)
-            view = Buffer.from_bytes(chunk[:take], name="sock.buffered")
-            yield from self.stack.cpu.memcpy(view, 0, buf, offset + pre, take,
-                                             label="sockets.buffered_deliver")
-            if take < len(chunk):
-                self.rx_chunks.appendleft(chunk[take:])
-            pre += take
-            self.rx_bytes -= take
-        if pre == nbytes:
+        label = "sockets.buffered_deliver"
+        filled = yield from self.advance_receive(buf, offset, nbytes, 0, label)
+        if filled == nbytes:
             return nbytes
-        need = nbytes - pre
-        self.posted = (buf, offset + pre, need)
-        self.posted_filled = 0
         try:
             # Paced per pass: extract only about what is still missing.
             yield from self.stack._progress.wait_until(
-                lambda: self.posted_filled >= need or self.fin_received,
+                lambda: self.posted_filled >= nbytes - filled
+                or self.fin_received,
                 "recv_into stalled: peer gone?",
-                step=lambda: self.stack.progress(
-                    max(need - self.posted_filled + HEADER_BYTES, 256)))
-            if self.posted_filled < need:
+                step=lambda: self.stack.progress(max(
+                    nbytes - filled - self.posted_filled + HEADER_BYTES, 256)))
+            filled = yield from self.advance_receive(buf, offset, nbytes,
+                                                     filled, label)
+            if filled < nbytes:
                 raise SocketError(
-                    f"stream closed after {pre + self.posted_filled} of "
-                    f"{nbytes} bytes"
-                )
+                    f"stream closed after {filled} of {nbytes} bytes")
         finally:
             self.posted = None
             self.posted_filled = 0
         return nbytes
+
+    def advance_receive(self, buf: Buffer, offset: int, nbytes: int,
+                        filled: int, label: str) -> Generator:
+        """Advance a posted receive of ``nbytes`` into ``buf`` at ``offset``
+        of which ``filled`` are in place; returns the new fill.
+
+        Stream order sets the steps: what the handler scattered into the
+        posted window arrived before anything buffered behind it, so it is
+        counted first; buffered bytes are then copied in (as ``label``),
+        and whatever is still missing is posted for the handler to scatter
+        directly.
+        """
+        filled += self.posted_filled
+        self.posted = None
+        self.posted_filled = 0
+        while self.rx_chunks and filled < nbytes:
+            chunk = self.rx_chunks.popleft()
+            take = min(len(chunk), nbytes - filled)
+            yield from self.stack.cpu.deposit(chunk[:take], buf,
+                                              offset + filled, label=label)
+            if take < len(chunk):
+                self.rx_chunks.appendleft(chunk[take:])
+            filled += take
+            self.rx_bytes -= take
+        if filled < nbytes:
+            self.posted = (buf, offset + filled, nbytes - filled)
+        return filled
 
     def recv_exactly(self, nbytes: int) -> Generator:
         """Receive exactly ``nbytes`` (raises if the stream ends early)."""

@@ -84,6 +84,10 @@ class Wsa:
         """
         if nbytes <= 0:
             raise SocketError(f"recv size must be positive, got {nbytes}")
+        if sock.posted is not None or any(
+                pending.sock is sock and pending.kind == "recv"
+                for pending in self._pending):
+            raise SocketError("WSARecv while another receive is pending")
         operation = Overlapped("recv", sock, nbytes)
         operation.buffer = buffer
         operation.offset = offset
@@ -120,49 +124,17 @@ class Wsa:
 
     def _pump_recv(self, operation: Overlapped) -> Generator:
         sock = operation.sock
-        want = operation.requested - operation.transferred
         before = operation.transferred
-        # Drain buffered bytes first, then post for direct scatter.
-        while sock.rx_bytes and want:
-            chunk = sock.rx_chunks.popleft()
-            take = min(len(chunk), want)
-            view = Buffer.from_bytes(chunk[:take], name="wsa.buffered")
-            yield from self.stack.cpu.memcpy(
-                view, 0, operation.buffer,
-                operation.offset + operation.transferred, take,
-                label="wsa.buffered_deliver")
-            if take < len(chunk):
-                sock.rx_chunks.appendleft(chunk[take:])
-            sock.rx_bytes -= take
-            operation.transferred += take
-            want -= take
-        if want == 0:
+        operation.transferred = yield from sock.advance_receive(
+            operation.buffer, operation.offset, operation.requested,
+            before, "wsa.buffered_deliver")
+        if operation.transferred == operation.requested:
             operation.complete = True
-            if sock.posted is not None:
-                sock.posted = None
-            return operation.transferred > before
-        if sock.fin_received and not sock.rx_bytes:
+        elif sock.fin_received:
+            sock.posted = None
             operation.error = "connection closed"
             operation.complete = True
             return True
-        # Receive posting: point the socket at the remaining window.
-        if sock.posted is None:
-            sock.posted = (operation.buffer,
-                           operation.offset + operation.transferred, want)
-            sock.posted_filled = 0
-        else:
-            # Harvest what the handler scattered since the last pump.
-            if sock.posted_filled:
-                operation.transferred += sock.posted_filled
-                want -= sock.posted_filled
-                if want == 0:
-                    operation.complete = True
-                    sock.posted = None
-                    sock.posted_filled = 0
-                    return True
-                sock.posted = (operation.buffer,
-                               operation.offset + operation.transferred, want)
-                sock.posted_filled = 0
         return operation.transferred > before
 
     # -- completion harvesting --------------------------------------------------------

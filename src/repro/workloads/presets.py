@@ -59,7 +59,7 @@ PRESETS = {
         partition_groups=2, servers=2, balancer="static", rate_rps=20_000.0,
         n_requests=40, req_bytes=128, resp_bytes=128, work_ns=2_000),
     # The headline 10^5-client scenario: 100k simulated open-loop clients
-    # collapsed onto 12 generator nodes via AggregateOpenLoop, feeding 4
+    # collapsed onto 12 generator nodes as OpenLoop populations, feeding 4
     # shards striped over 4 groups, one request per simulated client.
     # Aggregate offered load 250k rps (~55% of the fabric's measured
     # ~440k rps knee) over a ~400 ms horizon; about a minute of host time.

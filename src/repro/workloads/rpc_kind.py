@@ -10,11 +10,11 @@ scenario.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.scenario import ArrivalFields, TelemetryFields
-from repro.workloads.arrivals import AggregateOpenLoop, ArrivalSpec, ClosedLoop
+from repro.workloads.arrivals import ArrivalSpec, ClosedLoop
 from repro.workloads.replication import (
     ReplicatedClient,
     ReplicatedDirectory,
@@ -72,17 +72,16 @@ def client_arrival(scenario: "RpcScenario", position: int,
     """Arrival spec and request budget for the client at ``position`` in
     the scenario's client-node list.
 
-    Population scenarios hand each node an :class:`AggregateOpenLoop`
-    covering its share of the simulated clients (``n_requests`` is per
-    simulated client, so the node's budget scales with its share);
-    otherwise every client runs the scenario's own spec.
+    Every client runs the scenario's own spec; in population scenarios
+    that :class:`~repro.workloads.arrivals.OpenLoop` covers the node's
+    share of the simulated clients (``n_requests`` is per simulated
+    client, so the node's budget scales with its share).
     """
     if scenario.population <= 0:
         return scenario.arrival_spec(), scenario.n_requests
     share = population_shares(scenario.population, n_clients)[position]
-    spec = AggregateOpenLoop(scenario.rate_rps, population=share,
-                             poisson=(scenario.arrival == "open"))
-    return spec, scenario.n_requests * share
+    return (replace(scenario.arrival_spec(), population=share),
+            scenario.n_requests * share)
 
 
 def build_server(scenario: "RpcScenario", endpoint: RpcEndpoint,
@@ -171,7 +170,7 @@ class RpcScenario(ArrivalFields, TelemetryFields):
     probe_interval_ns: int = 150_000   # supervisor probe cadence
     failover_timeout_ns: int = 250_000  # per-attempt client retry clock
     # population simulated clients are spread over the client nodes as
-    # AggregateOpenLoop sources (0 = one simulated client per node), and
+    # one OpenLoop source each (0 = one simulated client per node), and
     # n_requests is per simulated client.
     population: int = 0
 

@@ -21,7 +21,7 @@ from repro.simkernel import Environment, Store
 LINK = LinkParams(bandwidth=160e6, propagation_ns=100, slots=2)
 BUS = BusParams(pio_bw=80e6, pio_startup_ns=100, dma_bw=100e6,
                 dma_startup_ns=500)
-NIC = NicParams(sram_packet_slots=2, host_queue_slots=2, recv_region_slots=4,
+NIC = NicParams(sram_packet_slots=2, recv_region_slots=4,
                 firmware_send_ns=400, firmware_recv_ns=300)
 CPU = CpuParams(clock_hz=200e6, memcpy_bw=100e6, memcpy_startup_ns=100,
                 call_ns=50, poll_ns=100, per_packet_ns=200, per_message_ns=400)

@@ -11,7 +11,7 @@ from repro.hardware.params import BusParams, LinkParams, NicParams, SwitchParams
 from repro.hardware.topology import fat_tree_2level, single_switch, switch_chain
 
 BUS = BusParams(pio_bw=80e6, pio_startup_ns=100, dma_bw=100e6, dma_startup_ns=500)
-NIC = NicParams(sram_packet_slots=4, host_queue_slots=4, recv_region_slots=16,
+NIC = NicParams(sram_packet_slots=4, recv_region_slots=16,
                 firmware_send_ns=200, firmware_recv_ns=200)
 LINK = LinkParams(bandwidth=160e6, propagation_ns=50, slots=4)
 SW = SwitchParams(routing_ns=200, port_buffer_slots=4)

@@ -11,7 +11,7 @@ from repro.hardware.params import BusParams, LinkParams, NicParams
 
 BUS = BusParams(pio_bw=80e6, pio_startup_ns=100, dma_bw=100e6,
                 dma_startup_ns=500)
-NIC = NicParams(sram_packet_slots=2, host_queue_slots=2, recv_region_slots=4,
+NIC = NicParams(sram_packet_slots=2, recv_region_slots=4,
                 firmware_send_ns=400, firmware_recv_ns=300)
 LINK = LinkParams(bandwidth=160e6, propagation_ns=50, slots=2)
 

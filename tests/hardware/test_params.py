@@ -17,7 +17,7 @@ GOOD_CPU = dict(clock_hz=200e6, memcpy_bw=100e6, memcpy_startup_ns=100,
                 call_ns=50, poll_ns=30, per_packet_ns=100, per_message_ns=500)
 GOOD_BUS = dict(pio_bw=80e6, pio_startup_ns=100, dma_bw=100e6,
                 dma_startup_ns=500)
-GOOD_NIC = dict(sram_packet_slots=4, host_queue_slots=4, recv_region_slots=16,
+GOOD_NIC = dict(sram_packet_slots=4, recv_region_slots=16,
                 firmware_send_ns=100, firmware_recv_ns=100)
 GOOD_LINK = dict(bandwidth=160e6, propagation_ns=50, slots=2)
 
@@ -41,7 +41,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             BusParams(**{**GOOD_BUS, field: 0})
 
-    @pytest.mark.parametrize("field", ["sram_packet_slots", "host_queue_slots",
+    @pytest.mark.parametrize("field", ["sram_packet_slots",
                                        "recv_region_slots"])
     def test_nic_positive_slots(self, field):
         with pytest.raises(ValueError):

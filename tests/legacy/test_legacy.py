@@ -1,17 +1,14 @@
-"""Legacy protocol model (Figure 1, §2.2) and Ethernet framing."""
+"""Legacy protocol model (Figure 1, §2.2)."""
 
 import pytest
 
 from repro.legacy import (
     ETHERNET_100MBIT,
     ETHERNET_1GBIT,
-    EthernetWire,
     FixedOverheadStack,
     LEGACY_UDP_OVERHEAD_US,
     theoretical_bandwidth_mbs,
 )
-from repro.legacy.ethernet import FRAME_OVERHEAD_BYTES, MIN_PAYLOAD
-from repro.legacy.stack import bandwidth_curve
 
 
 class TestTheoreticalCurve:
@@ -39,7 +36,8 @@ class TestTheoreticalCurve:
             assert fast / slow < 1.2
 
     def test_monotone_in_size(self):
-        curve = bandwidth_curve([8, 16, 64, 256, 1024], ETHERNET_1GBIT)
+        curve = [theoretical_bandwidth_mbs(size, ETHERNET_1GBIT)
+                 for size in (8, 16, 64, 256, 1024)]
         assert curve == sorted(curve)
 
     def test_zero_overhead_reaches_wire_speed(self):
@@ -70,30 +68,3 @@ class TestSimulatedStack:
         slow = FixedOverheadStack(ETHERNET_100MBIT).measure_bandwidth_mbs(128)
         fast = FixedOverheadStack(ETHERNET_1GBIT).measure_bandwidth_mbs(128)
         assert fast / slow < 1.15
-
-
-class TestEthernetWire:
-    def test_frame_overhead(self):
-        wire = EthernetWire()
-        assert wire.frame_bytes(100) == 100 + FRAME_OVERHEAD_BYTES
-
-    def test_minimum_frame_padding(self):
-        wire = EthernetWire()
-        assert wire.frame_bytes(1) == MIN_PAYLOAD + FRAME_OVERHEAD_BYTES
-
-    def test_mtu_enforced(self):
-        with pytest.raises(ValueError):
-            EthernetWire().frame_bytes(1501)
-
-    def test_wire_time_scales_with_rate(self):
-        slow = EthernetWire(ETHERNET_100MBIT).wire_time_ns(1000)
-        fast = EthernetWire(ETHERNET_1GBIT).wire_time_ns(1000)
-        assert slow == pytest.approx(10 * fast, rel=0.01)
-
-    def test_transmit_advances_clock(self, env):
-        wire = EthernetWire(ETHERNET_1GBIT)
-        def sender():
-            yield from wire.transmit(env, 1000)
-        proc = env.process(sender())
-        env.run(until=proc)
-        assert env.now == wire.wire_time_ns(1000)

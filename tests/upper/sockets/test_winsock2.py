@@ -200,3 +200,59 @@ class TestMultipleOutstanding:
 
         cluster.run([receiver, make_sender(1), make_sender(2)])
         assert out["payloads"] == [1, 2]
+
+
+class TestPostedWindowOrder:
+    """Two 80 B segments into one 100 B WSARecv: the handler scatters the
+    first 100 stream bytes into the posted window and buffers the last 60
+    behind it, and the receive must count the window before the buffer."""
+
+    STREAM = bytes(range(160))
+
+    def run(self, compute_before_post_ns: int):
+        cluster, stacks = make_pair()
+        out = {}
+
+        def server(node):
+            stacks[0].listen()
+            sock = yield from stacks[0].accept()
+            yield from sock.send(self.STREAM[:80])
+            yield from sock.send(self.STREAM[80:])
+
+        def client(node):
+            wsa = Wsa(stacks[1])
+            sock = yield from stacks[1].connect(0)
+            # With no extraction in between, the segments wait at the NIC.
+            yield from node.cpu.compute(compute_before_post_ns)
+            dest = Buffer(100)
+            operation = wsa.recv(sock, dest, 0, 100)
+            out["n"] = yield from wsa.get_overlapped_result(operation)
+            out["data"] = dest.read()
+            out["rest"] = yield from sock.recv_exactly(60)
+
+        cluster.run([server, client])
+        return out
+
+    @pytest.mark.parametrize("compute_before_post_ns", [0, 200_000],
+                             ids=["posted_before_data", "posted_after_data"])
+    def test_window_then_buffer(self, compute_before_post_ns):
+        out = self.run(compute_before_post_ns)
+        assert out["n"] == 100
+        assert out["data"] == self.STREAM[:100]
+        assert out["rest"] == self.STREAM[100:]
+
+    def test_second_recv_on_a_socket_is_refused(self):
+        cluster, stacks = make_pair()
+
+        def server(node):
+            stacks[0].listen()
+            yield from stacks[0].accept()
+
+        def client(node):
+            wsa = Wsa(stacks[1])
+            sock = yield from stacks[1].connect(0)
+            wsa.recv(sock, Buffer(8), 0, 8)
+            wsa.recv(sock, Buffer(8), 0, 8)
+
+        with pytest.raises(SocketError, match="pending"):
+            cluster.run([server, client])

@@ -7,12 +7,18 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.workloads.arrivals import (AggregateOpenLoop, Bursty, ClosedLoop,
+from repro.workloads.arrivals import (DRAW_BATCH, Bursty, ClosedLoop,
                                       OpenLoop, client_rng, gap_stream)
 
 
 def take(stream, n):
     return list(itertools.islice(stream, n))
+
+
+def scalar_exponential_gaps(seed, client, mean, n):
+    """The reference stream: one scalar draw per gap from ``client_rng``."""
+    rng = client_rng(seed, client)
+    return [max(1, round(rng.exponential(mean))) for _ in range(n)]
 
 
 class TestSpecs:
@@ -101,40 +107,38 @@ class TestShapes:
 
 
 class TestAggregateOpenLoop:
+    """``OpenLoop(population=K)``: K open-loop clients as one stream."""
+
     def test_population_one_matches_plain_open_loop(self):
         # A 1-client aggregate is the same Poisson process: draw-for-draw
         # identical to OpenLoop at the same rate, seed and client name.
         plain = take(gap_stream(OpenLoop(rate_rps=50_000.0),
                                 seed=3, client="c"), 300)
         aggregate = take(gap_stream(
-            AggregateOpenLoop(rate_rps=50_000.0, population=1),
+            OpenLoop(rate_rps=50_000.0, population=1),
             seed=3, client="c"), 300)
         assert aggregate == plain
 
     def test_batch_size_never_changes_the_sequence(self):
-        spec = {"rate_rps": 100.0, "population": 500}
-        reference = take(gap_stream(
-            AggregateOpenLoop(batch=4096, **spec), seed=9, client="c"), 1000)
-        for batch in (1, 7, 256):
-            got = take(gap_stream(
-                AggregateOpenLoop(batch=batch, **spec), seed=9, client="c"),
-                1000)
-            assert got == reference, f"batch={batch} changed the draws"
+        # Three NumPy batches and a part equal one scalar draw per gap.
+        spec = OpenLoop(rate_rps=100.0, population=500)
+        n = 3 * DRAW_BATCH + 7
+        assert take(gap_stream(spec, seed=9, client="c"), n) == \
+            scalar_exponential_gaps(9, "c", 1e9 / 50_000.0, n)
 
     def test_aggregate_rate_is_superposed(self):
-        spec = AggregateOpenLoop(rate_rps=10.0, population=10_000)
-        assert spec.aggregate_rate_rps == 100_000.0
+        spec = OpenLoop(rate_rps=10.0, population=10_000)
+        assert spec.mean_gap_ns == 1e9 / 100_000.0
         gaps = take(gap_stream(spec, seed=2, client="c"), 4000)
         assert all(g >= 1 for g in gaps)
         assert np.mean(gaps) == pytest.approx(spec.mean_gap_ns, rel=0.05)
 
     def test_fixed_rate_aggregate(self):
-        spec = AggregateOpenLoop(rate_rps=1000.0, population=1000,
-                                 poisson=False)
+        spec = OpenLoop(rate_rps=1000.0, population=1000, poisson=False)
         assert take(gap_stream(spec, seed=1, client="c"), 20) == [1000] * 20
 
     def test_determinism(self):
-        spec = AggregateOpenLoop(rate_rps=25.0, population=4000)
+        spec = OpenLoop(rate_rps=25.0, population=4000)
         a = take(gap_stream(spec, seed=6, client="client3"), 500)
         b = take(gap_stream(spec, seed=6, client="client3"), 500)
         assert a == b
@@ -143,8 +147,34 @@ class TestAggregateOpenLoop:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            AggregateOpenLoop(rate_rps=0.0, population=10)
+            OpenLoop(rate_rps=0.0, population=10)
         with pytest.raises(ValueError):
-            AggregateOpenLoop(rate_rps=10.0, population=0)
-        with pytest.raises(ValueError):
-            AggregateOpenLoop(rate_rps=10.0, population=10, batch=0)
+            OpenLoop(rate_rps=10.0, population=0)
+
+
+class TestBatchedDraws:
+    """Every exponential gap is drawn DRAW_BATCH per NumPy call; streams
+    that cross three batch boundaries equal scalar draws from the same
+    client RNG (the open-loop case is in TestAggregateOpenLoop)."""
+
+    N = 3 * DRAW_BATCH + 7
+
+    def test_exponential_think_times_match_scalar_draws(self):
+        spec = ClosedLoop(think_ns=5_000, exponential=True)
+        assert take(gap_stream(spec, seed=9, client="c"), self.N) == \
+            scalar_exponential_gaps(9, "c", 5_000, self.N)
+
+    def test_bursty_gaps_defer_scalar_draws_past_the_off_window(self):
+        spec = Bursty(rate_rps=200_000.0, on_ns=50_000, off_ns=150_000)
+        rng = client_rng(4, "c")
+        reference, at = [], 0
+        while len(reference) < self.N:
+            gap = max(1, round(rng.exponential(1e9 / spec.rate_rps)))
+            if at + gap < spec.on_ns:
+                at += gap
+                reference.append(gap)
+            else:
+                reference.append(spec.on_ns - at + spec.off_ns)
+                at = 0
+        assert take(gap_stream(spec, seed=4, client="c"),
+                    len(reference)) == reference

@@ -14,7 +14,7 @@ import pytest
 
 from repro.faults.plan import FaultPlan, NicStall
 from repro.obs.export import validate_trace_events
-from repro.workloads.arrivals import AggregateOpenLoop, OpenLoop
+from repro.workloads.arrivals import OpenLoop
 from repro.workloads.presets import PRESETS
 from repro.workloads.rpc_kind import (client_arrival, placement,
                                       population_shares)
@@ -49,14 +49,14 @@ class TestPurePlacement:
     def test_client_arrival_population_mode(self):
         scenario = replace(PRESETS["rpc-aggregate-100k"], population=100)
         spec, budget = client_arrival(scenario, 0, 12)
-        assert isinstance(spec, AggregateOpenLoop)
-        assert spec.population == population_shares(100, 12)[0]
+        assert spec == OpenLoop(scenario.rate_rps,
+                                population=population_shares(100, 12)[0])
         assert budget == scenario.n_requests * spec.population
 
     def test_client_arrival_plain_mode(self):
         scenario = PRESETS["rpc-open"]
         spec, budget = client_arrival(scenario, 2, 3)
-        assert isinstance(spec, OpenLoop)
+        assert spec == OpenLoop(scenario.rate_rps)
         assert budget == scenario.n_requests
 
 
