@@ -1,7 +1,7 @@
 """Every microbenchmark as a workload kind (``kind="micro"``): the drivers
-behind the paper's figures and the extension studies run through
-``execute_scenario``, so any point takes an observer or a fault plan like
-any preset.  ``n_requests`` is the stream length, ``iterations`` the
+behind the paper's figures, the extension studies and the RDMA transport
+smoke (``rdma-pingpong``) run through ``execute_scenario``, so any point
+takes an observer or a fault plan like any preset.  ``n_requests`` is the stream length, ``iterations`` the
 ping-pong round trips or collective rounds; the report's ``results`` is the
 driver's result dataclass.  A pattern runs from node 0 to node 1, or on
 every node of ``n_nodes`` if it is one of :data:`GROUP`.
@@ -19,7 +19,7 @@ from repro.bench.microbench import (PingPongResult, fm_pingpong, fm_stream,
 from repro.bench.mpibench import (mpi_alltoall, mpi_pingpong_latency_us,
                                   mpi_stream)
 from repro.bench.rdma_bench import (COLLECTIVES, collective_latency,
-                                    rdma_put_stream)
+                                    rdma_pingpong, rdma_put_stream)
 from repro.hardware.topology import switch_chain
 from repro.obs.metrics import RunStats
 from repro.scenario import Scenario
@@ -37,6 +37,7 @@ PATTERNS = {
         mpi_pingpong_latency_us(c, s.msg_bytes, s.iterations), s.iterations),
     "journey": lambda s, c: packet_journey(c, s.msg_bytes),
     "rdma-stream": lambda s, c: rdma_put_stream(c, s.msg_bytes, s.n_requests),
+    "rdma-pingpong": lambda s, c: rdma_pingpong(c, s.msg_bytes, s.iterations),
     "link-stream": lambda s, c: lean_stream(c, s.msg_bytes, s.n_requests),
     "bus-stream": lambda s, c: lean_stream(c, s.msg_bytes, s.n_requests),
     **{pattern: lambda s, c: collective_latency(c, s.pattern, s.msg_bytes,
@@ -52,8 +53,9 @@ PATTERNS = {
 #: firmware, and those that cannot move 0 bytes.
 PAIRED = frozenset({"pair-streams", "chain-pingpong"})
 GROUP = PAIRED | frozenset(COLLECTIVES) | {"mpi-alltoall"}
-FIRMWARE = frozenset({"rdma-stream", "nic-barrier", "nic-bcast"})
-NONEMPTY = frozenset({"rdma-stream", "nic-bcast"})
+FIRMWARE = frozenset({"rdma-stream", "rdma-pingpong", "nic-barrier",
+                      "nic-bcast"})
+NONEMPTY = frozenset({"rdma-stream", "rdma-pingpong", "nic-bcast"})
 
 
 class MicroStats(RunStats):

@@ -1,7 +1,8 @@
-"""RDMA microbenchmarks: one-sided streaming bandwidth and collective
-latency, the measurements behind the extension figures in EXPERIMENTS.md.
-They run as the ``rdma-stream`` and the four collective patterns of
-``kind="micro"`` (:mod:`repro.bench.micro`).
+"""RDMA microbenchmarks: one-sided streaming bandwidth, put ping-pong
+latency and collective latency, the measurements behind the extension
+figures in EXPERIMENTS.md and the ``rdma-pingpong`` transport smoke.  They
+run as the ``rdma-stream``, ``rdma-pingpong`` and the four collective
+patterns of ``kind="micro"`` (:mod:`repro.bench.micro`).
 
 Conventions mirror :mod:`repro.bench.microbench`:
 
@@ -9,6 +10,8 @@ Conventions mirror :mod:`repro.bench.microbench`:
   ``rdma_put`` operations of one size; bandwidth = payload bytes landed /
   simulated time from the first post to the last *remote* write
   completion, in the paper's MB/s (10^6 bytes/second).
+* **put latency** — half the mean round trip of a put answered by a put,
+  every round counted: the rounds are identical, so there is no warm-up.
 * **collective latency** — back-to-back barriers (or broadcasts) averaged
   over iterations after the first; SPMD across the whole cluster, so the
   number reported is the full-group completion time, not one rank's.
@@ -21,7 +24,7 @@ from functools import partial
 
 from repro.hardware.params import MachineParams
 
-from repro.bench.microbench import StreamResult
+from repro.bench.microbench import PingPongResult, StreamResult
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
 from repro.core.rdma import NicCollectives, RdmaEndpoint
@@ -55,6 +58,38 @@ def rdma_put_stream(cluster: Cluster, msg_bytes: int,
 
     cluster.run([sender, receiver])
     return StreamResult.of(msg_bytes, n_messages, done_at[0] - start_at[0])
+
+
+def rdma_pingpong(cluster: Cluster, msg_bytes: int,
+                  iterations: int) -> PingPongResult:
+    """Put ping-pong between nodes 0 and 1: each round node 0 puts into
+    node 1's region and waits for node 1's answering put to land in its
+    own — a one-sided round trip with no handler on the data path."""
+    endpoints = [RdmaEndpoint(node) for node in cluster.nodes]
+    starts: list[int] = []
+
+    def initiator(node: Node):
+        ep = endpoints[0]
+        region = node.buffer(msg_bytes)
+        yield from ep.register(region)                    # rkey 1
+        # Both sides register at t=0 (~2 us); 10 us is ample for node 1's.
+        yield 10_000
+        starts.append(node.env.now)
+        for _ in range(iterations):
+            yield from ep.rdma_put(1, 1, region, msg_bytes)
+            yield from ep.wait_completion(lambda c: c.kind == "write")
+            starts.append(node.env.now)
+
+    def responder(node: Node):
+        ep = endpoints[1]
+        region = node.buffer(msg_bytes)
+        yield from ep.register(region)                    # rkey 1
+        for _ in range(iterations):
+            yield from ep.wait_completion(lambda c: c.kind == "write")
+            yield from ep.rdma_put(0, 1, region, msg_bytes)
+
+    cluster.run([initiator, responder])
+    return PingPongResult.of(starts, 0)
 
 
 def rdma_stream(cluster: Cluster, msg_bytes: int,

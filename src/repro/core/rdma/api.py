@@ -37,9 +37,9 @@ from repro.hardware.packet import (HEADER_BYTES, Packet, PacketFlags,
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
 
-#: Give up waiting for a completion after this long — a one-sided op that
-#: never completes is a protocol error (dead peer, unmatched region) and
-#: must fail loudly, not hang the simulation.
+#: Give up on a completion once the NIC has landed and posted nothing for
+#: this long — a one-sided op that never completes is a protocol error
+#: (dead peer, unmatched region): fail loudly, never hang the simulation.
 CQ_STALL_LIMIT_NS = 100_000_000
 
 
@@ -48,9 +48,9 @@ class RdmaError(Exception):
 
 
 class RdmaStalledError(RdmaError):
-    """A completion wait exceeded :data:`CQ_STALL_LIMIT_NS`.  The message
-    counts what the waiting NIC saw: corrupt packets it dropped, bytes that
-    landed without a completion, unmatched drops."""
+    """A completion wait stalled for longer than :data:`CQ_STALL_LIMIT_NS`.
+    The message counts what the waiting NIC saw: corrupt packets it
+    dropped, bytes that landed without a completion, unmatched drops."""
 
 
 class RdmaEndpoint:
@@ -193,17 +193,20 @@ class RdmaEndpoint:
 
 def wait_cq(owner, match: Callable[[RdmaCompletion], bool]) -> Generator:
     """Shared completion wait: poll-scan the queue, sleep on ``cq_wakeup``
-    (capped), fail loudly past the stall limit.  ``owner`` provides
+    (capped), fail loudly once stalled past the limit.  ``owner`` provides
     ``env`` / ``cpu`` / ``nic`` (RdmaEndpoint and NicCollectives both do).
 
     The sleep is :meth:`FmEndpoint.idle_wait`'s, on the completion queue:
     one event, woken by the next post or by the same
     :data:`IDLE_WAIT_CAP_NS` timer (the wake-up is one-shot, so the scan
-    is repeated on a bounded cadence).
+    is repeated on a bounded cadence).  The stall clock is
+    :meth:`Progress.wait_until`'s, restarted by any scan that finds
+    ``nic.offload_progress`` moved, so a put still landing never stalls.
     """
     env = owner.env
     nic = owner.nic
     t0 = env.now
+    progress = nic.offload_progress
     while True:
         yield from owner.cpu.poll()
         cq = nic.cq
@@ -211,7 +214,10 @@ def wait_cq(owner, match: Callable[[RdmaCompletion], bool]) -> Generator:
             if match(completion):
                 del cq[i]
                 return completion
-        if env.now - t0 > CQ_STALL_LIMIT_NS:
+        if nic.offload_progress != progress:
+            progress = nic.offload_progress
+            t0 = env.now
+        elif env.now - t0 > CQ_STALL_LIMIT_NS:
             # Name what this NIC saw go wrong; guess at what it cannot see
             # (a dead peer or link, an unmatched region there) only if nothing.
             seen = (nic.corrupt_offload_packets, nic.corrupt_control_packets,

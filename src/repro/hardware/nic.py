@@ -226,6 +226,10 @@ class Nic:
         self.rdma_unmatched: int = 0
         #: Corrupt RDMA/collective packets dropped (fault injection only).
         self.corrupt_offload_packets: int = 0
+        #: One-sided chunks landed here plus completions posted here: it
+        #: only grows, and a completion wait that sees it move is not
+        #: stalled (:func:`repro.core.rdma.api.wait_cq`).
+        self.offload_progress: int = 0
 
     # -- wiring ------------------------------------------------------------
     def connect_tx(self, link: Link) -> None:
@@ -378,6 +382,7 @@ class Nic:
                          nbytes: int) -> None:
         self.cq.append(RdmaCompletion(kind, peer, rkey, op_id, nbytes,
                                       self.env.now))
+        self.offload_progress += 1
         if self._cq_waiters:
             waiters, self._cq_waiters = self._cq_waiters, []
             for event in waiters:
@@ -497,6 +502,7 @@ class Nic:
             region.write(packet.payload, header.roffset)
             self.rdma_write_packets += 1
             self.rdma_write_bytes += len(packet.payload)
+            self.offload_progress += 1
             packet.stamp(self._rdma_write_label, self.env.now)
             put = (header.src, header.msg_id)
             landed = self._open_writes.pop(put, 0) + len(packet.payload)
@@ -530,6 +536,7 @@ class Nic:
         pending.buffer.write(packet.payload,
                              pending.local_offset + header.roffset)
         pending.received += len(packet.payload)
+        self.offload_progress += 1
         packet.stamp(self._rdma_read_land_label, self.env.now)
         if obs is not None:
             obs.record(self._read_resp_site, t0, header.src, header.rkey,
@@ -667,6 +674,7 @@ class Nic:
                 yield from self.recv_dma.transfer(packet.wire_bytes)
                 state.buffer.write(packet.payload, header.roffset)
                 state.received += len(packet.payload)
+                self.offload_progress += 1
                 for child in children:
                     yield from self._fw_inject(self._bcast_packet(
                         state, child, header.seq, last_seq, header.roffset,

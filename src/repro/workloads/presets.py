@@ -13,7 +13,6 @@ from repro.bench.micro import MicroScenario
 from repro.dataflow.engine import PipelineScenario
 from repro.faults.plan import FaultPlan, NicStall
 from repro.workloads.apps import AllreduceScenario, HaloScenario
-from repro.workloads.rdma import RdmaScenario
 from repro.workloads.rpc_kind import RpcScenario
 
 #: Named scenarios the CLI (and the smoke tests) run out of the box.
@@ -93,12 +92,12 @@ PRESETS = {
         sample_interval_ns=250_000, slo_availability=0.99),
     "mpi-halo": HaloScenario(
         name="mpi-halo", iterations=30, halo_bytes=256, compute_ns=5_000),
-    # One-sided transport smoke: 40 pingpong rounds of 4 KB RDMA puts
-    # between two nodes.  The report's ``transport_errors`` section is
-    # the CI gate — any unmatched-region or corrupt-offload drop on any
-    # NIC fails the build.
-    "rdma-pingpong": RdmaScenario(
-        name="rdma-pingpong", n_nodes=2, iterations=40, req_bytes=4096),
+    # One-sided transport smoke: 40 ping-pong rounds of 4 KB RDMA puts
+    # between two nodes.  tests/golden checks that its NICs counted no
+    # unmatched-region or corrupt-offload drop.
+    "rdma-pingpong": MicroScenario(
+        name="rdma-pingpong", pattern="rdma-pingpong", iterations=40,
+        msg_bytes=4096),
     "mpi-allreduce": AllreduceScenario(
         name="mpi-allreduce", iterations=20, grad_bytes=4096,
         compute_ns=10_000),

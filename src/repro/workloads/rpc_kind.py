@@ -41,20 +41,17 @@ if TYPE_CHECKING:  # pragma: no cover
 def placement(scenario: "RpcScenario") -> tuple[list[int], list[int]]:
     """Node ids of ``(server nodes, client nodes)`` for an rpc scenario.
 
-    Ungrouped scenarios keep the legacy layout (servers on ``0..S-1``).
-    Grouped scenarios stripe servers across switch groups — server ``s``
-    lands in group ``s % G`` at within-group offset ``s // G`` — so every
-    group serves locally and trunk traffic reflects the balancer rather
-    than an accident of placement.  Shard ``i`` is the i-th server node in
+    Servers stripe across the ``G`` switch groups — server ``s`` lands in
+    group ``s % G`` at within-group offset ``s // G`` — so every group
+    serves locally and trunk traffic reflects the balancer rather than an
+    accident of placement.  An ungrouped fabric is one group, so its
+    servers sit on ``0..S-1``.  Shard ``i`` is the i-th server node in
     ascending id order.
     """
-    if scenario.partition_groups <= 0:
-        server_nodes = list(range(scenario.servers))
-    else:
-        g = scenario.partition_groups
-        npg = scenario.n_nodes // g
-        server_nodes = sorted(
-            (s % g) * npg + s // g for s in range(scenario.servers))
+    g = max(1, scenario.partition_groups)
+    npg = scenario.n_nodes // g
+    server_nodes = sorted(
+        (s % g) * npg + s // g for s in range(scenario.servers))
     owned = set(server_nodes)
     client_nodes = [i for i in range(scenario.n_nodes) if i not in owned]
     return server_nodes, client_nodes

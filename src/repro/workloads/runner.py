@@ -33,7 +33,6 @@ from repro.obs.observer import Observer
 from repro.obs.slo import evaluate_slos
 from repro.scenario import Scenario
 from repro.workloads.apps import AllreduceScenario, HaloScenario
-from repro.workloads.rdma import RdmaScenario
 from repro.workloads.rpc_kind import RpcScenario
 
 #: Workload kind -> its scenario class.  A new kind is one class beside its
@@ -43,7 +42,6 @@ KINDS = {
     "halo": HaloScenario,
     "allreduce": AllreduceScenario,
     "pipeline": PipelineScenario,
-    "rdma": RdmaScenario,
     "micro": MicroScenario,
 }
 

@@ -77,6 +77,20 @@ def test_rdma_puts_under_a_nic_stall():
     assert stalled["faults"]["events"] == 19
 
 
+def test_the_put_pingpong_under_a_nic_stall_and_an_observer():
+    """Node 1's NIC stalls the first 17 packets it handles: the 40 round
+    trips read 3.56 us slower one way, observed or not."""
+    pingpong = PRESETS["rdma-pingpong"]
+    stalled = run_scenario(pingpong, plan=stall(1, 600_000))
+    assert stalled["results"] == {"one_way_latency_us": 72.030575,
+                                  "round_trips": 40}
+    assert stalled["faults"]["events"] == 17
+    observed = execute_scenario(pingpong, plan=stall(1, 600_000),
+                                observe=True)
+    assert len(observed.observer) > 0
+    assert observed.report == stalled
+
+
 def test_a_nic_barrier_under_a_nic_stall_and_an_observer():
     barrier = replace(PRESETS["pingpong-fm2"], pattern="nic-barrier",
                       n_nodes=8)
@@ -90,7 +104,8 @@ def test_a_nic_barrier_under_a_nic_stall_and_an_observer():
 
 #: case -> (preset, fields, result field, the exact value the driver each
 #: pattern replaced returned): collectives over 8 nodes, 10 rounds, a 4 KB
-#: broadcast; a 512 B alltoall over 8 nodes; 40 puts of 4 KB.
+#: broadcast; a 512 B alltoall over 8 nodes; 40 puts of 4 KB; 40 round
+#: trips of a 4 KB put each way.
 PINNED = {
     "nic-barrier": ("pingpong-fm2", {"n_nodes": 8, "msg_bytes": 4096,
                                      "iterations": 10}, "latency_ns",
@@ -109,6 +124,8 @@ PINNED = {
                          "completion_us", 238.434),
     "rdma-stream": ("stream-fm2", {"msg_bytes": 4096}, "bandwidth_mbs",
                     93.62323163578368),
+    "rdma-pingpong": ("pingpong-fm2", {"msg_bytes": 4096, "iterations": 40},
+                      "one_way_latency_us", 68.469),
 }
 
 

@@ -5,8 +5,9 @@ One-sided and NIC-offloaded traffic has no credit ledger and no handler
 to notice a lost packet; the only thing that notices is the completion
 wait.  Under a :class:`~repro.faults.LinkFault` that drops every packet,
 each wait must end in a named :class:`RdmaStalledError` once it has
-waited past :data:`CQ_STALL_LIMIT_NS` (checked at most one
-:data:`IDLE_WAIT_CAP_NS` sleep later), never in a hang.  Under bit errors
+gone :data:`CQ_STALL_LIMIT_NS` without the NIC landing a chunk or posting
+a completion (checked at most one :data:`IDLE_WAIT_CAP_NS` sleep later),
+never in a hang; a wait whose bytes are still landing is not stalled.  Under bit errors
 the error names what the waiting NIC counted instead of guessing at a
 dead peer.  A :class:`~repro.faults.NicStall` only delays: a short one
 slows a get or a barrier down, and one longer than the wait limit reads
@@ -14,6 +15,7 @@ as a dead peer, because no NIC counted anything wrong.
 """
 
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -23,6 +25,8 @@ from repro.core.common import IDLE_WAIT_CAP_NS
 from repro.core.rdma import NicCollectives, RdmaEndpoint
 from repro.core.rdma.api import CQ_STALL_LIMIT_NS, RdmaStalledError
 from repro.faults import FaultPlan, LinkFault, NicStall
+from repro.workloads.presets import PRESETS
+from repro.workloads.runner import run_scenario
 
 
 def dead_link_cluster(n, link):
@@ -354,3 +358,16 @@ def test_a_nic_stalled_past_the_wait_limit_reads_as_a_dead_peer(operation):
     assert ("(dead peer or unmatched region?; corrupt offload packets 0, "
             "corrupt control packets 0, 0 B landed without a completion, "
             "unmatched drops 0)") in str(failure.value)
+
+
+def test_a_put_still_landing_is_not_stalled(monkeypatch):
+    """The stall clock counts time without progress, not the whole wait:
+    with the limit at 50 us, one 64 KB put on a clean fabric takes longer
+    than that to land, but each scan finds new chunks landed, so the
+    target's wait runs to the completion."""
+    monkeypatch.setattr("repro.core.rdma.api.CQ_STALL_LIMIT_NS", 50_000)
+    puts = replace(PRESETS["stream-fm2"], pattern="rdma-stream",
+                   msg_bytes=65_536, n_requests=1)
+    result = run_scenario(puts)["results"]
+    assert result["elapsed_ns"] > 50_000
+    assert result["n_messages"] == 1

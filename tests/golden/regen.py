@@ -56,8 +56,8 @@ GOLDEN_DIR = Path(__file__).resolve().parent
 SPEC_DIR = GOLDEN_DIR.parents[1] / "perfbench" / "specs"
 SLOW = frozenset({"rpc-aggregate-100k"})
 #: The golden holding the observed-export digests, and the cases it covers
-#: (one per workload kind that records spans, plus the perfbench spec the
-#: observer's cost is measured on).
+#: (one per workload kind that records spans, ``rdma-pingpong`` the micro
+#: kind's, plus the perfbench spec the observer's cost is measured on).
 OBS_DIGESTS = "obs.digests"
 OBS_CASES = ("rpc-sharded", "dataflow-rollup", "mpi-halo", "rdma-pingpong",
              "spec.rpc_uniform")

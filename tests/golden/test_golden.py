@@ -15,7 +15,9 @@ import json
 
 import pytest
 
+from repro.workloads import presets
 from repro.workloads.run import main
+from repro.workloads.runner import execute_scenario
 
 from tests.golden import regen
 
@@ -51,12 +53,15 @@ def test_paper_figures_match_golden():
 
 
 def test_rdma_pingpong_report_is_a_clean_transport_run():
-    # The report is the golden (test_report_matches_golden), so reading the
-    # file is reading the run: 40 rounds of a 4 KB put each way, no errors.
-    results = json.loads(regen.golden_text("rdma-pingpong"))["results"]
-    assert results["transport_errors"]["total"] == 0
-    assert results["rounds"] == 40
-    assert results["put_bytes"] == 40 * 2 * 4096
+    """40 rounds of a 4 KB put each way, and neither NIC dropped an
+    unmatched or corrupt one-sided packet."""
+    outcome = execute_scenario(presets.PRESETS["rdma-pingpong"])
+    assert outcome.report["results"] == {"one_way_latency_us": 68.469,
+                                         "round_trips": 40}
+    nics = [node.nic for node in outcome.cluster.nodes]
+    assert sum(nic.rdma_unmatched for nic in nics) == 0
+    assert sum(nic.corrupt_offload_packets for nic in nics) == 0
+    assert sum(nic.rdma_write_bytes for nic in nics) == 40 * 2 * 4096
 
 
 def test_every_case_has_a_golden_and_every_golden_a_case():

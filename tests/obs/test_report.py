@@ -158,7 +158,7 @@ class TestCli:
                  if scenario.kind == "micro"}
         assert micro == {
             "journey-fm1", "journey-fm2", "stream-fm1", "stream-fm2",
-            "pingpong-fm2", "mpi-stream-fm2",
+            "pingpong-fm2", "mpi-stream-fm2", "rdma-pingpong",
         }
 
     def test_waterfall_cli_on_a_preset(self, capsys):

@@ -37,7 +37,6 @@ READS = {
     "pipeline": ARRIVAL | {
         "pipeline", "n_sources", "branches", "window_ns", "window_slide_ns",
         "partition_by", "stage_placement", "sink_work_ns"},
-    "rdma": {"req_bytes"},
     "micro": {"pattern", "msg_bytes"},
 }
 
@@ -56,7 +55,7 @@ class TestKindsTable:
             assert cls.__dataclass_fields__["kind"].default == kind
         assert {kind: len(fields(cls)) for kind, cls in KINDS.items()} == {
             "rpc": 39, "halo": 16, "allreduce": 16, "pipeline": 26,
-            "rdma": 10, "micro": 11}
+            "micro": 11}
 
     @pytest.mark.parametrize("name", list(regen.cases()))
     def test_reported_fields_match_the_golden(self, name):
@@ -148,6 +147,9 @@ class TestValidationAtConstruction:
         ("stream-fm1", {"pattern": "link-stream", "n_nodes": 4}),
         ("stream-fm2", {"pattern": "pair-streams", "n_nodes": 3}),
         ("pingpong-fm2", {"pattern": "chain-pingpong", "n_nodes": 5}),
+        # So does the put ping-pong.
+        ("rdma-pingpong", {"msg_bytes": 0}),
+        ("rdma-pingpong", {"fm_version": 1}),
     ])
     def test_bad_values_fail_before_anything_is_built(self, base, overrides):
         field = list(overrides)[-1]
