@@ -9,17 +9,12 @@ receive region fills, credit returns stop, and upstream senders stall in
 hop, with no new protocol machinery (the paper's layering argument applied
 to a continuous-processing workload).
 
-Entry points:
+Entry points (the package re-exports nothing; import the submodule):
 
-* :func:`~repro.dataflow.graph.StreamGraph` / ``Stream`` — build the DAG.
+* :class:`~repro.dataflow.graph.StreamGraph` / ``Stream`` — build the DAG.
 * :func:`~repro.dataflow.engine.run_pipeline` — place, wire, run, report.
 * :class:`~repro.dataflow.engine.PipelineScenario` (``kind="pipeline"``)
   — the workload-layer integration, run by
   :mod:`repro.workloads.runner` (presets ``dataflow-rollup``,
   ``dataflow-scatter-gather``).
 """
-
-from repro.dataflow.graph import Stream, StreamGraph
-from repro.dataflow.engine import build_pipeline_graph, run_pipeline
-
-__all__ = ["Stream", "StreamGraph", "build_pipeline_graph", "run_pipeline"]

@@ -244,9 +244,6 @@ class PipelineScenario(ArrivalFields):
     stage_placement: str = "spread"  # spread | colocate
     sink_work_ns: int = 0            # per-record sink demand
 
-    #: Source arrival gaps and record keys are numpy streams.
-    uses_numpy = True
-
     def __post_init__(self) -> None:
         super().__post_init__()
         s = self

@@ -64,12 +64,7 @@ from repro.dataflow.records import (
 from repro.dataflow.stats import PipelineStats, StageStats
 
 from repro.simkernel.store import Store
-
-# repro.workloads.arrivals is imported lazily inside SourceRuntime.run:
-# importing it at module level would pull repro.workloads.__init__ (and
-# with it the scenario runner, which imports this package) into every
-# ``import repro.dataflow`` — a circular import when the dataflow side
-# loads first.
+from repro.workloads.arrivals import client_rng, gap_stream
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
@@ -280,8 +275,6 @@ class SourceRuntime(StageRuntime):
         self.n_keys = n_keys
 
     def run(self) -> Generator:
-        from repro.workloads.arrivals import client_rng, gap_stream
-
         env = self.env
         name = self.spec.name
         gaps = gap_stream(self.arrivals, self.seed, name)

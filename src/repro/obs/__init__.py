@@ -26,7 +26,12 @@ class capability of the simulator for arbitrary traffic:
   observed run (``python -m repro.workloads.run <preset> --breakdown``),
   plus per-request waterfalls / critical paths for traced rpc scenarios.
 
+The package re-exports nothing: a run loads the modules it uses
+(``Cluster.observe`` imports only the observer and its metrics).
+
 Quickstart::
+
+    from repro.obs.export import export_trace
 
     cluster = Cluster(2, machine=PPRO_FM2, fm_version=2)
     obs = cluster.observe()            # attach; instrumentation wakes up
@@ -34,46 +39,3 @@ Quickstart::
     export_trace(obs, "out/run.json")  # -> ui.perfetto.dev
     print(obs.metrics.histogram("packet.latency_ns").p99)
 """
-
-from repro.obs.export import (
-    dumps_deterministic,
-    distinct_tracks,
-    export_trace,
-    flow_pid_pairs,
-    trace_events,
-    validate_trace_events,
-)
-from repro.obs.metrics import Metrics, Reservoir
-from repro.obs.observer import Observer
-from repro.obs.slo import BurnRateDetector, SloEvent, SloSpec, evaluate_slos
-from repro.obs.span import LAYER_ORDER, Span, TraceContext
-from repro.obs.timeseries import (
-    GaugeSeries,
-    QuantileSeries,
-    RateSeries,
-    TimeSeriesBank,
-)
-
-__all__ = [
-    "BurnRateDetector",
-    "GaugeSeries",
-    "LAYER_ORDER",
-    "Metrics",
-    "Observer",
-    "QuantileSeries",
-    "RateSeries",
-    "Reservoir",
-    "SloEvent",
-    "SloSpec",
-    "Span",
-    "TimeSeriesBank",
-    "TraceContext",
-    "distinct_tracks",
-    "dumps_deterministic",
-    "evaluate_slos",
-    "export_trace",
-    "flow_pid_pairs",
-    "trace_events",
-    "validate_trace_events",
-]
-

@@ -2,8 +2,9 @@
 share.
 
 A scenario is pure data: one frozen dataclass per workload kind, declaring
-only the fields that kind reads (``repro.workloads.runner.KINDS`` maps a
-kind name to its class).  What the kinds share lives here, below both the
+only the fields that kind reads (``repro.workloads.runner.KINDS`` names the
+module and class of each kind, imported when :meth:`Scenario.from_dict`
+parses a spec of that kind).  What the kinds share lives here, below both the
 runner and :mod:`repro.dataflow.engine`, so each kind's class sits beside
 its mechanism.  A field a kind's class lacks is a ``TypeError`` from the
 constructor (and ``dataclasses.replace``) and a ``ValueError`` naming the
@@ -15,6 +16,7 @@ failure inside a built cluster.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from importlib import import_module
 from typing import Optional, get_type_hints
 
 from repro.configs import PPRO_FM2, SPARC_FM1
@@ -58,8 +60,9 @@ class Scenario:
     iterations: int = 50
     until_ns: Optional[int] = None   # run guard: TimeoutError past it
 
-    #: Whether this kind's runs draw from numpy (see :meth:`preload`).
-    uses_numpy = False
+    #: The modules this kind's runs import that its own module does not
+    #: (numpy's, which only a draw or an array imports): see :meth:`preload`.
+    preloads = ()
 
     def __post_init__(self) -> None:
         own = type(self).__dataclass_fields__["kind"].default
@@ -104,16 +107,14 @@ class Scenario:
         before validation proper — not an object, a field its kind lacks,
         no ``name``, a value of the wrong type — is a ``ValueError`` that
         names it."""
-        from repro.workloads.runner import KINDS  # the kinds subclass this
+        from repro.workloads.runner import kind_class  # kinds subclass this
 
         if not isinstance(spec, dict):
             raise ValueError("a scenario spec is a JSON object of Scenario "
                              f"fields, got a {type(spec).__name__}")
         kind = spec.get("kind", "rpc")
-        if not isinstance(kind, str) or kind not in KINDS:
-            raise ValueError(f"kind must be one of {tuple(KINDS)}, "
-                             f"got {kind!r}")
-        hints = get_type_hints(KINDS[kind])
+        cls = kind_class(kind)
+        hints = get_type_hints(cls)
         unknown = set(spec) - set(hints)
         if unknown:
             raise ValueError(f"unknown scenario fields: {sorted(unknown)} "
@@ -125,17 +126,17 @@ class Scenario:
             if (not isinstance(value, types)
                     or (isinstance(value, bool) and bool not in types)):
                 raise ValueError(f"{key} must be {what}, got {value!r}")
-        scenario = KINDS[kind](**spec)
+        scenario = cls(**spec)
         scenario.preload()
         return scenario
 
     def preload(self) -> None:
-        """Import numpy now if this kind's runs draw from it or fill
-        arrays: otherwise the import lands on the run's first draw, and a
-        caller that times set-up and run apart (``perfbench``,
-        ``*.runinfo.json``) would book it to the run."""
-        if self.uses_numpy:
-            import numpy  # noqa: F401
+        """Import everything this kind's runs import, now: otherwise an
+        import lands on the run's first draw, and a caller that times
+        set-up and run apart (``perfbench``, ``*.runinfo.json``) would book
+        it to the run."""
+        for module in self.preloads:
+            import_module(module)
 
 
 @dataclass(frozen=True)
@@ -154,6 +155,9 @@ class ArrivalFields(Scenario):
     n_keys: int = 512                # request key universe per client
     queue_capacity: int = 16
     extract_budget: Optional[int] = None   # receiver flow control
+
+    #: Arrival gaps and request / record keys are numpy streams.
+    preloads = ("numpy.random",)
 
     def __post_init__(self) -> None:
         super().__post_init__()

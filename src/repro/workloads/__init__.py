@@ -12,30 +12,8 @@ overload policy (:mod:`~repro.workloads.rpc`), miniature MPI applications
 Determinism contract: a report is a pure function of its scenario spec
 (and optional fault plan); observation and fault hooks compose through
 the standard ``Cluster.observe()`` / ``Cluster.inject_faults()`` pattern.
+
+The package re-exports nothing: import the submodule you use, so that a
+process running one kind (or only raw FM, through the runner) compiles no
+other.
 """
-
-from repro.workloads.arrivals import (ArrivalSpec, Bursty, ClosedLoop,
-                                      OpenLoop, client_rng, gap_stream)
-from repro.workloads.replication import (ReplicatedClient,
-                                         ReplicatedDirectory, ShardHealth,
-                                         ShardSupervisor)
-from repro.workloads.rpc import (RPC_EXPIRED, RPC_OK, RPC_SHED, RpcClient,
-                                 RpcEndpoint, RpcServer)
-from repro.workloads.runner import Scenario, run_scenario
-from repro.workloads.presets import PRESET_PLANS, PRESETS
-from repro.workloads.sharding import (HashRing, ShardDirectory,
-                                      ShardedClient)
-from repro.obs.metrics import Reservoir
-from repro.workloads.stats import WorkloadStats
-
-__all__ = [
-    "ArrivalSpec", "Bursty", "ClosedLoop", "OpenLoop", "client_rng",
-    "gap_stream",
-    "ReplicatedClient", "ReplicatedDirectory", "ShardHealth",
-    "ShardSupervisor",
-    "RPC_EXPIRED", "RPC_OK", "RPC_SHED", "RpcClient", "RpcEndpoint",
-    "RpcServer",
-    "PRESET_PLANS", "PRESETS", "Scenario", "run_scenario",
-    "HashRing", "ShardDirectory", "ShardedClient",
-    "Reservoir", "WorkloadStats",
-]

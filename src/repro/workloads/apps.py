@@ -167,4 +167,4 @@ class AllreduceScenario(MpiScenario):
 
     program = staticmethod(allreduce_program)
     payload_field = "grad_bytes"
-    uses_numpy = True
+    preloads = ("numpy",)

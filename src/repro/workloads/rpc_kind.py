@@ -171,9 +171,6 @@ class RpcScenario(ArrivalFields, TelemetryFields):
     # n_requests is per simulated client.
     population: int = 0
 
-    #: Arrival gaps and request keys are numpy streams.
-    uses_numpy = True
-
     def __post_init__(self) -> None:
         super().__post_init__()
         s = self

@@ -3,11 +3,13 @@
 A scenario is pure data: one frozen dataclass per workload kind, declaring
 only the fields that kind reads, all subclasses of
 :class:`~repro.scenario.Scenario` (JSON-round-trippable via
-:meth:`Scenario.from_dict` / ``dataclasses.asdict``).  :data:`KINDS` maps a
-kind name to its class; each class lives beside its mechanism, documents
-its own fields, validates itself in ``__post_init__`` and owns everything
-kind-specific: ``build_stats(env)``, ``run(cluster, stats) -> extra report
-sections`` and whether its runs use numpy (``uses_numpy``).
+:meth:`Scenario.from_dict` / ``dataclasses.asdict``).  :data:`KINDS` names
+the module and class of each kind, and :func:`kind_class` imports one when
+a spec of that kind is parsed, so importing the runner loads no kind; each
+class lives beside its mechanism, documents its own fields, validates
+itself in ``__post_init__`` and owns everything kind-specific:
+``build_stats(env)``, ``run(cluster, stats) -> extra report sections`` and
+the modules its runs import beyond its own (``preloads``).
 :func:`execute_scenario` is one straight line for every kind: build the
 cluster, compose the optional :class:`~repro.faults.plan.FaultPlan` and
 observer (the standard ``Cluster.inject_faults`` / ``Cluster.observe``
@@ -23,27 +25,34 @@ report is pinned under ``tests/golden/``.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from importlib import import_module
 from typing import Optional
 
-from repro.bench.micro import MicroScenario
 from repro.cluster.cluster import Cluster
-from repro.dataflow.engine import PipelineScenario
 from repro.obs.metrics import RunStats
 from repro.obs.observer import Observer
 from repro.obs.slo import evaluate_slos
 from repro.scenario import Scenario
-from repro.workloads.apps import AllreduceScenario, HaloScenario
-from repro.workloads.rpc_kind import RpcScenario
 
-#: Workload kind -> its scenario class.  A new kind is one class beside its
-#: mechanism and one line here.
+#: Workload kind -> the module and name of its scenario class.  A new kind
+#: is one class beside its mechanism and one line here.
 KINDS = {
-    "rpc": RpcScenario,
-    "halo": HaloScenario,
-    "allreduce": AllreduceScenario,
-    "pipeline": PipelineScenario,
-    "micro": MicroScenario,
+    "rpc": ("repro.workloads.rpc_kind", "RpcScenario"),
+    "halo": ("repro.workloads.apps", "HaloScenario"),
+    "allreduce": ("repro.workloads.apps", "AllreduceScenario"),
+    "pipeline": ("repro.dataflow.engine", "PipelineScenario"),
+    "micro": ("repro.bench.micro", "MicroScenario"),
 }
+
+
+def kind_class(kind) -> type[Scenario]:
+    """The scenario class of ``kind``, imported now: a process loads only
+    the kinds it parses a spec of."""
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ValueError(f"kind must be one of {tuple(KINDS)}, "
+                         f"got {kind!r}")
+    module, name = KINDS[kind]
+    return getattr(import_module(module), name)
 
 
 @dataclass

@@ -2,9 +2,11 @@
 
 ``src/`` never imports networkx, and imports numpy only where a random
 stream or an array is made — so ``import repro``, a ``Cluster``, raw FM and
-RDMA / NIC-collective runs load neither.  The scenario kinds that do draw
-from numpy have it loaded by the time ``Scenario.from_dict`` returns (set-up,
-where ``perfbench`` counts it), not at the first draw of the run.
+RDMA / NIC-collective runs load neither.  The scenario runner loads no kind:
+``Scenario.from_dict`` imports the kind it parses, and everything that
+kind's runs import (numpy and ``numpy.random`` for those that draw from it),
+so a run imports nothing at its first draw that set-up (where ``perfbench``
+counts it) did not.
 
 ``sys.modules`` is process-wide and pytest itself has numpy loaded by now, so
 every check runs in a fresh interpreter.
@@ -16,9 +18,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+
+from repro.workloads.presets import PRESETS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -103,20 +108,46 @@ def test_raw_fm_and_rdma_load_neither_numpy_nor_networkx():
         assert modules == {"numpy": False, "networkx": False}, step
 
 
+RUNNER = """
+import json, sys
+import repro.workloads.runner
+print(json.dumps(sorted(name for name in sys.modules if name.startswith(
+    ("repro.dataflow", "repro.bench", "repro.faults", "repro.workloads.")))))
+"""
+
+
+def test_the_runner_loads_no_kind():
+    """The kinds (rpc and its services, the dataflow engine, the bench
+    drivers) load when a spec of theirs is parsed, and fault injection when
+    a plan is composed: a run of one kind compiles no other."""
+    assert fresh_interpreter(RUNNER) == ["repro.workloads.runner"]
+
+
+#: A preset's spec (JSON, the argument) is parsed and run in a fresh
+#: interpreter, scaled to 8 requests / rounds: a run imports at its first
+#: draw or not at all.
 SCENARIO = """
 import json, sys
-from dataclasses import asdict
-from repro.workloads.presets import PRESETS
 from repro.workloads.runner import Scenario, execute_scenario
 """ + LOADED + """
+def imported():
+    return {name for name in sys.modules if name.startswith(
+        ("repro.", "numpy"))}
+
 facts = {"imported": loaded()}
-scenario = Scenario.from_dict(asdict(PRESETS[sys.argv[1]]))
+scenario = Scenario.from_dict(json.loads(sys.argv[1]))
 facts["parsed"] = loaded()
-if sys.argv[2] == "run":
-    execute_scenario(scenario)
-    facts["ran"] = loaded()
+before = imported()
+execute_scenario(scenario)
+facts["ran"] = loaded()
+facts["run imports"] = sorted(imported() - before)
 print(json.dumps(facts))
 """
+
+
+def scenario_facts(preset: str) -> dict:
+    spec = {**asdict(PRESETS[preset]), "n_requests": 8, "iterations": 8}
+    return fresh_interpreter(SCENARIO, json.dumps(spec))
 
 
 @pytest.mark.parametrize("preset", ["rpc-open", "dataflow-rollup",
@@ -124,17 +155,21 @@ print(json.dumps(facts))
 def test_kinds_that_use_numpy_load_it_while_the_spec_is_parsed(preset):
     """Arrival gaps and keys (rpc, pipeline) and the float32 gradient
     (allreduce): importing the runner loads nothing, ``from_dict`` loads
-    numpy — before any ``execute_scenario``."""
-    facts = fresh_interpreter(SCENARIO, preset, "parse")
+    numpy — and ``numpy.random`` for the kinds that draw — so the run
+    imports nothing of ``repro`` or numpy."""
+    facts = scenario_facts(preset)
     assert facts["imported"] == {"numpy": False, "networkx": False}
     assert facts["parsed"] == {"numpy": True, "networkx": False}
+    assert facts["run imports"] == []
 
 
 @pytest.mark.parametrize("preset", ["rdma-pingpong", "mpi-halo"])
 def test_kinds_that_never_touch_numpy_never_load_it(preset):
     """One-sided puts and the halo exchange move ``bytes``: not while the
-    spec is parsed, and not by the end of the run either."""
-    facts = fresh_interpreter(SCENARIO, preset, "run")
+    spec is parsed, and not by the end of the run either; the run imports
+    nothing the parse did not."""
+    facts = scenario_facts(preset)
+    assert facts.pop("run imports") == []
     assert len(facts) == 3
     for step, modules in facts.items():
         assert modules == {"numpy": False, "networkx": False}, step

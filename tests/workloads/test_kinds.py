@@ -1,5 +1,6 @@
 """The ``KINDS`` table is the scenario runner's contract: every preset
-runs through it, each kind's class declares exactly the fields its run
+runs through it (a kind's class is reached through ``kind_class``, which
+imports it), each kind's class declares exactly the fields its run
 reads, and everything a scenario can get wrong is refused before a
 cluster is built — a field the kind lacks is a ``TypeError`` from the
 class (a ``ValueError`` naming the field and the kind from
@@ -14,7 +15,7 @@ import pytest
 
 from repro.obs.export import dumps_deterministic
 from repro.workloads.presets import PRESET_DESCRIPTIONS, PRESETS
-from repro.workloads.runner import KINDS, Scenario
+from repro.workloads.runner import KINDS, Scenario, kind_class
 
 from tests.golden import regen
 
@@ -50,12 +51,23 @@ class TestKindsTable:
         assert golden_kinds == set(KINDS)
 
     def test_each_kind_declares_exactly_the_fields_it_reads(self):
-        for kind, cls in KINDS.items():
+        for kind in KINDS:
+            cls = kind_class(kind)
             assert {f.name for f in fields(cls)} == BASE | READS[kind], kind
             assert cls.__dataclass_fields__["kind"].default == kind
-        assert {kind: len(fields(cls)) for kind, cls in KINDS.items()} == {
+        assert {kind: len(fields(kind_class(kind))) for kind in KINDS} == {
             "rpc": 39, "halo": 16, "allreduce": 16, "pipeline": 26,
             "micro": 11}
+
+    @pytest.mark.parametrize("kind", ["batch", "RPC", 7, None])
+    def test_an_unknown_kind_names_every_kind(self, kind):
+        message = re.escape(
+            "kind must be one of ('rpc', 'halo', 'allreduce', 'pipeline', "
+            f"'micro'), got {kind!r}")
+        with pytest.raises(ValueError, match=message):
+            kind_class(kind)
+        with pytest.raises(ValueError, match=message):
+            Scenario.from_dict({"name": "x", "kind": kind})
 
     @pytest.mark.parametrize("name", list(regen.cases()))
     def test_reported_fields_match_the_golden(self, name):
