@@ -57,10 +57,11 @@ SPEC_DIR = GOLDEN_DIR.parents[1] / "perfbench" / "specs"
 SLOW = frozenset({"rpc-aggregate-100k"})
 #: The golden holding the observed-export digests, and the cases it covers
 #: (one per workload kind that records spans, ``rdma-pingpong`` the micro
-#: kind's, plus the perfbench spec the observer's cost is measured on).
+#: kind's, ``rpc-open`` a one-server service's, plus the perfbench spec the
+#: observer's cost is measured on).
 OBS_DIGESTS = "obs.digests"
-OBS_CASES = ("rpc-sharded", "dataflow-rollup", "mpi-halo", "rdma-pingpong",
-             "spec.rpc_uniform")
+OBS_CASES = ("rpc-sharded", "rpc-open", "dataflow-rollup", "mpi-halo",
+             "rdma-pingpong", "spec.rpc_uniform")
 
 #: The golden pinning the MPI-over-FM receive path, and its axes:
 #: ``{binding: (fm_version, binding_cls, costs)}`` (``None`` = the
