@@ -41,14 +41,8 @@ from typing import Generator, Iterator, Optional, Sequence
 
 from repro.obs.slo import BurnRateDetector, SloSpec, window_counts
 
-from repro.workloads.arrivals import ArrivalSpec
-from repro.workloads.rpc import RPC_OK, RpcEndpoint
-from repro.workloads.sharding import (
-    Balancer,
-    HashRing,
-    ShardDirectory,
-    ShardedClient,
-)
+from repro.workloads.rpc import RPC_OK, RpcClient, RpcEndpoint
+from repro.workloads.sharding import Balancer, HashRing, ShardDirectory
 from repro.workloads.stats import WorkloadStats
 
 #: Probe request payload (bytes): small, but real traffic on the wire.
@@ -143,9 +137,9 @@ class ReplicatedDirectory(ShardDirectory):
                 f"R={self.replicas}>")
 
 
-class ReplicatedClient(ShardedClient):
-    """A :class:`ShardedClient` that routes to live replicas and fails
-    timed-out requests over to the next one.
+class ReplicatedClient(RpcClient):
+    """An :class:`~repro.workloads.rpc.RpcClient` that routes to live
+    replicas and fails timed-out requests over to the next one.
 
     Per request: route to the first *live* replica of the key (health
     map), count it in-flight, and arm a ``failover_timeout_ns`` clock
@@ -156,24 +150,16 @@ class ReplicatedClient(ShardedClient):
     preferring live ones.  Only when every replica has been tried does
     the request fall back to the plain abandon rule; ``completed +
     drops == sent`` stays an invariant across any number of retries.
+    Every other keyword argument is :class:`RpcClient`'s.
     """
 
-    def __init__(self, endpoint: RpcEndpoint,
-                 service: ReplicatedDirectory,
+    def __init__(self, endpoint: RpcEndpoint, service: ReplicatedDirectory,
                  balancer: Balancer, keys: Iterator[int], *,
-                 failover_timeout_ns: int, arrivals: ArrivalSpec, seed: int,
-                 n_requests: int, req_bytes: int = 64, work_ns: int = 0,
-                 deadline_ns: int = 0,
-                 abandon_after_ns: Optional[int] = None,
-                 name: str = "client"):
+                 failover_timeout_ns: int, **client):
         if failover_timeout_ns <= 0:
             raise ValueError(f"failover_timeout_ns must be positive, "
                              f"got {failover_timeout_ns}")
-        super().__init__(endpoint, service, balancer, keys,
-                         arrivals=arrivals, seed=seed, n_requests=n_requests,
-                         req_bytes=req_bytes, work_ns=work_ns,
-                         deadline_ns=deadline_ns,
-                         abandon_after_ns=abandon_after_ns, name=name)
+        super().__init__(endpoint, service, balancer, keys, **client)
         self.failover_timeout_ns = failover_timeout_ns
         #: req_id -> (key, tried shards, wire deadline, intended arrival).
         self._routes: dict[int, tuple[int, tuple[int, ...], int,
@@ -182,13 +168,9 @@ class ReplicatedClient(ShardedClient):
     def _issue(self, deadline_ns: int,
                t_intended: Optional[int] = None) -> Generator:
         key = next(self._keys)
-        replicas = self.service.replica_set(key)
-        shard = self.service.health.first_live(replicas)
-        self.balancer.note_issued(shard)
-        req_id, event = yield from self.endpoint.send_request(
-            self.service.shard_nodes[shard], self.work_ns, self.req_bytes,
-            deadline_ns=deadline_ns, t_intended=t_intended, shard=shard,
-            key=key)
+        shard = self.service.health.first_live(self.service.replica_set(key))
+        req_id, event = yield from self._send_to(shard, key, deadline_ns,
+                                                 t_intended)
         self._routes[req_id] = (key, (shard,), deadline_ns, t_intended)
         return req_id, event
 
@@ -233,12 +215,9 @@ class ReplicatedClient(ShardedClient):
                 self._routes.pop(req_id, None)
                 return
             self._routes.pop(req_id)
-            self.balancer.note_issued(nxt)
             t_sent = env.now
-            req_id, event = yield from endpoint.send_request(
-                self.service.shard_nodes[nxt], self.work_ns, self.req_bytes,
-                deadline_ns=deadline_ns, t_intended=t_intended, shard=nxt,
-                key=key, retry=True)
+            req_id, event = yield from self._send_to(
+                nxt, key, deadline_ns, t_intended, retry=True)
             self._routes[req_id] = (key, tried + (nxt,), deadline_ns,
                                     t_intended)
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 import struct
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Iterator, Optional
 
 from repro.hardware.memory import Buffer
 from repro.hardware.packet import Site
@@ -56,6 +56,7 @@ from repro.workloads.stats import WorkloadStats
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
     from repro.obs.span import TraceContext
+    from repro.workloads.sharding import Balancer, ShardDirectory
 
 #: Response status codes.
 RPC_OK = 0
@@ -118,8 +119,9 @@ class RpcEndpoint:
                                   "req_id", "status", "shard", "key")
         self._serve_site = Site("app", "rpc.serve", track, "req_id", "src", "status")
         #: Client side: req_id -> (intended arrival ns, completion event,
-        #: shard index or None for unsharded traffic, minted trace context
-        #: or None when unobserved, actual send time ns, routing key).
+        #: shard index, minted trace context or None when unobserved,
+        #: actual send time ns, routing key).  Shard and key are None only
+        #: for the supervisor's probes.
         self.pending: dict[
             int, tuple[int, object, Optional[int],
                        Optional["TraceContext"], int, Optional[int]]] = {}
@@ -380,7 +382,7 @@ class RpcServer:
                  workers: int = 2, queue_capacity: int = 16,
                  policy: str = "queue", resp_bytes: int = 64,
                  extract_budget: Optional[int] = None,
-                 shard: Optional[int] = None):
+                 shard: int = 0):
         if policy not in VALID_POLICIES:
             raise ValueError(f"policy must be one of {VALID_POLICIES}, "
                              f"got {policy!r}")
@@ -396,9 +398,8 @@ class RpcServer:
         self.policy = policy
         self.resp_bytes = resp_bytes
         self.extract_budget = extract_budget
-        #: Shard index when this server is one shard of a sharded service
-        #: (labels the queue-side stats; client-side accounting tags
-        #: itself).
+        #: This server's shard index (labels the queue-side stats;
+        #: client-side accounting tags itself).
         self.shard = shard
         self.queue: Store = Store(self.env, capacity=queue_capacity,
                                   name=f"rpc.queue@{self.node.node_id}")
@@ -492,9 +493,13 @@ class RpcClient:
     ``n_requests`` and returns once every one is resolved (responded or
     abandoned).  A companion pump process
     (:meth:`RpcEndpoint.pump_responses`) extracts responses concurrently.
+    Each request goes to the shard of ``service`` that the balancer picks
+    for the next key (a single server is a one-shard service) and stays
+    in flight until ``on_resolved`` returns its credit, exactly once.
     """
 
-    def __init__(self, endpoint: RpcEndpoint, server: int, *,
+    def __init__(self, endpoint: RpcEndpoint, service: "ShardDirectory",
+                 balancer: "Balancer", keys: Iterator[int], *,
                  arrivals: ArrivalSpec, seed: int, n_requests: int,
                  req_bytes: int = 64, work_ns: int = 0,
                  deadline_ns: int = 0,
@@ -502,9 +507,14 @@ class RpcClient:
                  name: str = "client"):
         if n_requests < 1:
             raise ValueError(f"n_requests must be positive, got {n_requests}")
+        if balancer.n_shards != service.n_shards:
+            raise ValueError(
+                f"balancer covers {balancer.n_shards} shards, service has "
+                f"{service.n_shards}")
         self.endpoint = endpoint
         self.env = endpoint.env
-        self.server = server
+        self.service = service
+        self.balancer = balancer
         self.arrivals = arrivals
         self.n_requests = n_requests
         self.req_bytes = req_bytes
@@ -512,8 +522,10 @@ class RpcClient:
         self.deadline_ns = deadline_ns
         self.abandon_after_ns = abandon_after_ns
         self.name = name
+        self._keys = keys
         self._gaps = gap_stream(arrivals, seed, name)
         self._sending = True
+        endpoint.set_on_resolved(self._on_resolved)
 
     # -- the node program ---------------------------------------------------
     def run(self) -> Generator:
@@ -530,13 +542,25 @@ class RpcClient:
 
     def _issue(self, deadline_ns: int,
                t_intended: Optional[int] = None) -> Generator:
-        """Send one request to this client's target; returns
-        ``(req_id, event)``.  The routing seam: :class:`ShardedClient
-        <repro.workloads.sharding.ShardedClient>` overrides this to pick a
-        shard per request through its balancer."""
-        return (yield from self.endpoint.send_request(
-            self.server, self.work_ns, self.req_bytes,
-            deadline_ns=deadline_ns, t_intended=t_intended))
+        """Send one request to the shard the balancer picks for the next
+        key; returns ``(req_id, event)``."""
+        key = next(self._keys)
+        return self._send_to(self.balancer.pick(key), key, deadline_ns,
+                             t_intended)
+
+    def _send_to(self, shard: int, key: int, deadline_ns: int,
+                 t_intended: Optional[int], retry: bool = False
+                 ) -> Generator:
+        """Count a request in flight on ``shard`` and send it there;
+        returns ``(req_id, event)``."""
+        self.balancer.note_issued(shard)
+        return self.endpoint.send_request(
+            self.service.shard_nodes[shard], self.work_ns, self.req_bytes,
+            deadline_ns=deadline_ns, t_intended=t_intended, shard=shard,
+            key=key, retry=retry)
+
+    def _on_resolved(self, req_id: int, shard: int) -> None:
+        self.balancer.note_resolved(shard)
 
     def _open_loop(self) -> Generator:
         """Issue on schedule regardless of completions, then drain."""
@@ -590,4 +614,4 @@ class RpcClient:
 
     def __repr__(self) -> str:
         return (f"<RpcClient {self.name!r} node={self.endpoint.node.node_id} "
-                f"-> {self.server} n={self.n_requests}>")
+                f"balancer={self.balancer.name} n={self.n_requests}>")

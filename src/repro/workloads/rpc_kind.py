@@ -25,8 +25,8 @@ from repro.workloads.rpc import (VALID_POLICIES, RpcClient, RpcEndpoint,
                                  RpcServer)
 from repro.workloads.sharding import (
     BALANCER_NAMES,
+    Balancer,
     ShardDirectory,
-    ShardedClient,
     key_stream,
     make_balancer,
 )
@@ -82,17 +82,11 @@ def client_arrival(scenario: "RpcScenario", position: int,
 
 
 def build_server(scenario: "RpcScenario", endpoint: RpcEndpoint,
-                 stats: WorkloadStats,
-                 shard: Optional[int] = None) -> RpcServer:
-    """The server program for one server node (``shard`` is the global
-    shard index for sharded services, ``None`` for the single-server
-    case)."""
-    if shard is None:
-        policy = scenario.policy
-    else:
-        policies = (scenario.shard_policies
-                    or (scenario.policy,) * scenario.servers)
-        policy = policies[shard]
+                 stats: WorkloadStats, shard: int) -> RpcServer:
+    """The server program for shard ``shard``: ``shard_policies[shard]``
+    when the scenario sets per-shard policies, else ``policy``."""
+    policy = (scenario.shard_policies[shard] if scenario.shard_policies
+              else scenario.policy)
     return RpcServer(endpoint, stats, workers=scenario.workers,
                      queue_capacity=scenario.queue_capacity, policy=policy,
                      resp_bytes=scenario.resp_bytes,
@@ -108,46 +102,46 @@ def build_client(scenario: "RpcScenario", endpoint: RpcEndpoint,
     Each client owns its balancer instance (``least_pending`` is a
     per-client view) and routes through a :class:`ShardDirectory` (routing
     is client-side).  Replicated scenarios pass the shared
-    :class:`ReplicatedDirectory` (placement rule + health map) instead.
+    :class:`ReplicatedDirectory` (placement rule + health map) instead,
+    and their balancer only keeps the in-flight accounting: the
+    directory's replica sets decide.
     """
     spec, n_requests = client_arrival(scenario, position, n_clients)
     name = f"client{endpoint.node.node_id}"
+    keys = key_stream(scenario.seed, name, scenario.n_keys,
+                      scenario.key_skew)
     common = dict(
         arrivals=spec, seed=scenario.seed, n_requests=n_requests,
         req_bytes=scenario.req_bytes, work_ns=scenario.work_ns,
         deadline_ns=scenario.deadline_ns,
         abandon_after_ns=scenario.abandon_after_ns, name=name)
-    if scenario.servers == 1:
-        return RpcClient(endpoint, server_nodes[0], **common)
-    balancer = make_balancer(scenario.balancer, scenario.servers,
-                             scenario.vnodes)
-    keys = key_stream(scenario.seed, name, scenario.n_keys,
-                      scenario.key_skew)
     if directory is not None:
         return ReplicatedClient(
-            endpoint, directory, balancer, keys,
+            endpoint, directory, Balancer(scenario.servers), keys,
             failover_timeout_ns=scenario.failover_timeout_ns, **common)
-    return ShardedClient(endpoint, ShardDirectory(server_nodes), balancer,
-                         keys, **common)
+    balancer = make_balancer(scenario.balancer, scenario.servers,
+                             scenario.vnodes)
+    return RpcClient(endpoint, ShardDirectory(server_nodes), balancer, keys,
+                     **common)
 
 
 @dataclass(frozen=True)
 class RpcScenario(ArrivalFields, TelemetryFields):
     """``kind="rpc"`` — request/response traffic under an arrival process.
 
-    Node 0 serves, nodes 1..n-1 run :class:`RpcClient` under the
-    scenario's arrival spec.  With ``servers: N`` (N >= 2) N nodes
-    (see :func:`placement`) instead run sharded servers and the clients
-    route each request through the scenario's ``balancer`` (``static``
-    consistent hashing, ``round_robin``, or ``least_pending``) over keys
-    drawn uniform or Zipf-skewed (``key_skew``); per-shard overload
-    policies come from ``shard_policies``.  ``replicas: R`` (R >= 2)
-    places each key on R ring-successor shards, carves the last client
-    node out for the :class:`ShardSupervisor`, and clients fail timed-out
-    requests over; ``population`` collapses that many simulated open-loop
-    clients onto the client nodes; ``partition_groups: G`` builds the
-    cluster as G crossbars joined by trunk links and stripes the servers
-    across them.
+    ``servers: N`` nodes (see :func:`placement`; N = 1 by default) run
+    the service's shards, and every other node runs an :class:`RpcClient`
+    under the scenario's arrival spec, routing each request through the
+    scenario's ``balancer`` (``static`` consistent hashing,
+    ``round_robin``, or ``least_pending``) over keys drawn uniform or
+    Zipf-skewed (``key_skew``).  A single server is a one-shard service,
+    so ``shard_policies`` overrides ``policy`` per shard at any N.
+    ``replicas: R`` (R >= 2) places each key on R ring-successor shards,
+    carves the last client node out for the :class:`ShardSupervisor`, and
+    clients fail timed-out requests over; ``population`` collapses that
+    many simulated open-loop clients onto the client nodes;
+    ``partition_groups: G`` builds the cluster as G crossbars joined by
+    trunk links and stripes the servers across them.
     """
 
     kind: str = "rpc"
@@ -262,8 +256,7 @@ class RpcScenario(ArrivalFields, TelemetryFields):
                 else stats)
             for node in nodes}
         for shard, node_id in enumerate(server_nodes):
-            build_server(self, endpoints[node_id], stats,
-                         shard=shard if stats.shards else None).start()
+            build_server(self, endpoints[node_id], stats, shard).start()
         directory = supervisor = None
         if supervisor_node is not None:
             directory = ReplicatedDirectory(

@@ -1,11 +1,11 @@
-"""Sharded multi-server RPC services with client-side load balancing.
+"""Where an RPC service's shards live and how a client picks one.
 
-One server's saturation knee is where :mod:`repro.workloads.rpc` stops;
-this module is the scale-out step the ROADMAP asks for: N
-:class:`~repro.workloads.rpc.RpcServer` shards run on distinct nodes
-(``RpcKind.wire`` starts them, each tagged with its shard index), a
-:class:`ShardDirectory` tells clients where they live, and every client
-routes each request through a pluggable client-side :class:`Balancer`:
+Every RPC service is sharded — a single server is a one-shard service.
+Its N :class:`~repro.workloads.rpc.RpcServer` shards run on distinct
+nodes (``RpcScenario.wire`` starts them, each tagged with its shard
+index), a :class:`ShardDirectory` tells clients where they live, and
+every :class:`~repro.workloads.rpc.RpcClient` routes each request
+through a pluggable client-side :class:`Balancer`:
 
 * ``static`` (:class:`ConsistentHash`) — a consistent-hash ring over
   request keys with virtual nodes, the classic sharded-KV discipline:
@@ -33,10 +33,9 @@ from __future__ import annotations
 
 import zlib
 from bisect import bisect_right
-from typing import Generator, Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
-from repro.workloads.arrivals import ArrivalSpec, client_rng
-from repro.workloads.rpc import RpcClient, RpcEndpoint
+from repro.workloads.arrivals import client_rng
 
 BALANCER_NAMES = ("static", "round_robin", "least_pending")
 
@@ -142,7 +141,9 @@ class Balancer:
     ``pick`` chooses a shard for a request key; ``note_issued`` /
     ``note_resolved`` keep ``pending`` — this client's count of
     unresolved requests per shard — which :class:`LeastPending` routes
-    on and every balancer exposes for tests.
+    on and every balancer exposes for tests.  The base class is the
+    accounting alone: a replicated client routes by its directory's
+    replica sets and never calls ``pick``.
     """
 
     name = "base"
@@ -223,9 +224,10 @@ def make_balancer(name: str, n_shards: int, vnodes: int = 64) -> Balancer:
 class ShardDirectory:
     """Where a sharded service's shards live, as pure data.
 
-    A :class:`ShardedClient` only ever reads ``shard_nodes`` and
-    ``n_shards`` — routing is client-side by design — so a directory of
-    shard placements is all a client needs of the service.  Shard ``i``
+    An :class:`~repro.workloads.rpc.RpcClient` only ever reads
+    ``shard_nodes`` and ``n_shards`` — routing is client-side by design —
+    so a directory of shard placements is all a client needs of the
+    service.  Shard ``i``
     lives on node ``shard_nodes[i]``.
     """
 
@@ -243,59 +245,3 @@ class ShardDirectory:
 
     def __repr__(self) -> str:
         return f"<ShardDirectory nodes={self.shard_nodes}>"
-
-
-class ShardedClient(RpcClient):
-    """An :class:`~repro.workloads.rpc.RpcClient` that routes each request
-    to a shard through its balancer.
-
-    Per request: draw a key, ``pick`` a shard, count it in-flight, and
-    tag the send so completions land in that shard's reservoir.  The
-    endpoint's ``on_resolved`` callback returns the in-flight credit
-    exactly once per request — on response *or* abandonment — which is
-    what keeps a ``least_pending`` view truthful under drops.
-    """
-
-    def __init__(self, endpoint: RpcEndpoint,
-                 service: ShardDirectory,
-                 balancer: Balancer, keys: Iterator[int], *,
-                 arrivals: ArrivalSpec, seed: int, n_requests: int,
-                 req_bytes: int = 64, work_ns: int = 0,
-                 deadline_ns: int = 0,
-                 abandon_after_ns: Optional[int] = None,
-                 name: str = "client"):
-        if balancer.n_shards != service.n_shards:
-            raise ValueError(
-                f"balancer covers {balancer.n_shards} shards, service has "
-                f"{service.n_shards}")
-        super().__init__(endpoint, service.shard_nodes[0], arrivals=arrivals,
-                         seed=seed, n_requests=n_requests,
-                         req_bytes=req_bytes, work_ns=work_ns,
-                         deadline_ns=deadline_ns,
-                         abandon_after_ns=abandon_after_ns, name=name)
-        self.service = service
-        self.balancer = balancer
-        self._keys = keys
-        # Fail-loud registration: a second client (or a prober) sharing
-        # this endpoint would silently corrupt this balancer's in-flight
-        # view if it could replace the callback.
-        endpoint.set_on_resolved(self._on_resolved)
-
-    def _issue(self, deadline_ns: int,
-               t_intended: Optional[int] = None) -> Generator:
-        key = next(self._keys)
-        shard = self.balancer.pick(key)
-        self.balancer.note_issued(shard)
-        return (yield from self.endpoint.send_request(
-            self.service.shard_nodes[shard], self.work_ns, self.req_bytes,
-            deadline_ns=deadline_ns, t_intended=t_intended, shard=shard,
-            key=key))
-
-    def _on_resolved(self, req_id: int, shard: Optional[int]) -> None:
-        if shard is not None:
-            self.balancer.note_resolved(shard)
-
-    def __repr__(self) -> str:
-        return (f"<ShardedClient {self.name!r} "
-                f"node={self.endpoint.node.node_id} "
-                f"balancer={self.balancer.name} n={self.n_requests}>")

@@ -29,8 +29,8 @@ With ``sample_interval_ns`` set, the aggregate object additionally owns a
 :class:`~repro.obs.timeseries.TimeSeriesBank` and every ``note_*`` call
 records into windowed series — ``completed`` / ``drops`` / ``sent``
 rates, ``delivered_bytes`` goodput, ``latency_ns`` windowed quantiles,
-and the ``queue_depth`` gauge — both aggregate and (for sharded calls)
-``shard=<i>``-labelled.  Those series are what the
+and the ``queue_depth`` gauge — both aggregate and, when the object has
+per-shard sub-stats, ``shard=<i>``-labelled.  Those series are what the
 :mod:`repro.obs.slo` burn-rate detectors evaluate.
 """
 
@@ -78,7 +78,7 @@ class WorkloadStats(RunStats):
         self.timeseries: Optional[TimeSeriesBank] = (
             TimeSeriesBank(env, sample_interval_ns)
             if sample_interval_ns else None)
-        #: Per-shard sub-stats (empty for unsharded runs).
+        #: Per-shard sub-stats (empty for one shard or none).
         self.shards: list["WorkloadStats"] = [
             WorkloadStats(env, f"{name}.shard{i}", metrics=self.metrics)
             for i in range(n_shards)]
@@ -90,13 +90,15 @@ class WorkloadStats(RunStats):
 
     def _series(self, kind: str, name: str, value: int,
                 shard: Optional[int]) -> None:
-        """Record into the aggregate series and, when sharded, the
-        ``shard=<i>``-labelled variant (no-op without a bank)."""
+        """Record into the aggregate series and, when this object has
+        per-shard sub-stats, the ``shard=<i>``-labelled variant (no-op
+        without a bank): a one-shard service reports no shard series, as
+        it reports no ``shards`` section."""
         bank = self.timeseries
         if bank is None:
             return
         getattr(bank, kind)(name).observe(value)
-        if shard is not None:
+        if shard is not None and self.shards:
             getattr(bank, kind)(name, shard=shard).observe(value)
 
     # -- recording --------------------------------------------------------------
@@ -215,7 +217,7 @@ class WorkloadStats(RunStats):
     def imbalance(self) -> Optional[float]:
         """Peak-to-mean ratio of per-shard completions (1.0 = balanced).
 
-        ``None`` for unsharded runs or before any completion.  The ratio
+        ``None`` for a one-shard run or before any completion.  The ratio
         reads as "the hottest shard carried X times its fair share" — the
         quantity a consistent-hash ring pays under skewed keys and a
         least-pending balancer flattens.
@@ -295,7 +297,7 @@ class WorkloadStats(RunStats):
         """The deterministic per-run report fragment.
 
         Sharded runs add a ``shards`` list (one full report fragment per
-        shard) and the aggregate ``imbalance`` ratio; unsharded runs keep
+        shard) and the aggregate ``imbalance`` ratio; a one-shard run keeps
         the flat schema.
         """
         report = self._report_flat()

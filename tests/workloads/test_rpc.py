@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.workloads.presets import PRESETS
 from repro.workloads.apps import AllreduceScenario, HaloScenario
 from repro.workloads.rpc_kind import RpcScenario
 from repro.workloads.runner import Scenario, run_scenario
+from repro.workloads.sharding import RoundRobin, ShardDirectory
+
+
+def one_shard() -> tuple:
+    """A one-shard service on node 0: directory, balancer, keys."""
+    return ShardDirectory([0]), RoundRobin(1), itertools.repeat(0)
 
 
 def overload(policy, **overrides):
@@ -145,8 +153,9 @@ class TestStaleResponses:
         # (Abandon budgets anchor at send time, so the client's lifetime
         # is exactly n_requests x 12us; 12us keeps it past the ~57us the
         # first late response needs to come back.)
-        client = RpcClient(endpoints[1], 0, arrivals=ClosedLoop(0), seed=2,
-                           n_requests=8, work_ns=50_000, deadline_ns=30_000,
+        client = RpcClient(endpoints[1], *one_shard(),
+                           arrivals=ClosedLoop(0), seed=2, n_requests=8,
+                           work_ns=50_000, deadline_ns=30_000,
                            abandon_after_ns=12_000)
         cluster.run([None, lambda node: client.run()])
 
@@ -180,8 +189,8 @@ class TestStaleResponses:
         env = cluster.env
         stats = WorkloadStats(env, name="failed")
         endpoint = RpcEndpoint(cluster.node(1), stats)
-        client = RpcClient(endpoint, 0, arrivals=ClosedLoop(0), seed=2,
-                           n_requests=1, abandon_after_ns=12_000)
+        client = RpcClient(endpoint, *one_shard(), arrivals=ClosedLoop(0),
+                           seed=2, n_requests=1, abandon_after_ns=12_000)
         caught = []
 
         def program(node):
@@ -225,7 +234,7 @@ class TestAbandonAnchoring:
         server.start()
         # 10 sends ~10us apart against 200us of service: by drain time
         # every budget (50us) is long expired.
-        client = RpcClient(endpoints[1], 0,
+        client = RpcClient(endpoints[1], *one_shard(),
                            arrivals=OpenLoop(100_000.0), seed=3,
                            n_requests=10, work_ns=200_000,
                            abandon_after_ns=50_000)

@@ -190,6 +190,19 @@ class TestShardedRuns:
         assert (results["completed"] + results["drops"]["total"]
                 == results["sent"])
 
+    def test_a_one_server_spec_applies_its_shard_policy(self):
+        # A single server is shard 0 of a one-shard service, so its
+        # ``shard_policies`` entry overrides ``policy`` as on any shard
+        # (it used to be validated and then ignored: 0 shed).
+        from dataclasses import replace
+        from repro.workloads.presets import PRESETS
+        results = run_scenario(replace(
+            PRESETS["rpc-incast"], policy="queue",
+            shard_policies=("shed",)))["results"]
+        assert results["drops"]["shed"] > 0
+        assert (results["completed"] + results["drops"]["total"]
+                == results["sent"])
+
     def test_sharded_rerun_is_byte_identical(self):
         from repro.obs.export import dumps_deterministic
         spec = sharded(balancer="least_pending", key_skew=1.0)
@@ -201,8 +214,7 @@ class TestShardedRuns:
         from repro.cluster.cluster import Cluster
         from repro.configs import PPRO_FM2
         from repro.obs.observer import Observer
-        from repro.workloads.rpc import RpcEndpoint, RpcServer
-        from repro.workloads.sharding import ShardDirectory, ShardedClient
+        from repro.workloads.rpc import RpcClient, RpcEndpoint, RpcServer
         from repro.workloads.stats import WorkloadStats
         from repro.workloads.arrivals import ClosedLoop
 
@@ -214,7 +226,7 @@ class TestShardedRuns:
         for shard, endpoint in enumerate(endpoints[:2]):
             RpcServer(endpoint, stats, shard=shard).start()
         service = ShardDirectory([0, 1])
-        client = ShardedClient(
+        client = RpcClient(
             endpoints[2], service, make_balancer("round_robin", 2),
             key_stream(1, "c", 16), arrivals=ClosedLoop(0), seed=1,
             n_requests=8)
@@ -265,15 +277,14 @@ class TestShardedRuns:
 
 class TestOnResolvedRegistration:
     def test_second_issuer_on_one_endpoint_fails_loudly(self):
-        # Regression: ShardedClient.__init__ used to overwrite
+        # Regression: the client's __init__ used to overwrite
         # endpoint.on_resolved unconditionally — a second client (or a
         # prober) sharing the endpoint silently corrupted the first
         # balancer's in-flight view.  Now registration raises.
         from repro.cluster.cluster import Cluster
         from repro.configs import PPRO_FM2
         from repro.workloads.arrivals import ClosedLoop
-        from repro.workloads.rpc import RpcEndpoint
-        from repro.workloads.sharding import ShardedClient
+        from repro.workloads.rpc import RpcClient, RpcEndpoint
         from repro.workloads.stats import WorkloadStats
 
         cluster = Cluster(3, machine=PPRO_FM2, fm_version=2)
@@ -282,7 +293,7 @@ class TestOnResolvedRegistration:
         directory = ShardDirectory([0, 1])
 
         def build():
-            return ShardedClient(
+            return RpcClient(
                 endpoints[2], directory, make_balancer("round_robin", 2),
                 key_stream(1, "c", 16), arrivals=ClosedLoop(0), seed=1,
                 n_requests=4)

@@ -126,3 +126,21 @@ class TestWorkloadStats:
         env.obs = object()
         stats.note_queue_depth(2)
         assert metrics.histogram("w.queue_depth").count == 1
+
+    def test_a_one_server_run_reports_no_shard_series(self):
+        """A single server is a one-shard service, and its report stays
+        flat: every request is tagged ``shard=0``, yet a sampled run keeps
+        no ``{shard=0}`` series beside the aggregate ones and no
+        ``shards`` section."""
+        from dataclasses import replace
+
+        from repro.workloads.presets import PRESETS
+        from repro.workloads.runner import run_scenario
+
+        results = run_scenario(replace(
+            PRESETS["rpc-open"], sample_interval_ns=100_000))["results"]
+        series = results["timeseries"]["series"]
+        assert {"sent", "completed", "delivered_bytes", "latency_ns",
+                "queue_depth"} <= set(series)
+        assert [name for name in series if "{shard=" in name] == []
+        assert "shards" not in results and "imbalance" not in results
