@@ -1,11 +1,13 @@
 """Ablation of the three FM 2.x features the paper argues for (§4.1).
 
 For each of gather/scatter, layer interleaving, and receiver flow control,
-MPI is rebuilt with just that feature disabled and the workload rerun.
-Two workloads are used, because the features bite in different regimes:
+MPI runs over the binding with just that feature disabled (its
+``BINDINGS`` name) and the workload is rerun.  Two workloads are used,
+because the features bite in different regimes:
 
-* a **pre-posted streaming** test (the Figure 6 workload) shows the
-  bandwidth cost of gather and interleaving;
+* a **pre-posted streaming** test (the Figure 6 workload: the
+  ``mpi-stream-fm2`` preset with ``mpi_binding`` set) shows the bandwidth
+  cost of gather and interleaving;
 * an **un-posted burst** test (receives posted only after the burst lands)
   shows what receiver pacing prevents: unexpected-pool overrun and spill
   copies.
@@ -17,62 +19,37 @@ bottleneck) is still attributed.
 
 from dataclasses import replace
 
-import pytest
-
 from conftest import run_once
-from repro.bench.mpibench import POSTED_WINDOW
 from repro.bench.report import HeadlineRow, curve_table, headline_table
 from repro.bench.sweeps import SweepResult, bandwidth_sweep
 from repro.cluster import Cluster
 from repro.configs import PPRO_FM2
-from repro.upper.mpi.ablations import ABLATIONS
 from repro.upper.mpi.world import build_mpi_world
 from repro.workloads.presets import PRESETS
+from repro.workloads.runner import execute_scenario
 
 SIZES = (16, 256, 2048)
 BURST_SIZE = 1024
 BURST_COUNT = 16
+#: The full binding and its three ablations (``BINDINGS`` names), as the
+#: tables label them.
+LABELS = {"fm2": "full FM 2.x", "no-gather": "no gather",
+          "no-interleaving": "no interleaving", "no-pacing": "no pacing"}
 
 
-def measure_stream(binding_cls, costs, size, n_messages=30):
-    """Pre-posted streaming bandwidth; returns (MB/s, recv copy bytes)."""
-    cluster = Cluster(2, PPRO_FM2, 2)
-    comms = build_mpi_world(cluster, costs=costs, binding_cls=binding_cls)
-    payload = bytes(size)
-    marks = {}
-
-    def sender(node):
-        marks["start"] = node.env.now
-        for _ in range(n_messages):
-            yield from comms[0].send(payload, 1, tag=1)
-
-    def receiver(node):
-        pending = []
-        posted = 0
-        for _ in range(min(POSTED_WINDOW, n_messages)):
-            pending.append((yield from comms[1].irecv(0, 1, max_bytes=size)))
-            posted += 1
-        completed = 0
-        while completed < n_messages:
-            req = pending.pop(0)
-            yield from comms[1].wait(req)
-            completed += 1
-            if posted < n_messages:
-                pending.append((yield from comms[1].irecv(0, 1,
-                                                          max_bytes=size)))
-                posted += 1
-        marks["end"] = node.env.now
-
-    cluster.run([sender, receiver])
-    elapsed = marks["end"] - marks["start"]
-    bandwidth = size * n_messages / (elapsed / 1e9) / 1e6
-    return bandwidth, cluster.node(1).cpu.meter.bytes
+def stream_point(binding, size):
+    """The Figure 6 stream over ``binding``; returns (MB/s, recv copy
+    bytes)."""
+    outcome = execute_scenario(replace(PRESETS["mpi-stream-fm2"],
+                                       mpi_binding=binding, msg_bytes=size))
+    return (outcome.stats.result.bandwidth_mbs,
+            outcome.cluster.node(1).cpu.meter.bytes)
 
 
-def measure_burst(binding_cls, costs):
+def measure_burst(binding):
     """Un-posted burst; returns (spill copies, unexpected, recv copy bytes)."""
     cluster = Cluster(2, PPRO_FM2, 2)
-    comms = build_mpi_world(cluster, costs=costs, binding_cls=binding_cls)
+    comms = build_mpi_world(cluster, binding)
 
     def sender(node):
         for _ in range(BURST_COUNT):
@@ -94,11 +71,10 @@ def measure_burst(binding_cls, costs):
 
 def test_ablation_fm2_features(benchmark, show):
     def regenerate():
-        stream = {label: [measure_stream(b, c, size) for size in SIZES]
-                  for label, (b, c) in ABLATIONS.items()}
-        burst = {label: measure_burst(b, c)
-                 for label, (b, c) in ABLATIONS.items()
-                 if label in ("full FM 2.x", "no pacing")}
+        stream = {label: [stream_point(binding, size) for size in SIZES]
+                  for binding, label in LABELS.items()}
+        burst = {LABELS[binding]: measure_burst(binding)
+                 for binding in ("fm2", "no-pacing")}
         return stream, burst
 
     stream, burst = run_once(benchmark, regenerate)

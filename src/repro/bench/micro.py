@@ -23,6 +23,7 @@ from repro.bench.rdma_bench import (COLLECTIVES, collective_latency,
 from repro.hardware.topology import switch_chain
 from repro.obs.metrics import RunStats
 from repro.scenario import Scenario
+from repro.upper.mpi.world import binding_named
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
@@ -32,30 +33,34 @@ if TYPE_CHECKING:  # pragma: no cover
 PATTERNS = {
     "fm-stream": lambda s, c: fm_stream(c, s.msg_bytes, s.n_requests),
     "fm-pingpong": lambda s, c: fm_pingpong(c, s.msg_bytes, s.iterations),
-    "mpi-stream": lambda s, c: mpi_stream(c, s.msg_bytes, s.n_requests),
-    "mpi-pingpong": lambda s, c: PingPongResult(
-        mpi_pingpong_latency_us(c, s.msg_bytes, s.iterations), s.iterations),
+    "mpi-stream": lambda s, c: mpi_stream(c, s.msg_bytes, s.n_requests,
+                                          s.mpi_binding),
+    "mpi-pingpong": lambda s, c: PingPongResult(mpi_pingpong_latency_us(
+        c, s.msg_bytes, s.iterations, binding=s.mpi_binding), s.iterations),
     "journey": lambda s, c: packet_journey(c, s.msg_bytes),
     "rdma-stream": lambda s, c: rdma_put_stream(c, s.msg_bytes, s.n_requests),
     "rdma-pingpong": lambda s, c: rdma_pingpong(c, s.msg_bytes, s.iterations),
     "link-stream": lambda s, c: lean_stream(c, s.msg_bytes, s.n_requests),
     "bus-stream": lambda s, c: lean_stream(c, s.msg_bytes, s.n_requests),
-    **{pattern: lambda s, c: collective_latency(c, s.pattern, s.msg_bytes,
-                                                s.iterations)
+    **{pattern: lambda s, c: collective_latency(
+        c, s.pattern, s.msg_bytes, s.iterations, s.mpi_binding)
        for pattern in COLLECTIVES},
     "pair-streams": lambda s, c: pair_streams(c, s.msg_bytes, s.n_requests),
     "chain-pingpong": lambda s, c: fm_pingpong(
         c, s.msg_bytes, s.iterations, warmup=2, nodes=(0, s.n_nodes - 1)),
-    "mpi-alltoall": lambda s, c: mpi_alltoall(c, s.msg_bytes),
+    "mpi-alltoall": lambda s, c: mpi_alltoall(c, s.msg_bytes, s.mpi_binding),
 }
 #: Patterns that pair nodes up, all those on every node of ``n_nodes``
 #: (the rest run node 0 -> node 1), those that run on the FM 2.x NIC
-#: firmware, and those that cannot move 0 bytes.
+#: firmware, those that cannot move 0 bytes, and those that build an MPI
+#: world (the only ones that read ``mpi_binding``).
 PAIRED = frozenset({"pair-streams", "chain-pingpong"})
 GROUP = PAIRED | frozenset(COLLECTIVES) | {"mpi-alltoall"}
 FIRMWARE = frozenset({"rdma-stream", "rdma-pingpong", "nic-barrier",
                       "nic-bcast"})
 NONEMPTY = frozenset({"rdma-stream", "rdma-pingpong", "nic-bcast"})
+MPI = frozenset({"mpi-stream", "mpi-pingpong", "mpi-alltoall",
+                 "host-barrier", "host-bcast"})
 
 
 class MicroStats(RunStats):
@@ -70,13 +75,14 @@ class MicroStats(RunStats):
 @dataclass(frozen=True)
 class MicroScenario(Scenario):
     """``kind="micro"`` — one of :data:`PATTERNS` with ``msg_bytes``
-    messages.  The drivers run to completion, so ``until_ns`` stays
-    unset."""
+    messages, an :data:`MPI` one over binding ``mpi_binding`` (empty: the
+    default).  The drivers run to completion, so ``until_ns`` stays unset."""
 
     kind: str = "micro"
     n_nodes: int = 2
     pattern: str = "fm-stream"
     msg_bytes: int = 16
+    mpi_binding: str = ""
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -91,6 +97,10 @@ class MicroScenario(Scenario):
         if self.pattern in PAIRED and self.n_nodes % 2:
             raise ValueError(f"{self.pattern} pairs nodes up: n_nodes must "
                              f"be even, got {self.n_nodes}")
+        if self.mpi_binding and self.pattern not in MPI:
+            raise ValueError(f"{self.pattern} builds no MPI world: "
+                             "mpi_binding must be empty")
+        binding_named(self.mpi_binding, self.fm_version)
 
     def machine_params(self):
         """Figure 3(a)'s first stage runs on a free I/O bus."""

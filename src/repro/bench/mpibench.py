@@ -20,9 +20,10 @@ POSTED_WINDOW = 8
 
 
 def mpi_pingpong_latency_us(cluster: Cluster, msg_bytes: int = 16,
-                            iterations: int = 30, warmup: int = 3) -> float:
+                            iterations: int = 30, warmup: int = 3,
+                            binding: str = "") -> float:
     """One-way MPI latency between ranks 0 and 1 (microseconds)."""
-    comms = build_mpi_world(cluster)
+    comms = build_mpi_world(cluster, binding)
     total = warmup + iterations
     timestamps: list[int] = []
     payload = bytes(msg_bytes)
@@ -45,10 +46,10 @@ def mpi_pingpong_latency_us(cluster: Cluster, msg_bytes: int = 16,
     return PingPongResult.of(timestamps, warmup).one_way_latency_us
 
 
-def mpi_stream(cluster: Cluster, msg_bytes: int,
-               n_messages: int = 60) -> StreamResult:
+def mpi_stream(cluster: Cluster, msg_bytes: int, n_messages: int = 60,
+               binding: str = "") -> StreamResult:
     """Unidirectional MPI message stream, rank 0 -> rank 1."""
-    comms = build_mpi_world(cluster)
+    comms = build_mpi_world(cluster, binding)
     payload = bytes(i % 251 for i in range(msg_bytes))
     marks = {}
 
@@ -90,9 +91,10 @@ class AlltoallResult:
     completion_us: float   # until the last rank holds every chunk
 
 
-def mpi_alltoall(cluster: Cluster, chunk_bytes: int) -> AlltoallResult:
+def mpi_alltoall(cluster: Cluster, chunk_bytes: int,
+                 binding: str = "") -> AlltoallResult:
     """One MPI alltoall of ``chunk_bytes`` per rank pair over every node."""
-    comms = build_mpi_world(cluster)
+    comms = build_mpi_world(cluster, binding)
     finish = []
 
     def program(node):

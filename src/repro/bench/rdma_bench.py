@@ -104,30 +104,30 @@ class CollectiveResult:
     rounds: int
 
 
-#: collective pattern -> ``(cluster, nbytes) -> one round per rank``: the
-#: NIC firmware's engines, or the host MPI stack as the software fallback.
+#: collective pattern -> ``(cluster, nbytes, binding) -> round per rank``:
+#: the NIC firmware's engines, or the host MPI stack as the software fallback.
 COLLECTIVES = {
-    "nic-barrier": lambda cluster, nbytes: [
+    "nic-barrier": lambda cluster, nbytes, binding: [
         NicCollectives(node, cluster.n_nodes).barrier
         for node in cluster.nodes],
-    "host-barrier": lambda cluster, nbytes: [
-        comm.barrier for comm in build_mpi_world(cluster)],
-    "nic-bcast": lambda cluster, nbytes: [
+    "host-barrier": lambda cluster, nbytes, binding: [
+        comm.barrier for comm in build_mpi_world(cluster, binding)],
+    "nic-bcast": lambda cluster, nbytes, binding: [
         partial(NicCollectives(node, cluster.n_nodes).bcast,
                 node.buffer(nbytes, fill=bytes(nbytes)), nbytes, 0)
         for node in cluster.nodes],
-    "host-bcast": lambda cluster, nbytes: [
+    "host-bcast": lambda cluster, nbytes, binding: [
         partial(comm.bcast, bytes(nbytes) if rank == 0 else None, root=0)
-        for rank, comm in enumerate(build_mpi_world(cluster))],
+        for rank, comm in enumerate(build_mpi_world(cluster, binding))],
 }
 
 
 def collective_latency(cluster: Cluster, pattern: str, nbytes: int,
-                       iterations: int) -> CollectiveResult:
+                       iterations: int, binding: str = "") -> CollectiveResult:
     """Average full-group completion time of ``iterations`` back-to-back
     rounds of the collective ``pattern`` (first round excluded as
     warm-up)."""
-    rounds = COLLECTIVES[pattern](cluster, nbytes)
+    rounds = COLLECTIVES[pattern](cluster, nbytes, binding)
     marks: list[int] = []
 
     def program(node: Node):

@@ -17,8 +17,9 @@ generation plus which of the paper's three §4.1 features it offers:
   interleaving (header is received and matched *before* the payload is
   steered straight into the posted user buffer) and ``FM_extract(bytes)``
   receiver pacing in the progress engine.  ``MpiFm2RdmaBinding`` adds an
-  RDMA endpoint for the rendezvous payload; :mod:`repro.upper.mpi.ablations`
-  takes the three features away one at a time.
+  RDMA endpoint for the rendezvous payload; three ablations take the three
+  features away one at a time.  :data:`repro.upper.mpi.world.BINDINGS`
+  names every binding, so ``build_mpi_world`` and ``mpi_binding`` pick one.
 
 Every copy is metered by label, so tests can assert the copy counts the
 paper talks about rather than inferring them from bandwidth.

@@ -12,12 +12,13 @@ between FM generations:
   owns, returned as ``(buffer, offset of the payload in it)``;
 * the class attributes documented on :class:`MpiBinding`: ``gather`` /
   ``steer`` / ``paced`` say which of §4.1's features the interface offers
-  (FM 1.x none, FM 2.x all; :mod:`repro.upper.mpi.ablations` flips them one
+  (FM 1.x none, FM 2.x all; the three ablations at the end flip them one
   at a time), ``label`` prefixes the binding's copy-meter labels.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Generator
 
 from repro.hardware.memory import Buffer
@@ -188,3 +189,38 @@ class MpiFm2RdmaBinding(MpiFm2Binding):
     def __init__(self, engine: MpiEngine):
         super().__init__(engine)
         self.rdma = RdmaEndpoint(engine.node)
+
+
+# -- The §4.1 ablations: MpiFm2Binding with *one* feature taken away, so the
+# efficiency loss is attributed feature by feature.  Their copies are
+# metered as ``ablation.*``.
+
+class NoGatherBinding(MpiFm2Binding):
+    """FM 2.x receive path, but sends assemble envelope + payload into one
+    contiguous buffer first (one full memcpy; multi-piece payloads are
+    packed before that), as an FM-1.x-style contiguous interface forces."""
+
+    gather = False
+    label = "ablation"
+
+
+class NoInterleavingBinding(MpiFm2Binding):
+    """The handler cannot steer mid-message: every payload is received into
+    a staging pool buffer and copied to the user buffer afterwards,
+    pre-posted receive or not."""
+
+    steer = False
+    label = "ablation"
+
+
+class NoPacingBinding(MpiFm2Binding):
+    """Full FM 2.x data path, but bursts overflow a small pool and spill
+    (the §3.2 overrun copy); run it with :data:`NO_PACING_COSTS`."""
+
+    paced = False
+    label = "ablation"
+
+
+#: Costs for the no-pacing ablation: the progress engine extracts without a
+#: byte budget (FM 1.x semantics) into a tiny unexpected pool.
+NO_PACING_COSTS = replace(MPI2_DEFAULT_COSTS, progress_budget=None, pool_slots=2)

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro.scenario import TelemetryFields
 from repro.upper.mpi.comm import Communicator
-from repro.upper.mpi.world import build_mpi_world
+from repro.upper.mpi.world import binding_named, build_mpi_world
 
 from repro.workloads.stats import WorkloadStats
 
@@ -123,10 +123,16 @@ class MpiScenario(TelemetryFields):
     """What ``kind="halo"`` and ``kind="allreduce"`` share: every node runs
     the kind's :attr:`program` over MPI-FM for ``iterations`` rounds of
     ``compute_ns`` compute plus one exchange of the kind's payload field
-    (:attr:`payload_field`).  Rank 0's per-iteration latency fills the same
+    (:attr:`payload_field`) over binding ``mpi_binding`` (empty: the
+    default).  Rank 0's per-iteration latency fills the same
     :class:`WorkloadStats` report rpc runs use."""
 
     compute_ns: int = 5_000
+    mpi_binding: str = ""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        binding_named(self.mpi_binding, self.fm_version)
 
     def build_stats(self, env: "Environment") -> WorkloadStats:
         """Unsharded request/response stats: the iteration is the request."""
@@ -139,7 +145,7 @@ class MpiScenario(TelemetryFields):
         programs = [self.program(comm, iterations=self.iterations,
                                  compute_ns=self.compute_ns, stats=stats,
                                  **payload)
-                    for comm in build_mpi_world(cluster)]
+                    for comm in build_mpi_world(cluster, self.mpi_binding)]
         cluster.run([(lambda node, program=program: program())
                      for program in programs], until_ns=self.until_ns)
         return {}

@@ -45,9 +45,10 @@ from repro.bench.sweeps import latency_vs_hops
 from repro.cluster import Cluster
 from repro.configs import PPRO_FM2, SPARC_FM1
 from repro.obs.export import dumps_deterministic, trace_events
-from repro.upper.mpi import (ANY_SOURCE, ANY_TAG, MPI2_DEFAULT_COSTS,
-                             MpiFm2RdmaBinding, build_mpi_world)
-from repro.upper.mpi.ablations import ABLATIONS
+from repro.upper.mpi import ANY_SOURCE, ANY_TAG, MPI2_DEFAULT_COSTS
+from repro.upper.mpi.comm import Communicator
+from repro.upper.mpi.engine import MpiEngine
+from repro.upper.mpi.world import BINDINGS, build_mpi_world
 from repro.workloads.presets import PRESET_PLANS, PRESETS
 from repro.workloads.runner import (Scenario, ScenarioOutcome,
                                     execute_scenario, run_scenario)
@@ -63,19 +64,10 @@ OBS_DIGESTS = "obs.digests"
 OBS_CASES = ("rpc-sharded", "rpc-open", "dataflow-rollup", "mpi-halo",
              "rdma-pingpong", "spec.rpc_uniform")
 
-#: The golden pinning the MPI-over-FM receive path, and its axes:
-#: ``{binding: (fm_version, binding_cls, costs)}`` (``None`` = the
-#: cluster's default), payload sizes straddling the 16 KB eager
+#: The golden pinning the MPI-over-FM receive path, and its axes: every
+#: binding of ``BINDINGS``, payload sizes straddling the 16 KB eager
 #: threshold, and how the receiver meets the messages.
 MPI_BINDINGS = "mpi.bindings"
-MPI_BINDING_CASES = {
-    "fm1": (1, None, None),
-    "fm2": (2, None, None),
-    "rdma": (2, MpiFm2RdmaBinding, None),
-    "no-gather": (2, *ABLATIONS["no gather"]),
-    "no-interleaving": (2, *ABLATIONS["no interleaving"]),
-    "no-pacing": (2, *ABLATIONS["no pacing"]),
-}
 MPI_SIZES = (0, 16, 1_000, 4_096, 20_000, 40_000)
 MPI_MODES = ("window", "recv", "late", "pieces")
 MPI_MESSAGES = 4
@@ -139,14 +131,16 @@ def obs_digests_text() -> str:
     return dumps_deterministic({name: obs_digest(name) for name in OBS_CASES})
 
 
-def mpi_world(binding: str, costs=None):
-    """``(cluster, comms)``: two nodes under ``MPI_BINDING_CASES[binding]``
-    on its FM generation's machine; ``costs`` overrides the case's own."""
-    fm_version, binding_cls, case_costs = MPI_BINDING_CASES[binding]
-    cluster = Cluster(2, machine=SPARC_FM1 if fm_version == 1 else PPRO_FM2,
+def mpi_world(binding: str, costs=None, n: int = 2):
+    """``(cluster, comms)``: ``n`` nodes under ``BINDINGS[binding]`` on its
+    FM generation's machine; ``costs`` overrides the binding's own."""
+    fm_version, binding_cls, _costs = BINDINGS[binding]
+    cluster = Cluster(n, machine=SPARC_FM1 if fm_version == 1 else PPRO_FM2,
                       fm_version=fm_version)
-    return cluster, build_mpi_world(cluster, costs=costs or case_costs,
-                                    binding_cls=binding_cls)
+    if costs is None:
+        return cluster, build_mpi_world(cluster, binding)
+    return cluster, [Communicator(MpiEngine(node, costs, n, binding_cls),
+                                  context=0) for node in cluster.nodes]
 
 
 def mpi_binding_entry(binding: str, mode: str, size: int) -> dict:
@@ -226,7 +220,7 @@ def mpi_binding_entries(binding: str) -> dict:
 def mpi_bindings_text() -> str:
     """The canonical ``mpi.bindings.json`` of a fresh run of every case."""
     return dumps_deterministic({binding: mpi_binding_entries(binding)
-                                for binding in MPI_BINDING_CASES})
+                                for binding in BINDINGS})
 
 
 def paper_figures_text() -> str:

@@ -41,7 +41,7 @@ def test_observed_export_matches_golden_digest(name):
     assert regen.obs_digest(name) == golden[name]
 
 
-@pytest.mark.parametrize("binding", regen.MPI_BINDING_CASES)
+@pytest.mark.parametrize("binding", regen.BINDINGS)
 def test_mpi_binding_matches_golden(binding):
     golden = json.loads(regen.golden_text(regen.MPI_BINDINGS))
     assert regen.mpi_binding_entries(binding) == golden[binding]
@@ -70,7 +70,7 @@ def test_every_case_has_a_golden_and_every_golden_a_case():
     assert set(json.loads(regen.golden_text(regen.OBS_DIGESTS))) == set(
         regen.OBS_CASES)
     assert set(json.loads(regen.golden_text(regen.MPI_BINDINGS))) == set(
-        regen.MPI_BINDING_CASES)
+        regen.BINDINGS)
 
 
 def test_cli_output_file_is_the_golden_byte_for_byte(tmp_path):

@@ -10,9 +10,9 @@ accounts for exactly one copy.
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.upper.mpi import ANY_SOURCE, ANY_TAG, MPI1_DEFAULT_COSTS
-from repro.upper.mpi.ablations import NO_PACING_COSTS
+from repro.upper.mpi.bindings import NO_PACING_COSTS
+from repro.upper.mpi.world import BINDINGS
 
-from tests.golden.regen import MPI_BINDING_CASES as BINDINGS
 from tests.golden.regen import mpi_world as make_world
 
 

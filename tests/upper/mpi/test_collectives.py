@@ -3,25 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.cluster import Cluster
-from repro.configs import PPRO_FM2
-from repro.upper.mpi import build_mpi_world
 from repro.upper.mpi.status import MpiError
 
-
-def run_collective(n_ranks, body):
-    """Run `body(rank, comm, node)` as an SPMD program on every rank."""
-    cluster = Cluster(n_ranks, machine=PPRO_FM2, fm_version=2)
-    comms = build_mpi_world(cluster)
-    results = {}
-
-    def make(rank):
-        def program(node):
-            results[rank] = yield from body(rank, comms[rank], node)
-        return program
-
-    cluster.run([make(rank) for rank in range(n_ranks)])
-    return results
+from tests.upper.mpi import run_spmd
 
 
 @pytest.mark.parametrize("n_ranks", [2, 3, 4, 5])
@@ -32,7 +16,7 @@ class TestBarrier:
             yield node.env.timeout(rank * 50_000)
             yield from comm.barrier()
             return node.env.now
-        results = run_collective(n_ranks, body)
+        results = run_spmd(n_ranks, body)
         last_arrival = (n_ranks - 1) * 50_000
         assert all(t >= last_arrival for t in results.values())
 
@@ -46,7 +30,7 @@ class TestBcast:
             data = payload if rank == root else None
             result = yield from comm.bcast(data, root)
             return result
-        results = run_collective(n_ranks, body)
+        results = run_spmd(n_ranks, body)
         assert all(value == payload for value in results.values())
 
 
@@ -56,14 +40,14 @@ class TestBcastValidation:
             result = yield from comm.bcast(None, 0)
             return result
         with pytest.raises(MpiError, match="root"):
-            run_collective(2, body)
+            run_spmd(2, body)
 
     def test_bad_root(self):
         def body(rank, comm, node):
             result = yield from comm.bcast(b"x", 9)
             return result
         with pytest.raises(MpiError, match="root"):
-            run_collective(2, body)
+            run_spmd(2, body)
 
 
 @pytest.mark.parametrize("n_ranks", [2, 3, 4])
@@ -77,7 +61,7 @@ class TestReduce:
         def body(rank, comm, node):
             result = yield from comm.reduce(contributions[rank], op, root=0)
             return result
-        results = run_collective(n_ranks, body)
+        results = run_spmd(n_ranks, body)
         expected = reference(np.stack(contributions), axis=0)
         assert np.allclose(results[0], expected)
         assert all(results[r] is None for r in range(1, n_ranks))
@@ -90,7 +74,7 @@ class TestAllreduce:
             local = np.full(4, float(rank + 1))
             result = yield from comm.allreduce(local, np.add)
             return result
-        results = run_collective(n_ranks, body)
+        results = run_spmd(n_ranks, body)
         expected = np.full(4, sum(range(1, n_ranks + 1)), dtype=float)
         for rank in range(n_ranks):
             assert np.allclose(results[rank], expected)
@@ -100,7 +84,7 @@ class TestAllreduce:
             local = np.array([float(rank), float(-rank)])
             result = yield from comm.allreduce(local, np.maximum)
             return result
-        results = run_collective(n_ranks, body)
+        results = run_spmd(n_ranks, body)
         expected = np.array([float(n_ranks - 1), 0.0])
         for value in results.values():
             assert np.allclose(value, expected)
@@ -116,7 +100,7 @@ class TestPastOneMebibyte:
             local = np.full((1 << 19) + 4, rank + 1, np.float32)
             result = yield from comm.allreduce(local)
             return result
-        results = run_collective(n_ranks, body)
+        results = run_spmd(n_ranks, body)
         total = sum(range(1, n_ranks + 1))
         for value in results.values():
             assert value.nbytes == (2 << 20) + 16 and (value == total).all()
@@ -126,7 +110,7 @@ class TestPastOneMebibyte:
         def body(rank, comm, node):
             result = yield from comm.bcast(payload if rank == 0 else None)
             return result
-        results = run_collective(n_ranks, body)
+        results = run_spmd(n_ranks, body)
         assert all(value == payload for value in results.values())
 
 
@@ -137,7 +121,7 @@ class TestGatherScatter:
         def body(rank, comm, node):
             result = yield from comm.gather(bytes([rank]) * 3, root)
             return result
-        results = run_collective(n_ranks, body)
+        results = run_spmd(n_ranks, body)
         assert results[root] == [bytes([r]) * 3 for r in range(n_ranks)]
         assert all(results[r] is None for r in range(n_ranks) if r != root)
 
@@ -147,7 +131,7 @@ class TestGatherScatter:
             data = chunks if rank == root else None
             result = yield from comm.scatter(data, root)
             return result
-        results = run_collective(n_ranks, body)
+        results = run_spmd(n_ranks, body)
         assert results == {r: chunks[r] for r in range(n_ranks)}
 
 
@@ -158,7 +142,7 @@ class TestScatterValidation:
             result = yield from comm.scatter(data, 0)
             return result
         with pytest.raises(MpiError, match="chunks"):
-            run_collective(2, body)
+            run_spmd(2, body)
 
 
 @pytest.mark.parametrize("n_ranks", [2, 3, 4, 6])
@@ -167,7 +151,7 @@ class TestAllgather:
         def body(rank, comm, node):
             result = yield from comm.allgather(bytes([rank + 65]) * 2)
             return result
-        results = run_collective(n_ranks, body)
+        results = run_spmd(n_ranks, body)
         expected = [bytes([r + 65]) * 2 for r in range(n_ranks)]
         for value in results.values():
             assert value == expected
@@ -180,7 +164,7 @@ class TestAlltoall:
             chunks = [f"{rank}->{dest}".encode() for dest in range(n_ranks)]
             result = yield from comm.alltoall(chunks)
             return result
-        results = run_collective(n_ranks, body)
+        results = run_spmd(n_ranks, body)
         for rank in range(n_ranks):
             assert results[rank] == [f"{src}->{rank}".encode()
                                      for src in range(n_ranks)]
@@ -190,7 +174,7 @@ class TestAlltoall:
             result = yield from comm.alltoall([b"x"])
             return result
         with pytest.raises(MpiError):
-            run_collective(n_ranks, body)
+            run_spmd(n_ranks, body)
 
 
 class TestComposition:
@@ -201,7 +185,7 @@ class TestComposition:
             second = yield from comm.allreduce(np.array([float(rank * 10)]),
                                                np.add)
             return first[0], second[0]
-        results = run_collective(4, body)
+        results = run_spmd(4, body)
         for first, second in results.values():
             assert first == 6.0       # 0+1+2+3
             assert second == 60.0
@@ -215,5 +199,5 @@ class TestComposition:
                 data, _ = yield from comm.recv(0, 77)
                 assert data == b"side-channel"
             return total[0]
-        results = run_collective(3, body)
+        results = run_spmd(3, body)
         assert all(value == 3.0 for value in results.values())

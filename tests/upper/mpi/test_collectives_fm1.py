@@ -8,24 +8,7 @@ end quantifies the binding gap on a collective workload.
 import numpy as np
 import pytest
 
-from repro.cluster import Cluster
-from repro.configs import PPRO_FM2, SPARC_FM1
-from repro.upper.mpi import build_mpi_world
-
-
-def run_collective(fm_version, n_ranks, body):
-    machine = SPARC_FM1 if fm_version == 1 else PPRO_FM2
-    cluster = Cluster(n_ranks, machine=machine, fm_version=fm_version)
-    comms = build_mpi_world(cluster)
-    results = {}
-
-    def make(rank):
-        def program(node):
-            results[rank] = yield from body(rank, comms[rank], node)
-        return program
-
-    cluster.run([make(rank) for rank in range(n_ranks)])
-    return results, cluster.now
+from tests.upper.mpi import run_spmd
 
 
 @pytest.mark.parametrize("n_ranks", [2, 3, 4])
@@ -35,7 +18,7 @@ class TestFm1Collectives:
             yield node.env.timeout(rank * 30_000)
             yield from comm.barrier()
             return node.env.now
-        results, _ = run_collective(1, n_ranks, body)
+        results = run_spmd(n_ranks, body, "fm1")
         assert all(t >= (n_ranks - 1) * 30_000 for t in results.values())
 
     def test_bcast(self, n_ranks):
@@ -43,7 +26,7 @@ class TestFm1Collectives:
             data = b"fm1-bcast" if rank == 0 else None
             result = yield from comm.bcast(data, 0)
             return result
-        results, _ = run_collective(1, n_ranks, body)
+        results = run_spmd(n_ranks, body, "fm1")
         assert all(value == b"fm1-bcast" for value in results.values())
 
     def test_allreduce(self, n_ranks):
@@ -51,7 +34,7 @@ class TestFm1Collectives:
             result = yield from comm.allreduce(
                 np.array([float(rank + 1)]), np.add)
             return result[0]
-        results, _ = run_collective(1, n_ranks, body)
+        results = run_spmd(n_ranks, body, "fm1")
         expected = sum(range(1, n_ranks + 1))
         assert all(value == expected for value in results.values())
 
@@ -60,7 +43,7 @@ class TestFm1Collectives:
             chunks = [bytes([rank, dest]) for dest in range(n_ranks)]
             result = yield from comm.alltoall(chunks)
             return result
-        results, _ = run_collective(1, n_ranks, body)
+        results = run_spmd(n_ranks, body, "fm1")
         for rank in range(n_ranks):
             assert results[rank] == [bytes([src, rank])
                                      for src in range(n_ranks)]
@@ -71,8 +54,8 @@ class TestBindingGap:
         """The same allgather of 2 KB per rank on 4 ranks: the FM 2.x
         binding finishes several times sooner."""
         def body(rank, comm, node):
-            result = yield from comm.allgather(bytes(2048))
-            return len(result)
-        _r1, time_fm1 = run_collective(1, 4, body)
-        _r2, time_fm2 = run_collective(2, 4, body)
+            yield from comm.allgather(bytes(2048))
+            return node.env.now
+        time_fm1 = max(run_spmd(4, body, "fm1").values())
+        time_fm2 = max(run_spmd(4, body, "fm2").values())
         assert time_fm2 < time_fm1 / 3

@@ -3,9 +3,8 @@
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.cluster import Cluster
-from repro.configs import PPRO_FM2, SPARC_FM1
-from repro.upper.mpi import build_mpi_world
+from tests.golden.regen import mpi_world
+from tests.upper.mpi import run_spmd
 
 SIM_SETTINGS = settings(max_examples=10, deadline=None,
                         suppress_health_check=[HealthCheck.too_slow])
@@ -16,9 +15,7 @@ SIM_SETTINGS = settings(max_examples=10, deadline=None,
                          min_size=1, max_size=6),
        fm_version=st.sampled_from([1, 2]))
 def test_any_payload_sequence_roundtrips_in_order(payloads, fm_version):
-    machine = SPARC_FM1 if fm_version == 1 else PPRO_FM2
-    cluster = Cluster(2, machine=machine, fm_version=fm_version)
-    comms = build_mpi_world(cluster)
+    cluster, comms = mpi_world(f"fm{fm_version}")
     received = []
 
     def rank0(node):
@@ -45,17 +42,10 @@ def test_allreduce_matches_numpy_reference(n_ranks, length, seed, op_name):
     rng = np.random.default_rng(seed)
     contributions = rng.normal(size=(n_ranks, length))
 
-    cluster = Cluster(n_ranks, machine=PPRO_FM2, fm_version=2)
-    comms = build_mpi_world(cluster)
-    results = {}
+    def body(rank, comm, node):
+        return comm.allreduce(contributions[rank], op)
 
-    def make(rank):
-        def program(node):
-            results[rank] = yield from comms[rank].allreduce(
-                contributions[rank], op)
-        return program
-
-    cluster.run([make(rank) for rank in range(n_ranks)])
+    results = run_spmd(n_ranks, body)
     expected = reference_op(contributions, axis=0)
     for rank in range(n_ranks):
         assert np.allclose(results[rank], expected)
@@ -66,20 +56,13 @@ def test_allreduce_matches_numpy_reference(n_ranks, length, seed, op_name):
        chunk_size=st.integers(min_value=0, max_value=500),
        seed=st.integers(min_value=0, max_value=255))
 def test_alltoall_is_a_permutation(n_ranks, chunk_size, seed):
-    cluster = Cluster(n_ranks, machine=PPRO_FM2, fm_version=2)
-    comms = build_mpi_world(cluster)
-    results = {}
-
     def chunk(src, dst):
         return bytes(((src * 17 + dst * 31 + seed + i) % 256)
                      for i in range(chunk_size))
 
-    def make(rank):
-        def program(node):
-            chunks = [chunk(rank, dest) for dest in range(n_ranks)]
-            results[rank] = yield from comms[rank].alltoall(chunks)
-        return program
+    def body(rank, comm, node):
+        return comm.alltoall([chunk(rank, dest) for dest in range(n_ranks)])
 
-    cluster.run([make(rank) for rank in range(n_ranks)])
+    results = run_spmd(n_ranks, body)
     for rank in range(n_ranks):
         assert results[rank] == [chunk(src, rank) for src in range(n_ranks)]

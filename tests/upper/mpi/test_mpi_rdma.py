@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.configs import PPRO_FM2
-from repro.upper.mpi import (MPI2_DEFAULT_COSTS, MpiFm2Binding,
+from repro.upper.mpi import (MPI2_DEFAULT_COSTS, MpiEngine,
                              MpiFm2RdmaBinding, build_mpi_world)
 
 LARGE = MPI2_DEFAULT_COSTS.eager_threshold + 1
@@ -13,8 +13,7 @@ LARGE = MPI2_DEFAULT_COSTS.eager_threshold + 1
 
 def make_world(rdma, n=2):
     cluster = Cluster(n, machine=PPRO_FM2, fm_version=2)
-    return cluster, build_mpi_world(
-        cluster, binding_cls=MpiFm2RdmaBinding if rdma else None)
+    return cluster, build_mpi_world(cluster, "rdma" if rdma else None)
 
 
 class TestRdmaRendezvous:
@@ -120,8 +119,8 @@ class TestDefaultOff:
         assert comms[0].engine.stats_rendezvous == 1
 
     def test_default_is_the_classic_binding_in_time_and_stats(self):
-        """The default is ``binding_cls=MpiFm2Binding``: same completion
-        time, same message counts, to the nanosecond."""
+        """The default is ``binding="fm2"``: same completion time, same
+        message counts, to the nanosecond."""
         def run_once(**kwargs):
             cluster = Cluster(2, machine=PPRO_FM2, fm_version=2)
             comms = build_mpi_world(cluster, **kwargs)
@@ -135,13 +134,18 @@ class TestDefaultOff:
                     comms[0].engine.fm.stats_sent_messages,
                     comms[0].engine.fm.stats_sent_packets,
                     comms[1].engine.fm.stats_recv_messages)
-        assert run_once() == run_once(binding_cls=MpiFm2Binding)
+        assert run_once() == run_once(binding="fm2")
 
     def test_rdma_needs_fm2(self):
         from repro.configs import SPARC_FM1
         cluster = Cluster(2, machine=SPARC_FM1, fm_version=1)
+        with pytest.raises(ValueError, match="'rdma' binds FM 2.x: "
+                           "fm_version must be 2, got 1"):
+            build_mpi_world(cluster, binding="rdma")
+        # Below the table, the binding itself still refuses the endpoint.
         with pytest.raises(TypeError, match="needs an FM2 endpoint"):
-            build_mpi_world(cluster, binding_cls=MpiFm2RdmaBinding)
+            MpiEngine(cluster.node(0), MPI2_DEFAULT_COSTS, 2,
+                      MpiFm2RdmaBinding)
 
 
 class TestDeterminism:

@@ -12,8 +12,8 @@ import tracemalloc
 import pytest
 
 from repro.upper.mpi.status import MpiError
+from repro.upper.mpi.world import BINDINGS
 
-from tests.golden.regen import MPI_BINDING_CASES as BINDINGS
 from tests.golden.regen import mpi_world as make_world
 
 SIZES = {"eager": 1_000, "rendezvous": 20_000}

@@ -18,8 +18,9 @@ from repro.configs import PPRO_FM2, SPARC_FM1
 from repro.core.common import FmStalledError
 from repro.faults import FaultPlan
 from repro.faults.plan import LinkFault
-from repro.upper.mpi import MpiFm2RdmaBinding, build_mpi_world
+from repro.upper.mpi import build_mpi_world
 from repro.upper.mpi.status import MpiError
+from repro.upper.mpi.world import BINDINGS
 
 SIZE = 40_000
 FAULT_OPENS_NS = 30_000          # after the RTS has left rank 0
@@ -31,31 +32,29 @@ SLOP_NS = 1_000_000
 FORWARD = ("link:h0->s0", "link:s0->h1")     # sender -> receiver
 REVERSE = ("link:h1->s0", "link:s0->h0")     # receiver -> sender
 
-#: binding -> (fm_version, binding_cls, diagnosis when the forward path
-#: dies, diagnosis when the reverse path dies).
-BINDINGS = {
+#: binding -> (diagnosis when the forward path dies, diagnosis when the
+#: reverse path dies).
+DIAGNOSES = {
     # The payload is lost: the receiver starves.  The CTS is lost: the
     # sender says so.
-    "fm1": (1, None,
-            (MpiError, r"rank 1: wait\(\) made no progress"),
+    "fm1": ((MpiError, r"rank 1: wait\(\) made no progress"),
             (MpiError, r"rank 0: no CTS from rank 1 \(serial 0\)")),
     # FM 2.x is quick enough that the CTS is back before the fault opens;
     # what the dead reverse path then starves is the sender's credits.
-    "fm2": (2, None,
-            (MpiError, r"rank 1: wait\(\) made no progress"),
+    "fm2": ((MpiError, r"rank 1: wait\(\) made no progress"),
             (FmStalledError, r"node 0 stalled .* waiting for credits")),
     # Either the read request or its response is lost, or the FIN is: the
     # sender never hears the pull finished.
-    "rdma": (2, MpiFm2RdmaBinding,
-             (MpiError, r"rank 0: no RDMA FIN from rank 1 \(serial 0\)"),
+    "rdma": ((MpiError, r"rank 0: no RDMA FIN from rank 1 \(serial 0\)"),
              (MpiError, r"rank 0: no RDMA FIN from rank 1 \(serial 0\)")),
 }
 
 
 @pytest.mark.parametrize("link", FORWARD + REVERSE)
-@pytest.mark.parametrize("binding", BINDINGS)
+@pytest.mark.parametrize("binding", DIAGNOSES)
 def test_dead_link_after_the_rts_is_diagnosed_within_the_limit(binding, link):
-    fm_version, binding_cls, forward, reverse = BINDINGS[binding]
+    fm_version = BINDINGS[binding][0]
+    forward, reverse = DIAGNOSES[binding]
     error, message = forward if link in FORWARD else reverse
     cluster = Cluster(
         2, machine=SPARC_FM1 if fm_version == 1 else PPRO_FM2,
@@ -64,7 +63,7 @@ def test_dead_link_after_the_rts_is_diagnosed_within_the_limit(binding, link):
                           stall_limit_ns=STALL_LIMIT_NS))
     cluster.inject_faults(FaultPlan(seed=1, episodes=(
         LinkFault(link=link, start_ns=FAULT_OPENS_NS, drop_rate=1.0),)))
-    comms = build_mpi_world(cluster, binding_cls=binding_cls)
+    comms = build_mpi_world(cluster, binding)
     payload = bytes(i % 251 for i in range(SIZE))
     received = []
 

@@ -3,24 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.cluster import Cluster
-from repro.configs import PPRO_FM2
-from repro.upper.mpi import build_mpi_world
 from repro.upper.mpi.status import MpiError
 
-
-def run_collective(n_ranks, body):
-    cluster = Cluster(n_ranks, machine=PPRO_FM2, fm_version=2)
-    comms = build_mpi_world(cluster)
-    results = {}
-
-    def make(rank):
-        def program(node):
-            results[rank] = yield from body(rank, comms[rank], node)
-        return program
-
-    cluster.run([make(rank) for rank in range(n_ranks)])
-    return results
+from tests.upper.mpi import run_spmd
 
 
 @pytest.mark.parametrize("n_ranks", [2, 3, 4, 5])
@@ -29,7 +14,7 @@ class TestScan:
         def body(rank, comm, node):
             result = yield from comm.scan(np.array([float(rank + 1)]), np.add)
             return result[0]
-        results = run_collective(n_ranks, body)
+        results = run_spmd(n_ranks, body)
         for rank in range(n_ranks):
             assert results[rank] == sum(range(1, rank + 2))
 
@@ -39,7 +24,7 @@ class TestScan:
             result = yield from comm.scan(np.array([values[rank]]),
                                           np.maximum)
             return result[0]
-        results = run_collective(n_ranks, body)
+        results = run_spmd(n_ranks, body)
         for rank in range(n_ranks):
             assert results[rank] == max(values[: rank + 1])
 
@@ -48,7 +33,7 @@ class TestScan:
             local = np.array([float(rank), float(rank * 10)])
             result = yield from comm.scan(local, np.add)
             return result
-        results = run_collective(n_ranks, body)
+        results = run_spmd(n_ranks, body)
         for rank in range(n_ranks):
             expected = np.array([sum(range(rank + 1)),
                                  10 * sum(range(rank + 1))], dtype=float)
@@ -63,7 +48,7 @@ class TestReduceScatter:
             local = np.arange(n_ranks * block, dtype=np.float64) * (rank + 1)
             result = yield from comm.reduce_scatter(local, np.add)
             return result
-        results = run_collective(n_ranks, body)
+        results = run_spmd(n_ranks, body)
         factor = sum(range(1, n_ranks + 1))
         full = np.arange(n_ranks * block, dtype=np.float64) * factor
         for rank in range(n_ranks):
@@ -75,7 +60,7 @@ class TestReduceScatter:
             local = np.full((n_ranks * 2, 3), float(rank + 1))
             result = yield from comm.reduce_scatter(local, np.add)
             return result
-        results = run_collective(n_ranks, body)
+        results = run_spmd(n_ranks, body)
         expected_value = sum(range(1, n_ranks + 1))
         for rank in range(n_ranks):
             assert results[rank].shape == (2, 3)
@@ -88,4 +73,4 @@ class TestReduceScatterValidation:
             result = yield from comm.reduce_scatter(np.zeros(5), np.add)
             return result
         with pytest.raises(MpiError, match="divisible"):
-            run_collective(2, body)
+            run_spmd(2, body)

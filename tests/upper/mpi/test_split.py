@@ -3,25 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.cluster import Cluster
-from repro.configs import PPRO_FM2
 from repro.upper.mpi import ANY_SOURCE, build_mpi_world
 from repro.upper.mpi.comm import Communicator
 from repro.upper.mpi.status import MpiError
 
-
-def run_spmd(n_ranks, body):
-    cluster = Cluster(n_ranks, machine=PPRO_FM2, fm_version=2)
-    comms = build_mpi_world(cluster)
-    results = {}
-
-    def make(rank):
-        def program(node):
-            results[rank] = yield from body(rank, comms[rank], node)
-        return program
-
-    cluster.run([make(rank) for rank in range(n_ranks)])
-    return results
+from tests.upper.mpi import run_spmd
 
 
 class TestSplit:

@@ -33,12 +33,12 @@ READS = {
         "deadline_ns", "abandon_after_ns", "servers", "balancer", "vnodes",
         "key_skew", "shard_policies", "replicas", "probe_interval_ns",
         "failover_timeout_ns", "population"},
-    "halo": TELEMETRY | {"compute_ns", "halo_bytes"},
-    "allreduce": TELEMETRY | {"compute_ns", "grad_bytes"},
+    "halo": TELEMETRY | {"compute_ns", "halo_bytes", "mpi_binding"},
+    "allreduce": TELEMETRY | {"compute_ns", "grad_bytes", "mpi_binding"},
     "pipeline": ARRIVAL | {
         "pipeline", "n_sources", "branches", "window_ns", "window_slide_ns",
         "partition_by", "stage_placement", "sink_work_ns"},
-    "micro": {"pattern", "msg_bytes"},
+    "micro": {"pattern", "msg_bytes", "mpi_binding"},
 }
 
 
@@ -56,8 +56,8 @@ class TestKindsTable:
             assert {f.name for f in fields(cls)} == BASE | READS[kind], kind
             assert cls.__dataclass_fields__["kind"].default == kind
         assert {kind: len(fields(kind_class(kind))) for kind in KINDS} == {
-            "rpc": 39, "halo": 16, "allreduce": 16, "pipeline": 26,
-            "micro": 11}
+            "rpc": 39, "halo": 17, "allreduce": 17, "pipeline": 26,
+            "micro": 12}
 
     @pytest.mark.parametrize("kind", ["batch", "RPC", 7, None])
     def test_an_unknown_kind_names_every_kind(self, kind):
@@ -162,6 +162,14 @@ class TestValidationAtConstruction:
         # So does the put ping-pong.
         ("rdma-pingpong", {"msg_bytes": 0}),
         ("rdma-pingpong", {"fm_version": 1}),
+        # An MPI binding is a BINDINGS name of the scenario's FM
+        # generation, on a kind or pattern that builds an MPI world.
+        ("mpi-halo", {"mpi_binding": "no-copies"}),
+        ("mpi-stream-fm2", {"fm_version": 1, "mpi_binding": "no-gather"}),
+        ("mpi-halo", {"mpi_binding": "fm1"}),
+        ("stream-fm2", {"mpi_binding": "fm2"}),
+        ("pingpong-fm2", {"pattern": "nic-barrier", "n_nodes": 4,
+                          "mpi_binding": "fm2"}),
     ])
     def test_bad_values_fail_before_anything_is_built(self, base, overrides):
         field = list(overrides)[-1]

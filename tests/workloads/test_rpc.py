@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
+from repro.faults import FaultPlan
+from repro.faults.plan import NicStall
 from repro.workloads.presets import PRESETS
 from repro.workloads.apps import AllreduceScenario, HaloScenario
 from repro.workloads.rpc_kind import RpcScenario
-from repro.workloads.runner import Scenario, run_scenario
+from repro.workloads.runner import Scenario, execute_scenario, run_scenario
 from repro.workloads.sharding import RoundRobin, ShardDirectory
 
 
@@ -262,6 +265,29 @@ class TestMpiKinds:
             name="a", kind="allreduce", n_nodes=3, iterations=5,
             grad_bytes=1024, compute_ns=1_000))["results"]
         assert results["completed"] == 5
+
+    def test_a_named_binding_runs_like_any_scenario(self):
+        """``mpi_binding`` reaches a run that takes a fault plan and an
+        observer: the observer moves no report byte, the no-gather
+        ablation's assembly copy shows in the meters where the default's
+        run has none, and ``fm2`` is the FM 2.x default itself."""
+        halo = PRESETS["mpi-halo"]
+        ablated = replace(halo, mpi_binding="no-gather")
+        plan = FaultPlan(seed=1, episodes=(NicStall(
+            node=1, start_ns=0, end_ns=500_000, extra_ns=5_000),))
+        observed = execute_scenario(ablated, plan=plan, observe=True)
+        assert observed.report == run_scenario(ablated, plan=plan)
+        assert observed.report["faults"]["events"] > 0
+        default = execute_scenario(halo, plan=plan)
+
+        def assembled(outcome):
+            return sum(node.cpu.meter.by_label.get(
+                "ablation.send_assembly", 0)
+                for node in outcome.cluster.nodes)
+
+        assert assembled(observed) > 0 and assembled(default) == 0
+        assert (run_scenario(replace(halo, mpi_binding="fm2"), plan=plan)
+                ["results"] == default.report["results"])
 
 
 class TestScenarioSpec:
