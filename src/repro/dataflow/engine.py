@@ -56,26 +56,31 @@ PLACEMENTS = ("spread", "colocate")
 
 
 def build_pipeline_graph(scenario: "PipelineScenario") -> StreamGraph:
-    """The named pipeline shape for ``scenario.pipeline``."""
+    """The named pipeline shape for ``scenario.pipeline``: the sources fan
+    out over ``branches`` lanes, and every lane feeds the one sink."""
+    s = scenario
     graph = StreamGraph()
-    sources = [graph.source(f"source{i}")
-               for i in range(scenario.n_sources)]
-    merged = graph.merge(sources)
-    if scenario.pipeline == "rollup":
-        lanes = merged.partition(scenario.branches,
-                                 by=scenario.partition_by).window(
-            scenario.window_ns, slide_ns=scenario.window_slide_ns,
-            agg="sum", work_ns=scenario.work_ns, name="rollup")
+    sources = [graph.add_stage(f"source{i}", "source")
+               for i in range(s.n_sources)]
+    if s.pipeline == "rollup":
+        base, selector, lane = "rollup", s.partition_by, dict(
+            kind="window", op="sum", window_ns=s.window_ns,
+            slide_ns=s.window_slide_ns)
     else:  # scatter_gather
-        lanes = merged.scatter(scenario.branches).map(
-            "square_mod", work_ns=scenario.work_ns, name="work")
-    lanes.sink("sink", work_ns=scenario.sink_work_ns)
-    graph.validate()
+        base, selector, lane = "work", "round_robin", dict(
+            kind="map", op="square_mod")
+    lanes = tuple(graph.add_stage(f"{base}.{b}", branch=b,
+                                  work_ns=s.work_ns, **lane)
+                  for b in range(s.branches))
+    for src in sources:
+        graph.connect(src, lanes, selector)
+    sink = graph.add_stage("sink", "sink", work_ns=s.sink_work_ns)
+    for lane_id in lanes:
+        graph.connect(lane_id, (sink,))
     return graph
 
 
-def required_nodes(pipeline: str, n_sources: int, branches: int,
-                   placement: str) -> int:
+def required_nodes(n_sources: int, branches: int, placement: str) -> int:
     """Smallest cluster the placement admits (pure arithmetic, shared by
     Scenario validation and tests)."""
     if placement == "spread":
@@ -154,7 +159,9 @@ def _wait_all(env, events) -> object:
 def build_pipeline(cluster: "Cluster", graph: StreamGraph,
                    scenario: "PipelineScenario",
                    stats: PipelineStats) -> PipelineRun:
-    """Wire a validated graph onto a cluster (no processes started)."""
+    """Validate ``graph`` and wire it onto a cluster (no processes
+    started)."""
+    graph.validate()
     placement = place_stages(graph, scenario.stage_placement,
                              cluster.n_nodes)
     run = PipelineRun(cluster, stats)
@@ -268,8 +275,7 @@ class PipelineScenario(ArrivalFields):
             raise ValueError(
                 f"req_bytes is the per-record wire footprint and must "
                 f"be >= {MIN_RECORD_BYTES}, got {s.req_bytes}")
-        need = required_nodes(s.pipeline, s.n_sources, s.branches,
-                              s.stage_placement)
+        need = required_nodes(s.n_sources, s.branches, s.stage_placement)
         if s.n_nodes < need:
             raise ValueError(
                 f"{s.stage_placement!r} placement of this pipeline "

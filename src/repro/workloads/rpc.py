@@ -242,10 +242,9 @@ class RpcEndpoint:
         # FM 1.x interface cost: the message must be contiguous, so
         # header + payload are assembled into one buffer first (§3.2).
         total = len(header) + payload_len
-        cpu = self.fm.cpu
-        yield from cpu.execute(cpu.memcpy_cost(total))
-        message = Buffer.from_bytes(header + bytes(payload_len),
-                                    name="rpc.assembled")
+        message = Buffer(total, name="rpc.assembled")
+        yield from self.fm.cpu.deposit(header + bytes(payload_len), message,
+                                       label="rpc.send_assembly")
         yield from self.fm.send(dest, handler_id, message, total)
 
     # -- receive side -------------------------------------------------------

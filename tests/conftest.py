@@ -25,17 +25,3 @@ def fm2_cluster() -> Cluster:
     """A two-node FM 2.x cluster on the PPro testbed config."""
     return Cluster(2, machine=PPRO_FM2, fm_version=2)
 
-
-def run_to_end(cluster: Cluster, programs, until_ns=None):
-    """Run programs on a cluster; thin wrapper kept for test readability."""
-    return cluster.run(programs, until_ns=until_ns)
-
-
-def drain_receiver(node, done, idle_ns: int = 500):
-    """A standard receiver loop: extract until ``done()`` returns True."""
-    def program(n):
-        while not done():
-            got = yield from n.fm.extract()
-            if not got:
-                yield n.env.timeout(idle_ns)
-    return program(node) if node is not None else program

@@ -121,18 +121,20 @@ class TestPlacement:
         assert {by_name["rollup.0"], by_name["rollup.1"]} == {0, 1}
 
     def test_required_nodes_arithmetic(self):
-        assert required_nodes("rollup", 3, 4, "spread") == 8
-        assert required_nodes("rollup", 3, 4, "colocate") == 3
-        assert required_nodes("rollup", 1, 4, "colocate") == 2
+        assert required_nodes(3, 4, "spread") == 8
+        assert required_nodes(3, 4, "colocate") == 3
+        assert required_nodes(1, 4, "colocate") == 2
 
 
 class TestCustomGraph:
     def test_filter_pipeline_accounts_dropped_by_predicate(self):
         scenario = pipeline_scenario(branches=1, n_nodes=3, n_keys=8)
         graph = StreamGraph()
-        graph.source("source0").filter("even_keys",
-                                       name="keep_even").sink("sink")
-        graph.validate()
+        ids = [graph.add_stage("source0", "source"),
+               graph.add_stage("keep_even", "filter", op="even_keys"),
+               graph.add_stage("sink", "sink")]
+        graph.connect(ids[0], (ids[1],))
+        graph.connect(ids[1], (ids[2],))
         cluster = Cluster(scenario.n_nodes,
                           fm_version=scenario.fm_version)
         stats = PipelineStats(cluster.env)

@@ -1,19 +1,40 @@
-"""The Stream API: graph construction, validation, window semantics."""
+"""Pipeline graphs: construction, validation, window semantics."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.dataflow.graph import StreamGraph
-from repro.dataflow.ops import WindowState, lookup, MAP_OPS
+from repro.dataflow.ops import (AGG_OPS, FILTER_OPS, MAP_OPS, WindowState,
+                                lookup)
 from repro.dataflow.records import EDGE_HEADER, RECORD, pack_message
+
+
+def fanout_graph(n: int, selector: str, kind: str = "map", **lane):
+    """source -> ``n`` lanes through ``selector`` -> sink: stage ids are
+    src=0, lanes 1..n, sink=n+1."""
+    g = StreamGraph()
+    src = g.add_stage("src", "source")
+    lanes = tuple(g.add_stage(f"w.{b}", kind, branch=b, **lane)
+                  for b in range(n))
+    g.connect(src, lanes, selector)
+    sink = g.add_stage("sink", "sink")
+    for lane_id in lanes:
+        g.connect(lane_id, (sink,))
+    return g
 
 
 class TestGraphConstruction:
     def test_linear_pipeline_shape(self):
         g = StreamGraph()
-        g.source("src").map("double").filter("even_keys").sink("sink")
+        ids = [g.add_stage("src", "source"),
+               g.add_stage("m", "map", op="double"),
+               g.add_stage("f", "filter", op="even_keys"),
+               g.add_stage("sink", "sink")]
+        for src, dst in zip(ids, ids[1:]):
+            g.connect(src, (dst,))
         g.validate()
+        assert ids == [0, 1, 2, 3]
         assert [s.kind for s in g.stages] == ["source", "map", "filter",
                                               "sink"]
         # Forward-only construction: creation order is topological.
@@ -21,11 +42,7 @@ class TestGraphConstruction:
             assert all(dst > group.src for dst in group.dsts)
 
     def test_partition_materialises_lanes(self):
-        g = StreamGraph()
-        s = g.source("src")
-        lanes = s.partition(3, by="hash").window(1_000, agg="max",
-                                                 name="w")
-        lanes.sink("sink")
+        g = fanout_graph(3, "hash", "window", op="max", window_ns=1_000)
         g.validate()
         names = [s.name for s in g.stages]
         assert names == ["src", "w.0", "w.1", "w.2", "sink"]
@@ -36,65 +53,87 @@ class TestGraphConstruction:
         assert len(g.upstreams(4)) == 3
 
     def test_scatter_is_round_robin(self):
-        g = StreamGraph()
-        lanes = g.source("src").scatter(2).map("identity", name="m")
-        lanes.sink()
+        g = fanout_graph(2, "round_robin")
+        g.validate()
         assert g.downstream_groups(0)[0].selector == "round_robin"
 
     def test_merge_connects_every_source(self):
         g = StreamGraph()
-        streams = [g.source(f"s{i}") for i in range(3)]
-        g.merge(streams).map("identity", name="m").sink()
+        sources = [g.add_stage(f"s{i}", "source") for i in range(3)]
+        m = g.add_stage("m", "map")
+        for src in sources:
+            g.connect(src, (m,))
+        g.connect(m, (g.add_stage("sink", "sink"),))
         g.validate()
         assert g.upstreams(3) == [0, 1, 2]
 
     def test_lane_branch_indices(self):
-        g = StreamGraph()
-        lanes = g.source("src").partition(4).window(1_000, name="w")
-        lanes.sink()
+        g = fanout_graph(4, "hash", "window", op="sum", window_ns=1_000)
         branches = [s.branch for s in g.stages if s.name.startswith("w.")]
         assert branches == [0, 1, 2, 3]
+
+    def test_every_named_operator_is_a_stage(self):
+        g = StreamGraph()
+        for kind, ops, extra in (("map", MAP_OPS, {}),
+                                 ("filter", FILTER_OPS, {}),
+                                 ("window", AGG_OPS,
+                                  {"window_ns": 1_000, "slide_ns": 250})):
+            for op in ops:
+                g.add_stage(f"{kind}.{op}", kind, op=op, **extra)
+        assert len(g.stages) == len(MAP_OPS) + len(FILTER_OPS) + len(AGG_OPS)
 
 
 class TestGraphValidation:
     def test_duplicate_stage_name_rejected(self):
         g = StreamGraph()
-        g.source("src")
+        g.add_stage("src", "source")
         with pytest.raises(ValueError, match="duplicate"):
-            g.source("src")
+            g.add_stage("src", "source")
 
     def test_dangling_source_rejected(self):
         g = StreamGraph()
-        g.source("a").sink("sink")
-        g.source("lonely")
+        a = g.add_stage("a", "source")
+        g.connect(a, (g.add_stage("sink", "sink"),))
+        g.add_stage("lonely", "source")
         with pytest.raises(ValueError, match="feeds nothing"):
             g.validate()
 
     def test_sinkless_graph_rejected(self):
         g = StreamGraph()
-        g.source("a").map("identity")
+        a = g.add_stage("a", "source")
+        g.connect(a, (g.add_stage("m", "map"),))
         with pytest.raises(ValueError, match="no sink"):
             g.validate()
 
     def test_unknown_map_op_rejected(self):
         g = StreamGraph()
         with pytest.raises(ValueError, match="unknown map op"):
-            g.source("a").map("frobnicate")
+            g.add_stage("m", "map", op="frobnicate")
 
     def test_unknown_aggregation_rejected(self):
         g = StreamGraph()
         with pytest.raises(ValueError, match="unknown aggregation"):
-            g.source("a").window(1_000, agg="median")
+            g.add_stage("w", "window", op="median", window_ns=1_000)
 
     def test_bad_partition_selector_rejected(self):
-        g = StreamGraph()
-        with pytest.raises(ValueError, match="hash/round_robin"):
-            g.source("a").partition(2, by="random")
+        g = fanout_graph(2, "hash")
+        with pytest.raises(ValueError, match="selector must be one of"):
+            g.connect(0, (1, 2), "random")
 
     def test_slide_must_divide_width(self):
         g = StreamGraph()
         with pytest.raises(ValueError, match="divide"):
-            g.source("a").window(1_000, slide_ns=300)
+            g.add_stage("w", "window", window_ns=1_000, slide_ns=300)
+
+    def test_connect_only_points_forward_to_existing_stages(self):
+        g = fanout_graph(2, "hash")
+        with pytest.raises(ValueError, match="point forward"):
+            g.connect(3, (1,))                  # sink back to a lane
+        with pytest.raises(ValueError, match="point forward"):
+            g.connect(1, (1,))                  # a self-loop
+        with pytest.raises(ValueError, match="point forward"):
+            g.connect(0, (4,))                  # no stage 4 yet
+        assert len(g.groups) == 3               # nothing was added
 
     def test_lookup_lists_choices(self):
         with pytest.raises(ValueError) as exc:

@@ -9,17 +9,13 @@ buffer) and a sent byte zero times.
 
 import pytest
 
-from repro.cluster import Cluster
-from repro.configs import PPRO_FM2, SPARC_FM1
-from repro.upper.mpi import build_mpi_world
+from tests.golden.regen import mpi_world
 
 SIZE = 1024
 
 
 def run_one_transfer(fm_version, pre_post=True, size=SIZE):
-    machine = SPARC_FM1 if fm_version == 1 else PPRO_FM2
-    cluster = Cluster(2, machine=machine, fm_version=fm_version)
-    comms = build_mpi_world(cluster)
+    cluster, comms = mpi_world(f"fm{fm_version}")
     payload = bytes(i % 251 for i in range(size))
     out = {}
 
@@ -68,8 +64,7 @@ class TestMpiFm1Copies:
 
     def test_burst_overruns_pool_and_spills(self):
         """No receiver pacing: a burst forces spill copies (§3.2)."""
-        cluster = Cluster(2, machine=SPARC_FM1, fm_version=1)
-        comms = build_mpi_world(cluster)
+        cluster, comms = mpi_world("fm1")
         n_messages = 12
 
         def rank0(node):
@@ -112,8 +107,7 @@ class TestMpiFm2Copies:
         assert meter.bytes_for("mpi2.deliver") == SIZE
 
     def test_paced_progress_prevents_spills(self):
-        cluster = Cluster(2, machine=PPRO_FM2, fm_version=2)
-        comms = build_mpi_world(cluster)
+        cluster, comms = mpi_world("fm2")
         n_messages = 12
 
         def rank0(node):

@@ -7,6 +7,7 @@ from repro.cluster import Cluster
 from repro.configs import PPRO_FM2
 from repro.upper.mpi import ANY_SOURCE, ANY_TAG, build_mpi_world
 from repro.upper.mpi.status import MpiError, Request, Status
+from tests.golden.regen import mpi_world
 
 
 class TestRequest:
@@ -27,10 +28,6 @@ class TestRequest:
 
 
 class TestEngineEdges:
-    def make_world(self, n=2):
-        cluster = Cluster(n, machine=PPRO_FM2, fm_version=2)
-        return cluster, build_mpi_world(cluster)
-
     def test_wait_stall_detected(self):
         """A receive nothing will ever match fails loudly, not silently."""
         from repro.core.common import FmParams
@@ -46,7 +43,7 @@ class TestEngineEdges:
             cluster.run([None, starved])
 
     def test_negative_recv_size_rejected(self):
-        cluster, comms = self.make_world()
+        cluster, comms = mpi_world("fm2")
 
         def rank1(node):
             yield from comms[1].irecv(0, 0, max_bytes=-1)
@@ -55,14 +52,14 @@ class TestEngineEdges:
             cluster.run([None, rank1])
 
     def test_serials_increase_per_destination(self):
-        cluster, comms = self.make_world(3)
+        cluster, comms = mpi_world("fm2", n=3)
         engine = comms[0].engine
         assert engine.next_serial(1) == 0
         assert engine.next_serial(1) == 1
         assert engine.next_serial(2) == 0
 
     def test_iprobe_misses_return_none(self):
-        cluster, comms = self.make_world()
+        cluster, comms = mpi_world("fm2")
         out = {}
 
         def rank0(node):
@@ -85,7 +82,7 @@ class TestEngineEdges:
         assert out["wild"].tag == 4
 
     def test_status_fields_from_wait(self):
-        cluster, comms = self.make_world()
+        cluster, comms = mpi_world("fm2")
         out = {}
 
         def rank0(node):
@@ -103,6 +100,6 @@ class TestEngineEdges:
                 out["status"].count) == (0, 11, 5)
 
     def test_engine_repr(self):
-        _cluster, comms = self.make_world()
+        _cluster, comms = mpi_world("fm2")
         assert "MpiEngine" in repr(comms[0].engine)
         assert "Communicator" in repr(comms[0])

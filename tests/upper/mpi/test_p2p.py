@@ -3,21 +3,14 @@ tags, rendezvous, probe, statuses."""
 
 import pytest
 
-from repro.cluster import Cluster
-from repro.configs import PPRO_FM2, SPARC_FM1
-from repro.upper.mpi import ANY_SOURCE, ANY_TAG, build_mpi_world
+from repro.upper.mpi import ANY_SOURCE, ANY_TAG
 from repro.upper.mpi.status import MpiError
+from tests.golden.regen import mpi_world
 
 
-def make_cluster(fm_version, n=2):
-    machine = SPARC_FM1 if fm_version == 1 else PPRO_FM2
-    cluster = Cluster(n, machine=machine, fm_version=fm_version)
-    return cluster, build_mpi_world(cluster)
-
-
-@pytest.fixture(params=[1, 2], ids=["mpi-fm1", "mpi-fm2"])
+@pytest.fixture(params=["fm1", "fm2"], ids=["mpi-fm1", "mpi-fm2"])
 def world(request):
-    return make_cluster(request.param)
+    return mpi_world(request.param)
 
 
 class TestBlocking:

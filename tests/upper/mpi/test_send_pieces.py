@@ -3,27 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.cluster import Cluster
-from repro.configs import PPRO_FM2, SPARC_FM1
-from repro.upper.mpi import build_mpi_world
 from repro.upper.mpi.comm import from_bytes
 from repro.upper.mpi.status import MpiError
+from tests.golden.regen import mpi_world
 
 
-def make_world(fm_version):
-    machine = SPARC_FM1 if fm_version == 1 else PPRO_FM2
-    cluster = Cluster(2, machine=machine, fm_version=fm_version)
-    return cluster, build_mpi_world(cluster)
-
-
-@pytest.fixture(params=[1, 2], ids=["mpi-fm1", "mpi-fm2"])
+@pytest.fixture(params=["fm1", "fm2"], ids=["mpi-fm1", "mpi-fm2"])
 def world(request):
-    return request.param, *make_world(request.param)
+    return mpi_world(request.param)
 
 
 class TestSendPieces:
     def test_pieces_arrive_concatenated(self, world):
-        _version, cluster, comms = world
+        cluster, comms = world
         pieces = [b"header--", b"", b"body" * 100, b"!trailer"]
         out = {}
 
@@ -38,7 +30,7 @@ class TestSendPieces:
         assert out["data"] == b"".join(pieces)
 
     def test_eager_threshold_enforced(self, world):
-        _version, cluster, comms = world
+        cluster, comms = world
         big = comms[0].engine.costs.eager_threshold + 1
 
         def rank0(node):
@@ -48,7 +40,7 @@ class TestSendPieces:
             cluster.run([rank0, None])
 
     def test_strided_rows_roundtrip(self, world):
-        _version, cluster, comms = world
+        cluster, comms = world
         matrix = np.arange(40, dtype=np.float64).reshape(5, 8)
         view = matrix[::2, 1:7]   # a strided 3x6 view
         out = {}
@@ -64,7 +56,7 @@ class TestSendPieces:
         assert np.array_equal(out["array"], view)
 
     def test_strided_needs_2d(self, world):
-        _version, cluster, comms = world
+        cluster, comms = world
         with pytest.raises(MpiError, match="2-D"):
             next(comms[0].send_strided(np.zeros(4), 1))
 
@@ -76,8 +68,8 @@ class TestGatherVsPackCopies:
 
     PIECES = [bytes(500), bytes(1000), bytes(548)]   # 2048 B total
 
-    def run_version(self, fm_version):
-        cluster, comms = make_world(fm_version)
+    def run_version(self, binding):
+        cluster, comms = mpi_world(binding)
 
         def rank0(node):
             yield from comms[0].send_pieces(self.PIECES, 1, tag=1)
@@ -89,10 +81,10 @@ class TestGatherVsPackCopies:
         return cluster.node(0).cpu.meter
 
     def test_fm2_send_side_zero_copy(self):
-        meter = self.run_version(2)
+        meter = self.run_version("fm2")
         assert meter.copies == 0
 
     def test_fm1_packs_then_assembles(self):
-        meter = self.run_version(1)
+        meter = self.run_version("fm1")
         assert meter.bytes_for("mpi1.datatype_pack") == 2048
         assert meter.bytes_for("mpi1.send_assembly") == 2048

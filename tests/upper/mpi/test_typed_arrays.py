@@ -3,16 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.cluster import Cluster
-from repro.configs import PPRO_FM2
-from repro.upper.mpi import build_mpi_world
 from repro.upper.mpi.comm import from_bytes, to_bytes
 from repro.upper.mpi.status import MpiError
-
-
-def make_world():
-    cluster = Cluster(2, machine=PPRO_FM2, fm_version=2)
-    return cluster, build_mpi_world(cluster)
+from tests.golden.regen import mpi_world
 
 
 class TestSerialisation:
@@ -34,7 +27,7 @@ class TestSerialisation:
 
 class TestTypedSendRecv:
     def test_array_roundtrip(self):
-        cluster, comms = make_world()
+        cluster, comms = mpi_world("fm2")
         out = {}
 
         def rank0(node):
@@ -52,7 +45,7 @@ class TestTypedSendRecv:
         assert out["count"] == 24
 
     def test_dtype_size_mismatch_detected(self):
-        cluster, comms = make_world()
+        cluster, comms = mpi_world("fm2")
 
         def rank0(node):
             yield from comms[0].send_array(np.zeros(3, dtype=np.float64), 1)
@@ -66,7 +59,7 @@ class TestTypedSendRecv:
             cluster.run([rank0, rank1])
 
     def test_scalar_shape(self):
-        cluster, comms = make_world()
+        cluster, comms = mpi_world("fm2")
         out = {}
 
         def rank0(node):

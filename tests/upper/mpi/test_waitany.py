@@ -6,16 +6,12 @@ from repro.cluster import Cluster
 from repro.configs import PPRO_FM2
 from repro.upper.mpi import build_mpi_world
 from repro.upper.mpi.status import MpiError
-
-
-def make_world(n=3):
-    cluster = Cluster(n, machine=PPRO_FM2, fm_version=2)
-    return cluster, build_mpi_world(cluster)
+from tests.golden.regen import mpi_world
 
 
 class TestWaitany:
     def test_returns_first_completion(self):
-        cluster, comms = make_world()
+        cluster, comms = mpi_world("fm2", n=3)
         out = {}
 
         def rank1(node):
@@ -37,7 +33,7 @@ class TestWaitany:
         assert out["first"] == (1, b"fast", 2)
 
     def test_already_complete_short_circuits(self):
-        cluster, comms = make_world(2)
+        cluster, comms = mpi_world("fm2")
         out = {}
 
         def rank1(node):
@@ -53,7 +49,7 @@ class TestWaitany:
         assert out["index"] == 0
 
     def test_empty_list_rejected(self):
-        cluster, comms = make_world(2)
+        cluster, comms = mpi_world("fm2")
 
         def rank0(node):
             yield from comms[0].waitany([])
@@ -78,7 +74,7 @@ class TestWaitany:
 
 class TestWaitsome:
     def test_reports_all_completed(self):
-        cluster, comms = make_world()
+        cluster, comms = mpi_world("fm2", n=3)
         out = {}
 
         def rank1(node):

@@ -50,6 +50,16 @@ class TestRpcBasics:
             arrival="closed", n_requests=15))
         assert report["results"]["completed"] == 15
 
+    def test_fm1_send_assembly_copy_is_metered(self):
+        # FM 1.x sends a contiguous message, so every request and response
+        # is first assembled into one buffer: a copy the meter must see.
+        outcome = execute_scenario(replace(
+            PRESETS["rpc-open"], fm_version=1, machine="sparc"))
+        assembled = [node.cpu.meter.bytes_for("rpc.send_assembly")
+                     for node in outcome.cluster.nodes]
+        # Three clients send 60 requests of 88 B; the server answers all.
+        assert assembled == [13_680, 5_280, 5_280, 5_280]
+
     def test_fm2_sustains_higher_delivered_load_than_fm1(self):
         # Same machine, same saturating traffic: FM 1.x pays the assembly
         # copy, fixed 128-byte packets, and extract-serialised handlers, so
