@@ -8,26 +8,27 @@ carries ``count=N``, so ``sum(counts at the sinks) + filtered-away counts
 ``ts`` is the origin timestamp (max over members for aggregates) — the
 sink's end-to-end latency sample is ``now - ts``.
 
-On the wire a batch of records for one edge is one FM2 message::
+On the wire each record is one FM2 message on its edge::
 
-    EDGE_HEADER (edge_id, n_records, flags) | n_records * RECORD | padding
+    EDGE_HEADER (edge_id, n_records, flags) | RECORD | padding
 
-Padding inflates the per-record wire footprint to the scenario's
-``req_bytes`` (>= RECORD.size), modelling fatter application records
-without simulating their bytes in Python.  The receive handler scatters
+``n_records`` is 1, or 0 for a message that only ends its edge.  Padding
+inflates the record's wire footprint to the scenario's ``req_bytes``
+(>= RECORD.size), modelling fatter application records without
+simulating their bytes in Python.  The receive handler scatters
 only header + records out of the stream and leaves the padding
 unconsumed — FM 2.x explicitly allows a handler to extract less than the
 full message (§4.2), which is exactly the receiver-side economy the
 paper's gather/scatter interface buys.
 
-``flags & EOS_FLAG`` marks the *last* message on an edge; its records
-(if any) precede the end-of-stream marker.
+``flags & EOS_FLAG`` marks the *last* message on an edge; its record
+(if any) precedes the end-of-stream marker.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Iterable
+from typing import Optional
 
 #: (key, value, count, ts) — all int64.
 RECORD = struct.Struct("<qqqq")
@@ -55,10 +56,11 @@ class Eos:
         return f"<Eos edge={self.edge_id}>"
 
 
-def pack_message(edge_id: int, records: Iterable[tuple], flags: int,
+def pack_message(edge_id: int, record: Optional[tuple], flags: int,
                  record_bytes: int) -> bytes:
-    """Serialise one edge message (header + records + padding)."""
-    body = b"".join(RECORD.pack(*record) for record in records)
-    n_records = len(body) // RECORD.size
-    pad = n_records * (record_bytes - RECORD.size)
-    return EDGE_HEADER.pack(edge_id, n_records, flags) + body + b"\0" * pad
+    """Serialise one edge message (header, then the record and its
+    padding when there is one)."""
+    if record is None:
+        return EDGE_HEADER.pack(edge_id, 0, flags)
+    return (EDGE_HEADER.pack(edge_id, 1, flags) + RECORD.pack(*record)
+            + b"\0" * (record_bytes - RECORD.size))

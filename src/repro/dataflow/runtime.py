@@ -21,14 +21,11 @@ No dataflow-specific protocol, retransmission, or ack machinery: the FM
 credit scheme the paper already has *is* the backpressure carrier, which
 is the layering argument this subsystem exists to exercise.
 
-The pump keeps one lane (a bounded staging deque) per remote-fed stage
-and round-robins delivery across them, so a full queue stalls only its
-own lane: records for co-hosted stages keep flowing.  Extraction is gated
-on a lane reaching its bound, at which point the pump parks in a blocking
-``put`` on that stage — restoring exactly the strict backpressure chain
-above.  Lanes that share a pump stage one queue's worth each; a lone lane
-stages only the record it is delivering, which is strict arrival-order
-delivery, event for event.
+The pump delivers in arrival order: a record bound for a full queue
+stops the whole pump, so every stage the node hosts waits with it.  That
+is FM's own unit of flow control — one host receive region per node, and
+credits come back only for extracted packets — so per-stage fairness
+would need staging that no receive region bounds.
 
 Same-node edges never touch FM (FM forbids self-sends): a local handoff
 charges the host memcpy cost for the record's wire footprint and puts
@@ -84,24 +81,25 @@ class DataflowEndpoint:
                 "extract pacing")
         self.node = node
         self.fm = node.fm
-        #: Parsed ``(edge_id, records, flags)`` messages awaiting the pump.
-        self.inbox: deque[tuple[int, list, int]] = deque()
+        #: Parsed ``(edge_id, record or None, flags)`` messages awaiting
+        #: the pump.
+        self.inbox: deque[tuple[int, Optional[tuple], int]] = deque()
         self.handler_id = self.fm.register_handler(self._handler)
 
     def _handler(self, fm, stream, src) -> Generator:
         head = yield from stream.receive_bytes(EDGE_HEADER.size)
         edge_id, n_records, flags = EDGE_HEADER.unpack(head)
-        records: list = []
+        record = None
         if n_records:
-            body = yield from stream.receive_bytes(n_records * RECORD.size)
-            records = list(RECORD.iter_unpack(body))
+            record = RECORD.unpack(
+                (yield from stream.receive_bytes(RECORD.size)))
         # Padding (the modelled fat-record remainder) stays unconsumed:
         # FM 2.x lets a handler take less than the full message (§4.2).
-        self.inbox.append((edge_id, records, flags))
+        self.inbox.append((edge_id, record, flags))
 
-    def send_records(self, dest: int, edge_id: int, records: list,
-                     flags: int, record_bytes: int) -> Generator:
-        payload = pack_message(edge_id, records, flags, record_bytes)
+    def send_record(self, dest: int, edge_id: int, record: Optional[tuple],
+                    flags: int, record_bytes: int) -> Generator:
+        payload = pack_message(edge_id, record, flags, record_bytes)
         buf = Buffer.from_bytes(payload, name=f"dataflow.edge{edge_id}")
         return self.fm.send_gather(dest, self.handler_id, [buf])
 
@@ -191,18 +189,17 @@ class StageRuntime:
         self.stage_stats.counters["emitted"] += 1
         for group in self.out_groups:
             edge = group.select(record)
-            yield from self._send(edge, [record], 0)
+            yield from self._send(edge, record, 0)
 
-    def _send(self, edge: EdgeRuntime, records: list,
+    def _send(self, edge: EdgeRuntime, record: Optional[tuple],
               flags: int) -> Generator:
         if edge.local:
             # Same-node handoff: no FM (self-sends are illegal), but the
             # record's wire footprint is still copied host-side and the
             # destination queue still bounds it.
-            cpu = self.node.cpu
-            for record in records:
-                yield from cpu.execute(
-                    cpu.memcpy_cost(self.record_bytes))
+            if record is not None:
+                cpu = self.node.cpu
+                yield from cpu.execute(cpu.memcpy_cost(self.record_bytes))
                 yield edge.dst.queue.put(record)
                 edge.sent += 1
                 edge.received += 1
@@ -212,9 +209,10 @@ class StageRuntime:
             if flags & EOS_FLAG:
                 yield edge.dst.queue.put(Eos(edge.edge_id))
             return
-        yield from self.endpoint.send_records(
-            edge.dst_node, edge.edge_id, records, flags, self.record_bytes)
-        edge.sent += len(records)
+        yield from self.endpoint.send_record(
+            edge.dst_node, edge.edge_id, record, flags, self.record_bytes)
+        if record is not None:
+            edge.sent += 1
         edge.messages += 1
         self.stats.counters["messages"] += 1
 
@@ -222,7 +220,7 @@ class StageRuntime:
         """Close every out edge (even ones that never carried a record)."""
         for group in self.out_groups:
             for edge in group.edges:
-                yield from self._send(edge, [], EOS_FLAG)
+                yield from self._send(edge, None, EOS_FLAG)
 
     def _finish(self) -> Generator:
         yield from self._send_eos()
@@ -389,77 +387,35 @@ class NodeRuntime:
             self.env.process(self._pump(), name=f"dataflow.pump@{node_id}")
 
     def _pump(self) -> Generator:
-        """Inbox -> lanes -> bounded stage queues -> extract -> idle-wait.
+        """Inbox -> bounded stage queues, in arrival order -> extract ->
+        idle-wait.
 
-        The blocking ``yield queue.put(...)`` is the whole backpressure
+        The blocking ``yield queue.put(record)`` is the whole backpressure
         mechanism: while it blocks, this process is not extracting, the
-        receive region fills, credits are withheld, senders stall.
-
-        Invariants: every parsed record sits in exactly one place (lane or
-        queue) until consumed — zero drops; extraction stops once any lane
-        reaches its bound, so node-side buffering stays bounded at
-        (queue + lane) per stage and the FM credit chain still carries
-        backpressure to the senders.
+        receive region fills, credits are withheld, senders stall — for
+        every stage on this node, as FM's per-node receive region implies.
+        Every parsed record is in the inbox or a queue until consumed:
+        zero drops, and nothing is staged beyond the queues' bounds.
         """
         fm = self.endpoint.fm
         inbox = self.endpoint.inbox
         nic = self.node.nic
         edges = self.in_edges
-        lanes = {edge.dst: deque() for edge in edges.values()}
-        n = len(lanes)
-        gates = [(stage, lane, self._lane_bound(stage, shared=n > 1))
-                 for stage, lane in lanes.items()]
-        rr = -1             # passes made: the round-robin start advances
-        leftovers = False   # on every one; a lane kept what found no room
         while True:
-            rr += 1
-            if inbox or leftovers:
-                while inbox:
-                    edge_id, records, flags = inbox.popleft()
-                    edge = edges[edge_id]
-                    lane = lanes[edge.dst]
-                    for record in records:
-                        lane.append((edge, record))
-                    if flags & EOS_FLAG:
-                        lane.append((edge, Eos(edge_id)))
-                # Round-robin delivery: each stage drains its lane while its
-                # queue has room; a full queue parks only its own lane.
-                for i in range(n):
-                    stage, lane, _bound = gates[(rr + i) % n]
-                    while lane and not stage.queue.is_full:
-                        edge, item = lane.popleft()
-                        yield stage.queue.put(item)
-                        self._note_delivered(stage, edge, item)
-                leftovers = any(lanes.values())
-                # Extraction gate: a lane at its bound marks the bottleneck
-                # stage — park in a blocking put on it (the backpressure
-                # chain re-engages here) instead of staging more.
-                at_bound = False
-                for stage, lane, bound in gates:
-                    if len(lane) >= bound:
-                        edge, item = lane.popleft()
-                        yield stage.queue.put(item)
-                        self._note_delivered(stage, edge, item)
-                        at_bound = True
-                        break
-                if at_bound:
-                    continue
+            while inbox:
+                edge_id, record, flags = inbox.popleft()
+                edge = edges[edge_id]
+                dst = edge.dst
+                if record is not None:
+                    yield dst.queue.put(record)
+                    edge.received += 1
+                    self.stats.note_queue_depth(dst.stage_stats,
+                                                dst.queue.level)
+                if flags & EOS_FLAG:
+                    yield dst.queue.put(Eos(edge_id))
             yield from fm.extract(self.extract_budget)
             if not inbox and nic.recv_region.level == 0:
                 yield from fm.idle_wait()
-
-    @staticmethod
-    def _lane_bound(stage: "StageRuntime", shared: bool) -> int:
-        """Records a lane may stage before the pump stops extracting: one
-        queue's worth when lanes share the pump; a lone lane has nobody to
-        keep flowing for, so it stages only the record it is delivering."""
-        return max(1, stage.queue.capacity) if shared else 1
-
-    def _note_delivered(self, stage: "StageRuntime", edge: EdgeRuntime,
-                        item) -> None:
-        if type(item) is not Eos:
-            edge.received += 1
-            self.stats.note_queue_depth(stage.stage_stats, stage.queue.level)
 
     def done_events(self) -> list:
         return [stage.done for stage in self.stages]

@@ -68,3 +68,25 @@ class TestSlowSinkBackpressure:
         assert fast["conservation"]["ok"]
         # Backpressure costs wall-clock, not records.
         assert slow["elapsed_ns"] > fast["elapsed_ns"]
+
+
+def saturating_scenario(queue_capacity):
+    """The saturating scatter/gather spec of
+    ``benchmarks/test_ext_dataflow.py``: 2 sources at 2 M records/s into 4
+    lanes at 4 µs a record, every stage on its own node."""
+    return PipelineScenario(
+        name="ext-dataflow", kind="pipeline", pipeline="scatter_gather",
+        arrival="open-fixed", n_nodes=7, n_sources=2, branches=4,
+        rate_rps=2_000_000.0, n_requests=400, req_bytes=64, work_ns=4_000,
+        n_keys=64, queue_capacity=queue_capacity)
+
+
+class TestQueueDepthTail:
+    def test_a_node_buffers_its_queue_and_no_more(self):
+        """EXPERIMENTS' buffer-bloat table at capacity 2 and 16: a node
+        holds at most its stages' queues, so the delivered tail grows with
+        the depth and with nothing else."""
+        p99_us = {capacity: run_scenario(saturating_scenario(capacity))
+                  ["results"]["latency"]["p99_ns"] / 1e3
+                  for capacity in (2, 16)}
+        assert {c: round(p) for c, p in p99_us.items()} == {2: 627, 16: 728}

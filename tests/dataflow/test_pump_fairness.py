@@ -1,13 +1,14 @@
-"""Pump fairness regression: a full co-hosted queue stalls only its lane.
+"""One receive region per node: a full co-hosted queue paces every chain.
 
-The bug this pins (fixed in the round-robin pump): the per-node pump used
-to deliver strictly in arrival order, so one record bound for a full
-stage queue head-of-line blocked every later message for *other* stages
-on the same node.  With a slow and a fast sink co-hosted, the fast sink
-was paced by the slow sink's service time.  The fair pump keeps one
-staging lane per destination stage and round-robins delivery, so the
-fast sink drains at wire speed while the slow sink's lane alone carries
-the backpressure.
+FM's flow control is per node — one host receive region, credits back
+only for extracted packets (§3.1, §4.1) — and a node's dataflow pump
+delivers in arrival order.  So when a slow and a fast sink share a node,
+a record bound for the slow sink's full queue stops the pump, extraction
+stops for both chains, and the fast chain's sender stalls on credits
+like the slow one's: the fast sink ends just ahead of the slow sink, not
+at wire speed.  What does not change: the slow queue hits its bound and
+no queue exceeds it, nothing drops, every record arrives, and the stalls
+land on the senders, never on a sink.
 """
 
 from __future__ import annotations
@@ -29,20 +30,21 @@ QUEUE_CAPACITY = 4
 
 
 def co_hosted_graph() -> StreamGraph:
-    """Two independent chains: stage ids are src_slow=0, slow_sink=1,
-    src_fast=2, fast_sink=3 (creation order)."""
+    """Two independent chains: stage ids are src_slow=0, src_fast=1,
+    slow_sink=2, fast_sink=3 (creation order)."""
     graph = StreamGraph()
-    for source, sink, work_ns in (("src_slow", "slow_sink", SLOW_WORK_NS),
-                                  ("src_fast", "fast_sink", 0)):
-        src = graph.add_stage(source, "source")
-        graph.connect(src, (graph.add_stage(sink, "sink", work_ns=work_ns),))
+    sources = [graph.add_stage(name, "source")
+               for name in ("src_slow", "src_fast")]
+    sinks = [graph.add_stage(name, "sink", work_ns=work_ns)
+             for name, work_ns in (("slow_sink", SLOW_WORK_NS),
+                                   ("fast_sink", 0))]
+    for src, sink in zip(sources, sinks):
+        graph.connect(src, (sink,))
     return graph
 
 
-#: src_slow on node 1 feeds slow_sink on node 2; src_fast and fast_sink
-#: both sit on node 0 (a local edge), so the two sinks share no pump.
-#: With both sinks on node 0 the fast sink ends at ~7.9 ms against the
-#: slow sink's ~9.8 ms: a lane at its bound parks node 0's pump.
+#: src_slow on node 1 and src_fast on node 2 feed both sinks on node 0:
+#: the two chains share node 0's pump and its one receive region.
 PLACEMENT = {0: 1, 1: 2, 2: 0, 3: 0}
 
 
@@ -69,26 +71,25 @@ class TestPumpFairness:
         request.addfinalizer(monkeypatch.undo)
         return run_co_hosted(monkeypatch)
 
-    def test_fast_stage_progresses_while_slow_queue_is_full(
-            self, run_and_stats):
+    def test_slow_queue_paces_the_co_hosted_fast_chain(self, run_and_stats):
         run, _stats = run_and_stats
         done = {stage.spec.name: stage.stage_stats.done_ns
                 for stage in run.stages}
-        # The slow sink is busy for >= N_RECORDS * SLOW_WORK_NS.  Under
-        # the head-of-line pump the fast sink's records trickled out on
-        # the slow sink's schedule; fairness means the fast sink is long
-        # done while the slow sink is still grinding through its queue.
+        # The slow sink is busy for >= N_RECORDS * SLOW_WORK_NS.  The fast
+        # chain's last record gets past node 0's pump only once the slow
+        # sink has at most a queue plus the record in service left.
         assert done["slow_sink"] >= N_RECORDS * SLOW_WORK_NS
-        assert done["fast_sink"] < done["slow_sink"] / 3
-        assert done["fast_sink"] < N_RECORDS * SLOW_WORK_NS / 2
+        assert (done["fast_sink"]
+                >= (N_RECORDS - QUEUE_CAPACITY - 1) * SLOW_WORK_NS)
+        assert (done["fast_sink"], done["slow_sink"]) == (9_325_492,
+                                                          9_806_992)
 
     def test_slow_queue_was_actually_full(self, run_and_stats):
         run, _stats = run_and_stats
         depths = {stage.spec.name: stage.stage_stats.queue_depth_max
                   for stage in run.stages if stage.queue is not None}
         # The slow sink's bounded queue hit capacity (the stall is real)
-        # and neither queue ever exceeded it (staging lanes don't break
-        # the bound).
+        # and neither queue ever exceeded it.
         assert depths["slow_sink"] == QUEUE_CAPACITY
         assert depths["fast_sink"] <= QUEUE_CAPACITY
 
@@ -107,8 +108,9 @@ class TestPumpFairness:
         run, _stats = run_and_stats
         stalls = {stage.spec.name: stage.stage_stats.counters["credit_stalls"]
                   for stage in run.stages}
-        # The slow chain's sender exhausts its credits (the lane bound
-        # re-engages FM backpressure); sinks never stall on credits.
+        # Both senders exhaust their credits into node 0's one receive
+        # region; sinks never stall on credits.
         assert stalls["src_slow"] > 0
+        assert stalls["src_fast"] > 0
         assert stalls["slow_sink"] == 0
         assert stalls["fast_sink"] == 0

@@ -7,7 +7,7 @@ import pytest
 from repro.dataflow.graph import StreamGraph
 from repro.dataflow.ops import (AGG_OPS, FILTER_OPS, MAP_OPS, WindowState,
                                 lookup)
-from repro.dataflow.records import EDGE_HEADER, RECORD, pack_message
+from repro.dataflow.records import EDGE_HEADER, EOS_FLAG, RECORD, pack_message
 
 
 def fanout_graph(n: int, selector: str, kind: str = "map", **lane):
@@ -192,12 +192,14 @@ class TestWindowState:
 
 
 class TestWireFormat:
-    def test_message_packs_header_records_and_padding(self):
-        records = [(1, 2, 3, 4), (5, 6, 7, 8)]
-        msg = pack_message(7, records, flags=0, record_bytes=64)
-        edge_id, n, flags = EDGE_HEADER.unpack_from(msg)
-        assert (edge_id, n, flags) == (7, 2, 0)
-        body = msg[EDGE_HEADER.size:EDGE_HEADER.size + 2 * RECORD.size]
-        assert list(RECORD.iter_unpack(body)) == records
+    def test_message_packs_header_record_and_padding(self):
+        msg = pack_message(7, (1, 2, 3, 4), flags=0, record_bytes=64)
+        assert EDGE_HEADER.unpack_from(msg) == (7, 1, 0)
+        assert RECORD.unpack_from(msg, EDGE_HEADER.size) == (1, 2, 3, 4)
         # Padding to the per-record wire footprint beyond the 32 used.
-        assert len(msg) == EDGE_HEADER.size + 2 * 64
+        assert len(msg) == EDGE_HEADER.size + 64
+
+    def test_eos_message_is_a_bare_header(self):
+        msg = pack_message(7, None, flags=EOS_FLAG, record_bytes=64)
+        assert EDGE_HEADER.unpack_from(msg) == (7, 0, EOS_FLAG)
+        assert len(msg) == EDGE_HEADER.size
