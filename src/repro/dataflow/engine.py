@@ -168,8 +168,7 @@ def build_pipeline(cluster: "Cluster", graph: StreamGraph,
     # Endpoints on every node in node order: the dataflow handler gets
     # the same id everywhere (SPMD registration, as the RPC layer does).
     endpoints = [DataflowEndpoint(node) for node in cluster.nodes]
-    run.nodes = [NodeRuntime(node, endpoints[node.node_id], stats,
-                             extract_budget=scenario.extract_budget)
+    run.nodes = [NodeRuntime(node, endpoints[node.node_id], stats)
                  for node in cluster.nodes]
     # Stage runtimes, in stage order.
     for spec in graph.stages:

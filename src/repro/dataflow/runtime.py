@@ -6,7 +6,7 @@ How backpressure works here (the tentpole mechanism, end to end):
    .Store` input queue.
 2. Each node runs one *pump* (mirroring :class:`~repro.workloads.rpc
    .RpcServer`'s): drain the endpoint inbox into the destination stages'
-   queues, then ``fm.extract(budget)``, then ``fm.idle_wait()``.
+   queues, then ``fm.extract()``, then ``fm.idle_wait()``.
    ``yield queue.put(record)`` **blocks while the queue is full** — and a
    blocked pump extracts nothing.
 3. With extract stopped, the NIC's host receive region fills and credit
@@ -357,13 +357,11 @@ class NodeRuntime:
     """Everything one node hosts: endpoint, stages, pump, attribution."""
 
     def __init__(self, node: "Node", endpoint: DataflowEndpoint,
-                 stats: PipelineStats,
-                 extract_budget: Optional[int] = None):
+                 stats: PipelineStats):
         self.node = node
         self.env = node.env
         self.endpoint = endpoint
         self.stats = stats
-        self.extract_budget = extract_budget
         self.stages: list[StageRuntime] = []
         #: edge_id -> EdgeRuntime for edges terminating on this node.
         self.in_edges: dict[int, EdgeRuntime] = {}
@@ -413,7 +411,7 @@ class NodeRuntime:
                                                 dst.queue.level)
                 if flags & EOS_FLAG:
                     yield dst.queue.put(Eos(edge_id))
-            yield from fm.extract(self.extract_budget)
+            yield from fm.extract()
             if not inbox and nic.recv_region.level == 0:
                 yield from fm.idle_wait()
 

@@ -144,7 +144,7 @@ class ArrivalFields(Scenario):
     """The traffic fields rpc and pipeline share: each client or source
     issues ``n_requests`` of ``req_bytes`` under the ``arrival`` process,
     each carrying ``work_ns`` of demand into a ``queue_capacity``-deep
-    queue drained under an optional ``extract_budget``."""
+    queue."""
 
     arrival: str = "open"
     rate_rps: float = 20_000.0       # open / bursty offered load
@@ -154,7 +154,6 @@ class ArrivalFields(Scenario):
     work_ns: int = 2_000             # service demand carried per request
     n_keys: int = 512                # request key universe per client
     queue_capacity: int = 16
-    extract_budget: Optional[int] = None   # receiver flow control
 
     #: Arrival gaps and request / record keys are numpy streams.
     preloads = ("numpy.random",)
@@ -162,7 +161,6 @@ class ArrivalFields(Scenario):
     def __post_init__(self) -> None:
         super().__post_init__()
         self._choose(arrival=("open", "open-fixed", "closed", "bursty"))
-        self._at_least(extract_budget=0)
 
     def arrival_spec(self):
         """The arrival-process spec named by ``self.arrival``."""

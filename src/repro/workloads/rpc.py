@@ -103,7 +103,7 @@ class RpcEndpoint:
     ids index the receiver's table, so every participating node must build
     its endpoint before any other handler registration, SPMD style) and
     hides the FM 1.x / 2.x asymmetry behind ``send_request`` /
-    ``send_response`` / ``extract_some``.
+    ``send_response``.
     """
 
     def __init__(self, node: "Node", stats: WorkloadStats):
@@ -248,21 +248,12 @@ class RpcEndpoint:
         yield from self.fm.send(dest, handler_id, message, total)
 
     # -- receive side -------------------------------------------------------
-    def extract_some(self, budget_bytes: Optional[int] = None) -> Generator:
-        """Run extract under a byte budget (FM 1.x: converted to packets)."""
-        if self.is_fm1:
-            max_packets = (None if budget_bytes is None
-                           else self.fm.params.packets_for(budget_bytes))
-            yield from self.fm.extract(max_packets)
-        else:
-            yield from self.fm.extract(budget_bytes)
-
     def pump_responses(self, live: Callable[[], object]) -> Generator:
         """Extract responses while ``live()``, sleeping between deposits
         (the companion process of a client or the supervisor)."""
         nic = self.node.nic
         while live():
-            yield from self.extract_some()
+            yield from self.fm.extract()
             if nic.recv_region.level == 0 and live():
                 yield from self.fm.idle_wait()
 
@@ -380,7 +371,6 @@ class RpcServer:
     def __init__(self, endpoint: RpcEndpoint, stats: WorkloadStats, *,
                  workers: int = 2, queue_capacity: int = 16,
                  policy: str = "queue", resp_bytes: int = 64,
-                 extract_budget: Optional[int] = None,
                  shard: int = 0):
         if policy not in VALID_POLICIES:
             raise ValueError(f"policy must be one of {VALID_POLICIES}, "
@@ -396,7 +386,6 @@ class RpcServer:
         self.workers = workers
         self.policy = policy
         self.resp_bytes = resp_bytes
-        self.extract_budget = extract_budget
         #: This server's shard index (labels the queue-side stats;
         #: client-side accounting tags itself).
         self.shard = shard
@@ -459,7 +448,7 @@ class RpcServer:
                 # and FM flow control stalls the senders.
                 yield queue.put(request)
                 self.stats.note_queue_depth(queue.level, shard=self.shard)
-            yield from endpoint.extract_some(self.extract_budget)
+            yield from endpoint.fm.extract()
             if not endpoint.inbox and nic.recv_region.level == 0:
                 yield from endpoint.fm.idle_wait()
 

@@ -89,8 +89,7 @@ def build_server(scenario: "RpcScenario", endpoint: RpcEndpoint,
               else scenario.policy)
     return RpcServer(endpoint, stats, workers=scenario.workers,
                      queue_capacity=scenario.queue_capacity, policy=policy,
-                     resp_bytes=scenario.resp_bytes,
-                     extract_budget=scenario.extract_budget, shard=shard)
+                     resp_bytes=scenario.resp_bytes, shard=shard)
 
 
 def build_client(scenario: "RpcScenario", endpoint: RpcEndpoint,

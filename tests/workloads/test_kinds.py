@@ -22,8 +22,7 @@ from tests.golden import regen
 BASE = {"name", "kind", "seed", "n_nodes", "fm_version", "machine",
         "n_requests", "iterations", "until_ns"}
 ARRIVAL = {"arrival", "rate_rps", "burst_on_ns", "burst_off_ns",
-           "req_bytes", "work_ns", "n_keys", "queue_capacity",
-           "extract_budget"}
+           "req_bytes", "work_ns", "n_keys", "queue_capacity"}
 TELEMETRY = {"sample_interval_ns", "slo_availability", "slo_latency_p99_ns",
              "partition_groups", "trunk_propagation_ns"}
 #: What each kind's run reads beyond the base fields.
@@ -56,7 +55,7 @@ class TestKindsTable:
             assert {f.name for f in fields(cls)} == BASE | READS[kind], kind
             assert cls.__dataclass_fields__["kind"].default == kind
         assert {kind: len(fields(kind_class(kind))) for kind in KINDS} == {
-            "rpc": 39, "halo": 17, "allreduce": 17, "pipeline": 26,
+            "rpc": 38, "halo": 17, "allreduce": 17, "pipeline": 25,
             "micro": 12}
 
     @pytest.mark.parametrize("kind", ["batch", "RPC", 7, None])

@@ -378,7 +378,7 @@ class TestCliRejectsBadOverrides:
         ('{"name": "x", "kind": "halo", "until_ns": -5}', [],
          "until_ns must be >= 1, got -5"),
         ('{"name": "x", "extract_budget": "7"}', [],
-         "extract_budget must be an int or null, got '7'"),
+         "unknown scenario fields: ['extract_budget'] (kind 'rpc' has no"),
         ('{"name": "x", "n_requests": 1.5}', [],
          "n_requests must be an int, got 1.5"),
         ('{"name": "x", "slo_latency_p99_ns": "5", '
