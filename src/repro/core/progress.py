@@ -16,11 +16,15 @@ its blocking calls — and gets from :class:`Progress`:
   :meth:`~repro.core.common.FmEndpoint.idle_wait` when a pass found
   nothing and failing loudly once ``FmParams.stall_limit_ns`` of sim time
   has gone by without a pass advancing.
+
+The RPC and dataflow receive processes keep only what they do with one
+inbox item and get their loop from :func:`pump`, which has no stall
+limit: a server idles until the run ends, by design.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional
+from typing import Callable, Generator, Optional, Sequence
 
 from repro.core.common import FmEndpoint
 
@@ -92,4 +96,22 @@ class Progress:
                 continue
             if env.now - t_wait > fm.params.stall_limit_ns:
                 raise self.error(what)
+            yield from fm.idle_wait()
+
+
+def pump(fm: FmEndpoint, inbox: Sequence, deliver: Optional[Callable] = None,
+         live: Optional[Callable[[], object]] = None) -> Generator:
+    """While ``live()`` (always, when None): ``deliver`` each ``inbox``
+    item in arrival order, extract, and idle-wait when both are empty.
+
+    A ``deliver`` that blocks (a ``put`` into a full bounded queue) stops
+    extraction, so the receive region fills and FM's credits stall the
+    senders.  ``inbox`` is ``()`` when the handlers finish the work.
+    """
+    while live is None or live():
+        while inbox:
+            yield from deliver(inbox.popleft())
+        yield from fm.extract()
+        if (not inbox and fm.nic.recv_region.level == 0
+                and (live is None or live())):
             yield from fm.idle_wait()

@@ -4,8 +4,8 @@ How backpressure works here (the tentpole mechanism, end to end):
 
 1. Every non-source stage owns a bounded :class:`~repro.simkernel.store
    .Store` input queue.
-2. Each node runs one *pump* (mirroring :class:`~repro.workloads.rpc
-   .RpcServer`'s): drain the endpoint inbox into the destination stages'
+2. Each node runs one *pump* (:func:`repro.core.progress.pump`, as the
+   RPC server does): drain the endpoint inbox into the destination stages'
    queues, then ``fm.extract()``, then ``fm.idle_wait()``.
    ``yield queue.put(record)`` **blocks while the queue is full** — and a
    blocked pump extracts nothing.
@@ -43,6 +43,7 @@ from repro.hardware.memory import Buffer
 from repro.hardware.packet import Site
 
 from repro.core.fm1.api import FM1
+from repro.core.progress import pump
 
 from repro.dataflow.graph import StageSpec
 from repro.dataflow.ops import (
@@ -382,38 +383,27 @@ class NodeRuntime:
                 stage.run(), name=f"dataflow.{stage.spec.name}@{node_id}")
             self._stage_by_process[process] = stage.stage_stats
         if any(not edge.local for edge in self.in_edges.values()):
-            self.env.process(self._pump(), name=f"dataflow.pump@{node_id}")
+            self.env.process(
+                pump(self.endpoint.fm, self.endpoint.inbox, self._deliver),
+                name=f"dataflow.pump@{node_id}")
 
-    def _pump(self) -> Generator:
-        """Inbox -> bounded stage queues, in arrival order -> extract ->
-        idle-wait.
+    def _deliver(self, message: tuple) -> Generator:
+        """One inbox message -> its stage's bounded queue, then its EOS.
 
-        The blocking ``yield queue.put(record)`` is the whole backpressure
-        mechanism: while it blocks, this process is not extracting, the
-        receive region fills, credits are withheld, senders stall — for
-        every stage on this node, as FM's per-node receive region implies.
-        Every parsed record is in the inbox or a queue until consumed:
-        zero drops, and nothing is staged beyond the queues' bounds.
+        The blocking ``put`` is the whole backpressure mechanism: while it
+        blocks the pump extracts nothing, credits are withheld and senders
+        stall — for every stage on this node, as FM's per-node receive
+        region implies.  Zero drops; nothing staged beyond the queues.
         """
-        fm = self.endpoint.fm
-        inbox = self.endpoint.inbox
-        nic = self.node.nic
-        edges = self.in_edges
-        while True:
-            while inbox:
-                edge_id, record, flags = inbox.popleft()
-                edge = edges[edge_id]
-                dst = edge.dst
-                if record is not None:
-                    yield dst.queue.put(record)
-                    edge.received += 1
-                    self.stats.note_queue_depth(dst.stage_stats,
-                                                dst.queue.level)
-                if flags & EOS_FLAG:
-                    yield dst.queue.put(Eos(edge_id))
-            yield from fm.extract()
-            if not inbox and nic.recv_region.level == 0:
-                yield from fm.idle_wait()
+        edge_id, record, flags = message
+        edge = self.in_edges[edge_id]
+        dst = edge.dst
+        if record is not None:
+            yield dst.queue.put(record)
+            edge.received += 1
+            self.stats.note_queue_depth(dst.stage_stats, dst.queue.level)
+        if flags & EOS_FLAG:
+            yield dst.queue.put(Eos(edge_id))
 
     def done_events(self) -> list:
         return [stage.done for stage in self.stages]

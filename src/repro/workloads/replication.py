@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from typing import Generator, Iterator, Optional, Sequence
 
+from repro.core.progress import pump
 from repro.obs.slo import BurnRateDetector, SloSpec, window_counts
 
 from repro.workloads.rpc import RPC_OK, RpcClient, RpcEndpoint
@@ -288,7 +289,7 @@ class ShardSupervisor:
             raise RuntimeError("supervisor started twice")
         self._started = True
         node_id = self.endpoint.node.node_id
-        self.env.process(self.endpoint.pump_responses(lambda: True),
+        self.env.process(pump(self.endpoint.fm, ()),
                          name=f"supervisor.pump@{node_id}")
         for shard in range(self.directory.n_shards):
             self.env.process(self._probe_loop(shard),

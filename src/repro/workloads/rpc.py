@@ -30,10 +30,10 @@ Overload policy (the server's explicit backpressure story):
   whose deadline passed while queued (``RPC_EXPIRED``) instead of doing
   dead work.
 
-Idle paths never spin on a fixed backoff: pumps sleep in
-:meth:`~repro.core.common.FmEndpoint.idle_wait` (capped by
-``repro.core.common.IDLE_WAIT_CAP_NS``), the same event-based wakeup
-every layer above FM uses.
+Idle paths never spin on a fixed backoff: every pump here is
+:func:`repro.core.progress.pump`, which sleeps in :meth:`~repro.core
+.common.FmEndpoint.idle_wait` (capped by ``IDLE_WAIT_CAP_NS``), the same
+event-based wakeup every layer above FM uses.
 """
 
 from __future__ import annotations
@@ -41,12 +41,13 @@ from __future__ import annotations
 import struct
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Generator, Iterator, Optional
+from typing import TYPE_CHECKING, Generator, Iterator, Optional
 
 from repro.hardware.memory import Buffer
 from repro.hardware.packet import Site
 
 from repro.core.fm1.api import FM1
+from repro.core.progress import pump
 
 from repro.simkernel.store import Store
 
@@ -248,15 +249,6 @@ class RpcEndpoint:
         yield from self.fm.send(dest, handler_id, message, total)
 
     # -- receive side -------------------------------------------------------
-    def pump_responses(self, live: Callable[[], object]) -> Generator:
-        """Extract responses while ``live()``, sleeping between deposits
-        (the companion process of a client or the supervisor)."""
-        nic = self.node.nic
-        while live():
-            yield from self.fm.extract()
-            if nic.recv_region.level == 0 and live():
-                yield from self.fm.idle_wait()
-
     def abandon(self, req_id: int) -> None:
         """Client gave up on ``req_id``; a late response becomes stale."""
         entry = self.pending.pop(req_id, None)
@@ -400,7 +392,9 @@ class RpcServer:
             raise RuntimeError("server started twice")
         self._started = True
         node_id = self.node.node_id
-        self.env.process(self._pump(), name=f"rpc.pump@{node_id}")
+        self.env.process(pump(self.endpoint.fm, self.endpoint.inbox,
+                              self._deliver),
+                         name=f"rpc.pump@{node_id}")
         for i in range(self.workers):
             self.env.process(self._worker(), name=f"rpc.worker{i}@{node_id}")
 
@@ -430,27 +424,18 @@ class RpcServer:
                    request.src, STATUS_NAMES.get(status, "unknown"),
                    ctx=request.trace_parent, span_id=request.trace.span_id)
 
-    def _pump(self) -> Generator:
-        """Extract requests and feed the bounded queue under the policy."""
-        endpoint = self.endpoint
-        queue = self.queue
-        nic = self.node.nic
-        while True:
-            while endpoint.inbox:
-                request = endpoint.inbox.popleft()
-                if self.policy == "shed" and queue.is_full:
-                    # Dropped requests are counted once, client-side, when
-                    # the RPC_SHED response lands (stats are shared).
-                    yield from self._respond(request, RPC_SHED, 0)
-                    continue
-                # Blocks while the queue is full ("queue"/"deadline"): no
-                # extracting happens meanwhile, the receive region fills,
-                # and FM flow control stalls the senders.
-                yield queue.put(request)
-                self.stats.note_queue_depth(queue.level, shard=self.shard)
-            yield from endpoint.fm.extract()
-            if not endpoint.inbox and nic.recv_region.level == 0:
-                yield from endpoint.fm.idle_wait()
+    def _deliver(self, request: Request) -> Generator:
+        """Shed or enqueue one extracted request under the policy."""
+        if self.policy == "shed" and self.queue.is_full:
+            # Dropped requests are counted once, client-side, when the
+            # RPC_SHED response lands (stats are shared).
+            yield from self._respond(request, RPC_SHED, 0)
+            return
+        # Blocks while the queue is full ("queue"/"deadline"): no
+        # extracting happens meanwhile, the receive region fills, and FM
+        # flow control stalls the senders.
+        yield self.queue.put(request)
+        self.stats.note_queue_depth(self.queue.level, shard=self.shard)
 
     def _worker(self) -> Generator:
         """Dequeue, serve (charging the request's demand), respond."""
@@ -479,8 +464,8 @@ class RpcClient:
 
     :meth:`run` is the node program for :meth:`Cluster.run`: it issues
     ``n_requests`` and returns once every one is resolved (responded or
-    abandoned).  A companion pump process
-    (:meth:`RpcEndpoint.pump_responses`) extracts responses concurrently.
+    abandoned).  A companion pump process (:func:`repro.core.progress
+    .pump`, with no inbox) extracts responses concurrently.
     Each request goes to the shard of ``service`` that the balancer picks
     for the next key (a single server is a one-shard service) and stays
     in flight until ``on_resolved`` returns its credit, exactly once.
@@ -520,8 +505,8 @@ class RpcClient:
         """Node program: spawn the extract pump and drive the arrival loop."""
         endpoint = self.endpoint
         self.env.process(
-            endpoint.pump_responses(
-                lambda: self._sending or endpoint.pending),
+            pump(endpoint.fm, (),
+                 live=lambda: self._sending or endpoint.pending),
             name=f"rpc.pump@{endpoint.node.node_id}")
         if isinstance(self.arrivals, ClosedLoop):
             yield from self._closed_loop()
