@@ -1,5 +1,5 @@
-"""The base of every workload scenario and the field groups some kinds
-share.
+"""The base of every workload scenario and the field group rpc and
+pipeline share.
 
 A scenario is pure data: one frozen dataclass per workload kind, declaring
 only the fields that kind reads (``repro.workloads.runner.KINDS`` names the
@@ -15,13 +15,14 @@ failure inside a built cluster.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import import_module
-from typing import Optional, get_type_hints
+from typing import TYPE_CHECKING, Optional, get_type_hints
 
 from repro.configs import PPRO_FM2, SPARC_FM1
-from repro.hardware.topology import switch_mesh
-from repro.obs.slo import SloSpec
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.slo import SloSpec
 
 MACHINES = {"sparc": SPARC_FM1, "ppro": PPRO_FM2}
 
@@ -171,59 +172,3 @@ class ArrivalFields(Scenario):
         if self.arrival == "open-fixed":
             return OpenLoop(self.rate_rps, poisson=False)
         return Bursty(self.rate_rps, self.burst_on_ns, self.burst_off_ns)
-
-
-@dataclass(frozen=True)
-class TelemetryFields(Scenario):
-    """The fields rpc, halo and allreduce share: windowed time series of
-    ``sample_interval_ns`` (0 = off) and the SLO targets scored over them,
-    and a cluster of ``partition_groups`` crossbars (0 = one) joined by
-    trunk links of ``trunk_propagation_ns``."""
-
-    sample_interval_ns: int = 0
-    slo_availability: Optional[float] = None   # e.g. 0.99 good fraction
-    slo_latency_p99_ns: Optional[int] = None   # p99 latency target
-    partition_groups: int = 0
-    trunk_propagation_ns: int = 4_000
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        self._at_least(sample_interval_ns=0, slo_latency_p99_ns=1,
-                       partition_groups=0, trunk_propagation_ns=1)
-        if self.partition_groups and self.n_nodes % self.partition_groups:
-            raise ValueError(
-                f"{self.n_nodes} nodes do not split evenly over "
-                f"{self.partition_groups} switch groups")
-        has_slo = (self.slo_availability is not None
-                   or self.slo_latency_p99_ns is not None)
-        if has_slo and not self.sample_interval_ns:
-            raise ValueError(
-                "SLO targets need sample_interval_ns > 0 (burn rates are "
-                "computed over time-series windows)")
-        if (self.slo_availability is not None
-                and not 0.0 < self.slo_availability < 1.0):
-            raise ValueError(f"slo_availability must be in (0, 1), "
-                             f"got {self.slo_availability}")
-
-    def topology(self, machine):
-        """A switch mesh of ``partition_groups`` groups, when set."""
-        if self.partition_groups <= 0:
-            return None, None
-        return (switch_mesh(self.n_nodes, self.partition_groups),
-                replace(machine.link,
-                        propagation_ns=self.trunk_propagation_ns))
-
-    def slo_specs(self, n_shards: int) -> tuple[SloSpec, ...]:
-        """Per target, one aggregate spec plus one per shard of the run's
-        stats (the failover supervisor's per-shard health signal)."""
-        targets = []
-        if self.slo_availability is not None:
-            targets.append(("availability", "availability",
-                            self.slo_availability, None))
-        if self.slo_latency_p99_ns is not None:
-            targets.append(("latency_p99", "latency", 0.99,
-                            self.slo_latency_p99_ns))
-        scopes = [("", None)] + [(f".shard{i}", i) for i in range(n_shards)]
-        return tuple(SloSpec(name + suffix, kind, target, threshold, shard)
-                     for name, kind, target, threshold in targets
-                     for suffix, shard in scopes)

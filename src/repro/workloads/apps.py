@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
-from repro.scenario import TelemetryFields
+from repro.scenario import Scenario
 from repro.upper.mpi.comm import Communicator
 from repro.upper.mpi.world import binding_named, build_mpi_world
 
@@ -119,7 +119,7 @@ def allreduce_program(comm: Communicator, *, iterations: int,
 
 
 @dataclass(frozen=True)
-class MpiScenario(TelemetryFields):
+class MpiScenario(Scenario):
     """What ``kind="halo"`` and ``kind="allreduce"`` share: every node runs
     the kind's :attr:`program` over MPI-FM for ``iterations`` rounds of
     ``compute_ns`` compute plus one exchange of the kind's payload field
@@ -136,8 +136,7 @@ class MpiScenario(TelemetryFields):
 
     def build_stats(self, env: "Environment") -> WorkloadStats:
         """Unsharded request/response stats: the iteration is the request."""
-        return WorkloadStats(env, name=f"workload.{self.name}",
-                             sample_interval_ns=self.sample_interval_ns)
+        return WorkloadStats(env, name=f"workload.{self.name}")
 
     def run(self, cluster: "Cluster", stats: WorkloadStats) -> dict:
         """Build the MPI world and run the kernel on every rank."""

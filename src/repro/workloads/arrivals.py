@@ -20,8 +20,7 @@ traffic, and adding a client never shifts another client's draws.
   rate, so a single generator node can stand in for 10^5 simulated
   clients.
 * :class:`ClosedLoop` — each client waits for its response, then thinks for
-  ``think_ns`` (exponentially distributed around that mean, or fixed).
-  Offered load self-limits to service capacity.
+  exactly ``think_ns``.  Offered load self-limits to service capacity.
 * :class:`Bursty` — on/off modulated Poisson: ``on_ns`` of arrivals at
   ``rate_rps`` followed by ``off_ns`` of silence, repeating.  The incast
   and burst-absorption scenarios use it.
@@ -78,22 +77,16 @@ class OpenLoop:
 
 @dataclass(frozen=True)
 class ClosedLoop:
-    """Closed-loop think times with mean ``think_ns`` per client.
-
-    ``exponential=True`` draws exponential think times (memoryless users);
-    ``False`` thinks for exactly ``think_ns``.  ``think_ns=0`` is the
-    back-to-back case: the next request leaves the instant the response
-    lands.
+    """Closed-loop think time: each client thinks for exactly ``think_ns``.
+    ``think_ns=0`` is the back-to-back case: the next request leaves the
+    instant the response lands.
     """
 
     think_ns: int = 0
-    exponential: bool = False
 
     def __post_init__(self) -> None:
         if self.think_ns < 0:
             raise ValueError(f"think_ns must be non-negative, got {self.think_ns}")
-        if self.exponential and self.think_ns == 0:
-            raise ValueError("exponential think needs think_ns > 0")
 
 
 @dataclass(frozen=True)
@@ -159,8 +152,6 @@ def gap_stream(spec: ArrivalSpec, seed: int, client: str) -> Iterator[int]:
             return _exponential_gaps(rng, spec.mean_gap_ns)
         return itertools.repeat(max(1, round(spec.mean_gap_ns)))
     if isinstance(spec, ClosedLoop):
-        if spec.exponential:
-            return _exponential_gaps(rng, spec.think_ns)
         return itertools.repeat(spec.think_ns)
     if isinstance(spec, Bursty):
         return _bursty_gaps(spec, _exponential_gaps(rng, 1e9 / spec.rate_rps))

@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from repro.scenario import ArrivalFields, TelemetryFields
+from repro.hardware.topology import switch_mesh
+from repro.obs.slo import SloSpec
+from repro.scenario import ArrivalFields
 from repro.workloads.arrivals import ArrivalSpec, ClosedLoop
 from repro.workloads.replication import (
     ReplicatedClient,
@@ -125,7 +127,7 @@ def build_client(scenario: "RpcScenario", endpoint: RpcEndpoint,
 
 
 @dataclass(frozen=True)
-class RpcScenario(ArrivalFields, TelemetryFields):
+class RpcScenario(ArrivalFields):
     """``kind="rpc"`` — request/response traffic under an arrival process.
 
     ``servers: N`` nodes (see :func:`placement`; N = 1 by default) run
@@ -138,14 +140,15 @@ class RpcScenario(ArrivalFields, TelemetryFields):
     ``replicas: R`` (R >= 2) places each key on R ring-successor shards,
     carves the last client node out for the :class:`ShardSupervisor`, and
     clients fail timed-out requests over; ``population`` collapses that
-    many simulated open-loop clients onto the client nodes;
-    ``partition_groups: G`` builds the cluster as G crossbars joined by
-    trunk links and stripes the servers across them.
+    many simulated open-loop clients onto the client nodes.
+    ``sample_interval_ns`` (0 = off) keeps windowed time series, and the
+    SLO targets are scored over them; ``partition_groups: G`` builds the
+    cluster as G crossbars joined by trunk links of
+    ``trunk_propagation_ns`` and stripes the servers across them.
     """
 
     kind: str = "rpc"
     think_ns: int = 0                # closed-loop think time
-    think_exponential: bool = False
     resp_bytes: int = 64
     workers: int = 2
     policy: str = "queue"
@@ -163,6 +166,11 @@ class RpcScenario(ArrivalFields, TelemetryFields):
     # one OpenLoop source each (0 = one simulated client per node), and
     # n_requests is per simulated client.
     population: int = 0
+    sample_interval_ns: int = 0
+    slo_availability: Optional[float] = None   # e.g. 0.99 good fraction
+    slo_latency_p99_ns: Optional[int] = None   # p99 latency target
+    partition_groups: int = 0
+    trunk_propagation_ns: int = 4_000
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -176,7 +184,23 @@ class RpcScenario(ArrivalFields, TelemetryFields):
                 raise ValueError(f"policy must be one of {VALID_POLICIES}, "
                                  f"got {policy!r}")
         s._at_least(servers=1, replicas=1, probe_interval_ns=1,
-                    failover_timeout_ns=1, population=0, abandon_after_ns=1)
+                    failover_timeout_ns=1, population=0, abandon_after_ns=1,
+                    sample_interval_ns=0, slo_latency_p99_ns=1,
+                    partition_groups=0, trunk_propagation_ns=1)
+        if s.partition_groups and s.n_nodes % s.partition_groups:
+            raise ValueError(
+                f"{s.n_nodes} nodes do not split evenly over "
+                f"{s.partition_groups} switch groups")
+        has_slo = (s.slo_availability is not None
+                   or s.slo_latency_p99_ns is not None)
+        if has_slo and not s.sample_interval_ns:
+            raise ValueError(
+                "SLO targets need sample_interval_ns > 0 (burn rates are "
+                "computed over time-series windows)")
+        if (s.slo_availability is not None
+                and not 0.0 < s.slo_availability < 1.0):
+            raise ValueError(f"slo_availability must be in (0, 1), "
+                             f"got {s.slo_availability}")
         n_clients = s.n_nodes - s.servers
         if n_clients < 1:
             raise ValueError(
@@ -219,9 +243,31 @@ class RpcScenario(ArrivalFields, TelemetryFields):
     def arrival_spec(self) -> ArrivalSpec:
         """The arrival-process spec; ``closed`` is rpc's alone."""
         if self.arrival == "closed":
-            return ClosedLoop(self.think_ns,
-                              exponential=self.think_exponential)
+            return ClosedLoop(self.think_ns)
         return super().arrival_spec()
+
+    def topology(self, machine):
+        """A switch mesh of ``partition_groups`` groups, when set."""
+        if self.partition_groups <= 0:
+            return None, None
+        return (switch_mesh(self.n_nodes, self.partition_groups),
+                replace(machine.link,
+                        propagation_ns=self.trunk_propagation_ns))
+
+    def slo_specs(self, n_shards: int) -> tuple[SloSpec, ...]:
+        """Per target, one aggregate spec plus one per shard of the run's
+        stats (the failover supervisor's per-shard health signal)."""
+        targets = []
+        if self.slo_availability is not None:
+            targets.append(("availability", "availability",
+                            self.slo_availability, None))
+        if self.slo_latency_p99_ns is not None:
+            targets.append(("latency_p99", "latency", 0.99,
+                            self.slo_latency_p99_ns))
+        scopes = [("", None)] + [(f".shard{i}", i) for i in range(n_shards)]
+        return tuple(SloSpec(name + suffix, kind, target, threshold, shard)
+                     for name, kind, target, threshold in targets
+                     for suffix, shard in scopes)
 
     def build_stats(self, env: "Environment") -> WorkloadStats:
         """The run's stats object, with one sub-stats per shard when the

@@ -33,10 +33,6 @@ class TestSpecs:
         with pytest.raises(ValueError):
             ClosedLoop(think_ns=-1)
 
-    def test_closed_loop_exponential_needs_positive_mean(self):
-        with pytest.raises(ValueError):
-            ClosedLoop(think_ns=0, exponential=True)
-
     def test_bursty_rejects_bad_windows(self):
         with pytest.raises(ValueError):
             Bursty(rate_rps=1000.0, on_ns=0, off_ns=10)
@@ -91,11 +87,6 @@ class TestShapes:
     def test_fixed_think_time(self):
         gaps = take(gap_stream(ClosedLoop(think_ns=777), seed=1, client="c"), 10)
         assert gaps == [777] * 10
-
-    def test_exponential_think_time_mean(self):
-        spec = ClosedLoop(think_ns=5_000, exponential=True)
-        gaps = take(gap_stream(spec, seed=8, client="c"), 4000)
-        assert np.mean(gaps) == pytest.approx(5_000, rel=0.05)
 
     def test_bursty_arrivals_land_inside_on_windows(self):
         spec = Bursty(rate_rps=200_000.0, on_ns=50_000, off_ns=150_000)
@@ -158,11 +149,6 @@ class TestBatchedDraws:
     client RNG (the open-loop case is in TestAggregateOpenLoop)."""
 
     N = 3 * DRAW_BATCH + 7
-
-    def test_exponential_think_times_match_scalar_draws(self):
-        spec = ClosedLoop(think_ns=5_000, exponential=True)
-        assert take(gap_stream(spec, seed=9, client="c"), self.N) == \
-            scalar_exponential_gaps(9, "c", 5_000, self.N)
 
     def test_bursty_gaps_defer_scalar_draws_past_the_off_window(self):
         spec = Bursty(rate_rps=200_000.0, on_ns=50_000, off_ns=150_000)

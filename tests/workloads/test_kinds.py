@@ -28,12 +28,12 @@ TELEMETRY = {"sample_interval_ns", "slo_availability", "slo_latency_p99_ns",
 #: What each kind's run reads beyond the base fields.
 READS = {
     "rpc": ARRIVAL | TELEMETRY | {
-        "think_ns", "think_exponential", "resp_bytes", "workers", "policy",
+        "think_ns", "resp_bytes", "workers", "policy",
         "deadline_ns", "abandon_after_ns", "servers", "balancer", "vnodes",
         "key_skew", "shard_policies", "replicas", "probe_interval_ns",
         "failover_timeout_ns", "population"},
-    "halo": TELEMETRY | {"compute_ns", "halo_bytes", "mpi_binding"},
-    "allreduce": TELEMETRY | {"compute_ns", "grad_bytes", "mpi_binding"},
+    "halo": {"compute_ns", "halo_bytes", "mpi_binding"},
+    "allreduce": {"compute_ns", "grad_bytes", "mpi_binding"},
     "pipeline": ARRIVAL | {
         "pipeline", "n_sources", "branches", "window_ns", "window_slide_ns",
         "partition_by", "stage_placement", "sink_work_ns"},
@@ -55,7 +55,7 @@ class TestKindsTable:
             assert {f.name for f in fields(cls)} == BASE | READS[kind], kind
             assert cls.__dataclass_fields__["kind"].default == kind
         assert {kind: len(fields(kind_class(kind))) for kind in KINDS} == {
-            "rpc": 38, "halo": 17, "allreduce": 17, "pipeline": 25,
+            "rpc": 37, "halo": 12, "allreduce": 12, "pipeline": 25,
             "micro": 12}
 
     @pytest.mark.parametrize("kind", ["batch", "RPC", 7, None])
@@ -93,6 +93,7 @@ class TestValidationAtConstruction:
         ("rdma-pingpong", {"n_nodes": 4, "partition_groups": 2}),
         ("dataflow-rollup", {"n_nodes": 12, "partition_groups": 2}),
         ("dataflow-rollup", {"sample_interval_ns": 50_000}),
+        ("mpi-halo", {"partition_groups": 2}),
         ("mpi-halo", {"population": 8}),
         ("mpi-halo", {"servers": 3}),
         ("mpi-halo", {"balancer": "least_pending"}),
