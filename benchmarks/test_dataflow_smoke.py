@@ -16,7 +16,7 @@ import json
 import pytest
 
 from repro.workloads.run import main
-from repro.workloads.presets import PRESET_DESCRIPTIONS, PRESETS
+from repro.workloads.presets import PRESETS
 
 pytestmark = pytest.mark.fast
 
@@ -81,8 +81,3 @@ class TestListPresets:
             name = shape.partition(":")[0]
             assert name.strip() in PRESETS
             assert description.strip()
-
-    def test_descriptions_registry_covers_exactly_the_presets(self):
-        assert set(PRESET_DESCRIPTIONS) == set(PRESETS)
-        for name, description in PRESET_DESCRIPTIONS.items():
-            assert description and "\n" not in description, name

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.workloads.presets import PRESET_PLANS, PRESETS
+from repro.workloads.presets import PRESETS
 from repro.workloads.runner import run_scenario
 
 REPLICATED = PRESETS["rpc-replicated-failover"]
 BLACKOUT = PRESETS["rpc-sharded-blackout"]
-PLAN = PRESET_PLANS["rpc-replicated-failover"]
+PLAN = PRESETS.rows["rpc-replicated-failover"].plan
 FAULT_START_NS = PLAN.episodes[0].start_ns
 
 PROBE_INTERVALS_NS = (50_000, 150_000, 600_000)

@@ -22,7 +22,9 @@ on *this* host, so never compared and never part of the report.  Neither
 refused before the run.
 
 ``--set FIELD=VALUE`` (repeatable) changes a field of the preset or spec
-(VALUE is JSON, else a string) and is validated like a spec file.
+(VALUE is JSON, else a string): a preset's row, a spec file and the
+overrides each become a dict, and one :meth:`Scenario.from_dict` parses
+the merged dict.
 ``--breakdown`` prints the observed run's
 :class:`~repro.obs.report.BreakdownReport` instead of the JSON;
 ``--waterfall N`` adds the first N traced requests' critical paths.
@@ -31,9 +33,9 @@ refused before the run.
 deterministic :class:`~repro.faults.plan.FaultPlan` of NIC firmware
 stalls into the run; ``--trace FILE`` exports the observed spans (with
 causal flow arrows) as a Perfetto/Chrome trace-event file, validated
-before it is written.  Some presets carry a built-in fault plan
-(``PRESET_PLANS`` — e.g. ``rpc-replicated-failover``'s NicStall window);
-those compose automatically unless ``--no-fault`` or an explicit
+before it is written.  Some presets' rows carry a built-in fault plan
+(e.g. ``rpc-replicated-failover``'s NicStall window); those compose
+automatically unless ``--no-fault`` or an explicit
 ``--nic-stall`` overrides them.
 """
 
@@ -45,22 +47,19 @@ import platform
 import resource
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Sequence
 
+from repro.faults.plan import FaultPlan, NicStall
 from repro.obs.export import dumps_deterministic, export_trace, trace_events, \
     validate_trace_events
 from repro.obs.report import BreakdownReport
-from repro.workloads.presets import PRESET_DESCRIPTIONS, PRESET_PLANS, \
-    PRESETS
+from repro.workloads.presets import PRESETS
 from repro.workloads.runner import Scenario, execute_scenario
 
 
 def parse_nic_stall(text: str):
     """``NODE:START:END:EXTRA_NS`` -> :class:`~repro.faults.plan.NicStall`."""
-    from repro.faults.plan import NicStall
-
     parts = text.split(":")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError(
@@ -150,14 +149,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     opts = parser.parse_args(argv)
 
     if opts.preset == "list":
-        for name in sorted(PRESETS):
+        for name, row in sorted(PRESETS.rows.items()):
             scenario = PRESETS[name]
             sharded = (f" servers={scenario.servers} "
                        f"balancer={scenario.balancer}"
                        if getattr(scenario, "servers", 1) > 1 else "")
             print(f"{name}: kind={scenario.kind} nodes={scenario.n_nodes} "
                   f"fm={scenario.fm_version}{sharded}  "
-                  f"{PRESET_DESCRIPTIONS[name]}")
+                  f"{row.description}")
         return 0
     if (opts.preset is None) == (opts.spec is None):
         parser.error("give exactly one of: a preset name, or --spec FILE")
@@ -177,23 +176,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if target is not None and not Path(target).parent.is_dir():
                 raise ValueError(f"{flag} {target}: no directory "
                                  f"{Path(target).parent} (not created here)")
-        if opts.spec is not None:
-            scenario = Scenario.from_dict(
-                json.loads(Path(opts.spec).read_text()))
-        else:
-            scenario = PRESETS[opts.preset]
-        if opts.set:
-            scenario = Scenario.from_dict({**asdict(scenario),
-                                           **dict(opts.set)})
-        scenario.preload()
+        row = PRESETS.rows.get(opts.preset)
+        spec = (json.loads(Path(opts.spec).read_text()) if row is None
+                else {"name": opts.preset, **row.spec})
+        if isinstance(spec, dict):   # else from_dict names what it got
+            spec.update(opts.set)
+        scenario = Scenario.from_dict(spec)
         plan = None
         if opts.nic_stall:
-            from repro.faults.plan import FaultPlan
-
             plan = FaultPlan(seed=scenario.seed,
                              episodes=tuple(opts.nic_stall))
-        elif opts.preset in PRESET_PLANS and not opts.no_fault:
-            plan = PRESET_PLANS[opts.preset]
+        elif row is not None and not opts.no_fault:
+            plan = row.plan
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
     # Cold start: CPU seconds used so far (interpreter, imports, spec).  Not

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.obs.export import dumps_deterministic
-from repro.workloads.presets import PRESET_PLANS, PRESETS
+from repro.workloads.presets import PRESETS
 from repro.workloads.runner import run_scenario
 
 DATAFLOW_PRESETS = ("dataflow-rollup", "dataflow-scatter-gather")
@@ -26,7 +26,7 @@ class TestDataflowDeterminism:
         assert canonical(preset) == canonical(preset, observe=True)
 
     def test_fault_preset_rerun_is_byte_identical(self):
-        plan = PRESET_PLANS["dataflow-rollup-stall"]
+        plan = PRESETS.rows["dataflow-rollup-stall"].plan
         first = canonical("dataflow-rollup-stall", plan=plan)
         assert first == canonical("dataflow-rollup-stall", plan=plan)
 

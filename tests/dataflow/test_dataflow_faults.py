@@ -10,14 +10,14 @@ the stages whose sends crossed the slowed NIC.
 
 from __future__ import annotations
 
-from repro.workloads.presets import PRESET_PLANS, PRESETS
+from repro.workloads.presets import PRESETS
 from repro.workloads.runner import run_scenario
 
 
 def run_stall_preset(plan="preset"):
     scenario = PRESETS["dataflow-rollup-stall"]
     if plan == "preset":
-        plan = PRESET_PLANS["dataflow-rollup-stall"]
+        plan = PRESETS.rows["dataflow-rollup-stall"].plan
     return scenario, run_scenario(scenario, plan=plan)
 
 
@@ -40,7 +40,7 @@ class TestNicStallOnInteriorStage:
         stages = {s["name"]: s for s in results["stages"]}
         # The stalled NIC (node 4) slows both directions: the sources
         # feeding the lane stall on withheld credits...
-        episode = PRESET_PLANS["dataflow-rollup-stall"].episodes[0]
+        episode = PRESETS.rows["dataflow-rollup-stall"].plan.episodes[0]
         victims = [s for s in results["stages"]
                    if s["kind"] == "source" and s["credit_stalls"] > 0]
         assert victims, "no source saw the stall"

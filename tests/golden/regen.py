@@ -6,7 +6,7 @@
 
 One ``<name>.json`` per case, each the canonical report
 (``dumps_deterministic``) of a scenario run at seed 1: every workload
-preset (with its ``PRESET_PLANS`` fault plan) under its own name, and
+preset (with the fault plan of its row) under its own name, and
 every ``perfbench/specs/*.json`` scenario as ``spec.<name>.json``.
 ``obs.digests.json`` pins what an *observed* run exports — span count and
 the sha256 of the trace-event export and of the metrics registry — for
@@ -49,7 +49,7 @@ from repro.upper.mpi import ANY_SOURCE, ANY_TAG, MPI2_DEFAULT_COSTS
 from repro.upper.mpi.comm import Communicator
 from repro.upper.mpi.engine import MpiEngine
 from repro.upper.mpi.world import BINDINGS, build_mpi_world
-from repro.workloads.presets import PRESET_PLANS, PRESETS
+from repro.workloads.presets import PRESETS
 from repro.workloads.runner import (Scenario, ScenarioOutcome,
                                     execute_scenario, run_scenario)
 
@@ -81,7 +81,7 @@ PAPER_FIGURES = "paper.figures"
 
 def cases() -> dict:
     """``{golden name: (scenario, fault plan or None)}``, presets first."""
-    out = {name: (scenario, PRESET_PLANS.get(name))
+    out = {name: (scenario, PRESETS.rows[name].plan)
            for name, scenario in PRESETS.items()}
     for path in sorted(SPEC_DIR.glob("*.json")):
         spec = json.loads(path.read_text())

@@ -12,7 +12,7 @@ from repro.obs.report import (
     render_waterfall,
     request_roots,
 )
-from repro.workloads.presets import PRESET_PLANS, PRESETS
+from repro.workloads.presets import PRESETS
 from repro.workloads.run import main
 from repro.workloads.runner import Scenario, execute_scenario
 
@@ -21,7 +21,7 @@ def run_scenario(name, **fields):
     """The breakdown of preset ``name`` observed with its own fault plan,
     with ``fields`` changed."""
     outcome = execute_scenario(replace(PRESETS[name], **fields),
-                               plan=PRESET_PLANS.get(name), observe=True)
+                               plan=PRESETS.rows[name].plan, observe=True)
     return BreakdownReport.of(outcome)
 
 

@@ -19,7 +19,7 @@ from repro.configs import PPRO_FM2, SPARC_FM1
 from repro.core.rdma import NicCollectives, RdmaEndpoint
 from repro.hardware.packet import Packet
 from repro.obs.export import dumps_deterministic
-from repro.workloads.presets import PRESET_PLANS, PRESETS
+from repro.workloads.presets import PRESETS
 from repro.workloads.runner import execute_scenario
 
 from tests._elision import elision_declined
@@ -84,8 +84,8 @@ SCENARIOS = {
     "rpc-partitioned": preset("rpc-partitioned"),     # trunk links
     "dataflow-rollup": preset("dataflow-rollup"),
     "rpc-replicated-failover": preset(
-        "rpc-replicated-failover",
-        plan=PRESET_PLANS["rpc-replicated-failover"]),   # the NicStall window
+        "rpc-replicated-failover",    # with its plan, the NicStall window
+        plan=PRESETS.rows["rpc-replicated-failover"].plan),
 }
 
 

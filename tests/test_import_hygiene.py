@@ -175,6 +175,33 @@ def test_kinds_that_never_touch_numpy_never_load_it(preset):
         assert modules == {"numpy": False, "networkx": False}, step
 
 
+#: A CLI run in a fresh interpreter, as ``python -m MODULE ARGS`` would run
+#: it; prints the modules of the kinds it has no use for that it loaded.
+CLI = """
+import json, runpy, sys
+sys.argv = sys.argv[1:]
+try:
+    runpy.run_module(sys.argv[0], run_name="__main__", alter_sys=True)
+except SystemExit as exit:
+    assert not exit.code, exit.code
+print(json.dumps(sorted(name for name in sys.modules if name.startswith(
+    ("repro.workloads.rpc", "repro.workloads.replication",
+     "repro.workloads.sharding", "repro.dataflow")))))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("repro.workloads.run", "rdma-pingpong", "-o", "{tmp}/r.json"),
+    ("repro.bench.regen", "fig5"),
+], ids=["run-rdma-pingpong", "regen-fig5"])
+def test_a_cli_run_loads_only_its_own_kind(argv, tmp_path):
+    """A preset is parsed from its row when it is looked up, so the put
+    ping-pong and the Figure 5 sweep (both ``kind="micro"``) load no rpc,
+    replication, sharding or dataflow module."""
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert fresh_interpreter(CLI, *argv) == []
+
+
 REPORT = """
 import json, sys
 import repro.obs.report

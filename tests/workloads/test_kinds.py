@@ -14,7 +14,7 @@ from dataclasses import asdict, fields, replace
 import pytest
 
 from repro.obs.export import dumps_deterministic
-from repro.workloads.presets import PRESET_DESCRIPTIONS, PRESETS
+from repro.workloads.presets import PRESETS
 from repro.workloads.runner import KINDS, Scenario, kind_class
 
 from tests.golden import regen
@@ -82,7 +82,7 @@ class TestKindsTable:
         assert [line.split(":")[0] for line in lines] == sorted(PRESETS)
         assert lines[sorted(PRESETS).index("rpc-sharded")].endswith(
             "servers=4 balancer=static  "
-            + PRESET_DESCRIPTIONS["rpc-sharded"])
+            + PRESETS.rows["rpc-sharded"].description)
         assert lines[sorted(PRESETS).index("mpi-halo")] == (
             "mpi-halo: kind=halo nodes=4 fm=2  "
             "MPI halo-exchange stencil over FM")

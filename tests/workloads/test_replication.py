@@ -18,7 +18,7 @@ from repro.workloads.replication import (
     ShardSupervisor,
 )
 from repro.workloads.rpc import RpcEndpoint, RpcServer
-from repro.workloads.presets import PRESET_PLANS, PRESETS
+from repro.workloads.presets import PRESETS
 from repro.workloads.rpc_kind import RpcScenario
 from repro.workloads.runner import run_scenario
 from repro.workloads.sharding import make_balancer
@@ -306,10 +306,10 @@ class TestReplicatedScenarios:
         # the unreplicated control blacks out the stalled shard's keys.
         replicated = run_scenario(
             PRESETS["rpc-replicated-failover"],
-            plan=PRESET_PLANS["rpc-replicated-failover"])
+            plan=PRESETS.rows["rpc-replicated-failover"].plan)
         blackout = run_scenario(
             PRESETS["rpc-sharded-blackout"],
-            plan=PRESET_PLANS["rpc-sharded-blackout"])
+            plan=PRESETS.rows["rpc-sharded-blackout"].plan)
 
         episode = replicated["fault_windows"]["episodes"][0]
         assert episode["availability"] >= 0.99
