@@ -255,8 +255,8 @@ class PipelineScenario(ArrivalFields):
         s = self
         s._choose(pipeline=PIPELINES, stage_placement=PLACEMENTS,
                   partition_by=("hash", "round_robin"))
-        s._at_least(n_sources=1, branches=1, window_ns=1, window_slide_ns=0,
-                    sink_work_ns=0)
+        s._at_least(n_requests=1, n_sources=1, branches=1, window_ns=1,
+                    window_slide_ns=0, sink_work_ns=0)
         if s.window_slide_ns and s.window_ns % s.window_slide_ns:
             raise ValueError(
                 f"window_slide_ns must be 0 (tumbling) or divide window_ns "

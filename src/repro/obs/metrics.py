@@ -28,6 +28,7 @@ heap, so metrics add zero simulated time.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter, defaultdict
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -52,18 +53,21 @@ class Reservoir:
     histogram of the registry (:meth:`Metrics.histogram`) and every
     per-run stats reservoir (:meth:`RunStats.reservoir`).
 
-    Unbounded (scenario runs are small).  Quantiles are
-    :func:`~repro.obs.timeseries.nearest_rank` on the sorted samples, so a
-    summary is a pure function of the recorded values — no floating-point
-    order dependence.
+    Unbounded (scenario runs are small).  The samples are ints in one
+    ``array("q")``: a float sample raises ``TypeError`` and one outside
+    ``[-2⁶³, 2⁶³)`` ``OverflowError``, so none is rounded or wrapped.
+    Quantiles are :func:`~repro.obs.timeseries.nearest_rank` on the sorted
+    samples, so a summary is a pure function of the recorded values — no
+    floating-point order dependence.
     """
 
     def __init__(self, name: str, labels: Optional[dict[str, str]] = None):
         self.name = name
         self.labels: dict[str, str] = dict(labels or {})
-        self.samples: list[int] = []
-        #: Add one sample: the sample list's own ``append``, so recording
-        #: is one C call (the total is summed when read).
+        self.samples = array("q")
+        #: Add one sample: the sample array's own ``append``, so recording
+        #: is one C call (the total is summed when read) and a sample costs
+        #: 8 B, not a pointer to a boxed int.
         self.record = self.samples.append
 
     @property

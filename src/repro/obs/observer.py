@@ -22,14 +22,23 @@ The observer is independent of the kernel's ``env.trace`` hook:
 ``env.trace`` sees every kernel event, ``env.obs`` sees semantic intervals.
 
 **The span log.**  A span costs its fields, not an object: the observer
-keeps one columnar log — six ints per span, packed into an ``array("q")``
-(site, ``t_start``, ``t_end``, ``trace_id``, ``span_id``, ``parent_id``; 0
-stands for ``None``, lossless because ids start at 1), the attribute
-values in one flat list, and a table of the
-:class:`~repro.hardware.packet.Site` objects the emitting components built
-once, each entered on its first span.  :attr:`Observer.spans` builds the
-:class:`~repro.obs.span.Span` objects from the rows on first read, so
-every reader sees the same spans, ids and order a list of them would hold.
+keeps one columnar log, each column as narrow as its range allows.  A row
+is 30 B: the site index (``H``), ``t_start`` and ``t_end`` (``q``), and
+``trace_id``, ``span_id`` and ``parent_id`` (``i``; 0 stands for ``None``,
+lossless because ids start at 1).  The attribute values go where the
+site's first span puts them: a site whose first values are all ints in
+``[-2³¹, 2³¹)`` keeps its values in an ``array("i")``, any other site
+(a ``str``, ``None`` or wider int among them) in a side list of objects.
+A value that does not fit its column never wraps: an int attr that does
+not fit ``i`` is kept by position in a side table with a 0 in its place,
+and a site index past 65 535 or an id past 2³¹ − 1 raises when its row
+is packed.  (What ``struct`` takes for an ``i``, a ``bool`` say, reads
+back as a plain int: no site records one.)  The table of
+:class:`~repro.hardware.packet.Site` objects holds each site the emitting
+components built once, entered on its first span.
+:attr:`Observer.spans` builds the :class:`~repro.obs.span.Span` objects
+from the rows on first read, so every reader sees the same spans, ids
+and order a list of them would hold.
 
 **Causal tracing.**  The observer also owns the trace-context machinery:
 :meth:`Observer.mint_trace` starts a request tree, :meth:`Observer.bind`
@@ -54,16 +63,28 @@ from repro.hardware.packet import FORWARD_HOP, RX_HOP, TX_HOP, WIRE_HOP, Site
 from repro.obs.metrics import Metrics
 from repro.obs.span import Span, TraceContext, reversed_interval
 
-#: Fields per span row of the log: site, t_start, t_end, trace_id,
-#: span_id, parent_id.
-_ROW = 6
-#: A record appends its row to a list, packed into the array in one
-#: ``struct`` call whenever a multiple of this many span ids has been
-#: allocated (``array.extend`` parses each int on its own and would cost a
-#: span ~1 µs more than the ``Span`` it replaces).  A row takes a fresh id
-#: unless its id was allocated ahead (a request's root), so the list holds
-#: about that many rows.
+#: The span row's columns, in order: site, t_start, t_end, trace_id,
+#: span_id, parent_id (30 B a row).
+_COLUMNS = "Hqqiii"
+_ROW = len(_COLUMNS)
+#: Bytes per item of each column type (``struct``'s standard sizes, which
+#: are ``array``'s on the platforms CPython builds for).
+_SIZE = {code: struct.calcsize(f"={code}") for code in _COLUMNS}
+#: A record appends its row and its int values to lists, packed into the
+#: columns whenever a multiple of ``_PACK_EVERY`` span ids has been
+#: allocated: in whole chunks, each with one call of a ``struct`` format
+#: fixed here (``array.extend`` parses each int on its own, ~5x slower; a
+#: format built per call would fill ``struct``'s cache).  Rows lag ids by
+#: the requests in flight (a request's root row takes an id allocated
+#: ahead), so a row chunk is half the interval.
 _PACK_EVERY = 1024
+_CHUNK_ROWS = _PACK_EVERY // 2
+_CHUNK = _ROW * _CHUNK_ROWS
+_PACK_ROWS = struct.Struct("=" + "".join(f"{_CHUNK_ROWS}{code}" for code in _COLUMNS))
+_CHUNK_INTS = 2 * _PACK_EVERY
+_PACK_INTS = struct.Struct(f"={_CHUNK_INTS}i")
+#: The range of a narrow int attr value.
+_INT_MIN, _INT_MAX = -2 ** 31, 2 ** 31 - 1
 #: Each kind of hop stamp's span: layer, name, attr keys.
 _HOP_SPANS = {WIRE_HOP: ("fabric", "wire", "src", "dest", "bytes"),
               FORWARD_HOP: ("fabric", "forward", "in_port", "out_port", "src", "dest"),
@@ -80,16 +101,22 @@ class Observer:
 
     def __init__(self, metrics: Optional[Metrics] = None):
         self.env: Optional["Environment"] = None
-        # The span log (see the module doc): packed rows, the rows not
-        # packed yet, attr values, and each site met -> its row field.
-        self._rows = array("q")
+        # The span log (see the module doc): the packed row columns and
+        # the rows not packed yet; the packed int attr values, those not
+        # packed yet and the ones that did not fit (position -> value);
+        # the side list of the other sites' values; and each site met ->
+        # (its row field, the list its values join).
+        self._columns = [bytearray() for _ in _COLUMNS]
         self._tail: list[int] = []
-        self._vals: list[Any] = []
-        self._sites: dict[Site, int] = {}
-        # The spans built so far from the log, and the first attr value of
-        # the next row to build.
+        self._ints = bytearray()
+        self._int_tail: list[Any] = []
+        self._escapes: dict[int, Any] = {}
+        self._wide: list[Any] = []
+        self._sites: dict[Site, tuple[int, list[Any]]] = {}
+        # The spans built so far from the log, and the next row's first
+        # value in the ints and in the side list.
         self._spans: list[Span] = []
-        self._vals_built = 0
+        self._ints_built = self._wide_built = 0
         self.metrics = metrics if metrics is not None else Metrics()
         self._next_span_id = 0
         self._next_trace_id = 0
@@ -199,13 +226,18 @@ class Observer:
             trace_id = ctx.trace_id
             parent_id = ctx.span_id if ctx.span_id != span_id else 0
         try:
-            row_site = self._sites[site]
+            row_site, sink = self._sites[site]
         except KeyError:
             if len(values) != len(site.keys):
                 raise TypeError(f"{site.name}: {site.keys} got {values}") from None
-            row_site = self._sites[site] = len(self._sites)
+            sink = self._int_tail
+            for value in values:           # once per site: where its values go
+                if type(value) is not int or not _INT_MIN <= value <= _INT_MAX:
+                    sink = self._wide
+            row_site = len(self._sites)
+            self._sites[site] = row_site, sink
         self._tail += (row_site, t_start, t_end, trace_id, span_id, parent_id)
-        self._vals += values
+        sink += values
 
     def hops(self, packet: "Packet") -> None:
         """Record the hop spans of a packet leaving the hardware (the
@@ -222,7 +254,7 @@ class Observer:
                               else (ctx.trace_id, ctx.span_id))
         hop_sites = self._hop_sites
         tail = self._tail
-        vals = self._vals
+        vals = self._int_tail
         for waypoint in packet.waypoints:
             hop = waypoint[2:5]
             if not hop:
@@ -248,8 +280,8 @@ class Observer:
                 row_site = hop_sites[kind][track]
             except KeyError:
                 layer, name, *keys = _HOP_SPANS[kind]
-                row_site = hop_sites[kind][track] = self._sites[
-                    Site(layer, name, track, *keys)] = len(self._sites)
+                row_site = hop_sites[kind][track] = len(self._sites)
+                self._sites[Site(layer, name, track, *keys)] = row_site, vals
             span_id = self._next_span_id = self._next_span_id + 1
             if not span_id % _PACK_EVERY:
                 self._pack()
@@ -257,10 +289,58 @@ class Observer:
                      if kind >= TX_HOP else (row_site, t_start, t_end, 0, span_id, 0))
 
     def _pack(self) -> None:
-        """Move the rows not packed yet into the array."""
+        """Move every whole chunk of the rows and of the int values not
+        packed yet into the columns, one ``struct`` call a chunk (a value
+        out of its column's range raises ``struct.error``)."""
         tail = self._tail
-        self._rows.frombytes(struct.pack(f"{len(tail)}q", *tail))
-        tail.clear()
+        for _ in range(len(tail) // _CHUNK):
+            rows = tail[:_CHUNK]
+            packed = memoryview(_PACK_ROWS.pack(
+                *rows[0::_ROW], *rows[1::_ROW], *rows[2::_ROW],
+                *rows[3::_ROW], *rows[4::_ROW], *rows[5::_ROW]))
+            at = 0
+            for column, code in zip(self._columns, _COLUMNS):
+                end = at + _SIZE[code] * _CHUNK_ROWS
+                column += packed[at:end]
+                at = end
+            del tail[:_CHUNK]
+        ints = self._int_tail
+        for _ in range(len(ints) // _CHUNK_INTS):
+            chunk = ints[:_CHUNK_INTS]
+            try:
+                self._ints += _PACK_INTS.pack(*chunk)
+            except struct.error:           # a value that does not fit "i"
+                self._pack_ints(chunk)
+            del ints[:_CHUNK_INTS]
+
+    def _pack_ints(self, values: list[Any]) -> None:
+        """Pack int attr values one by one (a chunk ``struct`` refused, or
+        what is left on read): each that does not fit ``i`` is kept by
+        position in the escapes, a 0 in its place."""
+        packed = array("i")
+        base = len(self._ints) // _SIZE["i"]
+        for value in values:
+            try:
+                packed.append(value)
+            except (TypeError, OverflowError):
+                self._escapes[base + len(packed)] = value
+                packed.append(0)
+        self._ints += packed
+
+    def _flush(self) -> None:
+        """Pack everything not packed yet: whole chunks, then what is left
+        through ``array`` (out of range raises, never wraps)."""
+        self._pack()
+        tail = self._tail
+        if tail:
+            rest = [array(code, tail[field::_ROW])
+                    for field, code in enumerate(_COLUMNS)]
+            for column, part in zip(self._columns, rest):
+                column += part
+            tail.clear()
+        if self._int_tail:
+            self._pack_ints(self._int_tail)
+            self._int_tail.clear()
 
     def packet_done(self, packet: "Packet", end_name: str, end_time: int) -> None:
         """Fold one delivered packet's waypoints into per-stage histograms.
@@ -301,26 +381,35 @@ class Observer:
 
         Built from the log on read, incrementally: rows recorded since the
         last read become :class:`Span` objects and join the same list."""
-        if self._tail:
-            self._pack()
+        self._flush()
         spans = self._spans
-        rows = self._rows
         built = len(spans)
-        if built * _ROW < len(rows):
-            table = list(self._sites)
-            vals = self._vals
-            at = self._vals_built
-            fields = iter(rows[built * _ROW:])
-            for row_site, t_start, t_end, trace_id, span_id, parent_id in zip(
-                    *[fields] * _ROW):             # one row per step
-                site = table[row_site]
-                end = at + len(site.keys)
-                attrs = {key: value for key, value in zip(site.keys, vals[at:end])
+        if built < len(self):
+            wide = self._wide
+            table = [(site, sink is wide) for site, (_, sink) in self._sites.items()]
+            base, wide_at = self._ints_built, self._wide_built
+            ints = array("i", self._ints[base * _SIZE["i"]:])
+            escapes = self._escapes
+            at = 0
+            rows = [array(code, column[built * _SIZE[code]:])
+                    for code, column in zip(_COLUMNS, self._columns)]
+            for row_site, t_start, t_end, trace_id, span_id, parent_id in zip(*rows):
+                site, is_wide = table[row_site]
+                n = len(site.keys)
+                if is_wide:
+                    values = wide[wide_at:wide_at + n]
+                    wide_at += n
+                else:
+                    values = ints[at:at + n]
+                    if escapes:
+                        values = [escapes[i] if i in escapes else value
+                                  for i, value in enumerate(values, base + at)]
+                    at += n
+                attrs = {key: value for key, value in zip(site.keys, values)
                          if value is not None}
                 spans.append(Span(site.layer, site.name, t_start, t_end, site.track,
                                   attrs, trace_id or None, span_id, parent_id or None))
-                at = end
-            self._vals_built = at
+            self._ints_built, self._wide_built = base + at, wide_at
         return spans
 
     def spans_for(self, layer: Optional[str] = None,
@@ -347,7 +436,7 @@ class Observer:
 
     def __len__(self) -> int:
         """Spans recorded, counted from the log (builds no :class:`Span`)."""
-        return (len(self._rows) + len(self._tail)) // _ROW
+        return len(self._columns[0]) // _SIZE["H"] + len(self._tail) // _ROW
 
     def __repr__(self) -> str:
         return f"<Observer spans={len(self)} tracks={len(self.tracks())}>"

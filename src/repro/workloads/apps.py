@@ -132,6 +132,7 @@ class MpiScenario(Scenario):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        self._at_least(iterations=1)
         binding_named(self.mpi_binding, self.fm_version)
 
     def build_stats(self, env: "Environment") -> WorkloadStats:

@@ -183,7 +183,7 @@ class RpcScenario(ArrivalFields):
             if policy not in VALID_POLICIES:
                 raise ValueError(f"policy must be one of {VALID_POLICIES}, "
                                  f"got {policy!r}")
-        s._at_least(servers=1, replicas=1, probe_interval_ns=1,
+        s._at_least(n_requests=1, servers=1, replicas=1, probe_interval_ns=1,
                     failover_timeout_ns=1, population=0, abandon_after_ns=1,
                     sample_interval_ns=0, slo_latency_p99_ns=1,
                     partition_groups=0, trunk_propagation_ns=1)

@@ -170,8 +170,27 @@ class TestValidationAtConstruction:
         ("stream-fm2", {"mpi_binding": "fm2"}),
         ("pingpong-fm2", {"pattern": "nic-barrier", "n_nodes": 4,
                           "mpi_binding": "fm2"}),
+        # Every kind runs at least one request, record or round.
+        ("rpc-open", {"n_requests": 0}),
+        ("rpc-closed", {"n_requests": -1}),
+        ("dataflow-rollup", {"n_requests": 0}),
+        ("dataflow-scatter-gather", {"n_requests": 0}),
+        ("mpi-halo", {"iterations": 0}),
+        ("mpi-allreduce", {"iterations": 0}),
     ])
     def test_bad_values_fail_before_anything_is_built(self, base, overrides):
         field = list(overrides)[-1]
         with pytest.raises(ValueError, match=field):
             replace(PRESETS[base], **overrides)
+
+    def test_a_run_of_no_length_is_a_usage_error(self, capsys):
+        """Refused at parse time, as a microbenchmark's is: exit 2 with
+        the validation message, no cluster built and no traceback."""
+        from repro.workloads.run import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["mpi-halo", "--set", "iterations=0"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "iterations must be >= 1, got 0" in err
+        assert "Traceback" not in err
