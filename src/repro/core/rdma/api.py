@@ -228,5 +228,5 @@ def wait_cq(owner, match: Callable[[RdmaCompletion], bool]) -> Generator:
                 f"completion ({guess}corrupt offload packets {seen[0]}, "
                 f"corrupt control packets {seen[1]}, {seen[2]} B landed "
                 f"without a completion, unmatched drops {seen[3]}); "
-                f"cq depth {len(cq)}")
+                + "; ".join([f"cq depth {len(cq)}", *nic.collective_waits()]))
         yield env.first_of(nic.cq_wakeup(), IDLE_WAIT_CAP_NS)

@@ -113,7 +113,7 @@ class _CollState:
 
     __slots__ = ("coll_id", "op", "posted", "n_nodes", "root", "buffer",
                  "nbytes", "received", "arrived", "round_waiters", "pending",
-                 "data_waiters")
+                 "data_waiters", "waiting")
 
     def __init__(self, coll_id: int):
         self.coll_id = coll_id
@@ -128,6 +128,7 @@ class _CollState:
         self.round_waiters: dict[int, list] = {}
         self.pending: deque[Packet] = deque()  # bcast: undelivered chunks
         self.data_waiters: list = []
+        self.waiting: tuple = ()  # what the engine waits on: format, args
 
 
 def _binomial_children(rel: int, n: int) -> list[int]:
@@ -360,6 +361,12 @@ class Nic:
                     f"({state.op} vs {op}) — hosts disagree on the sequence")
             state.op = op
         return state
+
+    def collective_waits(self) -> list[str]:
+        """What each collective engine on this NIC waits on, for a stall
+        message: a barrier its round and peer, a broadcast its parent."""
+        return [state.waiting[0] % state.waiting[1:]
+                for state in self._colls.values() if state.waiting]
 
     # -- firmware internals --------------------------------------------------
     def _stamp_route(self, packet: Packet) -> None:
@@ -626,6 +633,8 @@ class Nic:
                              flags=framed(PacketFlags.COLLECTIVE, True, True)),
                 b"")
             yield from self._fw_inject(packet)
+            state.waiting = ("barrier round %d/%d waiting on node %d", k,
+                             (n - 1).bit_length(), (me - step) % n)
             while state.arrived.get(k, 0) == 0:
                 event = env.event()
                 state.round_waiters.setdefault(k, []).append(event)
@@ -663,6 +672,8 @@ class Nic:
                 offset += chunk
                 seq += 1
         else:
+            parent = state.root + rel - (1 << (rel.bit_length() - 1))
+            state.waiting = ("bcast waiting on parent %d", parent % n)
             while state.received < nbytes:
                 while not state.pending:
                     event = env.event()

@@ -9,8 +9,9 @@ needs to reassemble and dispatch without any per-connection state:
 * reassembly: per-(src → dst) message id, sequence number within the
   message, total message length, FIRST/LAST flags,
 * flow control: piggybacked credit return,
-* integrity: a CRC over the payload (only meaningful when the
-  fault-injection error model is enabled).
+* integrity: a CRC over the payload as sent, computed only when read or
+  when the payload has been replaced since (a link marks damage with the
+  CORRUPT flag, which :meth:`Packet.crc_ok` tests first).
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ class Site:
         self.layer, self.name, self.track, self.keys = layer, name, track, keys
 
 
-@dataclass
+@dataclass(slots=True)
 class PacketHeader:
     """Packet metadata (kept as a structured object; its wire size is
     accounted as :data:`HEADER_BYTES`).
@@ -142,7 +143,7 @@ class PacketHeader:
         return _and(self.flags, _COLLECTIVE) != 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """A packet in flight: header, payload bytes, and a source route.
 
@@ -161,14 +162,16 @@ class Packet:
     at injection time when an observer is attached and the sending process
     is working on behalf of a traced request.  It is host-side metadata
     only: it adds no wire bytes and never influences simulated behaviour.
+    ``wire_bytes`` (header plus payload) is fixed at construction.
     """
 
     header: PacketHeader
     payload: bytes
     route: list[int] = field(default_factory=list)
-    crc: int = 0
     waypoints: list[tuple] = field(default_factory=list)
     trace: Optional["TraceContext"] = None
+    wire_bytes: int = field(init=False)
+    _sealed: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Packet construction is the single snapshot point of the send path:
@@ -182,22 +185,25 @@ class Packet:
                 raise TypeError(
                     f"payload must be bytes-like, got {type(payload).__name__}"
                 )
-            self.payload = bytes(payload)
-        if self.crc == 0:
-            self.crc = compute_crc(self.payload)
+            payload = self.payload = bytes(payload)
+        self._sealed = payload
+        self.wire_bytes = HEADER_BYTES + len(payload)
 
     @property
-    def wire_bytes(self) -> int:
-        """Size on the wire / bus: header plus payload."""
-        return HEADER_BYTES + len(self.payload)
+    def crc(self) -> int:
+        """CRC-32 of the payload as sent (the sealed one)."""
+        return compute_crc(self._sealed)
 
     @property
     def payload_bytes(self) -> int:
         return len(self.payload)
 
     def crc_ok(self) -> bool:
-        return (not _and(self.header.flags, _CORRUPT)
-                and compute_crc(self.payload) == self.crc)
+        """Not marked CORRUPT, and the payload is the one sent."""
+        if _and(self.header.flags, _CORRUPT):
+            return False
+        payload = self.payload
+        return payload is self._sealed or compute_crc(payload) == self.crc
 
     def stamp(self, *waypoint) -> None:
         """Record a waypoint, ``(location, time_ns)`` or a hop's longer

@@ -205,13 +205,14 @@ class Observer:
         The span is read back through :attr:`spans`.
         """
         # The per-crossing hot path, so one frame: id allocation and
-        # :meth:`current` are written out, and the clock and the active
-        # process are read from the slots ``Environment`` documents for it.
+        # :meth:`current` are written out, and the active process is read
+        # from the slot ``Environment`` documents for it (the clock, ``now``,
+        # is a plain slot anyway).
         env = self.env
         if t_end is None:
             if env is None:
                 raise RuntimeError("record() before attach()")
-            t_end = env._now
+            t_end = env.now
         if t_end < t_start:
             raise reversed_interval(site.layer, site.name, t_start, t_end)
         if ctx is None and env is not None and env._active_process in self._bound:

@@ -55,20 +55,20 @@ class Environment:
     a monotonically increasing sequence number, so any run is a pure function
     of the model — there is no dependence on hash ordering or wall-clock.
 
-    The slots ``_now`` and ``_active_process`` (behind the :attr:`now` and
-    :attr:`active_process` properties) are also read directly by
-    :class:`repro.obs.observer.Observer`, whose per-span path cannot afford
-    two property calls; nothing else outside the kernel may, and a rename
-    here must follow there.
+    ``now``, the simulated time in ns, is a plain slot only this class
+    writes.  The slot ``_active_process`` (behind :attr:`active_process`)
+    is also read directly by :class:`repro.obs.observer.Observer`, whose
+    per-span path cannot afford a property call; nothing else outside the
+    kernel may, and a rename here must follow there.
     """
 
-    __slots__ = ("_now", "_heap", "_imm", "_seq", "_active_process",
+    __slots__ = ("now", "_heap", "_imm", "_seq", "_active_process",
                  "_fanout", "elided", "trace", "last_key", "obs", "faults")
 
     def __init__(self, initial_time: int = 0):
         if not isinstance(initial_time, int) or initial_time < 0:
             raise ValueError(f"initial_time must be a non-negative int, got {initial_time!r}")
-        self._now: int = initial_time
+        self.now: int = initial_time
         self._heap: list[tuple[int, int, Event]] = []
         #: FIFO of ``(key, event)`` pairs scheduled for *now* at normal
         #: priority — the dominant schedule (every succeed).  Appending here
@@ -103,11 +103,6 @@ class Environment:
 
     # -- clock ---------------------------------------------------------------
     @property
-    def now(self) -> int:
-        """Current simulated time in nanoseconds."""
-        return self._now
-
-    @property
     def active_process(self) -> Optional[Process]:
         """The process currently executing, if any."""
         return self._active_process
@@ -134,13 +129,13 @@ class Environment:
         put_now/get_now`` do the handshake inline: same actions, same order.
         Under ``run(until=t)`` the stop marker is a heap entry at ``t``, so
         that one instant is never quiet and its handshakes take an event.
-        Those three read the slots behind this test inline, not through the
-        property (they run once per handshake); a change here must follow
-        there.
+        Those three test ``_imm``, ``_fanout``, the heap head and ``now``
+        inline, not through the property (they run once per handshake); a
+        change here must follow there.
         """
         heap = self._heap
         return (not self._imm and not self._fanout
-                and (not heap or heap[0][0] > self._now))
+                and (not heap or heap[0][0] > self.now))
 
     @staticmethod
     def decode_key(key: int) -> tuple[int, int]:
@@ -182,11 +177,11 @@ class Environment:
             self._seq = seq
             if delay:
                 heappush(self._heap,
-                         (self._now + delay, (priority << SEQ_BITS) + seq, timeout))
+                         (self.now + delay, (priority << SEQ_BITS) + seq, timeout))
             elif priority == PRIORITY_NORMAL:
                 self._imm.append(((PRIORITY_NORMAL << SEQ_BITS) + seq, timeout))
             else:
-                heappush(self._heap, (self._now, (priority << SEQ_BITS) + seq, timeout))
+                heappush(self._heap, (self.now, (priority << SEQ_BITS) + seq, timeout))
             return timeout
         # Cold path: fresh allocation, with full argument validation.
         return Timeout(self, delay, value, priority)
@@ -264,7 +259,7 @@ class Environment:
         self._seq = seq
         key = _NORMAL + seq
         if delay:
-            heappush(self._heap, (self._now + delay, key, process))
+            heappush(self._heap, (self.now + delay, key, process))
         else:
             self._imm.append((key, process))
 
@@ -277,12 +272,12 @@ class Environment:
             self._imm.append(((PRIORITY_NORMAL << SEQ_BITS) + self._seq, event))
             return
         heappush(self._heap,
-                 (self._now + delay, (priority << SEQ_BITS) + self._seq, event))
+                 (self.now + delay, (priority << SEQ_BITS) + self._seq, event))
 
     def peek(self) -> Optional[int]:
         """Time of the next scheduled event, or None if nothing is queued."""
         if self._imm:
-            return self._now
+            return self.now
         return self._heap[0][0] if self._heap else None
 
     def step(self) -> None:
@@ -297,18 +292,18 @@ class Environment:
         imm = self._imm
         if imm:
             heap = self._heap
-            if heap and heap[0][0] == self._now and heap[0][1] < imm[0][0]:
+            if heap and heap[0][0] == self.now and heap[0][1] < imm[0][0]:
                 when, key, event = heappop(heap)
             else:
-                when = self._now
+                when = self.now
                 key, event = imm.popleft()
         elif self._heap:
             when, key, event = heappop(self._heap)
         else:
             raise SimulationError("step() on an empty event heap")
-        if when < self._now:  # pragma: no cover - guarded by schedule()
+        if when < self.now:  # pragma: no cover - guarded by schedule()
             raise SimulationError("event heap corrupted: time went backwards")
-        self._now = when
+        self.now = when
         if self.trace is not None:
             self.last_key = key
             self.trace(when, event)
@@ -358,7 +353,7 @@ class Environment:
         heap = self._heap
         imm = self._imm
         getrefcount = sys.getrefcount
-        now = self._now
+        now = self.now
         while True:
             if imm:
                 # Immediate entries are all at the current instant; a heap
@@ -370,7 +365,7 @@ class Environment:
                     key, event = imm.popleft()
             elif heap:
                 now, key, event = heappop(heap)
-                self._now = now
+                self.now = now
             else:
                 return
             trace = self.trace
@@ -506,8 +501,8 @@ class Environment:
             return target._value
 
         if isinstance(until, int):
-            if until < self._now:
-                raise ValueError(f"until ({until}) is in the past (now={self._now})")
+            if until < self.now:
+                raise ValueError(f"until ({until}) is in the past (now={self.now})")
             # Empty-heap (or already-idle-past-until) fast path: advance the
             # clock without touching any event machinery.
             if self._imm or (self._heap and self._heap[0][0] <= until):
@@ -524,11 +519,11 @@ class Environment:
                     if not marker._processed:  # an exception left it unfired
                         self._heap.remove(stop)
                         heapify(self._heap)
-            self._now = until
+            self.now = until
             return None
 
         raise TypeError(f"until must be None, an int time, or an Event; got {until!r}")
 
     def __repr__(self) -> str:
         pending = len(self._heap) + len(self._imm)
-        return f"<Environment now={self._now} pending={pending}>"
+        return f"<Environment now={self.now} pending={pending}>"

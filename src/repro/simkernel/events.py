@@ -149,7 +149,7 @@ class Event:
         if priority == PRIORITY_NORMAL:
             env._imm.append(((PRIORITY_NORMAL << SEQ_BITS) + env._seq, self))
         else:
-            heappush(env._heap, (env._now, (priority << SEQ_BITS) + env._seq, self))
+            heappush(env._heap, (env.now, (priority << SEQ_BITS) + env._seq, self))
         return self
 
     def fail(self, exception: BaseException, priority: int = PRIORITY_NORMAL) -> "Event":

@@ -8,7 +8,7 @@ slot with :meth:`Resource.acquire` and hands it back with
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
 from typing import TYPE_CHECKING, Optional
 
 from repro.simkernel.errors import SimulationError
@@ -20,14 +20,14 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class Request(Event):
     """A pending or granted claim on a resource; :meth:`Resource.release`
-    gives it back, or withdraws it while it is still queued."""
+    gives it back, or withdraws it while it is still queued.  ``resource``
+    is ``None`` once it has been released or withdrawn."""
 
-    __slots__ = ("resource", "key")
+    __slots__ = ("resource",)
 
-    def __init__(self, resource: "Resource", key: int):
+    def __init__(self, resource: "Resource"):
         super().__init__(resource.env)
-        self.resource = resource
-        self.key = key
+        self.resource: Optional[Resource] = resource
 
 
 class Resource:
@@ -35,6 +35,8 @@ class Resource:
 
     Fairness: grants strictly follow request order, which keeps host-CPU
     contention between the send path and the extract path deterministic.
+    The state is a count of held slots, however taken, and a FIFO of the
+    requests waiting for one.
     """
 
     def __init__(self, env: "Environment", capacity: int = 1, name: str = ""):
@@ -43,30 +45,22 @@ class Resource:
         self.env = env
         self.capacity = capacity
         self.name = name
-        self._users: set[Request] = set()
-        self._inline = 0  # slots held through acquire(), not a Request
-        self._queue: list[tuple[int, Request]] = []  # heap keyed by request key
-        self._seq = 0
+        self.count = 0          # slots held, by a granted Request or inline
+        self._queue: deque[Request] = deque()
 
     # -- API -------------------------------------------------------------
-    @property
-    def count(self) -> int:
-        """Number of current holders."""
-        return len(self._users) + self._inline
-
     @property
     def queued(self) -> int:
         """Number of requests waiting."""
         return len(self._queue)
 
     def request(self) -> Request:
-        self._seq += 1
-        req = Request(self, key=self._seq)
-        if len(self._users) + self._inline < self.capacity:
-            self._users.add(req)
+        req = Request(self)
+        if self.count < self.capacity:
+            self.count += 1
             req.succeed()
         else:
-            heapq.heappush(self._queue, (req.key, req))
+            self._queue.append(req)
         return req
 
     def acquire(self) -> Optional[Event | int]:
@@ -80,47 +74,38 @@ class Resource:
         token goes back to :meth:`release`, in a ``finally`` (``if req is
         not None: yield req`` sits inside it).
         """
-        if len(self._users) + self._inline < self.capacity:
-            self._inline += 1
+        if self.count < self.capacity:
+            self.count += 1
             env = self.env
             heap = env._heap                   # Environment.quiet, inline
             if (not env._imm and not env._fanout
-                    and (not heap or heap[0][0] > env._now)):
+                    and (not heap or heap[0][0] > env.now)):
                 env.elided += 1
                 return None
             return 0
         return self.request()
 
     def release(self, request: Optional[Event | int]) -> None:
-        """Release a held request, or cancel a queued one (idempotent);
+        """Release a held request, or withdraw a queued one (idempotent);
         ``None`` or ``0`` releases one inline hold taken by :meth:`acquire`."""
         if request is None or request.__class__ is int:
             if request:
                 raise SimulationError(
                     f"{self!r}: {request!r} is not a token acquire() returns")
-            if not self._inline:
+            if not self.count:
                 raise SimulationError(f"{self!r}: no inline hold to release")
-            self._inline -= 1
-            if self._queue:
-                self._grant_next()
-        elif request in self._users:
-            self._users.remove(request)
-            self._grant_next()
+        elif request.resource is not self:
+            return                             # released or withdrawn before
         else:
-            for i, (_key, queued_req) in enumerate(self._queue):
-                if queued_req is request:
-                    self._queue.pop(i)
-                    heapq.heapify(self._queue)
-                    break
-
-    # -- internals ------------------------------------------------------------
-    def _grant_next(self) -> None:
-        while self._queue and len(self._users) + self._inline < self.capacity:
-            _key, req = heapq.heappop(self._queue)
-            self._users.add(req)
-            req.succeed()  # no value: a request that held itself is a cycle
+            request.resource = None
+            if not request._triggered:         # still queued: withdraw it
+                self._queue.remove(request)
+                return
+        if self._queue:   # only a full resource queues: the slot passes on
+            self._queue.popleft().succeed()  # no value: that would be a cycle
+        else:
+            self.count -= 1
 
     def __repr__(self) -> str:
         return (f"<{type(self).__name__} {self.name!r} users={self.count}"
                 f"/{self.capacity} queued={len(self._queue)}>")
-

@@ -166,7 +166,7 @@ class Store:
         items = self.items
         heap = env._heap                       # Environment.quiet, inline
         if (self._puts or len(items) >= self.capacity or env._imm
-                or env._fanout or (heap and heap[0][0] <= env._now)):
+                or env._fanout or (heap and heap[0][0] <= env.now)):
             return False
         env.elided += 1
         if self._gets:
@@ -185,7 +185,7 @@ class Store:
         items = self.items
         heap = env._heap                       # Environment.quiet, inline
         if (self._gets or not items or env._imm or env._fanout
-                or (heap and heap[0][0] <= env._now)):
+                or (heap and heap[0][0] <= env.now)):
             return EMPTY
         env.elided += 1
         item = items.popleft()

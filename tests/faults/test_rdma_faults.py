@@ -371,3 +371,44 @@ def test_a_put_still_landing_is_not_stalled(monkeypatch):
     result = run_scenario(puts)["results"]
     assert result["elapsed_ns"] > 50_000
     assert result["n_messages"] == 1
+
+
+
+def test_a_stalled_barrier_names_the_round_and_the_peer_it_waits_on():
+    """Eight nodes, node 1's NIC 40 ms slower per packet for the whole
+    run.  A barrier packet carries no bytes, so nothing counts as progress
+    and node 1's own host gives up first, in round 2 of 3 (0-based), still
+    waiting on node 5's packet behind its stalled receive firmware.  The
+    counters read zero, so the "dead peer?" guess stays; the engine adds
+    what it waits on."""
+    cluster = Cluster(8, machine=PPRO_FM2, fm_version=2)
+    cluster.inject_faults(FaultPlan(episodes=(
+        NicStall(node=1, extra_ns=40_000_000),)))
+    programs, colls = nic_barrier(cluster)
+    with pytest.raises(RdmaStalledError,
+                       match="node 1 waited 100020000 ns") as failure:
+        cluster.run(programs)
+    assert cluster.now == 100_022_524
+    message = str(failure.value)
+    assert message.endswith("; cq depth 0; barrier round 2/3 waiting on node 5")
+    assert "dead peer or unmatched region?" in message
+    assert [coll.stats_barriers for coll in colls] == [1, 0, 1, 1, 1, 0, 1, 1]
+
+
+def test_a_stalled_bcast_names_the_parent_it_waits_on():
+    """Node 1's NIC sends nothing for twice the wait limit, so node 3, its
+    child in the binomial tree rooted at 0, never gets the chunk: node 3
+    gives up and its engine names its parent.  Nodes 1 and 2 have theirs."""
+    cluster = Cluster(4, machine=PPRO_FM2, fm_version=2)
+    cluster.inject_faults(FaultPlan(episodes=(
+        NicStall(node=1, side="tx", extra_ns=2 * CQ_STALL_LIMIT_NS),)))
+    colls = [NicCollectives(node, 4) for node in cluster.nodes]
+    buffers = [node.buffer(1024) for node in cluster.nodes]
+
+    def program(node):
+        yield from colls[node.node_id].bcast(buffers[node.node_id], 1024, 0)
+
+    with pytest.raises(RdmaStalledError, match="node 3 waited") as failure:
+        cluster.run([program] * 4)
+    assert str(failure.value).endswith("; cq depth 0; bcast waiting on parent 1")
+    assert [coll.stats_bcasts for coll in colls] == [1, 1, 1, 0]

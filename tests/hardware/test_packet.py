@@ -70,3 +70,35 @@ class TestPacket:
 
     def test_crc_distinguishes_payloads(self):
         assert compute_crc(b"a") != compute_crc(b"b")
+
+
+class TestSealedPayload:
+    """A packet's CRC covers the payload bytes object made at construction;
+    ``crc_ok`` tests the CORRUPT mark first and computes a CRC only for a
+    payload that has since been replaced (``TestPacket`` has the CORRUPT
+    mark on the sealed payload, a replacement of another length and
+    ``wire_bytes``)."""
+
+    def test_a_replaced_payload_of_the_same_length_fails(self):
+        packet = Packet(make_header(), b"payload")
+        packet.payload = b"paylaod"               # same length, other bytes
+        assert not packet.crc_ok()
+        assert packet.crc == compute_crc(b"payload")
+
+    def test_crc_is_of_what_was_sent_from_a_view_that_changed(self):
+        backing = bytearray(b"before!!")
+        packet = Packet(make_header(), memoryview(backing)[:6])
+        backing[:] = b"after!!!"                  # the sender reuses its buffer
+        assert packet.payload == b"before"
+        assert packet.crc == compute_crc(b"before")
+        assert packet.crc_ok()
+
+    def test_crc_is_read_only(self):
+        packet = Packet(make_header(), b"payload")
+        with pytest.raises(AttributeError):
+            packet.crc = 0
+
+    def test_packet_and_header_are_slotted(self):
+        packet = Packet(make_header(), b"x")
+        assert not hasattr(packet, "__dict__")
+        assert not hasattr(packet.header, "__dict__")

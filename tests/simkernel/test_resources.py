@@ -3,8 +3,10 @@
 import gc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.simkernel import Environment, Resource
+from repro.simkernel.errors import SimulationError
 from repro.simkernel.resources import Request
 
 
@@ -119,3 +121,56 @@ class TestMutex:
 
     def test_capacity_is_one(self, env):
         assert Resource(env).capacity == 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(capacity=st.integers(1, 3),
+       ops=st.lists(st.tuples(
+           st.sampled_from(["acquire", "request", "release", "again", "bad"]),
+           st.integers(0, 63)), max_size=40))
+def test_the_counted_lock_matches_a_list_model(capacity, ops):
+    """A held count and a FIFO of requests against two lists: the handles
+    holding a slot and the requests waiting, oldest first.  ``release``
+    frees a holder (the oldest waiter takes its slot) or withdraws a
+    waiter; a second release of a request is a no-op and an int token
+    other than 0 is rejected.  Nothing runs the clock, so every grant is
+    seen as its request turning triggered."""
+    env = Environment()
+    lock = Resource(env, capacity)
+    holders, waiters, spent = [], [], []
+    for op, pick in ops:
+        if op in ("acquire", "request"):
+            handle = lock.acquire() if op == "acquire" else lock.request()
+            if len(holders) < capacity:
+                if op == "acquire":
+                    assert handle is None or (type(handle) is int
+                                              and handle == 0)
+                else:
+                    assert handle.triggered
+                holders.append(handle)
+            else:
+                assert isinstance(handle, Request) and not handle.triggered
+                waiters.append(handle)
+        elif op == "release" and holders + waiters:
+            index = pick % len(holders + waiters)
+            if index < len(holders):
+                handle = holders.pop(index)
+                lock.release(handle)
+                if waiters:
+                    holders.append(waiters.pop(0))
+            else:
+                handle = waiters.pop(index - len(holders))
+                lock.release(handle)
+                assert not handle.triggered       # withdrawn, never granted
+            if isinstance(handle, Request):
+                spent.append(handle)
+        elif op == "again" and spent:
+            lock.release(spent[pick % len(spent)])
+        elif op == "bad":
+            with pytest.raises(SimulationError, match="not a token"):
+                lock.release(pick + 1)
+        assert lock.count == len(holders)
+        assert lock.queued == len(waiters)
+        assert all(handle.triggered for handle in holders
+                   if isinstance(handle, Request))
+        assert not any(handle.triggered for handle in waiters)

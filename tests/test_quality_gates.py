@@ -228,3 +228,24 @@ def test_every_span_is_recorded_through_a_site():
     assert offenders == []
     assert _occurrences("obs.span(") == {}
     assert _occurrences('track=f"') == {}
+
+
+def test_only_the_kernel_moves_the_clock():
+    """``Environment.now`` is a plain slot that everyone reads and only the
+    kernel writes: no module under ``src/repro`` but ``simkernel/env.py``
+    assigns a ``now``, and the ``_now`` slot behind the old property is
+    gone."""
+    root = pathlib.Path(repro.__file__).parent
+    writers = set()
+    for path in root.rglob("*.py"):
+        text = path.read_text()
+        assert not re.search(r"\b_now\b", text), path.relative_to(root)
+        for node in ast.walk(ast.parse(text)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(
+                           node, (ast.AugAssign, ast.AnnAssign)) else [])
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Attribute) and sub.attr == "now":
+                        writers.add(str(path.relative_to(root)))
+    assert writers == {"simkernel/env.py"}
