@@ -235,6 +235,13 @@ class FmEndpoint:
                 )
             self._credits[dest] = new
 
+    def take_credit(self, dest: int) -> bool:
+        """Spend a free credit toward ``dest`` now; ``False`` if none is."""
+        if self.credits_available(dest):
+            self._credits[dest] -= 1
+            return True
+        return False
+
     def acquire_credit(self, dest: int) -> Generator:
         """Spend one credit toward ``dest``, spinning until one is available."""
         obs = self.env.obs

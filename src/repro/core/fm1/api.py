@@ -82,7 +82,8 @@ class FM1(FmEndpoint):
             header = self.make_header(dest, handler_id, msg_id, seq, size, flags)
             packet = Packet(header, chunk)
             yield from self.cpu.per_packet()
-            yield from self.acquire_credit(dest)
+            if not self.take_credit(dest):
+                yield from self.acquire_credit(dest)
             yield from self.inject(packet)
         self.stats_sent_messages += 1
         if obs is not None:
@@ -110,7 +111,8 @@ class FM1(FmEndpoint):
         obs = self.env.obs
         t0 = self.env.now
         yield from self.cpu.per_packet()
-        yield from self.acquire_credit(dest)
+        if not self.take_credit(dest):
+            yield from self.acquire_credit(dest)
         yield from self.inject(packet)
         self.stats_sent_messages += 1
         if obs is not None:

@@ -21,6 +21,7 @@ All primitives are generators: ``yield from fm.begin_message(...)`` etc.
 A layer above that sends header + payload calls ``fm.send_gather(dest,
 handler, pieces)`` — the three send primitives in sequence, one
 ``FM_send_piece`` per piece — and returns that generator as its own send.
+A piece is ``bytes`` (any bytes-like object) or a :class:`Buffer`.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class FM2(FmEndpoint):
             obs.record(self._sites.begin, t0, dest, msg_bytes)
         return SendStream(self, dest, handler_id, msg_bytes)
 
-    def send_piece(self, stream: SendStream, buf: Buffer, offset: int,
+    def send_piece(self, stream: SendStream, buf, offset: int,
                    nbytes: int) -> Generator:
         """Append a piece of arbitrary size to the message (FM_send_piece)."""
         obs = self.env.obs
@@ -86,15 +87,16 @@ class FM2(FmEndpoint):
             obs.record(self._sites.end, t0, stream.dest, stream.msg_bytes)
 
     def send_gather(self, dest: int, handler_id: int,
-                    pieces: list[Buffer]) -> Generator:
+                    pieces: list) -> Generator:
         """One message gathered from ``pieces``, each sent whole and in
-        order — the header + payload send of every layer above.  Sends
-        exactly the pieces given: a zero-length piece still costs its
-        ``FM_send_piece``, so callers leave an empty payload out."""
+        order — the header + payload send of every layer above, its pieces
+        ``bytes`` as they are.  Sends exactly the pieces given: a zero-length
+        piece still costs its ``FM_send_piece``, so callers leave an empty
+        payload out."""
         stream = yield from self.begin_message(
-            dest, sum([piece.size for piece in pieces]), handler_id)
+            dest, sum([len(piece) for piece in pieces]), handler_id)
         for piece in pieces:
-            yield from self.send_piece(stream, piece, 0, piece.size)
+            yield from self.send_piece(stream, piece, 0, len(piece))
         yield from self.end_message(stream)
 
     def send_buffer(self, dest: int, handler_id: int, buf: Buffer, nbytes: int,

@@ -3,12 +3,13 @@
 A :class:`SendStream` accumulates arbitrary-size pieces into packets of at
 most ``packet_payload`` bytes; each piece is PIO'd to the NIC as it is
 supplied (gather: no assembly copy — the bus crossing *is* the data
-movement).
+movement).  A piece is ``bytes`` (any bytes-like object) or a :class:`Buffer`.
 
 A :class:`RecvStream` is the handler-visible byte stream of one incoming
 message.  The extract loop feeds it packet payloads; the handler consumes it
 with ``receive`` in chunks of any size, each chunk copied exactly once, from
-the receive region straight into the handler-chosen destination buffer.
+the receive region straight into the handler-chosen destination buffer (or
+returned as ``bytes`` by ``receive_bytes``).
 The handler is a coroutine of whichever process is inside ``FM_extract``:
 ``feed`` resumes it for one *slice* — until it finishes, or runs out of data
 in ``receive`` and parks by yielding ``_PARK`` — and re-yields to the kernel
@@ -41,6 +42,9 @@ _PARK = object()
 class SendStream:
     """An in-progress outgoing message (returned by ``FM_begin_message``)."""
 
+    __slots__ = ("fm", "dest", "handler_id", "msg_bytes", "msg_id",
+                 "sent_bytes", "next_seq", "closed", "_fill", "_last_emitted")
+
     def __init__(self, fm: "FM2", dest: int, handler_id: int, msg_bytes: int):
         self.fm = fm
         self.dest = dest
@@ -63,8 +67,9 @@ class SendStream:
                 f"send stream to node {self.dest} used after FM_end_message"
             )
 
-    def push_piece(self, buf: Buffer, offset: int, nbytes: int) -> Generator:
-        """Gather ``nbytes`` of ``buf`` into the message (FM_send_piece body).
+    def push_piece(self, piece, offset: int, nbytes: int) -> Generator:
+        """Gather ``nbytes`` of ``piece`` (bytes-like or a :class:`Buffer`)
+        into the message (FM_send_piece body).
 
         Each piece is written to the NIC with one PIO burst (per-piece
         startup + bytes); full packets are emitted as they fill.
@@ -78,12 +83,15 @@ class SendStream:
                 f"{self.remaining} of {self.msg_bytes} bytes remain"
             )
         # Partition the piece into packet payloads synchronously, before any
-        # yield: the memoryview aliases the caller's live buffer, and this
-        # block is the snapshot point (matching the old up-front buf.read()).
-        # Payloads that span a whole packet are snapshotted straight off the
-        # view (one copy); only bytes straddling a packet boundary pass
-        # through the fill bytearray.
-        view = buf.view(offset, nbytes)
+        # yield: the memoryview aliases the caller's live memory, and this
+        # block is the snapshot point.  Payloads that span a whole packet
+        # are snapshotted straight off the view (one copy); only bytes
+        # straddling a packet boundary pass through the fill bytearray.
+        view = memoryview(piece.data if isinstance(piece, Buffer) else piece)
+        if offset < 0 or offset + nbytes > len(view):
+            raise IndexError(f"piece range [{offset}, {offset + nbytes}) out "
+                             f"of bounds for a {len(view)}-byte piece")
+        view = view[offset: offset + nbytes]
         cap = self.fm.params.packet_payload
         ready: list[bytes] = []
         taken = 0
@@ -132,13 +140,18 @@ class SendStream:
         self.sent_bytes += len(payload)
         self.next_seq += 1
         yield from self.fm.cpu.per_packet()
-        yield from self.fm.acquire_credit(self.dest)
+        if not self.fm.take_credit(self.dest):
+            yield from self.fm.acquire_credit(self.dest)
         # Payload bytes were PIO'd piece-by-piece; only the header crosses now.
         yield from self.fm.inject(packet, pio_bytes=HEADER_BYTES)
 
 
 class RecvStream:
     """The byte stream of one incoming message (handler-visible)."""
+
+    __slots__ = ("fm", "src", "msg_id", "handler_id", "msg_bytes",
+                 "arrived_bytes", "consumed_bytes", "next_seq", "complete",
+                 "_chunks", "handler", "trace", "handler_finished", "_in_slice")
 
     def __init__(self, fm: "FM2", src: int, msg_id: int, handler_id: int,
                  msg_bytes: int):
@@ -171,12 +184,14 @@ class RecvStream:
     def available(self) -> int:
         return self.arrived_bytes - self.consumed_bytes
 
-    def receive(self, buf: Buffer, offset: int, nbytes: int) -> Generator:
+    def receive(self, buf: Optional[Buffer], offset: int,
+                nbytes: int) -> Generator:
         """Copy the next ``nbytes`` of the message into ``buf`` (FM_receive).
 
         Blocks (deschedules the handler, returning control to extract) until
         enough packets have arrived.  Data is copied exactly once, chunk by
-        chunk, from the receive region into the destination.
+        chunk, from the receive region into the destination, or, with
+        ``buf=None``, returned as one ``bytes`` (:meth:`receive_bytes`).
         """
         if nbytes < 0:
             raise FmProtocolError(f"negative receive size {nbytes}")
@@ -185,11 +200,14 @@ class RecvStream:
                 f"FM_receive of {nbytes} bytes exceeds the {self.remaining} "
                 f"bytes remaining in the {self.msg_bytes}-byte message"
             )
+        cpu = self.fm.cpu
         obs = self.fm.env.obs
         t0 = self.fm.env.now
+        chunks = self._chunks
+        parts = []
         copied = 0
         while copied < nbytes:
-            if not self._chunks:
+            if not chunks:
                 if self.complete:
                     raise FmProtocolError(
                         f"internal: stream ({self.src}, {self.msg_id}) "
@@ -197,31 +215,34 @@ class RecvStream:
                     )
                 yield _PARK
                 continue
-            chunk = self._chunks.popleft()
+            chunk = chunks.popleft()
             take = min(len(chunk), nbytes - copied)
             if take < len(chunk):
                 # Split without copying: packet payloads are immutable bytes,
                 # so both halves can alias the original (the leftover view
                 # goes back on the deque for the next call).
                 mv = memoryview(chunk)
-                self._chunks.appendleft(mv[take:])
+                chunks.appendleft(mv[take:])
                 chunk = mv[:take]
-            # deposit() = the single receive-side copy, straight from the
-            # receive region into the handler's destination buffer; cost and
-            # meter label identical to the old memcpy via a temporary Buffer.
-            yield from self.fm.cpu.deposit(
-                chunk, buf, offset + copied, label="fm2.deliver",
-            )
+            # The single receive-side copy, straight from the receive region
+            # into the destination, charged as HostCpu.deposit charges it.
+            if buf is None:
+                parts.append(chunk)
+            else:
+                buf.write(chunk, offset + copied)
+            cpu.meter.record(take, "fm2.deliver")
+            yield from cpu.execute(cpu.memcpy_cost(take))
             copied += take
             self.consumed_bytes += take
         if obs is not None:
             obs.record(self.fm._sites.receive, t0, self.src, nbytes)
+        if buf is None:
+            return b"".join(parts)  # one whole payload: the packet's own bytes
 
     def receive_bytes(self, nbytes: int) -> Generator:
-        """Convenience: receive into a fresh buffer and return the bytes."""
-        buf = Buffer(nbytes, name="recv_tmp")
-        yield from self.receive(buf, 0, nbytes)
-        return buf.read()
+        """The next ``nbytes`` of the message as ``bytes``, charged as
+        :meth:`receive` charges them; no staging buffer."""
+        return self.receive(None, 0, nbytes)
 
     # -- extract side ---------------------------------------------------------------
     def feed(self, packet: Packet) -> Generator:

@@ -39,7 +39,6 @@ import zlib
 from collections import deque
 from typing import TYPE_CHECKING, Generator, Optional
 
-from repro.hardware.memory import Buffer
 from repro.hardware.packet import Site
 
 from repro.core.fm1.api import FM1
@@ -101,8 +100,7 @@ class DataflowEndpoint:
     def send_record(self, dest: int, edge_id: int, record: Optional[tuple],
                     flags: int, record_bytes: int) -> Generator:
         payload = pack_message(edge_id, record, flags, record_bytes)
-        buf = Buffer.from_bytes(payload, name=f"dataflow.edge{edge_id}")
-        return self.fm.send_gather(dest, self.handler_id, [buf])
+        return self.fm.send_gather(dest, self.handler_id, [payload])
 
 
 class EdgeRuntime:

@@ -8,7 +8,9 @@ FIFO lock so that concurrent logical activities on one host (e.g. a sockets
 server talking to several clients from separate program generators) never
 overlap in CPU time.
 
-All methods are generators, used as ``yield from cpu.memcpy(...)``.
+Used as ``yield from cpu.memcpy(...)``: :meth:`HostCpu.execute` is the one
+generator, and every other charge does its work at call time (``memcpy`` /
+``deposit`` move and meter the bytes) and returns ``execute(cost)``.
 """
 
 from __future__ import annotations
@@ -66,24 +68,18 @@ class HostCpu:
         """Copy bytes between host buffers: moves data and charges time."""
         copy_bytes(src, src_off, dst, dst_off, nbytes)
         self.meter.record(nbytes, label)
-        yield from self.execute(self.memcpy_cost(nbytes))
+        return self.execute(self.memcpy_cost(nbytes))
 
     def deposit(self, data, dst: Buffer, dst_off: int = 0,
                 label: str = "unlabelled") -> Generator:
-        """Write a bytes-like object into a buffer: the zero-copy receive path.
-
-        Cost-identical to :meth:`memcpy` (same meter label accounting, same
-        startup + bandwidth charge) but takes the source bytes directly —
-        ``bytes`` or a ``memoryview`` slice — so delivering a packet payload
-        into its destination costs exactly one host-Python copy instead of
-        staging it through a temporary :class:`Buffer` first.  The data
-        movement happens synchronously at call time, before any simulated
-        time elapses, so immutable sources need no snapshot.
+        """Write a bytes-like object into a buffer: :meth:`memcpy`'s charge
+        and meter record, with the source bytes taken directly (one host
+        copy, made at call time, so an immutable source needs no snapshot).
         """
         nbytes = len(data)
         dst.write(data, dst_off)
         self.meter.record(nbytes, label)
-        yield from self.execute(self.memcpy_cost(nbytes))
+        return self.execute(self.memcpy_cost(nbytes))
 
     def memcpy_cost(self, nbytes: int) -> int:
         """Time a copy of ``nbytes`` would take (no data movement)."""

@@ -82,7 +82,7 @@ class Link:
             yield int(-(-packet.wire_bytes * ns_per_byte // 1))
             packet.stamp(self._wire_label, self.env.now, WIRE_HOP, t0,
                          self._track)
-            dropped = self._apply_faults(packet)
+            dropped = self.env.faults is not None and self._apply_faults(packet)
             self.packets += 1
             self.bytes += packet.wire_bytes
             if dropped:
@@ -109,16 +109,13 @@ class Link:
 
     # -- fault injection ------------------------------------------------------
     def _apply_faults(self, packet: Packet) -> bool:
-        """Ask the attached injector for this packet's fate; True = drop.
+        """Ask the attached injector (``env.faults``) for this packet's fate.
 
         The injector records the fault (event, counter, ``fault`` span);
         the link keeps its own tallies and, for a drop, ends the packet's
         hop record here since it never reaches a NIC.
         """
-        faults = self.env.faults
-        if faults is None:
-            return False
-        fate = faults.link_fate(self.name, packet)
+        fate = self.env.faults.link_fate(self.name, packet)
         if fate == "corrupt":
             if not packet.header.flags & PacketFlags.CORRUPT:
                 self.corrupted += 1

@@ -60,7 +60,8 @@ from repro.hardware.link import Link
 from repro.hardware.memory import Buffer
 from repro.hardware.packet import (HEADER_BYTES, RX_HOP, TX_HOP, Packet,
                                    PacketFlags, PacketHeader, Site, framed,
-                                   _and, _RDMA_READ_REQ, _RDMA_WRITE)
+                                   _and, _COLLECTIVE, _CONTROL, _RDMA,
+                                   _RDMA_READ_REQ, _RDMA_WRITE)
 from repro.hardware.params import NicParams
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -436,7 +437,8 @@ class Nic:
                 stall = faults.nic_stall_ns(self.node_id, self.name, "rx")
                 if stall:
                     yield stall
-            if packet.header.is_control:
+            flags = packet.header.flags
+            if _and(flags, _CONTROL):
                 if not packet.crc_ok():
                     # A damaged credit return must be discarded, not
                     # absorbed: its count is untrustworthy, and crediting
@@ -458,9 +460,9 @@ class Nic:
                         obs.record(self._absorb_site, t0, peer,
                                    packet.header.credit_return,
                                    ctx=packet.trace)
-            elif packet.header.is_rdma:
+            elif _and(flags, _RDMA):
                 yield from self._rx_rdma(packet, t0)
-            elif packet.header.is_collective:
+            elif _and(flags, _COLLECTIVE):
                 self._rx_collective(packet, t0)
             else:
                 yield from self.recv_dma.transfer(packet.wire_bytes)

@@ -134,14 +134,6 @@ class PacketHeader:
     def is_control(self) -> bool:
         return _and(self.flags, _CONTROL) != 0
 
-    @property
-    def is_rdma(self) -> bool:
-        return _and(self.flags, _RDMA) != 0
-
-    @property
-    def is_collective(self) -> bool:
-        return _and(self.flags, _COLLECTIVE) != 0
-
 
 @dataclass(slots=True)
 class Packet:

@@ -89,11 +89,10 @@ class Store:
             event = StorePut(env, item)
         items = self.items
         if not self._puts and len(items) < self.capacity:
-            # Fast path: the put is admitted immediately, exactly as
-            # _settle's first loop iteration would do.  If getters are
-            # queued the store was empty, so exactly one get can now be
-            # satisfied (with this very item) and the store is quiescent
-            # again — the full _settle sweep is provably a no-op beyond it.
+            # The put is admitted immediately.  If getters are queued the
+            # store was empty, so exactly one get can now be satisfied
+            # (with this very item) and the store is settled again: every
+            # operation leaves no admissible put and no satisfiable get.
             # succeed() is inlined (the events are known-untriggered).
             items.append(item)
             event._value = item
@@ -129,10 +128,9 @@ class Store:
             event = StoreGet(env)
         items = self.items
         if not self._gets and items:
-            # Fast path, mirroring _settle's order: at call time any queued
-            # put is blocked (store full), so the get fires first; the freed
-            # slot then admits exactly one queued put, restoring fullness —
-            # again quiescent with no further transfers possible.
+            # At call time any queued put is blocked (store full), so the
+            # get fires first; the freed slot then admits exactly one
+            # queued put, restoring fullness — settled again.
             # succeed() is inlined (the events are known-untriggered).
             event._value = items.popleft()
             event._triggered = True
@@ -169,9 +167,16 @@ class Store:
                 or env._fanout or (heap and heap[0][0] <= env.now)):
             return False
         env.elided += 1
-        if self._gets:
-            # The store is empty: the first getter takes this very item.
-            self._gets.popleft().succeed(item)
+        gets = self._gets
+        if gets:
+            # The store is empty: the first getter takes this very item
+            # (succeed() inlined, as in put()).
+            get = gets.popleft()
+            get._value = item
+            get._triggered = True
+            seq = env._seq + 1
+            env._seq = seq
+            env._imm.append((_NORMAL_KEY + seq, get))
         else:
             items.append(item)
         return True
@@ -200,41 +205,20 @@ class Store:
 
         Only valid when no getters are queued (otherwise it would jump the
         FIFO order); the FM extract loop uses it to poll without blocking.
+        As in :meth:`get`, the freed slot admits at most one queued put.
         """
         if self._gets:
             raise RuntimeError("try_get while blocking getters are queued breaks FIFO order")
-        if not self.items:
-            return None
-        item = self.items.popleft()
-        self._settle()
-        return item
-
-    # -- internals --------------------------------------------------------------
-    def _settle(self) -> None:
-        """Admit queued puts and satisfy queued gets until quiescent.
-
-        Ordering is load-bearing for determinism: every admissible put
-        succeeds before any queued get is satisfied, then all satisfiable
-        gets succeed, and only then are puts reconsidered — the succeed()
-        sequence (and with it the event order) matches the pre-fast-path
-        kernel exactly.
-        """
         items = self.items
+        if not items:
+            return None
+        item = items.popleft()
         puts = self._puts
-        gets = self._gets
-        capacity = self.capacity
-        progress = True
-        while progress:
-            progress = False
-            while puts and len(items) < capacity:
-                put = puts.popleft()
-                items.append(put.item)
-                put.succeed(put.item)
-                progress = True
-            while gets and items:
-                get = gets.popleft()
-                get.succeed(items.popleft())
-                progress = True
+        if puts:
+            put = puts.popleft()
+            items.append(put.item)
+            put.succeed(put.item)
+        return item
 
     def __repr__(self) -> str:
         cap = "inf" if self.capacity == float("inf") else self.capacity

@@ -4,7 +4,7 @@ The MPI protocol and its copy policy live in
 :class:`~repro.upper.mpi.engine.MpiEngine`; a binding is only what differs
 between FM generations:
 
-* ``put(dest, pieces)`` — send the buffers ``pieces`` as one FM message;
+* ``put(dest, pieces)`` — send ``pieces`` (bytes or buffers) as one message;
 * an FM handler of a few lines: read the 24-byte envelope, hand it and the
   binding's handle on the payload behind it to ``engine.on_message``;
 * ``land(source, dst, nbytes)`` — the payload straight into ``dst`` — and
@@ -149,14 +149,12 @@ class MpiFm2Binding(MpiBinding):
     gather = steer = paced = True
     label = "mpi2"
 
-    def put(self, dest: int, pieces: list[Buffer]) -> Generator:
+    def put(self, dest: int, pieces: list) -> Generator:
         return self.fm.send_gather(dest, self.handler_id, pieces)
 
     def _handler(self, fm, stream, src: int) -> Generator:
-        header = Buffer(ENVELOPE_BYTES, name="mpi2.hdr")
-        yield from stream.receive(header, 0, ENVELOPE_BYTES)
-        yield from self.engine.on_message(Envelope.unpack(header.read()),
-                                          stream)
+        envelope = yield from stream.receive_bytes(ENVELOPE_BYTES)
+        yield from self.engine.on_message(Envelope.unpack(envelope), stream)
 
     def land(self, stream, dst: Buffer, nbytes: int) -> Generator:
         return stream.receive(dst, 0, nbytes)

@@ -159,9 +159,8 @@ class MpiEngine:
         binding = self.binding
         if not binding.gather:
             return self._transmit_contiguous(dest, envelope, payload, pack)
-        pieces = [Buffer.from_bytes(envelope.pack(), name="mpi.envelope")]
-        pieces += [Buffer.from_bytes(piece, name="mpi.user_send")
-                   for piece in payload if piece]
+        pieces = [envelope.pack()]
+        pieces += [piece for piece in payload if piece]
         return binding.put(dest, pieces)
 
     def _transmit_contiguous(self, dest: int, envelope: Envelope,

@@ -175,11 +175,9 @@ class Shmem:
     # -- wire -----------------------------------------------------------------------
     def _send(self, pe: int, op: int, region_id: int, offset: int, size: int,
               token: int, payload: bytes) -> Generator:
-        pieces = [Buffer.from_bytes(
-            struct.pack(_HEADER, op, region_id, offset, size, token),
-            name="shmem.hdr")]
+        pieces = [struct.pack(_HEADER, op, region_id, offset, size, token)]
         if payload:
-            pieces.append(Buffer.from_bytes(payload, name="shmem.payload"))
+            pieces.append(payload)
         return self.fm.send_gather(pe, self.handler_id, pieces)
 
     def _handler(self, fm, stream, src: int) -> Generator:

@@ -268,17 +268,15 @@ class SocketStack:
 
     def _send_raw(self, peer_node: int, conn_id: int, kind: int,
                   payload: bytes) -> Generator:
-        pieces = [Buffer.from_bytes(struct.pack(_HEADER, conn_id, kind),
-                                    name="sock.hdr")]
+        pieces = [struct.pack(_HEADER, conn_id, kind)]
         if payload:
-            pieces.append(Buffer.from_bytes(payload, name="sock.payload"))
+            pieces.append(payload)
         return self.fm.send_gather(peer_node, self.handler_id, pieces)
 
     # -- FM handler -----------------------------------------------------------------
     def _handler(self, fm, stream, src: int) -> Generator:
-        header = Buffer(HEADER_BYTES, name="sock.rxhdr")
-        yield from stream.receive(header, 0, HEADER_BYTES)
-        conn_id, kind = struct.unpack(_HEADER, header.read())
+        conn_id, kind = struct.unpack(
+            _HEADER, (yield from stream.receive_bytes(HEADER_BYTES)))
         payload_len = stream.msg_bytes - HEADER_BYTES
 
         if kind == KIND_SYN:

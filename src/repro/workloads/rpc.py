@@ -233,9 +233,9 @@ class RpcEndpoint:
         if self.is_fm1:
             return self._send_fm1(dest, handler_id, header, payload_len)
         # FM 2.x: gather the pieces straight through the API — no copy.
-        pieces = [Buffer.from_bytes(header, name="rpc.header")]
+        pieces = [header]
         if payload_len:
-            pieces.append(Buffer(payload_len, name="rpc.payload"))
+            pieces.append(bytes(payload_len))
         return self.fm.send_gather(dest, handler_id, pieces)
 
     def _send_fm1(self, dest: int, handler_id: int, header: bytes,

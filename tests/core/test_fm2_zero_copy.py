@@ -15,7 +15,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.configs import PPRO_FM2
-from repro.core.common import FmCorruptionError
+from repro.core.common import FmCorruptionError, FmProtocolError
 from repro.faults import FaultPlan, LinkFault
 from repro.hardware.memory import Buffer
 from repro.hardware.packet import Packet, PacketFlags, PacketHeader, compute_crc
@@ -208,3 +208,175 @@ class TestPacketPayloadContract:
                               msg_bytes=4, flags=PacketFlags.CORRUPT)
         packet = Packet(header, memoryview(b"data"))
         assert not packet.crc_ok()
+
+
+def _cluster_state(cluster, node_id=1):
+    """Everything a receive or a send may move, on ``node_id`` and the clock."""
+    node = cluster.node(node_id)
+    meter = node.cpu.meter
+    env = cluster.env
+    return {"copies": meter.copies, "bytes": meter.bytes,
+            "by_label": dict(meter.by_label), "busy_ns": node.cpu.busy_ns,
+            "pio_bytes": node.bus.pio_bytes, "now": env.now,
+            "scheduled_events": env.scheduled_events, "elided": env.elided}
+
+
+class TestScatterContract:
+    """``receive_bytes`` is ``receive`` into a ``Buffer`` then ``read()``,
+    minus the staging: same bytes, same charge, same clock and events."""
+
+    @staticmethod
+    def _run(n_packets, splits, into_buffer):
+        """One message of ``n_packets`` packets, received as ``splits``
+        consecutive sizes (the rest left unconsumed); returns what the
+        handler got and the cluster state after the run."""
+        cluster = Cluster(2, machine=PPRO_FM2, fm_version=2)
+        size = cluster.node(0).fm.params.packet_payload * n_packets
+        payload = pattern(size, salt=n_packets)
+        got = []
+
+        def handler(fm, stream, src):
+            for nbytes in splits:
+                if into_buffer:
+                    buf = Buffer(nbytes)
+                    yield from stream.receive(buf, 0, nbytes)
+                    got.append(buf.read())
+                else:
+                    got.append((yield from stream.receive_bytes(nbytes)))
+
+        hid = register_all(cluster, handler)
+
+        def sender(node):
+            buf = node.buffer(size, fill=payload)
+            yield from node.fm.send_buffer(1, hid, buf, size)
+
+        def receiver(node):
+            while node.fm.stats_recv_messages < 1:
+                if not (yield from node.fm.extract()):
+                    yield from node.fm.idle_wait()
+
+        cluster.run([sender, receiver])
+        return got, payload, _cluster_state(cluster)
+
+    @pytest.mark.parametrize("n_packets", [1, 2, 3])
+    @pytest.mark.parametrize("split", ["whole", "header-record-leftover"])
+    def test_receive_bytes_matches_receive_and_read(self, n_packets, split):
+        cap = Cluster(2, machine=PPRO_FM2, fm_version=2).node(0).fm.params.packet_payload
+        size = cap * n_packets
+        # A 12-byte header, then a record that crosses a packet boundary
+        # when there is one, and the leftover never received.
+        splits = ([size] if split == "whole"
+                  else [12, max(1, size - 12 - cap // 2)])
+        got, payload, state = self._run(n_packets, splits, into_buffer=False)
+        want, _, reference = self._run(n_packets, splits, into_buffer=True)
+        assert got == want
+        assert b"".join(got) == payload[:sum(splits)]
+        assert all(type(data) is bytes for data in got)
+        assert state == reference
+        assert state["by_label"]["fm2.deliver"] == sum(splits)
+
+    def test_one_packet_message_returns_the_packets_own_payload(self):
+        cluster = Cluster(2, machine=PPRO_FM2, fm_version=2)
+        seen = []
+
+        def handler(fm, stream, src):
+            arrived = stream._chunks[0]      # the packet's payload object
+            data = yield from stream.receive_bytes(stream.msg_bytes)
+            seen.append((data, arrived))
+
+        hid = register_all(cluster, handler)
+
+        def sender(node):
+            yield from node.fm.send_gather(1, hid, [pattern(100)])
+
+        cluster.run([sender, receiver_until(1, seen)])
+        ((data, arrived),) = seen
+        assert data is arrived and data == pattern(100)
+
+    @pytest.mark.parametrize("into_buffer", [False, True])
+    def test_negative_receive_is_a_protocol_error(self, into_buffer):
+        cluster = Cluster(2, machine=PPRO_FM2, fm_version=2)
+
+        def handler(fm, stream, src):
+            if into_buffer:
+                yield from stream.receive(Buffer(4), 0, -1)
+            else:
+                yield from stream.receive_bytes(-1)
+
+        hid = register_all(cluster, handler)
+
+        def sender(node):
+            yield from node.fm.send_gather(1, hid, [b"data"])
+
+        with pytest.raises(FmProtocolError, match="negative receive size"):
+            cluster.run([sender, receiver_until(1, [])])
+
+
+class TestGatherContract:
+    """A ``bytes`` piece and a ``Buffer`` piece are one ``push_piece``:
+    same packets, same PIO bytes, same CPU time and clock."""
+
+    @staticmethod
+    def _send(pieces_of):
+        cluster = Cluster(2, machine=PPRO_FM2, fm_version=2)
+        log = []
+        hid = register_all(cluster, collect_handler(log))
+        fm = cluster.node(0).fm
+        sent = []
+        inject = fm.inject
+
+        def recording(packet, pio_bytes=None):
+            sent.append(packet.payload)
+            return inject(packet, pio_bytes)
+
+        fm.inject = recording
+
+        def sender(node):
+            yield from node.fm.send_gather(1, hid, pieces_of(node))
+
+        cluster.run([sender, receiver_until(1, log)])
+        return sent, log, _cluster_state(cluster, node_id=0)
+
+    @pytest.mark.parametrize("sizes", [(24,), (24, 100), (12, 1500, 3000)])
+    def test_bytes_and_buffer_pieces_send_the_same_message(self, sizes):
+        parts = [pattern(n, salt=i) for i, n in enumerate(sizes)]
+        by_bytes = self._send(lambda node: list(parts))
+        by_buffer = self._send(lambda node: [Buffer.from_bytes(p) for p in parts])
+        assert by_bytes == by_buffer
+        sent, log, state = by_bytes
+        assert log == [b"".join(parts)]
+        assert state["pio_bytes"] > sum(sizes)
+
+    def test_buffer_piece_is_snapshotted_before_its_first_yield(self):
+        cluster = Cluster(2, machine=PPRO_FM2, fm_version=2)
+        log = []
+        hid = register_all(cluster, collect_handler(log))
+        size = 2500
+        payload = pattern(size, salt=3)
+
+        def sender(node):
+            buf = node.buffer(size, fill=payload)
+            stream = yield from node.fm.begin_message(1, size, hid)
+            piece = stream.push_piece(buf, 0, size)
+            event = next(piece)
+            buf.write(bytes(size))          # scribble while the PIO runs
+            while True:
+                value = yield event
+                try:
+                    event = piece.send(value)
+                except StopIteration:
+                    break
+            yield from node.fm.end_message(stream)
+
+        cluster.run([sender, receiver_until(1, log)])
+        assert log == [payload]
+
+    def test_str_piece_is_rejected(self):
+        cluster = Cluster(2, machine=PPRO_FM2, fm_version=2)
+        hid = register_all(cluster, collect_handler([]))
+
+        def sender(node):
+            yield from node.fm.send_gather(1, hid, ["text"])
+
+        with pytest.raises(TypeError):
+            cluster.run([sender, None])
