@@ -17,33 +17,15 @@ pipelines away (e.g. a receive-side copy when the sender is the
 bottleneck) is still attributed.
 """
 
-from dataclasses import replace
-
 from conftest import run_once
-from repro.bench.report import HeadlineRow, curve_table, headline_table
-from repro.bench.sweeps import SweepResult, bandwidth_sweep
+from repro.bench.figures import ABLATIONS, FIGURES
+from repro.bench.report import HeadlineRow, headline_table
 from repro.cluster import Cluster
 from repro.configs import PPRO_FM2
 from repro.upper.mpi.world import build_mpi_world
-from repro.workloads.presets import PRESETS
-from repro.workloads.runner import execute_scenario
 
-SIZES = (16, 256, 2048)
 BURST_SIZE = 1024
 BURST_COUNT = 16
-#: The full binding and its three ablations (``BINDINGS`` names), as the
-#: tables label them.
-LABELS = {"fm2": "full FM 2.x", "no-gather": "no gather",
-          "no-interleaving": "no interleaving", "no-pacing": "no pacing"}
-
-
-def stream_point(binding, size):
-    """The Figure 6 stream over ``binding``; returns (MB/s, recv copy
-    bytes)."""
-    outcome = execute_scenario(replace(PRESETS["mpi-stream-fm2"],
-                                       mpi_binding=binding, msg_bytes=size))
-    return (outcome.stats.result.bandwidth_mbs,
-            outcome.cluster.node(1).cpu.meter.bytes)
 
 
 def measure_burst(binding):
@@ -71,44 +53,35 @@ def measure_burst(binding):
 
 def test_ablation_fm2_features(benchmark, show):
     def regenerate():
-        stream = {label: [stream_point(binding, size) for size in SIZES]
-                  for binding, label in LABELS.items()}
-        burst = {LABELS[binding]: measure_burst(binding)
-                 for binding in ("fm2", "no-pacing")}
-        return stream, burst
+        return (FIGURES["ablation_fm2_features"](),
+                {binding: measure_burst(binding)
+                 for binding in ("fm2", "no-pacing")})
 
-    stream, burst = run_once(benchmark, regenerate)
-    fm_base = bandwidth_sweep(replace(PRESETS["stream-fm2"], n_requests=30),
-                              SIZES, "raw FM")
-    sweeps = [fm_base] + [
-        SweepResult(label, list(SIZES), [bw for bw, _copies in rows])
-        for label, rows in stream.items()
-    ]
-    show(curve_table("Ablation — pre-posted MPI stream, one feature "
-                     "disabled at a time", sweeps))
-    show(headline_table("Ablation — receive-side copy traffic and overrun", [
-        HeadlineRow("recv copies @2KB, full", "-",
-                    f"{stream['full FM 2.x'][2][1]} B"),
-        HeadlineRow("recv copies @2KB, no interleaving", "-",
-                    f"{stream['no interleaving'][2][1]} B"),
-        HeadlineRow("burst spills, full (paced)", "0",
-                    str(burst["full FM 2.x"][0])),
+    result, burst = run_once(benchmark, regenerate)
+    show(result.table)
+    # The burst is a hand-built MPI world (receives posted only after it
+    # lands), not a scenario, so its rows are measured and printed here.
+    show(headline_table("Ablation — un-posted burst overrun", [
+        HeadlineRow("burst spills, full (paced)", "0", str(burst["fm2"][0])),
         HeadlineRow("burst spills, no pacing", "> 0",
-                    str(burst["no pacing"][0])),
+                    str(burst["no-pacing"][0])),
     ]))
+    mbs = {binding: curve.at(2048)
+           for binding, curve in zip(ABLATIONS, result.curves[1:])}
+    copies = {binding: result.values[f"{binding}/2048/recv_copy_bytes"]
+              for binding in ABLATIONS}
 
-    full = stream["full FM 2.x"]
     # Gather: the per-byte assembly copy costs bandwidth at large sizes.
-    assert stream["no gather"][2][0] < 0.90 * full[2][0]
+    assert mbs["no-gather"] < 0.90 * mbs["fm2"]
     # Interleaving: the staging copy may pipeline under the sender
     # bottleneck, but it is real CPU copy traffic — roughly double.
-    assert stream["no interleaving"][2][1] > 1.7 * full[2][1]
-    assert stream["no interleaving"][2][0] <= full[2][0] * 1.02
+    assert copies["no-interleaving"] > 1.7 * copies["fm2"]
+    assert mbs["no-interleaving"] <= mbs["fm2"] * 1.02
     # Pacing: with paced extraction the burst never spills; without it the
     # small pool overruns and pays spill copies, exactly §3.2's pathology.
-    assert burst["full FM 2.x"][0] == 0
-    assert burst["no pacing"][0] > 0
-    assert burst["no pacing"][2] > burst["full FM 2.x"][2]
+    assert burst["fm2"][0] == 0
+    assert burst["no-pacing"][0] > 0
+    assert burst["no-pacing"][2] > burst["fm2"][2]
     # No ablation beats the full configuration at the large size.
-    for label in ("no gather", "no interleaving", "no pacing"):
-        assert stream[label][2][0] <= full[2][0] * 1.02, label
+    for binding in ("no-gather", "no-interleaving", "no-pacing"):
+        assert mbs[binding] <= mbs["fm2"] * 1.02, binding

@@ -21,82 +21,43 @@ what that buys a continuous pipeline:
 from __future__ import annotations
 
 from conftest import run_once
-from repro.bench.report import HeadlineRow, headline_table
-from repro.dataflow.engine import PipelineScenario
-from repro.workloads.runner import run_scenario
-
-
-def scatter_gather(**overrides):
-    """A saturating scatter/gather pipeline: offered load far above lane
-    capacity, so throughput reads back the pipeline's actual capacity."""
-    spec = dict(
-        name="ext-dataflow", kind="pipeline", pipeline="scatter_gather",
-        arrival="open-fixed", n_nodes=7, n_sources=2, branches=4,
-        rate_rps=2_000_000.0, n_requests=400, req_bytes=64,
-        work_ns=4_000, n_keys=64, queue_capacity=16,
-    )
-    spec.update(overrides)
-    return run_scenario(PipelineScenario(**spec))["results"]
+from repro.bench.figures import FIGURES
 
 
 def test_ext_dataflow_placement_throughput(benchmark, show):
-    def regenerate():
-        return {
-            "spread": scatter_gather(),
-            "colocate": scatter_gather(stage_placement="colocate",
-                                       n_nodes=2),
-        }
+    result = run_once(benchmark, FIGURES["ext_dataflow"])
+    show(result.table)
+    v = result.values
 
-    results = run_once(benchmark, regenerate)
-    show(headline_table(
-        "Extension — dataflow throughput vs stage placement", [
-            HeadlineRow(f"{placement} ({r['throughput_rps'] / 1e3:.0f}k "
-                        "records/s)", "-",
-                        f"p99 {r['latency']['p99_ns'] / 1e3:.0f} us")
-            for placement, r in results.items()
-        ]))
-
-    spread, coloc = results["spread"], results["colocate"]
-    for r in results.values():
-        assert r["conservation"]["ok"]
-        assert r["records"]["dropped"] == 0
+    for placement in ("spread", "colocate"):
+        assert v[f"{placement}/conserved"]
+        assert v[f"{placement}/dropped"] == 0
     # Compute-bound lanes: one node per stage beats 4 lanes folded onto
     # 2 source nodes by well over 1.5x (measured ~1.8x).
-    assert spread["throughput_rps"] > 1.5 * coloc["throughput_rps"]
+    assert v["spread/throughput_rps"] > 1.5 * v["colocate/throughput_rps"]
     # What colocation buys instead: most hops never touch the fabric.
-    assert any(e["local"] for e in coloc["edges"])
-    assert all(not e["local"] for e in spread["edges"])
+    assert v["colocate/local_edges"] > 0
+    assert v["spread/local_edges"] == 0
 
 
-def test_ext_dataflow_queue_depth_throughput(benchmark, show):
-    depths = (1, 2, 16, 64)
+def test_ext_dataflow_queue_depth_throughput(benchmark):
+    result = run_once(benchmark, FIGURES["ext_dataflow"])
+    depths = {depth: {key.split("/")[1]: value
+                      for key, value in result.values.items()
+                      if key.startswith(f"capacity {depth:>2}/")}
+              for depth in (1, 2, 16, 64)}
 
-    def regenerate():
-        return {depth: scatter_gather(queue_capacity=depth)
-                for depth in depths}
-
-    results = run_once(benchmark, regenerate)
-    show(headline_table(
-        "Extension — dataflow throughput vs bounded-queue depth", [
-            HeadlineRow(f"capacity {depth:>2} "
-                        f"({r['throughput_rps'] / 1e3:.0f}k records/s)",
-                        "flat",
-                        f"p99 {r['latency']['p99_ns'] / 1e3:.0f} us")
-            for depth, r in results.items()
-        ]))
-
-    throughputs = [r["throughput_rps"] for r in results.values()]
+    throughputs = [r["throughput_rps"] for r in depths.values()]
     # Zero drops at every depth: backpressure, not buffering, is what
     # keeps records safe — even a depth-1 queue loses nothing.
-    for r in results.values():
-        assert r["records"]["dropped"] == 0
-        assert r["conservation"]["ok"]
+    for r in depths.values():
+        assert r["dropped"] == 0
+        assert r["conserved"]
     # The bottleneck lane's service rate sets throughput; queue depth
     # only chooses where records wait (flat within a few percent).
     assert max(throughputs) < 1.1 * min(throughputs)
     # What deep queues do cost: records queue longer ahead of the
     # bottleneck — buffer bloat shows up in the delivered tail.
-    assert (results[64]["latency"]["p99_ns"]
-            > 1.2 * results[2]["latency"]["p99_ns"])
+    assert depths[64]["p99_ns"] > 1.2 * depths[2]["p99_ns"]
     # Backpressure is doing the pacing at every depth.
-    assert all(r["credit_stalls"] > 0 for r in results.values())
+    assert all(r["credit_stalls"] > 0 for r in depths.values())

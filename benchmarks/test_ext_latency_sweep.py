@@ -9,34 +9,15 @@ beats FM 1.x at every size, with the gap widening with message length.
 import pytest
 
 from conftest import run_once
-from repro.bench.microbench import fm_pingpong
-from repro.bench.report import HeadlineRow, headline_table
-from repro.cluster import Cluster
-from repro.configs import PPRO_FM2, SPARC_FM1
-
-SIZES = (16, 128, 1024, 4096)
+from repro.bench.figures import FIGURES
 
 
 def test_ext_latency_vs_size(benchmark, show):
-    def regenerate():
-        return {
-            "FM 1.x": [fm_pingpong(Cluster(2, SPARC_FM1, 1), size,
-                                   iterations=8).one_way_latency_us
-                       for size in SIZES],
-            "FM 2.x": [fm_pingpong(Cluster(2, PPRO_FM2, 2), size,
-                                   iterations=8).one_way_latency_us
-                       for size in SIZES],
-        }
+    result = run_once(benchmark, FIGURES["ext_latency_size"])
+    show(result.table)
 
-    results = run_once(benchmark, regenerate)
-    rows = []
-    for label, latencies in results.items():
-        for size, latency in zip(SIZES, latencies):
-            rows.append(HeadlineRow(f"{label} @ {size} B", "-",
-                                    f"{latency:.1f} us"))
-    show(headline_table("Extension — one-way latency vs message size", rows))
-
-    fm1, fm2 = results["FM 1.x"], results["FM 2.x"]
+    fm1, fm2 = ([us for key, us in result.values.items()
+                 if key.startswith(layer)] for layer in ("fm1/", "fm2/"))
     # Monotone in size on both generations.
     assert fm1 == sorted(fm1)
     assert fm2 == sorted(fm2)

@@ -7,39 +7,21 @@ onto host memcpy (the copies), while MPI on FM 2.x leaves the profile
 nearly identical to raw FM.
 """
 
-from dataclasses import replace
-
-import pytest
+from dataclasses import fields
 
 from conftest import run_once
-from repro.bench.report import HeadlineRow, headline_table
-from repro.bench.utilization import stream_utilization
-from repro.workloads.presets import PRESETS
+from repro.bench.figures import FIGURES
+from repro.bench.utilization import Utilization
 
 
 def test_ext_component_utilization(benchmark, show):
-    def regenerate():
-        return {
-            label: stream_utilization(replace(PRESETS[preset], **fields))
-            for label, preset, fields in (
-                ("FM 1.x @512B", "stream-fm1",
-                 {"msg_bytes": 512, "n_requests": 60}),
-                ("FM 2.x @2KB", "stream-fm2",
-                 {"msg_bytes": 2048, "n_requests": 60}),
-                ("MPI-FM 1.x @512B", "mpi-stream-fm2",
-                 {"machine": "sparc", "fm_version": 1, "msg_bytes": 512,
-                  "n_requests": 40}),
-                ("MPI-FM 2.x @2KB", "mpi-stream-fm2",
-                 {"msg_bytes": 2048, "n_requests": 40}),
-            )
-        }
-
-    results = run_once(benchmark, regenerate)
-    rows = []
-    for label, util in results.items():
-        for metric, value in util.rows():
-            rows.append(HeadlineRow(f"{label}: {metric}", "-", value))
-    show(headline_table("Extension — component utilisation", rows))
+    result = run_once(benchmark, FIGURES["ext_utilization"])
+    show(result.table)
+    results = {label: Utilization(**{
+        field.name: result.values[f"{label}/{field.name}"]
+        for field in fields(Utilization)})
+        for label in ("FM 1.x @512B", "FM 2.x @2KB", "MPI-FM 1.x @512B",
+                      "MPI-FM 2.x @2KB")}
 
     fm1 = results["FM 1.x @512B"]
     fm2 = results["FM 2.x @2KB"]

@@ -14,7 +14,7 @@ Figures 4 and 6.  Conventions follow the paper's community practice:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.simkernel.units import MICROSECOND
 
@@ -86,13 +86,11 @@ def register_handler(cluster: Cluster, on_message: Callable) -> int:
     return _register_on_all(cluster, handler)
 
 
-def extract_until(node: Node, done: Callable[[], bool],
-                  budget: Optional[int] = None):
+def extract_until(node: Node, done: Callable[[], bool]):
     """The raw-FM program's receive loop: ``FM_extract`` until ``done()``,
-    backing off :data:`IDLE_POLL_NS` after a pass that presented nothing.
-    ``budget`` is FM 2.x's ``FM_extract(bytes)`` limit."""
+    backing off :data:`IDLE_POLL_NS` after a pass that presented nothing."""
     while not done():
-        got = yield from node.fm.extract(budget)
+        got = yield from node.fm.extract()
         if not got:
             yield IDLE_POLL_NS
 
@@ -150,22 +148,24 @@ def fm_send(fm, dest: int, hid: int, buf, nbytes: int):
 
 # -- streaming bandwidth --------------------------------------------------------------
 
-def fm_stream(cluster: Cluster, msg_bytes: int, n_messages: int = 60,
-              extract_budget: Optional[int] = None) -> StreamResult:
-    """Unidirectional stream of ``n_messages`` messages node 0 -> node 1."""
-    fm_version = cluster.fm_version
+def fm_stream(cluster: Cluster, msg_bytes: int,
+              n_messages: int = 60) -> StreamResult:
+    """Unidirectional stream of ``n_messages`` messages node 0 -> node 1.
+    FM 2.x handlers deliver into a reusable sink buffer on the receiver,
+    mirroring the paper's bandwidth test (``FM_receive`` into a buffer)."""
     done_count = [0]
     done_at = [0]
 
-    if fm_version == 1:
+    if cluster.fm_version == 1:
         def handler(fm, src, staging, nbytes):
             done_count[0] += 1
             done_at[0] = fm.env.now
             return
             yield  # pragma: no cover - generator marker
     else:
+        sink = cluster.node(1).buffer(max(msg_bytes, 1), name="bench_sink")
+
         def handler(fm, stream, src):
-            sink = stream.fm._bench_sink
             yield from stream.receive(sink, 0, stream.msg_bytes)
             done_count[0] += 1
             done_at[0] = stream.fm.env.now
@@ -180,11 +180,7 @@ def fm_stream(cluster: Cluster, msg_bytes: int, n_messages: int = 60,
             yield from fm_send(node.fm, 1, hid, buf, msg_bytes)
 
     def receiver(node: Node):
-        # FM 2.x handlers deliver into a reusable sink buffer, mirroring the
-        # paper's bandwidth test (FM_receive into a buffer).
-        node.fm._bench_sink = node.buffer(max(msg_bytes, 1), name="bench_sink")
-        return extract_until(node, lambda: done_count[0] >= n_messages,
-                             extract_budget if fm_version == 2 else None)
+        return extract_until(node, lambda: done_count[0] >= n_messages)
 
     cluster.run([sender, receiver])
     return StreamResult.of(msg_bytes, n_messages, done_at[0] - start_at[0])

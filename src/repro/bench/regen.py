@@ -1,4 +1,4 @@
-"""Regenerate every figure/table of the paper from the command line.
+"""Regenerate every figure/table of the paper and its extensions.
 
 ``python -m repro.bench.regen``                  — all figures, as tables
 ``python -m repro.bench.regen fig5 fig6``        — a subset
@@ -6,8 +6,9 @@
 ``python -m repro.bench.regen fig5 --csv out/``  — and ``out/fig5.csv``
 
 This is the pytest-free path to the measurements the benchmark suite asserts
-on: both read :data:`repro.bench.figures.FIGURES`, so the tables, the files
-and the bands are one result in three renderings.  Every figure has a JSON
+on: both read :data:`repro.bench.figures.FIGURES` (the paper's figures and
+the ``ext_*`` / ``ablation_*`` tables), so the tables, the files and the
+bands are one result in three renderings; EXPERIMENTS.md pastes the tables.  Every figure has a JSON
 form (its curves and its scalar values); the curve figures also have a CSV
 form.  Without names, a form is written for every figure that has it;
 *naming* a figure for a form it lacks is a usage error.

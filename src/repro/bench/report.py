@@ -94,13 +94,18 @@ class HeadlineRow:
 
 
 def headline_table(title: str, rows: Sequence[HeadlineRow]) -> str:
-    """Paper-vs-measured headline metrics."""
+    """Paper-vs-measured headline metrics; a column widens past its
+    default width to fit its longest entry."""
     w_m = max(len(r.metric) for r in rows) + 2
+    w_p, w_v, w_n = (max(width, *(len(text) + 2 for text in column))
+                     for width, column in zip((14, 14, 16), zip(*(
+                         (r.paper, r.measured, r.within or "") for r in rows))))
     lines = [title, "=" * len(title),
-             f"{'metric':<{w_m}}{'paper':>14}{'measured':>14}{'note':>16}"]
+             f"{'metric':<{w_m}}{'paper':>{w_p}}{'measured':>{w_v}}"
+             f"{'note':>{w_n}}"]
     for r in rows:
-        lines.append(f"{r.metric:<{w_m}}{r.paper:>14}{r.measured:>14}"
-                     f"{(r.within or ''):>16}")
+        lines.append(f"{r.metric:<{w_m}}{r.paper:>{w_p}}{r.measured:>{w_v}}"
+                     f"{(r.within or ''):>{w_n}}")
     return "\n".join(lines)
 
 

@@ -2,8 +2,8 @@
 
 Each sweep runs a microbenchmark (``kind="micro"``) on a fresh cluster per
 point, so no state leaks between points: a stream per message size (raw FM,
-MPI or one-sided puts) or a ping-pong per switch count.  Sweep results
-carry enough metadata to render the paper's figures as text tables.
+MPI or one-sided puts).  Sweep results carry enough metadata to render the
+paper's figures as text tables.
 """
 
 from __future__ import annotations
@@ -60,15 +60,6 @@ def bandwidth_sweep(scenario: MicroScenario, sizes: Sequence[int],
     or ``mpi-stream``) for each message size."""
     return sweep_with(lambda size: measure(scenario, msg_bytes=size)
                       .bandwidth_mbs, sizes, label)
-
-
-def latency_vs_hops(pingpong: MicroScenario,
-                    max_switches: int = 4) -> list[tuple[int, float]]:
-    """(switches, one-way µs over 10 round trips) across chains of 1 to
-    ``max_switches`` two-host switches: the wormhole fabric's hop cost."""
-    return [(n, measure(pingpong, pattern="chain-pingpong", n_nodes=2 * n,
-                        iterations=10).one_way_latency_us)
-            for n in range(1, max_switches + 1)]
 
 
 def sweep_with(measure: Callable[[int], float], sizes: Sequence[int],

@@ -35,13 +35,8 @@ class Utilization:
     @property
     def bottleneck(self) -> str:
         """Name of the busiest host-side component."""
-        candidates = {
-            "sender_cpu": self.sender_cpu,
-            "sender_bus": self.sender_bus,
-            "receiver_cpu": self.receiver_cpu,
-            "receiver_bus": self.receiver_bus,
-        }
-        return max(candidates, key=candidates.get)
+        return max(("sender_cpu", "sender_bus", "receiver_cpu",
+                    "receiver_bus"), key=lambda name: getattr(self, name))
 
     def rows(self) -> list[tuple[str, str]]:
         return [

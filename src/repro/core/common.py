@@ -27,8 +27,8 @@ from repro.hardware.bus import IoBus
 from repro.hardware.cpu import HostCpu
 from repro.hardware.fabric import Fabric
 from repro.hardware.nic import Nic
-from repro.hardware.packet import (HEADER_BYTES, Packet, PacketFlags,
-                                   PacketHeader, Site, framed)
+from repro.hardware.packet import (Packet, PacketFlags, PacketHeader, Site,
+                                   framed)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simkernel.env import Environment

@@ -18,7 +18,7 @@ simulation process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, Optional
 
 from repro.hardware.memory import Buffer

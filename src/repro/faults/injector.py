@@ -27,7 +27,7 @@ import zlib
 from collections import Counter
 from typing import TYPE_CHECKING, Optional
 
-from repro.faults.plan import CpuSlow, FaultPlan, LinkFault, NicStall
+from repro.faults.plan import FaultPlan
 from repro.hardware.packet import Site
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -15,7 +15,7 @@ generator, and every other charge does its work at call time (``memcpy`` /
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Generator
 
 from repro.simkernel.resources import Resource
 from repro.simkernel.units import bytes_per_sec_to_ns_per_byte

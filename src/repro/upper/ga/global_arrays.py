@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator
 
 from repro.hardware.packet import Site
-from repro.upper.shmem.shmem import Shmem, ShmemError
+from repro.upper.shmem.shmem import Shmem
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np

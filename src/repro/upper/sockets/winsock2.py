@@ -23,14 +23,11 @@ This module implements that model over :class:`SocketStack`:
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import Generator, Optional
 
 from repro.hardware.memory import Buffer
 
 from repro.upper.sockets.socket_fm import Socket, SocketError, SocketStack
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.cluster.node import Node
 
 
 class Overlapped:

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.bench.regen import FIGURES, main as regen_main
-from repro.bench.sweeps import latency_vs_hops, measure
+from repro.bench.sweeps import measure
 from repro.bench.utilization import Utilization, stream_utilization
 from repro.workloads.presets import PRESETS
 
@@ -47,8 +47,7 @@ class TestAggregatePairs:
 
 class TestLatencyVsHops:
     def test_monotone_and_bounded(self):
-        results = latency_vs_hops(PRESETS["pingpong-fm2"], max_switches=3)
-        latencies = [latency for _n, latency in results]
+        latencies = list(FIGURES["ext_hops"]().values.values())
         assert latencies == sorted(latencies)
         assert latencies[0] == pytest.approx(10.1, rel=0.2)
         assert latencies[-1] < latencies[0] + 4
@@ -94,8 +93,12 @@ class TestUtilization:
 
 class TestRegenCli:
     def test_figures_registry_complete(self):
-        assert set(FIGURES) == {"fig1", "fig2", "fig3a", "fig3b", "fig4",
-                                "fig5", "fig6", "journey", "scorecard"}
+        assert set(FIGURES) == {
+            "fig1", "fig2", "fig3a", "fig3b", "fig4", "fig5", "fig6",
+            "journey", "scorecard", "ext_hops", "ext_latency_size",
+            "ext_rdma", "ext_scaling", "ext_utilization", "ext_workloads",
+            "ext_sharding", "ext_replication", "ext_dataflow",
+            "ablation_fm2_features"}
 
     def test_cheap_figures_run(self, capsys):
         assert regen_main(["fig1", "fig2"]) == 0

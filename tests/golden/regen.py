@@ -17,9 +17,15 @@ payload sizes on both sides of the eager threshold × four receive modes,
 each entry the finish time, event counts, engine stats and per-node copy
 bytes of a four-message exchange (see :func:`mpi_binding_entry`).
 ``paper.figures.json`` pins the paper's evaluation exactly (the bands under
-``benchmarks/`` are +-15 %): the text table of every figure ``python -m
-repro.bench.regen`` prints, the series behind the six curve figures at
-4 dp, and the ``latency_vs_hops`` rows.
+``benchmarks/`` are +-15 %): the text table of every paper figure ``python
+-m repro.bench.regen`` prints and the series behind the six curve figures at
+4 dp.  ``ext.figures.json`` pins the extension and ablation tables the same
+way (every ``FIGURES`` entry named ``ext_*`` or ``ablation_*``: the hop
+table, RDMA, collectives, crossbar, alltoall, utilisation, workload knee
+and incast, sharding, balancers, replication, dataflow and the §4.1
+ablations), each with its ``values`` at full precision as well; it is in
+``SLOW``, and ``benchmarks/test_ext_figures_pinned.py`` compares it against
+the figures the benchmark run has computed.
 
 The rule these files exist for: *unchanged means matches golden; an
 intentional re-baseline is a reviewable diff of this directory.*
@@ -41,7 +47,6 @@ import sys
 from pathlib import Path
 
 from repro.bench.figures import FIGURES
-from repro.bench.sweeps import latency_vs_hops
 from repro.cluster import Cluster
 from repro.configs import PPRO_FM2, SPARC_FM1
 from repro.obs.export import dumps_deterministic, trace_events
@@ -55,7 +60,7 @@ from repro.workloads.runner import (Scenario, ScenarioOutcome,
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 SPEC_DIR = GOLDEN_DIR.parents[1] / "perfbench" / "specs"
-SLOW = frozenset({"rpc-aggregate-100k"})
+SLOW = frozenset({"rpc-aggregate-100k", "ext.figures"})
 #: The golden holding the observed-export digests, and the cases it covers
 #: (one per workload kind that records spans, ``rdma-pingpong`` the micro
 #: kind's, ``rpc-open`` a one-server service's, plus the perfbench spec the
@@ -75,8 +80,15 @@ MPI_MESSAGES = 4
 #: ablations' labels are their own business, so only their totals are held.
 MPI_LABELLED = ("fm1", "fm2", "rdma")
 
-#: The golden pinning the paper's figures (see :func:`paper_figures_text`).
+#: The goldens pinning ``FIGURES`` (see :func:`figures_text`): the paper's
+#: figures, and the extension and ablation tables.
 PAPER_FIGURES = "paper.figures"
+EXT_FIGURES = "ext.figures"
+PINNED_FIGURES = {
+    EXT_FIGURES: tuple(name for name in FIGURES
+                       if name.startswith(("ext_", "ablation_")))}
+PINNED_FIGURES[PAPER_FIGURES] = tuple(
+    name for name in FIGURES if name not in PINNED_FIGURES[EXT_FIGURES])
 
 
 def cases() -> dict:
@@ -223,27 +235,28 @@ def mpi_bindings_text() -> str:
                                 for binding in BINDINGS})
 
 
-def paper_figures_text() -> str:
-    """The canonical ``paper.figures.json``: per figure the exact ``table``
-    text and, for the curve figures, ``series`` — each curve's MB/s values
-    at 4 dp, keyed by position so a relabelled series is not a drift —
-    plus the extension table ``latency_vs_hops``."""
+def figures_text(golden: str) -> str:
+    """The canonical ``<golden>.json`` of :data:`PINNED_FIGURES`: per figure
+    the exact ``table`` text, for the curve figures ``series`` — each
+    curve's MB/s values at 4 dp, keyed by position so a relabelled series is
+    not a drift — and for the extension figures every value as measured."""
     figures = {}
-    for name, figure in FIGURES.items():
-        result = figure()
+    for name in PINNED_FIGURES[golden]:
+        result = FIGURES[name]()
         figures[name] = {"table": result.table}
         if result.curves:
             figures[name]["series"] = [
                 [round(mbs, 4) for mbs in sweep.bandwidths_mbs]
                 for sweep in result.curves]
-    return dumps_deterministic({"figures": figures,
-                                "latency_vs_hops": latency_vs_hops(
-                                    PRESETS["pingpong-fm2"])})
+        if golden == EXT_FIGURES:
+            figures[name]["values"] = result.values
+    return dumps_deterministic({"figures": figures})
 
 
 #: Goldens that are not one scenario's report: ``{name: fresh text}``.
 DERIVED = {OBS_DIGESTS: obs_digests_text, MPI_BINDINGS: mpi_bindings_text,
-           PAPER_FIGURES: paper_figures_text}
+           **{golden: functools.partial(figures_text, golden)
+              for golden in PINNED_FIGURES}}
 
 
 def main(argv=None) -> int:

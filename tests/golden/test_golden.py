@@ -8,13 +8,16 @@ files — attaching one may not move a report byte — and what they export
 (trace events, metrics) is pinned by digest in ``obs.digests.json``.
 ``mpi.bindings.json`` holds the MPI receive path of every binding and
 ablation to the nanosecond, event and copied byte, and
-``paper.figures.json`` every figure of the paper to the printed digit.
+``paper.figures.json`` every figure of the paper to the printed digit
+(``ext.figures.json``, the extension tables, is compared by the benchmark
+run and ``regen.py --check --slow``).
 """
 
 import json
 
 import pytest
 
+from repro.bench.figures import FIGURES
 from repro.workloads import presets
 from repro.workloads.run import main
 from repro.workloads.runner import execute_scenario
@@ -48,8 +51,37 @@ def test_mpi_binding_matches_golden(binding):
 
 
 def test_paper_figures_match_golden():
-    assert regen.paper_figures_text() == regen.golden_text(
+    assert regen.figures_text(regen.PAPER_FIGURES) == regen.golden_text(
         regen.PAPER_FIGURES)
+
+
+def _trim(text: str) -> str:
+    return "\n".join(line.rstrip() for line in text.splitlines())
+
+
+def _unpasted(experiments: str) -> list[str]:
+    """Pinned figures whose table ``experiments`` does not show verbatim
+    (line ends trimmed on both sides)."""
+    text = _trim(experiments)
+    return [name for golden in regen.PINNED_FIGURES
+            for name, figure in json.loads(
+                regen.golden_text(golden))["figures"].items()
+            if _trim(figure["table"]) not in text]
+
+
+def test_experiments_pastes_every_pinned_table():
+    """EXPERIMENTS.md shows every pinned table as ``python -m
+    repro.bench.regen`` prints it, so a figure that moves cannot leave a
+    stale copy there; simulates nothing."""
+    pinned = [name for golden in regen.PINNED_FIGURES
+              for name in json.loads(regen.golden_text(golden))["figures"]]
+    assert sorted(pinned) == sorted(FIGURES)    # each in exactly one golden
+    experiments = (regen.GOLDEN_DIR.parents[1] / "EXPERIMENTS.md").read_text()
+    assert _unpasted(experiments) == []
+    table = _trim(json.loads(regen.golden_text(regen.PAPER_FIGURES))[
+        "figures"]["fig5"]["table"])
+    assert _unpasted(_trim(experiments).replace(table, table.replace(
+        "75.07", "75.08"))) == ["fig5"]
 
 
 def test_rdma_pingpong_report_is_a_clean_transport_run():

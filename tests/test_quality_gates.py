@@ -249,3 +249,38 @@ def test_only_the_kernel_moves_the_clock():
                     if isinstance(sub, ast.Attribute) and sub.attr == "now":
                         writers.add(str(path.relative_to(root)))
     assert writers == {"simkernel/env.py"}
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names ``tree`` imports and never names again: not as a name, in a
+    string annotation (``Optional["Node"]``) or in ``__all__``."""
+    imported = [alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names]
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        for hint in (getattr(node, "annotation", None),
+                     getattr(node, "returns", None)):
+            for part in ast.walk(hint) if hint else ():
+                if isinstance(part, ast.Constant) and isinstance(part.value,
+                                                                 str):
+                    used |= {name.id for name in ast.walk(
+                        ast.parse(part.value, mode="eval"))
+                        if isinstance(name, ast.Name)}
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__"
+                for target in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+def test_every_import_is_used():
+    root = pathlib.Path(repro.__file__).parent
+    unused = {str(path.relative_to(root)): names
+              for path in sorted(root.rglob("*.py"))
+              if (names := _unused_imports(ast.parse(path.read_text())))}
+    assert unused == {}
